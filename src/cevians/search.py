@@ -23,7 +23,6 @@ from enum import Enum
 import numpy as np
 
 from . import bulk
-from .exceptions import CevianError
 from .inequalities import open_problem_slacks
 from .intervals import Interval
 from .kernel import (
@@ -252,71 +251,109 @@ def is_confirmed_violation(
     return negative
 
 
+def _probe_slacks(
+    vec: np.ndarray,
+    c0: np.ndarray,
+    mode: SearchMode,
+    foot_margin: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Evaluate pattern-search probes, one per row of ``vec`` (x, y, ta, tb, tc).
+
+    Returns the acceptance mask and min_slack.  A row is accepted exactly
+    when :func:`evaluate_candidate` on ``validate_sides(x*c0, y*c0, c0)``
+    would succeed, with ``x <= y <= 1`` so that the roles of the sides
+    stay fixed and the feet within ``[foot_margin, 1 - foot_margin]``, and
+    in open-problem mode when the constraints hold.  Rejected rows may
+    carry NaN; their min_slack is meaningless.
+    """
+    x, y, ta, tb, tc = vec.T
+    feet = vec[:, 2:]
+    # Rejected rows may take the square root of a negative or overflow;
+    # the scalar path raises or rejects there, so no warning is wanted.
+    with np.errstate(invalid="ignore", over="ignore"):
+        a = x * c0
+        b = y * c0
+        ok = (
+            (x <= y)
+            & (y <= 1.0)
+            & ((feet >= foot_margin) & (feet <= 1.0 - foot_margin)).all(axis=1)
+            & (a > 0.0)
+            & (a + b > c0)
+        )
+        la, lb, lc = bulk.general_cevians_arrays(a, b, c0, ta, tb, tc)
+        s1 = bulk.slack_main_arrays(a, b, c0, la, lb, lc)
+        s2 = bulk.slack_quadratic_arrays(a, b, c0, la, lb, lc)
+        ok &= (la > 0.0) & (lb > 0.0) & (lc > 0.0)
+        ok &= np.isfinite(s1) & np.isfinite(s2)
+        if mode is SearchMode.OPEN_PROBLEM:
+            ok &= bulk.constraint_mask_arrays(a, b, c0, la, lb, lc)
+    return ok, np.minimum(s1, s2)
+
+
 def refine(
-    cand: CandidateRecord,
+    cands: list[CandidateRecord],
     steps: int,
     mode: SearchMode = SearchMode.UNCONSTRAINED,
     foot_margin: float = 1e-4,
-) -> CandidateRecord:
-    """Derivative-free local descent on min_slack.
+) -> list[CandidateRecord]:
+    """Derivative-free local descent on min_slack, for all candidates at once.
 
-    Coordinate-wise pattern search over (x, y, ta, tb, tc) with halving
-    steps; c stays pinned at the candidate's own longest side.  Moves that
-    leave the triangle domain or the foot range are rejected, and in
-    open-problem mode moves that break the constraints are rejected too,
-    so the result never has larger min_slack than the input.
+    Each candidate runs its own coordinate-wise pattern search over
+    (x, y, ta, tb, tc) with halving steps; c stays pinned at the
+    candidate's own longest side.  Moves that leave the triangle domain or
+    the foot range are rejected, and in open-problem mode moves that break
+    the constraints are rejected too, so no result has larger min_slack
+    than its input.  A sweep makes ten probes (+step and -step on each
+    coordinate) in order, each one array evaluation over the candidates
+    still active; a candidate leaves once its step falls below 1e-12.
+
+    A candidate that moved is rebuilt by :func:`evaluate_candidate` and
+    marked refined; one that never moved is returned as the same object.
     """
-    if steps <= 0:
-        return cand
+    if steps <= 0 or not cands:
+        return list(cands)
 
-    c0 = cand.sides.c
-    vec = [
-        cand.sides.a / c0,
-        cand.sides.b / c0,
-        cand.feet.ta,
-        cand.feet.tb,
-        cand.feet.tc,
-    ]
-
-    def build(v: list[float]) -> CandidateRecord | None:
-        x, y, ta, tb, tc = v
-        if not (x <= y <= 1.0):
-            return None
-        for tt in (ta, tb, tc):
-            if not (foot_margin <= tt <= 1.0 - foot_margin):
-                return None
-        try:
-            t = validate_sides(x * c0, y * c0, c0)
-            probe = evaluate_candidate(t, GeneralCevianParams(ta, tb, tc),
-                                       cand.index)
-        except (CevianError, ValueError):
-            return None
-        if t.c != c0 or t.a != x * c0:  # sorting changed roles; reject
-            return None
-        if mode is SearchMode.OPEN_PROBLEM and not probe.constraints_ok:
-            return None
-        return probe
-
-    best = cand
-    step = 0.05
+    c0 = np.array([c.sides.c for c in cands])
+    vec = np.array([
+        [c.sides.a / c.sides.c, c.sides.b / c.sides.c,
+         c.feet.ta, c.feet.tb, c.feet.tc]
+        for c in cands
+    ])
+    start = np.array([c.min_slack for c in cands])
+    best = start.copy()
+    step = np.full(len(cands), 0.05)
+    rows = np.arange(len(cands))
     for _ in range(steps):
-        improved = False
+        improved = np.zeros(rows.size, dtype=bool)
+        c_rows = c0[rows]
+        step_rows = step[rows]
         for i in range(5):
             for sgn in (1.0, -1.0):
-                trial = list(vec)
-                trial[i] += sgn * step
-                probe = build(trial)
-                if probe is not None and probe.min_slack < best.min_slack:
-                    best = probe
-                    vec = trial
-                    improved = True
-        if not improved:
-            step *= 0.5
-            if step < 1e-12:
-                break
-    if best is cand:
-        return cand
-    return replace(best, refined=True)
+                trial = vec[rows]
+                trial[:, i] += sgn * step_rows
+                ok, ms = _probe_slacks(trial, c_rows, mode, foot_margin)
+                take = ok & (ms < best[rows])
+                hit = rows[take]
+                vec[hit] = trial[take]
+                best[hit] = ms[take]
+                improved |= take
+        step[rows[~improved]] *= 0.5
+        rows = rows[step[rows] >= 1e-12]
+        if rows.size == 0:
+            break
+
+    # Every accepted probe lowers best strictly, so this marks the movers.
+    out = list(cands)
+    for k in np.flatnonzero(best < start):
+        x, y, ta, tb, tc = vec[k].tolist()
+        c = cands[k].sides.c
+        probe = evaluate_candidate(
+            validate_sides(x * c, y * c, c),
+            GeneralCevianParams(ta, tb, tc),
+            cands[k].index,
+        )
+        out[k] = replace(probe, refined=True)
+    return out
 
 
 def _run_shard(
@@ -342,6 +379,11 @@ def _run_shard(
 
     def top(mask: np.ndarray) -> dict:
         sel = np.flatnonzero(mask)
+        if sel.size > record_top:
+            # Pre-select by partition; keeping every tie at the threshold
+            # leaves the stable order of the first record_top unchanged.
+            kth = np.partition(ms[sel], record_top - 1)[record_top - 1]
+            sel = sel[ms[sel] <= kth]
         order = sel[np.argsort(ms[sel], kind="stable")][:record_top]
         return {
             "idx": idx[order],
@@ -449,12 +491,15 @@ def search(cfg: SearchConfig) -> SearchReport:
     else:
         candidates = _records_from_pool(pool_constrained)
 
-    refined = [
-        refine(c, cfg.refine_steps, cfg.mode, cfg.foot_margin)
+    todo = [
+        k for k, c in enumerate(candidates)
         if c.min_slack < 0.0 or cfg.mode is SearchMode.OPEN_PROBLEM
-        else c
-        for c in candidates
     ]
+    done = refine([candidates[k] for k in todo], cfg.refine_steps, cfg.mode,
+                  cfg.foot_margin)
+    refined = list(candidates)
+    for k, cand in zip(todo, done):
+        refined[k] = cand
 
     violations: list[CandidateRecord] = []
     survivors: list[CandidateRecord] = []

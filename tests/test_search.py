@@ -1,8 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
 from cevians import bulk
+from cevians.exceptions import CevianError
 from cevians.kernel import (
     GeneralCevianParams,
     altitudes,
@@ -39,6 +42,99 @@ COUNTEREXAMPLE_FEET = (0.5, 0.6979, 0.3025)
 # b*lb >= c*lc, but at 50 digits b*lb - c*lc = -1.49e-17.
 BOUNDARY_SIDES = (1.5197120321862864e-12, 0.999999999999212, 1.0)
 BOUNDARY_FEET = (0.999899990697116, 0.9998999999990017, 0.00010000000099812902)
+
+
+def reference_refine(cand, steps, mode=SearchMode.UNCONSTRAINED,
+                     foot_margin=1e-4):
+    """One candidate's pattern search, one scalar probe at a time.
+
+    The loop that ``refine`` runs for all candidates together, kept here
+    as the reference it must match record for record.
+    """
+    if steps <= 0:
+        return cand
+
+    c0 = cand.sides.c
+    vec = [
+        cand.sides.a / c0,
+        cand.sides.b / c0,
+        cand.feet.ta,
+        cand.feet.tb,
+        cand.feet.tc,
+    ]
+
+    def build(v):
+        x, y, ta, tb, tc = v
+        if not (x <= y <= 1.0):
+            return None
+        for tt in (ta, tb, tc):
+            if not (foot_margin <= tt <= 1.0 - foot_margin):
+                return None
+        try:
+            t = validate_sides(x * c0, y * c0, c0)
+            probe = evaluate_candidate(t, GeneralCevianParams(ta, tb, tc),
+                                       cand.index)
+        except (CevianError, ValueError):
+            return None
+        if t.c != c0 or t.a != x * c0:  # sorting changed roles; reject
+            return None
+        if mode is SearchMode.OPEN_PROBLEM and not probe.constraints_ok:
+            return None
+        return probe
+
+    best = cand
+    step = 0.05
+    for _ in range(steps):
+        improved = False
+        for i in range(5):
+            for sgn in (1.0, -1.0):
+                trial = list(vec)
+                trial[i] += sgn * step
+                probe = build(trial)
+                if probe is not None and probe.min_slack < best.min_slack:
+                    best = probe
+                    vec = trial
+                    improved = True
+        if not improved:
+            step *= 0.5
+            if step < 1e-12:
+                break
+    if best is cand:
+        return cand
+    return replace(best, refined=True)
+
+
+def edge_pool():
+    """Candidates at the edges of the refinement domain, plus sampled ones."""
+    specs = [
+        (BOUNDARY_SIDES, BOUNDARY_FEET),
+        (COUNTEREXAMPLE_SIDES, COUNTEREXAMPLE_FEET),
+        ((1e-12, 1.0, 1.0), (0.3, 0.6, 0.9)),            # needle
+        ((2e-12, 0.9999999999995, 1.0), (0.5, 0.9, 0.1)),
+        ((0.7, 0.7 + 1e-13, 1.0), (0.2, 0.8, 0.5)),       # near-isosceles
+        ((0.8, 1.0 - 1e-14, 1.0), (0.6, 0.4, 0.7)),
+        ((1.0 - 1e-9, 1.0 - 1e-10, 1.0), (0.5, 0.5, 0.5)),  # near (1, 1)
+        ((1.0, 1.0, 1.0), (0.49, 0.5, 0.51)),
+        ((0.6, 0.8, 1.0), (1e-4, 1.0 - 1e-4, 0.5)),       # feet at the margin
+        ((0.55, 0.75, 1.0), (1.0 - 1e-4, 1e-4, 1e-4)),
+        ((3.0, 4.0, 5.0), (0.99, 0.5, 0.01)),             # c0 != 1
+        ((0.003, 0.004, 0.005), (0.4, 0.5, 0.6)),
+        ((0.1, 7.25, 7.3), (0.5, 0.7, 0.3)),
+        ((4.0, 4.5, 5.0), (0.5, 0.5, 0.5)),
+    ]
+    pool = [
+        evaluate_candidate(validate_sides(*sides), GeneralCevianParams(*feet), i)
+        for i, (sides, feet) in enumerate(specs)
+    ]
+    rng = shard_rng(2024, 0)
+    x, y = bulk.sample_normalized_points(rng, 12)
+    feet = rng.uniform(1e-4, 1.0 - 1e-4, (12, 3))
+    for k in range(12):
+        pool.append(evaluate_candidate(
+            validate_sides(x[k], y[k], 1.0),
+            GeneralCevianParams(*feet[k]), 100 + k,
+        ))
+    return pool
 
 
 class TestSampling:
@@ -167,28 +263,48 @@ class TestRefine:
     def test_zero_steps_returns_input(self):
         t = validate_sides(3, 4, 5)
         cand = evaluate_candidate(t, GeneralCevianParams(0.4, 0.5, 0.6))
-        assert refine(cand, 0) is cand
+        (out,) = refine([cand], 0)
+        assert out is cand
+
+    def test_empty_list(self):
+        assert refine([], 30) == []
+        assert refine([], 0) == []
 
     def test_descent_is_monotone(self):
         t = validate_sides(3, 4, 5)
         cand = evaluate_candidate(t, GeneralCevianParams(0.99, 0.5, 0.01))
-        refined = refine(cand, 40, SearchMode.UNCONSTRAINED)
+        (refined,) = refine([cand], 40, SearchMode.UNCONSTRAINED)
         assert refined.min_slack <= cand.min_slack
         assert refined.index == cand.index
 
     def test_open_problem_projection_keeps_constraints(self):
         t = validate_sides(0.6, 0.8, 1.0)
         cand = evaluate_candidate(t, GeneralCevianParams(0.5, 0.5, 0.5))
-        refined = refine(cand, 60, SearchMode.OPEN_PROBLEM)
+        (refined,) = refine([cand], 60, SearchMode.OPEN_PROBLEM)
         assert refined.constraints_ok
         assert refined.min_slack <= cand.min_slack
 
     def test_deterministic(self):
         t = validate_sides(0.55, 0.75, 1.0)
         cand = evaluate_candidate(t, GeneralCevianParams(0.3, 0.6, 0.7))
-        a = refine(cand, 30, SearchMode.OPEN_PROBLEM)
-        b = refine(cand, 30, SearchMode.OPEN_PROBLEM)
+        (a,) = refine([cand], 30, SearchMode.OPEN_PROBLEM)
+        (b,) = refine([cand], 30, SearchMode.OPEN_PROBLEM)
         assert a.to_dict() == b.to_dict()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("mode", list(SearchMode))
+    @pytest.mark.parametrize("steps", [1, 7, 200])
+    def test_batch_matches_scalar_reference(self, mode, steps):
+        pool = edge_pool()
+        out = refine(pool, steps, mode)
+        assert len(out) == len(pool)
+        moved = 0
+        for cand, got in zip(pool, out):
+            want = reference_refine(cand, steps, mode)
+            assert got.to_dict() == want.to_dict()
+            assert (got is cand) == (want is cand)
+            moved += got is not cand
+        assert moved > 0
 
 
 class TestSearch:

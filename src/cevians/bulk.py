@@ -1,16 +1,19 @@
-"""Vectorized (NumPy) twins of the scalar kernel and slack evaluators.
+"""The one binary64 definition of every kernel and slack formula.
 
-Each formula here is written with exactly the same operation tree as its
-scalar counterpart, so results agree bit-for-bit with the typed API; the
-agreement is pinned by tests.  These functions power the million-sample
-property sweeps, the randomized search, and grid generation.  Inputs are
-arrays of sorted sides (a <= b <= c elementwise); no validation happens
-here.
+Inputs are floats or arrays of sorted sides (a <= b <= c elementwise); no
+validation happens here.  The typed scalar API validates, calls these on
+floats and wraps the results, so it agrees bit for bit with the sweeps,
+the search and the grids.  Stewart's formula and the quadratic slack take
+an operation set, so search re-verification runs the same trees in interval
+arithmetic; F is the certifier's main-median target.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from .certifier import Target, point_values
+from .intervals import _FloatOps
 
 
 def in_normalized_domain(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -69,11 +72,31 @@ def bisectors_arrays(a, b, c):
     return la, lb, lc
 
 
+def mixed_cevians_arrays(a, b, c, alpha, beta, gamma):
+    """alpha*median + beta*altitude + gamma*bisector, per vertex."""
+    families = zip(medians_arrays(a, b, c), altitudes_arrays(a, b, c),
+                   bisectors_arrays(a, b, c))
+    return tuple(alpha * m + beta * h + gamma * l for m, h, l in families)
+
+
+def stewart_cevians(ops, a, b, c, ta, tb, tc):
+    """Stewart: from A, sqrt(b^2*ta + c^2*(1-ta) - a^2*ta*(1-ta)), cyclically.
+
+    The feet follow :class:`cevians.kernel.GeneralCevianParams`.
+    """
+
+    def cevian(u, v, w, t):  # from the vertex opposite side u
+        rem = ops.const_sub(1.0, t)
+        return ops.sqrt(ops.sub(
+            ops.add(ops.mul(ops.mul(v, v), t), ops.mul(ops.mul(w, w), rem)),
+            ops.mul(ops.mul(ops.mul(u, u), t), rem),
+        ))
+
+    return cevian(a, b, c, ta), cevian(b, c, a, tb), cevian(c, a, b, tc)
+
+
 def general_cevians_arrays(a, b, c, ta, tb, tc):
-    da = np.sqrt(b * b * ta + c * c * (1.0 - ta) - a * a * ta * (1.0 - ta))
-    db = np.sqrt(c * c * tb + a * a * (1.0 - tb) - b * b * tb * (1.0 - tb))
-    dc = np.sqrt(a * a * tc + b * b * (1.0 - tc) - c * c * tc * (1.0 - tc))
-    return da, db, dc
+    return stewart_cevians(_FloatOps, a, b, c, ta, tb, tc)
 
 
 def slack_main_arrays(a, b, c, la, lb, lc):
@@ -85,8 +108,16 @@ def slack_main_arrays(a, b, c, la, lb, lc):
     )
 
 
+def quadratic_slack(ops, a, b, c, la, lb, lc):
+    """(bc - a^2)*la + (ac - b^2)*lb + (ab - c^2)*lc."""
+    t1 = ops.mul(ops.sub(ops.mul(b, c), ops.mul(a, a)), la)
+    t2 = ops.mul(ops.sub(ops.mul(a, c), ops.mul(b, b)), lb)
+    t3 = ops.mul(ops.sub(ops.mul(a, b), ops.mul(c, c)), lc)
+    return ops.add(ops.add(t1, t2), t3)
+
+
 def slack_quadratic_arrays(a, b, c, la, lb, lc):
-    return (b * c - a * a) * la + (a * c - b * b) * lb + (a * b - c * c) * lc
+    return quadratic_slack(_FloatOps, a, b, c, la, lb, lc)
 
 
 def key_residual_arrays(a, b, c, ma, mb, mc):
@@ -111,19 +142,10 @@ def bisector_sqrt_chain_arrays(a, c, la, lc):
 def normalized_slack_arrays(x, y):
     """The two-variable normalized main slack F over arrays of points.
 
-    Grouped like the scalar evaluator and the certifier expression, so all
-    three paths agree bit-for-bit and the slack vanishes exactly at (1, 1).
+    This is the certifier's main-median target, so it vanishes exactly at
+    (1, 1) and every enclosure the certifier proves contains it.
     """
-    x2 = x * x
-    y2 = y * y
-    ra = np.sqrt(((y2 + y2) + 2.0) - x2)
-    rb = np.sqrt(((x2 + x2) + 2.0) - y2)
-    rc = np.sqrt(((x2 + x2) + (y2 + y2)) - 1.0)
-    return (
-        ra * (np.sqrt(y) - x)
-        + rb * (np.sqrt(x) - y)
-        + rc * (np.sqrt(x * y) - 1.0)
-    )
+    return point_values(Target.MAIN_MEDIAN, x, y)
 
 
 def constraint_mask_arrays(a, b, c, la, lb, lc):

@@ -32,7 +32,7 @@ from enum import Enum
 import numpy as np
 
 from .exceptions import BudgetExceededError, EmptyIntersectionError
-from .intervals import Box2, Interval
+from .intervals import Box2, Interval, _FloatOps, _IntervalOps
 
 _INF = np.inf
 
@@ -78,99 +78,13 @@ class CertificationTask:
 
 
 # ---------------------------------------------------------------------------
-# Target expressions, written once over an abstract operation set.  `ra`,
+# Target expressions, written once over an operation set (`_FloatOps` and
+# `_IntervalOps` from :mod:`cevians.intervals`, or `_AdOps` below).  `ra`,
 # `rb`, `rc` are the doubled medians 2*m_a, 2*m_b, 2*m_c of the normalized
 # triangle (x, y, 1); every target is a positive multiple of the inequality
 # slack it certifies, so only the sign matters.  Multi-part targets (the
 # key system) certify the minimum of their parts.
 # ---------------------------------------------------------------------------
-
-
-class _FloatOps:
-    """Plain round-to-nearest arithmetic on float arrays."""
-
-    @staticmethod
-    def add(a, b):
-        return a + b
-
-    @staticmethod
-    def sub(a, b):
-        return a - b
-
-    @staticmethod
-    def mul(a, b):
-        return a * b
-
-    @staticmethod
-    def div(a, b):
-        return a / b
-
-    @staticmethod
-    def sqrt(a):
-        return np.sqrt(a)
-
-    @staticmethod
-    def add_const(a, k):
-        return a + k
-
-    @staticmethod
-    def sub_const(a, k):
-        return a - k
-
-
-class _IntervalOps:
-    """Outward-rounded arithmetic on (lo, hi) pairs of endpoint arrays."""
-
-    @staticmethod
-    def add(a, b):
-        return np.nextafter(a[0] + b[0], -_INF), np.nextafter(a[1] + b[1], _INF)
-
-    @staticmethod
-    def sub(a, b):
-        return np.nextafter(a[0] - b[1], -_INF), np.nextafter(a[1] - b[0], _INF)
-
-    @staticmethod
-    def mul(a, b):
-        p1 = a[0] * b[0]
-        p2 = a[0] * b[1]
-        p3 = a[1] * b[0]
-        p4 = a[1] * b[1]
-        lo = np.minimum(np.minimum(p1, p2), np.minimum(p3, p4))
-        hi = np.maximum(np.maximum(p1, p2), np.maximum(p3, p4))
-        return np.nextafter(lo, -_INF), np.nextafter(hi, _INF)
-
-    @staticmethod
-    def div(a, b):
-        # General numerator over a nonnegative divisor; a zero divisor
-        # endpoint produces infinite bounds (still an enclosure) and never
-        # NaN because the numerators this module divides are bounded away
-        # from [0, 0] whenever the divisor can reach zero.
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            q1 = a[0] / b[0]
-            q2 = a[0] / b[1]
-            q3 = a[1] / b[0]
-            q4 = a[1] / b[1]
-            lo = np.minimum(np.minimum(q1, q2), np.minimum(q3, q4))
-            hi = np.maximum(np.maximum(q1, q2), np.maximum(q3, q4))
-        return np.nextafter(lo, -_INF), np.nextafter(hi, _INF)
-
-    @staticmethod
-    def sqrt(a):
-        # Negative dust below the domain boundary is clamped to the true
-        # restriction [0, hi]; an entirely negative interval surfaces as
-        # NaN, which can never be proven positive.
-        with np.errstate(invalid="ignore"):
-            lo = np.nextafter(np.sqrt(np.maximum(a[0], 0.0)), -_INF)
-            hi = np.nextafter(np.sqrt(a[1]), _INF)
-        return np.maximum(lo, 0.0), hi
-
-    @staticmethod
-    def add_const(a, k):
-        return np.nextafter(a[0] + k, -_INF), np.nextafter(a[1] + k, _INF)
-
-    @staticmethod
-    def sub_const(a, k):
-        return np.nextafter(a[0] - k, -_INF), np.nextafter(a[1] - k, _INF)
 
 
 class _AdVal:
@@ -718,8 +632,8 @@ def certify(task: CertificationTask) -> Certificate:
 @dataclass(frozen=True)
 class FactorCertification:
     name: str
-    domain_lo: float
-    domain_hi: float
+    domain_lo: float | None
+    domain_hi: float | None
     certified: bool
     lower_bound: float
     boxes_processed: int
@@ -734,7 +648,8 @@ class CornerCheckReport:
     factors strictly positive on [1-2*delta, 1-eta].  Both vanish exactly
     at the equilateral endpoint, so the sliver (1-eta, 1] stays uncertified
     and the corner interior is covered by dense sampling, not by this
-    argument.
+    argument.  When 2*delta < eta the band is empty: neither factor is
+    certified and each reports the domain [].
     """
 
     delta: float
@@ -750,7 +665,7 @@ class CornerCheckReport:
         def fac(f: FactorCertification) -> dict:
             return {
                 "name": f.name,
-                "domain": [f.domain_lo, f.domain_hi],
+                "domain": [] if f.domain_lo is None else [f.domain_lo, f.domain_hi],
                 "certified": f.certified,
                 "lower_bound": f.lower_bound,
                 "boxes_processed": f.boxes_processed,
@@ -818,21 +733,24 @@ def corner_argument_check(delta: float, eta: float = 1e-6) -> CornerCheckReport:
 
     The equal-legs family needs x > 1/2 for its radical, so its interval is
     clamped there when delta is large; both factors vanish exactly at x = 1,
-    hence the eta sliver.
+    hence the eta sliver.  A band that lies inside the sliver is empty and
+    certifies nothing.
     """
     if not (0.0 < delta < 0.5):
         raise ValueError(f"delta must lie in (0, 1/2), got {delta}")
     hi = 1.0 - eta
-    lo1 = max(1.0 - 2.0 * delta, 0.5 + 1e-9)
-    lo2 = max(1.0 - 2.0 * delta, eta)
 
-    ok1, b1, n1 = _certify_positive_1d(_equal_legs_factor, lo1, hi)
-    ok2, b2, n2 = _certify_positive_1d(_equal_base_factor, lo2, hi)
+    def factor(name: str, f, lo: float) -> FactorCertification:
+        if lo > hi:
+            return FactorCertification(name, None, None, False, 0.0, 0)
+        ok, bound, n = _certify_positive_1d(f, lo, hi)
+        return FactorCertification(name, lo, hi, ok, bound, n)
+
     return CornerCheckReport(
         delta=delta,
         eta=eta,
-        equal_legs_factor=FactorCertification(
-            "equal_legs_second_factor", lo1, hi, ok1, b1, n1),
-        equal_base_factor=FactorCertification(
-            "equal_base_second_factor", lo2, hi, ok2, b2, n2),
+        equal_legs_factor=factor("equal_legs_second_factor", _equal_legs_factor,
+                                 max(1.0 - 2.0 * delta, 0.5 + 1e-9)),
+        equal_base_factor=factor("equal_base_second_factor", _equal_base_factor,
+                                 max(1.0 - 2.0 * delta, eta)),
     )

@@ -48,7 +48,7 @@ from .reports import (
     canonical_json,
     report_document,
 )
-from .search import SearchConfig, SearchMode, search
+from .search import SearchConfig, SearchMode, constraint_filter, search
 
 ENV_SEED = "CEVIANS_SEED"
 DEFAULT_SEED = 0
@@ -195,28 +195,22 @@ def cmd_verify(args, started: float) -> int:
         s1, s2 = open_problem_slacks(t, cv)
         slacks[s1.name] = s1.value
         slacks[s2.name] = s2.value
-        from .search import constraint_filter
-
         checks["open_problem_constraints"] = constraint_filter(t, cv)
     else:
         slacks["main"] = slack_main(t, cv).value
         slacks["quadratic"] = slack_quadratic(t, cv).value
+    if args.cevians in ("median", "bisector"):
+        prods = ordering_products(t, cv)
+        slacks["middle_dominance"] = prods.product_b - max(
+            prods.product_a, prods.product_c
+        )
+        checks["middle_dominant"] = prods.middle_dominant
     if args.cevians == "median":
         for rep in key_system_residuals(t, cv):
             slacks[rep.name] = rep.value
-        prods = ordering_products(t, cv)
-        slacks["middle_dominance"] = prods.product_b - max(
-            prods.product_a, prods.product_c
-        )
-        checks["middle_dominant"] = prods.middle_dominant
         if t.a < t.b < t.c:
             slacks["scalene_lemma"] = lemma_scalene_slack(t, cv).value
     if args.cevians == "bisector":
-        prods = ordering_products(t, cv)
-        slacks["middle_dominance"] = prods.product_b - max(
-            prods.product_a, prods.product_c
-        )
-        checks["middle_dominant"] = prods.middle_dominant
         slacks["bisector_ratio"] = bisector_ratio_slack(t).value
         slacks["bisector_sqrt_chain"] = bisector_sqrt_chain_slack(t).value
 

@@ -3,7 +3,10 @@
 Every inequality written as L >= R is reported as the slack L - R, so a
 nonnegative value means the statement holds.  Slacks of the homogeneous
 inequalities carry units of length squared; absolute tolerances should be
-scaled by :func:`tolerance_scale`.
+scaled by :func:`tolerance_scale`.  The slack formulas are defined in
+:mod:`cevians.bulk`; the functions here check their inputs and wrap the
+binary64 values in reports.  Only the isosceles factored forms are
+written out here.
 """
 
 from __future__ import annotations
@@ -11,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from . import bulk
 from .exceptions import DomainError, NotScaleneError
 from .kernel import (
     CevianKind,
@@ -18,7 +22,7 @@ from .kernel import (
     NormalizedTriangle,
     SideTriple,
     bisectors,
-    medians,
+    scalar_eval,
     validate_sides,
 )
 
@@ -34,7 +38,7 @@ class SlackReport:
 
     def __post_init__(self):
         if not math.isfinite(self.value):
-            raise ValueError(f"slack {self.name!r} is not finite: {self.value}")
+            raise DomainError(f"slack {self.name!r} is not finite: {self.value}")
 
 
 @dataclass(frozen=True)
@@ -62,22 +66,14 @@ def tolerance_scale(t: SideTriple, cv: CevianTriple) -> float:
 
 def slack_main(t: SideTriple, cv: CevianTriple) -> SlackReport:
     """sqrt(bc)*la + sqrt(ac)*lb + sqrt(ab)*lc - (a*la + b*lb + c*lc)."""
-    a, b, c = t.as_tuple()
-    la, lb, lc = cv.as_tuple()
-    value = (
-        math.sqrt(b * c) * la
-        + math.sqrt(a * c) * lb
-        + math.sqrt(a * b) * lc
-        - (a * la + b * lb + c * lc)
-    )
+    value = scalar_eval(bulk.slack_main_arrays, *t.as_tuple(), *cv.as_tuple())
     return SlackReport("main", value, t, cv)
 
 
 def slack_quadratic(t: SideTriple, cv: CevianTriple) -> SlackReport:
     """(bc - a^2)*la + (ac - b^2)*lb + (ab - c^2)*lc."""
-    a, b, c = t.as_tuple()
-    la, lb, lc = cv.as_tuple()
-    value = (b * c - a * a) * la + (a * c - b * b) * lb + (a * b - c * c) * lc
+    value = scalar_eval(bulk.slack_quadratic_arrays, *t.as_tuple(),
+                        *cv.as_tuple())
     return SlackReport("quadratic", value, t, cv)
 
 
@@ -90,16 +86,9 @@ def key_system_residuals(
     """
     if med.kind is not CevianKind.MEDIAN:
         raise ValueError("key system residuals are defined for medians")
-    a, b, c = t.as_tuple()
-    ma, mb, mc = med.as_tuple()
-    r1 = c * mb + b * mc - 2.0 * a * ma
-    r2 = a * mc + c * ma - 2.0 * b * mb
-    r3 = a * mb + b * ma - 2.0 * c * mc
-    return (
-        SlackReport("key_system_a", r1, t, med),
-        SlackReport("key_system_b", r2, t, med),
-        SlackReport("key_system_c", r3, t, med),
-    )
+    values = scalar_eval(bulk.key_residual_arrays, *t.as_tuple(), *med.as_tuple())
+    return tuple(SlackReport(f"key_system_{vertex}", value, t, med)
+                 for vertex, value in zip("abc", values))
 
 
 def lemma_scalene_slack(t: SideTriple, med: CevianTriple) -> SlackReport:
@@ -109,8 +98,7 @@ def lemma_scalene_slack(t: SideTriple, med: CevianTriple) -> SlackReport:
     a, b, c = t.as_tuple()
     if a == b or b == c:
         raise NotScaleneError(f"requires a < b < c strictly, got {(a, b, c)}")
-    ma, mb, mc = med.as_tuple()
-    value = math.sqrt(b * c) * ma + math.sqrt(a * c) * mb - b * mb - c * mc
+    value = scalar_eval(bulk.lemma_scalene_arrays, a, b, c, *med.as_tuple())
     return SlackReport("scalene_lemma", value, t, med)
 
 
@@ -158,33 +146,20 @@ def normalized_slack(p: NormalizedTriangle | tuple[float, float]) -> float:
     """
     if not isinstance(p, NormalizedTriangle):
         p = NormalizedTriangle(float(p[0]), float(p[1]))
-    x, y = p.x, p.y
-    # Grouped so the slack vanishes exactly at (1, 1) and stays accurate
-    # near the equality corner; same expression tree as the certifier.
-    x2 = x * x
-    y2 = y * y
-    ra = math.sqrt(((y2 + y2) + 2.0) - x2)
-    rb = math.sqrt(((x2 + x2) + 2.0) - y2)
-    rc = math.sqrt(((x2 + x2) + (y2 + y2)) - 1.0)
-    return (
-        ra * (math.sqrt(y) - x)
-        + rb * (math.sqrt(x) - y)
-        + rc * (math.sqrt(x * y) - 1.0)
-    )
+    return scalar_eval(bulk.normalized_slack_arrays, p.x, p.y)
 
 
 def bisector_ratio_slack(t: SideTriple) -> SlackReport:
     """la/lb - (c + b - a)/c for the internal bisectors, expected >= 0."""
     bis = bisectors(t)
-    a, b, c = t.as_tuple()
-    value = bis.la / bis.lb - (c + b - a) / c
+    value = scalar_eval(bulk.bisector_ratio_arrays, *t.as_tuple(), bis.la, bis.lb)
     return SlackReport("bisector_ratio", value, t, bis)
 
 
 def bisector_sqrt_chain_slack(t: SideTriple) -> SlackReport:
     """sqrt(a)*la - sqrt(c)*lc for the internal bisectors, expected >= 0."""
     bis = bisectors(t)
-    value = math.sqrt(t.a) * bis.la - math.sqrt(t.c) * bis.lc
+    value = scalar_eval(bulk.bisector_sqrt_chain_arrays, t.a, t.c, bis.la, bis.lc)
     return SlackReport("bisector_sqrt_chain", value, t, bis)
 
 
@@ -196,9 +171,7 @@ def open_problem_slacks(
     Same expressions as the main and quadratic slacks; no sign guarantee
     for general Cevians.
     """
-    s1 = slack_main(t, cv)
-    s2 = slack_quadratic(t, cv)
     return (
-        SlackReport("open_problem_1", s1.value, t, cv),
-        SlackReport("open_problem_2", s2.value, t, cv),
+        SlackReport("open_problem_1", slack_main(t, cv).value, t, cv),
+        SlackReport("open_problem_2", slack_quadratic(t, cv).value, t, cv),
     )

@@ -5,12 +5,19 @@ widen each endpoint by one ulp (``math.nextafter``).  Because IEEE-754
 +, -, *, / and sqrt are correctly rounded, the widened result encloses the
 exact real image of the operands, and by the same argument it encloses any
 round-to-nearest floating evaluation that follows the same expression tree.
+
+The scalar :class:`Interval` serves the 1-D corner argument.  The operation
+sets ``_FloatOps`` and ``_IntervalOps`` run a formula written once against
+``ops`` in binary64 or as an enclosure of that same tree, on arrays.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+
+import numpy as np
 
 from .exceptions import NegativeSqrtDomainError
 
@@ -55,13 +62,6 @@ class Interval:
 
     def is_subset_of(self, other: "Interval") -> bool:
         return other.lo <= self.lo and self.hi <= other.hi
-
-    def intersect(self, other: "Interval") -> "Interval | None":
-        lo = max(self.lo, other.lo)
-        hi = min(self.hi, other.hi)
-        if lo > hi:
-            return None
-        return Interval(lo, hi)
 
     def __add__(self, other: "Interval") -> "Interval":
         return add(self, other)
@@ -123,11 +123,79 @@ def sqrt(a: Interval) -> Interval:
     return Interval(slo, _up(math.sqrt(a.hi)))
 
 
-def scale(a: Interval, k: float) -> Interval:
-    """Multiply by a nonnegative scalar constant."""
-    if k < 0.0:
-        raise ValueError("scale factor must be nonnegative")
-    return Interval(_down(k * a.lo), _up(k * a.hi))
+class _FloatOps:
+    """Plain round-to-nearest arithmetic on floats or float arrays."""
+
+    add = operator.add
+    sub = operator.sub
+    mul = operator.mul
+    div = operator.truediv
+    sqrt = np.sqrt
+    add_const = operator.add
+    sub_const = operator.sub
+    const_sub = operator.sub
+
+
+class _IntervalOps:
+    """Outward-rounded arithmetic on (lo, hi) pairs of endpoint arrays.
+
+    The constant k of ``add_const``, ``sub_const`` and ``const_sub`` is a float.
+    """
+
+    @staticmethod
+    def add(a, b):
+        return np.nextafter(a[0] + b[0], -_INF), np.nextafter(a[1] + b[1], _INF)
+
+    @staticmethod
+    def sub(a, b):
+        return np.nextafter(a[0] - b[1], -_INF), np.nextafter(a[1] - b[0], _INF)
+
+    @staticmethod
+    def mul(a, b):
+        p1 = a[0] * b[0]
+        p2 = a[0] * b[1]
+        p3 = a[1] * b[0]
+        p4 = a[1] * b[1]
+        lo = np.minimum(np.minimum(p1, p2), np.minimum(p3, p4))
+        hi = np.maximum(np.maximum(p1, p2), np.maximum(p3, p4))
+        return np.nextafter(lo, -_INF), np.nextafter(hi, _INF)
+
+    @staticmethod
+    def div(a, b):
+        # General numerator over a nonnegative divisor; a zero divisor
+        # endpoint produces infinite bounds (still an enclosure) and never
+        # NaN because the numerators divided here are bounded away from
+        # [0, 0] whenever the divisor can reach zero.
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            q1 = a[0] / b[0]
+            q2 = a[0] / b[1]
+            q3 = a[1] / b[0]
+            q4 = a[1] / b[1]
+            lo = np.minimum(np.minimum(q1, q2), np.minimum(q3, q4))
+            hi = np.maximum(np.maximum(q1, q2), np.maximum(q3, q4))
+        return np.nextafter(lo, -_INF), np.nextafter(hi, _INF)
+
+    @staticmethod
+    def sqrt(a):
+        # Negative dust below the domain boundary is clamped to the true
+        # restriction [0, hi]; an entirely negative interval surfaces as
+        # NaN, which can never be proven positive.
+        with np.errstate(invalid="ignore"):
+            lo = np.nextafter(np.sqrt(np.maximum(a[0], 0.0)), -_INF)
+            hi = np.nextafter(np.sqrt(a[1]), _INF)
+        return np.maximum(lo, 0.0), hi
+
+    @staticmethod
+    def add_const(a, k):
+        return np.nextafter(a[0] + k, -_INF), np.nextafter(a[1] + k, _INF)
+
+    @staticmethod
+    def sub_const(a, k):
+        return np.nextafter(a[0] - k, -_INF), np.nextafter(a[1] - k, _INF)
+
+    @staticmethod
+    def const_sub(k, a):
+        return np.nextafter(k - a[1], -_INF), np.nextafter(k - a[0], _INF)
 
 
 @dataclass(frozen=True)

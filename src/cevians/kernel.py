@@ -1,10 +1,12 @@
-"""Floating-point triangle geometry kernel.
+"""Floating-point triangle geometry kernel: validated, typed values.
 
 Side triples are canonically sorted (a <= b <= c) at construction and every
-formula below assumes that ordering.  All values are immutable and every
-operation is a pure function, so the kernel is safe under arbitrary
-concurrent use.  Rigorous (interval) evaluation lives in the certifier
-module; this one is plain binary64.
+formula assumes that ordering.  The formulas themselves are defined once,
+in :mod:`cevians.bulk`; the functions here validate, evaluate them on
+floats and wrap the results.  All values are immutable and every operation
+is a pure function, so the kernel is safe under arbitrary concurrent use.
+Rigorous (interval) evaluation lives in the certifier module; this one is
+plain binary64.
 """
 
 from __future__ import annotations
@@ -13,6 +15,9 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
+import numpy as np
+
+from . import bulk
 from .exceptions import (
     DegenerateTriangleError,
     DomainError,
@@ -72,7 +77,7 @@ class CevianTriple:
 
     def __post_init__(self):
         if not (self.la > 0.0 and self.lb > 0.0 and self.lc > 0.0):
-            raise ValueError(
+            raise DomainError(
                 f"cevian lengths must be positive, got {(self.la, self.lb, self.lc)}"
             )
 
@@ -150,13 +155,20 @@ def validate_sides(a: float, b: float, c: float) -> SideTriple:
     return SideTriple(lo, mid, hi)
 
 
+def scalar_eval(formula, *args):
+    """Run a :mod:`cevians.bulk` formula on floats: a float or a list of them.
+
+    NaN and infinities come back as values instead of NumPy warnings; the
+    dataclass checks of the caller reject them with DomainError.
+    """
+    with np.errstate(all="ignore"):
+        return np.array(formula(*args)).tolist()
+
+
 def medians(t: SideTriple) -> CevianTriple:
     """Median lengths: from A, half the square root of 2b^2 + 2c^2 - a^2."""
-    a, b, c = t.as_tuple()
-    ma = 0.5 * math.sqrt(2.0 * b * b + 2.0 * c * c - a * a)
-    mb = 0.5 * math.sqrt(2.0 * a * a + 2.0 * c * c - b * b)
-    mc = 0.5 * math.sqrt(2.0 * a * a + 2.0 * b * b - c * c)
-    return CevianTriple(ma, mb, mc, CevianKind.MEDIAN)
+    return CevianTriple(*scalar_eval(bulk.medians_arrays, *t.as_tuple()),
+                        CevianKind.MEDIAN)
 
 
 def metrics(t: SideTriple) -> TriangleMetrics:
@@ -166,19 +178,14 @@ def metrics(t: SideTriple) -> TriangleMetrics:
     formula, which stays accurate for needle triangles.
     """
     a, b, c = t.as_tuple()
-    p, q, r = c, b, a  # descending
-    area = 0.25 * math.sqrt(
-        (p + (q + r)) * (r - (p - q)) * (r + (p - q)) * (p + (q - r))
-    )
-    return TriangleMetrics(semiperimeter=0.5 * (a + b + c), area=area)
+    return TriangleMetrics(semiperimeter=0.5 * (a + b + c),
+                           area=scalar_eval(bulk.heron_area_arrays, a, b, c))
 
 
 def altitudes(t: SideTriple) -> CevianTriple:
     """Altitude lengths 2*area / side; a*h_a = b*h_b = c*h_c."""
-    twice_area = 2.0 * metrics(t).area
-    return CevianTriple(
-        twice_area / t.a, twice_area / t.b, twice_area / t.c, CevianKind.ALTITUDE
-    )
+    return CevianTriple(*scalar_eval(bulk.altitudes_arrays, *t.as_tuple()),
+                        CevianKind.ALTITUDE)
 
 
 def bisectors(t: SideTriple) -> CevianTriple:
@@ -187,25 +194,15 @@ def bisectors(t: SideTriple) -> CevianTriple:
     From A: 2*sqrt(b*c*s*(s-a)) / (b+c), computed in the cancellation-free
     form sqrt(b*c*(a+b+c)*(b+c-a)) / (b+c).
     """
-    a, b, c = t.as_tuple()
-    per = a + b + c
-    la = math.sqrt(b * c * per * (b + c - a)) / (b + c)
-    lb = math.sqrt(a * c * per * (a + c - b)) / (a + c)
-    lc = math.sqrt(a * b * per * (a + b - c)) / (a + b)
-    return CevianTriple(la, lb, lc, CevianKind.BISECTOR)
+    return CevianTriple(*scalar_eval(bulk.bisectors_arrays, *t.as_tuple()),
+                        CevianKind.BISECTOR)
 
 
 def mixed_cevians(t: SideTriple, w: MixedWeights) -> CevianTriple:
     """Componentwise nonnegative mixture of medians, altitudes, bisectors."""
-    m = medians(t)
-    h = altitudes(t)
-    l = bisectors(t)
-    return CevianTriple(
-        w.alpha * m.la + w.beta * h.la + w.gamma * l.la,
-        w.alpha * m.lb + w.beta * h.lb + w.gamma * l.lb,
-        w.alpha * m.lc + w.beta * h.lc + w.gamma * l.lc,
-        CevianKind.MIXED,
-    )
+    lengths = scalar_eval(bulk.mixed_cevians_arrays, *t.as_tuple(),
+                          w.alpha, w.beta, w.gamma)
+    return CevianTriple(*lengths, CevianKind.MIXED)
 
 
 def general_cevians(t: SideTriple, p: GeneralCevianParams) -> CevianTriple:
@@ -215,17 +212,9 @@ def general_cevians(t: SideTriple, p: GeneralCevianParams) -> CevianTriple:
     length from A is b^2*ta + c^2*(1-ta) - a^2*ta*(1-ta), and cyclically.
     The quadratic is strictly positive for valid triangles and feet in (0,1).
     """
-    a, b, c = t.as_tuple()
-    ta, tb, tc = p.as_tuple()
-    da = math.sqrt(b * b * ta + c * c * (1.0 - ta) - a * a * ta * (1.0 - ta))
-    db = math.sqrt(c * c * tb + a * a * (1.0 - tb) - b * b * tb * (1.0 - tb))
-    dc = math.sqrt(a * a * tc + b * b * (1.0 - tc) - c * c * tc * (1.0 - tc))
-    return CevianTriple(da, db, dc, CevianKind.GENERAL)
-
-
-def sqrt_sides(t: SideTriple) -> SideTriple:
-    """Square roots of the sides; always a valid triangle again."""
-    return validate_sides(math.sqrt(t.a), math.sqrt(t.b), math.sqrt(t.c))
+    lengths = scalar_eval(bulk.general_cevians_arrays, *t.as_tuple(),
+                          *p.as_tuple())
+    return CevianTriple(*lengths, CevianKind.GENERAL)
 
 
 def normalize(t: SideTriple) -> NormalizedTriangle:

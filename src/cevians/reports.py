@@ -35,17 +35,6 @@ class RunManifest:
             "wall_time_s": self.wall_time_s,
         }
 
-    @classmethod
-    def from_dict(cls, doc: dict) -> "RunManifest":
-        return cls(
-            subcommand=doc["subcommand"],
-            version=doc["version"],
-            seed=doc["seed"],
-            config=doc["config"],
-            inputs=doc["inputs"],
-            wall_time_s=doc["wall_time_s"],
-        )
-
 
 def report_document(manifest: RunManifest, body: dict) -> dict:
     doc = {"manifest": manifest.to_dict()}

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import bulk
 from .inequalities import open_problem_slacks
-from .intervals import Interval
+from .intervals import _IntervalOps
 from .kernel import (
     CevianTriple,
     GeneralCevianParams,
@@ -152,26 +152,9 @@ def shard_rng(seed: int, shard_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(ss))
 
 
-def sample_triangle(rng: np.random.Generator) -> SideTriple:
-    """One triangle with c = 1 and (a, b) uniform over the normalized domain.
-
-    Rejection from the unit square; the acceptance region has area 1/4.
-    """
-    while True:
-        u = rng.random()
-        v = rng.random()
-        if 0.0 < u <= v and u + v > 1.0:
-            return SideTriple(u, v, 1.0)
-
-
 def constraint_filter(t: SideTriple, cv: CevianTriple) -> bool:
     """Open-problem conditions: la >= lb >= lc and b*lb >= max(a*la, c*lc)."""
-    pb = t.b * cv.lb
-    return (
-        cv.la >= cv.lb >= cv.lc
-        and pb >= t.a * cv.la
-        and pb >= t.c * cv.lc
-    )
+    return bool(bulk.constraint_mask_arrays(*t.as_tuple(), *cv.as_tuple()))
 
 
 def evaluate_candidate(
@@ -193,43 +176,49 @@ def evaluate_candidate(
     )
 
 
-def reverify_candidate(cand: CandidateRecord) -> CandidateRecord:
+def reverify_candidate(cands: list[CandidateRecord]) -> list[CandidateRecord]:
     """Re-evaluate both slacks and the constraints in interval arithmetic.
 
-    The candidate's binary64 coordinates are treated as exact point
-    intervals and the Cevians are enclosed by Stewart's theorem with
+    All candidates go through one pass of array interval arithmetic.  Their
+    binary64 coordinates are treated as exact point intervals and the
+    Cevians are enclosed by :func:`cevians.bulk.stewart_cevians` with
     outward rounding.  A slack violation is confirmed only when an interval
     upper bound is negative.  The open-problem constraints are certified by
     the four differences la - lb, lb - lc, b*lb - a*la and b*lb - c*lc:
     ``constraint_lower`` is the least of their interval lower bounds, so
     the constraints hold exactly when it is nonnegative.
     """
-    a = Interval.point(cand.sides.a)
-    b = Interval.point(cand.sides.b)
-    c = Interval.point(cand.sides.c)
-    one = Interval.point(1.0)
+    if not cands:
+        return []
+    ops = _IntervalOps
+    cols = np.array([cand.sides.as_tuple() + cand.feet.as_tuple()
+                     for cand in cands]).T
+    a, b, c, ta, tb, tc = ((v, v) for v in cols)  # exact point intervals
+    da, db, dc = bulk.stewart_cevians(ops, a, b, c, ta, tb, tc)
 
-    def cevian_sq(u: Interval, v: Interval, w: Interval, t: float) -> Interval:
-        # Stewart: v^2*t + w^2*(1-t) - u^2*t*(1-t) for the vertex opposite u
-        it = Interval.point(t)
-        rem = one - it
-        return v * v * it + w * w * rem - u * u * it * rem
+    def root_gap(u, v, w):
+        # sqrt(u*v) - w, one bracket of the grouped main slack
+        return ops.sub(ops.sqrt(ops.mul(u, v)), w)
 
-    da = cevian_sq(a, b, c, cand.feet.ta).sqrt()
-    db = cevian_sq(b, c, a, cand.feet.tb).sqrt()
-    dc = cevian_sq(c, a, b, cand.feet.tc).sqrt()
-
-    s1 = ((b * c).sqrt() - a) * da + ((a * c).sqrt() - b) * db + ((a * b).sqrt() - c) * dc
-    s2 = (b * c - a * a) * da + (a * c - b * b) * db + (a * b - c * c) * dc
-    pb = b * db
-    gaps = (da - db, db - dc, pb - a * da, pb - c * dc)
-    return replace(
-        cand,
-        reverified=True,
-        slack1_upper=s1.hi,
-        slack2_upper=s2.hi,
-        constraint_lower=min(g.lo for g in gaps),
+    s1 = ops.add(
+        ops.add(ops.mul(root_gap(b, c, a), da), ops.mul(root_gap(a, c, b), db)),
+        ops.mul(root_gap(a, b, c), dc),
     )
+    s2 = bulk.quadratic_slack(ops, a, b, c, da, db, dc)
+    pb = ops.mul(b, db)
+    gaps = (ops.sub(da, db), ops.sub(db, dc),
+            ops.sub(pb, ops.mul(a, da)), ops.sub(pb, ops.mul(c, dc)))
+    lower = np.minimum.reduce([g[0] for g in gaps])
+    return [
+        replace(
+            cand,
+            reverified=True,
+            slack1_upper=float(s1[1][k]),
+            slack2_upper=float(s2[1][k]),
+            constraint_lower=float(lower[k]),
+        )
+        for k, cand in enumerate(cands)
+    ]
 
 
 def is_confirmed_violation(
@@ -501,15 +490,14 @@ def search(cfg: SearchConfig) -> SearchReport:
     for k, cand in zip(todo, done):
         refined[k] = cand
 
-    violations: list[CandidateRecord] = []
+    negative: list[CandidateRecord] = []
     survivors: list[CandidateRecord] = []
     for cand in refined:
-        if cand.min_slack < 0.0:
-            checked = reverify_candidate(cand)
-            if is_confirmed_violation(checked, cfg.mode):
-                violations.append(checked)
-        else:
-            survivors.append(cand)
+        (negative if cand.min_slack < 0.0 else survivors).append(cand)
+    violations = [
+        cand for cand in reverify_candidate(negative)
+        if is_confirmed_violation(cand, cfg.mode)
+    ]
 
     violations.sort(key=lambda c: (c.min_slack, c.index))
     violations = violations[: cfg.record_top]

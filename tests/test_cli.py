@@ -3,7 +3,7 @@ import json
 import pytest
 
 from cevians.cli import main
-from cevians.reports import RunManifest, reproducible_bytes, strip_wall_time
+from cevians.reports import reproducible_bytes, strip_wall_time
 
 from conftest import rel_close
 
@@ -53,6 +53,19 @@ class TestVerify:
         assert doc["slacks"]["open_problem_1"] < 0
         assert doc["checks"]["open_problem_constraints"] is False
 
+    @pytest.mark.parametrize("family", ["median", "altitude", "bisector",
+                                        "mixed", "general"])
+    @pytest.mark.parametrize("sides", ["1e200,1e200,1e200", "1e154,1e154,1e154",
+                                       "1e-200,1e-200,1e-200"])
+    def test_extreme_sides_exit_2(self, sides, family, capsys):
+        # overflow or underflow leaves a Cevian or slack that is not a
+        # positive finite number: a domain error, not a failed slack
+        argv = ["verify", "--sides", sides, "--cevians", family]
+        if family == "general":
+            argv += ["--feet", "0.3,0.5,0.7"]
+        assert run(argv) == 2
+        assert "error: DomainError" in capsys.readouterr().err
+
     def test_bad_argument_combinations(self, capsys):
         assert run(["verify", "--cevians", "median"]) == 2
         assert run(["verify", "--sides", "3,4", "--cevians", "median"]) == 2
@@ -83,6 +96,24 @@ class TestCertify:
         assert doc["certificate"]["undecided_count"] > 0
         for box in doc["certificate"]["undecided"]:
             assert box[0] >= 1.0 - 1e-3 and box[2] >= 1.0 - 1e-3
+
+    @pytest.mark.parametrize("argv, code", [
+        (["--delta", "1e-9", "--box-budget", "3000"], 1),
+        (["--mu", "1e-12", "--delta", "1e-7"], 0),
+    ])
+    def test_corner_band_inside_sliver(self, tmp_path, argv, code):
+        # 2*delta < eta: the band [1-2*delta, 1] lies inside the eta sliver
+        out = tmp_path / "cert.json"
+        assert run(["certify", "--target", "main-median", *argv,
+                    "-o", str(out)]) == code
+        doc = load(out)
+        assert (doc["certificate"]["undecided_count"] > 0) == (code == 1)
+        corner = doc["corner_check"]
+        assert corner["both_positive"] is False
+        for factor in corner["factors"]:
+            assert factor["domain"] == []
+            assert factor["certified"] is False
+            assert factor["boxes_processed"] == 0
 
     def test_unknown_target_exits_2(self):
         with pytest.raises(SystemExit) as err:
@@ -164,11 +195,6 @@ class TestTable:
 
 
 class TestManifestAndReproducibility:
-    def test_manifest_roundtrip(self):
-        m = RunManifest("search", "0.1.0", 42, {"samples": 10}, {"sides": [3, 4, 5]},
-                        1.25)
-        assert RunManifest.from_dict(m.to_dict()) == m
-
     def test_strip_wall_time(self):
         doc = {"manifest": {"wall_time_s": 3.0},
                "nested": [{"wall_time_s": 1.0, "other": 2}]}

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cevians.exceptions import NegativeSqrtDomainError
-from cevians.intervals import Box2, Interval, add, div, mul, scale, sqrt, sub
+from cevians.intervals import Box2, Interval, add, div, mul, sqrt, sub
 
 finite = st.floats(-1e6, 1e6, allow_nan=False)
 
@@ -64,12 +64,6 @@ class TestCaseTables:
         r = -Interval(-1.0, 3.0)
         assert (r.lo, r.hi) == (-3.0, 1.0)
 
-    def test_scale(self):
-        r = scale(Interval(1.0, 2.0), 3.0)
-        assert r.lo <= 3.0 and r.hi >= 6.0
-        with pytest.raises(ValueError):
-            scale(Interval(0.0, 1.0), -1.0)
-
 
 def _lerp(iv, t):
     # clamp: the naive lerp can overshoot an endpoint when signs differ
@@ -114,8 +108,6 @@ class TestLattice:
         b = Interval(-1.0, 2.0)
         assert a.is_subset_of(b)
         assert not b.is_subset_of(a)
-        assert a.intersect(b) == a
-        assert a.intersect(Interval(2.0, 3.0)) is None
 
     @given(ivals(), ivals())
     @settings(max_examples=300)

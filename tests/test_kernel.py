@@ -24,7 +24,6 @@ from cevians.kernel import (
     metrics,
     mixed_cevians,
     normalize,
-    sqrt_sides,
     validate_sides,
 )
 
@@ -233,26 +232,6 @@ class TestGeneralCevians:
         g = general_cevians(t, GeneralCevianParams(ta, 0.5, 0.5))
         oracle = oracles.f(oracles.cevian_from_A_coord(t.a, t.b, t.c, ta))
         assert rel_close(g.la, oracle, 1e-11)
-
-
-class TestSqrtSides:
-    def test_equilateral(self):
-        assert sqrt_sides(validate_sides(1, 1, 1)).as_tuple() == (1.0, 1.0, 1.0)
-
-    def test_345(self):
-        s = sqrt_sides(validate_sides(3, 4, 5))
-        assert math.isclose(s.a, math.sqrt(3.0), rel_tol=1e-15)
-        assert s.b == 2.0
-        assert math.isclose(s.c, math.sqrt(5.0), rel_tol=1e-15)
-
-    def test_near_degenerate(self):
-        s = sqrt_sides(validate_sides(1, 1, 1.999999999))
-        assert s.a + s.b > s.c
-
-    @given(triangle_strategy())
-    @settings(max_examples=300)
-    def test_never_degenerates(self, t):
-        sqrt_sides(t)  # must not raise
 
 
 class TestMetrics:

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 
 from cevians import bulk
 from cevians.exceptions import CevianError
+from cevians.intervals import Interval
 from cevians.kernel import (
     GeneralCevianParams,
     altitudes,
@@ -24,7 +25,6 @@ from cevians.search import (
     is_confirmed_violation,
     refine,
     reverify_candidate,
-    sample_triangle,
     search,
     shard_rng,
 )
@@ -104,6 +104,40 @@ def reference_refine(cand, steps, mode=SearchMode.UNCONSTRAINED,
     return replace(best, refined=True)
 
 
+def reference_reverify(cand):
+    """One candidate's re-verification in scalar ``Interval`` arithmetic.
+
+    What ``reverify_candidate`` computes for all candidates in one array
+    pass, kept here as the reference it must match bit for bit.
+    """
+    a = Interval.point(cand.sides.a)
+    b = Interval.point(cand.sides.b)
+    c = Interval.point(cand.sides.c)
+    one = Interval.point(1.0)
+
+    def cevian_sq(u, v, w, t):
+        # Stewart: v^2*t + w^2*(1-t) - u^2*t*(1-t) for the vertex opposite u
+        it = Interval.point(t)
+        rem = one - it
+        return v * v * it + w * w * rem - u * u * it * rem
+
+    da = cevian_sq(a, b, c, cand.feet.ta).sqrt()
+    db = cevian_sq(b, c, a, cand.feet.tb).sqrt()
+    dc = cevian_sq(c, a, b, cand.feet.tc).sqrt()
+
+    s1 = ((b * c).sqrt() - a) * da + ((a * c).sqrt() - b) * db + ((a * b).sqrt() - c) * dc
+    s2 = (b * c - a * a) * da + (a * c - b * b) * db + (a * b - c * c) * dc
+    pb = b * db
+    gaps = (da - db, db - dc, pb - a * da, pb - c * dc)
+    return replace(
+        cand,
+        reverified=True,
+        slack1_upper=s1.hi,
+        slack2_upper=s2.hi,
+        constraint_lower=min(g.lo for g in gaps),
+    )
+
+
 def edge_pool():
     """Candidates at the edges of the refinement domain, plus sampled ones."""
     specs = [
@@ -138,15 +172,6 @@ def edge_pool():
 
 
 class TestSampling:
-    def test_sample_triangle_validity_and_determinism(self):
-        first = [sample_triangle(shard_rng(11, 0)) for _ in range(50)]
-        second = [sample_triangle(shard_rng(11, 0)) for _ in range(50)]
-        # each call draws from a fresh but identically seeded stream
-        assert first[0] == second[0]
-        rng = shard_rng(11, 0)
-        seq = [sample_triangle(rng) for _ in range(50)]
-        assert all(t.c == 1.0 for t in seq)
-
     def test_acceptance_rate_matches_region_area(self):
         # the acceptance region is a triangle of area 1/4 in the unit square
         rng = shard_rng(99, 0)
@@ -221,7 +246,7 @@ class TestReverification:
     def test_confirms_genuine_violation(self):
         t = validate_sides(3, 4, 5)
         cand = evaluate_candidate(t, GeneralCevianParams(0.99, 0.5, 0.01))
-        checked = reverify_candidate(cand)
+        (checked,) = reverify_candidate([cand])
         assert is_confirmed_violation(checked)
         assert checked.slack1_upper < 0 and checked.slack2_upper < 0
         assert abs(checked.slack1_upper - cand.slack1) < 1e-10
@@ -229,7 +254,7 @@ class TestReverification:
     def test_does_not_confirm_positive_slacks(self):
         t = validate_sides(3, 4, 5)
         cand = evaluate_candidate(t, GeneralCevianParams(0.5, 0.5, 0.5))
-        checked = reverify_candidate(cand)
+        (checked,) = reverify_candidate([cand])
         assert not is_confirmed_violation(checked)
 
     def test_constrained_counterexample_is_real(self):
@@ -237,12 +262,12 @@ class TestReverification:
         cand = evaluate_candidate(t, GeneralCevianParams(*COUNTEREXAMPLE_FEET))
         assert cand.constraints_ok
         assert cand.slack1 < -0.05 and cand.slack2 < -0.25
-        assert is_confirmed_violation(reverify_candidate(cand))
+        assert is_confirmed_violation(reverify_candidate([cand])[0])
 
     def test_constraints_are_certified_not_rounded(self):
         t = validate_sides(*BOUNDARY_SIDES)
         cand = evaluate_candidate(t, GeneralCevianParams(*BOUNDARY_FEET), 47440)
-        checked = reverify_candidate(cand)
+        (checked,) = reverify_candidate([cand])
         assert cand.constraints_ok
         assert checked.slack1_upper < 0 and checked.slack2_upper < 0
         assert is_confirmed_violation(checked)
@@ -252,11 +277,33 @@ class TestReverification:
         assert BOUNDARY_SIDES[1] * lb - BOUNDARY_SIDES[2] * lc < 0
 
         t = validate_sides(*COUNTEREXAMPLE_SIDES)
-        witness = reverify_candidate(
-            evaluate_candidate(t, GeneralCevianParams(*COUNTEREXAMPLE_FEET))
+        (witness,) = reverify_candidate(
+            [evaluate_candidate(t, GeneralCevianParams(*COUNTEREXAMPLE_FEET))]
         )
         assert witness.constraint_lower > 0
         assert is_confirmed_violation(witness, SearchMode.OPEN_PROBLEM)
+
+
+    def test_empty_list(self):
+        assert reverify_candidate([]) == []
+
+    @pytest.mark.filterwarnings("error")
+    def test_batch_matches_scalar_reference(self):
+        # edge_pool() holds the (0.1, 1, 1) witness and the seed-838802048
+        # index-47440 candidate; the refined pools add the negative
+        # candidates that search() re-verifies.
+        base = edge_pool()
+        pool = (base + refine(base, 50, SearchMode.UNCONSTRAINED)
+                + refine(base, 50, SearchMode.OPEN_PROBLEM))
+        out = reverify_candidate(pool)
+        assert len(out) == len(pool)
+        for cand, got in zip(pool, out):
+            want = reference_reverify(cand)
+            for field in ("slack1_upper", "slack2_upper", "constraint_lower"):
+                assert getattr(got, field).hex() == getattr(want, field).hex()
+            assert got.to_dict() == want.to_dict()
+        assert any(is_confirmed_violation(c, SearchMode.OPEN_PROBLEM) for c in out)
+        assert any(c.constraint_lower < 0 for c in out)
 
 
 class TestRefine:
@@ -338,9 +385,9 @@ class TestSearch:
     def test_median_feet_never_violate(self):
         # the sanity sub-run: substituting midpoint feet must never produce
         # violations, matching the median inequalities
-        rng = shard_rng(3, 0)
+        x, y = bulk.sample_normalized_points(shard_rng(3, 0), 200)
         for i in range(200):
-            t = sample_triangle(rng)
+            t = validate_sides(x[i], y[i], 1.0)
             cand = evaluate_candidate(t, GeneralCevianParams(0.5, 0.5, 0.5), i)
             assert cand.constraints_ok
             scale = tolerance_scale(t, cand.cevians)

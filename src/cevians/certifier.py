@@ -32,9 +32,19 @@ from enum import Enum
 import numpy as np
 
 from .exceptions import BudgetExceededError, EmptyIntersectionError
-from .intervals import Box2, Interval, _FloatOps, _IntervalOps
+from .intervals import (
+    Box2,
+    Interval,
+    _FloatOps,
+    _IntervalOps,
+    _round_down,
+    _round_up,
+)
 
 _INF = np.inf
+# Width of the sliver (1-eta, 1] next to the equilateral point that the
+# corner factor certification leaves out: both factors vanish at x = 1.
+_CORNER_ETA = 1e-6
 
 
 class Target(Enum):
@@ -252,16 +262,8 @@ def _ad_parts(target: Target, xlo, xhi, ylo, yhi):
     return _PARTS[target](_AdOps, x, y)
 
 
-def _up(v):
-    return np.nextafter(v, _INF)
-
-
-def _down(v):
-    return np.nextafter(v, -_INF)
-
-
 def _halve(iv):
-    return _down(0.5 * iv[0]), _up(0.5 * iv[1])
+    return _round_down(0.5 * iv[0]), _round_up(0.5 * iv[1])
 
 
 def _anchor_in_domain(xlo, xhi, ylo, yhi, mu: float):
@@ -332,9 +334,12 @@ def _lower_bounds(target: Target, xlo, xhi, ylo, yhi, mu: float):
     branch-and-bound bound below covers the two strict residuals only; a
     proven key-system box therefore means r1 > 0, r3 > 0 and r2 >= 0.
     """
-    natural = _natural_parts(target, xlo, xhi, ylo, yhi)
+    # The enclosures `ad[k].v` are the natural extension: `_AdOps` runs the
+    # same `_IntervalOps` calls on them, and its divisor floor 5e-324 never
+    # binds, because the only divisors (altitude-reduced's x and y) have
+    # lower bounds >= mu > 0 on clipped boxes.
     ad = _ad_parts(target, xlo, xhi, ylo, yhi)
-    strict = list(range(len(natural)))
+    strict = list(range(len(ad)))
     if target is Target.KEY_SYSTEM and _key_identity_applies(mu):
         strict = [0, 2]
 
@@ -342,29 +347,29 @@ def _lower_bounds(target: Target, xlo, xhi, ylo, yhi, mu: float):
     anchor = _PARTS[target](_IntervalOps, (ax, ax), (ay, ay))
 
     # Per-axis displacement ranges around the anchor.
-    dx_rng = (_down(xlo - ax), _up(xhi - ax))
-    dy_rng = (_down(ylo - ay), _up(yhi - ay))
+    dx_rng = (_round_down(xlo - ax), _round_up(xhi - ax))
+    dy_rng = (_round_down(ylo - ay), _round_up(yhi - ay))
 
     # Rotated displacements: ds = dx + dy floored by the degeneracy
     # constraint, dv = dx - dy capped by the ordering constraint.
-    axy_up = _up(ax + ay)
-    axy_dn = _down(ax + ay)
+    axy_up = _round_up(ax + ay)
+    axy_dn = _round_down(ax + ay)
     ds_lo = np.maximum(
-        _down(_down(1.0 + mu) - axy_up),
-        _down(_down(xlo + ylo) - axy_up),
+        _round_down(_round_down(1.0 + mu) - axy_up),
+        _round_down(_round_down(xlo + ylo) - axy_up),
     )
-    ds_hi = _up(_up(xhi + yhi) - axy_dn)
-    avv_up = _up(ax - ay)
-    avv_dn = _down(ax - ay)
-    dv_lo = _down(_down(xlo - yhi) - avv_up)
-    dv_hi = np.minimum(_up(_up(xhi - ylo) - avv_dn), _up(ay - ax))
+    ds_hi = _round_up(_round_up(xhi + yhi) - axy_dn)
+    avv_up = _round_up(ax - ay)
+    avv_dn = _round_down(ax - ay)
+    dv_lo = _round_down(_round_down(xlo - yhi) - avv_up)
+    dv_hi = np.minimum(_round_up(_round_up(xhi - ylo) - avv_dn), _round_up(ay - ax))
     dv_hi = np.maximum(dv_hi, dv_lo)
     ds_rng = (ds_lo, ds_hi)
     dv_rng = (dv_lo, dv_hi)
 
     best = None
     for k in strict:
-        nat, adv, anc = natural[k], ad[k], anchor[k]
+        adv, anc = ad[k], anchor[k]
         axis_term = _IntervalOps.add(
             _IntervalOps.mul(adv.gx, dx_rng), _IntervalOps.mul(adv.gy, dy_rng)
         )
@@ -375,10 +380,10 @@ def _lower_bounds(target: Target, xlo, xhi, ylo, yhi, mu: float):
         )
         with np.errstate(invalid="ignore"):
             centered = np.maximum(
-                _down(anc[0] + axis_term[0]), _down(anc[0] + rot_term[0])
+                _round_down(anc[0] + axis_term[0]), _round_down(anc[0] + rot_term[0])
             )
         usable = adv.ok & np.isfinite(centered)
-        part_lo = np.where(usable, np.maximum(nat[0], centered), nat[0])
+        part_lo = np.where(usable, np.maximum(adv.v[0], centered), adv.v[0])
         best = part_lo if best is None else np.minimum(best, part_lo)
     return best
 
@@ -516,6 +521,24 @@ class Certificate:
         return doc
 
 
+def _corner_note(delta: float) -> str:
+    """What the report proves about the corner square [1-delta, 1]^2."""
+    if delta == 0.0:
+        return ("nothing excluded: the square is the equality point (1,1), "
+                "where every target is 0; boxes there that no bound proves "
+                "are reported undecided, and no corner check runs")
+    sampling = "corner_sampling is binary64 evidence, not part of the proof"
+    if 1.0 - 2.0 * delta > 1.0 - _CORNER_ETA:
+        return ("excluded and not proven: 2*delta < eta = 1e-6 leaves the "
+                "isosceles band [1-2*delta, 1-eta] of corner_check empty; "
+                + sampling)
+    return ("excluded from the branch-and-bound; if corner_check reports "
+            "both_positive, the two isosceles second factors are proven "
+            "positive on [1-2*delta, 1-eta], eta = 1e-6; the sliver "
+            "(1-eta, 1] and the interior of the square are not proven; "
+            + sampling)
+
+
 def _excluded_description(task: CertificationTask) -> dict:
     doc = {
         "degeneracy_buffer": {
@@ -526,8 +549,7 @@ def _excluded_description(task: CertificationTask) -> dict:
             "delta": task.delta,
             "x": [1.0 - task.delta, 1.0],
             "y": [1.0 - task.delta, 1.0],
-            "note": "equality corner; isosceles edges covered by the "
-                    "corner factor certification, interior by dense sampling",
+            "note": _corner_note(task.delta),
         },
     }
     if task.target is Target.KEY_SYSTEM:
@@ -647,9 +669,9 @@ class CornerCheckReport:
     (nonnegative factor) * (second factor); the report certifies the second
     factors strictly positive on [1-2*delta, 1-eta].  Both vanish exactly
     at the equilateral endpoint, so the sliver (1-eta, 1] stays uncertified
-    and the corner interior is covered by dense sampling, not by this
-    argument.  When 2*delta < eta the band is empty: neither factor is
-    certified and each reports the domain [].
+    and so does the corner interior; the CLI's dense binary64 sampling of
+    the interior is evidence, not proof.  When 2*delta < eta the band is
+    empty: neither factor is certified and each reports the domain [].
     """
 
     delta: float
@@ -728,7 +750,7 @@ def _certify_positive_1d(f, lo: float, hi: float,
     return True, bound, processed
 
 
-def corner_argument_check(delta: float, eta: float = 1e-6) -> CornerCheckReport:
+def corner_argument_check(delta: float, eta: float = _CORNER_ETA) -> CornerCheckReport:
     """Certify the two isosceles second factors positive on [1-2*delta, 1-eta].
 
     The equal-legs family needs x > 1/2 for its radical, so its interval is

@@ -246,7 +246,10 @@ def cmd_verify(args, started: float) -> int:
 
 
 def _corner_sampling(target: Target, delta: float, grid: int = 128) -> dict:
-    """Dense binary64 sampling of the corner interior [1-delta, 1]^2."""
+    """Dense binary64 sampling of the corner interior [1-delta, 1]^2.
+
+    Evidence only: a sampled minimum proves nothing between the samples.
+    """
     axis = np.linspace(1.0 - delta, 1.0, grid + 1)
     gx, gy = np.meshgrid(axis, axis, indexing="ij")
     mask = bulk.in_normalized_domain(gx, gy)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cevians import bulk
+from cevians import bulk, intervals
 from cevians.certifier import (
     BoxArray,
     CertificationTask,
@@ -11,7 +11,9 @@ from cevians.certifier import (
     eval_target_interval,
     key_system_identity_floors,
     point_values,
+    _ad_parts,
     _clip_to_domain,
+    _natural_parts,
 )
 from cevians.exceptions import BudgetExceededError, EmptyIntersectionError
 from cevians.intervals import Box2
@@ -275,6 +277,55 @@ class TestCornerArgument:
         assert doc["both_positive"] is True
         assert doc["sliver"] == [1.0 - 1e-6, 1.0]
         assert len(doc["factors"]) == 2
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).view(np.int64)
+
+
+class TestOneTreePerBox:
+    """The branch-and-bound takes its natural enclosures from the derivative
+    evaluation, so the two must agree bit for bit, on both rounding paths."""
+
+    @pytest.mark.parametrize("target", list(Target))
+    def test_ad_values_are_the_natural_extension(self, target, rng):
+        mu = 1e-6
+        for n in (300, intervals._STEP_MIN_SIZE + 300):
+            boxes = _clip_to_domain(*sample_domain_boxes(rng, n), mu)
+            assert boxes[4].all()
+            xlo, xhi, ylo, yhi = boxes[:4]
+            assert xlo.shape[0] == n
+            natural = _natural_parts(target, xlo, xhi, ylo, yhi)
+            ad = _ad_parts(target, xlo, xhi, ylo, yhi)
+            assert len(ad) == len(natural)
+            for adv, nat in zip(ad, natural):
+                assert np.array_equal(_bits(adv.v[0]), _bits(nat[0]))
+                assert np.array_equal(_bits(adv.v[1]), _bits(nat[1]))
+
+    def test_wide_levels_certify_as_with_nextafter(self, monkeypatch):
+        # A budget of 8,000 reaches levels of 1,718 and 3,402 boxes.
+        task = CertificationTask(target=Target.MAIN_MEDIAN, delta=0.0,
+                                 min_box_width=1e-15, max_depth=200,
+                                 box_budget=8_000)
+        steps = []
+        step_up = intervals._step_up
+
+        def counted(w):
+            steps.append(w.size)
+            return step_up(w)
+
+        monkeypatch.setattr(intervals, "_step_up", counted)
+        reports = []
+        for threshold in (intervals._STEP_MIN_SIZE, 10**9):
+            monkeypatch.setattr(intervals, "_STEP_MIN_SIZE", threshold)
+            steps.clear()
+            cert = certify(task)
+            assert bool(steps) == (threshold < 10**9)
+            doc = cert.to_report_dict(include_proven=True)
+            doc["stats"]["wall_time_s"] = 0.0
+            reports.append(doc)
+        assert reports[0]["stats"]["budget_exhausted"]
+        assert reports[0] == reports[1]
 
 
 class TestBoxArray:

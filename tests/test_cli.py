@@ -115,6 +115,28 @@ class TestCertify:
             assert factor["certified"] is False
             assert factor["boxes_processed"] == 0
 
+    @pytest.mark.parametrize("delta, covered", [
+        ("0", "nothing excluded"),
+        ("1e-7", "excluded and not proven"),
+        (None, "if corner_check reports both_positive"),
+    ])
+    def test_corner_note_states_coverage(self, tmp_path, delta, covered):
+        out = tmp_path / "cert.json"
+        argv = ["certify", "--target", "main-median", "--box-budget", "3000",
+                "-o", str(out)]
+        if delta is not None:
+            argv += ["--delta", delta]
+        run(argv)
+        doc = load(out)
+        note = doc["certificate"]["excluded"]["corner_square"]["note"]
+        assert covered in note
+        if delta == "0":
+            assert "corner_check" not in doc
+            assert "corner_sampling" not in doc
+        else:
+            assert "corner_sampling is binary64 evidence, not part of the proof" in note
+            assert doc["corner_check"]["both_positive"] is (delta is None)
+
     def test_unknown_target_exits_2(self):
         with pytest.raises(SystemExit) as err:
             run(["certify", "--target", "nonsense"])

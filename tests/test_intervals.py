@@ -1,11 +1,23 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cevians.exceptions import NegativeSqrtDomainError
-from cevians.intervals import Box2, Interval, add, div, mul, sqrt, sub
+from cevians.intervals import (
+    _STEP_MIN_SIZE,
+    Box2,
+    Interval,
+    _round_down,
+    _round_up,
+    add,
+    div,
+    mul,
+    sqrt,
+    sub,
+)
 
 finite = st.floats(-1e6, 1e6, allow_nan=False)
 
@@ -137,3 +149,57 @@ class TestBox2:
         assert box.contains(0.5, 1.5)
         assert not box.contains(1.5, 1.0)
         assert box.width == 2.0
+
+
+TINY = np.finfo(float).tiny
+BIG = np.finfo(float).max
+SPECIALS = [0.0, -0.0, 5e-324, -5e-324, TINY, -TINY, BIG, -BIG,
+            math.inf, -math.inf, math.nan]
+# One size below the integer path's threshold, and sizes at and above it.
+SIZES = (_STEP_MIN_SIZE - 1, _STEP_MIN_SIZE, 3 * _STEP_MIN_SIZE + 5)
+
+
+def _assert_nextafter(v):
+    """Both rounding helpers equal np.nextafter bit for bit; NaN gives NaN."""
+    for helper, direction in ((_round_up, math.inf), (_round_down, -math.inf)):
+        with np.errstate(over="ignore"):  # nextafter flags overflow at +-max
+            want = np.nextafter(v, direction)
+            got = helper(v)
+        assert type(got) is type(want)
+        got = np.atleast_1d(got)
+        want = np.atleast_1d(want)
+        nan = np.isnan(np.atleast_1d(v))
+        assert np.isnan(got[nan]).all()
+        assert np.array_equal(got[~nan].view(np.int64), want[~nan].view(np.int64))
+
+
+@pytest.mark.filterwarnings("error")
+class TestRounding:
+    """_round_up and _round_down against np.nextafter on both of their paths."""
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_special_values(self, n):
+        _assert_nextafter(np.resize(np.array(SPECIALS), n))
+
+    def test_random_bit_patterns(self):
+        rng = np.random.default_rng(20260)
+        bits = rng.integers(np.iinfo(np.int64).min, np.iinfo(np.int64).max,
+                            1_000_000, dtype=np.int64, endpoint=True)
+        v = bits.view(np.float64)
+        assert np.isnan(v).any()
+        # Signaling NaNs among the patterns flag "invalid" on any arithmetic,
+        # nextafter's included.
+        with np.errstate(invalid="ignore"):
+            _assert_nextafter(v)
+            _assert_nextafter(v[:_STEP_MIN_SIZE - 1])
+
+    @given(st.lists(st.floats(), min_size=1, max_size=40))
+    @settings(max_examples=200)
+    def test_hypothesis_floats(self, values):
+        for n in (len(values), *SIZES):
+            _assert_nextafter(np.resize(np.array(values), n))
+
+    @pytest.mark.parametrize("value", SPECIALS + [1.0, -3.5])
+    def test_scalars_and_zero_d_arrays(self, value):
+        _assert_nextafter(value)
+        _assert_nextafter(np.array(value))

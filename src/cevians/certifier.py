@@ -45,6 +45,9 @@ _INF = np.inf
 # Width of the sliver (1-eta, 1] next to the equilateral point that the
 # corner factor certification leaves out: both factors vanish at x = 1.
 _CORNER_ETA = 1e-6
+# The corner factor bisection gives up at this box width or box count.
+_CORNER_MIN_WIDTH = 1e-12
+_CORNER_BOX_CAP = 500_000
 
 
 class Target(Enum):
@@ -262,10 +265,6 @@ def _ad_parts(target: Target, xlo, xhi, ylo, yhi):
     return _PARTS[target](_AdOps, x, y)
 
 
-def _halve(iv):
-    return _round_down(0.5 * iv[0]), _round_up(0.5 * iv[1])
-
-
 def _anchor_in_domain(xlo, xhi, ylo, yhi, mu: float):
     """Box midpoint projected into {x + y >= 1 + mu, x <= y} within the box.
 
@@ -373,8 +372,8 @@ def _lower_bounds(target: Target, xlo, xhi, ylo, yhi, mu: float):
         axis_term = _IntervalOps.add(
             _IntervalOps.mul(adv.gx, dx_rng), _IntervalOps.mul(adv.gy, dy_rng)
         )
-        gs = _halve(_IntervalOps.add(adv.gx, adv.gy))
-        gv = _halve(_IntervalOps.sub(adv.gx, adv.gy))
+        gs = _IntervalOps.mul_const(_IntervalOps.add(adv.gx, adv.gy), 0.5)
+        gv = _IntervalOps.mul_const(_IntervalOps.sub(adv.gx, adv.gy), 0.5)
         rot_term = _IntervalOps.add(
             _IntervalOps.mul(gs, ds_rng), _IntervalOps.mul(gv, dv_rng)
         )
@@ -521,13 +520,15 @@ class Certificate:
         return doc
 
 
-def _corner_note(delta: float) -> str:
+def _corner_note(target: Target, delta: float) -> str:
     """What the report proves about the corner square [1-delta, 1]^2."""
     if delta == 0.0:
         return ("nothing excluded: the square is the equality point (1,1), "
                 "where every target is 0; boxes there that no bound proves "
                 "are reported undecided, and no corner check runs")
     sampling = "corner_sampling is binary64 evidence, not part of the proof"
+    if target is not Target.MAIN_MEDIAN:
+        return "excluded and not proven; " + sampling
     if 1.0 - 2.0 * delta > 1.0 - _CORNER_ETA:
         return ("excluded and not proven: 2*delta < eta = 1e-6 leaves the "
                 "isosceles band [1-2*delta, 1-eta] of corner_check empty; "
@@ -549,7 +550,7 @@ def _excluded_description(task: CertificationTask) -> dict:
             "delta": task.delta,
             "x": [1.0 - task.delta, 1.0],
             "y": [1.0 - task.delta, 1.0],
-            "note": _corner_note(task.delta),
+            "note": _corner_note(task.target, task.delta),
         },
     }
     if task.target is Target.KEY_SYSTEM:
@@ -702,51 +703,51 @@ class CornerCheckReport:
         }
 
 
-def _equal_legs_factor(x: Interval) -> Interval:
-    # 2*sqrt(2x + x^3) - (sqrt(x) + 1)*sqrt(4x^2 - 1), for a = b = x, c = 1
-    two = Interval.point(2.0)
-    one = Interval.point(1.0)
-    four = Interval.point(4.0)
-    x3 = x * x * x
-    t1 = two * ((two * x + x3).sqrt())
-    t2 = (x.sqrt() + one) * ((four * x * x - one).sqrt())
-    return t1 - t2
+def equal_legs_second_factor(ops, x):
+    """2*sqrt(2x + x^3) - (sqrt(x) + 1)*sqrt(4x^2 - 1), for a = b = x, c = 1.
 
-
-def _equal_base_factor(x: Interval) -> Interval:
-    # (1 + sqrt(x))*sqrt(4 - x^2) - 2*sqrt(1 + 2x^2), for a = x, b = c = 1
-    one = Interval.point(1.0)
-    two = Interval.point(2.0)
-    four = Interval.point(4.0)
-    t1 = (one + x.sqrt()) * ((four - x * x).sqrt())
-    t2 = two * ((one + two * x * x).sqrt())
-    return t1 - t2
-
-
-def _certify_positive_1d(f, lo: float, hi: float,
-                         min_width: float = 1e-12,
-                         box_cap: int = 500_000) -> tuple[bool, float, int]:
-    """Prove f > 0 on [lo, hi] by interval bisection.
-
-    Returns (certified, certified lower bound, boxes processed).
+    Twice the main median slack of (x, x, 1) is (1 - sqrt(x)) times it.
     """
-    stack = [(lo, hi)]
-    bound = math.inf
-    processed = 0
-    while stack:
-        a, b = stack.pop()
-        processed += 1
-        if processed > box_cap:
+    t1 = ops.mul_const(ops.sqrt(ops.add(ops.mul_const(x, 2.0),
+                                        ops.mul(ops.mul(x, x), x))), 2.0)
+    t2 = ops.mul(ops.add_const(ops.sqrt(x), 1.0),
+                 ops.sqrt(ops.sub_const(ops.mul(ops.mul_const(x, 4.0), x), 1.0)))
+    return ops.sub(t1, t2)
+
+
+def equal_base_second_factor(ops, x):
+    """(1 + sqrt(x))*sqrt(4 - x^2) - 2*sqrt(1 + 2x^2), for a = x, b = c = 1.
+
+    Twice the main median slack of (x, 1, 1) is (1 - sqrt(x)) times it.
+    """
+    t1 = ops.mul(ops.add_const(ops.sqrt(x), 1.0),
+                 ops.sqrt(ops.const_sub(4.0, ops.mul(x, x))))
+    t2 = ops.mul_const(ops.sqrt(ops.add_const(ops.mul(ops.mul_const(x, 2.0), x),
+                                              1.0)), 2.0)
+    return ops.sub(t1, t2)
+
+
+def _bisect_positive(factor, lo: float, hi: float) -> tuple[bool, float, int]:
+    """Prove factor > 0 on [lo, hi] by interval bisection, a level at a time.
+
+    Returns (certified, certified lower bound, boxes processed).  Each level
+    is one `_IntervalOps` evaluation of the factor over endpoint arrays.
+    """
+    a, b = np.array([lo]), np.array([hi])
+    bound, processed = math.inf, 0
+    while a.shape[0] > 0:
+        processed += a.shape[0]
+        if processed > _CORNER_BOX_CAP:
             return False, 0.0, processed
-        enc = f(Interval(a, b))
-        if enc.lo > 0.0:
-            bound = min(bound, enc.lo)
-            continue
-        if b - a <= min_width:
+        enc_lo = factor(_IntervalOps, (a, b))[0]
+        proven = enc_lo > 0.0
+        if proven.any():
+            bound = min(bound, float(enc_lo[proven].min()))
+        a, b = a[~proven], b[~proven]
+        if (b - a <= _CORNER_MIN_WIDTH).any():
             return False, 0.0, processed
         m = 0.5 * (a + b)
-        stack.append((m, b))
-        stack.append((a, m))
+        a, b = np.concatenate([a, m]), np.concatenate([m, b])
     return True, bound, processed
 
 
@@ -762,17 +763,13 @@ def corner_argument_check(delta: float, eta: float = _CORNER_ETA) -> CornerCheck
         raise ValueError(f"delta must lie in (0, 1/2), got {delta}")
     hi = 1.0 - eta
 
-    def factor(name: str, f, lo: float) -> FactorCertification:
+    def factor(f, lo: float) -> FactorCertification:
         if lo > hi:
-            return FactorCertification(name, None, None, False, 0.0, 0)
-        ok, bound, n = _certify_positive_1d(f, lo, hi)
-        return FactorCertification(name, lo, hi, ok, bound, n)
+            return FactorCertification(f.__name__, None, None, False, 0.0, 0)
+        return FactorCertification(f.__name__, lo, hi, *_bisect_positive(f, lo, hi))
 
     return CornerCheckReport(
-        delta=delta,
-        eta=eta,
-        equal_legs_factor=factor("equal_legs_second_factor", _equal_legs_factor,
-                                 max(1.0 - 2.0 * delta, 0.5 + 1e-9)),
-        equal_base_factor=factor("equal_base_second_factor", _equal_base_factor,
-                                 max(1.0 - 2.0 * delta, eta)),
+        delta, eta,
+        factor(equal_legs_second_factor, max(1.0 - 2.0 * delta, 0.5 + 1e-9)),
+        factor(equal_base_second_factor, max(1.0 - 2.0 * delta, eta)),
     )

@@ -10,6 +10,7 @@ always exits 0 (2 on bad arguments).  table: 0, or 2 on bad density.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 import time
@@ -264,15 +265,18 @@ def _corner_sampling(target: Target, delta: float, grid: int = 128) -> dict:
 
 
 def cmd_certify(args, started: float) -> int:
-    task = CertificationTask(
-        target=Target.from_name(args.target),
-        mu=args.mu,
-        delta=args.delta,
-        max_depth=args.max_depth,
-        min_box_width=args.min_box_width,
-        box_budget=args.box_budget,
-        queue_cap=args.queue_cap,
-    )
+    try:
+        task = CertificationTask(
+            target=Target.from_name(args.target),
+            mu=args.mu,
+            delta=args.delta,
+            max_depth=args.max_depth,
+            min_box_width=args.min_box_width,
+            box_budget=args.box_budget,
+            queue_cap=args.queue_cap,
+        )
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from None
     exit_code = 0
     try:
         cert = certify(task)
@@ -282,23 +286,16 @@ def cmd_certify(args, started: float) -> int:
         exit_code = 3
 
     body = {"certificate": cert.to_report_dict(include_proven=args.include_proven)}
-    if 0.0 < task.delta < 0.5:
-        body["corner_check"] = corner_argument_check(task.delta).to_report_dict()
+    if task.delta > 0.0:
+        if task.target is Target.MAIN_MEDIAN:
+            body["corner_check"] = corner_argument_check(task.delta).to_report_dict()
         body["corner_sampling"] = _corner_sampling(task.target, task.delta)
 
     manifest = RunManifest(
         subcommand="certify",
         version=TOOL_VERSION,
         seed=None,
-        config={
-            "target": task.target.value,
-            "mu": task.mu,
-            "delta": task.delta,
-            "max_depth": task.max_depth,
-            "min_box_width": task.min_box_width,
-            "box_budget": task.box_budget,
-            "queue_cap": task.queue_cap,
-        },
+        config={**dataclasses.asdict(task), "target": task.target.value},
         inputs={},
         wall_time_s=time.perf_counter() - started,
     )

@@ -5,8 +5,9 @@ nonnegative value means the statement holds.  Slacks of the homogeneous
 inequalities carry units of length squared; absolute tolerances should be
 scaled by :func:`tolerance_scale`.  The slack formulas are defined in
 :mod:`cevians.bulk`; the functions here check their inputs and wrap the
-binary64 values in reports.  Only the isosceles factored forms are
-written out here.
+binary64 values in reports.  The isosceles factored forms are (1 - sqrt(x))
+times the second factors that :mod:`cevians.certifier` writes over an
+operation set and certifies positive near the equality corner.
 """
 
 from __future__ import annotations
@@ -15,7 +16,9 @@ import math
 from dataclasses import dataclass
 
 from . import bulk
+from .certifier import equal_base_second_factor, equal_legs_second_factor
 from .exceptions import DomainError, NotScaleneError
+from .intervals import _FloatOps
 from .kernel import (
     CevianKind,
     CevianTriple,
@@ -116,10 +119,7 @@ def isosceles_slack_case1(x: float) -> SlackReport:
     """
     if not (0.5 < x <= 1.0):
         raise DomainError(f"case-1 parameter must lie in (1/2, 1], got {x}")
-    value = (1.0 - math.sqrt(x)) * (
-        2.0 * math.sqrt(2.0 * x + x**3)
-        - (math.sqrt(x) + 1.0) * math.sqrt(4.0 * x * x - 1.0)
-    )
+    value = (1.0 - math.sqrt(x)) * scalar_eval(equal_legs_second_factor, _FloatOps, x)
     return SlackReport("isosceles_case1", value, validate_sides(x, x, 1.0))
 
 
@@ -131,10 +131,7 @@ def isosceles_slack_case2(x: float) -> SlackReport:
     """
     if not (0.0 < x <= 1.0):
         raise DomainError(f"case-2 parameter must lie in (0, 1], got {x}")
-    value = (1.0 - math.sqrt(x)) * (
-        (1.0 + math.sqrt(x)) * math.sqrt(4.0 - x * x)
-        - 2.0 * math.sqrt(1.0 + 2.0 * x * x)
-    )
+    value = (1.0 - math.sqrt(x)) * scalar_eval(equal_base_second_factor, _FloatOps, x)
     return SlackReport("isosceles_case2", value, validate_sides(x, 1.0, 1.0))
 
 

@@ -19,9 +19,10 @@ zeros step to the least subnormal; +inf and NaN are left as they are.
 nextDown is exactly -nextUp(-v).  The integer path does a few cheap
 integer ufunc calls instead of NumPy's per-element ``nextafter`` loop.
 
-The scalar :class:`Interval` serves the 1-D corner argument.  The operation
-sets ``_FloatOps`` and ``_IntervalOps`` run a formula written once against
-``ops`` in binary64 or as an enclosure of that same tree, on arrays.
+The operation sets ``_FloatOps`` and ``_IntervalOps`` run a formula written
+once against ``ops`` in binary64 or as an enclosure of that same tree, on
+arrays; all of the package's interval arithmetic goes through them.  The
+scalar :class:`Interval` and its operators remain as public API.
 """
 
 from __future__ import annotations
@@ -187,12 +188,14 @@ class _FloatOps:
     add_const = operator.add
     sub_const = operator.sub
     const_sub = operator.sub
+    mul_const = operator.mul
 
 
 class _IntervalOps:
     """Outward-rounded arithmetic on (lo, hi) pairs of endpoint arrays.
 
-    The constant k of ``add_const``, ``sub_const`` and ``const_sub`` is a float.
+    The constant k of ``add_const``, ``sub_const`` and ``const_sub`` is a
+    float; that of ``mul_const`` is a positive float.
     """
 
     @staticmethod
@@ -249,6 +252,10 @@ class _IntervalOps:
     @staticmethod
     def const_sub(k, a):
         return _round_down(k - a[1]), _round_up(k - a[0])
+
+    @staticmethod
+    def mul_const(a, k):
+        return _round_down(a[0] * k), _round_up(a[1] * k)
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,8 @@ from cevians.certifier import (
     Target,
     certify,
     corner_argument_check,
+    equal_base_second_factor,
+    equal_legs_second_factor,
     eval_target_interval,
     key_system_identity_floors,
     point_values,
@@ -16,8 +18,10 @@ from cevians.certifier import (
     _natural_parts,
 )
 from cevians.exceptions import BudgetExceededError, EmptyIntersectionError
-from cevians.intervals import Box2
+from cevians.intervals import Box2, Interval, _IntervalOps
+from cevians.inequalities import isosceles_slack_case1, isosceles_slack_case2
 
+import oracles
 from conftest import sample_domain_boxes
 
 F_06_08 = 0.1593005229059099113924
@@ -277,6 +281,58 @@ class TestCornerArgument:
         assert doc["both_positive"] is True
         assert doc["sliver"] == [1.0 - 1e-6, 1.0]
         assert len(doc["factors"]) == 2
+
+    # (boxes_processed, lower_bound) of the (equal-legs, equal-base) factors,
+    # as the depth-first scalar Interval bisection reported them
+    @pytest.mark.parametrize("delta, pinned", [
+        (1e-3, ((39, 3.440624278816528e-07), (21, 9.074621756255396e-07))),
+        (1e-5, ((13, 8.840687719668948e-07), (7, 5.412612793520565e-07))),
+        (1e-6, ((3, 1.1547015570378958e-06), (1, 1.732048206193326e-06))),
+        (0.1, ((65, 3.956722030018511e-07), (35, 1.2766296548782916e-06))),
+        (0.49, ((69, 3.9579148669588443e-07), (41, 9.792979720479875e-07))),
+    ])
+    def test_pinned_results(self, delta, pinned):
+        rep = corner_argument_check(delta)
+        for fac, (boxes, bound) in zip((rep.equal_legs_factor, rep.equal_base_factor),
+                                       pinned):
+            assert fac.certified
+            assert (fac.boxes_processed, fac.lower_bound) == (boxes, bound)
+
+    def test_band_reaching_the_equality_point_is_uncertified(self):
+        # both factors are 0 at x = 1, so no enclosure there is positive
+        rep = corner_argument_check(1e-3, eta=0.0)
+        assert not rep.both_positive
+        for fac in (rep.equal_legs_factor, rep.equal_base_factor):
+            assert fac.domain_hi == 1.0
+            assert not fac.certified
+            assert fac.lower_bound == 0.0
+            assert fac.boxes_processed > 0
+
+    @pytest.mark.parametrize("factor, sides, lo", [
+        (equal_legs_second_factor, lambda x: (x, x, 1.0), 0.5 + 1e-9),
+        (equal_base_second_factor, lambda x: (x, 1.0, 1.0), 1e-6),
+    ])
+    def test_enclosure_contains_mpmath_value(self, rng, factor, sides, lo):
+        x = rng.uniform(lo, 1.0 - 1e-6, 1500)
+        for n in (100, x.size):  # both rounding paths of the endpoint arrays
+            enc_lo, enc_hi = factor(_IntervalOps, (x[:n], x[:n]))
+            for xv, elo, ehi in zip(x[:n], enc_lo, enc_hi):
+                t = sides(float(xv))
+                exact = (2 * oracles.slack_main_hp(*t, *oracles.medians_hp(*t))
+                         / (1 - oracles.mp.sqrt(xv)))
+                assert elo <= exact <= ehi
+
+    def test_no_scalar_interval_arithmetic(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("scalar Interval arithmetic")
+
+        for op in ("__add__", "__sub__", "__mul__", "__truediv__", "__neg__", "sqrt"):
+            monkeypatch.setattr(Interval, op, forbidden)
+        assert corner_argument_check(1e-3).both_positive
+        certify(CertificationTask(Target.MAIN_MEDIAN, box_budget=200))
+        eval_target_interval(Target.MAIN_MEDIAN, Box2.from_bounds(0.6, 0.7, 0.8, 0.9))
+        isosceles_slack_case1(0.8)
+        isosceles_slack_case2(0.8)
 
 
 def _bits(a):

@@ -1,6 +1,10 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cevians.cli import main
 from cevians.reports import reproducible_bytes, strip_wall_time
@@ -136,6 +140,45 @@ class TestCertify:
         else:
             assert "corner_sampling is binary64 evidence, not part of the proof" in note
             assert doc["corner_check"]["both_positive"] is (delta is None)
+
+    def test_corner_check_only_for_main_median(self, tmp_path):
+        # the isosceles factors belong to the main median slack; the other
+        # targets keep the sampling of their own corner, as evidence
+        out = tmp_path / "cert.json"
+        assert run(["certify", "--target", "quadratic-median", "-o", str(out)]) == 0
+        doc = load(out)
+        assert "corner_check" not in doc
+        assert doc["corner_sampling"]["pass"] is True
+        note = doc["certificate"]["excluded"]["corner_square"]["note"]
+        assert note.startswith("excluded and not proven")
+        assert "isosceles" not in note and "corner_check" not in note
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--mu", "0"),
+        ("--mu", "nan"),
+        ("--delta", "0.7"),
+        ("--max-depth", "0"),
+        ("--min-box-width", "0"),
+        ("--box-budget", "0"),
+    ])
+    def test_bad_task_arguments_exit_2(self, capsys, flag, value):
+        assert run(["certify", "--target", "main-median", flag, value]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+
+    @given(mu=st.one_of(st.floats(), st.floats(0.0, 0.5)),
+           delta=st.one_of(st.floats(), st.floats(0.0, 0.5)),
+           width=st.one_of(st.floats(), st.floats(0.0, 1.0)))
+    @settings(max_examples=80, deadline=None)
+    def test_extreme_floats_keep_the_exit_contract(self, mu, delta, width):
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = run(["certify", "--target", "main-median", f"--mu={mu!r}",
+                        f"--delta={delta!r}", f"--min-box-width={width!r}",
+                        "--box-budget", "64"])
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err.getvalue()
 
     def test_unknown_target_exits_2(self):
         with pytest.raises(SystemExit) as err:

@@ -10,16 +10,19 @@ is deterministic regardless of scheduling, and the endpoint arithmetic is
 the same 1-ulp outward rounding used by :mod:`cevians.intervals`.
 
 Every target expression is written once against an abstract operation set
-and instantiated three ways: plain float arrays (point evaluation),
+and instantiated four ways: plain float arrays (point evaluation),
 interval endpoint arrays (the natural extension, which is what
 :func:`eval_target_interval` exposes; it is inclusion-isotone), and
-forward-mode interval derivatives.  The branch-and-bound additionally
-prunes with the mean-value form  f(m) + grad(X) * (X - m), which is what
-keeps box counts bounded near the equality corner where the natural
-extension would need quadratically small boxes.  The mean-value bound is
-applied only where every radicand is strictly positive over the whole box
-hull, so the expression is differentiable on every segment the argument
-needs.
+first- and second-order forward-mode interval derivatives.  The
+branch-and-bound additionally prunes with the mean-value form
+f(m) + grad(X) * (X - m), which is what keeps box counts bounded near the
+equality corner where the natural extension would need quadratically small
+boxes.  At delta = 0 no box holding the equality point (1, 1) can have a
+positive bound, since every target is 0 there; that one box per level is
+instead tried with a Taylor form at (1, 1) (:func:`_corner_bounds`).  The
+derivative forms are applied only where every radicand is strictly
+positive over the whole box hull, so the expression is differentiable on
+every segment the argument needs.
 """
 
 from __future__ import annotations
@@ -140,8 +143,13 @@ class _AdOps:
 
     @staticmethod
     def mul(a, b):
-        gx = _IntervalOps.add(_IntervalOps.mul(a.gx, b.v), _IntervalOps.mul(a.v, b.gx))
-        gy = _IntervalOps.add(_IntervalOps.mul(a.gy, b.v), _IntervalOps.mul(a.v, b.gy))
+        # A lane whose radicand reaches 0 has an infinite derivative, and
+        # inf * 0 is NaN; such lanes have ok False and are never used.
+        with np.errstate(invalid="ignore", over="ignore"):
+            gx = _IntervalOps.add(_IntervalOps.mul(a.gx, b.v),
+                                  _IntervalOps.mul(a.v, b.gx))
+            gy = _IntervalOps.add(_IntervalOps.mul(a.gy, b.v),
+                                  _IntervalOps.mul(a.v, b.gy))
         return _AdVal(_IntervalOps.mul(a.v, b.v), gx, gy, a.ok & b.ok)
 
     @staticmethod
@@ -178,6 +186,108 @@ class _AdOps:
     @staticmethod
     def sub_const(a, k):
         return _AdVal(_IntervalOps.sub_const(a.v, k), a.gx, a.gy, a.ok)
+
+
+class _Ad2Val:
+    """Second-order forward-mode interval value.
+
+    `d` holds six `_IntervalOps` pairs: the enclosure, the gradient
+    (gx, gy) and the Hessian (hxx, hxy, hyy); `ok` is as in `_AdVal`.
+    """
+
+    __slots__ = ("d", "ok")
+
+    def __init__(self, d, ok):
+        self.d = d
+        self.ok = ok
+
+
+def _twice(a):
+    return _IntervalOps.mul_const(a, 2.0)
+
+
+class _Ad2Ops:
+    """Interval arithmetic with value, gradient and Hessian propagation.
+
+    The certifier runs it on one box per level only (the box that holds
+    (1, 1)), so each rule is written plainly, with no care for speed.
+    """
+
+    @staticmethod
+    def add(a, b):
+        return _Ad2Val(tuple(map(_IntervalOps.add, a.d, b.d)), a.ok & b.ok)
+
+    @staticmethod
+    def sub(a, b):
+        return _Ad2Val(tuple(map(_IntervalOps.sub, a.d, b.d)), a.ok & b.ok)
+
+    @staticmethod
+    def mul(a, b):
+        add, mul = _IntervalOps.add, _IntervalOps.mul
+        v, gx, gy, hxx, hxy, hyy = a.d
+        w, kx, ky, kxx, kxy, kyy = b.d
+        with np.errstate(invalid="ignore", over="ignore"):
+            d = (
+                mul(v, w),
+                add(mul(gx, w), mul(v, kx)),
+                add(mul(gy, w), mul(v, ky)),
+                add(add(mul(hxx, w), mul(v, kxx)), _twice(mul(gx, kx))),
+                add(add(mul(hxy, w), mul(v, kxy)), add(mul(gx, ky), mul(gy, kx))),
+                add(add(mul(hyy, w), mul(v, kyy)), _twice(mul(gy, ky))),
+            )
+        return _Ad2Val(d, a.ok & b.ok)
+
+    @staticmethod
+    def div(a, b):
+        # q = a / b: from a = q*b, q_i = (a_i - q*b_i) / b and
+        # q_ij = (a_ij - q_i*b_j - q_j*b_i - q*b_ij) / b.
+        sub, mul = _IntervalOps.sub, _IntervalOps.mul
+        w, kx, ky, kxx, kxy, kyy = b.d
+        denom = (np.maximum(w[0], 5e-324), w[1])
+        with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+            q = _IntervalOps.div(a.d[0], denom)
+
+            def over(num, t):
+                return _IntervalOps.div(sub(num, t), denom)
+
+            qx = over(a.d[1], mul(q, kx))
+            qy = over(a.d[2], mul(q, ky))
+            d = (
+                q, qx, qy,
+                over(sub(a.d[3], _twice(mul(qx, kx))), mul(q, kxx)),
+                over(sub(sub(a.d[4], mul(qx, ky)), mul(qy, kx)), mul(q, kxy)),
+                over(sub(a.d[5], _twice(mul(qy, ky))), mul(q, kyy)),
+            )
+        return _Ad2Val(d, a.ok & b.ok & (w[0] > 0.0))
+
+    @staticmethod
+    def sqrt(a):
+        # s = sqrt(a): s_i = a_i / (2s) and s_ij = (a_ij - 2*s_i*s_j) / (2s).
+        sub, mul = _IntervalOps.sub, _IntervalOps.mul
+        v, gx, gy, hxx, hxy, hyy = a.d
+        s = _IntervalOps.sqrt(v)
+        denom = (np.maximum(2.0 * s[0], 5e-324), 2.0 * s[1])
+        with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+
+            def over(num):
+                return _IntervalOps.div(num, denom)
+
+            sx, sy = over(gx), over(gy)
+            d = (
+                s, sx, sy,
+                over(sub(hxx, _twice(mul(sx, sx)))),
+                over(sub(hxy, _twice(mul(sx, sy)))),
+                over(sub(hyy, _twice(mul(sy, sy)))),
+            )
+        return _Ad2Val(d, a.ok & (v[0] > 0.0))
+
+    @staticmethod
+    def add_const(a, k):
+        return _Ad2Val((_IntervalOps.add_const(a.d[0], k),) + a.d[1:], a.ok)
+
+    @staticmethod
+    def sub_const(a, k):
+        return _Ad2Val((_IntervalOps.sub_const(a.d[0], k),) + a.d[1:], a.ok)
 
 
 def _doubled_medians(ops, x, y):
@@ -265,6 +375,14 @@ def _ad_parts(target: Target, xlo, xhi, ylo, yhi):
     return _PARTS[target](_AdOps, x, y)
 
 
+def _ad2_parts(target: Target, xlo, xhi, ylo, yhi):
+    ok = np.ones(np.shape(xlo), dtype=bool)
+    zero, one = (0.0, 0.0), (1.0, 1.0)
+    x = _Ad2Val(((xlo, xhi), one, zero, zero, zero, zero), ok)
+    y = _Ad2Val(((ylo, yhi), zero, one, zero, zero, zero), ok)
+    return _PARTS[target](_Ad2Ops, x, y)
+
+
 def _anchor_in_domain(xlo, xhi, ylo, yhi, mu: float):
     """Box midpoint projected into {x + y >= 1 + mu, x <= y} within the box.
 
@@ -314,6 +432,13 @@ def _key_identity_applies(mu: float) -> bool:
     return all(f > 0.0 for f in key_system_identity_floors(mu).values())
 
 
+def _strict_parts(target: Target, mu: float, n: int) -> list[int]:
+    """Indices of the parts a proof must bound; see :func:`_lower_bounds`."""
+    if target is Target.KEY_SYSTEM and _key_identity_applies(mu):
+        return [0, 2]
+    return list(range(n))
+
+
 def _lower_bounds(target: Target, xlo, xhi, ylo, yhi, mu: float):
     """Best rigorous per-box lower bound over the domain part of each box.
 
@@ -338,9 +463,7 @@ def _lower_bounds(target: Target, xlo, xhi, ylo, yhi, mu: float):
     # binds, because the only divisors (altitude-reduced's x and y) have
     # lower bounds >= mu > 0 on clipped boxes.
     ad = _ad_parts(target, xlo, xhi, ylo, yhi)
-    strict = list(range(len(ad)))
-    if target is Target.KEY_SYSTEM and _key_identity_applies(mu):
-        strict = [0, 2]
+    strict = _strict_parts(target, mu, len(ad))
 
     ax, ay = _anchor_in_domain(xlo, xhi, ylo, yhi, mu)
     anchor = _PARTS[target](_IntervalOps, (ax, ax), (ay, ay))
@@ -384,6 +507,72 @@ def _lower_bounds(target: Target, xlo, xhi, ylo, yhi, mu: float):
         usable = adv.ok & np.isfinite(centered)
         part_lo = np.where(usable, np.maximum(adv.v[0], centered), adv.v[0])
         best = part_lo if best is None else np.minimum(best, part_lo)
+    return best
+
+
+_EQUILATERAL_ORDER = {
+    Target.MAIN_MEDIAN: (2,),
+    Target.QUADRATIC_MEDIAN: (2,),
+    Target.KEY_SYSTEM: (2, 2, 2),
+    Target.ALTITUDE_REDUCED: (2,),
+    Target.SCALENE_LEMMA: (1,),
+}
+"""Exact facts at the equilateral point (1, 1), one entry per target part.
+
+Each entry is the order of the first nonzero term of the part's Taylor
+expansion at (1, 1): 2 means value and gradient are exactly 0, 1 means
+the value is exactly 0.  At (1, 1), ra = rb = rc = sqrt(3) and
+sqrt(x) - 1 = sqrt(y) - 1 = sqrt(xy) - 1 = 0, and the radicals have
+d ra = (-1, 2)/sqrt(3), d rb = (2, -1)/sqrt(3), d rc = (2, 2)/sqrt(3).
+Swapping x and y swaps ra and rb, so main-median, quadratic-median,
+altitude-reduced and key-system's r3 are symmetric and have F_y = F_x;
+key-system's r1 and r2 swap into each other.
+
+- main-median: every term has a zero factor, so F = 0, and
+  F_x = -ra + rb/2 + rc/2 = 0.
+- quadratic-median: F = 0 likewise, and F_x = -2*ra + rb + rc = 0.
+- key-system: r1 = rb + rc - 2*ra = 0, r1_x = (2 + 2 + 2)/sqrt(3) - 2*ra = 0,
+  r1_y = (-1 + 2 - 4)/sqrt(3) + rc = 0; r2 is r1 with x and y swapped;
+  r3 = rb + ra - 2*rc = 0 and r3_x = rb + (2 - 1 - 4)/sqrt(3) = 0.
+- altitude-reduced: F = 3 - 3 = 0 and F_x = y + 1/y - y/x^2 - 1 = 0.
+- scalene-lemma: F = ra - rc = 0, but F_x = (-1 - 2)/sqrt(3) + rb/2 and
+  F_y = (2 - 2)/sqrt(3) + ra/2 - rb are both -sqrt(3)/2.
+"""
+
+
+def _corner_bounds(target: Target, xlo, xhi, ylo, yhi, mu: float):
+    """Taylor-form bound at (1, 1) for boxes that hold the equilateral point.
+
+    On the domain part of such a box, d = p - (1, 1) has dx <= dy <= 0, so
+    dy = r*dx with r in [0, 1], and dx < 0 unless p = (1, 1).  Taylor's
+    theorem along the segment from (1, 1) to p, which stays in the box, and
+    the exact facts of `_EQUILATERAL_ORDER` give
+
+        order 2:  F(p) = dx^2/2 * (hxx + 2*hxy*r + hyy*r^2),
+        order 1:  F(p) = -dx * (-gx - gy*r),
+
+    with the derivatives taken at a point of the segment, hence inside the
+    `_Ad2Ops` enclosures over the box.  As 1, r and r^2 are >= 0, putting
+    the lower endpoint of each coefficient's enclosure in its place bounds
+    each polynomial in r from below, and a polynomial on [0, 1] is at least
+    its least Bernstein coefficient: (hxx, hxx + hxy, hxx + 2*hxy + hyy),
+    or (-gx, -gx - gy).
+    Returns the least coefficient over the strict parts; where it is
+    positive, every strict part is >= 0 on the box and 0 only at (1, 1).
+    Lanes where a radicand or divisor can reach 0 get -inf.
+    """
+    parts = _ad2_parts(target, xlo, xhi, ylo, yhi)
+    best = None
+    for k in _strict_parts(target, mu, len(parts)):
+        _, gx, gy, hxx, hxy, hyy = parts[k].d
+        if _EQUILATERAL_ORDER[target][k] == 2:
+            b1 = _IntervalOps.add(hxx, hxy)
+            b2 = _IntervalOps.add(b1, _IntervalOps.add(hxy, hyy))
+            least = np.minimum(np.minimum(hxx[0], b1[0]), b2[0])
+        else:
+            least = np.minimum(-gx[1], -_IntervalOps.add(gx, gy)[1])
+        least = np.where(parts[k].ok & np.isfinite(least), least, -_INF)
+        best = least if best is None else np.minimum(best, least)
     return best
 
 
@@ -476,13 +665,18 @@ class CertificateStats:
 class Certificate:
     """Branch-and-bound outcome over the working domain.
 
-    The proven and undecided boxes, together with the reported excluded
-    regions, cover the working domain; proven boxes never overlap undecided
-    ones except on their boundaries.
+    The proven boxes, the corner box and the undecided boxes, together with
+    the reported excluded regions, cover the working domain; no two of them
+    overlap except on their boundaries.  Every proven box has a positive
+    lower bound (see :func:`_lower_bounds`).  The corner box exists only
+    at delta = 0: it is the box holding the equality point (1, 1), proven
+    by :func:`_corner_bounds` to carry a target >= 0 that is 0 only at
+    (1, 1).
     """
 
     task: CertificationTask
     proven: BoxArray
+    corner: BoxArray
     undecided: BoxArray
     excluded: dict
     stats: CertificateStats = field(default_factory=CertificateStats)
@@ -515,6 +709,9 @@ class Certificate:
                 "wall_time_s": self.stats.wall_time_s,
             },
         }
+        if self.task.delta == 0.0:
+            corner = self.corner.bounds_list()
+            doc["corner_box"] = corner[0] if corner else None
         if include_proven:
             doc["proven"] = self.proven.bounds_list()
         return doc
@@ -523,9 +720,12 @@ class Certificate:
 def _corner_note(target: Target, delta: float) -> str:
     """What the report proves about the corner square [1-delta, 1]^2."""
     if delta == 0.0:
+        order = "first" if target is Target.SCALENE_LEMMA else "second"
         return ("nothing excluded: the square is the equality point (1,1), "
-                "where every target is 0; boxes there that no bound proves "
-                "are reported undecided, and no corner check runs")
+                "where every target is 0; corner_box, the box holding it, is "
+                f"proven >= 0 and = 0 only at (1,1) by a {order}-order Taylor "
+                "form at (1,1); if corner_box is null, that box is undecided; "
+                "no corner check runs")
     sampling = "corner_sampling is binary64 evidence, not part of the proof"
     if target is not Target.MAIN_MEDIAN:
         return "excluded and not proven; " + sampling
@@ -567,11 +767,13 @@ def _excluded_description(task: CertificationTask) -> dict:
 def certify(task: CertificationTask) -> Certificate:
     """Branch-and-bound certification of one target over W(mu, delta).
 
-    Boxes with a positive rigorous lower bound are proven; boxes at
-    max_depth or below min_box_width are undecided; when the total
-    processed-box budget runs out the remaining queue is reported
-    undecided.  Raises BudgetExceededError (carrying the partial
-    certificate) only if a level would exceed the queue cap.
+    Boxes with a positive rigorous lower bound are proven; at delta = 0
+    the box holding (1, 1) becomes the corner box once
+    :func:`_corner_bounds` proves it; boxes at max_depth or below
+    min_box_width are undecided; when the total processed-box budget
+    runs out the remaining queue is reported undecided.  Raises
+    BudgetExceededError (carrying the partial certificate) only if a level
+    would exceed the queue cap.
     """
     start = time.perf_counter()
     xlo = np.array([task.mu])
@@ -581,6 +783,7 @@ def certify(task: CertificationTask) -> Certificate:
 
     proven_parts: list[tuple] = []
     undecided_parts: list[tuple] = []
+    corner_parts: list[tuple] = []
     stats = CertificateStats()
     depth = 0
 
@@ -590,6 +793,7 @@ def certify(task: CertificationTask) -> Certificate:
         return Certificate(
             task=task,
             proven=BoxArray.concatenate(proven_parts).sorted_canonically(),
+            corner=BoxArray.concatenate(corner_parts),
             undecided=BoxArray.concatenate(undecided_parts).sorted_canonically(),
             excluded=_excluded_description(task),
             stats=stats,
@@ -611,9 +815,18 @@ def certify(task: CertificationTask) -> Certificate:
         flo = _lower_bounds(task.target, xlo, xhi, ylo, yhi, task.mu)
 
         proven = flo > 0.0
+        # Clipped boxes reach x = 1 only at delta = 0, and then only the
+        # one box per level that holds (1, 1).
+        corner = ~proven & (xhi >= 1.0) & (yhi >= 1.0)
+        if corner.any():
+            corner[corner] = _corner_bounds(task.target, xlo[corner], xhi[corner],
+                                            ylo[corner], yhi[corner], task.mu) > 0.0
+            corner_parts.append((xlo[corner], xhi[corner],
+                                 ylo[corner], yhi[corner]))
+        decided = proven | corner
         width = np.maximum(xhi - xlo, yhi - ylo)
-        stuck = ~proven & ((width <= task.min_box_width) | (depth >= task.max_depth))
-        split = ~proven & ~stuck
+        stuck = ~decided & ((width <= task.min_box_width) | (depth >= task.max_depth))
+        split = ~decided & ~stuck
 
         if proven.any():
             proven_parts.append((xlo[proven], xhi[proven],

@@ -98,5 +98,37 @@ def normalized_slack_hp(x, y):
     )
 
 
+def target_parts_hp(target, x, y):
+    """Every part of a certification target at (x, y), for the triangle (x, y, 1).
+
+    Each part is a positive multiple of the slack it certifies, written
+    from the medians of :func:`medians_hp`.
+    """
+    x, y = mp.mpf(x), mp.mpf(y)
+    if target == "altitude-reduced":
+        return (x * y + x / y + y / x - (x + y + 1),)
+    ra, rb, rc = (2 * m for m in medians_hp(x, y, 1))
+    if target == "main-median":
+        return (2 * slack_main_hp(x, y, 1, ra / 2, rb / 2, rc / 2),)
+    if target == "quadratic-median":
+        return (2 * slack_quadratic_hp(x, y, 1, ra / 2, rb / 2, rc / 2),)
+    if target == "key-system":
+        return (rb + y * rc - 2 * x * ra,
+                ra + x * rc - 2 * y * rb,
+                x * rb + y * ra - 2 * rc)
+    if target == "scalene-lemma":
+        return (ra * mp.sqrt(y) + rb * (mp.sqrt(x) - y) - rc,)
+    raise ValueError(f"unknown target {target!r}")
+
+
+def target_derivative_hp(target, x, y, order):
+    """Partial derivative of order (i, j) in (x, y) of every target part."""
+    n = len(target_parts_hp(target, 0.75, 0.75))
+    return tuple(
+        mp.diff(lambda u, v, k=k: target_parts_hp(target, u, v)[k], (x, y), order)
+        for k in range(n)
+    )
+
+
 def f(v) -> float:
     return float(v)

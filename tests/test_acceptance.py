@@ -168,6 +168,16 @@ def test_criterion_4_rigorous_certification(certificates):
             assert not cert.stats.budget_exhausted
             assert elapsed <= 60.0
 
+        # delta = 0: nothing excluded, the box holding (1, 1) is proven >= 0
+        for target in Target:
+            cert = certify(CertificationTask(target=target, delta=0.0))
+            print(f"  {target.value} at delta=0: "
+                  f"boxes={cert.stats.boxes_processed} "
+                  f"corner_box={cert.corner.bounds_list()}")
+            assert cert.undecided_count == 0, target.value
+            assert not cert.stats.budget_exhausted
+            assert len(cert.corner) == 1
+
         rep = corner_argument_check(1e-3)
         assert rep.both_positive
         assert rep.equal_legs_factor.domain_lo == 1.0 - 2e-3

@@ -13,9 +13,13 @@ from cevians.certifier import (
     eval_target_interval,
     key_system_identity_floors,
     point_values,
+    _EQUILATERAL_ORDER,
+    _ad2_parts,
     _ad_parts,
     _clip_to_domain,
+    _corner_bounds,
     _natural_parts,
+    _strict_parts,
 )
 from cevians.exceptions import BudgetExceededError, EmptyIntersectionError
 from cevians.intervals import Box2, Interval, _IntervalOps
@@ -114,12 +118,18 @@ class TestCertify:
         a["stats"]["wall_time_s"] = b["stats"]["wall_time_s"] = 0.0
         assert a == b
 
-    def test_delta_zero_undecided_at_corner(self):
+    def test_delta_zero_closes_with_a_corner_box(self):
         cert = certify(CertificationTask(target=Target.MAIN_MEDIAN, delta=0.0))
-        assert cert.undecided_count > 0
-        u = cert.undecided
-        assert u.xlo.min() >= 1.0 - 1e-3
-        assert u.ylo.min() >= 1.0 - 1e-3
+        assert cert.undecided_count == 0
+        assert not cert.stats.budget_exhausted
+        assert len(cert.corner) == 1
+        c = cert.corner
+        assert (c.xhi[0], c.yhi[0]) == (1.0, 1.0)
+        assert 0.9 < c.xlo[0] <= c.ylo[0] < 1.0
+        assert cert.to_report_dict()["corner_box"] == c.bounds_list()[0]
+        # the corner box is not a proven box, and no proven box overlaps it
+        p = cert.proven
+        assert not ((p.xhi > c.xlo[0]) & (p.yhi > c.ylo[0])).any()
 
     def test_proven_boxes_inside_working_domain(self):
         task = CertificationTask(target=Target.QUADRATIC_MEDIAN)
@@ -131,7 +141,10 @@ class TestCertify:
         assert (p.xhi + p.yhi >= 1.0 + task.mu).all()
 
     def test_proven_boxes_sorted_and_disjoint_from_undecided(self):
-        cert = certify(CertificationTask(target=Target.MAIN_MEDIAN, delta=0.0))
+        cert = certify(CertificationTask(target=Target.MAIN_MEDIAN, delta=1e-8,
+                                         min_box_width=1e-15, max_depth=200,
+                                         box_budget=8_000))
+        assert cert.undecided_count > 0
         p = cert.proven
         order = np.lexsort((p.yhi, p.xhi, p.ylo, p.xlo))
         assert (order == np.arange(len(p))).all()
@@ -335,6 +348,105 @@ class TestCornerArgument:
         isosceles_slack_case2(0.8)
 
 
+class TestCornerForm:
+    """The Taylor form at (1, 1) that closes the equality corner at delta = 0,
+    checked against the independent 50-digit oracles."""
+
+    @pytest.mark.parametrize("target", list(Target))
+    def test_equilateral_facts(self, target):
+        sqrt3 = oracles.mp.sqrt(3)
+        values = oracles.target_parts_hp(target.value, 1, 1)
+        gx = oracles.target_derivative_hp(target.value, 1, 1, (1, 0))
+        gy = oracles.target_derivative_hp(target.value, 1, 1, (0, 1))
+        orders = _EQUILATERAL_ORDER[target]
+        assert len(orders) == len(values)
+        for order, v, dx, dy in zip(orders, values, gx, gy):
+            assert v == 0
+            if order == 2:
+                assert abs(dx) < 1e-25 and abs(dy) < 1e-25
+            else:
+                assert target is Target.SCALENE_LEMMA
+                assert abs(dx + sqrt3 / 2) < 1e-25 and abs(dy + sqrt3 / 2) < 1e-25
+
+    @pytest.mark.parametrize("target", list(Target))
+    def test_enclosures_contain_mpmath_derivatives(self, target, rng):
+        mu = 1e-6
+        orders = ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2))
+        for n in (30, intervals._STEP_MIN_SIZE + 30):  # both rounding paths
+            xlo, xhi, ylo, yhi = _clip_to_domain(*sample_domain_boxes(rng, n), mu)[:4]
+            # and boxes that hold (1, 1), as the certifier meets them
+            w = 2.0 ** -np.arange(1, 11)
+            xlo, xhi, ylo, yhi, _ = _clip_to_domain(
+                np.concatenate([xlo, 1.0 - w]), np.concatenate([xhi, np.ones_like(w)]),
+                np.concatenate([ylo, 1.0 - w]), np.concatenate([yhi, np.ones_like(w)]),
+                mu)
+            parts = _ad2_parts(target, xlo, xhi, ylo, yhi)
+            natural = _natural_parts(target, xlo, xhi, ylo, yhi)
+            for p, nat in zip(parts, natural):
+                assert np.array_equal(_bits(p.d[0][0]), _bits(nat[0]))
+                assert np.array_equal(_bits(p.d[0][1]), _bits(nat[1]))
+                assert p.ok.all()
+            last = xlo.shape[0] - 10
+            for i in [*range(0, last, max(1, n // 15)), *range(last, last + 10)]:
+                px = rng.uniform(xlo[i], xhi[i])
+                py = rng.uniform(ylo[i], yhi[i])
+                for comp, order in enumerate(orders):
+                    exact = oracles.target_derivative_hp(target.value, px, py, order)
+                    for p, e in zip(parts, exact):
+                        assert p.d[comp][0][i] <= e <= p.d[comp][1][i], (order, i)
+
+    @staticmethod
+    def _wedge_points(rng, xlo, ylo, mu, count):
+        """Points of the domain part of [xlo, 1] x [ylo, 1], many near (1, 1)."""
+        scale = np.concatenate([rng.uniform(0.0, 1.0, count),
+                                2.0 ** -rng.uniform(1, 45, count)])
+        r = rng.uniform(0.0, 1.0, 2 * count)
+        dx = -scale * (1.0 - xlo)
+        px, py = 1.0 + dx, 1.0 + r * dx
+        keep = ((px >= xlo) & (py >= ylo) & (px <= py) & (px + py >= 1.0 + mu)
+                & (px < 1.0))
+        return px[keep], py[keep]
+
+    @pytest.mark.parametrize("target", list(Target))
+    def test_corner_box_is_nonnegative(self, target, rng):
+        task = CertificationTask(target=target, delta=0.0)
+        cert = certify(task)
+        assert cert.undecided_count == 0
+        assert len(cert.corner) == 1
+        px, py = self._wedge_points(rng, cert.corner.xlo[0], cert.corner.ylo[0],
+                                    task.mu, 150)
+        assert px.size > 100
+        for x, y in zip(px, py):
+            parts = oracles.target_parts_hp(target.value, x, y)
+            for k, v in enumerate(parts):
+                if k in _strict_parts(target, task.mu, len(parts)):
+                    assert v > 0, (x, y)
+                else:
+                    assert v >= -oracles.mp.mpf(10) ** -40
+
+    @pytest.mark.parametrize("target", list(Target))
+    def test_bound_holds_below_every_part(self, target, rng):
+        # F(p) >= bound * dx^2 / 2 for second-order parts and
+        # F(p) >= bound * |dx| for first-order ones, on every corner box
+        mu = 1e-6
+        w = 2.0 ** -np.arange(1, 9)
+        xlo, xhi, ylo, yhi, _ = _clip_to_domain(1.0 - w, np.ones_like(w),
+                                                1.0 - w, np.ones_like(w), mu)
+        bounds = _corner_bounds(target, xlo, xhi, ylo, yhi, mu)
+        assert (bounds[-3:] > 0.0).all()
+        for i in range(w.size):
+            if not np.isfinite(bounds[i]):
+                continue
+            px, py = self._wedge_points(rng, xlo[i], ylo[i], mu, 40)
+            for x, y in zip(px, py):
+                parts = oracles.target_parts_hp(target.value, x, y)
+                dx = abs(oracles.mp.mpf(x) - 1)
+                for k in _strict_parts(target, mu, len(parts)):
+                    order = _EQUILATERAL_ORDER[target][k]
+                    scale = dx * dx / 2 if order == 2 else dx
+                    assert parts[k] >= oracles.mp.mpf(bounds[i]) * scale, (w[i], x, y)
+
+
 def _bits(a):
     return np.asarray(a, dtype=float).view(np.int64)
 
@@ -359,8 +471,8 @@ class TestOneTreePerBox:
                 assert np.array_equal(_bits(adv.v[1]), _bits(nat[1]))
 
     def test_wide_levels_certify_as_with_nextafter(self, monkeypatch):
-        # A budget of 8,000 reaches levels of 1,718 and 3,402 boxes.
-        task = CertificationTask(target=Target.MAIN_MEDIAN, delta=0.0,
+        # A budget of 8,000 reaches levels of 1,790 and 3,546 boxes.
+        task = CertificationTask(target=Target.MAIN_MEDIAN, delta=1e-8,
                                  min_box_width=1e-15, max_depth=200,
                                  box_budget=8_000)
         steps = []

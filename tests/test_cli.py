@@ -3,7 +3,7 @@ import io
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cevians.cli import main
@@ -92,14 +92,26 @@ class TestCertify:
         assert doc["corner_check"]["both_positive"] is True
         assert doc["corner_sampling"]["pass"] is True
 
-    def test_delta_zero_exits_1(self, tmp_path):
+    def test_delta_zero_exits_0(self, tmp_path):
         out = tmp_path / "cert.json"
         assert run(["certify", "--target", "main-median", "--delta", "0",
-                    "-o", str(out)]) == 1
-        doc = load(out)
-        assert doc["certificate"]["undecided_count"] > 0
-        for box in doc["certificate"]["undecided"]:
-            assert box[0] >= 1.0 - 1e-3 and box[2] >= 1.0 - 1e-3
+                    "-o", str(out)]) == 0
+        cert = load(out)["certificate"]
+        assert cert["undecided_count"] == 0
+        assert not cert["stats"]["budget_exhausted"]
+        xlo, xhi, ylo, yhi = cert["corner_box"]
+        assert xlo <= 1.0 <= xhi and ylo <= 1.0 <= yhi
+        assert "second-order Taylor form" in cert["excluded"]["corner_square"]["note"]
+
+    def test_corner_box_only_at_delta_zero(self, tmp_path):
+        out = tmp_path / "cert.json"
+        assert run(["certify", "--target", "scalene-lemma", "-o", str(out)]) == 0
+        assert "corner_box" not in load(out)["certificate"]
+        assert run(["certify", "--target", "scalene-lemma", "--delta", "0",
+                    "-o", str(out)]) == 0
+        cert = load(out)["certificate"]
+        assert cert["corner_box"] is not None
+        assert "first-order Taylor form" in cert["excluded"]["corner_square"]["note"]
 
     @pytest.mark.parametrize("argv, code", [
         (["--delta", "1e-9", "--box-budget", "3000"], 1),
@@ -171,6 +183,8 @@ class TestCertify:
            delta=st.one_of(st.floats(), st.floats(0.0, 0.5)),
            width=st.one_of(st.floats(), st.floats(0.0, 1.0)))
     @settings(max_examples=80, deadline=None)
+    @example(mu=5e-324, delta=0.0, width=1.0)
+    @example(mu=5e-324, delta=1e-3, width=1.0)
     def test_extreme_floats_keep_the_exit_contract(self, mu, delta, width):
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):

@@ -10,10 +10,10 @@ is deterministic regardless of scheduling, and the endpoint arithmetic is
 the same 1-ulp outward rounding used by :mod:`cevians.intervals`.
 
 Every target expression is written once against an abstract operation set
-and instantiated four ways: plain float arrays (point evaluation),
+and instantiated three ways: plain float arrays (point evaluation),
 interval endpoint arrays (the natural extension, which is what
 :func:`eval_target_interval` exposes; it is inclusion-isotone), and
-first- and second-order forward-mode interval derivatives.  The
+forward-mode interval derivatives of order 1 or 2 (:class:`_JetOps`).  The
 branch-and-bound additionally prunes with the mean-value form
 f(m) + grad(X) * (X - m), which is what keeps box counts bounded near the
 equality corner where the natural extension would need quadratically small
@@ -62,13 +62,6 @@ class Target(Enum):
     ALTITUDE_REDUCED = "altitude-reduced"
     SCALENE_LEMMA = "scalene-lemma"
 
-    @classmethod
-    def from_name(cls, name: str) -> "Target":
-        for t in cls:
-            if t.value == name:
-                return t
-        raise KeyError(f"unknown certification target {name!r}")
-
 
 @dataclass(frozen=True)
 class CertificationTask:
@@ -95,7 +88,7 @@ class CertificationTask:
 
 # ---------------------------------------------------------------------------
 # Target expressions, written once over an operation set (`_FloatOps` and
-# `_IntervalOps` from :mod:`cevians.intervals`, or `_AdOps` below).  `ra`,
+# `_IntervalOps` from :mod:`cevians.intervals`, or `_JetOps` below).  `ra`,
 # `rb`, `rc` are the doubled medians 2*m_a, 2*m_b, 2*m_c of the normalized
 # triangle (x, y, 1); every target is a positive multiple of the inequality
 # slack it certifies, so only the sign matters.  Multi-part targets (the
@@ -103,96 +96,14 @@ class CertificationTask:
 # ---------------------------------------------------------------------------
 
 
-class _AdVal:
-    """Forward-mode interval derivative value: enclosure plus gradient.
+class _Jet:
+    """Forward-mode interval value of order 1 or 2.
 
-    `ok` marks lanes where every radicand so far is strictly positive over
-    the whole box hull, i.e. where the expression is differentiable on the
-    hull and the mean-value bound is admissible.
-    """
-
-    __slots__ = ("v", "gx", "gy", "ok")
-
-    def __init__(self, v, gx, gy, ok):
-        self.v = v
-        self.gx = gx
-        self.gy = gy
-        self.ok = ok
-
-
-class _AdOps:
-    """Interval arithmetic with forward-mode derivative propagation."""
-
-    @staticmethod
-    def add(a, b):
-        return _AdVal(
-            _IntervalOps.add(a.v, b.v),
-            _IntervalOps.add(a.gx, b.gx),
-            _IntervalOps.add(a.gy, b.gy),
-            a.ok & b.ok,
-        )
-
-    @staticmethod
-    def sub(a, b):
-        return _AdVal(
-            _IntervalOps.sub(a.v, b.v),
-            _IntervalOps.sub(a.gx, b.gx),
-            _IntervalOps.sub(a.gy, b.gy),
-            a.ok & b.ok,
-        )
-
-    @staticmethod
-    def mul(a, b):
-        # A lane whose radicand reaches 0 has an infinite derivative, and
-        # inf * 0 is NaN; such lanes have ok False and are never used.
-        with np.errstate(invalid="ignore", over="ignore"):
-            gx = _IntervalOps.add(_IntervalOps.mul(a.gx, b.v),
-                                  _IntervalOps.mul(a.v, b.gx))
-            gy = _IntervalOps.add(_IntervalOps.mul(a.gy, b.v),
-                                  _IntervalOps.mul(a.v, b.gy))
-        return _AdVal(_IntervalOps.mul(a.v, b.v), gx, gy, a.ok & b.ok)
-
-    @staticmethod
-    def div(a, b):
-        ok = a.ok & b.ok & (b.v[0] > 0.0)
-        denom = (np.maximum(b.v[0], 5e-324), b.v[1])
-        q = _IntervalOps.div(a.v, denom)
-        d2 = _IntervalOps.mul(denom, denom)
-        with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-            nx = _IntervalOps.sub(
-                _IntervalOps.mul(a.gx, b.v), _IntervalOps.mul(a.v, b.gx)
-            )
-            ny = _IntervalOps.sub(
-                _IntervalOps.mul(a.gy, b.v), _IntervalOps.mul(a.v, b.gy)
-            )
-            gx = _IntervalOps.div(nx, d2)
-            gy = _IntervalOps.div(ny, d2)
-        return _AdVal(q, gx, gy, ok)
-
-    @staticmethod
-    def sqrt(a):
-        ok = a.ok & (a.v[0] > 0.0)
-        v = _IntervalOps.sqrt(a.v)
-        denom = (np.maximum(2.0 * v[0], 5e-324), 2.0 * v[1])
-        with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-            gx = _IntervalOps.div(a.gx, denom)
-            gy = _IntervalOps.div(a.gy, denom)
-        return _AdVal(v, gx, gy, ok)
-
-    @staticmethod
-    def add_const(a, k):
-        return _AdVal(_IntervalOps.add_const(a.v, k), a.gx, a.gy, a.ok)
-
-    @staticmethod
-    def sub_const(a, k):
-        return _AdVal(_IntervalOps.sub_const(a.v, k), a.gx, a.gy, a.ok)
-
-
-class _Ad2Val:
-    """Second-order forward-mode interval value.
-
-    `d` holds six `_IntervalOps` pairs: the enclosure, the gradient
-    (gx, gy) and the Hessian (hxx, hxy, hyy); `ok` is as in `_AdVal`.
+    `d` holds `_IntervalOps` pairs: the enclosure and the gradient (gx, gy),
+    then at order 2 the Hessian (hxx, hxy, hyy).  `ok` marks lanes where
+    every radicand and divisor so far is strictly positive over the whole
+    box hull, i.e. where the expression is differentiable on the hull and
+    the derivative forms are admissible.
     """
 
     __slots__ = ("d", "ok")
@@ -206,65 +117,72 @@ def _twice(a):
     return _IntervalOps.mul_const(a, 2.0)
 
 
-class _Ad2Ops:
-    """Interval arithmetic with value, gradient and Hessian propagation.
+class _JetOps:
+    """Interval arithmetic with forward-mode derivative propagation.
 
-    The certifier runs it on one box per level only (the box that holds
-    (1, 1)), so each rule is written plainly, with no care for speed.
+    Each rule computes the enclosure and gradient, and the Hessian terms
+    only when the operands carry them.  The enclosure is the natural
+    extension, computed outside `np.errstate`: only the derivative terms
+    meet inf * 0 (a radicand that reaches 0 has an infinite derivative),
+    and those lanes have `ok` False and are never used.
     """
 
     @staticmethod
     def add(a, b):
-        return _Ad2Val(tuple(map(_IntervalOps.add, a.d, b.d)), a.ok & b.ok)
+        return _Jet(tuple(map(_IntervalOps.add, a.d, b.d)), a.ok & b.ok)
 
     @staticmethod
     def sub(a, b):
-        return _Ad2Val(tuple(map(_IntervalOps.sub, a.d, b.d)), a.ok & b.ok)
+        return _Jet(tuple(map(_IntervalOps.sub, a.d, b.d)), a.ok & b.ok)
 
     @staticmethod
     def mul(a, b):
         add, mul = _IntervalOps.add, _IntervalOps.mul
-        v, gx, gy, hxx, hxy, hyy = a.d
-        w, kx, ky, kxx, kxy, kyy = b.d
+        v, gx, gy = a.d[:3]
+        w, kx, ky = b.d[:3]
+        d = (mul(v, w),)
         with np.errstate(invalid="ignore", over="ignore"):
-            d = (
-                mul(v, w),
-                add(mul(gx, w), mul(v, kx)),
-                add(mul(gy, w), mul(v, ky)),
-                add(add(mul(hxx, w), mul(v, kxx)), _twice(mul(gx, kx))),
-                add(add(mul(hxy, w), mul(v, kxy)), add(mul(gx, ky), mul(gy, kx))),
-                add(add(mul(hyy, w), mul(v, kyy)), _twice(mul(gy, ky))),
-            )
-        return _Ad2Val(d, a.ok & b.ok)
+            d += (add(mul(gx, w), mul(v, kx)), add(mul(gy, w), mul(v, ky)))
+            if len(a.d) > 3:
+                hxx, hxy, hyy = a.d[3:]
+                kxx, kxy, kyy = b.d[3:]
+                d += (
+                    add(add(mul(hxx, w), mul(v, kxx)), _twice(mul(gx, kx))),
+                    add(add(mul(hxy, w), mul(v, kxy)), add(mul(gx, ky), mul(gy, kx))),
+                    add(add(mul(hyy, w), mul(v, kyy)), _twice(mul(gy, ky))),
+                )
+        return _Jet(d, a.ok & b.ok)
 
     @staticmethod
     def div(a, b):
         # q = a / b: from a = q*b, q_i = (a_i - q*b_i) / b and
         # q_ij = (a_ij - q_i*b_j - q_j*b_i - q*b_ij) / b.
         sub, mul = _IntervalOps.sub, _IntervalOps.mul
-        w, kx, ky, kxx, kxy, kyy = b.d
+        w, kx, ky = b.d[:3]
         denom = (np.maximum(w[0], 5e-324), w[1])
+        q = _IntervalOps.div(a.d[0], denom)
         with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-            q = _IntervalOps.div(a.d[0], denom)
 
             def over(num, t):
                 return _IntervalOps.div(sub(num, t), denom)
 
             qx = over(a.d[1], mul(q, kx))
             qy = over(a.d[2], mul(q, ky))
-            d = (
-                q, qx, qy,
-                over(sub(a.d[3], _twice(mul(qx, kx))), mul(q, kxx)),
-                over(sub(sub(a.d[4], mul(qx, ky)), mul(qy, kx)), mul(q, kxy)),
-                over(sub(a.d[5], _twice(mul(qy, ky))), mul(q, kyy)),
-            )
-        return _Ad2Val(d, a.ok & b.ok & (w[0] > 0.0))
+            d = (q, qx, qy)
+            if len(a.d) > 3:
+                kxx, kxy, kyy = b.d[3:]
+                d += (
+                    over(sub(a.d[3], _twice(mul(qx, kx))), mul(q, kxx)),
+                    over(sub(sub(a.d[4], mul(qx, ky)), mul(qy, kx)), mul(q, kxy)),
+                    over(sub(a.d[5], _twice(mul(qy, ky))), mul(q, kyy)),
+                )
+        return _Jet(d, a.ok & b.ok & (w[0] > 0.0))
 
     @staticmethod
     def sqrt(a):
         # s = sqrt(a): s_i = a_i / (2s) and s_ij = (a_ij - 2*s_i*s_j) / (2s).
         sub, mul = _IntervalOps.sub, _IntervalOps.mul
-        v, gx, gy, hxx, hxy, hyy = a.d
+        v, gx, gy = a.d[:3]
         s = _IntervalOps.sqrt(v)
         denom = (np.maximum(2.0 * s[0], 5e-324), 2.0 * s[1])
         with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
@@ -273,21 +191,23 @@ class _Ad2Ops:
                 return _IntervalOps.div(num, denom)
 
             sx, sy = over(gx), over(gy)
-            d = (
-                s, sx, sy,
-                over(sub(hxx, _twice(mul(sx, sx)))),
-                over(sub(hxy, _twice(mul(sx, sy)))),
-                over(sub(hyy, _twice(mul(sy, sy)))),
-            )
-        return _Ad2Val(d, a.ok & (v[0] > 0.0))
+            d = (s, sx, sy)
+            if len(a.d) > 3:
+                hxx, hxy, hyy = a.d[3:]
+                d += (
+                    over(sub(hxx, _twice(mul(sx, sx)))),
+                    over(sub(hxy, _twice(mul(sx, sy)))),
+                    over(sub(hyy, _twice(mul(sy, sy)))),
+                )
+        return _Jet(d, a.ok & (v[0] > 0.0))
 
     @staticmethod
     def add_const(a, k):
-        return _Ad2Val((_IntervalOps.add_const(a.d[0], k),) + a.d[1:], a.ok)
+        return _Jet((_IntervalOps.add_const(a.d[0], k),) + a.d[1:], a.ok)
 
     @staticmethod
     def sub_const(a, k):
-        return _Ad2Val((_IntervalOps.sub_const(a.d[0], k),) + a.d[1:], a.ok)
+        return _Jet((_IntervalOps.sub_const(a.d[0], k),) + a.d[1:], a.ok)
 
 
 def _doubled_medians(ops, x, y):
@@ -368,19 +288,14 @@ def _natural_enclosure(target: Target, xlo, xhi, ylo, yhi):
     return lo, hi
 
 
-def _ad_parts(target: Target, xlo, xhi, ylo, yhi):
-    ok = np.ones(np.shape(xlo), dtype=bool)
-    x = _AdVal((xlo, xhi), (1.0, 1.0), (0.0, 0.0), ok)
-    y = _AdVal((ylo, yhi), (0.0, 0.0), (1.0, 1.0), ok)
-    return _PARTS[target](_AdOps, x, y)
-
-
-def _ad2_parts(target: Target, xlo, xhi, ylo, yhi):
+def _jet_parts(target: Target, order: int, xlo, xhi, ylo, yhi):
+    """The target's parts as `_Jet` values of order 1 or 2 over the boxes."""
     ok = np.ones(np.shape(xlo), dtype=bool)
     zero, one = (0.0, 0.0), (1.0, 1.0)
-    x = _Ad2Val(((xlo, xhi), one, zero, zero, zero, zero), ok)
-    y = _Ad2Val(((ylo, yhi), zero, one, zero, zero, zero), ok)
-    return _PARTS[target](_Ad2Ops, x, y)
+    hessian = (zero, zero, zero) if order == 2 else ()
+    x = _Jet(((xlo, xhi), one, zero) + hessian, ok)
+    y = _Jet(((ylo, yhi), zero, one) + hessian, ok)
+    return _PARTS[target](_JetOps, x, y)
 
 
 def _anchor_in_domain(xlo, xhi, ylo, yhi, mu: float):
@@ -458,12 +373,12 @@ def _lower_bounds(target: Target, xlo, xhi, ylo, yhi, mu: float):
     branch-and-bound bound below covers the two strict residuals only; a
     proven key-system box therefore means r1 > 0, r3 > 0 and r2 >= 0.
     """
-    # The enclosures `ad[k].v` are the natural extension: `_AdOps` runs the
-    # same `_IntervalOps` calls on them, and its divisor floor 5e-324 never
-    # binds, because the only divisors (altitude-reduced's x and y) have
-    # lower bounds >= mu > 0 on clipped boxes.
-    ad = _ad_parts(target, xlo, xhi, ylo, yhi)
-    strict = _strict_parts(target, mu, len(ad))
+    # The enclosures `jets[k].d[0]` are the natural extension: `_JetOps`
+    # runs the same `_IntervalOps` calls on them, and its divisor floor
+    # 5e-324 never binds, because the only divisors (altitude-reduced's x
+    # and y) have lower bounds >= mu > 0 on clipped boxes.
+    jets = _jet_parts(target, 1, xlo, xhi, ylo, yhi)
+    strict = _strict_parts(target, mu, len(jets))
 
     ax, ay = _anchor_in_domain(xlo, xhi, ylo, yhi, mu)
     anchor = _PARTS[target](_IntervalOps, (ax, ax), (ay, ay))
@@ -491,12 +406,12 @@ def _lower_bounds(target: Target, xlo, xhi, ylo, yhi, mu: float):
 
     best = None
     for k in strict:
-        adv, anc = ad[k], anchor[k]
+        (v, gx, gy), anc = jets[k].d, anchor[k]
         axis_term = _IntervalOps.add(
-            _IntervalOps.mul(adv.gx, dx_rng), _IntervalOps.mul(adv.gy, dy_rng)
+            _IntervalOps.mul(gx, dx_rng), _IntervalOps.mul(gy, dy_rng)
         )
-        gs = _IntervalOps.mul_const(_IntervalOps.add(adv.gx, adv.gy), 0.5)
-        gv = _IntervalOps.mul_const(_IntervalOps.sub(adv.gx, adv.gy), 0.5)
+        gs = _IntervalOps.mul_const(_IntervalOps.add(gx, gy), 0.5)
+        gv = _IntervalOps.mul_const(_IntervalOps.sub(gx, gy), 0.5)
         rot_term = _IntervalOps.add(
             _IntervalOps.mul(gs, ds_rng), _IntervalOps.mul(gv, dv_rng)
         )
@@ -504,8 +419,8 @@ def _lower_bounds(target: Target, xlo, xhi, ylo, yhi, mu: float):
             centered = np.maximum(
                 _round_down(anc[0] + axis_term[0]), _round_down(anc[0] + rot_term[0])
             )
-        usable = adv.ok & np.isfinite(centered)
-        part_lo = np.where(usable, np.maximum(adv.v[0], centered), adv.v[0])
+        usable = jets[k].ok & np.isfinite(centered)
+        part_lo = np.where(usable, np.maximum(v[0], centered), v[0])
         best = part_lo if best is None else np.minimum(best, part_lo)
     return best
 
@@ -552,16 +467,16 @@ def _corner_bounds(target: Target, xlo, xhi, ylo, yhi, mu: float):
         order 1:  F(p) = -dx * (-gx - gy*r),
 
     with the derivatives taken at a point of the segment, hence inside the
-    `_Ad2Ops` enclosures over the box.  As 1, r and r^2 are >= 0, putting
-    the lower endpoint of each coefficient's enclosure in its place bounds
-    each polynomial in r from below, and a polynomial on [0, 1] is at least
-    its least Bernstein coefficient: (hxx, hxx + hxy, hxx + 2*hxy + hyy),
-    or (-gx, -gx - gy).
+    order-2 `_JetOps` enclosures over the box.  As 1, r and r^2 are >= 0,
+    putting the lower endpoint of each coefficient's enclosure in its place
+    bounds each polynomial in r from below, and a polynomial on [0, 1] is at
+    least its least Bernstein coefficient:
+    (hxx, hxx + hxy, hxx + 2*hxy + hyy), or (-gx, -gx - gy).
     Returns the least coefficient over the strict parts; where it is
     positive, every strict part is >= 0 on the box and 0 only at (1, 1).
     Lanes where a radicand or divisor can reach 0 get -inf.
     """
-    parts = _ad2_parts(target, xlo, xhi, ylo, yhi)
+    parts = _jet_parts(target, 2, xlo, xhi, ylo, yhi)
     best = None
     for k in _strict_parts(target, mu, len(parts)):
         _, gx, gy, hxx, hxy, hyy = parts[k].d

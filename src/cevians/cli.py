@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import os
 import sys
 import time
@@ -166,6 +167,8 @@ def _build_triangle(args) -> tuple[SideTriple, dict]:
 
 
 def cmd_verify(args, started: float) -> int:
+    if not (0.0 <= args.tolerance < math.inf):
+        raise _UsageError(f"--tolerance must be finite and >= 0, got {args.tolerance}")
     t, input_echo = _build_triangle(args)
 
     weights = None
@@ -267,7 +270,7 @@ def _corner_sampling(target: Target, delta: float, grid: int = 128) -> dict:
 def cmd_certify(args, started: float) -> int:
     try:
         task = CertificationTask(
-            target=Target.from_name(args.target),
+            target=Target(args.target),
             mu=args.mu,
             delta=args.delta,
             max_depth=args.max_depth,
@@ -309,7 +312,7 @@ def cmd_search(args, started: float) -> int:
         cfg = SearchConfig(
             seed=seed,
             samples=args.samples,
-            mode=SearchMode.from_name(args.mode),
+            mode=SearchMode(args.mode),
             refine_steps=args.refine_steps,
             record_top=args.record_top,
             workers=args.workers,

@@ -40,13 +40,6 @@ class SearchMode(Enum):
     UNCONSTRAINED = "unconstrained"
     OPEN_PROBLEM = "open-problem"
 
-    @classmethod
-    def from_name(cls, name: str) -> "SearchMode":
-        for m in cls:
-            if m.value == name:
-                return m
-        raise KeyError(f"unknown search mode {name!r}")
-
 
 @dataclass(frozen=True)
 class SearchConfig:

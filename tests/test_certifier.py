@@ -14,10 +14,9 @@ from cevians.certifier import (
     key_system_identity_floors,
     point_values,
     _EQUILATERAL_ORDER,
-    _ad2_parts,
-    _ad_parts,
     _clip_to_domain,
     _corner_bounds,
+    _jet_parts,
     _natural_parts,
     _strict_parts,
 )
@@ -187,9 +186,9 @@ class TestCertify:
             CertificationTask(target=Target.MAIN_MEDIAN, max_depth=0)
 
     def test_target_names(self):
-        assert Target.from_name("main-median") is Target.MAIN_MEDIAN
-        with pytest.raises(KeyError):
-            Target.from_name("nonsense")
+        assert Target("main-median") is Target.MAIN_MEDIAN
+        with pytest.raises(ValueError):
+            Target("nonsense")
 
 
 class TestProvenBoxSoundness:
@@ -380,12 +379,22 @@ class TestCornerForm:
                 np.concatenate([xlo, 1.0 - w]), np.concatenate([xhi, np.ones_like(w)]),
                 np.concatenate([ylo, 1.0 - w]), np.concatenate([yhi, np.ones_like(w)]),
                 mu)
-            parts = _ad2_parts(target, xlo, xhi, ylo, yhi)
+            parts = _jet_parts(target, 2, xlo, xhi, ylo, yhi)
             natural = _natural_parts(target, xlo, xhi, ylo, yhi)
             for p, nat in zip(parts, natural):
                 assert np.array_equal(_bits(p.d[0][0]), _bits(nat[0]))
                 assert np.array_equal(_bits(p.d[0][1]), _bits(nat[1]))
                 assert p.ok.all()
+            # the first-order jets that `_lower_bounds` uses are the value
+            # and gradient of the second-order ones, bit for bit
+            first = _jet_parts(target, 1, xlo, xhi, ylo, yhi)
+            assert len(first) == len(parts)
+            for p1, p2 in zip(first, parts):
+                assert len(p1.d) == 3 and len(p2.d) == 6
+                for c1, c2 in zip(p1.d, p2.d[:3]):
+                    assert np.array_equal(_bits(c1[0]), _bits(c2[0]))
+                    assert np.array_equal(_bits(c1[1]), _bits(c2[1]))
+                assert np.array_equal(p1.ok, p2.ok)
             last = xlo.shape[0] - 10
             for i in [*range(0, last, max(1, n // 15)), *range(last, last + 10)]:
                 px = rng.uniform(xlo[i], xhi[i])
@@ -464,11 +473,11 @@ class TestOneTreePerBox:
             xlo, xhi, ylo, yhi = boxes[:4]
             assert xlo.shape[0] == n
             natural = _natural_parts(target, xlo, xhi, ylo, yhi)
-            ad = _ad_parts(target, xlo, xhi, ylo, yhi)
-            assert len(ad) == len(natural)
-            for adv, nat in zip(ad, natural):
-                assert np.array_equal(_bits(adv.v[0]), _bits(nat[0]))
-                assert np.array_equal(_bits(adv.v[1]), _bits(nat[1]))
+            jets = _jet_parts(target, 1, xlo, xhi, ylo, yhi)
+            assert len(jets) == len(natural)
+            for jet, nat in zip(jets, natural):
+                assert np.array_equal(_bits(jet.d[0][0]), _bits(nat[0]))
+                assert np.array_equal(_bits(jet.d[0][1]), _bits(nat[1]))
 
     def test_wide_levels_certify_as_with_nextafter(self, monkeypatch):
         # A budget of 8,000 reaches levels of 1,790 and 3,546 boxes.

@@ -81,6 +81,12 @@ class TestVerify:
         assert run(["verify", "--sides", "3,4,5", "--cevians", "mixed",
                     "--weights", "0,0,0"]) == 2
 
+    @pytest.mark.parametrize("tolerance", ["nan", "inf", "-inf", "-1"])
+    def test_bad_tolerance_exits_2(self, tolerance, capsys):
+        assert run(["verify", "--sides", "3,4,5", "--cevians", "median",
+                    f"--tolerance={tolerance}"]) == 2
+        assert "error: --tolerance" in capsys.readouterr().err
+
 
 class TestCertify:
     def test_main_median_defaults(self, tmp_path):

@@ -412,9 +412,9 @@ class TestSearch:
                          workers=0)
 
     def test_mode_names(self):
-        assert SearchMode.from_name("open-problem") is SearchMode.OPEN_PROBLEM
-        with pytest.raises(KeyError):
-            SearchMode.from_name("bogus")
+        assert SearchMode("open-problem") is SearchMode.OPEN_PROBLEM
+        with pytest.raises(ValueError):
+            SearchMode("bogus")
 
     def test_report_dict_shape(self):
         rep = search(SearchConfig(seed=1, samples=2000,

@@ -16,7 +16,6 @@ from .certifier import (
     eval_target_interval,
 )
 from .exceptions import (
-    BudgetExceededError,
     CevianError,
     DegenerateTriangleError,
     DomainError,
@@ -76,7 +75,6 @@ from .search import (
 __version__ = TOOL_VERSION
 
 __all__ = [
-    "BudgetExceededError",
     "Box2",
     "CandidateRecord",
     "Certificate",

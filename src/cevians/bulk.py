@@ -26,23 +26,24 @@ def sample_normalized_points(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Sample n points uniformly over the normalized domain.
 
-    Rejection from the unit square; the acceptance region is the triangle
-    with vertices (0,1), (1,1), (1/2,1/2), area 1/4.  Deterministic for a
-    given generator state.
+    Two uniforms (u, v) are folded into the triangle u + v <= 1 and mapped
+    affinely onto the domain triangle with vertices (0,1), (1,1),
+    (1/2,1/2): x = u + v/2, y = 1 - v/2.  The rare points that binary64
+    rounding (or u = 0) leaves outside the strict domain are redrawn; when
+    none is, exactly 2n uniforms are consumed.  Deterministic for a given
+    generator state.
     """
-    xs = np.empty(n)
-    ys = np.empty(n)
-    filled = 0
-    while filled < n:
-        batch = max(4 * (n - filled), 4096)
-        u = rng.random(batch)
-        v = rng.random(batch)
-        ok = in_normalized_domain(u, v)
-        take = min(int(ok.sum()), n - filled)
-        xs[filled : filled + take] = u[ok][:take]
-        ys[filled : filled + take] = v[ok][:take]
-        filled += take
-    return xs, ys
+    u = rng.random(n)
+    v = rng.random(n)
+    fold = u + v > 1.0
+    u = np.where(fold, 1.0 - u, u)
+    v = np.where(fold, 1.0 - v, v)
+    x = u + 0.5 * v
+    y = 1.0 - 0.5 * v
+    bad = np.flatnonzero(~in_normalized_domain(x, y))
+    if bad.size:
+        x[bad], y[bad] = sample_normalized_points(rng, bad.size)
+    return x, y
 
 
 def medians_arrays(a, b, c):

@@ -34,7 +34,7 @@ from enum import Enum
 
 import numpy as np
 
-from .exceptions import BudgetExceededError, EmptyIntersectionError
+from .exceptions import EmptyIntersectionError
 from .intervals import (
     Box2,
     Interval,
@@ -71,7 +71,6 @@ class CertificationTask:
     max_depth: int = 60
     min_box_width: float = 1e-9
     box_budget: int = 2_000_000
-    queue_cap: int = 20_000_000
 
     def __post_init__(self):
         if not (0.0 < self.mu < 0.25):
@@ -82,8 +81,8 @@ class CertificationTask:
             raise ValueError("max_depth must be at least 1")
         if not (self.min_box_width > 0.0):
             raise ValueError("min_box_width must be positive")
-        if self.box_budget < 1 or self.queue_cap < 1:
-            raise ValueError("budgets must be positive")
+        if self.box_budget < 1:
+            raise ValueError("box_budget must be positive")
 
 
 # ---------------------------------------------------------------------------
@@ -548,12 +547,6 @@ class BoxArray:
     def __len__(self) -> int:
         return self.xlo.shape[0]
 
-    def box(self, i: int) -> Box2:
-        return Box2.from_bounds(self.xlo[i], self.xhi[i], self.ylo[i], self.yhi[i])
-
-    def __iter__(self):
-        return (self.box(i) for i in range(len(self)))
-
     def sorted_canonically(self) -> "BoxArray":
         order = np.lexsort((self.yhi, self.xhi, self.ylo, self.xlo))
         return BoxArray(self.xlo[order], self.xhi[order],
@@ -686,9 +679,9 @@ def certify(task: CertificationTask) -> Certificate:
     the box holding (1, 1) becomes the corner box once
     :func:`_corner_bounds` proves it; boxes at max_depth or below
     min_box_width are undecided; when the total processed-box budget
-    runs out the remaining queue is reported undecided.  Raises
-    BudgetExceededError (carrying the partial certificate) only if a level
-    would exceed the queue cap.
+    runs out the remaining queue is reported undecided.  Each level splits
+    at most as many boxes as it processed, so the queue never holds more
+    than twice the budget.
     """
     start = time.perf_counter()
     xlo = np.array([task.mu])
@@ -764,13 +757,6 @@ def certify(task: CertificationTask) -> Certificate:
         ylo = np.concatenate([c1[2], c2[2]])
         yhi = np.concatenate([c1[3], c2[3]])
         depth += 1
-
-        if xlo.shape[0] > task.queue_cap:
-            undecided_parts.append((xlo, xhi, ylo, yhi))
-            raise BudgetExceededError(
-                f"work queue of {xlo.shape[0]} boxes exceeds cap {task.queue_cap}",
-                partial_certificate=_finish(exhausted=True),
-            )
 
     return _finish(exhausted=False)
 

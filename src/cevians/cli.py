@@ -2,9 +2,10 @@
 
 Exit codes follow a fixed contract.  verify: 0 all slacks pass, 1 some
 slack fails, 2 invalid input.  certify: 0 empty undecided set, 1 undecided
-boxes remain, 2 bad arguments, 3 queue cap exceeded.  search: unconstrained
-mode exits 0 iff a re-verified violation was found, open-problem mode
-always exits 0 (2 on bad arguments).  table: 0, or 2 on bad density.
+boxes remain (also when the box budget runs out), 2 bad arguments.
+search: unconstrained mode exits 0 iff a re-verified violation was found,
+open-problem mode always exits 0 (2 on bad arguments).  table: 0, or 2 on
+bad density.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 
 from . import bulk
 from .certifier import CertificationTask, Target, certify, corner_argument_check, point_values
-from .exceptions import BudgetExceededError, CevianError
+from .exceptions import CevianError
 from .inequalities import (
     bisector_ratio_slack,
     bisector_sqrt_chain_slack,
@@ -128,8 +129,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="width below which a box is left undecided (default 1e-9)")
     c.add_argument("--box-budget", type=int, default=2_000_000,
                    help="total processed-box budget before giving up refinement")
-    c.add_argument("--queue-cap", type=int, default=20_000_000,
-                   help="live queue size that aborts the run (exit 3)")
     c.add_argument("--include-proven", action="store_true",
                    help="write the full proven box list into the report")
     c.add_argument("-o", "--output")
@@ -276,17 +275,10 @@ def cmd_certify(args, started: float) -> int:
             max_depth=args.max_depth,
             min_box_width=args.min_box_width,
             box_budget=args.box_budget,
-            queue_cap=args.queue_cap,
         )
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
-    exit_code = 0
-    try:
-        cert = certify(task)
-        exit_code = 0 if cert.undecided_count == 0 else 1
-    except BudgetExceededError as exc:
-        cert = exc.partial_certificate
-        exit_code = 3
+    cert = certify(task)
 
     body = {"certificate": cert.to_report_dict(include_proven=args.include_proven)}
     if task.delta > 0.0:
@@ -303,7 +295,7 @@ def cmd_certify(args, started: float) -> int:
         wall_time_s=time.perf_counter() - started,
     )
     _emit(report_document(manifest, body), args.output)
-    return exit_code
+    return 0 if cert.undecided_count == 0 else 1
 
 
 def cmd_search(args, started: float) -> int:

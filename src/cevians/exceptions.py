@@ -32,13 +32,3 @@ class NegativeSqrtDomainError(CevianError, ValueError):
 class EmptyIntersectionError(CevianError, ValueError):
     """A box does not meet the working domain."""
 
-
-class BudgetExceededError(CevianError, RuntimeError):
-    """The branch-and-bound queue exceeded its configured cap.
-
-    Carries the partial certificate assembled before the run was cut off.
-    """
-
-    def __init__(self, message, partial_certificate=None):
-        super().__init__(message)
-        self.partial_certificate = partial_certificate

@@ -343,9 +343,16 @@ def _run_shard(
     shard_index: int,
     start: int,
     count: int,
+    mode: SearchMode,
     record_top: int,
     foot_margin: float,
 ) -> dict:
+    """Sample one shard; rank the mode's candidates and the frontier.
+
+    The candidates are every sample in unconstrained mode and the
+    constraint-satisfying ones in open-problem mode; the frontier is the
+    constraint-satisfying samples with nonnegative min_slack.
+    """
     rng = shard_rng(seed, shard_index)
     x, y = bulk.sample_normalized_points(rng, count)
     ta = rng.uniform(foot_margin, 1.0 - foot_margin, count)
@@ -377,15 +384,14 @@ def _run_shard(
             "ms": ms[order],
         }
 
-    everything = np.ones(count, dtype=bool)
+    pool = ok if mode is SearchMode.OPEN_PROBLEM else np.ones(count, dtype=bool)
     return {
         "sampled": count,
         "constraint_satisfying": int(ok.sum()),
         "raw_negative": int((ms < 0.0).sum()),
         "constrained_negative": int((ok & (ms < 0.0)).sum()),
-        "pool_any": top(everything),
-        "pool_constrained": top(ok),
-        "pool_frontier": top(ok & (ms >= 0.0)),
+        "candidates": top(pool),
+        "frontier": top(ok & (ms >= 0.0)),
     }
 
 
@@ -445,7 +451,7 @@ def search(cfg: SearchConfig) -> SearchReport:
     def run(spec):
         shard_index, shard_start, count = spec
         return _run_shard(cfg.seed, shard_index, shard_start, count,
-                          cfg.record_top, cfg.foot_margin)
+                          cfg.mode, cfg.record_top, cfg.foot_margin)
 
     if cfg.workers == 1 or len(shards) == 1:
         results = [run(s) for s in shards]
@@ -460,18 +466,10 @@ def search(cfg: SearchConfig) -> SearchReport:
         "constrained_negative": sum(r["constrained_negative"] for r in results),
     }
 
-    pool_any = _merge_pool([r["pool_any"] for r in results], cfg.record_top)
-    pool_constrained = _merge_pool(
-        [r["pool_constrained"] for r in results], cfg.record_top
+    candidates = _records_from_pool(
+        _merge_pool([r["candidates"] for r in results], cfg.record_top)
     )
-    pool_frontier = _merge_pool(
-        [r["pool_frontier"] for r in results], cfg.record_top
-    )
-
-    if cfg.mode is SearchMode.UNCONSTRAINED:
-        candidates = _records_from_pool(pool_any)
-    else:
-        candidates = _records_from_pool(pool_constrained)
+    frontier = _merge_pool([r["frontier"] for r in results], cfg.record_top)
 
     todo = [
         k for k, c in enumerate(candidates)
@@ -493,16 +491,14 @@ def search(cfg: SearchConfig) -> SearchReport:
     ]
 
     violations.sort(key=lambda c: (c.min_slack, c.index))
-    violations = violations[: cfg.record_top]
 
     # Near-miss frontier: constraint-satisfying survivors plus the smallest
     # nonnegative constrained candidates from sampling; confirmed violations
     # never appear here.
     taken = {c.index for c in violations}
     near: list[CandidateRecord] = []
-    for cand in [c for c in survivors if c.constraints_ok] + _records_from_pool(
-        pool_frontier
-    ):
+    for cand in ([c for c in survivors if c.constraints_ok]
+                 + _records_from_pool(frontier)):
         if cand.index in taken:
             continue
         taken.add(cand.index)

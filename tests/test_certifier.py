@@ -20,7 +20,7 @@ from cevians.certifier import (
     _natural_parts,
     _strict_parts,
 )
-from cevians.exceptions import BudgetExceededError, EmptyIntersectionError
+from cevians.exceptions import EmptyIntersectionError
 from cevians.intervals import Box2, Interval, _IntervalOps
 from cevians.inequalities import isosceles_slack_case1, isosceles_slack_case2
 
@@ -160,14 +160,6 @@ class TestCertify:
         cert = certify(CertificationTask(target=Target.MAIN_MEDIAN, box_budget=50))
         assert cert.stats.budget_exhausted
         assert cert.undecided_count > 0
-
-    def test_queue_cap_raises_with_partial_certificate(self):
-        with pytest.raises(BudgetExceededError) as err:
-            certify(CertificationTask(target=Target.MAIN_MEDIAN, delta=0.0,
-                                      queue_cap=16))
-        partial = err.value.partial_certificate
-        assert partial is not None
-        assert partial.undecided_count > 0
 
     def test_key_system_report_documents_identity(self):
         cert = certify(CertificationTask(target=Target.KEY_SYSTEM))
@@ -506,12 +498,11 @@ class TestOneTreePerBox:
 
 
 class TestBoxArray:
-    def test_roundtrip_and_iteration(self):
+    def test_roundtrip(self):
         arr = BoxArray(np.array([0.1, 0.3]), np.array([0.2, 0.4]),
                        np.array([0.6, 0.7]), np.array([0.8, 0.9]))
         assert len(arr) == 2
-        boxes = list(arr)
-        assert boxes[0].x.lo == 0.1 and boxes[1].y.hi == 0.9
+        assert arr.bounds_list() == [[0.1, 0.2, 0.6, 0.8], [0.3, 0.4, 0.7, 0.9]]
         assert arr.bounds_list(1) == [[0.1, 0.2, 0.6, 0.8]]
 
     def test_empty(self):

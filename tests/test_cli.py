@@ -1,13 +1,14 @@
 import contextlib
 import io
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cevians.cli import main
-from cevians.reports import reproducible_bytes, strip_wall_time
+from cevians.reports import TOOL_VERSION, reproducible_bytes, strip_wall_time
 
 from conftest import rel_close
 
@@ -205,13 +206,6 @@ class TestCertify:
             run(["certify", "--target", "nonsense"])
         assert err.value.code == 2
 
-    def test_queue_cap_exits_3(self, tmp_path):
-        out = tmp_path / "cert.json"
-        assert run(["certify", "--target", "main-median", "--delta", "0",
-                    "--queue-cap", "16", "-o", str(out)]) == 3
-        doc = load(out)
-        assert doc["certificate"]["stats"]["budget_exhausted"] is True
-
 
 class TestSearch:
     def test_unconstrained_finds_violation(self, tmp_path):
@@ -335,3 +329,10 @@ class TestManifestAndReproducibility:
         run(["search", "--mode", "open-problem", "--samples", "1000",
              "--seed", "1", "--refine-steps", "0", "-o", str(out3)])
         assert "violations" in load(out3)["search"]
+
+
+def test_pyproject_version_is_tool_version():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).parent.parent / "pyproject.toml"
+    with pyproject.open("rb") as f:
+        assert tomllib.load(f)["project"]["version"] == TOOL_VERSION

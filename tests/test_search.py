@@ -1,3 +1,4 @@
+import importlib
 from dataclasses import replace
 
 import numpy as np
@@ -37,9 +38,9 @@ from test_kernel import triangle_strategy
 COUNTEREXAMPLE_SIDES = (0.1, 1.0, 1.0)
 COUNTEREXAMPLE_FEET = (0.5, 0.6979, 0.3025)
 
-# A refined open-problem candidate (seed 838802048, 65536 samples, index
-# 47440) pushed onto the constraint boundary: binary64 accepts
-# b*lb >= c*lc, but at 50 digits b*lb - c*lc = -1.49e-17.
+# A refined open-problem candidate pushed onto the constraint boundary:
+# binary64 accepts b*lb >= c*lc and finds a slack negative, but at 50
+# digits b*lb - c*lc = -1.49e-17.
 BOUNDARY_SIDES = (1.5197120321862864e-12, 0.999999999999212, 1.0)
 BOUNDARY_FEET = (0.999899990697116, 0.9998999999990017, 0.00010000000099812902)
 
@@ -171,7 +172,70 @@ def edge_pool():
     return pool
 
 
+class _ScriptedRng:
+    """Serves scripted uniforms first, then falls back to a real generator."""
+
+    def __init__(self, scripted, rng):
+        self.scripted = [np.array(u, dtype=float) for u in scripted]
+        self.rng = rng
+        self.calls = []
+
+    def random(self, n):
+        self.calls.append(n)
+        if self.scripted:
+            u = self.scripted.pop(0)
+            assert u.size == n
+            return u
+        return self.rng.random(n)
+
+
+def ks_statistic(samples, cdf):
+    """Kolmogorov-Smirnov distance between a sample and a continuous CDF."""
+    f = cdf(np.sort(samples))
+    n = f.size
+    return max((np.arange(1, n + 1) / n - f).max(), (f - np.arange(n) / n).max())
+
+
 class TestSampling:
+    def test_points_lie_in_strict_domain_and_follow_exact_marginals(self):
+        n = 1 << 20
+        x, y = bulk.sample_normalized_points(shard_rng(17, 0), n)
+        assert bulk.in_normalized_domain(x, y).all()
+        # density 4 on a triangle of area 1/4: x is triangular on [0, 1]
+        # with mode 1/2, and P(Y <= y) = (2y - 1)^2 on [1/2, 1]
+        def x_cdf(t):
+            return np.where(t <= 0.5, 2.0 * t * t, 1.0 - 2.0 * (1.0 - t) ** 2)
+
+        def y_cdf(t):
+            return (2.0 * t - 1.0) ** 2
+
+        bound = 1.95 / np.sqrt(n)  # 0.1% level
+        assert ks_statistic(x, x_cdf) < bound
+        assert ks_statistic(y, y_cdf) < bound
+
+    def test_points_off_the_strict_domain_are_redrawn(self):
+        # u = 0 maps onto the edge x + y = 1, and u = v = 0 onto (0, 1);
+        # the third point folds to (0.3, 0.4) and stays
+        rng = _ScriptedRng([[0.0, 0.0, 0.7], [0.3, 0.0, 0.6]], shard_rng(1, 0))
+        x, y = bulk.sample_normalized_points(rng, 3)
+        assert rng.calls == [3, 3, 2, 2]
+        assert bulk.in_normalized_domain(x, y).all()
+        assert (x[2], y[2]) == ((1.0 - 0.7) + 0.5 * (1.0 - 0.6),
+                                1.0 - 0.5 * (1.0 - 0.6))
+
+    def test_output_is_determined_by_generator_state(self):
+        a = bulk.sample_normalized_points(shard_rng(8, 2), 1000)
+        b = bulk.sample_normalized_points(shard_rng(8, 2), 1000)
+        assert all(np.array_equal(p, q) for p, q in zip(a, b))
+
+    def test_consumes_two_uniforms_per_point(self):
+        rng, ref = shard_rng(9, 0), shard_rng(9, 0)
+        x, y = bulk.sample_normalized_points(rng, 5000)
+        u, v = ref.random(5000), ref.random(5000)
+        assert rng.bit_generator.state == ref.bit_generator.state
+        fold = u + v > 1.0
+        assert np.array_equal(y, 1.0 - 0.5 * np.where(fold, 1.0 - v, v))
+
     def test_acceptance_rate_matches_region_area(self):
         # the acceptance region is a triangle of area 1/4 in the unit square
         rng = shard_rng(99, 0)
@@ -289,8 +353,8 @@ class TestReverification:
 
     @pytest.mark.filterwarnings("error")
     def test_batch_matches_scalar_reference(self):
-        # edge_pool() holds the (0.1, 1, 1) witness and the seed-838802048
-        # index-47440 candidate; the refined pools add the negative
+        # edge_pool() holds the (0.1, 1, 1) witness and the constraint
+        # boundary candidate; the refined pools add the negative
         # candidates that search() re-verifies.
         base = edge_pool()
         pool = (base + refine(base, 50, SearchMode.UNCONSTRAINED)
@@ -374,10 +438,24 @@ class TestSearch:
             assert not is_confirmed_violation(cand)
         assert all(c.min_slack >= 0.0 for c in rep.near_misses)
 
-    def test_open_problem_drops_uncertified_constraints(self):
-        rep = search(SearchConfig(seed=838802048, samples=65536, record_top=50,
+    def test_open_problem_drops_uncertified_constraints(self, monkeypatch):
+        # refinement hands search() the boundary candidate, whose binary64
+        # constraints hold and slack is negative but whose enclosure of
+        # b*lb - c*lc reaches below zero: it is neither a violation nor a
+        # near miss
+        boundary = evaluate_candidate(validate_sides(*BOUNDARY_SIDES),
+                                      GeneralCevianParams(*BOUNDARY_FEET), -1)
+        assert boundary.constraints_ok and boundary.min_slack < 0.0
+
+        def to_boundary(cands, *args):
+            return [replace(boundary, refined=True)] + cands[1:]
+
+        monkeypatch.setattr(importlib.import_module("cevians.search"),
+                            "refine", to_boundary)
+        rep = search(SearchConfig(seed=7, samples=2000,
                                   mode=SearchMode.OPEN_PROBLEM))
-        assert 47440 not in {c.index for c in rep.violations}
+        assert -1 not in {c.index for c in rep.violations + rep.near_misses}
+        assert rep.totals["reverified_violations"] == len(rep.violations)
         assert all(is_confirmed_violation(c, SearchMode.OPEN_PROBLEM)
                    for c in rep.violations)
         assert all(c.min_slack >= 0.0 for c in rep.near_misses)

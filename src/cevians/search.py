@@ -10,8 +10,12 @@ floating-point artifact.  (The constrained search does find such
 configurations; see the README findings.)
 
 Sampling is sharded: shard i draws from a generator seeded with
-SeedSequence([seed, i]) and shards are merged in index order, so reports
-are byte-identical for any worker count.
+SeedSequence([seed, i]) for a seed in [0, 2**64), and shards are merged
+in index order, so reports are byte-identical for any worker count.
+Refinement is a pattern search run on all candidates at once; each round
+evaluates every candidate's remaining probes speculatively in one array
+call, so its cost follows the moves made rather than the ten probes of a
+sweep.
 """
 
 from __future__ import annotations
@@ -52,6 +56,8 @@ class SearchConfig:
     foot_margin: float = 1e-4
 
     def __post_init__(self):
+        if not 0 <= self.seed < 2**64:
+            raise ValueError(f"seed must lie in [0, 2**64), got {self.seed}")
         if self.samples < 1:
             raise ValueError(f"samples must be at least 1, got {self.samples}")
         if self.record_top < 1:
@@ -141,7 +147,7 @@ class SearchReport:
 
 def shard_rng(seed: int, shard_index: int) -> np.random.Generator:
     """The documented seed-splitting function: PCG64(SeedSequence([seed, i]))."""
-    ss = np.random.SeedSequence([seed & (2**64 - 1), shard_index])
+    ss = np.random.SeedSequence([seed, shard_index])
     return np.random.Generator(np.random.PCG64(ss))
 
 
@@ -272,11 +278,19 @@ def _probe_slacks(
     return ok, np.minimum(s1, s2)
 
 
+# Probe p of a pattern-search sweep adds column p of _PROBE_DELTA, times
+# the step, to (x, y, ta, tb, tc): +step, then -step, on each coordinate
+# in turn.  Adding the (signed) zeros leaves the other coordinates exact.
+_PROBES = np.arange(10)
+_PROBE_DELTA = np.kron(np.eye(5), [1.0, -1.0])
+
+
 def refine(
     cands: list[CandidateRecord],
     steps: int,
     mode: SearchMode = SearchMode.UNCONSTRAINED,
     foot_margin: float = 1e-4,
+    counts: dict | None = None,
 ) -> list[CandidateRecord]:
     """Derivative-free local descent on min_slack, for all candidates at once.
 
@@ -285,49 +299,90 @@ def refine(
     candidate's own longest side.  Moves that leave the triangle domain or
     the foot range are rejected, and in open-problem mode moves that break
     the constraints are rejected too, so no result has larger min_slack
-    than its input.  A sweep makes ten probes (+step and -step on each
-    coordinate) in order, each one array evaluation over the candidates
-    still active; a candidate leaves once its step falls below 1e-12.
+    than its input.  A sweep tries ten probes (+step and -step on each
+    coordinate) in order, moving at every probe that lowers min_slack, and
+    halves the step when none does; a candidate stops after ``steps``
+    sweeps or once its step falls below 1e-12.
+
+    The probes run speculatively, in rounds of one array evaluation each:
+    a round holds every probe left in the current sweep of every active
+    candidate, taken from its current point.  Each candidate moves to its
+    first accepted probe, and only the probes after that one are evaluated
+    again, from the new point, in the next round; a candidate whose sweep
+    has ended starts its next one there.  The evaluation is element-wise
+    and correctly rounded, so a row's value does not depend on the rows
+    beside it, and the same probes are accepted as one at a time.  A
+    candidate's sweep takes at most one round plus one per move instead of
+    ten evaluations, and all candidates share the rounds.
 
     A candidate that moved is rebuilt by :func:`evaluate_candidate` and
     marked refined; one that never moved is returned as the same object.
+    When ``counts`` is given, three counters are written into it:
+    ``refine_sweeps``, the most sweeps any candidate ran (one evaluation
+    per probe would take ten times as many); ``refine_moves``, the
+    accepted probes of all candidates; and ``refine_evaluations``, the
+    rounds.
     """
+    if counts is None:
+        counts = {}
+    counts.update(refine_sweeps=0, refine_moves=0, refine_evaluations=0)
     if steps <= 0 or not cands:
         return list(cands)
 
     c0 = np.array([c.sides.c for c in cands])
-    vec = np.array([
+    # Column k holds (x, y, ta, tb, tc) of candidate k, so that each
+    # coordinate of a batch of probes is one contiguous row.
+    pts = np.array([
         [c.sides.a / c.sides.c, c.sides.b / c.sides.c,
          c.feet.ta, c.feet.tb, c.feet.tc]
         for c in cands
-    ])
+    ]).T.copy()
     start = np.array([c.min_slack for c in cands])
     best = start.copy()
     step = np.full(len(cands), 0.05)
-    rows = np.arange(len(cands))
-    for _ in range(steps):
-        improved = np.zeros(rows.size, dtype=bool)
-        c_rows = c0[rows]
-        step_rows = step[rows]
-        for i in range(5):
-            for sgn in (1.0, -1.0):
-                trial = vec[rows]
-                trial[:, i] += sgn * step_rows
-                ok, ms = _probe_slacks(trial, c_rows, mode, foot_margin)
-                take = ok & (ms < best[rows])
-                hit = rows[take]
-                vec[hit] = trial[take]
-                best[hit] = ms[take]
-                improved |= take
-        step[rows[~improved]] *= 0.5
-        rows = rows[step[rows] >= 1e-12]
-        if rows.size == 0:
-            break
+    # Each candidate sweeps on its own: it starts its next sweep in the
+    # round after its last one ended, without waiting for the others.
+    swept = np.zeros(len(cands), dtype=np.int64)  # sweeps finished
+    first = np.zeros(len(cands), dtype=np.int64)  # next probe of the sweep
+    improved = np.zeros(len(cands), dtype=bool)  # moved in this sweep
+    live = np.arange(len(cands))
+    while live.size:
+        # Column j of trial is probe probe[j] of candidate owner[j], from
+        # its current point: every probe left in a live candidate's sweep.
+        pending = _PROBES >= first[live, None]
+        at, probe = np.nonzero(pending)
+        owner = live[at]
+        trial = (pts.take(owner, axis=1)
+                 + _PROBE_DELTA.take(probe, axis=1) * step.take(owner))
+        ok, ms = _probe_slacks(trial.T, c0[owner], mode, foot_margin)
+        slack = np.full(pending.shape, np.inf)
+        slack[pending] = np.where(ok, ms, np.inf)
+        # Each candidate moves to its first accepted probe; the move
+        # repeats the trial's arithmetic, so it lands on the probe.
+        take = slack < best[live, None]
+        hit = take.any(axis=1)
+        p = take.argmax(axis=1)[hit]
+        moved = live[hit]
+        pts[:, moved] = (pts.take(moved, axis=1)
+                         + _PROBE_DELTA.take(p, axis=1) * step.take(moved))
+        best[moved] = slack[hit, p]
+        improved[moved] = True
+        first[moved] = p + 1
+        # A sweep ends when no probe left in it is accepted, or the last is.
+        end = live[~hit | (first[live] == _PROBES.size)]
+        step[end[~improved[end]]] *= 0.5
+        swept[end] += 1
+        first[end] = 0
+        improved[end] = False
+        live = live[(swept[live] < steps) & (step[live] >= 1e-12)]
+        counts["refine_evaluations"] += 1
+        counts["refine_moves"] += moved.size
+    counts["refine_sweeps"] = int(swept.max())
 
     # Every accepted probe lowers best strictly, so this marks the movers.
     out = list(cands)
     for k in np.flatnonzero(best < start):
-        x, y, ta, tb, tc = vec[k].tolist()
+        x, y, ta, tb, tc = pts[:, k].tolist()
         c = cands[k].sides.c
         probe = evaluate_candidate(
             validate_sides(x * c, y * c, c),
@@ -476,7 +531,7 @@ def search(cfg: SearchConfig) -> SearchReport:
         if c.min_slack < 0.0 or cfg.mode is SearchMode.OPEN_PROBLEM
     ]
     done = refine([candidates[k] for k in todo], cfg.refine_steps, cfg.mode,
-                  cfg.foot_margin)
+                  cfg.foot_margin, totals)
     refined = list(candidates)
     for k, cand in zip(todo, done):
         refined[k] = cand

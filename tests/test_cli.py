@@ -238,6 +238,25 @@ class TestSearch:
              "--seed", "9", "--refine-steps", "0", "-o", str(out)])
         assert load(out)["manifest"]["seed"] == 9
 
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    def test_seed_range_ends_accepted(self, tmp_path, monkeypatch, seed):
+        base = ["search", "--mode", "open-problem", "--samples", "2000",
+                "--refine-steps", "0"]
+        flag, env = tmp_path / "flag.json", tmp_path / "env.json"
+        assert run(base + ["--seed", str(seed), "-o", str(flag)]) == 0
+        monkeypatch.setenv("CEVIANS_SEED", str(seed))
+        assert run(base + ["-o", str(env)]) == 0
+        assert load(flag)["manifest"]["seed"] == seed
+        assert reproducible_bytes(load(flag)) == reproducible_bytes(load(env))
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_out_of_range_exits_2(self, monkeypatch, capsys, seed):
+        base = ["search", "--mode", "open-problem", "--samples", "2000"]
+        assert run(base + ["--seed", str(seed)]) == 2
+        monkeypatch.setenv("CEVIANS_SEED", str(seed))
+        assert run(base) == 2
+        assert "seed must lie in [0, 2**64)" in capsys.readouterr().err
+
 
 class TestTable:
     def test_density_three(self, capsys):

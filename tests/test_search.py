@@ -44,6 +44,16 @@ COUNTEREXAMPLE_FEET = (0.5, 0.6979, 0.3025)
 BOUNDARY_SIDES = (1.5197120321862864e-12, 0.999999999999212, 1.0)
 BOUNDARY_FEET = (0.999899990697116, 0.9998999999990017, 0.00010000000099812902)
 
+# Candidates whose first unconstrained sweep (step 0.05) moves each of
+# (x, y, ta, tb, tc) by the sign given: a move only at the last probe
+# (-step on tc), and a move on every coordinate in one sweep, ending at
+# the last probe or just before it.
+SWEEP_CASES = [
+    ((0.09, 0.96, 1.0), (0.9999, 0.95, 0.5), (0, 0, 0, 0, -1)),
+    ((0.83, 0.94, 1.0), (0.83, 0.2, 0.1), (-1, -1, -1, -1, -1)),
+    ((0.77, 0.88, 1.0), (0.44, 0.93, 0.86), (1, 1, 1, 1, 1)),
+]
+
 
 def reference_refine(cand, steps, mode=SearchMode.UNCONSTRAINED,
                      foot_margin=1e-4):
@@ -156,7 +166,7 @@ def edge_pool():
         ((0.003, 0.004, 0.005), (0.4, 0.5, 0.6)),
         ((0.1, 7.25, 7.3), (0.5, 0.7, 0.3)),
         ((4.0, 4.5, 5.0), (0.5, 0.5, 0.5)),
-    ]
+    ] + [(sides, feet) for sides, feet, _ in SWEEP_CASES]
     pool = [
         evaluate_candidate(validate_sides(*sides), GeneralCevianParams(*feet), i)
         for i, (sides, feet) in enumerate(specs)
@@ -404,7 +414,7 @@ class TestRefine:
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("mode", list(SearchMode))
-    @pytest.mark.parametrize("steps", [1, 7, 200])
+    @pytest.mark.parametrize("steps", [1, 2, 7, 200])
     def test_batch_matches_scalar_reference(self, mode, steps):
         pool = edge_pool()
         out = refine(pool, steps, mode)
@@ -416,6 +426,45 @@ class TestRefine:
             assert (got is cand) == (want is cand)
             moved += got is not cand
         assert moved > 0
+
+    @pytest.mark.parametrize(("sides", "feet", "moves"), SWEEP_CASES)
+    def test_sweep_cases_move_as_labelled(self, sides, feet, moves):
+        cand = evaluate_candidate(validate_sides(*sides),
+                                  GeneralCevianParams(*feet))
+        got = reference_refine(cand, 1)
+        before = np.array(cand.sides.as_tuple()[:2] + cand.feet.as_tuple())
+        after = np.array(got.sides.as_tuple()[:2] + got.feet.as_tuple())
+        assert np.allclose(after - before, 0.05 * np.array(moves),
+                           rtol=0.0, atol=1e-15)
+
+    @pytest.mark.parametrize("mode", list(SearchMode))
+    def test_sweep_evaluations_follow_moves_not_probes(self, mode,
+                                                      monkeypatch):
+        # A call count cannot flake: evaluating the ten probes of a sweep
+        # one at a time would make ten calls per sweep; batched rounds make
+        # at most one call per sweep plus one per move.
+        module = importlib.import_module("cevians.search")
+        probe_slacks = module._probe_slacks
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return probe_slacks(*args)
+
+        monkeypatch.setattr(module, "_probe_slacks", counted)
+        counts = {}
+        refine(edge_pool(), 200, mode, counts=counts)
+        assert len(calls) == counts["refine_evaluations"]
+        assert len(calls) <= counts["refine_sweeps"] + counts["refine_moves"]
+        assert len(calls) < 10 * counts["refine_sweeps"]
+
+    def test_counts_are_zero_without_sweeps(self):
+        counts = {"refine_sweeps": 5}
+        cand = evaluate_candidate(validate_sides(3, 4, 5),
+                                  GeneralCevianParams(0.99, 0.5, 0.01))
+        refine([cand], 0, counts=counts)
+        assert counts == {"refine_sweeps": 0, "refine_moves": 0,
+                          "refine_evaluations": 0}
 
 
 class TestSearch:
@@ -478,6 +527,8 @@ class TestSearch:
         b = search(SearchConfig(**cfg)).to_report_dict()
         c = search(SearchConfig(**cfg, workers=4)).to_report_dict()
         assert a == b == c
+        assert 0 < a["totals"]["refine_evaluations"] < 10 * a["totals"]["refine_sweeps"]
+        assert a["totals"]["refine_moves"] > 0
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

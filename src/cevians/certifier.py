@@ -2,7 +2,8 @@
 
 The working domain is W(mu, delta) = {mu <= x <= y <= 1, x + y >= 1 + mu}
 minus the equality corner [1-delta, 1]^2 (inside the simplex x <= y the
-corner removal is exactly the constraint x <= 1 - delta).  A box is proven
+corner removal is exactly the constraint x <= 1 - delta); the sum bound is
+1 + mu rounded to binary64, which is 1 for mu <= 1.1e-16.  A box is proven
 once a rigorous lower bound on the target over the box is positive;
 otherwise it is bisected along its wider side.  Processing is
 level-synchronous and vectorized over NumPy arrays of boxes, so the output
@@ -13,14 +14,26 @@ Every target expression is written once against an abstract operation set
 and instantiated three ways: plain float arrays (point evaluation),
 interval endpoint arrays (the natural extension, which is what
 :func:`eval_target_interval` exposes; it is inclusion-isotone), and
-forward-mode interval derivatives of order 1 or 2 (:class:`_JetOps`).  The
-branch-and-bound additionally prunes with the mean-value form
-f(m) + grad(X) * (X - m), which is what keeps box counts bounded near the
-equality corner where the natural extension would need quadratically small
-boxes.  At delta = 0 no box holding the equality point (1, 1) can have a
-positive bound, since every target is 0 there; that one box per level is
-instead tried with a Taylor form at (1, 1) (:func:`_corner_bounds`).  The
-derivative forms are applied only where every radicand is strictly
+forward-mode interval derivatives of order 1 or 2 (:class:`_JetOps`, whose
+value, gradient and Hessian are the rows of one pair of endpoint arrays).
+The branch-and-bound additionally prunes with the mean-value form
+f(m) + grad(X) * (X - m), which is what keeps box counts bounded away from
+the points where a target is 0.
+
+Two such points lie on the domain's closure, the equality vertices of
+`_VERTICES`: the equilateral point (1, 1), where every target is 0, and
+the flat triangle (0, 1), where main-median, quadratic-median and
+scalene-lemma are.  No bound over a box can be positive near a zero, so
+near them the bounds shrink only with the box and the levels pile up.  A
+box that the bounds above leave unproven and that lies within twice its
+width of a vertex is tried with a Taylor form at the vertex (Moore,
+Kearfott and Cloud, *Introduction to Interval Analysis*, SIAM 2009),
+evaluated over the box extended to the vertex and built on exact facts
+of the target there: second order at (1, 1) (:func:`_vertex_1_1_bounds`),
+first order at (0, 1) in x or in s = sqrt(x) (:func:`_vertex_0_1_bounds`).
+It proves the box positive, or, at delta = 0 for the one box that holds
+(1, 1), >= 0 with equality only at (1, 1): that box is the corner box.
+The derivative forms are applied only where every radicand is strictly
 positive over the whole box hull, so the expression is differentiable on
 every segment the argument needs.
 """
@@ -98,11 +111,12 @@ class CertificationTask:
 class _Jet:
     """Forward-mode interval value of order 1 or 2.
 
-    `d` holds `_IntervalOps` pairs: the enclosure and the gradient (gx, gy),
-    then at order 2 the Hessian (hxx, hxy, hyy).  `ok` marks lanes where
-    every radicand and divisor so far is strictly positive over the whole
-    box hull, i.e. where the expression is differentiable on the hull and
-    the derivative forms are admissible.
+    `d` is one `_IntervalOps` pair of (m, n) endpoint arrays with a row per
+    component: row 0 is the enclosure, rows 1-2 the gradient (gx, gy), and
+    at order 2 (m = 6) rows 3-5 the Hessian (hxx, hxy, hyy).  `ok` marks
+    lanes where every radicand and divisor so far is strictly positive over
+    the whole box hull, i.e. where the expression is differentiable on the
+    hull and the derivative forms are admissible.
     """
 
     __slots__ = ("d", "ok")
@@ -112,101 +126,112 @@ class _Jet:
         self.ok = ok
 
 
+def _rows(a, k):
+    """Rows `k` (an index, slice or list) of a pair of endpoint arrays."""
+    return a[0][k], a[1][k]
+
+
+def _set_rows(a, k, b):
+    a[0][k] = b[0]
+    a[1][k] = b[1]
+
+
+def _stack(parts):
+    """One pair of (m, n) arrays from pairs of (n,) or (r, n) arrays."""
+    return tuple(np.vstack([p[e] for p in parts]) for e in (0, 1))
+
+
 def _twice(a):
     return _IntervalOps.mul_const(a, 2.0)
+
+
+_GRAD = slice(1, 3)
+_HESS = slice(3, 6)
+# The Hessian rows (xx, xy, yy) pair the gradient rows (x, x, y) with
+# (x, y, y); `_LEFT` and `_RIGHT` index those rows of a gradient pair.
+_LEFT, _RIGHT = [0, 0, 1], [0, 1, 1]
 
 
 class _JetOps:
     """Interval arithmetic with forward-mode derivative propagation.
 
-    Each rule computes the enclosure and gradient, and the Hessian terms
-    only when the operands carry them.  The enclosure is the natural
-    extension, computed outside `np.errstate`: only the derivative terms
-    meet inf * 0 (a radicand that reaches 0 has an infinite derivative),
-    and those lanes have `ok` False and are never used.
+    Each rule makes one `_IntervalOps` call per term, for all of its rows at
+    once, and keeps the per-element operation order of the rule written
+    one component at a time, so every row is the same bit for bit.  Row 0
+    is the natural extension.  Only the derivative rows meet inf * 0 (a
+    radicand that reaches 0 has an infinite derivative); those lanes have
+    `ok` False and are never used, and :func:`_jet_parts` silences their
+    warnings.
     """
 
     @staticmethod
     def add(a, b):
-        return _Jet(tuple(map(_IntervalOps.add, a.d, b.d)), a.ok & b.ok)
+        return _Jet(_IntervalOps.add(a.d, b.d), a.ok & b.ok)
 
     @staticmethod
     def sub(a, b):
-        return _Jet(tuple(map(_IntervalOps.sub, a.d, b.d)), a.ok & b.ok)
+        return _Jet(_IntervalOps.sub(a.d, b.d), a.ok & b.ok)
 
     @staticmethod
     def mul(a, b):
+        # (vw)_i = v_i*w + v*w_i and
+        # (vw)_ij = (v_ij*w + v*w_ij) + (v_i*w_j + v_j*w_i).
         add, mul = _IntervalOps.add, _IntervalOps.mul
-        v, gx, gy = a.d[:3]
-        w, kx, ky = b.d[:3]
-        d = (mul(v, w),)
-        with np.errstate(invalid="ignore", over="ignore"):
-            d += (add(mul(gx, w), mul(v, kx)), add(mul(gy, w), mul(v, ky)))
-            if len(a.d) > 3:
-                hxx, hxy, hyy = a.d[3:]
-                kxx, kxy, kyy = b.d[3:]
-                d += (
-                    add(add(mul(hxx, w), mul(v, kxx)), _twice(mul(gx, kx))),
-                    add(add(mul(hxy, w), mul(v, kxy)), add(mul(gx, ky), mul(gy, kx))),
-                    add(add(mul(hyy, w), mul(v, kyy)), _twice(mul(gy, ky))),
-                )
+        v, w = _rows(a.d, 0), _rows(b.d, 0)
+        d = mul(a.d, w)
+        tail = slice(1, None)
+        _set_rows(d, tail, add(_rows(d, tail), mul(v, _rows(b.d, tail))))
+        if d[0].shape[0] > 3:
+            g, k = _rows(a.d, _GRAD), _rows(b.d, _GRAD)
+            cross = add(mul(_rows(g, _LEFT), _rows(k, _RIGHT)),
+                        mul(_rows(g, _RIGHT), _rows(k, _LEFT)))
+            _set_rows(d, _HESS, add(_rows(d, _HESS), cross))
         return _Jet(d, a.ok & b.ok)
 
     @staticmethod
     def div(a, b):
         # q = a / b: from a = q*b, q_i = (a_i - q*b_i) / b and
-        # q_ij = (a_ij - q_i*b_j - q_j*b_i - q*b_ij) / b.
+        # q_ij = (((a_ij - q_i*b_j) - q_j*b_i) - q*b_ij) / b, with the two
+        # middle terms one doubled term on the diagonal.
         sub, mul = _IntervalOps.sub, _IntervalOps.mul
-        w, kx, ky = b.d[:3]
+        w = _rows(b.d, 0)
         denom = (np.maximum(w[0], 5e-324), w[1])
-        q = _IntervalOps.div(a.d[0], denom)
-        with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-
-            def over(num, t):
-                return _IntervalOps.div(sub(num, t), denom)
-
-            qx = over(a.d[1], mul(q, kx))
-            qy = over(a.d[2], mul(q, ky))
-            d = (q, qx, qy)
-            if len(a.d) > 3:
-                kxx, kxy, kyy = b.d[3:]
-                d += (
-                    over(sub(a.d[3], _twice(mul(qx, kx))), mul(q, kxx)),
-                    over(sub(sub(a.d[4], mul(qx, ky)), mul(qy, kx)), mul(q, kxy)),
-                    over(sub(a.d[5], _twice(mul(qy, ky))), mul(q, kyy)),
-                )
-        return _Jet(d, a.ok & b.ok & (w[0] > 0.0))
+        q = _IntervalOps.div(_rows(a.d, 0), denom)
+        g = _IntervalOps.div(sub(_rows(a.d, _GRAD), mul(q, _rows(b.d, _GRAD))), denom)
+        parts = [q, g]
+        if a.d[0].shape[0] > 3:
+            k = _rows(b.d, _GRAD)
+            t = mul(_rows(g, _LEFT), _rows(k, _RIGHT))
+            _set_rows(t, slice(0, 3, 2), _twice(_rows(t, slice(0, 3, 2))))
+            h = sub(_rows(a.d, _HESS), t)
+            _set_rows(h, 1, sub(_rows(h, 1), mul(_rows(g, 1), _rows(k, 0))))
+            parts.append(_IntervalOps.div(sub(h, mul(q, _rows(b.d, _HESS))), denom))
+        return _Jet(_stack(parts), a.ok & b.ok & (w[0] > 0.0))
 
     @staticmethod
     def sqrt(a):
         # s = sqrt(a): s_i = a_i / (2s) and s_ij = (a_ij - 2*s_i*s_j) / (2s).
-        sub, mul = _IntervalOps.sub, _IntervalOps.mul
-        v, gx, gy = a.d[:3]
+        v = _rows(a.d, 0)
         s = _IntervalOps.sqrt(v)
         denom = (np.maximum(2.0 * s[0], 5e-324), 2.0 * s[1])
-        with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-
-            def over(num):
-                return _IntervalOps.div(num, denom)
-
-            sx, sy = over(gx), over(gy)
-            d = (s, sx, sy)
-            if len(a.d) > 3:
-                hxx, hxy, hyy = a.d[3:]
-                d += (
-                    over(sub(hxx, _twice(mul(sx, sx)))),
-                    over(sub(hxy, _twice(mul(sx, sy)))),
-                    over(sub(hyy, _twice(mul(sy, sy)))),
-                )
-        return _Jet(d, a.ok & (v[0] > 0.0))
+        g = _IntervalOps.div(_rows(a.d, _GRAD), denom)
+        parts = [s, g]
+        if a.d[0].shape[0] > 3:
+            t = _twice(_IntervalOps.mul(_rows(g, _LEFT), _rows(g, _RIGHT)))
+            parts.append(_IntervalOps.div(_IntervalOps.sub(_rows(a.d, _HESS), t), denom))
+        return _Jet(_stack(parts), a.ok & (v[0] > 0.0))
 
     @staticmethod
     def add_const(a, k):
-        return _Jet((_IntervalOps.add_const(a.d[0], k),) + a.d[1:], a.ok)
+        d = (a.d[0].copy(), a.d[1].copy())
+        _set_rows(d, 0, _IntervalOps.add_const(_rows(d, 0), k))
+        return _Jet(d, a.ok)
 
     @staticmethod
     def sub_const(a, k):
-        return _Jet((_IntervalOps.sub_const(a.d[0], k),) + a.d[1:], a.ok)
+        d = (a.d[0].copy(), a.d[1].copy())
+        _set_rows(d, 0, _IntervalOps.sub_const(_rows(d, 0), k))
+        return _Jet(d, a.ok)
 
 
 def _doubled_medians(ops, x, y):
@@ -218,11 +243,18 @@ def _doubled_medians(ops, x, y):
     return x2, y2, ra, rb, rc
 
 
-def _parts_main(ops, x, y):
+def _parts_main(ops, x, y, sqrt_x=None):
+    # With `sqrt_x`, the caller's s = sqrt(x) stands for sqrt(x), and
+    # s * sqrt(y) for sqrt(xy); `_vertex_0_1_bounds` seeds s itself.
     _, _, ra, rb, rc = _doubled_medians(ops, x, y)
-    t1 = ops.mul(ra, ops.sub(ops.sqrt(y), x))
-    t2 = ops.mul(rb, ops.sub(ops.sqrt(x), y))
-    t3 = ops.mul(rc, ops.sub_const(ops.sqrt(ops.mul(x, y)), 1.0))
+    sy = ops.sqrt(y)
+    if sqrt_x is None:
+        sx, sxy = ops.sqrt(x), ops.sqrt(ops.mul(x, y))
+    else:
+        sx, sxy = sqrt_x, ops.mul(sqrt_x, sy)
+    t1 = ops.mul(ra, ops.sub(sy, x))
+    t2 = ops.mul(rb, ops.sub(sx, y))
+    t3 = ops.mul(rc, ops.sub_const(sxy, 1.0))
     return (ops.add(ops.add(t1, t2), t3),)
 
 
@@ -247,9 +279,10 @@ def _parts_altitude_reduced(ops, x, y):
     return (ops.sub(t, ops.add_const(ops.add(x, y), 1.0)),)
 
 
-def _parts_scalene_lemma(ops, x, y):
+def _parts_scalene_lemma(ops, x, y, sqrt_x=None):
     _, _, ra, rb, rc = _doubled_medians(ops, x, y)
-    t = ops.add(ops.mul(ra, ops.sqrt(y)), ops.mul(rb, ops.sub(ops.sqrt(x), y)))
+    sx = ops.sqrt(x) if sqrt_x is None else sqrt_x
+    t = ops.add(ops.mul(ra, ops.sqrt(y)), ops.mul(rb, ops.sub(sx, y)))
     return (ops.sub(t, rc),)
 
 
@@ -287,14 +320,26 @@ def _natural_enclosure(target: Target, xlo, xhi, ylo, yhi):
     return lo, hi
 
 
-def _jet_parts(target: Target, order: int, xlo, xhi, ylo, yhi):
-    """The target's parts as `_Jet` values of order 1 or 2 over the boxes."""
+def _jet_parts(target: Target, order: int, xlo, xhi, ylo, yhi, in_sqrt_x=False):
+    """The target's parts as `_Jet` values of order 1 or 2 over the boxes.
+
+    With `in_sqrt_x`, [xlo, xhi] bounds s = sqrt(x) instead of x, the
+    derivatives are taken in (s, y), and the target (main-median or
+    scalene-lemma) gets x = s*s and s itself for sqrt(x).
+    """
     ok = np.ones(np.shape(xlo), dtype=bool)
-    zero, one = (0.0, 0.0), (1.0, 1.0)
-    hessian = (zero, zero, zero) if order == 2 else ()
-    x = _Jet(((xlo, xhi), one, zero) + hessian, ok)
-    y = _Jet(((ylo, yhi), zero, one) + hessian, ok)
-    return _PARTS[target](_JetOps, x, y)
+
+    def seed(lo, hi, row):
+        d = np.zeros((3 * order, lo.shape[0])), np.zeros((3 * order, lo.shape[0]))
+        _set_rows(d, 0, (lo, hi))
+        _set_rows(d, row, (1.0, 1.0))
+        return _Jet(d, ok)
+
+    x, y = seed(xlo, xhi, 1), seed(ylo, yhi, 2)
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        if in_sqrt_x:
+            return _PARTS[target](_JetOps, _JetOps.mul(x, x), y, sqrt_x=x)
+        return _PARTS[target](_JetOps, x, y)
 
 
 def _anchor_in_domain(xlo, xhi, ylo, yhi, mu: float):
@@ -372,7 +417,7 @@ def _lower_bounds(target: Target, xlo, xhi, ylo, yhi, mu: float):
     branch-and-bound bound below covers the two strict residuals only; a
     proven key-system box therefore means r1 > 0, r3 > 0 and r2 >= 0.
     """
-    # The enclosures `jets[k].d[0]` are the natural extension: `_JetOps`
+    # The enclosures (row 0 of `jets[k].d`) are the natural extension: `_JetOps`
     # runs the same `_IntervalOps` calls on them, and its divisor floor
     # 5e-324 never binds, because the only divisors (altitude-reduced's x
     # and y) have lower bounds >= mu > 0 on clipped boxes.
@@ -405,7 +450,7 @@ def _lower_bounds(target: Target, xlo, xhi, ylo, yhi, mu: float):
 
     best = None
     for k in strict:
-        (v, gx, gy), anc = jets[k].d, anchor[k]
+        (v, gx, gy), anc = (_rows(jets[k].d, i) for i in range(3)), anchor[k]
         axis_term = _IntervalOps.add(
             _IntervalOps.mul(gx, dx_rng), _IntervalOps.mul(gy, dy_rng)
         )
@@ -424,14 +469,124 @@ def _lower_bounds(target: Target, xlo, xhi, ylo, yhi, mu: float):
     return best
 
 
-_EQUILATERAL_ORDER = {
-    Target.MAIN_MEDIAN: (2,),
-    Target.QUADRATIC_MEDIAN: (2,),
-    Target.KEY_SYSTEM: (2, 2, 2),
-    Target.ALTITUDE_REDUCED: (2,),
-    Target.SCALENE_LEMMA: (1,),
-}
-"""Exact facts at the equilateral point (1, 1), one entry per target part.
+def _vertex_1_1_bounds(target: Target, xlo, xhi, ylo, yhi, mu: float):
+    """Taylor-form bound at (1, 1), over each box extended to [xlo,1] x [ylo,1].
+
+    On the domain part of the extended box, d = p - (1, 1) has
+    dx <= dy <= 0, so dy = r*dx with r in [0, 1], and dx < 0 unless
+    p = (1, 1).  Taylor's theorem along the segment from (1, 1) to p, which
+    stays in the extended box, and the exact facts of `_VERTEX_1_1` give
+
+        order 2:  F(p) = dx^2/2 * (hxx + 2*hxy*r + hyy*r^2),
+        order 1:  F(p) = -dx * (-gx - gy*r),
+
+    with the derivatives taken at a point of the segment, hence inside the
+    order-2 `_JetOps` enclosures over the extended box.  As 1, r and r^2
+    are >= 0, putting the lower endpoint of each coefficient's enclosure in
+    its place bounds each polynomial in r from below, and a polynomial on
+    [0, 1] is at least its least Bernstein coefficient:
+    (hxx, hxx + hxy, hxx + 2*hxy + hyy), or (-gx, -gx - gy).
+    Returns the least coefficient over the strict parts; where it is
+    positive, every strict part is >= 0 on the box and 0 only at (1, 1).
+    Lanes where a radicand or divisor can reach 0 get -inf.
+    """
+    one = np.ones_like(xhi)
+    parts = _jet_parts(target, 2, xlo, one, ylo, one)
+    best = None
+    for k in _strict_parts(target, mu, len(parts)):
+        gx, gy, hxx, hxy, hyy = (_rows(parts[k].d, i) for i in range(1, 6))
+        if _VERTEX_1_1.facts[target][k] == 2:
+            b1 = _IntervalOps.add(hxx, hxy)
+            b2 = _IntervalOps.add(b1, _IntervalOps.add(hxy, hyy))
+            least = np.minimum(np.minimum(hxx[0], b1[0]), b2[0])
+        else:
+            least = np.minimum(-gx[1], -_IntervalOps.add(gx, gy)[1])
+        least = np.where(parts[k].ok & np.isfinite(least), least, -_INF)
+        best = least if best is None else np.minimum(best, least)
+    return best
+
+
+def _vertex_0_1_bounds(target: Target, xlo, xhi, ylo, yhi, mu: float):
+    """First-order bound at (0, 1), over each box extended to [0,xhi] x [ylo,1].
+
+    On the domain, x + y >= 1 and y <= 1, so y - 1 lies in [-x, 0].  With
+    F(0, 1) = 0 (`_VERTEX_0_1`), the mean-value theorem along the segment
+    from (0, 1) to p, with the derivatives enclosed over the extended box,
+    gives, in the variable the facts name:
+
+        x:  F >= x * (gx - max(gy, 0)),
+        s = sqrt(x), y - 1 in [-s^2, 0]:  F >= s * (gs - s_hi*max(gy, 0)),
+
+    taking the lower endpoint of gx or gs and the upper one of gy.  Returns
+    that coefficient, rounded down; where it is positive, F > 0 on the box,
+    since x >= mu > 0 there.  Main-median and scalene-lemma have sqrt(x),
+    which is not differentiable at x = 0, so they are expanded in s over
+    [0, sqrt(xhi)], where the target is a smooth function of (s, y).
+    Lanes where a radicand or divisor can reach 0 get -inf.
+    """
+    zero, one = np.zeros_like(xhi), np.ones_like(xhi)
+    if _VERTEX_0_1.facts[target] == "s":
+        s_hi = _round_up(np.sqrt(xhi))
+        parts = _jet_parts(target, 1, zero, s_hi, ylo, one, in_sqrt_x=True)
+    else:
+        s_hi = one
+        parts = _jet_parts(target, 1, zero, xhi, ylo, one)
+    best = None
+    for k in _strict_parts(target, mu, len(parts)):
+        g, gy = _rows(parts[k].d, 1), _rows(parts[k].d, 2)
+        with np.errstate(invalid="ignore"):
+            least = _round_down(g[0] - _round_up(s_hi * np.maximum(gy[1], 0.0)))
+        least = np.where(parts[k].ok & np.isfinite(least), least, -_INF)
+        best = least if best is None else np.minimum(best, least)
+    return best
+
+
+class _Vertex:
+    """An equality vertex (x, y) of the domain's closure, and the form that
+    proves boxes near it.
+
+    `facts` maps each target that is 0 at the vertex to the exact facts its
+    form relies on; `bounds` returns, per box, a coefficient that proves
+    the box where it is positive.  `name` is its `stats.proven_by` key.
+    """
+
+    __slots__ = ("name", "x", "y", "facts", "bounds")
+
+    def __init__(self, name: str, x: float, y: float, facts: dict, bounds):
+        self.name, self.x, self.y, self.facts, self.bounds = name, x, y, facts, bounds
+
+    def near(self, xlo, xhi, ylo, yhi, width):
+        """Boxes that lie within `_VERTEX_REACH` times their width of the
+        vertex, in the max norm."""
+        reach = np.maximum(np.maximum(np.abs(xlo - self.x), np.abs(xhi - self.x)),
+                           np.maximum(np.abs(ylo - self.y), np.abs(yhi - self.y)))
+        return reach <= _VERTEX_REACH * width
+
+    def holds(self, xlo, xhi, ylo, yhi):
+        return (xlo <= self.x) & (self.x <= xhi) & (ylo <= self.y) & (self.y <= yhi)
+
+
+# How far from a vertex, in its own widths, a box may reach and still be
+# tried with the vertex form.  Over 25 runs (5 targets x {defaults,
+# mu = 1e-12 with delta = 1e-6 and 1e-7, delta = 0 at mu = 1e-6 and 1e-12})
+# reaches of 1, 2, 4 and 8 took 870, 425, 423 and 423 levels and 413, 323,
+# 341 and 341 ms.  At 1 only boxes that touch the vertex qualify, which
+# leaves the corner edge x = 1 - delta to bisection; above 2 the form is
+# tried on more boxes that it cannot prove.
+_VERTEX_REACH = 2.0
+
+_VERTEX_1_1 = _Vertex(
+    "vertex_1_1", 1.0, 1.0,
+    {
+        Target.MAIN_MEDIAN: (2,),
+        Target.QUADRATIC_MEDIAN: (2,),
+        Target.KEY_SYSTEM: (2, 2, 2),
+        Target.ALTITUDE_REDUCED: (2,),
+        Target.SCALENE_LEMMA: (1,),
+    },
+    _vertex_1_1_bounds,
+)
+"""The equilateral point (1, 1).  Its facts hold one entry per target part.
 
 Each entry is the order of the first nonzero term of the part's Taylor
 expansion at (1, 1): 2 means value and gradient are exactly 0, 1 means
@@ -453,41 +608,31 @@ key-system's r1 and r2 swap into each other.
   F_y = (2 - 2)/sqrt(3) + ra/2 - rb are both -sqrt(3)/2.
 """
 
+_VERTEX_0_1 = _Vertex(
+    "vertex_0_1", 0.0, 1.0,
+    {
+        Target.MAIN_MEDIAN: "s",
+        Target.QUADRATIC_MEDIAN: "x",
+        Target.SCALENE_LEMMA: "s",
+    },
+    _vertex_0_1_bounds,
+)
+"""The flat triangle (0, 1, 1).  Its facts name the expansion variable.
 
-def _corner_bounds(target: Target, xlo, xhi, ylo, yhi, mu: float):
-    """Taylor-form bound at (1, 1) for boxes that hold the equilateral point.
+At (0, 1), ra = 2 and rb = rc = 1, and every target listed is exactly 0:
+main-median is 2*(1 - 0) + 1*(0 - 1) + 1*(0 - 1), quadratic-median is
+1*2 - 1*1 - 1*1, and scalene-lemma is 2*1 + 1*(0 - 1) - 1.  In s = sqrt(x)
+(x = s^2, so d/ds of any smooth function of x is 0 at s = 0), the
+main-median has dF/ds = rb + rc*sqrt(y) = 2 and the scalene-lemma
+dF/ds = rb = 1; quadratic-median, analytic in x, has dF/dx = rb + y*rc = 2.
+All three have dF/dy = 0: for main-median 1 + 1 + 1 - 1 - 2, with
+d ra/dy = 2y/ra = 1, d rb/dy = -y/rb = -1 and d rc/dy = 2y/rc = 2.
+Altitude-reduced grows like 1/x there.  Key-system has no entry either:
+its r2 and r3 are 0 at (0, 1), but r1 is 2, and the form needs every
+strict part to be 0 at the vertex.
+"""
 
-    On the domain part of such a box, d = p - (1, 1) has dx <= dy <= 0, so
-    dy = r*dx with r in [0, 1], and dx < 0 unless p = (1, 1).  Taylor's
-    theorem along the segment from (1, 1) to p, which stays in the box, and
-    the exact facts of `_EQUILATERAL_ORDER` give
-
-        order 2:  F(p) = dx^2/2 * (hxx + 2*hxy*r + hyy*r^2),
-        order 1:  F(p) = -dx * (-gx - gy*r),
-
-    with the derivatives taken at a point of the segment, hence inside the
-    order-2 `_JetOps` enclosures over the box.  As 1, r and r^2 are >= 0,
-    putting the lower endpoint of each coefficient's enclosure in its place
-    bounds each polynomial in r from below, and a polynomial on [0, 1] is at
-    least its least Bernstein coefficient:
-    (hxx, hxx + hxy, hxx + 2*hxy + hyy), or (-gx, -gx - gy).
-    Returns the least coefficient over the strict parts; where it is
-    positive, every strict part is >= 0 on the box and 0 only at (1, 1).
-    Lanes where a radicand or divisor can reach 0 get -inf.
-    """
-    parts = _jet_parts(target, 2, xlo, xhi, ylo, yhi)
-    best = None
-    for k in _strict_parts(target, mu, len(parts)):
-        _, gx, gy, hxx, hxy, hyy = parts[k].d
-        if _EQUILATERAL_ORDER[target][k] == 2:
-            b1 = _IntervalOps.add(hxx, hxy)
-            b2 = _IntervalOps.add(b1, _IntervalOps.add(hxy, hyy))
-            least = np.minimum(np.minimum(hxx[0], b1[0]), b2[0])
-        else:
-            least = np.minimum(-gx[1], -_IntervalOps.add(gx, gy)[1])
-        least = np.where(parts[k].ok & np.isfinite(least), least, -_INF)
-        best = least if best is None else np.minimum(best, least)
-    return best
+_VERTICES = (_VERTEX_1_1, _VERTEX_0_1)
 
 
 def _clip_to_domain(xlo, xhi, ylo, yhi, mu: float):
@@ -561,10 +706,24 @@ class BoxArray:
         ]
 
 
+def _proof_counts() -> dict:
+    return {"bound": 0, **{v.name: 0 for v in _VERTICES}}
+
+
 @dataclass
 class CertificateStats:
+    """Deterministic counters of a run, and its wall time.
+
+    `levels` counts the levels whose boxes were bounded.  `proven_by`
+    counts the proven boxes by the form that proved them: `bound` for
+    :func:`_lower_bounds`, and a vertex's name for its Taylor form; the
+    corner box is not a proven box and is not counted.
+    """
+
     boxes_processed: int = 0
     max_depth_reached: int = 0
+    levels: int = 0
+    proven_by: dict = field(default_factory=_proof_counts)
     budget_exhausted: bool = False
     wall_time_s: float = 0.0
 
@@ -576,9 +735,10 @@ class Certificate:
     The proven boxes, the corner box and the undecided boxes, together with
     the reported excluded regions, cover the working domain; no two of them
     overlap except on their boundaries.  Every proven box has a positive
-    lower bound (see :func:`_lower_bounds`).  The corner box exists only
-    at delta = 0: it is the box holding the equality point (1, 1), proven
-    by :func:`_corner_bounds` to carry a target >= 0 that is 0 only at
+    lower bound (see :func:`_lower_bounds`) or a positive vertex form
+    (see `_VERTICES`).  The corner box exists only at delta = 0: it is
+    the box holding the equality point (1, 1), proven by
+    :func:`_vertex_1_1_bounds` to carry a target >= 0 that is 0 only at
     (1, 1).
     """
 
@@ -613,6 +773,8 @@ class Certificate:
             "stats": {
                 "boxes_processed": self.stats.boxes_processed,
                 "max_depth_reached": self.stats.max_depth_reached,
+                "levels": self.stats.levels,
+                "proven_by": dict(self.stats.proven_by),
                 "budget_exhausted": self.stats.budget_exhausted,
                 "wall_time_s": self.stats.wall_time_s,
             },
@@ -652,7 +814,8 @@ def _excluded_description(task: CertificationTask) -> dict:
     doc = {
         "degeneracy_buffer": {
             "mu": task.mu,
-            "constraints": "x >= mu and x + y >= 1 + mu",
+            "constraints": f"x >= mu and x + y >= {1.0 + task.mu!r}, "
+                           "the binary64 sum 1 + mu",
         },
         "corner_square": {
             "delta": task.delta,
@@ -675,9 +838,10 @@ def _excluded_description(task: CertificationTask) -> dict:
 def certify(task: CertificationTask) -> Certificate:
     """Branch-and-bound certification of one target over W(mu, delta).
 
-    Boxes with a positive rigorous lower bound are proven; at delta = 0
-    the box holding (1, 1) becomes the corner box once
-    :func:`_corner_bounds` proves it; boxes at max_depth or below
+    Boxes with a positive rigorous lower bound, or near an equality
+    vertex with a positive vertex form, are proven; at delta = 0 the box
+    holding (1, 1) becomes the corner box once
+    :func:`_vertex_1_1_bounds` proves it; boxes at max_depth or below
     min_box_width are undecided; when the total processed-box budget
     runs out the remaining queue is reported undecided.  Each level splits
     at most as many boxes as it processed, so the queue never holds more
@@ -720,19 +884,27 @@ def certify(task: CertificationTask) -> Certificate:
 
         stats.boxes_processed += n
         stats.max_depth_reached = depth
-        flo = _lower_bounds(task.target, xlo, xhi, ylo, yhi, task.mu)
-
-        proven = flo > 0.0
-        # Clipped boxes reach x = 1 only at delta = 0, and then only the
-        # one box per level that holds (1, 1).
-        corner = ~proven & (xhi >= 1.0) & (yhi >= 1.0)
+        stats.levels += 1
+        proven = _lower_bounds(task.target, xlo, xhi, ylo, yhi, task.mu) > 0.0
+        stats.proven_by["bound"] += int(proven.sum())
+        corner = np.zeros(n, dtype=bool)
+        width = np.maximum(xhi - xlo, yhi - ylo)
+        for vertex in _VERTICES:
+            if task.target not in vertex.facts:
+                continue
+            near = ~(proven | corner) & vertex.near(xlo, xhi, ylo, yhi, width)
+            if not near.any():
+                continue
+            near[near] = vertex.bounds(task.target, xlo[near], xhi[near],
+                                       ylo[near], yhi[near], task.mu) > 0.0
+            holds = near & vertex.holds(xlo, xhi, ylo, yhi)
+            stats.proven_by[vertex.name] += int(near.sum() - holds.sum())
+            proven |= near & ~holds
+            corner |= holds
         if corner.any():
-            corner[corner] = _corner_bounds(task.target, xlo[corner], xhi[corner],
-                                            ylo[corner], yhi[corner], task.mu) > 0.0
             corner_parts.append((xlo[corner], xhi[corner],
                                  ylo[corner], yhi[corner]))
         decided = proven | corner
-        width = np.maximum(xhi - xlo, yhi - ylo)
         stuck = ~decided & ((width <= task.min_box_width) | (depth >= task.max_depth))
         split = ~decided & ~stuck
 

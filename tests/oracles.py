@@ -130,5 +130,19 @@ def target_derivative_hp(target, x, y, order):
     )
 
 
+def target_sqrt_derivative_hp(target, s, y, order):
+    """Partial derivative of order (i, j) in (s, y), with x = s*s, of every part.
+
+    The differences in s are one-sided (s >= 0), so the derivative at s = 0,
+    the edge x = 0, sees only triangles (s*s, y, 1).
+    """
+    n = len(target_parts_hp(target, 0.75, 0.75))
+    return tuple(
+        mp.diff(lambda u, v, k=k: target_parts_hp(target, u * u, v)[k], (s, y), order,
+                direction=1)
+        for k in range(n)
+    )
+
+
 def f(v) -> float:
     return float(v)

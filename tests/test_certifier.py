@@ -13,10 +13,13 @@ from cevians.certifier import (
     eval_target_interval,
     key_system_identity_floors,
     point_values,
-    _EQUILATERAL_ORDER,
+    _VERTEX_0_1,
+    _VERTEX_1_1,
     _clip_to_domain,
-    _corner_bounds,
+    _vertex_0_1_bounds,
+    _vertex_1_1_bounds,
     _jet_parts,
+    _lower_bounds,
     _natural_parts,
     _strict_parts,
 )
@@ -140,9 +143,11 @@ class TestCertify:
         assert (p.xhi + p.yhi >= 1.0 + task.mu).all()
 
     def test_proven_boxes_sorted_and_disjoint_from_undecided(self):
-        cert = certify(CertificationTask(target=Target.MAIN_MEDIAN, delta=1e-8,
-                                         min_box_width=1e-15, max_depth=200,
-                                         box_budget=8_000))
+        # at mu = 1e-20, 1 + mu rounds to 1 and key-system's second residual,
+        # 0 on a whole curve, goes to the bisection: 3,900 boxes stay undecided
+        cert = certify(CertificationTask(target=Target.KEY_SYSTEM, mu=1e-20,
+                                         delta=1e-8, min_box_width=1e-15,
+                                         max_depth=200, box_budget=8_000))
         assert cert.undecided_count > 0
         p = cert.proven
         order = np.lexsort((p.yhi, p.xhi, p.ylo, p.xlo))
@@ -349,7 +354,7 @@ class TestCornerForm:
         values = oracles.target_parts_hp(target.value, 1, 1)
         gx = oracles.target_derivative_hp(target.value, 1, 1, (1, 0))
         gy = oracles.target_derivative_hp(target.value, 1, 1, (0, 1))
-        orders = _EQUILATERAL_ORDER[target]
+        orders = _VERTEX_1_1.facts[target]
         assert len(orders) == len(values)
         for order, v, dx, dy in zip(orders, values, gx, gy):
             assert v == 0
@@ -375,17 +380,17 @@ class TestCornerForm:
             natural = _natural_parts(target, xlo, xhi, ylo, yhi)
             for p, nat in zip(parts, natural):
                 assert np.array_equal(_bits(p.d[0][0]), _bits(nat[0]))
-                assert np.array_equal(_bits(p.d[0][1]), _bits(nat[1]))
+                assert np.array_equal(_bits(p.d[1][0]), _bits(nat[1]))
                 assert p.ok.all()
             # the first-order jets that `_lower_bounds` uses are the value
             # and gradient of the second-order ones, bit for bit
             first = _jet_parts(target, 1, xlo, xhi, ylo, yhi)
             assert len(first) == len(parts)
             for p1, p2 in zip(first, parts):
-                assert len(p1.d) == 3 and len(p2.d) == 6
-                for c1, c2 in zip(p1.d, p2.d[:3]):
-                    assert np.array_equal(_bits(c1[0]), _bits(c2[0]))
-                    assert np.array_equal(_bits(c1[1]), _bits(c2[1]))
+                assert len(p1.d[0]) == 3 and len(p2.d[0]) == 6
+                for c in range(3):
+                    assert np.array_equal(_bits(p1.d[0][c]), _bits(p2.d[0][c]))
+                    assert np.array_equal(_bits(p1.d[1][c]), _bits(p2.d[1][c]))
                 assert np.array_equal(p1.ok, p2.ok)
             last = xlo.shape[0] - 10
             for i in [*range(0, last, max(1, n // 15)), *range(last, last + 10)]:
@@ -394,7 +399,7 @@ class TestCornerForm:
                 for comp, order in enumerate(orders):
                     exact = oracles.target_derivative_hp(target.value, px, py, order)
                     for p, e in zip(parts, exact):
-                        assert p.d[comp][0][i] <= e <= p.d[comp][1][i], (order, i)
+                        assert p.d[0][comp][i] <= e <= p.d[1][comp][i], (order, i)
 
     @staticmethod
     def _wedge_points(rng, xlo, ylo, mu, count):
@@ -433,7 +438,7 @@ class TestCornerForm:
         w = 2.0 ** -np.arange(1, 9)
         xlo, xhi, ylo, yhi, _ = _clip_to_domain(1.0 - w, np.ones_like(w),
                                                 1.0 - w, np.ones_like(w), mu)
-        bounds = _corner_bounds(target, xlo, xhi, ylo, yhi, mu)
+        bounds = _vertex_1_1_bounds(target, xlo, xhi, ylo, yhi, mu)
         assert (bounds[-3:] > 0.0).all()
         for i in range(w.size):
             if not np.isfinite(bounds[i]):
@@ -443,9 +448,155 @@ class TestCornerForm:
                 parts = oracles.target_parts_hp(target.value, x, y)
                 dx = abs(oracles.mp.mpf(x) - 1)
                 for k in _strict_parts(target, mu, len(parts)):
-                    order = _EQUILATERAL_ORDER[target][k]
+                    order = _VERTEX_1_1.facts[target][k]
                     scale = dx * dx / 2 if order == 2 else dx
                     assert parts[k] >= oracles.mp.mpf(bounds[i]) * scale, (w[i], x, y)
+
+
+class TestVertexForms:
+    """The Taylor forms at the equality vertices (1, 1) and (0, 1): their
+    exact facts, the boxes they prove, and the depth they save."""
+
+    @pytest.mark.parametrize("target, variable, slope", [
+        (Target.MAIN_MEDIAN, "s", 2),
+        (Target.SCALENE_LEMMA, "s", 1),
+        (Target.QUADRATIC_MEDIAN, "x", 2),
+    ])
+    def test_vertex_0_1_facts(self, target, variable, slope):
+        assert _VERTEX_0_1.facts[target] == variable
+        assert oracles.target_parts_hp(target.value, 0, 1) == (0,)
+        if variable == "s":
+            (ds,) = oracles.target_sqrt_derivative_hp(target.value, 0, 1, (1, 0))
+            (dy,) = oracles.target_sqrt_derivative_hp(target.value, 0, 1, (0, 1))
+        else:
+            (ds,) = oracles.target_derivative_hp(target.value, 0, 1, (1, 0))
+            (dy,) = oracles.target_derivative_hp(target.value, 0, 1, (0, 1))
+        assert abs(ds - slope) < 1e-25
+        assert abs(dy) < 1e-25
+
+    @staticmethod
+    def _domain_points(rng, box, vertex, mu, delta, count):
+        """`count` points of the box's part of W(mu, delta) other than the
+        vertex, half of them clustered at the box corner nearest the vertex."""
+        xlo, xhi, ylo, yhi = box
+        xn, yn = min(max(vertex.x, xlo), xhi), min(max(vertex.y, ylo), yhi)
+        xf, yf = (xhi if xn == xlo else xlo), (yhi if yn == ylo else ylo)
+        floor = oracles.mp.mpf(1.0 + mu)
+        points = []
+        for _ in range(20):
+            scale = rng.permutation(np.concatenate([np.ones(200),
+                                                    2.0 ** -rng.uniform(1, 60, 200)]))
+            px = xn + scale * rng.uniform(0, 1, 400) * (xf - xn)
+            py = yn + scale * rng.uniform(0, 1, 400) * (yf - yn)
+            for x, y in zip(px, py):
+                mx, my = oracles.mp.mpf(x), oracles.mp.mpf(y)
+                if (mu <= x <= y <= 1.0 and x <= 1.0 - delta and mx + my >= floor
+                        and (x, y) != (vertex.x, vertex.y)):
+                    points.append((x, y))
+            if len(points) >= count:
+                return points[:count]
+        return points
+
+    def test_vertex_proven_boxes_hold_at_50_digits(self, rng):
+        # Every proven box that the bounds alone leave unproven was proven
+        # by the form of the vertex it lies near; each is checked at 100
+        # points, many within 2^-40 of that vertex.
+        checked = near_vertex = 0
+        for target in Target:
+            for mu in (1e-6, 1e-12, 1e-20):
+                if target is Target.KEY_SYSTEM and mu < 1e-16:
+                    continue  # does not close at (1/2, 1/2)
+                for delta in (0.0, 1e-3, 1e-7):
+                    cert = certify(CertificationTask(target=target, mu=mu, delta=delta))
+                    p = cert.proven
+                    by_vertex = _lower_bounds(target, p.xlo, p.xhi, p.ylo, p.yhi, mu) <= 0
+                    boxes = [(p.xlo[i], p.xhi[i], p.ylo[i], p.yhi[i])
+                             for i in np.nonzero(by_vertex)[0]]
+                    counts = cert.stats.proven_by
+                    assert len(boxes) == counts["vertex_1_1"] + counts["vertex_0_1"]
+                    boxes += cert.corner.bounds_list()
+                    for box in boxes:
+                        vertex = min((_VERTEX_1_1, _VERTEX_0_1), key=lambda v: max(
+                            abs(box[0] - v.x), abs(box[2] - v.y)))
+                        assert target in vertex.facts
+                        points = self._domain_points(rng, box, vertex, mu, delta, 100)
+                        assert len(points) == 100, (target, mu, delta, box)
+                        for x, y in points:
+                            parts = oracles.target_parts_hp(target.value, x, y)
+                            for k in _strict_parts(target, mu, len(parts)):
+                                assert parts[k] > 0, (target, mu, delta, x, y)
+                            gap = max(abs(x - vertex.x), abs(y - vertex.y))
+                            near_vertex += gap < 2**-40
+                        checked += 1
+        assert checked > 50
+        assert near_vertex > 300
+
+    @pytest.mark.parametrize("target", list(Target))
+    def test_forms_see_only_the_box_extended_to_the_vertex(self, target, rng):
+        # The Taylor argument runs along segments from the vertex, so each
+        # form must enclose its derivatives over the box extended to the
+        # vertex: boxes with the same extension get the same bound.
+        mu = 1e-6
+        w = 2.0 ** -rng.uniform(3, 30, 40)
+        t = rng.uniform(0.0, 1.0, 40)
+        lo, hi = 1.0 - (1.0 + t) * w, 1.0 - t * w
+        same = _vertex_1_1_bounds(target, lo, np.ones_like(w), lo, np.ones_like(w), mu)
+        assert np.array_equal(_bits(_vertex_1_1_bounds(target, lo, hi, lo, hi, mu)),
+                              _bits(same))
+        if target in _VERTEX_0_1.facts:
+            xhi, ylo = (1.0 + t) * w, 1.0 - w
+            same = _vertex_0_1_bounds(target, np.full_like(w, mu), xhi, ylo,
+                                      np.ones_like(w), mu)
+            assert np.array_equal(_bits(_vertex_0_1_bounds(target, t * w, xhi, ylo,
+                                                           1.0 - t * w / 2, mu)),
+                                  _bits(same))
+
+    @pytest.mark.parametrize("target", list(_VERTEX_0_1.facts))
+    def test_vertex_0_1_bound_holds_below_the_target(self, target, rng):
+        # F(p) >= bound * sqrt(x) in s, or bound * x in x, on boxes touching
+        # (0, 1) and on boxes up to twice their width away
+        mu = 1e-20
+        w = 2.0 ** -np.arange(3, 30, 3)
+        xlo, xhi, ylo, yhi, ok = _clip_to_domain(
+            np.concatenate([np.full_like(w, mu), w]), np.concatenate([w, 2 * w]),
+            np.concatenate([1.0 - w, 1.0 - w]), np.concatenate([np.ones_like(w), 1.0 - w / 2]),
+            mu)
+        assert ok.all()
+        bounds = _vertex_0_1_bounds(target, xlo, xhi, ylo, yhi, mu)
+        assert (bounds[w.size - 3:w.size] > 0.0).all()
+        for i in np.nonzero(np.isfinite(bounds))[0]:
+            box = (xlo[i], xhi[i], ylo[i], yhi[i])
+            for x, y in self._domain_points(rng, box, _VERTEX_0_1, mu, 0.0, 40):
+                (v,) = oracles.target_parts_hp(target.value, x, y)
+                mx = oracles.mp.mpf(x)
+                scale = oracles.mp.sqrt(mx) if _VERTEX_0_1.facts[target] == "s" else mx
+                assert v >= oracles.mp.mpf(bounds[i]) * scale, (box, x, y)
+
+    @pytest.mark.parametrize("target", [Target.MAIN_MEDIAN, Target.QUADRATIC_MEDIAN,
+                                        Target.ALTITUDE_REDUCED, Target.SCALENE_LEMMA])
+    def test_depth_does_not_depend_on_mu(self, target):
+        levels = set()
+        for mu in (1e-6, 1e-12, 1e-20):
+            cert = certify(CertificationTask(target=target, mu=mu, delta=0.0))
+            assert cert.undecided_count == 0
+            assert len(cert.corner) == 1
+            assert cert.stats.levels == cert.stats.max_depth_reached + 1
+            levels.add(cert.stats.levels)
+        assert len(levels) == 1
+        assert levels.pop() <= 10
+
+    @pytest.mark.parametrize("target", list(Target))
+    def test_proven_by_counts_every_proven_box(self, target):
+        for delta in (0.0, 1e-3):
+            cert = certify(CertificationTask(target=target, delta=delta))
+            counts = cert.stats.proven_by
+            assert set(counts) == {"bound", "vertex_1_1", "vertex_0_1"}
+            assert sum(counts.values()) == cert.proven_count
+            assert counts["vertex_1_1"] + len(cert.corner) > 0
+            if target not in _VERTEX_0_1.facts:
+                assert counts["vertex_0_1"] == 0
+            doc = cert.to_report_dict()["stats"]
+            assert doc["proven_by"] == counts and doc["levels"] == cert.stats.levels
 
 
 def _bits(a):
@@ -469,11 +620,11 @@ class TestOneTreePerBox:
             assert len(jets) == len(natural)
             for jet, nat in zip(jets, natural):
                 assert np.array_equal(_bits(jet.d[0][0]), _bits(nat[0]))
-                assert np.array_equal(_bits(jet.d[0][1]), _bits(nat[1]))
+                assert np.array_equal(_bits(jet.d[1][0]), _bits(nat[1]))
 
     def test_wide_levels_certify_as_with_nextafter(self, monkeypatch):
-        # A budget of 8,000 reaches levels of 1,790 and 3,546 boxes.
-        task = CertificationTask(target=Target.MAIN_MEDIAN, delta=1e-8,
+        # A budget of 8,000 reaches levels of 1,062, 1,658 and 2,542 boxes.
+        task = CertificationTask(target=Target.KEY_SYSTEM, mu=1e-20, delta=1e-8,
                                  min_box_width=1e-15, max_depth=200,
                                  box_budget=8_000)
         steps = []

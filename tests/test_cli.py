@@ -120,8 +120,19 @@ class TestCertify:
         assert cert["corner_box"] is not None
         assert "first-order Taylor form" in cert["excluded"]["corner_square"]["note"]
 
+    @pytest.mark.parametrize("mu, floor", [("1e-17", "1.0"), ("1e-6", "1.000001")])
+    def test_degeneracy_buffer_states_the_binary64_sum(self, tmp_path, mu, floor):
+        # below 1.1e-16, 1 + mu rounds to 1 and the run covers x + y >= 1
+        out = tmp_path / "cert.json"
+        assert run(["certify", "--target", "main-median", "--mu", mu,
+                    "-o", str(out)]) == 0
+        buffer = load(out)["certificate"]["excluded"]["degeneracy_buffer"]
+        assert buffer["constraints"] == (f"x >= mu and x + y >= {floor}, "
+                                         "the binary64 sum 1 + mu")
+        assert 1.0 + float(mu) == float(floor)
+
     @pytest.mark.parametrize("argv, code", [
-        (["--delta", "1e-9", "--box-budget", "3000"], 1),
+        (["--delta", "1e-9", "--box-budget", "3000"], 0),
         (["--mu", "1e-12", "--delta", "1e-7"], 0),
     ])
     def test_corner_band_inside_sliver(self, tmp_path, argv, code):

@@ -13,13 +13,11 @@ from .certifier import (
     Target,
     certify,
     corner_argument_check,
-    eval_target_interval,
 )
 from .exceptions import (
     CevianError,
     DegenerateTriangleError,
     DomainError,
-    EmptyIntersectionError,
     NegativeSqrtDomainError,
     NonPositiveSideError,
     NotScaleneError,
@@ -41,7 +39,7 @@ from .inequalities import (
     slack_quadratic,
     tolerance_scale,
 )
-from .intervals import Box2, Interval
+from .intervals import Interval
 from .kernel import (
     CevianKind,
     CevianTriple,
@@ -75,7 +73,6 @@ from .search import (
 __version__ = TOOL_VERSION
 
 __all__ = [
-    "Box2",
     "CandidateRecord",
     "Certificate",
     "CertificationTask",
@@ -84,7 +81,6 @@ __all__ = [
     "CevianTriple",
     "DegenerateTriangleError",
     "DomainError",
-    "EmptyIntersectionError",
     "GeneralCevianParams",
     "Interval",
     "MixedWeights",
@@ -109,7 +105,6 @@ __all__ = [
     "certify",
     "constraint_filter",
     "corner_argument_check",
-    "eval_target_interval",
     "evaluate_candidate",
     "general_cevians",
     "isosceles_slack_case1",

@@ -5,14 +5,13 @@ validation happens here.  The typed scalar API validates, calls these on
 floats and wraps the results, so it agrees bit for bit with the sweeps,
 the search and the grids.  Stewart's formula and the quadratic slack take
 an operation set, so search re-verification runs the same trees in interval
-arithmetic; F is the certifier's main-median target.
+arithmetic.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .certifier import Target, point_values
 from .intervals import _FloatOps
 
 
@@ -138,15 +137,6 @@ def bisector_ratio_arrays(a, b, c, la, lb):
 
 def bisector_sqrt_chain_arrays(a, c, la, lc):
     return np.sqrt(a) * la - np.sqrt(c) * lc
-
-
-def normalized_slack_arrays(x, y):
-    """The two-variable normalized main slack F over arrays of points.
-
-    This is the certifier's main-median target, so it vanishes exactly at
-    (1, 1) and every enclosure the certifier proves contains it.
-    """
-    return point_values(Target.MAIN_MEDIAN, x, y)
 
 
 def constraint_mask_arrays(a, b, c, la, lb, lc):

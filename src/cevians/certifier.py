@@ -12,10 +12,10 @@ the same 1-ulp outward rounding used by :mod:`cevians.intervals`.
 
 Every target expression is written once against an abstract operation set
 and instantiated three ways: plain float arrays (point evaluation),
-interval endpoint arrays (the natural extension, which is what
-:func:`eval_target_interval` exposes; it is inclusion-isotone), and
-forward-mode interval derivatives of order 1 or 2 (:class:`_JetOps`, whose
-value, gradient and Hessian are the rows of one pair of endpoint arrays).
+interval endpoint arrays (the natural extension, which is
+inclusion-isotone), and forward-mode interval derivatives of order 1 or 2
+(:class:`_JetOps`, whose value, gradient and Hessian are the rows of one
+pair of endpoint arrays).
 The branch-and-bound additionally prunes with the mean-value form
 f(m) + grad(X) * (X - m), which is what keeps box counts bounded away from
 the points where a target is 0.
@@ -47,15 +47,7 @@ from enum import Enum
 
 import numpy as np
 
-from .exceptions import EmptyIntersectionError
-from .intervals import (
-    Box2,
-    Interval,
-    _FloatOps,
-    _IntervalOps,
-    _round_down,
-    _round_up,
-)
+from .intervals import _FloatOps, _IntervalOps, _round_down, _round_up
 
 _INF = np.inf
 # Width of the sliver (1-eta, 1] next to the equilateral point that the
@@ -64,6 +56,8 @@ _CORNER_ETA = 1e-6
 # The corner factor bisection gives up at this box width or box count.
 _CORNER_MIN_WIDTH = 1e-12
 _CORNER_BOX_CAP = 500_000
+# A report lists at most this many undecided boxes and flags the rest.
+_UNDECIDED_LIMIT = 1000
 
 
 class Target(Enum):
@@ -650,23 +644,6 @@ def _clip_to_domain(xlo, xhi, ylo, yhi, mu: float):
     return xlo, xhi, ylo, yhi, nonempty
 
 
-def eval_target_interval(target: Target, box: Box2, mu: float = 0.0) -> Interval:
-    """Natural interval enclosure of a target over the domain part of a box.
-
-    This is the inclusion-isotone extension: nested boxes produce nested
-    enclosures.  Raises EmptyIntersectionError when the box misses the
-    working domain.
-    """
-    xlo, xhi, ylo, yhi, ok = _clip_to_domain(
-        np.array([box.x.lo]), np.array([box.x.hi]),
-        np.array([box.y.lo]), np.array([box.y.hi]), mu,
-    )
-    if not bool(ok[0]):
-        raise EmptyIntersectionError(f"box {box} misses the working domain")
-    flo, fhi = _natural_enclosure(target, xlo, xhi, ylo, yhi)
-    return Interval(float(flo[0]), float(fhi[0]))
-
-
 class BoxArray:
     """Compact columnar store for a set of axis-aligned boxes."""
 
@@ -757,8 +734,7 @@ class Certificate:
     def undecided_count(self) -> int:
         return len(self.undecided)
 
-    def to_report_dict(self, include_proven: bool = False,
-                       undecided_limit: int = 1000) -> dict:
+    def to_report_dict(self, include_proven: bool = False) -> dict:
         doc = {
             "target": self.task.target.value,
             "mu": self.task.mu,
@@ -767,8 +743,8 @@ class Certificate:
             "min_box_width": self.task.min_box_width,
             "proven_count": self.proven_count,
             "undecided_count": self.undecided_count,
-            "undecided": self.undecided.bounds_list(undecided_limit),
-            "undecided_truncated": self.undecided_count > undecided_limit,
+            "undecided": self.undecided.bounds_list(_UNDECIDED_LIMIT),
+            "undecided_truncated": self.undecided_count > _UNDECIDED_LIMIT,
             "excluded": self.excluded,
             "stats": {
                 "boxes_processed": self.stats.boxes_processed,

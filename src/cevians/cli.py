@@ -5,7 +5,7 @@ slack fails, 2 invalid input.  certify: 0 empty undecided set, 1 undecided
 boxes remain (also when the box budget runs out), 2 bad arguments.
 search: unconstrained mode exits 0 iff a re-verified violation was found,
 open-problem mode always exits 0 (2 on bad arguments).  table: 0, or 2 on
-bad density.
+bad density.  Every subcommand exits 2 when its -o output cannot be written.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ from .reports import (
     canonical_json,
     report_document,
 )
-from .search import SearchConfig, SearchMode, constraint_filter, search
+from .search import FOOT_MARGIN, SearchConfig, SearchMode, constraint_filter, search
 
 ENV_SEED = "CEVIANS_SEED"
 DEFAULT_SEED = 0
@@ -83,10 +83,17 @@ def _resolve_seed(flag_value: int | None) -> int:
     return DEFAULT_SEED
 
 
+def _write(path: str, text: str) -> None:
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise _UsageError(f"cannot write {path}: {exc.strerror or exc}") from None
+
+
 def _emit(doc: dict, output: str | None) -> None:
     text = canonical_json(doc)
     if output:
-        Path(output).write_text(text, encoding="utf-8")
+        _write(output, text)
     else:
         sys.stdout.write(text)
 
@@ -323,7 +330,7 @@ def cmd_search(args, started: float) -> int:
             "refine_steps": cfg.refine_steps,
             "record_top": cfg.record_top,
             "workers": cfg.workers,
-            "foot_margin": cfg.foot_margin,
+            "foot_margin": FOOT_MARGIN,
         },
         inputs={},
         wall_time_s=time.perf_counter() - started,
@@ -343,7 +350,7 @@ def cmd_table(args, started: float) -> int:
         ys = axis[bulk.in_normalized_domain(np.full_like(axis, xv), axis)]
         if ys.size == 0:
             continue
-        fs = bulk.normalized_slack_arrays(np.full_like(ys, xv), ys)
+        fs = point_values(Target.MAIN_MEDIAN, np.full_like(ys, xv), ys)
         for yv, fv in zip(ys, fs):
             lines.append(f"{float(xv)!r},{float(yv)!r},{float(fv)!r}")
     csv_text = "\n".join(lines) + "\n"
@@ -357,10 +364,8 @@ def cmd_table(args, started: float) -> int:
         wall_time_s=time.perf_counter() - started,
     )
     if args.output:
-        Path(args.output).write_text(csv_text, encoding="utf-8")
-        Path(args.output + ".manifest.json").write_text(
-            canonical_json(manifest.to_dict()), encoding="utf-8"
-        )
+        _write(args.output, csv_text)
+        _write(args.output + ".manifest.json", canonical_json(manifest.to_dict()))
     else:
         sys.stdout.write(csv_text)
         sys.stderr.write(canonical_json(manifest.to_dict()))

@@ -28,7 +28,3 @@ class ZeroWeightsError(CevianError, ValueError):
 class NegativeSqrtDomainError(CevianError, ValueError):
     """Interval square root of an interval that is entirely negative."""
 
-
-class EmptyIntersectionError(CevianError, ValueError):
-    """A box does not meet the working domain."""
-

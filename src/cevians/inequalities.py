@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 
 from . import bulk
-from .certifier import equal_base_second_factor, equal_legs_second_factor
+from .certifier import Target, equal_base_second_factor, equal_legs_second_factor, point_values
 from .exceptions import DomainError, NotScaleneError
 from .intervals import _FloatOps
 from .kernel import (
@@ -139,11 +139,12 @@ def normalized_slack(p: NormalizedTriangle | tuple[float, float]) -> float:
     """Two-variable normalized main slack over 0 < x <= y <= 1 < x + y.
 
     F(x, y) equals 2*slack_main(t, medians)/c^2 for any triangle t that
-    normalizes to (x, y).  Raises DomainError outside the domain.
+    normalizes to (x, y); it is the certifier's main-median target.  Raises
+    DomainError outside the domain.
     """
     if not isinstance(p, NormalizedTriangle):
         p = NormalizedTriangle(float(p[0]), float(p[1]))
-    return scalar_eval(bulk.normalized_slack_arrays, p.x, p.y)
+    return scalar_eval(point_values, Target.MAIN_MEDIAN, p.x, p.y)
 
 
 def bisector_ratio_slack(t: SideTriple) -> SlackReport:

@@ -6,18 +6,9 @@ correctly rounded, the widened result encloses the exact real image of the
 operands, and by the same argument it encloses any round-to-nearest floating
 evaluation that follows the same expression tree.
 
-The one-ulp step is IEEE 754-2019 nextUp/nextDown (section 5.3.1).  The scalar
-:class:`Interval` takes it with ``math.nextafter``.  The array operations
-take it with :func:`_round_up` and :func:`_round_down`, which equal
-``np.nextafter(v, +-inf)`` bit for bit and have two paths chosen by size.
-Scalars and arrays shorter than ``_STEP_MIN_SIZE`` call ``np.nextafter``.
-Longer float64 arrays step the bit pattern instead: for every finite or
--inf value, read as a sign-magnitude integer, nextUp adds one ulp of
-magnitude to a nonnegative value and removes one from a negative one, which
-is +-1 on the int64 view.  Adding 0.0 first turns -0.0 into +0.0, so both
-zeros step to the least subnormal; +inf and NaN are left as they are.
-nextDown is exactly -nextUp(-v).  The integer path does a few cheap
-integer ufunc calls instead of NumPy's per-element ``nextafter`` loop.
+The one-ulp step is IEEE 754-2019 nextUp/nextDown (section 5.3.1): the
+scalar :class:`Interval` takes it with ``math.nextafter``, and the array
+operations with ``np.nextafter`` (:func:`_round_up`, :func:`_round_down`).
 
 The operation sets ``_FloatOps`` and ``_IntervalOps`` run a formula written
 once against ``ops`` in binary64 or as an enclosure of that same tree, on
@@ -46,43 +37,11 @@ def _up(v: float) -> float:
     return math.nextafter(v, _INF)
 
 
-# Shortest float64 array that _round_up and _round_down step on its int64
-# view.  The integer path makes five (up) or seven (down) ufunc calls against
-# nextafter's one, so it loses on short arrays.  Timed per call with NumPy
-# 2.4 on a 2-core x86-64 host (best of 7 timeit repeats, glibc's mmap
-# threshold already raised as in a long certify run), the two paths break
-# even between 512 and 1,280 elements; at 65,536 the integer path takes
-# 109-132 us against nextafter's 724-833 us.
-_STEP_MIN_SIZE = 1024
-
-
-def _step_up(w):
-    """nextUp in place on a new float64 array with no -0.0; NaN and +inf stay."""
-    bits = w.view(np.int64)
-    step = bits >> 63
-    step |= 1
-    np.add(bits, step, out=bits, where=w < _INF)
-    return w
-
-
-def _wide(v) -> bool:
-    return (isinstance(v, np.ndarray) and v.dtype == np.float64
-            and v.size >= _STEP_MIN_SIZE)
-
-
 def _round_up(v):
-    """``np.nextafter(v, +inf)``, bit for bit on every non-NaN value."""
-    if _wide(v):
-        return _step_up(v + 0.0)
     return np.nextafter(v, _INF)
 
 
 def _round_down(v):
-    """``np.nextafter(v, -inf)``, bit for bit on every non-NaN value."""
-    if _wide(v):
-        w = np.negative(v)
-        w += 0.0
-        return np.negative(_step_up(w), out=w)
     return np.nextafter(v, -_INF)
 
 
@@ -256,36 +215,3 @@ class _IntervalOps:
     @staticmethod
     def mul_const(a, k):
         return _round_down(a[0] * k), _round_up(a[1] * k)
-
-
-@dataclass(frozen=True)
-class Box2:
-    """Axis-aligned rectangle: a pair of intervals."""
-
-    x: Interval
-    y: Interval
-
-    @classmethod
-    def from_bounds(cls, xlo: float, xhi: float, ylo: float, yhi: float) -> "Box2":
-        return cls(Interval(xlo, xhi), Interval(ylo, yhi))
-
-    @property
-    def width(self) -> float:
-        return max(self.x.width, self.y.width)
-
-    def contains(self, px: float, py: float) -> bool:
-        return self.x.contains(px) and self.y.contains(py)
-
-    def split(self) -> tuple["Box2", "Box2"]:
-        """Bisect along the wider axis; ties split x."""
-        if self.x.width >= self.y.width:
-            m = self.x.midpoint
-            return (
-                Box2(Interval(self.x.lo, m), self.y),
-                Box2(Interval(m, self.x.hi), self.y),
-            )
-        m = self.y.midpoint
-        return (
-            Box2(self.x, Interval(self.y.lo, m)),
-            Box2(self.x, Interval(m, self.y.hi)),
-        )

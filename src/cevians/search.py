@@ -38,6 +38,8 @@ from .kernel import (
 )
 
 SHARD_SIZE = 1 << 16
+# Sampled and refined feet stay within [FOOT_MARGIN, 1 - FOOT_MARGIN].
+FOOT_MARGIN = 1e-4
 
 
 class SearchMode(Enum):
@@ -53,7 +55,6 @@ class SearchConfig:
     refine_steps: int = 200
     record_top: int = 20
     workers: int = 1
-    foot_margin: float = 1e-4
 
     def __post_init__(self):
         if not 0 <= self.seed < 2**64:
@@ -66,8 +67,6 @@ class SearchConfig:
             raise ValueError("refine_steps must be nonnegative")
         if self.workers < 1:
             raise ValueError("workers must be at least 1")
-        if not (0.0 < self.foot_margin < 0.5):
-            raise ValueError("foot_margin must lie in (0, 1/2)")
 
 
 @dataclass(frozen=True)
@@ -243,14 +242,13 @@ def _probe_slacks(
     vec: np.ndarray,
     c0: np.ndarray,
     mode: SearchMode,
-    foot_margin: float,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Evaluate pattern-search probes, one per row of ``vec`` (x, y, ta, tb, tc).
 
     Returns the acceptance mask and min_slack.  A row is accepted exactly
     when :func:`evaluate_candidate` on ``validate_sides(x*c0, y*c0, c0)``
     would succeed, with ``x <= y <= 1`` so that the roles of the sides
-    stay fixed and the feet within ``[foot_margin, 1 - foot_margin]``, and
+    stay fixed and the feet within ``[FOOT_MARGIN, 1 - FOOT_MARGIN]``, and
     in open-problem mode when the constraints hold.  Rejected rows may
     carry NaN; their min_slack is meaningless.
     """
@@ -264,7 +262,7 @@ def _probe_slacks(
         ok = (
             (x <= y)
             & (y <= 1.0)
-            & ((feet >= foot_margin) & (feet <= 1.0 - foot_margin)).all(axis=1)
+            & ((feet >= FOOT_MARGIN) & (feet <= 1.0 - FOOT_MARGIN)).all(axis=1)
             & (a > 0.0)
             & (a + b > c0)
         )
@@ -289,7 +287,6 @@ def refine(
     cands: list[CandidateRecord],
     steps: int,
     mode: SearchMode = SearchMode.UNCONSTRAINED,
-    foot_margin: float = 1e-4,
     counts: dict | None = None,
 ) -> list[CandidateRecord]:
     """Derivative-free local descent on min_slack, for all candidates at once.
@@ -354,7 +351,7 @@ def refine(
         owner = live[at]
         trial = (pts.take(owner, axis=1)
                  + _PROBE_DELTA.take(probe, axis=1) * step.take(owner))
-        ok, ms = _probe_slacks(trial.T, c0[owner], mode, foot_margin)
+        ok, ms = _probe_slacks(trial.T, c0[owner], mode)
         slack = np.full(pending.shape, np.inf)
         slack[pending] = np.where(ok, ms, np.inf)
         # Each candidate moves to its first accepted probe; the move
@@ -400,7 +397,6 @@ def _run_shard(
     count: int,
     mode: SearchMode,
     record_top: int,
-    foot_margin: float,
 ) -> dict:
     """Sample one shard; rank the mode's candidates and the frontier.
 
@@ -410,9 +406,9 @@ def _run_shard(
     """
     rng = shard_rng(seed, shard_index)
     x, y = bulk.sample_normalized_points(rng, count)
-    ta = rng.uniform(foot_margin, 1.0 - foot_margin, count)
-    tb = rng.uniform(foot_margin, 1.0 - foot_margin, count)
-    tc = rng.uniform(foot_margin, 1.0 - foot_margin, count)
+    ta = rng.uniform(FOOT_MARGIN, 1.0 - FOOT_MARGIN, count)
+    tb = rng.uniform(FOOT_MARGIN, 1.0 - FOOT_MARGIN, count)
+    tc = rng.uniform(FOOT_MARGIN, 1.0 - FOOT_MARGIN, count)
 
     la, lb, lc = bulk.general_cevians_arrays(x, y, 1.0, ta, tb, tc)
     s1 = bulk.slack_main_arrays(x, y, 1.0, la, lb, lc)
@@ -506,7 +502,7 @@ def search(cfg: SearchConfig) -> SearchReport:
     def run(spec):
         shard_index, shard_start, count = spec
         return _run_shard(cfg.seed, shard_index, shard_start, count,
-                          cfg.mode, cfg.record_top, cfg.foot_margin)
+                          cfg.mode, cfg.record_top)
 
     if cfg.workers == 1 or len(shards) == 1:
         results = [run(s) for s in shards]
@@ -530,8 +526,7 @@ def search(cfg: SearchConfig) -> SearchReport:
         k for k, c in enumerate(candidates)
         if c.min_slack < 0.0 or cfg.mode is SearchMode.OPEN_PROBLEM
     ]
-    done = refine([candidates[k] for k in todo], cfg.refine_steps, cfg.mode,
-                  cfg.foot_margin, totals)
+    done = refine([candidates[k] for k in todo], cfg.refine_steps, cfg.mode, totals)
     refined = list(candidates)
     for k, cand in zip(todo, done):
         refined[k] = cand

@@ -213,7 +213,7 @@ def test_criterion_5_consistency_oracles(sweep):
         x, y = sweep["x"][:100_000], sweep["y"][:100_000]
         mxa, mxb, mxc = bulk.medians_arrays(x, y, 1.0)
         direct = 2.0 * bulk.slack_main_arrays(x, y, 1.0, mxa, mxb, mxc)
-        fvals = bulk.normalized_slack_arrays(x, y)
+        fvals = point_values(Target.MAIN_MEDIAN, x, y)
         floor = 1.0 * mxc
         assert (np.abs(fvals - direct)
                 <= 1e-10 * np.maximum.reduce([np.abs(fvals), np.abs(direct),

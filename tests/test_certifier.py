@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cevians import bulk, intervals
+from cevians import bulk
 from cevians.certifier import (
     BoxArray,
     CertificationTask,
@@ -10,7 +10,6 @@ from cevians.certifier import (
     corner_argument_check,
     equal_base_second_factor,
     equal_legs_second_factor,
-    eval_target_interval,
     key_system_identity_floors,
     point_values,
     _VERTEX_0_1,
@@ -20,11 +19,11 @@ from cevians.certifier import (
     _vertex_1_1_bounds,
     _jet_parts,
     _lower_bounds,
+    _natural_enclosure,
     _natural_parts,
     _strict_parts,
 )
-from cevians.exceptions import EmptyIntersectionError
-from cevians.intervals import Box2, Interval, _IntervalOps
+from cevians.intervals import Interval, _IntervalOps
 from cevians.inequalities import isosceles_slack_case1, isosceles_slack_case2
 
 import oracles
@@ -33,59 +32,25 @@ from conftest import sample_domain_boxes
 F_06_08 = 0.1593005229059099113924
 
 
-class TestEvalTargetInterval:
+def _point_box_enclosure(target, xlo, xhi, ylo, yhi):
+    flo, fhi = _natural_enclosure(
+        target, *(np.array([v], dtype=float) for v in (xlo, xhi, ylo, yhi)))
+    return float(flo[0]), float(fhi[0])
+
+
+class TestNaturalEnclosure:
     def test_equality_point_contains_zero(self):
-        enc = eval_target_interval(Target.MAIN_MEDIAN, Box2.from_bounds(1, 1, 1, 1))
-        assert enc.contains(0.0)
+        lo, hi = _point_box_enclosure(Target.MAIN_MEDIAN, 1, 1, 1, 1)
+        assert lo <= 0.0 <= hi
 
     def test_point_box_value(self):
-        enc = eval_target_interval(
-            Target.MAIN_MEDIAN, Box2.from_bounds(0.6, 0.6, 0.8, 0.8)
-        )
-        assert enc.contains(F_06_08)
-        assert enc.width < 1e-13
+        lo, hi = _point_box_enclosure(Target.MAIN_MEDIAN, 0.6, 0.6, 0.8, 0.8)
+        assert lo <= F_06_08 <= hi
+        assert hi - lo < 1e-13
 
     def test_wide_box_contains_interior_value(self):
-        enc = eval_target_interval(
-            Target.MAIN_MEDIAN, Box2.from_bounds(0.55, 0.65, 0.75, 0.85)
-        )
-        assert enc.lo <= F_06_08 <= enc.hi
-
-    def test_empty_intersection(self):
-        with pytest.raises(EmptyIntersectionError):
-            eval_target_interval(Target.MAIN_MEDIAN, Box2.from_bounds(0.1, 0.2, 0.3, 0.4))
-
-    @pytest.mark.parametrize("target", list(Target))
-    def test_containment_random_boxes(self, target, rng):
-        xlo, xhi, ylo, yhi = sample_domain_boxes(rng, 2000)
-        px = np.minimum(xlo + rng.uniform(0, 1, xlo.shape) * (xhi - xlo), xhi)
-        py = np.minimum(ylo + rng.uniform(0, 1, ylo.shape) * (yhi - ylo), yhi)
-        values = point_values(target, px, py)
-        for i in range(0, xlo.shape[0], 97):
-            enc = eval_target_interval(
-                target, Box2.from_bounds(xlo[i], xhi[i], ylo[i], yhi[i])
-            )
-            assert enc.lo <= values[i] <= enc.hi
-
-    @pytest.mark.parametrize("target", list(Target))
-    def test_inclusion_isotonicity(self, target, rng):
-        xlo, xhi, ylo, yhi = sample_domain_boxes(rng, 500)
-        for i in range(0, xlo.shape[0], 23):
-            outer = Box2.from_bounds(xlo[i], xhi[i], ylo[i], yhi[i])
-            qx = 0.25 * (xhi[i] - xlo[i])
-            qy = 0.25 * (yhi[i] - ylo[i])
-            inner = Box2.from_bounds(xlo[i] + qx, xhi[i] - qx,
-                                     ylo[i] + qy, yhi[i] - qy)
-            assert eval_target_interval(target, inner).is_subset_of(
-                eval_target_interval(target, outer)
-            )
-
-    def test_point_values_match_bulk_normalized_slack(self, rng):
-        x, y = bulk.sample_normalized_points(rng, 5000)
-        assert np.array_equal(
-            point_values(Target.MAIN_MEDIAN, x, y),
-            bulk.normalized_slack_arrays(x, y),
-        )
+        lo, hi = _point_box_enclosure(Target.MAIN_MEDIAN, 0.55, 0.65, 0.75, 0.85)
+        assert lo <= F_06_08 <= hi
 
 
 class TestClip:
@@ -339,7 +304,6 @@ class TestCornerArgument:
             monkeypatch.setattr(Interval, op, forbidden)
         assert corner_argument_check(1e-3).both_positive
         certify(CertificationTask(Target.MAIN_MEDIAN, box_budget=200))
-        eval_target_interval(Target.MAIN_MEDIAN, Box2.from_bounds(0.6, 0.7, 0.8, 0.9))
         isosceles_slack_case1(0.8)
         isosceles_slack_case2(0.8)
 
@@ -368,38 +332,38 @@ class TestCornerForm:
     def test_enclosures_contain_mpmath_derivatives(self, target, rng):
         mu = 1e-6
         orders = ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2))
-        for n in (30, intervals._STEP_MIN_SIZE + 30):  # both rounding paths
-            xlo, xhi, ylo, yhi = _clip_to_domain(*sample_domain_boxes(rng, n), mu)[:4]
-            # and boxes that hold (1, 1), as the certifier meets them
-            w = 2.0 ** -np.arange(1, 11)
-            xlo, xhi, ylo, yhi, _ = _clip_to_domain(
-                np.concatenate([xlo, 1.0 - w]), np.concatenate([xhi, np.ones_like(w)]),
-                np.concatenate([ylo, 1.0 - w]), np.concatenate([yhi, np.ones_like(w)]),
-                mu)
-            parts = _jet_parts(target, 2, xlo, xhi, ylo, yhi)
-            natural = _natural_parts(target, xlo, xhi, ylo, yhi)
-            for p, nat in zip(parts, natural):
-                assert np.array_equal(_bits(p.d[0][0]), _bits(nat[0]))
-                assert np.array_equal(_bits(p.d[1][0]), _bits(nat[1]))
-                assert p.ok.all()
-            # the first-order jets that `_lower_bounds` uses are the value
-            # and gradient of the second-order ones, bit for bit
-            first = _jet_parts(target, 1, xlo, xhi, ylo, yhi)
-            assert len(first) == len(parts)
-            for p1, p2 in zip(first, parts):
-                assert len(p1.d[0]) == 3 and len(p2.d[0]) == 6
-                for c in range(3):
-                    assert np.array_equal(_bits(p1.d[0][c]), _bits(p2.d[0][c]))
-                    assert np.array_equal(_bits(p1.d[1][c]), _bits(p2.d[1][c]))
-                assert np.array_equal(p1.ok, p2.ok)
-            last = xlo.shape[0] - 10
-            for i in [*range(0, last, max(1, n // 15)), *range(last, last + 10)]:
-                px = rng.uniform(xlo[i], xhi[i])
-                py = rng.uniform(ylo[i], yhi[i])
-                for comp, order in enumerate(orders):
-                    exact = oracles.target_derivative_hp(target.value, px, py, order)
-                    for p, e in zip(parts, exact):
-                        assert p.d[0][comp][i] <= e <= p.d[1][comp][i], (order, i)
+        n = 300
+        xlo, xhi, ylo, yhi = _clip_to_domain(*sample_domain_boxes(rng, n), mu)[:4]
+        # and boxes that hold (1, 1), as the certifier meets them
+        w = 2.0 ** -np.arange(1, 11)
+        xlo, xhi, ylo, yhi, _ = _clip_to_domain(
+            np.concatenate([xlo, 1.0 - w]), np.concatenate([xhi, np.ones_like(w)]),
+            np.concatenate([ylo, 1.0 - w]), np.concatenate([yhi, np.ones_like(w)]),
+            mu)
+        parts = _jet_parts(target, 2, xlo, xhi, ylo, yhi)
+        natural = _natural_parts(target, xlo, xhi, ylo, yhi)
+        for p, nat in zip(parts, natural):
+            assert np.array_equal(_bits(p.d[0][0]), _bits(nat[0]))
+            assert np.array_equal(_bits(p.d[1][0]), _bits(nat[1]))
+            assert p.ok.all()
+        # the first-order jets that `_lower_bounds` uses are the value
+        # and gradient of the second-order ones, bit for bit
+        first = _jet_parts(target, 1, xlo, xhi, ylo, yhi)
+        assert len(first) == len(parts)
+        for p1, p2 in zip(first, parts):
+            assert len(p1.d[0]) == 3 and len(p2.d[0]) == 6
+            for c in range(3):
+                assert np.array_equal(_bits(p1.d[0][c]), _bits(p2.d[0][c]))
+                assert np.array_equal(_bits(p1.d[1][c]), _bits(p2.d[1][c]))
+            assert np.array_equal(p1.ok, p2.ok)
+        last = xlo.shape[0] - 10
+        for i in [*range(0, last, max(1, n // 15)), *range(last, last + 10)]:
+            px = rng.uniform(xlo[i], xhi[i])
+            py = rng.uniform(ylo[i], yhi[i])
+            for comp, order in enumerate(orders):
+                exact = oracles.target_derivative_hp(target.value, px, py, order)
+                for p, e in zip(parts, exact):
+                    assert p.d[0][comp][i] <= e <= p.d[1][comp][i], (order, i)
 
     @staticmethod
     def _wedge_points(rng, xlo, ylo, mu, count):
@@ -605,47 +569,22 @@ def _bits(a):
 
 class TestOneTreePerBox:
     """The branch-and-bound takes its natural enclosures from the derivative
-    evaluation, so the two must agree bit for bit, on both rounding paths."""
+    evaluation, so the two must agree bit for bit."""
 
     @pytest.mark.parametrize("target", list(Target))
     def test_ad_values_are_the_natural_extension(self, target, rng):
         mu = 1e-6
-        for n in (300, intervals._STEP_MIN_SIZE + 300):
-            boxes = _clip_to_domain(*sample_domain_boxes(rng, n), mu)
-            assert boxes[4].all()
-            xlo, xhi, ylo, yhi = boxes[:4]
-            assert xlo.shape[0] == n
-            natural = _natural_parts(target, xlo, xhi, ylo, yhi)
-            jets = _jet_parts(target, 1, xlo, xhi, ylo, yhi)
-            assert len(jets) == len(natural)
-            for jet, nat in zip(jets, natural):
-                assert np.array_equal(_bits(jet.d[0][0]), _bits(nat[0]))
-                assert np.array_equal(_bits(jet.d[1][0]), _bits(nat[1]))
-
-    def test_wide_levels_certify_as_with_nextafter(self, monkeypatch):
-        # A budget of 8,000 reaches levels of 1,062, 1,658 and 2,542 boxes.
-        task = CertificationTask(target=Target.KEY_SYSTEM, mu=1e-20, delta=1e-8,
-                                 min_box_width=1e-15, max_depth=200,
-                                 box_budget=8_000)
-        steps = []
-        step_up = intervals._step_up
-
-        def counted(w):
-            steps.append(w.size)
-            return step_up(w)
-
-        monkeypatch.setattr(intervals, "_step_up", counted)
-        reports = []
-        for threshold in (intervals._STEP_MIN_SIZE, 10**9):
-            monkeypatch.setattr(intervals, "_STEP_MIN_SIZE", threshold)
-            steps.clear()
-            cert = certify(task)
-            assert bool(steps) == (threshold < 10**9)
-            doc = cert.to_report_dict(include_proven=True)
-            doc["stats"]["wall_time_s"] = 0.0
-            reports.append(doc)
-        assert reports[0]["stats"]["budget_exhausted"]
-        assert reports[0] == reports[1]
+        n = 300
+        boxes = _clip_to_domain(*sample_domain_boxes(rng, n), mu)
+        assert boxes[4].all()
+        xlo, xhi, ylo, yhi = boxes[:4]
+        assert xlo.shape[0] == n
+        natural = _natural_parts(target, xlo, xhi, ylo, yhi)
+        jets = _jet_parts(target, 1, xlo, xhi, ylo, yhi)
+        assert len(jets) == len(natural)
+        for jet, nat in zip(jets, natural):
+            assert np.array_equal(_bits(jet.d[0][0]), _bits(nat[0]))
+            assert np.array_equal(_bits(jet.d[1][0]), _bits(nat[1]))
 
 
 class TestBoxArray:

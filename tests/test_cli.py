@@ -361,6 +361,31 @@ class TestManifestAndReproducibility:
         assert "violations" in load(out3)["search"]
 
 
+
+class TestUnwritableOutput:
+    """An -o path that cannot be written is a usage error: exit 2, no traceback."""
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--sides", "3,4,5", "--cevians", "median"],
+        ["certify", "--target", "altitude-reduced", "--delta", "0"],
+        ["search", "--mode", "open-problem", "--samples", "1000",
+         "--seed", "1", "--refine-steps", "0"],
+        ["table", "--density", "8"],
+    ], ids=lambda argv: argv[0])
+    def test_missing_directory_exits_2(self, tmp_path, capsys, argv):
+        out = tmp_path / "missing" / "out.json"
+        assert run([*argv, "-o", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {out}")
+        assert "Traceback" not in err
+
+    def test_table_manifest_unwritable_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "grid.csv"
+        Path(str(out) + ".manifest.json").mkdir()
+        assert run(["table", "--density", "8", "-o", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: cannot write ")
+
+
 def test_pyproject_version_is_tool_version():
     tomllib = pytest.importorskip("tomllib")
     pyproject = Path(__file__).parent.parent / "pyproject.toml"

@@ -323,12 +323,13 @@ class TestEqualityCharacterization:
         import numpy as np
 
         from cevians import bulk
+        from cevians.certifier import Target, point_values
 
         axis = np.linspace(1e-4, 1.0, 1500)
         gx, gy = np.meshgrid(axis, axis, indexing="ij")
         mask = bulk.in_normalized_domain(gx, gy)
         x, y = gx[mask], gy[mask]
-        f = bulk.normalized_slack_arrays(x, y)
+        f = point_values(Target.MAIN_MEDIAN, x, y)
         tiny = f < 1e-8
         assert (x[tiny] >= 1.0 - 1e-3).all()
         assert (y[tiny] >= 1.0 - 1e-3).all()

@@ -17,6 +17,7 @@ from cevians.kernel import (
 )
 from cevians.inequalities import tolerance_scale
 from cevians.search import (
+    FOOT_MARGIN,
     SHARD_SIZE,
     CandidateRecord,
     SearchConfig,
@@ -55,8 +56,7 @@ SWEEP_CASES = [
 ]
 
 
-def reference_refine(cand, steps, mode=SearchMode.UNCONSTRAINED,
-                     foot_margin=1e-4):
+def reference_refine(cand, steps, mode=SearchMode.UNCONSTRAINED):
     """One candidate's pattern search, one scalar probe at a time.
 
     The loop that ``refine`` runs for all candidates together, kept here
@@ -79,7 +79,7 @@ def reference_refine(cand, steps, mode=SearchMode.UNCONSTRAINED,
         if not (x <= y <= 1.0):
             return None
         for tt in (ta, tb, tc):
-            if not (foot_margin <= tt <= 1.0 - foot_margin):
+            if not (FOOT_MARGIN <= tt <= 1.0 - FOOT_MARGIN):
                 return None
         try:
             t = validate_sides(x * c0, y * c0, c0)

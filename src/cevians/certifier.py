@@ -336,26 +336,6 @@ def _jet_parts(target: Target, order: int, xlo, xhi, ylo, yhi, in_sqrt_x=False):
         return _PARTS[target](_JetOps, x, y)
 
 
-def _anchor_in_domain(xlo, xhi, ylo, yhi, mu: float):
-    """Box midpoint projected into {x + y >= 1 + mu, x <= y} within the box.
-
-    The projection stays inside the box, so mean-value expansions around it
-    remain valid over the box hull; clipped boxes always satisfy
-    xhi + yhi >= 1 + mu and ylo >= xlo, which makes the projection exact.
-    """
-    ax = 0.5 * (xlo + xhi)
-    ay = 0.5 * (ylo + yhi)
-    need = np.maximum(0.0, (1.0 + mu) - (ax + ay))
-    add_y = np.minimum(yhi - ay, need)
-    ax = np.minimum(ax + (need - add_y), xhi)
-    ay = ay + add_y
-    mid = 0.5 * (ax + ay)
-    swap = ax > ay
-    ax = np.where(swap, mid, ax)
-    ay = np.where(swap, mid, ay)
-    return ax, ay
-
-
 def key_system_identity_floors(mu: float) -> dict:
     """Domain floors certifying the second key residual nonnegative on W(mu).
 
@@ -395,15 +375,12 @@ def _strict_parts(target: Target, mu: float, n: int) -> list[int]:
 def _lower_bounds(target: Target, xlo, xhi, ylo, yhi, mu: float):
     """Best rigorous per-box lower bound over the domain part of each box.
 
-    Combines the natural extension with two mean-value forms anchored at a
-    domain-feasible point: one over per-axis displacements, and one over
-    the rotated displacements (dx + dy, dx - dy) whose ranges are
-    intersected with the domain constraints x + y >= 1 + mu and x <= y.
-    The rotated form is what resolves boxes hugging the degeneracy edge,
-    where the whole box hull spills below the constraint and every
-    hull-wide bound is inevitably negative.  Mean-value bounds are used
-    only on lanes whose `ok` flag says every radicand is strictly positive
-    over the box hull (differentiability on every segment).
+    The larger of the natural extension and the mean-value form
+    F(m) + grad(X) * (X - m) about the box midpoint m.  The midpoint lies
+    in the box, and the mean-value bound is used only on lanes whose `ok`
+    flag says every radicand is strictly positive over the box hull, so
+    F is differentiable on every segment from m, and F(m) is enclosed even
+    where m itself lies outside the domain.
 
     For the key system, the second residual vanishes identically on the
     curve 2b^2 = a^2 + c^2, so it is certified nonnegative through the
@@ -418,45 +395,18 @@ def _lower_bounds(target: Target, xlo, xhi, ylo, yhi, mu: float):
     jets = _jet_parts(target, 1, xlo, xhi, ylo, yhi)
     strict = _strict_parts(target, mu, len(jets))
 
-    ax, ay = _anchor_in_domain(xlo, xhi, ylo, yhi, mu)
-    anchor = _PARTS[target](_IntervalOps, (ax, ax), (ay, ay))
-
-    # Per-axis displacement ranges around the anchor.
-    dx_rng = (_round_down(xlo - ax), _round_up(xhi - ax))
-    dy_rng = (_round_down(ylo - ay), _round_up(yhi - ay))
-
-    # Rotated displacements: ds = dx + dy floored by the degeneracy
-    # constraint, dv = dx - dy capped by the ordering constraint.
-    axy_up = _round_up(ax + ay)
-    axy_dn = _round_down(ax + ay)
-    ds_lo = np.maximum(
-        _round_down(_round_down(1.0 + mu) - axy_up),
-        _round_down(_round_down(xlo + ylo) - axy_up),
-    )
-    ds_hi = _round_up(_round_up(xhi + yhi) - axy_dn)
-    avv_up = _round_up(ax - ay)
-    avv_dn = _round_down(ax - ay)
-    dv_lo = _round_down(_round_down(xlo - yhi) - avv_up)
-    dv_hi = np.minimum(_round_up(_round_up(xhi - ylo) - avv_dn), _round_up(ay - ax))
-    dv_hi = np.maximum(dv_hi, dv_lo)
-    ds_rng = (ds_lo, ds_hi)
-    dv_rng = (dv_lo, dv_hi)
+    mx = 0.5 * (xlo + xhi)
+    my = 0.5 * (ylo + yhi)
+    mid = _PARTS[target](_IntervalOps, (mx, mx), (my, my))
+    dx = (_round_down(xlo - mx), _round_up(xhi - mx))
+    dy = (_round_down(ylo - my), _round_up(yhi - my))
 
     best = None
     for k in strict:
-        (v, gx, gy), anc = (_rows(jets[k].d, i) for i in range(3)), anchor[k]
-        axis_term = _IntervalOps.add(
-            _IntervalOps.mul(gx, dx_rng), _IntervalOps.mul(gy, dy_rng)
-        )
-        gs = _IntervalOps.mul_const(_IntervalOps.add(gx, gy), 0.5)
-        gv = _IntervalOps.mul_const(_IntervalOps.sub(gx, gy), 0.5)
-        rot_term = _IntervalOps.add(
-            _IntervalOps.mul(gs, ds_rng), _IntervalOps.mul(gv, dv_rng)
-        )
+        v, gx, gy = (_rows(jets[k].d, i) for i in range(3))
+        term = _IntervalOps.add(_IntervalOps.mul(gx, dx), _IntervalOps.mul(gy, dy))
         with np.errstate(invalid="ignore"):
-            centered = np.maximum(
-                _round_down(anc[0] + axis_term[0]), _round_down(anc[0] + rot_term[0])
-            )
+            centered = _round_down(mid[k][0] + term[0])
         usable = jets[k].ok & np.isfinite(centered)
         part_lo = np.where(usable, np.maximum(v[0], centered), v[0])
         best = part_lo if best is None else np.minimum(best, part_lo)
@@ -630,16 +580,20 @@ _VERTICES = (_VERTEX_1_1, _VERTEX_0_1)
 
 
 def _clip_to_domain(xlo, xhi, ylo, yhi, mu: float):
-    """Tightest axis-aligned bounding box of box ∩ {mu<=x<=y<=1, x+y>=1+mu}.
+    """Axis-aligned bounding box of box ∩ {mu<=x<=y<=1, x+y>=1+mu}.
 
-    Points outside the simplex may remain in the clipped box (its corners),
-    which is sound for enclosures; emptiness is decided conservatively.
+    Each bound is the tightest binary64 value but one: the floor
+    (1 + mu) - xhi on y is exact only for xhi >= (1 + mu)/2 (Sterbenz), so
+    it is rounded down, lest part of W lie in no box; (1 + mu) - yhi is
+    exact on every nonempty box.  Points outside the simplex may remain in
+    the clipped box (its corners), which is sound for enclosures;
+    emptiness is decided conservatively.
     """
     yhi = np.minimum(yhi, 1.0)
     ylo = np.maximum(ylo, 0.5 * (1.0 + mu))
     xlo = np.maximum(np.maximum(xlo, mu), (1.0 + mu) - yhi)
     xhi = np.minimum(xhi, yhi)
-    ylo = np.maximum(np.maximum(ylo, xlo), (1.0 + mu) - xhi)
+    ylo = np.maximum(np.maximum(ylo, xlo), _round_down((1.0 + mu) - xhi))
     nonempty = (xlo <= xhi) & (ylo <= yhi) & (xhi > 0.0)
     return xlo, xhi, ylo, yhi, nonempty
 

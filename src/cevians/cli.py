@@ -101,12 +101,14 @@ def _emit(doc: dict, output: str | None) -> None:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cevians",
+        allow_abbrev=False,
         description="Verify, rigorously certify, and search the "
                     "triangle-Cevian inequalities.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    v = sub.add_parser("verify", help="evaluate every applicable slack for one triangle")
+    v = sub.add_parser("verify", allow_abbrev=False,
+                       help="evaluate every applicable slack for one triangle")
     v.add_argument("--sides", help="three side lengths a,b,c in any order")
     v.add_argument("--normalized", help="normalized pair x,y (implies c = 1)")
     v.add_argument(
@@ -125,7 +127,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     v.add_argument("-o", "--output", help="write the JSON report to this path")
 
-    c = sub.add_parser("certify", help="rigorous branch-and-bound certification")
+    c = sub.add_parser("certify", allow_abbrev=False,
+                       help="rigorous branch-and-bound certification")
     c.add_argument("--target", required=True, choices=[t.value for t in Target])
     c.add_argument("--mu", type=float, default=1e-6, help="degeneracy buffer (default 1e-6)")
     c.add_argument("--delta", type=float, default=1e-3,
@@ -140,7 +143,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="write the full proven box list into the report")
     c.add_argument("-o", "--output")
 
-    s = sub.add_parser("search", help="randomized counterexample search")
+    s = sub.add_parser("search", allow_abbrev=False,
+                       help="randomized counterexample search")
     s.add_argument("--mode", required=True,
                    choices=[m.value for m in SearchMode])
     s.add_argument("--samples", type=int, required=True)
@@ -154,7 +158,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="shard worker threads; results are identical for any count")
     s.add_argument("-o", "--output")
 
-    t = sub.add_parser("table", help="CSV grid of the normalized main slack")
+    t = sub.add_parser("table", allow_abbrev=False,
+                       help="CSV grid of the normalized main slack")
     t.add_argument("--density", type=int, required=True,
                    help="grid points per axis (at least 2)")
     t.add_argument("-o", "--output", help="write CSV here (manifest goes to "

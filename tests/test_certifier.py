@@ -1,3 +1,7 @@
+import re
+from fractions import Fraction
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -68,6 +72,53 @@ class TestClip:
         )
         assert bool(ok[0])
         assert ylo[0] >= 0.5
+
+    @staticmethod
+    def _exact_hull(xlo, xhi, ylo, yhi, mu):
+        """Bounding box of box ∩ W in exact arithmetic, or None if it is empty."""
+        s, xlo, xhi, ylo, yhi = (Fraction(v) for v in (1.0 + mu, xlo, xhi, ylo, yhi))
+        yhi = min(yhi, 1)
+        xlo, xhi = max(xlo, Fraction(mu)), min(xhi, yhi)
+        y_floor = max(ylo, xlo, s / 2, s - xhi)
+        if xlo > xhi or y_floor > yhi:
+            return None
+        return max(xlo, s - yhi), xhi, y_floor, yhi
+
+    def _assert_covers(self, raw, clipped, mu):
+        hull = self._exact_hull(*raw, mu)
+        if hull is not None:
+            xlo, xhi, ylo, yhi, ok = clipped
+            assert ok and Fraction(xlo) <= hull[0] and Fraction(ylo) <= hull[2], raw
+            assert Fraction(xhi) >= hull[1] and Fraction(yhi) >= hull[3], raw
+
+    def test_y_floor_is_rounded_down(self):
+        # (1 + mu) - xhi rounds up to 0.625375375 here, 5.55e-17 above the
+        # exact difference, which would leave a sliver of W in no box.
+        mu, raw = 1e-6, (0.24975075000000002, 0.374625625, 0.5005004999999999,
+                         0.7502502499999999)
+        clipped = [float(a[0]) for a in _clip_to_domain(*(np.array([v]) for v in raw), mu)]
+        assert Fraction(clipped[2]) <= Fraction(1.0 + mu) - Fraction(raw[1])
+        self._assert_covers(raw, clipped, mu)
+
+    def test_certify_clips_keep_the_whole_domain(self, monkeypatch):
+        from cevians import certifier
+
+        clip = certifier._clip_to_domain
+        seen = []
+
+        def checked(xlo, xhi, ylo, yhi, mu):
+            out = clip(xlo, xhi, ylo, yhi, mu)
+            for i in range(xlo.shape[0]):
+                self._assert_covers([float(a[i]) for a in (xlo, xhi, ylo, yhi)],
+                                    [a[i] for a in out], mu)
+            seen.append(xlo.shape[0])
+            return out
+
+        monkeypatch.setattr(certifier, "_clip_to_domain", checked)
+        for target in Target:
+            for mu, delta in ((1e-6, 1e-3), (1e-12, 0.0)):
+                certify(CertificationTask(target=target, mu=mu, delta=delta))
+        assert sum(seen) > 1000
 
 
 class TestCertify:
@@ -215,6 +266,13 @@ class TestProvingBoundSoundness:
             boxes.append((x0, x0 + w, rng.uniform(1.0 - 3e-3, 1.0 - w),
                           rng.uniform(1.0 - 3e-3, 1.0 - w) + w))
 
+        for _ in range(60):  # lower-left corner cut off by the edge
+            x0 = rng.uniform(1e-3, 0.499)
+            w = 10 ** rng.uniform(-7, -1.5)
+            y0 = 1.0 + mu - x0 - rng.uniform(1, 2) * w
+            boxes.append((x0, x0 + w, y0, y0 + w))
+
+        mean_value_outside = 0
         for raw in boxes:
             arr = [np.array([v]) for v in raw]
             xlo, xhi, ylo, yhi, ok = _clip_to_domain(*arr, mu)
@@ -225,10 +283,18 @@ class TestProvingBoundSoundness:
             mask = (px >= mu) & (px <= py) & (py <= 1.0) & (px + py >= 1.0 + mu)
             if not mask.any():
                 continue
+            mx, my = 0.5 * (xlo[0] + xhi[0]), 0.5 * (ylo[0] + yhi[0])
+            mid_outside = Fraction(mx) + Fraction(my) < Fraction(1.0 + mu) or mx > my
             for target in Target:
                 bound = float(_lower_bounds(target, xlo, xhi, ylo, yhi, mu)[0])
                 sampled = self._strict_point_min(target, px[mask], py[mask])
                 assert bound <= sampled.min()
+                if mid_outside:
+                    jets = _jet_parts(target, 1, xlo, xhi, ylo, yhi)
+                    mean_value_outside += all(
+                        jets[k].ok[0] for k in _strict_parts(target, mu, len(jets)))
+        # Lanes where the mean-value form expands about a midpoint outside W.
+        assert mean_value_outside > 0
 
 
 class TestCornerArgument:
@@ -561,6 +627,32 @@ class TestVertexForms:
                 assert counts["vertex_0_1"] == 0
             doc = cert.to_report_dict()["stats"]
             assert doc["proven_by"] == counts and doc["levels"] == cert.stats.levels
+
+
+class TestReadmeTable:
+    """The README's table of boxes processed / levels at delta = 0 is what
+    `certify` gives, cell by cell."""
+
+    def test_cells_match_certify(self):
+        text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        lines = text[text.index("| target | `--mu"):].split("\n\n", 1)[0].splitlines()
+        mus = [float(m) for m in re.findall(r"`--mu ([^`]+)`", lines[0])]
+        checked = 0
+        for line in lines[2:]:
+            name, *cells, corner_width = (c.strip() for c in line.strip("|").split("|"))
+            for mu, cell in zip(mus, cells, strict=True):
+                m = re.match(r"([\d,]+) / (\d+)(?:, (\d+) undecided)?", cell)
+                if m is None:
+                    assert cell.startswith("does not close")
+                    continue
+                cert = certify(CertificationTask(target=Target(name), mu=mu, delta=0.0))
+                stats = cert.stats
+                assert (stats.boxes_processed, stats.levels, cert.undecided_count) == (
+                    int(m[1].replace(",", "")), int(m[2]), int(m[3] or 0)), (name, mu)
+                width = cert.corner.xhi[0] - cert.corner.xlo[0]
+                assert f"1/{round(1 / width)}" == corner_width, (name, mu)
+                checked += 1
+        assert checked == 14
 
 
 def _bits(a):

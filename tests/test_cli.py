@@ -218,6 +218,18 @@ class TestCertify:
         assert err.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["certify", "--target", "main-median", "--del", "0"],
+    ["search", "--mode", "open-problem", "--samp", "10"],
+])
+def test_abbreviated_flags_exit_2(argv):
+    # A prefix of a flag is not the flag, so renaming a flag cannot leave
+    # its old spelling silently accepted.
+    with pytest.raises(SystemExit) as err:
+        run(argv)
+    assert err.value.code == 2
+
+
 class TestSearch:
     def test_unconstrained_finds_violation(self, tmp_path):
         out = tmp_path / "s.json"

@@ -20,22 +20,27 @@ The branch-and-bound additionally prunes with the mean-value form
 f(m) + grad(X) * (X - m), which is what keeps box counts bounded away from
 the points where a target is 0.
 
-Two such points lie on the domain's closure, the equality vertices of
-`_VERTICES`: the equilateral point (1, 1), where every target is 0, and
-the flat triangle (0, 1), where main-median, quadratic-median and
-scalene-lemma are.  No bound over a box can be positive near a zero, so
-near them the bounds shrink only with the box and the levels pile up.  A
-box that the bounds above leave unproven and that lies within twice its
-width of a vertex is tried with a Taylor form at the vertex (Moore,
-Kearfott and Cloud, *Introduction to Interval Analysis*, SIAM 2009),
-evaluated over the box extended to the vertex and built on exact facts
-of the target there: second order at (1, 1) (:func:`_vertex_1_1_bounds`),
-first order at (0, 1) in x or in s = sqrt(x) (:func:`_vertex_0_1_bounds`).
-It proves the box positive, or, at delta = 0 for the one box that holds
-(1, 1), >= 0 with equality only at (1, 1): that box is the corner box.
-The derivative forms are applied only where every radicand is strictly
-positive over the whole box hull, so the expression is differentiable on
-every segment the argument needs.
+Three such points lie on the closure of the domain, the equality vertices
+of `_VERTICES`: the equilateral point (1, 1), where every target is 0;
+the flat triangle (0, 1), where main-median, quadratic-median,
+scalene-lemma and key-system's r2 and r3 are; and the flat triangle
+(1/2, 1/2), where key-system's r1 and r2 are.  No bound over a box can be
+positive near a zero, so near them the bounds shrink only with the box
+and the levels pile up.  A box that the bounds above leave unproven and
+that lies within twice its width of a vertex is tried with a Taylor form
+at the vertex (Moore, Kearfott and Cloud, *Introduction to Interval
+Analysis*, SIAM 2009), evaluated over the box extended to the vertex and
+built on exact facts of each part there: second order at (1, 1)
+(:func:`_vertex_1_1_bounds`), first order at (0, 1) in x or in
+s = sqrt(x) (:func:`_vertex_0_1_bounds`), and first order for the smooth
+part of r1 at (1/2, 1/2), with its non-smooth part y*rc bounded below
+(:func:`_vertex_half_bounds`).  A part that is not 0 at the vertex takes
+its natural enclosure, and key-system's r2 takes the square identity.
+The form proves the box positive, or, at delta = 0 for the one box that
+holds (1, 1), >= 0 with equality only at (1, 1): that box is the corner
+box.  The derivative forms are applied only where every radicand is
+strictly positive over the whole box hull, so the expression is
+differentiable on every segment the argument needs.
 """
 
 from __future__ import annotations
@@ -268,6 +273,12 @@ def _parts_key_system(ops, x, y):
     return (r1, r2, r3)
 
 
+def _key_r1_smooth(ops, x, y):
+    """rb - 2x*ra: key-system's r1 less its term y*rc, smooth at (1/2, 1/2)."""
+    _, _, ra, rb, _ = _doubled_medians(ops, x, y)
+    return (ops.sub(rb, ops.mul(ops.add(x, x), ra)),)
+
+
 def _parts_altitude_reduced(ops, x, y):
     t = ops.add(ops.add(ops.mul(x, y), ops.div(x, y)), ops.div(y, x))
     return (ops.sub(t, ops.add_const(ops.add(x, y), 1.0)),)
@@ -321,6 +332,11 @@ def _jet_parts(target: Target, order: int, xlo, xhi, ylo, yhi, in_sqrt_x=False):
     derivatives are taken in (s, y), and the target (main-median or
     scalene-lemma) gets x = s*s and s itself for sqrt(x).
     """
+    return _jets(_PARTS[target], order, xlo, xhi, ylo, yhi, in_sqrt_x)
+
+
+def _jets(parts, order: int, xlo, xhi, ylo, yhi, in_sqrt_x=False):
+    """`parts(_JetOps, x, y)` with x and y seeded over the boxes."""
     ok = np.ones(np.shape(xlo), dtype=bool)
 
     def seed(lo, hi, row):
@@ -332,8 +348,8 @@ def _jet_parts(target: Target, order: int, xlo, xhi, ylo, yhi, in_sqrt_x=False):
     x, y = seed(xlo, xhi, 1), seed(ylo, yhi, 2)
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         if in_sqrt_x:
-            return _PARTS[target](_JetOps, _JetOps.mul(x, x), y, sqrt_x=x)
-        return _PARTS[target](_JetOps, x, y)
+            return parts(_JetOps, _JetOps.mul(x, x), y, sqrt_x=x)
+        return parts(_JetOps, x, y)
 
 
 def key_system_identity_floors(mu: float) -> dict:
@@ -413,6 +429,30 @@ def _lower_bounds(target: Target, xlo, xhi, ylo, yhi, mu: float):
     return best
 
 
+def _least_over_parts(target: Target, mu: float, facts: tuple, box, form):
+    """The least per-part bound of a vertex form over the strict parts.
+
+    `facts` holds one entry per part.  "natural" marks a part that is not 0
+    at the vertex: its natural lower bound over the box stands in.  None
+    marks a part that is 0 there with no form; it is admissible only when
+    the part is not strict (key-system's r2, by the square identity), and
+    a strict one gives -inf.  Any other entry names the part's Taylor form,
+    whose bound `form(k)` returns.
+    """
+    best = natural = None
+    for k in _strict_parts(target, mu, len(facts)):
+        if facts[k] is None:
+            least = np.full(np.shape(box[0]), -_INF)
+        elif facts[k] == "natural":
+            if natural is None:
+                natural = _natural_parts(target, *box)
+            least = natural[k][0]
+        else:
+            least = form(k)
+        best = least if best is None else np.minimum(best, least)
+    return best
+
+
 def _vertex_1_1_bounds(target: Target, xlo, xhi, ylo, yhi, mu: float):
     """Taylor-form bound at (1, 1), over each box extended to [xlo,1] x [ylo,1].
 
@@ -434,64 +474,114 @@ def _vertex_1_1_bounds(target: Target, xlo, xhi, ylo, yhi, mu: float):
     positive, every strict part is >= 0 on the box and 0 only at (1, 1).
     Lanes where a radicand or divisor can reach 0 get -inf.
     """
+    facts = _VERTEX_1_1.facts[target]
     one = np.ones_like(xhi)
     parts = _jet_parts(target, 2, xlo, one, ylo, one)
-    best = None
-    for k in _strict_parts(target, mu, len(parts)):
+
+    def form(k):
         gx, gy, hxx, hxy, hyy = (_rows(parts[k].d, i) for i in range(1, 6))
-        if _VERTEX_1_1.facts[target][k] == 2:
+        if facts[k] == 2:
             b1 = _IntervalOps.add(hxx, hxy)
             b2 = _IntervalOps.add(b1, _IntervalOps.add(hxy, hyy))
             least = np.minimum(np.minimum(hxx[0], b1[0]), b2[0])
         else:
             least = np.minimum(-gx[1], -_IntervalOps.add(gx, gy)[1])
-        least = np.where(parts[k].ok & np.isfinite(least), least, -_INF)
-        best = least if best is None else np.minimum(best, least)
-    return best
+        return np.where(parts[k].ok & np.isfinite(least), least, -_INF)
+
+    return _least_over_parts(target, mu, facts, (xlo, xhi, ylo, yhi), form)
 
 
 def _vertex_0_1_bounds(target: Target, xlo, xhi, ylo, yhi, mu: float):
     """First-order bound at (0, 1), over each box extended to [0,xhi] x [ylo,1].
 
-    On the domain, x + y >= 1 and y <= 1, so y - 1 lies in [-x, 0].  With
-    F(0, 1) = 0 (`_VERTEX_0_1`), the mean-value theorem along the segment
-    from (0, 1) to p, with the derivatives enclosed over the extended box,
-    gives, in the variable the facts name:
+    On the domain, x + y >= 1 and y <= 1, so y - 1 lies in [-x, 0].  For a
+    part with F(0, 1) = 0 (`_VERTEX_0_1`), the mean-value theorem along the
+    segment from (0, 1) to p, with the derivatives enclosed over the
+    extended box, gives, in the variable the facts name:
 
         x:  F >= x * (gx - max(gy, 0)),
         s = sqrt(x), y - 1 in [-s^2, 0]:  F >= s * (gs - s_hi*max(gy, 0)),
 
     taking the lower endpoint of gx or gs and the upper one of gy.  Returns
-    that coefficient, rounded down; where it is positive, F > 0 on the box,
-    since x >= mu > 0 there.  Main-median and scalene-lemma have sqrt(x),
-    which is not differentiable at x = 0, so they are expanded in s over
-    [0, sqrt(xhi)], where the target is a smooth function of (s, y).
+    the least such coefficient, rounded down, and the natural lower bound
+    of each strict part that is not 0 there (key-system's r1 = 2); where it
+    is positive, every strict part is > 0 on the box, since x >= mu > 0
+    there.  Main-median and scalene-lemma have sqrt(x), which is not
+    differentiable at x = 0, so they are expanded in s over [0, sqrt(xhi)],
+    where the target is a smooth function of (s, y).
     Lanes where a radicand or divisor can reach 0 get -inf.
     """
+    facts = _VERTEX_0_1.facts[target]
     zero, one = np.zeros_like(xhi), np.ones_like(xhi)
-    if _VERTEX_0_1.facts[target] == "s":
+    if "s" in facts:
         s_hi = _round_up(np.sqrt(xhi))
         parts = _jet_parts(target, 1, zero, s_hi, ylo, one, in_sqrt_x=True)
     else:
         s_hi = one
         parts = _jet_parts(target, 1, zero, xhi, ylo, one)
-    best = None
-    for k in _strict_parts(target, mu, len(parts)):
+
+    def form(k):
         g, gy = _rows(parts[k].d, 1), _rows(parts[k].d, 2)
         with np.errstate(invalid="ignore"):
             least = _round_down(g[0] - _round_up(s_hi * np.maximum(gy[1], 0.0)))
-        least = np.where(parts[k].ok & np.isfinite(least), least, -_INF)
-        best = least if best is None else np.minimum(best, least)
-    return best
+        return np.where(parts[k].ok & np.isfinite(least), least, -_INF)
+
+    return _least_over_parts(target, mu, facts, (xlo, xhi, ylo, yhi), form)
+
+
+def _vertex_half_bounds(target: Target, xlo, xhi, ylo, yhi, mu: float):
+    """Bound at (1/2, 1/2) for key-system's r1, over each box extended to it.
+
+    At (1/2, 1/2), ra = rb = 3/2 and rc = 0, so rc is not differentiable
+    there, but r1 = f + y*rc with f = rb - 2x*ra smooth and 0 there
+    (`_VERTEX_HALF`).  In u = x + y - 1 and v = y - x, the domain has
+    u >= fl(1 + mu) - 1 >= 0 and v >= 0, and rc^2 = 2u + u^2 + v^2.  The
+    mean-value theorem for f along the segment from (1/2, 1/2) to p, with
+    the gradient enclosed over the extended box, gives
+
+        f = u*(gx + gy)/2 + v*(gy - gx)/2 >= A*u + lo(B*[vlo, vhi]),
+
+    with A = lo((gx + gy)/2) and B = (gy - gx)/2, and y*rc >= ylo*sqrt(2u +
+    vlo^2).  So r1 >= g(u) = A*u + lo(B*[vlo, vhi]) + ylo*sqrt(2u + vlo^2),
+    which is concave in u: its least value over [ulo, uhi] is at an end.
+    Returns the lesser end, each step rounded down, and the natural lower
+    bound of r3 (3/2 at the vertex); where it is positive, r1 > 0 and
+    r3 > 0 on the box.  Lanes where a radicand of f can reach 0 get -inf.
+    """
+    facts = _VERTEX_HALF.facts[target]
+    add, sub, mul_const = _IntervalOps.add, _IntervalOps.sub, _IntervalOps.mul_const
+
+    def form(k):
+        (f,) = _jets(_key_r1_smooth, 1, np.minimum(xlo, 0.5), np.maximum(xhi, 0.5),
+                     np.minimum(ylo, 0.5), np.maximum(yhi, 0.5))
+        gx, gy = _rows(f.d, 1), _rows(f.d, 2)
+        a = mul_const(add(gx, gy), 0.5)[0]
+        vlo = np.maximum(_round_down(ylo - xhi), 0.0)
+        bv = _IntervalOps.mul(mul_const(sub(gy, gx), 0.5), (vlo, _round_up(yhi - xlo)))[0]
+        v2 = _round_down(vlo * vlo)
+        ulo = np.maximum(_round_down(_round_down(xlo + ylo) - 1.0), (1.0 + mu) - 1.0)
+        uhi = _round_up(_round_up(xhi + yhi) - 1.0)
+        least = None
+        with np.errstate(invalid="ignore"):
+            for u in (ulo, uhi):
+                root = _round_down(np.sqrt(_round_down(2.0 * u + v2)))
+                g = _round_down(_round_down(_round_down(a * u) + bv) + _round_down(ylo * root))
+                least = g if least is None else np.minimum(least, g)
+        return np.where(f.ok & np.isfinite(least), least, -_INF)
+
+    return _least_over_parts(target, mu, facts, (xlo, xhi, ylo, yhi), form)
 
 
 class _Vertex:
     """An equality vertex (x, y) of the domain's closure, and the form that
     proves boxes near it.
 
-    `facts` maps each target that is 0 at the vertex to the exact facts its
-    form relies on; `bounds` returns, per box, a coefficient that proves
-    the box where it is positive.  `name` is its `stats.proven_by` key.
+    `facts` maps each target that has a part equal to 0 at the vertex to one
+    entry per part: what that part's form relies on, "natural" for a part
+    that is not 0 there, or None for a part with no form (see
+    :func:`_least_over_parts`).  `bounds` returns, per box, a value that
+    proves the box where it is positive.  `name` is its `stats.proven_by`
+    key.
     """
 
     __slots__ = ("name", "x", "y", "facts", "bounds")
@@ -530,7 +620,7 @@ _VERTEX_1_1 = _Vertex(
     },
     _vertex_1_1_bounds,
 )
-"""The equilateral point (1, 1).  Its facts hold one entry per target part.
+"""The equilateral point (1, 1), where every part of every target is 0.
 
 Each entry is the order of the first nonzero term of the part's Taylor
 expansion at (1, 1): 2 means value and gradient are exactly 0, 1 means
@@ -555,28 +645,50 @@ key-system's r1 and r2 swap into each other.
 _VERTEX_0_1 = _Vertex(
     "vertex_0_1", 0.0, 1.0,
     {
-        Target.MAIN_MEDIAN: "s",
-        Target.QUADRATIC_MEDIAN: "x",
-        Target.SCALENE_LEMMA: "s",
+        Target.MAIN_MEDIAN: ("s",),
+        Target.QUADRATIC_MEDIAN: ("x",),
+        Target.KEY_SYSTEM: ("natural", None, "x"),
+        Target.SCALENE_LEMMA: ("s",),
     },
     _vertex_0_1_bounds,
 )
-"""The flat triangle (0, 1, 1).  Its facts name the expansion variable.
+"""The flat triangle (0, 1, 1).  Each 0 part's entry names its expansion
+variable.
 
-At (0, 1), ra = 2 and rb = rc = 1, and every target listed is exactly 0:
-main-median is 2*(1 - 0) + 1*(0 - 1) + 1*(0 - 1), quadratic-median is
-1*2 - 1*1 - 1*1, and scalene-lemma is 2*1 + 1*(0 - 1) - 1.  In s = sqrt(x)
-(x = s^2, so d/ds of any smooth function of x is 0 at s = 0), the
-main-median has dF/ds = rb + rc*sqrt(y) = 2 and the scalene-lemma
-dF/ds = rb = 1; quadratic-median, analytic in x, has dF/dx = rb + y*rc = 2.
-All three have dF/dy = 0: for main-median 1 + 1 + 1 - 1 - 2, with
-d ra/dy = 2y/ra = 1, d rb/dy = -y/rb = -1 and d rc/dy = 2y/rc = 2.
-Altitude-reduced grows like 1/x there.  Key-system has no entry either:
-its r2 and r3 are 0 at (0, 1), but r1 is 2, and the form needs every
-strict part to be 0 at the vertex.
+At (0, 1), ra = 2 and rb = rc = 1, and main-median, quadratic-median and
+scalene-lemma are exactly 0: main-median is 2*(1 - 0) + 1*(0 - 1) +
+1*(0 - 1), quadratic-median is 1*2 - 1*1 - 1*1, and scalene-lemma is
+2*1 + 1*(0 - 1) - 1.  In s = sqrt(x) (x = s^2, so d/ds of any smooth
+function of x is 0 at s = 0), the main-median has dF/ds = rb + rc*sqrt(y)
+= 2 and the scalene-lemma dF/ds = rb = 1; quadratic-median, analytic in
+x, has dF/dx = rb + y*rc = 2.  All three have dF/dy = 0: for main-median
+1 + 1 + 1 - 1 - 2, with d ra/dy = 2y/ra = 1, d rb/dy = -y/rb = -1 and
+d rc/dy = 2y/rc = 2.  Key-system is analytic in x there:
+r1 = rb + y*rc - 2x*ra = 2, r2 = ra + x*rc - 2y*rb = 0 (covered by the
+square identity), and r3 = x*rb + y*ra - 2*rc = 0 with
+grad r3 = (rb + y*(d ra/dx) - 2*(d rc/dx), ra + y*(d ra/dy) - 2*(d rc/dy))
+= (1 + 0 - 0, 2 + 1 - 4) = (1, -1), as d ra/dx = -x/ra and
+d rc/dx = 2x/rc are 0.  Altitude-reduced grows like 1/x there and has no
+entry.
 """
 
-_VERTICES = (_VERTEX_1_1, _VERTEX_0_1)
+_VERTEX_HALF = _Vertex(
+    "vertex_half_half", 0.5, 0.5,
+    {Target.KEY_SYSTEM: ("split", None, "natural")},
+    _vertex_half_bounds,
+)
+"""The flat triangle (1/2, 1/2, 1), a zero of key-system's r1 and r2.
+
+It lies outside W, since x + y >= fl(1 + mu) > 1 wherever the square
+identity applies, so no box holds it.  There ra^2 = rb^2 = 2 + 1/2 - 1/4,
+so ra = rb = 3/2, and rc^2 = 1/2 + 1/2 - 1 = 0.  Then r1 = 3/2 - 3/2 = 0
+and r2 = 0 (covered by the square identity), and r3 = 3/4 + 3/4 = 3/2.
+r1 is "split" into f + y*rc: f = rb - 2x*ra has f = 0 and, with
+d ra = (-x, 2y)/ra = (-1/3, 2/3) and d rb = (2x, -y)/rb = (2/3, -1/3),
+grad f = (2/3 - 3 + 1/3, -1/3 - 2/3) = (-2, -1).
+"""
+
+_VERTICES = (_VERTEX_1_1, _VERTEX_0_1, _VERTEX_HALF)
 
 
 def _clip_to_domain(xlo, xhi, ylo, yhi, mu: float):
@@ -648,13 +760,19 @@ class CertificateStats:
     `levels` counts the levels whose boxes were bounded.  `proven_by`
     counts the proven boxes by the form that proved them: `bound` for
     :func:`_lower_bounds`, and a vertex's name for its Taylor form; the
-    corner box is not a proven box and is not counted.
+    corner box is not a proven box and is not counted.  `per_level` holds
+    [boxes, proven, stuck, split] for each of those levels: boxes bounded,
+    boxes proven, boxes left undecided at the depth or width limit, and
+    boxes bisected; the rest of a level's boxes is the corner box.  A run
+    that exhausts its budget also reports its unprocessed queue undecided,
+    which no level counts.
     """
 
     boxes_processed: int = 0
     max_depth_reached: int = 0
     levels: int = 0
     proven_by: dict = field(default_factory=_proof_counts)
+    per_level: list = field(default_factory=list)
     budget_exhausted: bool = False
     wall_time_s: float = 0.0
 
@@ -705,6 +823,7 @@ class Certificate:
                 "max_depth_reached": self.stats.max_depth_reached,
                 "levels": self.stats.levels,
                 "proven_by": dict(self.stats.proven_by),
+                "per_level": [list(level) for level in self.stats.per_level],
                 "budget_exhausted": self.stats.budget_exhausted,
                 "wall_time_s": self.stats.wall_time_s,
             },
@@ -838,6 +957,8 @@ def certify(task: CertificationTask) -> Certificate:
         stuck = ~decided & ((width <= task.min_box_width) | (depth >= task.max_depth))
         split = ~decided & ~stuck
 
+        stats.per_level.append([n, int(proven.sum()), int(stuck.sum()),
+                                int(split.sum())])
         if proven.any():
             proven_parts.append((xlo[proven], xhi[proven],
                                  ylo[proven], yhi[proven]))

@@ -1,3 +1,4 @@
+import math
 import re
 from fractions import Fraction
 from pathlib import Path
@@ -18,10 +19,14 @@ from cevians.certifier import (
     point_values,
     _VERTEX_0_1,
     _VERTEX_1_1,
+    _VERTEX_HALF,
+    _VERTICES,
     _clip_to_domain,
     _vertex_0_1_bounds,
     _vertex_1_1_bounds,
+    _vertex_half_bounds,
     _jet_parts,
+    _least_over_parts,
     _lower_bounds,
     _natural_enclosure,
     _natural_parts,
@@ -181,6 +186,38 @@ class TestCertify:
         cert = certify(CertificationTask(target=Target.MAIN_MEDIAN, box_budget=50))
         assert cert.stats.budget_exhausted
         assert cert.undecided_count > 0
+
+    @pytest.mark.parametrize("target, settings", [
+        (Target.MAIN_MEDIAN, {}),
+        (Target.KEY_SYSTEM, {"mu": 1e-12, "delta": 1e-6}),
+        (Target.SCALENE_LEMMA, {"delta": 0.0}),
+        (Target.KEY_SYSTEM, {"delta": 0.0}),
+        (Target.QUADRATIC_MEDIAN, {"min_box_width": 1e-3}),
+        (Target.ALTITUDE_REDUCED, {"max_depth": 4}),
+    ])
+    def test_per_level_trace_sums_to_the_totals(self, target, settings):
+        cert = certify(CertificationTask(target=target, **settings))
+        stats = cert.stats
+        levels = np.array(stats.per_level)
+        assert levels.shape == (stats.levels, 4)
+        boxes, proven, stuck, split = levels.T
+        assert boxes.sum() == stats.boxes_processed
+        assert proven.sum() == cert.proven_count
+        assert stuck.sum() == cert.undecided_count
+        assert (boxes - proven - stuck - split).sum() == len(cert.corner)
+        # each level holds at most the two halves of every box split above it
+        assert (boxes[1:] <= 2 * split[:-1]).all()
+        assert split[-1] == 0
+        doc = cert.to_report_dict()["stats"]
+        assert doc["per_level"] == levels.tolist()
+
+    def test_per_level_trace_leaves_out_an_unprocessed_queue(self):
+        cert = certify(CertificationTask(target=Target.MAIN_MEDIAN, box_budget=50))
+        boxes, proven, stuck, split = np.array(cert.stats.per_level).T
+        assert boxes.sum() == cert.stats.boxes_processed <= 50
+        assert proven.sum() == cert.proven_count
+        # the queue the budget left is undecided but in no level
+        assert stuck.sum() < cert.undecided_count <= 2 * split[-1]
 
     def test_key_system_report_documents_identity(self):
         cert = certify(CertificationTask(target=Target.KEY_SYSTEM))
@@ -483,9 +520,30 @@ class TestCornerForm:
                     assert parts[k] >= oracles.mp.mpf(bounds[i]) * scale, (w[i], x, y)
 
 
+def _part_scale(fact, x):
+    """The factor that scales a vertex bound into a bound on a part at
+    (x, y): sqrt(x) or x for the (0, 1) Taylor forms, 1 for a part's
+    natural enclosure and for the (1/2, 1/2) form."""
+    mx = oracles.mp.mpf(x)
+    return {"s": oracles.mp.sqrt(mx), "x": mx}.get(fact, 1)
+
+
+def _in_domain(x, y, mu, delta):
+    """(x, y) in W(mu, delta), the sum x + y compared exactly."""
+    return (mu <= x <= y <= 1.0 and x <= 1.0 - delta
+            and Fraction(x) + Fraction(y) >= Fraction(1.0 + mu))
+
+
+def _smooth_r1_hp(x, y):
+    """rb - 2x*ra, key-system's r1 less y*rc, from the 50-digit medians."""
+    ma, mb, _ = oracles.medians_hp(x, y, 1)
+    return 2 * mb - 2 * oracles.mp.mpf(x) * 2 * ma
+
+
 class TestVertexForms:
-    """The Taylor forms at the equality vertices (1, 1) and (0, 1): their
-    exact facts, the boxes they prove, and the depth they save."""
+    """The Taylor forms at the equality vertices (1, 1), (0, 1) and
+    (1/2, 1/2): their exact facts, the boxes they prove, and the depth they
+    save."""
 
     @pytest.mark.parametrize("target, variable, slope", [
         (Target.MAIN_MEDIAN, "s", 2),
@@ -493,7 +551,7 @@ class TestVertexForms:
         (Target.QUADRATIC_MEDIAN, "x", 2),
     ])
     def test_vertex_0_1_facts(self, target, variable, slope):
-        assert _VERTEX_0_1.facts[target] == variable
+        assert _VERTEX_0_1.facts[target] == (variable,)
         assert oracles.target_parts_hp(target.value, 0, 1) == (0,)
         if variable == "s":
             (ds,) = oracles.target_sqrt_derivative_hp(target.value, 0, 1, (1, 0))
@@ -504,6 +562,29 @@ class TestVertexForms:
         assert abs(ds - slope) < 1e-25
         assert abs(dy) < 1e-25
 
+    def test_key_system_facts_at_0_1(self):
+        # r1 = 2, r2 = 0 (the square identity's), r3 = 0 with grad (1, -1)
+        assert _VERTEX_0_1.facts[Target.KEY_SYSTEM] == ("natural", None, "x")
+        assert oracles.target_parts_hp("key-system", 0, 1) == (2, 0, 0)
+        gx = oracles.target_derivative_hp("key-system", 0, 1, (1, 0))[2]
+        gy = oracles.target_derivative_hp("key-system", 0, 1, (0, 1))[2]
+        assert abs(gx - 1) < 1e-25 and abs(gy + 1) < 1e-25
+
+    def test_key_system_facts_at_half_half(self, rng):
+        # r1 = r2 = 0 and r3 = 3/2; f = rb - 2x*ra is 0 with grad (-2, -1)
+        assert _VERTEX_HALF.facts[Target.KEY_SYSTEM] == ("split", None, "natural")
+        assert set(_VERTEX_HALF.facts) == {Target.KEY_SYSTEM}
+        assert oracles.target_parts_hp("key-system", 0.5, 0.5) == (0, 0, 1.5)
+        assert _smooth_r1_hp(0.5, 0.5) == 0
+        grad = [oracles.mp.diff(_smooth_r1_hp, (0.5, 0.5), order)
+                for order in ((1, 0), (0, 1))]
+        assert abs(grad[0] + 2) < 1e-25 and abs(grad[1] + 1) < 1e-25
+        # rc^2 = 2x^2 + 2y^2 - 1 = 2u + u^2 + v^2, u = x + y - 1, v = y - x
+        for x, y in rng.uniform(0.0, 1.0, (200, 2)):
+            x, y = Fraction(x), Fraction(y)
+            u, v = x + y - 1, y - x
+            assert 2 * x * x + 2 * y * y - 1 == 2 * u + u * u + v * v
+
     @staticmethod
     def _domain_points(rng, box, vertex, mu, delta, count):
         """`count` points of the box's part of W(mu, delta) other than the
@@ -511,7 +592,6 @@ class TestVertexForms:
         xlo, xhi, ylo, yhi = box
         xn, yn = min(max(vertex.x, xlo), xhi), min(max(vertex.y, ylo), yhi)
         xf, yf = (xhi if xn == xlo else xlo), (yhi if yn == ylo else ylo)
-        floor = oracles.mp.mpf(1.0 + mu)
         points = []
         for _ in range(20):
             scale = rng.permutation(np.concatenate([np.ones(200),
@@ -519,12 +599,28 @@ class TestVertexForms:
             px = xn + scale * rng.uniform(0, 1, 400) * (xf - xn)
             py = yn + scale * rng.uniform(0, 1, 400) * (yf - yn)
             for x, y in zip(px, py):
-                mx, my = oracles.mp.mpf(x), oracles.mp.mpf(y)
-                if (mu <= x <= y <= 1.0 and x <= 1.0 - delta and mx + my >= floor
-                        and (x, y) != (vertex.x, vertex.y)):
+                if _in_domain(x, y, mu, delta) and (x, y) != (vertex.x, vertex.y):
                     points.append((x, y))
             if len(points) >= count:
                 return points[:count]
+        return points
+
+    @staticmethod
+    def _edge_points(rng, box, mu, delta, count):
+        """Points of the box on the edge x + y = fl(1 + mu) of W within
+        2^-40 of (1/2, 1/2), each y the least float that keeps the exact sum
+        in W."""
+        floor = 1.0 + mu
+        points = []
+        for d in 2.0 ** -rng.uniform(42, 60, count):
+            x = 0.5 * floor - d
+            y = floor - x
+            while Fraction(x) + Fraction(y) < Fraction(floor):
+                y = math.nextafter(y, 1.0)
+            if (box[0] <= x <= box[1] and box[2] <= y <= box[3]
+                    and _in_domain(x, y, mu, delta)
+                    and max(abs(x - 0.5), abs(y - 0.5)) < 2**-40):
+                points.append((x, y))
         return points
 
     def test_vertex_proven_boxes_hold_at_50_digits(self, rng):
@@ -535,7 +631,7 @@ class TestVertexForms:
         for target in Target:
             for mu in (1e-6, 1e-12, 1e-20):
                 if target is Target.KEY_SYSTEM and mu < 1e-16:
-                    continue  # does not close at (1/2, 1/2)
+                    continue  # the square identity does not apply
                 for delta in (0.0, 1e-3, 1e-7):
                     cert = certify(CertificationTask(target=target, mu=mu, delta=delta))
                     p = cert.proven
@@ -543,10 +639,10 @@ class TestVertexForms:
                     boxes = [(p.xlo[i], p.xhi[i], p.ylo[i], p.yhi[i])
                              for i in np.nonzero(by_vertex)[0]]
                     counts = cert.stats.proven_by
-                    assert len(boxes) == counts["vertex_1_1"] + counts["vertex_0_1"]
+                    assert len(boxes) == sum(counts[v.name] for v in _VERTICES)
                     boxes += cert.corner.bounds_list()
                     for box in boxes:
-                        vertex = min((_VERTEX_1_1, _VERTEX_0_1), key=lambda v: max(
+                        vertex = min(_VERTICES, key=lambda v: max(
                             abs(box[0] - v.x), abs(box[2] - v.y)))
                         assert target in vertex.facts
                         points = self._domain_points(rng, box, vertex, mu, delta, 100)
@@ -561,11 +657,48 @@ class TestVertexForms:
         assert checked > 50
         assert near_vertex > 300
 
+    @pytest.mark.parametrize("vertex", [_VERTEX_0_1, _VERTEX_HALF], ids=lambda v: v.name)
+    def test_key_system_forms_bound_every_strict_part(self, vertex, rng, monkeypatch):
+        # Record every box the form proves in the certify runs, and check
+        # each strict part against the returned bound at exact points of W,
+        # with (1/2, 1/2)'s boxes also on the edge x + y = fl(1 + mu).
+        target = Target.KEY_SYSTEM
+        facts = vertex.facts[target]
+        calls, form = [], vertex.bounds
+
+        def recording(*args):
+            calls.append((args, form(*args)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(vertex, "bounds", recording)
+        checked = on_edge = 0
+        for mu, delta in ((1e-6, 1e-3), (1e-12, 1e-6), (1e-12, 0.0)):
+            calls.clear()
+            assert certify(CertificationTask(target, mu=mu, delta=delta)).undecided_count == 0
+            proven = [(box, b) for (_, *boxes, _), bounds in calls
+                      for box, b in zip(zip(*boxes), bounds) if b > 0.0]
+            assert proven
+            for box, bound in proven:
+                points = self._domain_points(rng, box, vertex, mu, delta, 150)
+                edge = self._edge_points(rng, box, mu, delta, 300) if vertex is _VERTEX_HALF else []
+                assert len(points) == 150
+                on_edge += len(edge)
+                for x, y in points + edge:
+                    parts = oracles.target_parts_hp(target.value, x, y)
+                    assert parts[1] >= -oracles.mp.mpf(10) ** -40
+                    for k in _strict_parts(target, mu, len(parts)):
+                        assert parts[k] >= bound * _part_scale(facts[k], x), (box, x, y, k)
+                checked += 1
+        assert checked >= 3
+        if vertex is _VERTEX_HALF:
+            assert on_edge > 100
+
     @pytest.mark.parametrize("target", list(Target))
     def test_forms_see_only_the_box_extended_to_the_vertex(self, target, rng):
         # The Taylor argument runs along segments from the vertex, so each
         # form must enclose its derivatives over the box extended to the
-        # vertex: boxes with the same extension get the same bound.
+        # vertex: boxes with the same extension get the same bound.  (A
+        # part bounded by its natural enclosure sees the box itself.)
         mu = 1e-6
         w = 2.0 ** -rng.uniform(3, 30, 40)
         t = rng.uniform(0.0, 1.0, 40)
@@ -573,7 +706,7 @@ class TestVertexForms:
         same = _vertex_1_1_bounds(target, lo, np.ones_like(w), lo, np.ones_like(w), mu)
         assert np.array_equal(_bits(_vertex_1_1_bounds(target, lo, hi, lo, hi, mu)),
                               _bits(same))
-        if target in _VERTEX_0_1.facts:
+        if "natural" not in _VERTEX_0_1.facts.get(target, ("natural",)):
             xhi, ylo = (1.0 + t) * w, 1.0 - w
             same = _vertex_0_1_bounds(target, np.full_like(w, mu), xhi, ylo,
                                       np.ones_like(w), mu)
@@ -583,9 +716,11 @@ class TestVertexForms:
 
     @pytest.mark.parametrize("target", list(_VERTEX_0_1.facts))
     def test_vertex_0_1_bound_holds_below_the_target(self, target, rng):
-        # F(p) >= bound * sqrt(x) in s, or bound * x in x, on boxes touching
-        # (0, 1) and on boxes up to twice their width away
-        mu = 1e-20
+        # Each strict part >= bound * sqrt(x) in s, bound * x in x, or
+        # bound for a natural enclosure, on boxes touching (0, 1) and on
+        # boxes up to twice their width away
+        mu = 1e-12 if target is Target.KEY_SYSTEM else 1e-20
+        facts = _VERTEX_0_1.facts[target]
         w = 2.0 ** -np.arange(3, 30, 3)
         xlo, xhi, ylo, yhi, ok = _clip_to_domain(
             np.concatenate([np.full_like(w, mu), w]), np.concatenate([w, 2 * w]),
@@ -597,34 +732,68 @@ class TestVertexForms:
         for i in np.nonzero(np.isfinite(bounds))[0]:
             box = (xlo[i], xhi[i], ylo[i], yhi[i])
             for x, y in self._domain_points(rng, box, _VERTEX_0_1, mu, 0.0, 40):
-                (v,) = oracles.target_parts_hp(target.value, x, y)
-                mx = oracles.mp.mpf(x)
-                scale = oracles.mp.sqrt(mx) if _VERTEX_0_1.facts[target] == "s" else mx
-                assert v >= oracles.mp.mpf(bounds[i]) * scale, (box, x, y)
+                parts = oracles.target_parts_hp(target.value, x, y)
+                for k in _strict_parts(target, mu, len(parts)):
+                    scale = _part_scale(facts[k], x)
+                    assert parts[k] >= oracles.mp.mpf(bounds[i]) * scale, (box, x, y)
 
-    @pytest.mark.parametrize("target", [Target.MAIN_MEDIAN, Target.QUADRATIC_MEDIAN,
-                                        Target.ALTITUDE_REDUCED, Target.SCALENE_LEMMA])
+    def test_natural_entries_bound_their_parts_from_below(self, rng):
+        # A part that is not 0 at a vertex stands in with the lower end of
+        # its natural enclosure over the box itself.
+        mu = 1e-6
+        xlo, xhi, ylo, yhi = _clip_to_domain(*sample_domain_boxes(rng, 30), mu)[:4]
+        bounds = _least_over_parts(Target.KEY_SYSTEM, mu, ("natural",) * 3,
+                                   (xlo, xhi, ylo, yhi), None)
+        checked = 0
+        for i in range(xlo.shape[0]):
+            box = (xlo[i], xhi[i], ylo[i], yhi[i])
+            for x, y in self._domain_points(rng, box, _VERTEX_0_1, mu, 0.0, 10):
+                r1, _, r3 = oracles.target_parts_hp("key-system", x, y)
+                assert min(r1, r3) >= bounds[i], (box, x, y)
+                checked += 1
+        assert checked > 200
+
+    def test_key_system_forms_need_the_square_identity(self):
+        # Below mu = 1.1e-16 the identity floor is not positive, so r2 is a
+        # strict part with no form at (0, 1) or (1/2, 1/2): both give -inf.
+        w = 2.0 ** -np.arange(3, 20, 4)
+        for mu in (1e-17, 1e-20):
+            assert not (_vertex_0_1_bounds(Target.KEY_SYSTEM, np.full_like(w, mu), w,
+                                           1.0 - w, np.ones_like(w), mu) > -np.inf).any()
+            assert not (_vertex_half_bounds(Target.KEY_SYSTEM, 0.5 - w, np.full_like(w, 0.5),
+                                            np.full_like(w, 0.5), 0.5 + w, mu) > -np.inf).any()
+
+    @pytest.mark.parametrize("target", list(Target))
     def test_depth_does_not_depend_on_mu(self, target):
+        # key-system's square identity needs 1 + mu > 1 in binary64
+        mus, most = (1e-6, 1e-12, 1e-20), 10
+        if target is Target.KEY_SYSTEM:
+            mus, most = (1e-6, 1e-12), 11
         levels = set()
-        for mu in (1e-6, 1e-12, 1e-20):
+        for mu in mus:
             cert = certify(CertificationTask(target=target, mu=mu, delta=0.0))
             assert cert.undecided_count == 0
             assert len(cert.corner) == 1
             assert cert.stats.levels == cert.stats.max_depth_reached + 1
             levels.add(cert.stats.levels)
         assert len(levels) == 1
-        assert levels.pop() <= 10
+        assert levels.pop() <= most
 
     @pytest.mark.parametrize("target", list(Target))
     def test_proven_by_counts_every_proven_box(self, target):
+        names = {"bound"} | {v.name for v in _VERTICES}
+        assert len(names) == len(_VERTICES) + 1
         for delta in (0.0, 1e-3):
             cert = certify(CertificationTask(target=target, delta=delta))
             counts = cert.stats.proven_by
-            assert set(counts) == {"bound", "vertex_1_1", "vertex_0_1"}
+            assert set(counts) == names
             assert sum(counts.values()) == cert.proven_count
             assert counts["vertex_1_1"] + len(cert.corner) > 0
-            if target not in _VERTEX_0_1.facts:
-                assert counts["vertex_0_1"] == 0
+            for vertex in _VERTICES:
+                if target not in vertex.facts:
+                    assert counts[vertex.name] == 0
+                elif vertex.x < 1.0:
+                    assert counts[vertex.name] > 0
             doc = cert.to_report_dict()["stats"]
             assert doc["proven_by"] == counts and doc["levels"] == cert.stats.levels
 

@@ -110,6 +110,18 @@ class TestCertify:
         assert xlo <= 1.0 <= xhi and ylo <= 1.0 <= yhi
         assert "second-order Taylor form" in cert["excluded"]["corner_square"]["note"]
 
+    def test_key_system_closes_at_small_mu(self, tmp_path):
+        # the vertex forms at (0, 1) and (1/2, 1/2) close the boxes that
+        # used to stay undecided next to (1/2, 1/2)
+        out = tmp_path / "cert.json"
+        assert run(["certify", "--target", "key-system", "--mu", "1e-12",
+                    "--delta", "1e-6", "-o", str(out)]) == 0
+        stats = load(out)["certificate"]["stats"]
+        assert load(out)["certificate"]["undecided_count"] == 0
+        assert stats["levels"] <= 15
+        assert stats["proven_by"]["vertex_half_half"] > 0
+        assert stats["proven_by"]["vertex_0_1"] > 0
+
     def test_corner_box_only_at_delta_zero(self, tmp_path):
         out = tmp_path / "cert.json"
         assert run(["certify", "--target", "scalene-lemma", "-o", str(out)]) == 0

@@ -5,7 +5,9 @@ minus the equality corner [1-delta, 1]^2 (inside the simplex x <= y the
 corner removal is exactly the constraint x <= 1 - delta); the sum bound is
 1 + mu rounded to binary64, which is 1 for mu <= 1.1e-16.  A box is proven
 once a rigorous lower bound on the target over the box is positive;
-otherwise it is bisected along its wider side.  Processing is
+otherwise it is bisected along its wider side.  The first levels, down to
+depth `_GRID_DEPTH`, are bisected without a bound: bounds seldom prove
+boxes that wide, and each level costs about the same.  Processing is
 level-synchronous and vectorized over NumPy arrays of boxes, so the output
 is deterministic regardless of scheduling, and the endpoint arithmetic is
 the same 1-ulp outward rounding used by :mod:`cevians.intervals`.
@@ -63,6 +65,13 @@ _CORNER_MIN_WIDTH = 1e-12
 _CORNER_BOX_CAP = 500_000
 # A report lists at most this many undecided boxes and flags the rest.
 _UNDECIDED_LIMIT = 1000
+# `certify` bisects without bounding down to this depth.  Bounded from
+# depth 0, the first level to prove a box was at depth 2, 3 or 4 in 29 of
+# 30 runs (5 targets x {defaults, mu = 1e-12 with delta = 1e-6 and 1e-7,
+# delta = 0 at mu = 1e-6, 1e-12 and 1e-20}) and at depth 6 in the other.
+# Over certify-suite's 15 runs, depth 5 bounds 1,392 boxes in 81 levels,
+# against 1,569 in 156 from depth 0; depths 6 and 7 bound 1,660 and 2,470.
+_GRID_DEPTH = 5
 
 
 class Target(Enum):
@@ -602,11 +611,13 @@ class _Vertex:
 
 # How far from a vertex, in its own widths, a box may reach and still be
 # tried with the vertex form.  Over 25 runs (5 targets x {defaults,
-# mu = 1e-12 with delta = 1e-6 and 1e-7, delta = 0 at mu = 1e-6 and 1e-12})
-# reaches of 1, 2, 4 and 8 took 870, 425, 423 and 423 levels and 413, 323,
-# 341 and 341 ms.  At 1 only boxes that touch the vertex qualify, which
-# leaves the corner edge x = 1 - delta to bisection; above 2 the form is
-# tried on more boxes that it cannot prove.
+# mu = 1e-12 with delta = 1e-6 and 1e-7, delta = 0 at mu = 1e-6 and 1e-12}),
+# bounded from depth `_GRID_DEPTH`, reaches of 1, 2, 3, 4 and 8 took 743,
+# 117, 117, 115 and 115 levels and 847, 254, 297, 297 and 330 ms (medians
+# of 7 passes; 15 passes of 2 against 4 gave 253 and 291 ms).  At 1 only
+# boxes that touch the vertex qualify, which leaves the corner edge
+# x = 1 - delta to bisection and 3 boxes undecided; above 2 the form is
+# tried on more boxes, which costs more time than the 2 levels it saves.
 _VERTEX_REACH = 2.0
 
 _VERTEX_1_1 = _Vertex(
@@ -757,22 +768,31 @@ def _proof_counts() -> dict:
 class CertificateStats:
     """Deterministic counters of a run, and its wall time.
 
-    `levels` counts the levels whose boxes were bounded.  `proven_by`
+    `grid_depth` counts the grid levels, bisected without a bound (see
+    :func:`certify`), and `levels` the levels whose boxes were bounded;
+    `max_depth_reached` is the bisection depth of the last level, grid or
+    not, so a run that bounds a level has `levels == max_depth_reached +
+    1 - grid_depth`.  `boxes_processed` and `per_level` count the bounded
+    boxes only, and `box_budget` caps `boxes_processed`.  `proven_by`
     counts the proven boxes by the form that proved them: `bound` for
     :func:`_lower_bounds`, and a vertex's name for its Taylor form; the
     corner box is not a proven box and is not counted.  `per_level` holds
-    [boxes, proven, stuck, split] for each of those levels: boxes bounded,
+    [boxes, proven, stuck, split] for each bounded level: boxes bounded,
     boxes proven, boxes left undecided at the depth or width limit, and
     boxes bisected; the rest of a level's boxes is the corner box.  A run
     that exhausts its budget also reports its unprocessed queue undecided,
-    which no level counts.
+    which no level counts.  `undecided_hull` is the bounding box of the
+    undecided boxes and its max-norm distance to each vertex of
+    `_VERTICES`, or None when no box is undecided.
     """
 
     boxes_processed: int = 0
     max_depth_reached: int = 0
+    grid_depth: int = 0
     levels: int = 0
     proven_by: dict = field(default_factory=_proof_counts)
     per_level: list = field(default_factory=list)
+    undecided_hull: dict | None = None
     budget_exhausted: bool = False
     wall_time_s: float = 0.0
 
@@ -821,9 +841,11 @@ class Certificate:
             "stats": {
                 "boxes_processed": self.stats.boxes_processed,
                 "max_depth_reached": self.stats.max_depth_reached,
+                "grid_depth": self.stats.grid_depth,
                 "levels": self.stats.levels,
                 "proven_by": dict(self.stats.proven_by),
                 "per_level": [list(level) for level in self.stats.per_level],
+                "undecided_hull": self.stats.undecided_hull,
                 "budget_exhausted": self.stats.budget_exhausted,
                 "wall_time_s": self.stats.wall_time_s,
             },
@@ -884,17 +906,48 @@ def _excluded_description(task: CertificationTask) -> dict:
     return doc
 
 
+def _undecided_hull(undecided: BoxArray) -> dict | None:
+    """The bounding box of the undecided boxes, [xlo, xhi, ylo, yhi], and its
+    max-norm distance to each vertex of `_VERTICES` (0 where it holds one)."""
+    if len(undecided) == 0:
+        return None
+    xlo, xhi = float(undecided.xlo.min()), float(undecided.xhi.max())
+    ylo, yhi = float(undecided.ylo.min()), float(undecided.yhi.max())
+    return {
+        "box": [xlo, xhi, ylo, yhi],
+        "distance": {v.name: max(0.0, xlo - v.x, v.x - xhi, ylo - v.y, v.y - yhi)
+                     for v in _VERTICES},
+    }
+
+
+def _bisect(xlo, xhi, ylo, yhi):
+    """The two halves of each box, split across its wider side: all first
+    halves, then all second halves."""
+    on_x = (xhi - xlo) >= (yhi - ylo)
+    xm = 0.5 * (xlo + xhi)
+    ym = 0.5 * (ylo + yhi)
+    c1 = (xlo, np.where(on_x, xm, xhi), ylo, np.where(on_x, yhi, ym))
+    c2 = (np.where(on_x, xm, xlo), xhi, np.where(on_x, ylo, ym), yhi)
+    return tuple(np.concatenate([a, b]) for a, b in zip(c1, c2))
+
+
 def certify(task: CertificationTask) -> Certificate:
     """Branch-and-bound certification of one target over W(mu, delta).
 
-    Boxes with a positive rigorous lower bound, or near an equality
-    vertex with a positive vertex form, are proven; at delta = 0 the box
-    holding (1, 1) becomes the corner box once
-    :func:`_vertex_1_1_bounds` proves it; boxes at max_depth or below
-    min_box_width are undecided; when the total processed-box budget
-    runs out the remaining queue is reported undecided.  Each level splits
-    at most as many boxes as it processed, so the queue never holds more
-    than twice the budget.
+    The first levels are a grid: while the depth is below
+    ``min(_GRID_DEPTH, max_depth)`` and every clipped box is wider than
+    min_box_width, each box is bisected without being bounded.  From the
+    first other level on, every level is bounded: boxes with a positive
+    rigorous lower bound, or near an equality vertex with a positive vertex
+    form, are proven; at delta = 0 the box holding (1, 1) becomes the
+    corner box once :func:`_vertex_1_1_bounds` proves it; boxes at
+    max_depth or below min_box_width are undecided.  Skipping a bound never
+    proves a box, so the grid changes only which levels are bounded, and
+    no box becomes undecided unbounded except when the budget runs out:
+    before every level, grid or not, a level that would take the bounded
+    boxes past box_budget is reported undecided as it stands.  Each level
+    splits at most as many boxes as it holds, so the queue never holds
+    more than twice the budget.
     """
     start = time.perf_counter()
     xlo = np.array([task.mu])
@@ -909,17 +962,20 @@ def certify(task: CertificationTask) -> Certificate:
     depth = 0
 
     def _finish(exhausted: bool) -> Certificate:
+        undecided = BoxArray.concatenate(undecided_parts).sorted_canonically()
+        stats.undecided_hull = _undecided_hull(undecided)
         stats.budget_exhausted = exhausted
         stats.wall_time_s = time.perf_counter() - start
         return Certificate(
             task=task,
             proven=BoxArray.concatenate(proven_parts).sorted_canonically(),
             corner=BoxArray.concatenate(corner_parts),
-            undecided=BoxArray.concatenate(undecided_parts).sorted_canonically(),
+            undecided=undecided,
             excluded=_excluded_description(task),
             stats=stats,
         )
 
+    grid_end = min(_GRID_DEPTH, task.max_depth)
     while xlo.shape[0] > 0:
         xlo, xhi, ylo, yhi, ok = _clip_to_domain(xlo, xhi, ylo, yhi, task.mu)
         if not ok.all():
@@ -931,13 +987,20 @@ def certify(task: CertificationTask) -> Certificate:
             undecided_parts.append((xlo, xhi, ylo, yhi))
             return _finish(exhausted=True)
 
-        stats.boxes_processed += n
         stats.max_depth_reached = depth
+        width = np.maximum(xhi - xlo, yhi - ylo)
+        if (stats.levels == 0 and depth < grid_end
+                and (width > task.min_box_width).all()):
+            stats.grid_depth += 1
+            xlo, xhi, ylo, yhi = _bisect(xlo, xhi, ylo, yhi)
+            depth += 1
+            continue
+
+        stats.boxes_processed += n
         stats.levels += 1
         proven = _lower_bounds(task.target, xlo, xhi, ylo, yhi, task.mu) > 0.0
         stats.proven_by["bound"] += int(proven.sum())
         corner = np.zeros(n, dtype=bool)
-        width = np.maximum(xhi - xlo, yhi - ylo)
         for vertex in _VERTICES:
             if task.target not in vertex.facts:
                 continue
@@ -968,17 +1031,7 @@ def certify(task: CertificationTask) -> Certificate:
         if not split.any():
             break
 
-        sxlo, sxhi = xlo[split], xhi[split]
-        sylo, syhi = ylo[split], yhi[split]
-        on_x = (sxhi - sxlo) >= (syhi - sylo)
-        xm = 0.5 * (sxlo + sxhi)
-        ym = 0.5 * (sylo + syhi)
-        c1 = (sxlo, np.where(on_x, xm, sxhi), sylo, np.where(on_x, syhi, ym))
-        c2 = (np.where(on_x, xm, sxlo), sxhi, np.where(on_x, sylo, ym), syhi)
-        xlo = np.concatenate([c1[0], c2[0]])
-        xhi = np.concatenate([c1[1], c2[1]])
-        ylo = np.concatenate([c1[2], c2[2]])
-        yhi = np.concatenate([c1[3], c2[3]])
+        xlo, xhi, ylo, yhi = _bisect(xlo[split], xhi[split], ylo[split], yhi[split])
         depth += 1
 
     return _finish(exhausted=False)

@@ -138,7 +138,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--min-box-width", type=float, default=1e-9,
                    help="width below which a box is left undecided (default 1e-9)")
     c.add_argument("--box-budget", type=int, default=2_000_000,
-                   help="total processed-box budget before giving up refinement")
+                   help="bounded-box budget (stats.boxes_processed) before giving up")
     c.add_argument("--include-proven", action="store_true",
                    help="write the full proven box list into the report")
     c.add_argument("-o", "--output")

@@ -1,3 +1,4 @@
+import json
 import math
 import re
 from fractions import Fraction
@@ -5,12 +6,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from mpmath import iv
 
-from cevians import bulk
+from cevians import bulk, certifier
 from cevians.certifier import (
     BoxArray,
     CertificationTask,
     Target,
+    _GRID_DEPTH,
     certify,
     corner_argument_check,
     equal_base_second_factor,
@@ -26,12 +29,15 @@ from cevians.certifier import (
     _vertex_1_1_bounds,
     _vertex_half_bounds,
     _jet_parts,
+    _key_r1_smooth,
     _least_over_parts,
     _lower_bounds,
     _natural_enclosure,
     _natural_parts,
+    _PARTS,
     _strict_parts,
 )
+from cevians.cli import main as cli_main
 from cevians.intervals import Interval, _IntervalOps
 from cevians.inequalities import isosceles_slack_case1, isosceles_slack_case2
 
@@ -219,6 +225,49 @@ class TestCertify:
         # the queue the budget left is undecided but in no level
         assert stuck.sum() < cert.undecided_count <= 2 * split[-1]
 
+    def test_undecided_hull(self):
+        cert = certify(CertificationTask(target=Target.SCALENE_LEMMA))
+        assert cert.undecided_count == 0
+        assert cert.to_report_dict()["stats"]["undecided_hull"] is None
+        # boxes left at the depth limit, away from every vertex
+        cert = certify(CertificationTask(target=Target.ALTITUDE_REDUCED, max_depth=6,
+                                         delta=0.0))
+        u = cert.undecided
+        assert len(u) > 1
+        hull = cert.to_report_dict()["stats"]["undecided_hull"]
+        assert hull["box"] == [u.xlo.min(), u.xhi.max(), u.ylo.min(), u.yhi.max()]
+        assert set(hull["distance"]) == {v.name for v in _VERTICES}
+        for v in _VERTICES:
+            # the max-norm distance from the vertex to the nearest point of
+            # the hull, which is at most that to any undecided box
+            gaps = np.maximum.reduce([u.xlo - v.x, v.x - u.xhi, u.ylo - v.y, v.y - u.yhi,
+                                      np.zeros(len(u))])
+            assert 0.0 < hull["distance"][v.name] <= gaps.min()
+            xlo, xhi, ylo, yhi = hull["box"]
+            nearest = (min(max(v.x, xlo), xhi), min(max(v.y, ylo), yhi))
+            assert hull["distance"][v.name] == max(abs(nearest[0] - v.x),
+                                                   abs(nearest[1] - v.y))
+
+    def test_undecided_hull_at_the_flat_edge(self):
+        # At mu = 1e-20, 1 + mu rounds to 1: the square identity has no
+        # positive floor, and key-system's r2, 0 on 2y^2 = x^2 + 1, has no
+        # proof.  Most undecided boxes sit at the flat edge x + y = 1, the
+        # rest along that curve up to (1, 1), so the hull holds (1, 1) and
+        # (1/2, 1/2) and reaches x = mu.
+        task = CertificationTask(target=Target.KEY_SYSTEM, mu=1e-20, delta=0.0,
+                                 box_budget=300_000)
+        cert = certify(task)
+        assert cert.stats.budget_exhausted
+        assert cert.undecided_count == 137_510
+        u = cert.undecided
+        width = np.maximum(u.xhi - u.xlo, u.yhi - u.ylo)
+        on_edge = np.abs(u.xlo + u.yhi - 1.0) <= 2.0 * width
+        assert on_edge.sum() > cert.undecided_count // 2
+        hull = cert.to_report_dict()["stats"]["undecided_hull"]
+        assert hull["box"] == [task.mu, 1.0, 0.5, 1.0]
+        assert hull["distance"] == {"vertex_1_1": 0.0, "vertex_0_1": task.mu,
+                                    "vertex_half_half": 0.0}
+
     def test_key_system_report_documents_identity(self):
         cert = certify(CertificationTask(target=Target.KEY_SYSTEM))
         doc = cert.to_report_dict()
@@ -239,6 +288,154 @@ class TestCertify:
         assert Target("main-median") is Target.MAIN_MEDIAN
         with pytest.raises(ValueError):
             Target("nonsense")
+
+
+def _assert_covers_domain(cert):
+    """The proven, corner and undecided boxes cover W(mu, delta) less the
+    excluded corner square, checked exactly in `Fraction`.
+
+    Every box edge bounds a strip of x values, so a box that meets a
+    strip's interior spans the whole strip, and the strip's part of W,
+    {max(x, s - x) <= y <= 1}, is covered iff those boxes' y intervals
+    cover [max(xl, s - xu, s/2), 1].  That covers the interior of W, and
+    so W, the closure of its interior, as the union of the boxes is closed.
+    """
+    task = cert.task
+    boxes = [cert.proven, cert.corner, cert.undecided]
+    xlo, xhi, ylo, yhi = (np.concatenate([getattr(b, e) for b in boxes])
+                          for e in ("xlo", "xhi", "ylo", "yhi"))
+    mu, s = Fraction(task.mu), Fraction(1.0 + task.mu)
+    x_end = Fraction(cert.excluded["corner_square"]["x"][0])
+    edges = sorted(set(xlo.tolist()) | set(xhi.tolist()) | {task.mu, float(x_end)})
+    strips = 0
+    for a, b in zip(edges, edges[1:]):
+        xl, xu = max(Fraction(a), mu), min(Fraction(b), x_end)
+        y_floor = max(xl, s - xu, s / 2)
+        if xl >= xu or y_floor >= 1:
+            continue  # no interior point of W lies in this strip
+        spans = (xlo <= a) & (xhi >= b)
+        reached = y_floor
+        for lo, hi in sorted(zip(ylo[spans].tolist(), yhi[spans].tolist())):
+            if lo > reached:
+                break
+            reached = max(reached, Fraction(hi))
+        assert reached >= 1, (a, b, float(y_floor), float(reached))
+        strips += 1
+    assert strips > 0
+
+
+class TestGrid:
+    """The grid levels bisect without bounding, and every limit of a run
+    still holds: a box is undecided only at its depth or width limit or in
+    the queue an exhausted budget leaves, and the boxes cover W."""
+
+    RUNS = [
+        (Target.MAIN_MEDIAN, {"max_depth": 1}),
+        (Target.KEY_SYSTEM, {"max_depth": 2, "delta": 0.0}),
+        (Target.QUADRATIC_MEDIAN, {"max_depth": 4}),
+        (Target.ALTITUDE_REDUCED, {"min_box_width": 0.2}),
+        (Target.SCALENE_LEMMA, {"min_box_width": 0.6, "delta": 0.0}),
+        (Target.MAIN_MEDIAN, {"box_budget": 1}),
+        (Target.KEY_SYSTEM, {"box_budget": 10}),
+        (Target.QUADRATIC_MEDIAN, {"box_budget": 31, "delta": 0.0}),
+        (Target.KEY_SYSTEM, {"mu": 1e-12, "delta": 0.0}),
+        (Target.ALTITUDE_REDUCED, {}),
+    ]
+    IDS = [f"{t.value}-{'-'.join(f'{k}={v}' for k, v in kw.items()) or 'defaults'}"
+           for t, kw in RUNS]
+
+    @staticmethod
+    def _traced(monkeypatch, task):
+        """The certificate, each level's clipped boxes, and the boxes of each
+        bounded level, recorded from `_clip_to_domain` and `_lower_bounds`."""
+        clip, bound = certifier._clip_to_domain, certifier._lower_bounds
+        clipped, bounded = [], []
+
+        def clip_recording(*args):
+            out = clip(*args)
+            clipped.append([a[out[4]] for a in out[:4]])
+            return out
+
+        def bound_recording(target, xlo, xhi, ylo, yhi, mu):
+            bounded.append(set(zip(xlo.tolist(), xhi.tolist(), ylo.tolist(), yhi.tolist())))
+            return bound(target, xlo, xhi, ylo, yhi, mu)
+
+        monkeypatch.setattr(certifier, "_clip_to_domain", clip_recording)
+        monkeypatch.setattr(certifier, "_lower_bounds", bound_recording)
+        return certify(task), clipped, bounded
+
+    @pytest.mark.parametrize("target, settings", RUNS, ids=IDS)
+    def test_undecided_only_at_a_limit(self, target, settings, monkeypatch):
+        task = CertificationTask(target=target, **settings)
+        cert, clipped, bounded = self._traced(monkeypatch, task)
+        stats = cert.stats
+        grid_end = min(_GRID_DEPTH, task.max_depth)
+        widths = [np.maximum(c[1] - c[0], c[3] - c[2]) for c in clipped]
+        assert len(bounded) == stats.levels
+        assert stats.max_depth_reached == len(clipped) - 1 - stats.budget_exhausted
+        assert stats.levels == stats.max_depth_reached + 1 - stats.grid_depth
+        # the grid stops at grid_end, or at the first level with a box at
+        # or below min_box_width, or when the budget runs out
+        assert stats.grid_depth <= grid_end
+        for w in widths[:stats.grid_depth]:
+            assert (w > task.min_box_width).all()
+        if stats.levels:
+            assert stats.grid_depth == grid_end or (
+                widths[stats.grid_depth] <= task.min_box_width).any()
+        else:
+            assert stats.budget_exhausted
+        # the grid is a prefix: every level after it is bounded
+        assert [len(level) for level in bounded] == [
+            c[0].shape[0] for c in clipped[stats.grid_depth:stats.grid_depth + stats.levels]]
+        assert stats.boxes_processed <= task.box_budget
+        unbounded = 0
+        for box in map(tuple, cert.undecided.bounds_list()):
+            levels = [i for i, level in enumerate(bounded) if box in level]
+            if not levels:
+                unbounded += 1
+                continue
+            assert len(levels) == 1
+            depth = stats.grid_depth + levels[0]
+            assert (depth >= task.max_depth
+                    or max(box[1] - box[0], box[3] - box[2]) <= task.min_box_width), box
+        stuck = sum(level[2] for level in stats.per_level)
+        assert unbounded == cert.undecided_count - stuck
+        if stats.budget_exhausted:
+            # the unbounded boxes are the last level's queue, as clipped
+            assert unbounded == clipped[-1][0].shape[0] > 0
+        else:
+            assert unbounded == 0
+
+    @pytest.mark.parametrize("target, settings", RUNS, ids=IDS)
+    def test_per_level_sums_and_cover(self, target, settings):
+        cert = certify(CertificationTask(target=target, **settings))
+        stats = cert.stats
+        assert len(stats.per_level) == stats.levels
+        boxes, proven, stuck, split = np.array(stats.per_level, dtype=int).reshape(-1, 4).T
+        assert boxes.sum() == stats.boxes_processed
+        assert proven.sum() == cert.proven_count
+        assert (boxes - proven - stuck - split).sum() == len(cert.corner)
+        if stats.budget_exhausted:
+            assert stuck.sum() < cert.undecided_count
+        else:
+            assert stuck.sum() == cert.undecided_count
+        doc = cert.to_report_dict()["stats"]
+        assert (doc["grid_depth"], doc["levels"]) == (stats.grid_depth, stats.levels)
+        _assert_covers_domain(cert)
+
+    @pytest.mark.parametrize("target, settings", RUNS, ids=IDS)
+    def test_cli_exit_code_follows_undecided(self, target, settings, tmp_path):
+        out = tmp_path / "cert.json"
+        flags = [f"--{k.replace('_', '-')}={v}" for k, v in settings.items()]
+        rc = cli_main(["certify", "--target", target.value, *flags, "-o", str(out)])
+        cert = json.loads(out.read_text())["certificate"]
+        assert rc == (0 if cert["undecided_count"] == 0 else 1)
+        assert cert["stats"]["budget_exhausted"] == ("box_budget" in settings)
+
+    def test_defaults_bound_from_the_grid_depth(self):
+        stats = certify(CertificationTask(target=Target.MAIN_MEDIAN)).stats
+        assert stats.grid_depth == _GRID_DEPTH
+        assert stats.max_depth_reached == _GRID_DEPTH + stats.levels - 1
 
 
 class TestProvenBoxSoundness:
@@ -774,7 +971,8 @@ class TestVertexForms:
             cert = certify(CertificationTask(target=target, mu=mu, delta=0.0))
             assert cert.undecided_count == 0
             assert len(cert.corner) == 1
-            assert cert.stats.levels == cert.stats.max_depth_reached + 1
+            stats = cert.stats
+            assert stats.levels == stats.max_depth_reached + 1 - stats.grid_depth
             levels.add(cert.stats.levels)
         assert len(levels) == 1
         assert levels.pop() <= most
@@ -796,6 +994,169 @@ class TestVertexForms:
                     assert counts[vertex.name] > 0
             doc = cert.to_report_dict()["stats"]
             assert doc["proven_by"] == counts and doc["levels"] == cert.stats.levels
+
+
+class _IvJetOps:
+    """Value, gradient and Hessian in mpmath interval arithmetic, one
+    component at a time: a jet is [v, gx, gy, hxx, hxy, hyy].  A reference
+    for the enclosures that `_JetOps` makes with NumPy endpoint arrays,
+    with the same rules and no shared code."""
+
+    PAIRS = ((0, 0), (0, 1), (1, 1))
+
+    @staticmethod
+    def add(a, b):
+        return [p + q for p, q in zip(a, b)]
+
+    @staticmethod
+    def sub(a, b):
+        return [p - q for p, q in zip(a, b)]
+
+    @staticmethod
+    def add_const(a, k):
+        return [a[0] + k, *a[1:]]
+
+    @staticmethod
+    def sub_const(a, k):
+        return [a[0] - k, *a[1:]]
+
+    @classmethod
+    def mul(cls, a, b):
+        v, w = a[0], b[0]
+        g = [a[1 + i] * w + v * b[1 + i] for i in range(2)]
+        h = [a[3 + k] * w + v * b[3 + k] + (a[1 + i] * b[1 + j] + a[1 + j] * b[1 + i])
+             for k, (i, j) in enumerate(cls.PAIRS)]
+        return [v * w, *g, *h]
+
+    @classmethod
+    def div(cls, a, b):
+        w = b[0]
+        q = a[0] / w
+        g = [(a[1 + i] - q * b[1 + i]) / w for i in range(2)]
+        h = [(a[3 + k] - (g[i] * b[1 + j] + g[j] * b[1 + i]) - q * b[3 + k]) / w
+             for k, (i, j) in enumerate(cls.PAIRS)]
+        return [q, *g, *h]
+
+    @classmethod
+    def sqrt(cls, a):
+        if not a[0].a > 0:
+            # the root of the radicand's nonnegative part, and derivatives
+            # that are unbounded where it reaches 0
+            whole = iv.mpf([-oracles.mp.inf, oracles.mp.inf])
+            return [iv.sqrt(iv.mpf([0, a[0].b])), *[whole] * 5]
+        s = iv.sqrt(a[0])
+        g = [a[1 + i] / (2 * s) for i in range(2)]
+        h = [(a[3 + k] - 2 * (g[i] * g[j])) / (2 * s) for k, (i, j) in enumerate(cls.PAIRS)]
+        return [s, *g, *h]
+
+
+def _iv_jets(parts, xlo, xhi, ylo, yhi, in_sqrt_x=False):
+    one, zero = iv.mpf(1), iv.mpf(0)
+    x = [iv.mpf([xlo, xhi]), one, zero, zero, zero, zero]
+    y = [iv.mpf([ylo, yhi]), zero, one, zero, zero, zero]
+    if in_sqrt_x:
+        return parts(_IvJetOps, _IvJetOps.mul(x, x), y, sqrt_x=x)
+    return parts(_IvJetOps, x, y)
+
+
+def _reference_form(vertex, target, box, mu):
+    """The least bound over the strict parts that the vertex form derives
+    from the exact facts, with `_IvJetOps` enclosures over the box
+    extended to the vertex, and whether the enclosure of a (0, 1) part's
+    gy straddles 0.  Returns (None, False) where a strict part has no form.
+    """
+    xlo, xhi, ylo, yhi = box
+    facts = vertex.facts[target]
+    least, straddles = None, False
+    for k in _strict_parts(target, mu, len(facts)):
+        fact = facts[k]
+        if fact is None:
+            return None, False
+        if fact == "natural":
+            bound = _iv_jets(_PARTS[target], xlo, xhi, ylo, yhi)[k][0].a
+        elif vertex is _VERTEX_1_1:
+            _, gx, gy, hxx, hxy, hyy = _iv_jets(_PARTS[target], xlo, 1, ylo, 1)[k]
+            if fact == 2:  # least Bernstein coefficient of the Hessian form
+                bound = min(hxx.a, (hxx + hxy).a, (hxx + 2 * hxy + hyy).a)
+            else:
+                bound = min((-gx).a, (-gx - gy).a)
+        elif vertex is _VERTEX_0_1:
+            # F >= x * (gx - max(gy, 0)), or s * (gs - s_hi * max(gy, 0))
+            s_hi = iv.sqrt(xhi).b if fact == "s" else iv.mpf(1)
+            jets = _iv_jets(_PARTS[target], 0, s_hi if fact == "s" else xhi, ylo, 1,
+                            in_sqrt_x=fact == "s")
+            _, g, gy = jets[k][:3]
+            straddles |= bool(gy.a < 0 < gy.b)
+            bound = (g - s_hi * (gy.b if gy.b > 0 else 0)).a
+        else:  # (1/2, 1/2): r1 = f + y*rc >= A*u + lo(B*V) + ylo*sqrt(2u + vlo^2)
+            (f,) = _iv_jets(_key_r1_smooth, min(xlo, 0.5), max(xhi, 0.5),
+                            min(ylo, 0.5), max(yhi, 0.5))
+            _, gx, gy = f[:3]
+            a = ((gx + gy) / 2).a
+            vlo = max(iv.mpf(ylo) - xhi, iv.mpf(0))
+            bv = ((gy - gx) / 2 * iv.mpf([vlo.a, (iv.mpf(yhi) - xlo).b])).a
+            ends = (max(iv.mpf(xlo) + ylo - 1, iv.mpf(1.0 + mu) - 1),
+                    iv.mpf(xhi) + yhi - 1)
+            bound = min((a * u + bv + ylo * iv.sqrt(2 * u + vlo * vlo)).a for u in ends)
+        least = bound if least is None else min(least, bound)
+    return least, straddles
+
+
+class TestFormsAgainstTheirReference:
+    """No vertex form exceeds the bound its argument derives from the exact
+    facts, on the boxes the forms meet in certify runs and on boxes up to
+    twice their width from the vertex, wide ones among them.  Sampling the
+    target cannot see a form that is too high by less than the target's
+    own slack; this comparison can, for example a (0, 1) form that takes
+    the lower end of gy where its enclosure straddles 0."""
+
+    @staticmethod
+    def _boxes(vertex, target, rng, monkeypatch):
+        calls, form = [], vertex.bounds
+
+        def recording(t, xlo, xhi, ylo, yhi, mu):
+            calls.extend(zip(xlo.tolist(), xhi.tolist(), ylo.tolist(), yhi.tolist()))
+            return form(t, xlo, xhi, ylo, yhi, mu)
+
+        monkeypatch.setattr(vertex, "bounds", recording)
+        for settings in ({}, {"delta": 0.0}, {"mu": 1e-12, "delta": 1e-6}):
+            certify(CertificationTask(target=target, **settings))
+        met = [calls[i] for i in rng.permutation(len(calls))[:30]]
+        # boxes of width w about points of W within w of the vertex, so
+        # within 2w of it, as `_Vertex.near` allows
+        w = 2.0 ** -rng.uniform(2, 12, 2000)
+        px = vertex.x + rng.uniform(-1, 1, w.size) * w
+        py = vertex.y + rng.uniform(-1, 1, w.size) * w
+        keep = np.nonzero([_in_domain(x, y, 1e-6, 0.0) for x, y in zip(px, py)])[0][:40]
+        w, px, py, t = w[keep], px[keep], py[keep], rng.uniform(0, 1, (2, keep.size))
+        xlo, xhi, ylo, yhi, ok = _clip_to_domain(px - t[0] * w, px + (1 - t[0]) * w,
+                                                 py - t[1] * w, py + (1 - t[1]) * w, 1e-6)
+        assert ok.all() and keep.size == 40
+        return met + list(zip(xlo.tolist(), xhi.tolist(), ylo.tolist(), yhi.tolist()))
+
+    @pytest.mark.parametrize("vertex, target", [
+        (v, t) for v in _VERTICES for t in v.facts], ids=lambda p: getattr(p, "name", None)
+        or p.value)
+    def test_form_stays_below_its_reference(self, vertex, target, rng, monkeypatch):
+        mu = 1e-6
+        boxes = self._boxes(vertex, target, rng, monkeypatch)
+        forms = vertex.bounds(target, *(np.array(c) for c in zip(*boxes)), mu)
+        prec, iv.prec = iv.prec, 200
+        try:
+            compared = straddling = 0
+            for box, form in zip(boxes, forms):
+                if not np.isfinite(form):
+                    continue
+                ref, straddles = _reference_form(vertex, target, box, mu)
+                assert ref is not None
+                assert form <= oracles.mp.mpf(ref) + 1e-40, (box, form, ref)
+                compared += 1
+                straddling += straddles
+        finally:
+            iv.prec = prec
+        assert compared > 40
+        if vertex is _VERTEX_0_1 and "natural" not in vertex.facts[target]:
+            assert straddling > 40
 
 
 class TestReadmeTable:

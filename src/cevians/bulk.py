@@ -5,7 +5,8 @@ validation happens here.  The typed scalar API validates, calls these on
 floats and wraps the results, so it agrees bit for bit with the sweeps,
 the search and the grids.  Stewart's formula and the quadratic slack take
 an operation set, so search re-verification runs the same trees in interval
-arithmetic.
+arithmetic.  :func:`cevian_triple_slacks` runs the same per-vertex code on
+(3, n) stacks, one row per vertex, for the search's refinement rounds.
 """
 
 from __future__ import annotations
@@ -79,45 +80,109 @@ def mixed_cevians_arrays(a, b, c, alpha, beta, gamma):
     return tuple(alpha * m + beta * h + gamma * l for m, h, l in families)
 
 
+def cevian(ops, u, v, w, t):
+    """Stewart's formula for the Cevian from the vertex opposite side u.
+
+    sqrt(v^2*t + w^2*(1-t) - u^2*t*(1-t)), where (u, v, w) is the cyclic
+    triple starting at u.  Element-wise, so the arguments may hold one
+    vertex's values or the (3, n) stacks of all three vertices' values.
+    """
+    rem = ops.const_sub(1.0, t)
+    return ops.sqrt(ops.sub(
+        ops.add(ops.mul(ops.mul(v, v), t), ops.mul(ops.mul(w, w), rem)),
+        ops.mul(ops.mul(ops.mul(u, u), t), rem),
+    ))
+
+
 def stewart_cevians(ops, a, b, c, ta, tb, tc):
-    """Stewart: from A, sqrt(b^2*ta + c^2*(1-ta) - a^2*ta*(1-ta)), cyclically.
+    """The three Cevians by :func:`cevian`, from A, B and C.
 
     The feet follow :class:`cevians.kernel.GeneralCevianParams`.
     """
-
-    def cevian(u, v, w, t):  # from the vertex opposite side u
-        rem = ops.const_sub(1.0, t)
-        return ops.sqrt(ops.sub(
-            ops.add(ops.mul(ops.mul(v, v), t), ops.mul(ops.mul(w, w), rem)),
-            ops.mul(ops.mul(ops.mul(u, u), t), rem),
-        ))
-
-    return cevian(a, b, c, ta), cevian(b, c, a, tb), cevian(c, a, b, tc)
+    return cevian(ops, a, b, c, ta), cevian(ops, b, c, a, tb), cevian(ops, c, a, b, tc)
 
 
 def general_cevians_arrays(a, b, c, ta, tb, tc):
     return stewart_cevians(_FloatOps, a, b, c, ta, tb, tc)
 
 
+# Each slack and the constraint mask are written once, over per-vertex
+# values: three arrays, or the three rows of a (3, n) stack.  For the
+# vertex opposite side u, whose Cevian is l, (u, v, w) is the cyclic
+# triple starting at u.  The terms form their own products, and the
+# per-vertex functions pass the terms of a sum as a generator, so no
+# temporary outlives its use: on 65,536-element shards, passing shared
+# products in made the quadratic slack and the mask up to 3x slower.
+
+
+def _vertex_sum(ops, terms):
+    """(t1 + t2) + t3 over the vertices A, B, C."""
+    t = iter(terms)
+    return ops.add(ops.add(next(t), next(t)), next(t))
+
+
+def _root_term(v, w, l):
+    return np.sqrt(v * w) * l
+
+
+def _main_slack(roots, ul):
+    """Sum of sqrt(v*w)*l minus sum of u*l."""
+    return _vertex_sum(_FloatOps, roots) - _vertex_sum(_FloatOps, ul)
+
+
+def _quadratic_term(ops, u, v, w, l):
+    return ops.mul(ops.sub(ops.mul(v, w), ops.mul(u, u)), l)
+
+
+def _constraint_mask(u, l):
+    a, b, c = u
+    la, lb, lc = l
+    pb = b * lb
+    return (la >= lb) & (lb >= lc) & (pb >= a * la) & (pb >= c * lc)
+
+
 def slack_main_arrays(a, b, c, la, lb, lc):
-    return (
-        np.sqrt(b * c) * la
-        + np.sqrt(a * c) * lb
-        + np.sqrt(a * b) * lc
-        - (a * la + b * lb + c * lc)
-    )
+    roots = (_root_term(v, w, l) for v, w, l in ((b, c, la), (a, c, lb), (a, b, lc)))
+    return _main_slack(roots, (u * l for u, l in ((a, la), (b, lb), (c, lc))))
 
 
 def quadratic_slack(ops, a, b, c, la, lb, lc):
     """(bc - a^2)*la + (ac - b^2)*lb + (ab - c^2)*lc."""
-    t1 = ops.mul(ops.sub(ops.mul(b, c), ops.mul(a, a)), la)
-    t2 = ops.mul(ops.sub(ops.mul(a, c), ops.mul(b, b)), lb)
-    t3 = ops.mul(ops.sub(ops.mul(a, b), ops.mul(c, c)), lc)
-    return ops.add(ops.add(t1, t2), t3)
+    return _vertex_sum(ops, (
+        _quadratic_term(ops, a, b, c, la),
+        _quadratic_term(ops, b, a, c, lb),
+        _quadratic_term(ops, c, a, b, lc),
+    ))
 
 
 def slack_quadratic_arrays(a, b, c, la, lb, lc):
     return quadratic_slack(_FloatOps, a, b, c, la, lb, lc)
+
+
+# Row permutations of a (3, n) stack: the cyclic partners (v, w) of each
+# vertex's side u, so (a, b, c) becomes (b, c, a) and (c, a, b).
+_NEXT = np.array([1, 2, 0])
+_PREV = np.array([2, 0, 1])
+
+
+def cevian_triple_slacks(sides, feet):
+    """Cevians, both slacks and the constraint mask of n Cevian triples.
+
+    ``sides`` and ``feet`` are (3, n) arrays with rows (a, b, c) and
+    (ta, tb, tc).  Row k holds vertex k's side u, its cyclic partners
+    (v, w) are the same rows permuted, and each formula runs once on the
+    stacks; every element sees the operations of
+    :func:`general_cevians_arrays`, :func:`slack_main_arrays`,
+    :func:`slack_quadratic_arrays` and :func:`constraint_mask_arrays`
+    (row B's v*w is c*a where theirs is a*c), so the results agree bit
+    for bit.  Returns the (3, n) Cevians, the two slacks and the mask.
+    """
+    v = sides.take(_NEXT, axis=0)
+    w = sides.take(_PREV, axis=0)
+    cv = cevian(_FloatOps, sides, v, w, feet)
+    s1 = _main_slack(_root_term(v, w, cv), sides * cv)
+    s2 = _vertex_sum(_FloatOps, _quadratic_term(_FloatOps, sides, v, w, cv))
+    return cv, s1, s2, _constraint_mask(sides, cv)
 
 
 def key_residual_arrays(a, b, c, ma, mb, mc):
@@ -141,5 +206,4 @@ def bisector_sqrt_chain_arrays(a, c, la, lc):
 
 def constraint_mask_arrays(a, b, c, la, lb, lc):
     """Open-problem constraint mask: la >= lb >= lc and b*lb >= max(a*la, c*lc)."""
-    pb = b * lb
-    return (la >= lb) & (lb >= lc) & (pb >= a * la) & (pb >= c * lc)
+    return _constraint_mask((a, b, c), (la, lb, lc))

@@ -155,7 +155,8 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--record-top", type=int, default=20,
                    help="extremal candidates kept in the report (default 20)")
     s.add_argument("--workers", type=int, default=1,
-                   help="shard worker threads; results are identical for any count")
+                   help="shard worker threads, at most one per core and per "
+                        "shard; results are identical for any count")
     s.add_argument("-o", "--output")
 
     t = sub.add_parser("table", allow_abbrev=False,

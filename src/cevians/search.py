@@ -13,13 +13,14 @@ Sampling is sharded: shard i draws from a generator seeded with
 SeedSequence([seed, i]) for a seed in [0, 2**64), and shards are merged
 in index order, so reports are byte-identical for any worker count.
 Refinement is a pattern search run on all candidates at once; each round
-evaluates every candidate's remaining probes speculatively in one array
-call, so its cost follows the moves made rather than the ten probes of a
-sweep.
+evaluates every candidate's remaining probes speculatively in one stacked
+kernel call, so its cost follows the moves made rather than the ten
+probes of a sweep.
 """
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -239,40 +240,40 @@ def is_confirmed_violation(
 
 
 def _probe_slacks(
-    vec: np.ndarray,
+    trial: np.ndarray,
     c0: np.ndarray,
     mode: SearchMode,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Evaluate pattern-search probes, one per row of ``vec`` (x, y, ta, tb, tc).
+    """Evaluate pattern-search probes: the columns (x, y, ta, tb, tc) of ``trial``.
 
-    Returns the acceptance mask and min_slack.  A row is accepted exactly
-    when :func:`evaluate_candidate` on ``validate_sides(x*c0, y*c0, c0)``
-    would succeed, with ``x <= y <= 1`` so that the roles of the sides
-    stay fixed and the feet within ``[FOOT_MARGIN, 1 - FOOT_MARGIN]``, and
-    in open-problem mode when the constraints hold.  Rejected rows may
-    carry NaN; their min_slack is meaningless.
+    Returns the acceptance mask and min_slack.  A column is accepted
+    exactly when :func:`evaluate_candidate` on ``validate_sides(x*c0,
+    y*c0, c0)`` would succeed, with ``x <= y <= 1`` so that the roles of
+    the sides stay fixed and the feet within ``[FOOT_MARGIN, 1 -
+    FOOT_MARGIN]``, and in open-problem mode when the constraints hold.
+    All probes go through one :func:`cevians.bulk.cevian_triple_slacks`
+    call.  Rejected columns may carry NaN; their min_slack is meaningless.
     """
-    x, y, ta, tb, tc = vec.T
-    feet = vec[:, 2:]
-    # Rejected rows may take the square root of a negative or overflow;
+    x, y = trial[0], trial[1]
+    feet = trial[2:]
+    # Rejected columns may take the square root of a negative or overflow;
     # the scalar path raises or rejects there, so no warning is wanted.
     with np.errstate(invalid="ignore", over="ignore"):
-        a = x * c0
-        b = y * c0
+        sides = trial[:3] * c0  # rows a, b and a scratch row for c0
+        sides[2] = c0
+        cv, s1, s2, constraints = bulk.cevian_triple_slacks(sides, feet)
+        a, b = sides[0], sides[1]
         ok = (
             (x <= y)
             & (y <= 1.0)
-            & ((feet >= FOOT_MARGIN) & (feet <= 1.0 - FOOT_MARGIN)).all(axis=1)
+            & ((feet >= FOOT_MARGIN) & (feet <= 1.0 - FOOT_MARGIN)
+               & (cv > 0.0)).all(axis=0)
             & (a > 0.0)
             & (a + b > c0)
+            & np.isfinite(s1) & np.isfinite(s2)
         )
-        la, lb, lc = bulk.general_cevians_arrays(a, b, c0, ta, tb, tc)
-        s1 = bulk.slack_main_arrays(a, b, c0, la, lb, lc)
-        s2 = bulk.slack_quadratic_arrays(a, b, c0, la, lb, lc)
-        ok &= (la > 0.0) & (lb > 0.0) & (lc > 0.0)
-        ok &= np.isfinite(s1) & np.isfinite(s2)
         if mode is SearchMode.OPEN_PROBLEM:
-            ok &= bulk.constraint_mask_arrays(a, b, c0, la, lb, lc)
+            ok &= constraints
     return ok, np.minimum(s1, s2)
 
 
@@ -346,17 +347,19 @@ def refine(
     while live.size:
         # Column j of trial is probe probe[j] of candidate owner[j], from
         # its current point: every probe left in a live candidate's sweep.
-        pending = _PROBES >= first[live, None]
-        at, probe = np.nonzero(pending)
+        pending = _PROBES >= first[live][:, None]
+        flat = pending.ravel().nonzero()[0]  # faster than a 2-D nonzero
+        at, probe = np.divmod(flat, _PROBES.size)
         owner = live[at]
         trial = (pts.take(owner, axis=1)
                  + _PROBE_DELTA.take(probe, axis=1) * step.take(owner))
-        ok, ms = _probe_slacks(trial.T, c0[owner], mode)
-        slack = np.full(pending.shape, np.inf)
-        slack[pending] = np.where(ok, ms, np.inf)
+        ok, ms = _probe_slacks(trial, c0[owner], mode)
+        slack = np.full(pending.size, np.inf)
+        slack[flat] = np.where(ok, ms, np.inf)
+        slack = slack.reshape(pending.shape)
         # Each candidate moves to its first accepted probe; the move
         # repeats the trial's arithmetic, so it lands on the probe.
-        take = slack < best[live, None]
+        take = slack < best[live][:, None]
         hit = take.any(axis=1)
         p = take.argmax(axis=1)[hit]
         moved = live[hit]
@@ -504,10 +507,13 @@ def search(cfg: SearchConfig) -> SearchReport:
         return _run_shard(cfg.seed, shard_index, shard_start, count,
                           cfg.mode, cfg.record_top)
 
-    if cfg.workers == 1 or len(shards) == 1:
+    # The pool submits every shard at once and starts a thread per submit
+    # while none is idle, so more workers than cores would only add threads.
+    threads = min(cfg.workers, len(shards), os.cpu_count() or 1)
+    if threads == 1:
         results = [run(s) for s in shards]
     else:
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(run, shards))
 
     totals = {

@@ -1,11 +1,12 @@
 import importlib
+import json
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from cevians import bulk
+from cevians import bulk, cli
 from cevians.exceptions import CevianError
 from cevians.intervals import Interval
 from cevians.kernel import (
@@ -16,6 +17,7 @@ from cevians.kernel import (
     validate_sides,
 )
 from cevians.inequalities import tolerance_scale
+from cevians.reports import reproducible_bytes
 from cevians.search import (
     FOOT_MARGIN,
     SHARD_SIZE,
@@ -56,6 +58,30 @@ SWEEP_CASES = [
 ]
 
 
+def reference_probe(v, c0, mode, index=-1):
+    """The record of probe v = (x, y, ta, tb, tc) with c pinned at c0, or None.
+
+    The acceptance rule of one probe of ``reference_refine``, evaluated by
+    the scalar API.
+    """
+    x, y, ta, tb, tc = v
+    if not (x <= y <= 1.0):
+        return None
+    for tt in (ta, tb, tc):
+        if not (FOOT_MARGIN <= tt <= 1.0 - FOOT_MARGIN):
+            return None
+    try:
+        t = validate_sides(x * c0, y * c0, c0)
+        probe = evaluate_candidate(t, GeneralCevianParams(ta, tb, tc), index)
+    except (CevianError, ValueError):
+        return None
+    if t.c != c0 or t.a != x * c0:  # sorting changed roles; reject
+        return None
+    if mode is SearchMode.OPEN_PROBLEM and not probe.constraints_ok:
+        return None
+    return probe
+
+
 def reference_refine(cand, steps, mode=SearchMode.UNCONSTRAINED):
     """One candidate's pattern search, one scalar probe at a time.
 
@@ -74,25 +100,6 @@ def reference_refine(cand, steps, mode=SearchMode.UNCONSTRAINED):
         cand.feet.tc,
     ]
 
-    def build(v):
-        x, y, ta, tb, tc = v
-        if not (x <= y <= 1.0):
-            return None
-        for tt in (ta, tb, tc):
-            if not (FOOT_MARGIN <= tt <= 1.0 - FOOT_MARGIN):
-                return None
-        try:
-            t = validate_sides(x * c0, y * c0, c0)
-            probe = evaluate_candidate(t, GeneralCevianParams(ta, tb, tc),
-                                       cand.index)
-        except (CevianError, ValueError):
-            return None
-        if t.c != c0 or t.a != x * c0:  # sorting changed roles; reject
-            return None
-        if mode is SearchMode.OPEN_PROBLEM and not probe.constraints_ok:
-            return None
-        return probe
-
     best = cand
     step = 0.05
     for _ in range(steps):
@@ -101,7 +108,7 @@ def reference_refine(cand, steps, mode=SearchMode.UNCONSTRAINED):
             for sgn in (1.0, -1.0):
                 trial = list(vec)
                 trial[i] += sgn * step
-                probe = build(trial)
+                probe = reference_probe(trial, c0, mode, cand.index)
                 if probe is not None and probe.min_slack < best.min_slack:
                     best = probe
                     vec = trial
@@ -380,6 +387,100 @@ class TestReverification:
         assert any(c.constraint_lower < 0 for c in out)
 
 
+def kernel_rows():
+    """Columns (x, y, ta, tb, tc) and c0 for the stacked kernel.
+
+    The edge_pool() candidates, their ten probes at two steps, and rows
+    outside the domain: negative Stewart radicands (x + y < 1), x > y,
+    x = +-0, x < 0, y > 1, feet on and just past the margin, with c0 in
+    {0.005, 5, 7.3, 1e160}; at 1e160 the squares overflow.
+    """
+    rows = []
+    for cand in edge_pool():
+        c0 = cand.sides.c
+        vec = [cand.sides.a / c0, cand.sides.b / c0, *cand.feet.as_tuple()]
+        rows.append((*vec, c0))
+        for step in (0.05, 1e-9):
+            for i in range(5):
+                for sgn in (1.0, -1.0):
+                    trial = list(vec)
+                    trial[i] += sgn * step
+                    rows.append((*trial, c0))
+    m = FOOT_MARGIN
+    for c0 in (0.005, 5.0, 7.3, 1e160):
+        for x, y in ((0.1, 0.2), (0.3, 0.6), (0.9, 0.6), (0.0, 1.0),
+                     (-0.0, 0.5), (-0.1, 0.8), (0.5, 1.2), (0.7, 0.8)):
+            for feet in ((0.5, 0.5, 0.5), (m, 1.0 - m, m), (1.0 - m, m, 0.5),
+                         (m - 1e-12, 0.5, 0.5), (0.5, 1.0 - m + 1e-12, 0.5),
+                         (0.2, 0.9, 0.6)):
+                rows.append((x, y, *feet, c0))
+    cols = np.array(rows).T.copy()
+    return cols[:5], cols[5]
+
+
+def spelled_out(a, b, c, ta, tb, tc):
+    """The IEEE operations each row saw before the stacked kernel."""
+
+    def stewart(u, v, w, t):
+        return np.sqrt(((v * v) * t + (w * w) * (1.0 - t))
+                       - ((u * u) * t) * (1.0 - t))
+
+    la, lb, lc = stewart(a, b, c, ta), stewart(b, c, a, tb), stewart(c, a, b, tc)
+    s1 = (((np.sqrt(b * c) * la + np.sqrt(a * c) * lb) + np.sqrt(a * b) * lc)
+          - ((a * la + b * lb) + c * lc))
+    s2 = ((b * c - a * a) * la + (a * c - b * b) * lb) + (a * b - c * c) * lc
+    pb = b * lb
+    mask = (la >= lb) & (lb >= lc) & (pb >= a * la) & (pb >= c * lc)
+    return (la, lb, lc), s1, s2, mask
+
+
+def same_bits(got, want):
+    # int64 views, so NaN payloads and -0.0 count too
+    return np.array_equal(np.asarray(got, dtype=float).view(np.int64),
+                          np.asarray(want, dtype=float).view(np.int64))
+
+
+class TestStackedKernel:
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_matches_the_per_vertex_functions_bit_for_bit(self):
+        trial, c0 = kernel_rows()
+        a, b = trial[0] * c0, trial[1] * c0
+        ta, tb, tc = trial[2:]
+        cv, s1, s2, mask = bulk.cevian_triple_slacks(np.array([a, b, c0]),
+                                                     trial[2:])
+        la, lb, lc = bulk.general_cevians_arrays(a, b, c0, ta, tb, tc)
+        per_vertex = (
+            (la, lb, lc),
+            bulk.slack_main_arrays(a, b, c0, la, lb, lc),
+            bulk.slack_quadratic_arrays(a, b, c0, la, lb, lc),
+            bulk.constraint_mask_arrays(a, b, c0, la, lb, lc),
+        )
+        for want in (per_vertex, spelled_out(a, b, c0, ta, tb, tc)):
+            assert cv.shape == (3, c0.size)
+            assert all(same_bits(cv[k], want[0][k]) for k in range(3))
+            assert same_bits(s1, want[1])
+            assert same_bits(s2, want[2])
+            assert mask.dtype == bool and np.array_equal(mask, want[3])
+        # the rows reach NaN and both outcomes of the mask
+        assert np.isnan(cv).any() and np.isnan(s1).any()
+        assert mask.any() and not mask.all()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("mode", list(SearchMode))
+    def test_probe_acceptance_matches_the_reference_rule(self, mode):
+        trial, c0 = kernel_rows()
+        ok, ms = importlib.import_module("cevians.search")._probe_slacks(
+            trial, c0, mode)
+        accepted = 0
+        for k in range(c0.size):
+            probe = reference_probe(trial[:, k].tolist(), float(c0[k]), mode)
+            assert ok[k] == (probe is not None)
+            if probe is not None:
+                assert ms[k].hex() == probe.min_slack.hex()
+                accepted += 1
+        assert 0 < accepted < c0.size
+
+
 class TestRefine:
     def test_zero_steps_returns_input(self):
         t = validate_sides(3, 4, 5)
@@ -529,6 +630,36 @@ class TestSearch:
         assert a == b == c
         assert 0 < a["totals"]["refine_evaluations"] < 10 * a["totals"]["refine_sweeps"]
         assert a["totals"]["refine_moves"] > 0
+
+    @pytest.mark.parametrize("cores", [1, 2, 64])
+    def test_shard_threads_capped_at_cores_and_shards(self, tmp_path,
+                                                      monkeypatch, cores):
+        # --workers 10000 on a 3-shard search starts at most
+        # min(3, cores) threads, and the report does not depend on it
+        module = importlib.import_module("cevians.search")
+        pools = []
+
+        class Recording(module.ThreadPoolExecutor):
+            def __init__(self, max_workers=None, **kwargs):
+                pools.append(self)
+                super().__init__(max_workers=max_workers, **kwargs)
+
+        monkeypatch.setattr(module, "ThreadPoolExecutor", Recording)
+        monkeypatch.setattr(module.os, "cpu_count", lambda: cores)
+        cap = min(3, cores)
+        docs = []
+        for workers in ("10000", "1"):
+            out = tmp_path / f"w{workers}.json"
+            argv = ["search", "--mode", "open-problem", "--seed", "5",
+                    "--samples", str(2 * SHARD_SIZE + 1), "--refine-steps", "5",
+                    "--workers", workers, "-o", str(out)]
+            assert cli.main(argv) == 0
+            doc = json.loads(out.read_text())
+            doc["manifest"]["config"]["workers"] = 1
+            docs.append(reproducible_bytes(doc))
+        assert docs[0] == docs[1]
+        assert [p._max_workers for p in pools] == ([cap] if cap > 1 else [])
+        assert all(len(p._threads) <= cap for p in pools)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

@@ -7,10 +7,15 @@ corner removal is exactly the constraint x <= 1 - delta); the sum bound is
 once a rigorous lower bound on the target over the box is positive;
 otherwise it is bisected along its wider side.  The first levels, down to
 depth `_GRID_DEPTH`, are bisected without a bound: bounds seldom prove
-boxes that wide, and each level costs about the same.  Processing is
-level-synchronous and vectorized over NumPy arrays of boxes, so the output
-is deterministic regardless of scheduling, and the endpoint arithmetic is
-the same 1-ulp outward rounding used by :mod:`cevians.intervals`.
+boxes that wide, and bounding a small level costs milliseconds whatever
+its size.  Processing is level-synchronous and vectorized over NumPy
+arrays of boxes, so the output is deterministic regardless of scheduling,
+and the endpoint arithmetic is the same 1-ulp outward rounding used by
+:mod:`cevians.intervals`.  A level of at most `_LOOKAHEAD_BOXES` boxes is
+decided in one evaluation together with the children of all its boxes, and
+the next level, the children of the boxes it splits, takes its decision
+from there; every step of a decision is element-wise over the boxes, so
+this changes no certificate, only how many evaluations a run makes.
 
 Every target expression is written once against an abstract operation set
 and instantiated three ways: plain float arrays (point evaluation),
@@ -71,7 +76,24 @@ _UNDECIDED_LIMIT = 1000
 # delta = 0 at mu = 1e-6, 1e-12 and 1e-20}) and at depth 6 in the other.
 # Over certify-suite's 15 runs, depth 5 bounds 1,392 boxes in 81 levels,
 # against 1,569 in 156 from depth 0; depths 6 and 7 bound 1,660 and 2,470.
+# With the look-ahead of `_LOOKAHEAD_BOXES`, depths 0, 3, 4, 5, 6 and 7
+# make 81, 60, 51, 45, 39 and 36 evaluations and take 196, 142, 119, 106,
+# 96 and 97 ms in process (medians of 7 passes of the 15 runs; 21 passes
+# of depths 5, 6 and 7 gave 100, 80 and 81 ms).
 _GRID_DEPTH = 5
+# `certify` decides a bounded level of at most this many boxes together
+# with the children of all its boxes.  One `_decide` call costs 2.7-5.5 ms
+# on 32-512 boxes and about 3-4.5 us per box from 2,048 boxes on, so the
+# at most 512 children of a level this size cost less than the call they
+# save, even when every box of the level is proven and no child is used.
+# Over certify-suite's 15 runs, whose levels hold at most 36 boxes, the
+# look-ahead cuts 81 evaluations to 45 and 134 to 95 ms in process (medians
+# of 21 passes).  On key-system at mu = 1e-20, delta = 0 and a budget of
+# 300,000, whose levels grow to 88,266 boxes, gates of 0 (no look-ahead),
+# 64, 256, 1,024 and 4,096 took 1.15, 1.16, 1.26, 1.30 and 1.25 s (medians
+# of 11 passes on a shared host, minima 1.01-1.06 s for all five), and no
+# gate 1.59 s: there the children of proven boxes are real work.
+_LOOKAHEAD_BOXES = 256
 
 
 class Target(Enum):
@@ -612,12 +634,13 @@ class _Vertex:
 # How far from a vertex, in its own widths, a box may reach and still be
 # tried with the vertex form.  Over 25 runs (5 targets x {defaults,
 # mu = 1e-12 with delta = 1e-6 and 1e-7, delta = 0 at mu = 1e-6 and 1e-12}),
-# bounded from depth `_GRID_DEPTH`, reaches of 1, 2, 3, 4 and 8 took 743,
-# 117, 117, 115 and 115 levels and 847, 254, 297, 297 and 330 ms (medians
-# of 7 passes; 15 passes of 2 against 4 gave 253 and 291 ms).  At 1 only
-# boxes that touch the vertex qualify, which leaves the corner edge
-# x = 1 - delta to bisection and 3 boxes undecided; above 2 the form is
-# tried on more boxes, which costs more time than the 2 levels it saves.
+# bounded from depth `_GRID_DEPTH` with the look-ahead of
+# `_LOOKAHEAD_BOXES`, reaches of 1, 2, 3, 4 and 8 took 743, 117, 117, 115
+# and 115 levels in 378, 67, 67, 67 and 67 evaluations and 398, 146, 165,
+# 190 and 197 ms (medians of 7 passes).  At 1 only boxes that touch the
+# vertex qualify, which leaves the corner edge x = 1 - delta to bisection
+# and 3 boxes undecided; above 2 the form is tried on more boxes, which
+# costs more time and saves no evaluation.
 _VERTEX_REACH = 2.0
 
 _VERTEX_1_1 = _Vertex(
@@ -760,8 +783,13 @@ class BoxArray:
         ]
 
 
+# The forms that prove a box, in `stats.proven_by` order: the bound of
+# :func:`_lower_bounds`, then each vertex form.
+_FORMS = ("bound", *(v.name for v in _VERTICES))
+
+
 def _proof_counts() -> dict:
-    return {"bound": 0, **{v.name: 0 for v in _VERTICES}}
+    return dict.fromkeys(_FORMS, 0)
 
 
 @dataclass
@@ -781,15 +809,19 @@ class CertificateStats:
     boxes proven, boxes left undecided at the depth or width limit, and
     boxes bisected; the rest of a level's boxes is the corner box.  A run
     that exhausts its budget also reports its unprocessed queue undecided,
-    which no level counts.  `undecided_hull` is the bounding box of the
-    undecided boxes and its max-norm distance to each vertex of
-    `_VERTICES`, or None when no box is undecided.
+    which no level counts.  `evaluations` counts the calls of
+    :func:`_decide`, each of which decides one bounded level, or one level
+    and the next (see :func:`certify`), so it is at most `levels`.
+    `undecided_hull` is the bounding box of the undecided boxes and its
+    max-norm distance to each vertex of `_VERTICES`, or None when no box is
+    undecided.
     """
 
     boxes_processed: int = 0
     max_depth_reached: int = 0
     grid_depth: int = 0
     levels: int = 0
+    evaluations: int = 0
     proven_by: dict = field(default_factory=_proof_counts)
     per_level: list = field(default_factory=list)
     undecided_hull: dict | None = None
@@ -843,6 +875,7 @@ class Certificate:
                 "max_depth_reached": self.stats.max_depth_reached,
                 "grid_depth": self.stats.grid_depth,
                 "levels": self.stats.levels,
+                "evaluations": self.stats.evaluations,
                 "proven_by": dict(self.stats.proven_by),
                 "per_level": [list(level) for level in self.stats.per_level],
                 "undecided_hull": self.stats.undecided_hull,
@@ -931,6 +964,33 @@ def _bisect(xlo, xhi, ylo, yhi):
     return tuple(np.concatenate([a, b]) for a, b in zip(c1, c2))
 
 
+def _decide(target: Target, mu: float, xlo, xhi, ylo, yhi):
+    """The decision of a bounded level over a batch of clipped boxes.
+
+    Returns a (len(_FORMS) + 1, n) boolean array: row i marks the boxes
+    proven by form `_FORMS[i]`, and the last row the corner box.  The bound
+    of :func:`_lower_bounds` goes first; then each vertex of `_VERTICES`
+    tries, in order, the near boxes that the rows before it leave neither
+    proven nor corner.  Every step is element-wise over the boxes, so a
+    box's decision does not depend on the other boxes in the batch.
+    """
+    width = np.maximum(xhi - xlo, yhi - ylo)
+    rows = np.zeros((len(_FORMS) + 1, xlo.shape[0]), dtype=bool)
+    rows[0] = _lower_bounds(target, xlo, xhi, ylo, yhi, mu) > 0.0
+    for i, vertex in enumerate(_VERTICES, start=1):
+        if target not in vertex.facts:
+            continue
+        near = ~rows.any(axis=0) & vertex.near(xlo, xhi, ylo, yhi, width)
+        if not near.any():
+            continue
+        near[near] = vertex.bounds(target, xlo[near], xhi[near],
+                                   ylo[near], yhi[near], mu) > 0.0
+        holds = near & vertex.holds(xlo, xhi, ylo, yhi)
+        rows[i] = near & ~holds
+        rows[-1] |= holds
+    return rows
+
+
 def certify(task: CertificationTask) -> Certificate:
     """Branch-and-bound certification of one target over W(mu, delta).
 
@@ -948,6 +1008,15 @@ def certify(task: CertificationTask) -> Certificate:
     boxes past box_budget is reported undecided as it stands.  Each level
     splits at most as many boxes as it holds, so the queue never holds
     more than twice the budget.
+
+    A bounded level that has no decision yet, holds at most
+    `_LOOKAHEAD_BOXES` boxes and lies above max_depth bisects all of its
+    boxes, clips the children, and, when they would not take the bounded
+    boxes past box_budget, decides itself and them in one :func:`_decide`
+    call.  The next level, the children of the boxes it splits in
+    `_bisect`'s order, is then the array the sequential loop would build,
+    and it takes its decision from that call.  A level is counted in the
+    stats only when it is resolved; children are never counted.
     """
     start = time.perf_counter()
     xlo = np.array([task.mu])
@@ -976,10 +1045,13 @@ def certify(task: CertificationTask) -> Certificate:
         )
 
     grid_end = min(_GRID_DEPTH, task.max_depth)
+    # The rows of `_decide` for this level, when the level before made them.
+    decision = None
     while xlo.shape[0] > 0:
-        xlo, xhi, ylo, yhi, ok = _clip_to_domain(xlo, xhi, ylo, yhi, task.mu)
-        if not ok.all():
-            xlo, xhi, ylo, yhi = xlo[ok], xhi[ok], ylo[ok], yhi[ok]
+        if decision is None:
+            xlo, xhi, ylo, yhi, ok = _clip_to_domain(xlo, xhi, ylo, yhi, task.mu)
+            if not ok.all():
+                xlo, xhi, ylo, yhi = xlo[ok], xhi[ok], ylo[ok], yhi[ok]
         n = xlo.shape[0]
         if n == 0:
             break
@@ -998,21 +1070,20 @@ def certify(task: CertificationTask) -> Certificate:
 
         stats.boxes_processed += n
         stats.levels += 1
-        proven = _lower_bounds(task.target, xlo, xhi, ylo, yhi, task.mu) > 0.0
-        stats.proven_by["bound"] += int(proven.sum())
-        corner = np.zeros(n, dtype=bool)
-        for vertex in _VERTICES:
-            if task.target not in vertex.facts:
-                continue
-            near = ~(proven | corner) & vertex.near(xlo, xhi, ylo, yhi, width)
-            if not near.any():
-                continue
-            near[near] = vertex.bounds(task.target, xlo[near], xhi[near],
-                                       ylo[near], yhi[near], task.mu) > 0.0
-            holds = near & vertex.holds(xlo, xhi, ylo, yhi)
-            stats.proven_by[vertex.name] += int(near.sum() - holds.sum())
-            proven |= near & ~holds
-            corner |= holds
+        ahead = None
+        if decision is None:
+            boxes = (xlo, xhi, ylo, yhi)
+            if depth < task.max_depth and n <= _LOOKAHEAD_BOXES:
+                *children, keep = _clip_to_domain(*_bisect(*boxes), task.mu)
+                if stats.boxes_processed + int(keep.sum()) <= task.box_budget:
+                    ahead = [c[keep] for c in children]
+                    boxes = tuple(map(np.concatenate, zip(boxes, ahead)))
+            stats.evaluations += 1
+            decision = _decide(task.target, task.mu, *boxes)
+        rows = decision[:, :n]
+        for form, row in zip(_FORMS, rows):
+            stats.proven_by[form] += int(row.sum())
+        proven, corner = rows[:-1].any(axis=0), rows[-1]
         if corner.any():
             corner_parts.append((xlo[corner], xhi[corner],
                                  ylo[corner], yhi[corner]))
@@ -1031,7 +1102,15 @@ def certify(task: CertificationTask) -> Certificate:
         if not split.any():
             break
 
-        xlo, xhi, ylo, yhi = _bisect(xlo[split], xhi[split], ylo[split], yhi[split])
+        if ahead is None:
+            xlo, xhi, ylo, yhi = _bisect(xlo[split], xhi[split], ylo[split], yhi[split])
+            decision = None
+        else:
+            # `_bisect`'s order: the first halves of the split boxes, then
+            # their second halves, as the sequential loop would build them.
+            pick = np.concatenate([split, split])[keep]
+            xlo, xhi, ylo, yhi = (c[pick] for c in ahead)
+            decision = decision[:, n:][:, pick]
         depth += 1
 
     return _finish(exhausted=False)

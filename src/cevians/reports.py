@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-TOOL_VERSION = "0.8.0"
+TOOL_VERSION = "0.9.0"
 
 
 @dataclass(frozen=True)

@@ -24,6 +24,7 @@ from cevians.certifier import (
     _VERTEX_1_1,
     _VERTEX_HALF,
     _VERTICES,
+    _bisect,
     _clip_to_domain,
     _vertex_0_1_bounds,
     _vertex_1_1_bounds,
@@ -38,6 +39,7 @@ from cevians.certifier import (
     _strict_parts,
 )
 from cevians.cli import main as cli_main
+from cevians.reports import reproducible_bytes
 from cevians.intervals import Interval, _IntervalOps
 from cevians.inequalities import isosceles_slack_case1, isosceles_slack_case2
 
@@ -347,22 +349,47 @@ class TestGrid:
     @staticmethod
     def _traced(monkeypatch, task):
         """The certificate, each level's clipped boxes, and the boxes of each
-        bounded level, recorded from `_clip_to_domain` and `_lower_bounds`."""
-        clip, bound = certifier._clip_to_domain, certifier._lower_bounds
-        clipped, bounded = [], []
+        bounded level.
 
-        def clip_recording(*args):
-            out = clip(*args)
-            clipped.append([a[out[4]] for a in out[:4]])
-            return out
+        One `_lower_bounds` call may bound a level together with the next,
+        so the levels are rebuilt as the level-synchronous loop builds them:
+        from the root box, clip and drop the empty boxes; bisect every box of
+        a grid level, and the boxes of a bounded level that the certificate
+        lists neither proven, corner nor undecided.  A level after the grid
+        is bounded when `_lower_bounds` saw every one of its boxes.
+        """
+        bound = certifier._lower_bounds
+        seen = set()
 
         def bound_recording(target, xlo, xhi, ylo, yhi, mu):
-            bounded.append(set(zip(xlo.tolist(), xhi.tolist(), ylo.tolist(), yhi.tolist())))
+            seen.update(zip(xlo.tolist(), xhi.tolist(), ylo.tolist(), yhi.tolist()))
             return bound(target, xlo, xhi, ylo, yhi, mu)
 
-        monkeypatch.setattr(certifier, "_clip_to_domain", clip_recording)
         monkeypatch.setattr(certifier, "_lower_bounds", bound_recording)
-        return certify(task), clipped, bounded
+        cert = certify(task)
+        resolved = {tuple(box) for part in (cert.proven, cert.corner, cert.undecided)
+                    for box in part.bounds_list()}
+        clipped, bounded = [], []
+        boxes = tuple(np.array([v]) for v in (task.mu, 1.0 - task.delta, task.mu, 1.0))
+        while True:
+            *boxes, ok = _clip_to_domain(*boxes, task.mu)
+            boxes = [b[ok] for b in boxes]
+            if not ok.any():
+                break
+            clipped.append(boxes)
+            keys = list(zip(*(b.tolist() for b in boxes)))
+            if len(clipped) <= cert.stats.grid_depth:
+                assert seen.isdisjoint(keys)
+                boxes = _bisect(*boxes)
+                continue
+            if not seen.issuperset(keys):
+                break
+            bounded.append(set(keys))
+            split = np.array([key not in resolved for key in keys])
+            if not split.any():
+                break
+            boxes = _bisect(*(b[split] for b in boxes))
+        return cert, clipped, bounded
 
     @pytest.mark.parametrize("target, settings", RUNS, ids=IDS)
     def test_undecided_only_at_a_limit(self, target, settings, monkeypatch):
@@ -384,9 +411,11 @@ class TestGrid:
                 widths[stats.grid_depth] <= task.min_box_width).any()
         else:
             assert stats.budget_exhausted
-        # the grid is a prefix: every level after it is bounded
+        # the grid is a prefix: every level after it is bounded, with the
+        # boxes its trace counts
         assert [len(level) for level in bounded] == [
             c[0].shape[0] for c in clipped[stats.grid_depth:stats.grid_depth + stats.levels]]
+        assert [len(level) for level in bounded] == [level[0] for level in stats.per_level]
         assert stats.boxes_processed <= task.box_budget
         unbounded = 0
         for box in map(tuple, cert.undecided.bounds_list()):
@@ -436,6 +465,40 @@ class TestGrid:
         stats = certify(CertificationTask(target=Target.MAIN_MEDIAN)).stats
         assert stats.grid_depth == _GRID_DEPTH
         assert stats.max_depth_reached == _GRID_DEPTH + stats.levels - 1
+
+
+class TestLookAhead:
+    """Deciding a level together with its boxes' children changes no
+    certificate: with the look-ahead off (gate 0), at the default gate and
+    always on, the reports are the same bytes but for `stats.evaluations`."""
+
+    SETTINGS = [{}, {"delta": 0.0}, {"box_budget": 10}, {"box_budget": 31},
+                {"max_depth": 2}, {"max_depth": 7}, {"min_box_width": 0.2}]
+    # Its levels hold 32, 64, 116, 206, 346, 524 and 830 boxes before the
+    # budget runs out, so at the default gate both branches run.
+    WIDE = (Target.KEY_SYSTEM, {"mu": 1e-20, "delta": 0.0, "box_budget": 3000})
+    RUNS = [(t, kw) for kw in SETTINGS for t in Target] + [WIDE]
+    IDS = [f"{t.value}-{'-'.join(f'{k}={v}' for k, v in kw.items()) or 'defaults'}"
+           for t, kw in RUNS]
+
+    @pytest.mark.parametrize("target, settings", RUNS, ids=IDS)
+    def test_same_certificate_as_the_sequential_loop(self, target, settings, monkeypatch):
+        task = CertificationTask(target=target, **settings)
+        default = certifier._LOOKAHEAD_BOXES
+        reports, evaluations = [], []
+        for gate in (0, default, 10**9):
+            monkeypatch.setattr(certifier, "_LOOKAHEAD_BOXES", gate)
+            doc = certify(task).to_report_dict(include_proven=True)
+            stats = doc["stats"]
+            assert stats["evaluations"] <= stats["levels"]
+            evaluations.append(stats.pop("evaluations"))
+            reports.append(reproducible_bytes(doc))
+        assert reports[0] == reports[1] == reports[2]
+        assert evaluations[0] == stats["levels"]
+        if (target, settings) == self.WIDE:
+            sizes = [level[0] for level in stats["per_level"]]
+            assert min(sizes) <= default < max(sizes)
+            assert evaluations[2] < evaluations[1] < evaluations[0]
 
 
 class TestProvenBoxSoundness:

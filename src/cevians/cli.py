@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import math
 import os
 import sys
@@ -166,6 +167,16 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("-o", "--output", help="write CSV here (manifest goes to "
                                           "<output>.manifest.json)")
     return parser
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` shares across calls in one process.
+
+    Reuse is safe: every default is an immutable scalar and no action
+    mutates parser state, so each ``parse_args`` sees only its own argv.
+    """
+    return build_parser()
 
 
 def _build_triangle(args) -> tuple[SideTriple, dict]:
@@ -387,8 +398,7 @@ _HANDLERS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     started = time.perf_counter()
     try:
         return _HANDLERS[args.command](args, started)

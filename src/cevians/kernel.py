@@ -108,17 +108,18 @@ class TriangleMetrics:
 
 @dataclass(frozen=True)
 class MixedWeights:
-    """Nonnegative mixture weights for (median, altitude, bisector)."""
+    """Finite nonnegative mixture weights for (median, altitude, bisector)."""
 
     alpha: float
     beta: float
     gamma: float
 
     def __post_init__(self):
+        weights = (self.alpha, self.beta, self.gamma)
+        if not all(math.isfinite(w) for w in weights):
+            raise DomainError(f"weights must be finite, got {weights}")
         if self.alpha < 0.0 or self.beta < 0.0 or self.gamma < 0.0:
-            raise ValueError(
-                f"weights must be nonnegative, got {(self.alpha, self.beta, self.gamma)}"
-            )
+            raise ValueError(f"weights must be nonnegative, got {weights}")
         if self.alpha == 0.0 and self.beta == 0.0 and self.gamma == 0.0:
             raise ZeroWeightsError("at least one mixture weight must be positive")
 

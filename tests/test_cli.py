@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cevians.cli import main
+from cevians.cli import _parser, build_parser, main
 from cevians.reports import TOOL_VERSION, reproducible_bytes, strip_wall_time
 
 from conftest import rel_close
@@ -81,6 +81,17 @@ class TestVerify:
                     "--weights=-1,0,0"]) == 2
         assert run(["verify", "--sides", "3,4,5", "--cevians", "mixed",
                     "--weights", "0,0,0"]) == 2
+
+    @pytest.mark.parametrize("slot", range(3))
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_weight_exits_2(self, slot, bad, capsys):
+        weights = ["1", "1", "1"]
+        weights[slot] = bad
+        assert run(["verify", "--sides", "3,4,5", "--cevians", "mixed",
+                    f"--weights={','.join(weights)}"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: weights must be finite")
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("tolerance", ["nan", "inf", "-inf", "-1"])
     def test_bad_tolerance_exits_2(self, tolerance, capsys):
@@ -291,6 +302,33 @@ class TestSearch:
         monkeypatch.setenv("CEVIANS_SEED", str(seed))
         assert run(base) == 2
         assert "seed must lie in [0, 2**64)" in capsys.readouterr().err
+
+
+class TestSharedParser:
+    """main builds its parser once; each call must still see only its own argv."""
+
+    def test_runs_in_one_process_stay_independent(self, tmp_path, monkeypatch):
+        with pytest.raises(SystemExit) as err:
+            run(["certify", "--target", "no-such-target"])
+        assert err.value.code == 2
+
+        cert = ["certify", "--target", "scalene-lemma"]
+        with_proven, without = tmp_path / "with.json", tmp_path / "without.json"
+        assert run(cert + ["--include-proven", "-o", str(with_proven)]) == 0
+        assert run(cert + ["-o", str(without)]) == 0
+        assert len(load(with_proven)["certificate"]["proven"]) > 0
+        assert "proven" not in load(without)["certificate"]
+
+        monkeypatch.setenv("CEVIANS_SEED", "321")
+        found = tmp_path / "search.json"
+        assert run(["search", "--mode", "open-problem", "--samples", "2000",
+                    "--refine-steps", "0", "-o", str(found)]) == 0
+        assert load(found)["manifest"]["seed"] == 321
+        assert load(found)["manifest"]["config"]["record_top"] == 20
+
+    def test_build_parser_returns_a_new_parser(self):
+        assert build_parser() is not build_parser()
+        assert _parser() is _parser()
 
 
 class TestTable:

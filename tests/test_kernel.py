@@ -196,6 +196,14 @@ class TestMixedCevians:
         with pytest.raises(ValueError):
             MixedWeights(1, -1, 0)
 
+    @pytest.mark.parametrize("slot", range(3))
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_weight(self, slot, bad):
+        weights = [1.0, 1.0, 1.0]
+        weights[slot] = bad
+        with pytest.raises(DomainError, match="weights must be finite"):
+            MixedWeights(*weights)
+
 
 class TestGeneralCevians:
     def test_midpoint_equals_medians(self):

@@ -272,18 +272,23 @@ def cmd_verify(args, started: float) -> int:
     return 0 if all_ok else 1
 
 
-def _corner_sampling(target: Target, delta: float, grid: int = 128) -> dict:
+def _grid_values(target: Target, axis: np.ndarray):
+    """x, y and target value of each domain point of the grid axis x axis, x-major."""
+    gx, gy = np.meshgrid(axis, axis, indexing="ij")
+    mask = bulk.in_normalized_domain(gx, gy)
+    x, y = gx[mask], gy[mask]
+    return x, y, point_values(target, x, y)
+
+
+def _corner_sampling(target: Target, delta: float) -> dict:
     """Dense binary64 sampling of the corner interior [1-delta, 1]^2.
 
     Evidence only: a sampled minimum proves nothing between the samples.
     """
-    axis = np.linspace(1.0 - delta, 1.0, grid + 1)
-    gx, gy = np.meshgrid(axis, axis, indexing="ij")
-    mask = bulk.in_normalized_domain(gx, gy)
-    values = point_values(target, gx[mask], gy[mask])
+    _, _, values = _grid_values(target, np.linspace(1.0 - delta, 1.0, 129))  # 128 steps
     tol = -1e-12
     return {
-        "points": int(mask.sum()),
+        "points": values.size,
         "min_value": float(values.min()),
         "tolerance": tol,
         "pass": bool((values >= tol).all()),
@@ -361,15 +366,9 @@ def cmd_search(args, started: float) -> int:
 def cmd_table(args, started: float) -> int:
     if args.density < 2:
         raise _UsageError(f"--density must be at least 2, got {args.density}")
-    axis = np.linspace(0.0, 1.0, args.density)
+    points = _grid_values(Target.MAIN_MEDIAN, np.linspace(0.0, 1.0, args.density))
     lines = ["x,y,F"]
-    for xv in axis:
-        ys = axis[bulk.in_normalized_domain(np.full_like(axis, xv), axis)]
-        if ys.size == 0:
-            continue
-        fs = point_values(Target.MAIN_MEDIAN, np.full_like(ys, xv), ys)
-        for yv, fv in zip(ys, fs):
-            lines.append(f"{float(xv)!r},{float(yv)!r},{float(fv)!r}")
+    lines += [f"{x!r},{y!r},{f!r}" for x, y, f in zip(*(v.tolist() for v in points))]
     csv_text = "\n".join(lines) + "\n"
 
     manifest = RunManifest(

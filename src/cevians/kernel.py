@@ -76,9 +76,10 @@ class CevianTriple:
     kind: CevianKind
 
     def __post_init__(self):
-        if not (self.la > 0.0 and self.lb > 0.0 and self.lc > 0.0):
+        lengths = (self.la, self.lb, self.lc)
+        if not all(0.0 < v < math.inf for v in lengths):
             raise DomainError(
-                f"cevian lengths must be positive, got {(self.la, self.lb, self.lc)}"
+                f"cevian lengths must be finite and positive, got {lengths}"
             )
 
     def as_tuple(self) -> tuple[float, float, float]:

@@ -15,11 +15,13 @@ in index order, so reports are byte-identical for any worker count.
 Refinement is a pattern search run on all candidates at once; each round
 evaluates every candidate's remaining probes speculatively in one stacked
 kernel call, so its cost follows the moves made rather than the ten
-probes of a sweep.
+probes of a sweep.  Candidates travel as (6, n) column blocks (a, b, c,
+ta, tb, tc), and each block becomes records through one such call.
 """
 
 from __future__ import annotations
 
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -28,15 +30,13 @@ from enum import Enum
 import numpy as np
 
 from . import bulk
-from .inequalities import open_problem_slacks
+from .exceptions import DomainError
 from .intervals import _IntervalOps
-from .kernel import (
-    CevianTriple,
-    GeneralCevianParams,
-    SideTriple,
-    general_cevians,
-    validate_sides,
-)
+from .kernel import CevianKind, CevianTriple, GeneralCevianParams, SideTriple
+
+# The search calls none of these; bench/tracing.py wraps them by name here.
+from .inequalities import open_problem_slacks  # noqa: F401
+from .kernel import general_cevians, validate_sides  # noqa: F401
 
 SHARD_SIZE = 1 << 16
 # Sampled and refined feet stay within [FOOT_MARGIN, 1 - FOOT_MARGIN].
@@ -89,6 +89,8 @@ class CandidateRecord:
     constraint_lower: float | None = None
 
     def __post_init__(self):
+        if not (math.isfinite(self.slack1) and math.isfinite(self.slack2)):
+            raise DomainError(f"slacks must be finite: {(self.slack1, self.slack2)}")
         if self.min_slack != min(self.slack1, self.slack2):
             raise ValueError("min_slack must equal min(slack1, slack2)")
 
@@ -156,23 +158,35 @@ def constraint_filter(t: SideTriple, cv: CevianTriple) -> bool:
     return bool(bulk.constraint_mask_arrays(*t.as_tuple(), *cv.as_tuple()))
 
 
+def _columns(cands: list[CandidateRecord]) -> np.ndarray:
+    """The (6, n) column block (a, b, c, ta, tb, tc) of ``cands``."""
+    return np.array([c.sides.as_tuple() + c.feet.as_tuple() for c in cands]).T
+
+
+def _records(cols: np.ndarray, index) -> list[CandidateRecord]:
+    """Records of the candidates in a (6, n) block (a, b, c, ta, tb, tc).
+
+    The sides must be sorted.  One :func:`cevians.bulk.cevian_triple_slacks`
+    call evaluates them all; as in :func:`cevians.kernel.scalar_eval`, NaN
+    and infinities come back as values, which the dataclasses reject.
+    """
+    with np.errstate(all="ignore"):
+        cv, s1, s2, ok = bulk.cevian_triple_slacks(cols[:3], cols[3:])
+    rows = zip(cols.T.tolist(), cv.T.tolist(), s1.tolist(), s2.tolist(),
+               ok.tolist(), np.asarray(index).tolist())
+    return [
+        CandidateRecord(SideTriple(*col[:3]), GeneralCevianParams(*col[3:]),
+                        CevianTriple(*lengths, CevianKind.GENERAL),
+                        u, v, good, min(u, v), i)
+        for col, lengths, u, v, good, i in rows
+    ]
+
+
 def evaluate_candidate(
     t: SideTriple, p: GeneralCevianParams, index: int = -1
 ) -> CandidateRecord:
     """Evaluate both target slacks and the constraints for one candidate."""
-    cv = general_cevians(t, p)
-    r1, r2 = open_problem_slacks(t, cv)
-    s1, s2 = r1.value, r2.value
-    return CandidateRecord(
-        sides=t,
-        feet=p,
-        cevians=cv,
-        slack1=s1,
-        slack2=s2,
-        constraints_ok=constraint_filter(t, cv),
-        min_slack=min(s1, s2),
-        index=index,
-    )
+    return _records(np.array([t.as_tuple() + p.as_tuple()]).T, [index])[0]
 
 
 def reverify_candidate(cands: list[CandidateRecord]) -> list[CandidateRecord]:
@@ -190,9 +204,7 @@ def reverify_candidate(cands: list[CandidateRecord]) -> list[CandidateRecord]:
     if not cands:
         return []
     ops = _IntervalOps
-    cols = np.array([cand.sides.as_tuple() + cand.feet.as_tuple()
-                     for cand in cands]).T
-    a, b, c, ta, tb, tc = ((v, v) for v in cols)  # exact point intervals
+    a, b, c, ta, tb, tc = ((v, v) for v in _columns(cands))  # exact point intervals
     da, db, dc = bulk.stewart_cevians(ops, a, b, c, ta, tb, tc)
 
     def root_gap(u, v, w):
@@ -247,9 +259,10 @@ def _probe_slacks(
     """Evaluate pattern-search probes: the columns (x, y, ta, tb, tc) of ``trial``.
 
     Returns the acceptance mask and min_slack.  A column is accepted
-    exactly when :func:`evaluate_candidate` on ``validate_sides(x*c0,
-    y*c0, c0)`` would succeed, with ``x <= y <= 1`` so that the roles of
-    the sides stay fixed and the feet within ``[FOOT_MARGIN, 1 -
+    exactly when the sides (x*c0, y*c0, c0) and the feet make a valid
+    candidate record (a triangle, feet in (0, 1), positive finite Cevians
+    and finite slacks), with ``x <= y <= 1`` so that the roles of the
+    sides stay fixed and the feet within ``[FOOT_MARGIN, 1 -
     FOOT_MARGIN]``, and in open-problem mode when the constraints hold.
     All probes go through one :func:`cevians.bulk.cevian_triple_slacks`
     call.  Rejected columns may carry NaN; their min_slack is meaningless.
@@ -313,8 +326,8 @@ def refine(
     candidate's sweep takes at most one round plus one per move instead of
     ten evaluations, and all candidates share the rounds.
 
-    A candidate that moved is rebuilt by :func:`evaluate_candidate` and
-    marked refined; one that never moved is returned as the same object.
+    The movers are rebuilt together by :func:`_records` and marked
+    refined; a candidate that never moved is returned as the same object.
     When ``counts`` is given, three counters are written into it:
     ``refine_sweeps``, the most sweeps any candidate ran (one evaluation
     per probe would take ten times as many); ``refine_moves``, the
@@ -327,14 +340,11 @@ def refine(
     if steps <= 0 or not cands:
         return list(cands)
 
-    c0 = np.array([c.sides.c for c in cands])
+    cols = _columns(cands)
+    c0 = cols[2]
     # Column k holds (x, y, ta, tb, tc) of candidate k, so that each
     # coordinate of a batch of probes is one contiguous row.
-    pts = np.array([
-        [c.sides.a / c.sides.c, c.sides.b / c.sides.c,
-         c.feet.ta, c.feet.tb, c.feet.tc]
-        for c in cands
-    ]).T.copy()
+    pts = np.concatenate([cols[:2] / c0, cols[3:]])
     start = np.array([c.min_slack for c in cands])
     best = start.copy()
     step = np.full(len(cands), 0.05)
@@ -379,17 +389,15 @@ def refine(
         counts["refine_moves"] += moved.size
     counts["refine_sweeps"] = int(swept.max())
 
-    # Every accepted probe lowers best strictly, so this marks the movers.
+    # Every accepted probe lowers best strictly, so this marks the movers;
+    # x <= y <= 1 holds for them, so their sides come out sorted.
+    movers = np.flatnonzero(best < start).tolist()
+    c = c0[movers]
+    rebuilt = _records(np.vstack([pts[:2, movers] * c, c, pts[2:, movers]]),
+                       [cands[k].index for k in movers])
     out = list(cands)
-    for k in np.flatnonzero(best < start):
-        x, y, ta, tb, tc = pts[:, k].tolist()
-        c = cands[k].sides.c
-        probe = evaluate_candidate(
-            validate_sides(x * c, y * c, c),
-            GeneralCevianParams(ta, tb, tc),
-            cands[k].index,
-        )
-        out[k] = replace(probe, refined=True)
+    for k, rec in zip(movers, rebuilt):
+        out[k] = replace(rec, refined=True)
     return out
 
 
@@ -405,7 +413,8 @@ def _run_shard(
 
     The candidates are every sample in unconstrained mode and the
     constraint-satisfying ones in open-problem mode; the frontier is the
-    constraint-satisfying samples with nonnegative min_slack.
+    constraint-satisfying samples with nonnegative min_slack.  Each pool
+    is (index, min_slack, columns) of its best record_top samples.
     """
     rng = shard_rng(seed, shard_index)
     x, y = bulk.sample_normalized_points(rng, count)
@@ -420,7 +429,7 @@ def _run_shard(
     ms = np.minimum(s1, s2)
     idx = start + np.arange(count, dtype=np.int64)
 
-    def top(mask: np.ndarray) -> dict:
+    def top(mask: np.ndarray) -> tuple:
         sel = np.flatnonzero(mask)
         if sel.size > record_top:
             # Pre-select by partition; keeping every tie at the threshold
@@ -428,15 +437,9 @@ def _run_shard(
             kth = np.partition(ms[sel], record_top - 1)[record_top - 1]
             sel = sel[ms[sel] <= kth]
         order = sel[np.argsort(ms[sel], kind="stable")][:record_top]
-        return {
-            "idx": idx[order],
-            "x": x[order],
-            "y": y[order],
-            "ta": ta[order],
-            "tb": tb[order],
-            "tc": tc[order],
-            "ms": ms[order],
-        }
+        cols = np.array([x[order], y[order], np.ones(order.size),
+                         ta[order], tb[order], tc[order]])
+        return idx[order], ms[order], cols
 
     pool = ok if mode is SearchMode.OPEN_PROBLEM else np.ones(count, dtype=bool)
     return {
@@ -449,32 +452,11 @@ def _run_shard(
     }
 
 
-def _merge_pool(pools: list[dict], record_top: int) -> list[tuple]:
-    if not pools:
-        return []
-    ms = np.concatenate([p["ms"] for p in pools])
-    idx = np.concatenate([p["idx"] for p in pools])
-    if ms.size == 0:
-        return []
+def _merge_pool(pools: list[tuple], record_top: int) -> list[CandidateRecord]:
+    """Records of the pools' record_top least-min_slack samples, ties by index."""
+    idx, ms, cols = (np.concatenate(part, axis=-1) for part in zip(*pools))
     order = np.lexsort((idx, ms))[:record_top]
-    out = []
-    xs = np.concatenate([p["x"] for p in pools])
-    ys = np.concatenate([p["y"] for p in pools])
-    tas = np.concatenate([p["ta"] for p in pools])
-    tbs = np.concatenate([p["tb"] for p in pools])
-    tcs = np.concatenate([p["tc"] for p in pools])
-    for i in order:
-        out.append((int(idx[i]), float(xs[i]), float(ys[i]),
-                    float(tas[i]), float(tbs[i]), float(tcs[i])))
-    return out
-
-
-def _records_from_pool(rows: list[tuple]) -> list[CandidateRecord]:
-    records = []
-    for idx, x, y, ta, tb, tc in rows:
-        t = validate_sides(x, y, 1.0)
-        records.append(evaluate_candidate(t, GeneralCevianParams(ta, tb, tc), idx))
-    return records
+    return _records(cols[:, order], idx[order])
 
 
 def search(cfg: SearchConfig) -> SearchReport:
@@ -523,9 +505,7 @@ def search(cfg: SearchConfig) -> SearchReport:
         "constrained_negative": sum(r["constrained_negative"] for r in results),
     }
 
-    candidates = _records_from_pool(
-        _merge_pool([r["candidates"] for r in results], cfg.record_top)
-    )
+    candidates = _merge_pool([r["candidates"] for r in results], cfg.record_top)
     frontier = _merge_pool([r["frontier"] for r in results], cfg.record_top)
 
     todo = [
@@ -553,8 +533,7 @@ def search(cfg: SearchConfig) -> SearchReport:
     # never appear here.
     taken = {c.index for c in violations}
     near: list[CandidateRecord] = []
-    for cand in ([c for c in survivors if c.constraints_ok]
-                 + _records_from_pool(frontier)):
+    for cand in [c for c in survivors if c.constraints_ok] + frontier:
         if cand.index in taken:
             continue
         taken.add(cand.index)

@@ -93,6 +93,15 @@ class TestVerify:
         assert err.startswith("error: weights must be finite")
         assert "Traceback" not in err
 
+    def test_overflowing_mixed_cevians_exit_2(self, capsys):
+        # the weights are valid, but the mixture overflows to inf: the
+        # error names the Cevian lengths, not a slack computed from them
+        assert run(["verify", "--sides", "3,4,5", "--cevians", "mixed",
+                    "--weights", "1e308,1e308,1e308"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: DomainError: cevian lengths must be finite")
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("tolerance", ["nan", "inf", "-inf", "-1"])
     def test_bad_tolerance_exits_2(self, tolerance, capsys):
         assert run(["verify", "--sides", "3,4,5", "--cevians", "median",

@@ -14,6 +14,7 @@ from cevians.exceptions import (
 )
 from cevians.kernel import (
     CevianKind,
+    CevianTriple,
     GeneralCevianParams,
     MixedWeights,
     NormalizedTriangle,
@@ -203,6 +204,16 @@ class TestMixedCevians:
         weights[slot] = bad
         with pytest.raises(DomainError, match="weights must be finite"):
             MixedWeights(*weights)
+
+
+class TestCevianTriple:
+    @pytest.mark.parametrize("slot", range(3))
+    @pytest.mark.parametrize("bad", [math.inf, math.nan, 0.0, -1.0])
+    def test_lengths_must_be_finite_and_positive(self, slot, bad):
+        lengths = [1.0, 1.0, 1.0]
+        lengths[slot] = bad
+        with pytest.raises(DomainError, match="cevian lengths must be finite"):
+            CevianTriple(*lengths, CevianKind.GENERAL)
 
 
 class TestGeneralCevians:

@@ -13,10 +13,11 @@ from cevians.kernel import (
     GeneralCevianParams,
     altitudes,
     bisectors,
+    general_cevians,
     medians,
     validate_sides,
 )
-from cevians.inequalities import tolerance_scale
+from cevians.inequalities import open_problem_slacks, tolerance_scale
 from cevians.reports import reproducible_bytes
 from cevians.search import (
     FOOT_MARGIN,
@@ -58,11 +59,32 @@ SWEEP_CASES = [
 ]
 
 
+def reference_candidate(t, p, index=-1):
+    """One candidate's record by the scalar API, one formula at a time.
+
+    The chain of typed kernel and slack functions that ``evaluate_candidate``
+    replaces with one stacked kernel call, kept here as its reference.
+    """
+    cv = general_cevians(t, p)
+    r1, r2 = open_problem_slacks(t, cv)
+    s1, s2 = r1.value, r2.value
+    return CandidateRecord(
+        sides=t,
+        feet=p,
+        cevians=cv,
+        slack1=s1,
+        slack2=s2,
+        constraints_ok=constraint_filter(t, cv),
+        min_slack=min(s1, s2),
+        index=index,
+    )
+
+
 def reference_probe(v, c0, mode, index=-1):
     """The record of probe v = (x, y, ta, tb, tc) with c pinned at c0, or None.
 
     The acceptance rule of one probe of ``reference_refine``, evaluated by
-    the scalar API.
+    ``reference_candidate``.
     """
     x, y, ta, tb, tc = v
     if not (x <= y <= 1.0):
@@ -72,7 +94,7 @@ def reference_probe(v, c0, mode, index=-1):
             return None
     try:
         t = validate_sides(x * c0, y * c0, c0)
-        probe = evaluate_candidate(t, GeneralCevianParams(ta, tb, tc), index)
+        probe = reference_candidate(t, GeneralCevianParams(ta, tb, tc), index)
     except (CevianError, ValueError):
         return None
     if t.c != c0 or t.a != x * c0:  # sorting changed roles; reject
@@ -301,7 +323,63 @@ class TestConstraintFilter:
         assert cand.slack1 < 0 and cand.slack2 < 0
 
 
+def record_fields(cand):
+    """Every reported field of a record, floats as hex; checks their Python types."""
+    floats = (*cand.sides.as_tuple(), *cand.feet.as_tuple(),
+              *cand.cevians.as_tuple(), cand.slack1, cand.slack2, cand.min_slack)
+    assert all(type(v) is float for v in floats)
+    assert type(cand.constraints_ok) is bool and type(cand.index) is int
+    return ([v.hex() for v in floats], cand.cevians.kind,
+            cand.constraints_ok, cand.index)
+
+
 class TestCandidateRecord:
+    def test_evaluate_candidate_matches_the_scalar_chain(self):
+        pool = edge_pool()
+        rng = shard_rng(2025, 0)
+        x, y = bulk.sample_normalized_points(rng, 2000)
+        c = rng.uniform(0.1, 10.0, 2000)
+        feet = rng.uniform(FOOT_MARGIN, 1.0 - FOOT_MARGIN, (2000, 3))
+        specs = [(cand.sides, cand.feet, cand.index) for cand in pool] + [
+            (validate_sides(x[k] * c[k], y[k] * c[k], c[k]),
+             GeneralCevianParams(*feet[k].tolist()), k)
+            for k in range(2000)
+        ]
+        ok = 0
+        for t, p, index in specs:
+            got = evaluate_candidate(t, p, index)
+            assert record_fields(got) == record_fields(reference_candidate(t, p, index))
+            ok += got.constraints_ok
+        assert 0 < ok < len(specs)
+
+    def test_overflow_rows_raise_in_both(self):
+        trial, c0 = kernel_rows()
+        raised = 0
+        for k in np.flatnonzero(c0 == 1e160):
+            x, y, ta, tb, tc = trial[:, k].tolist()
+            try:
+                t = validate_sides(x * c0[k], y * c0[k], c0[k])
+                p = GeneralCevianParams(ta, tb, tc)
+            except CevianError:
+                continue
+            with pytest.raises(CevianError):
+                reference_candidate(t, p)
+            with pytest.raises(CevianError):
+                evaluate_candidate(t, p)
+            raised += 1
+        assert raised > 0
+
+    @pytest.mark.parametrize("slot", range(2))
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_slacks_must_be_finite(self, slot, bad):
+        cand = evaluate_candidate(validate_sides(3, 4, 5),
+                                  GeneralCevianParams(0.5, 0.5, 0.5))
+        slacks = [cand.slack1, cand.slack2]
+        slacks[slot] = bad
+        with pytest.raises(CevianError, match="slacks must be finite"):
+            replace(cand, slack1=slacks[0], slack2=slacks[1],
+                    min_slack=min(slacks))
+
     def test_min_slack_invariant(self):
         t = validate_sides(3, 4, 5)
         cand = evaluate_candidate(t, GeneralCevianParams(0.5, 0.5, 0.5))
@@ -568,7 +646,40 @@ class TestRefine:
                           "refine_evaluations": 0}
 
 
+class TestMergePool:
+    def test_equal_min_slack_across_shards_goes_in_index_order(self):
+        merge = importlib.import_module("cevians.search")._merge_pool
+        pool = edge_pool()[-4:]  # sampled candidates, c = 1
+        cols = np.array([cand.sides.as_tuple() + cand.feet.as_tuple()
+                         for cand in pool]).T
+        # shard pools list their samples in min_slack order; the ties
+        # at 0.0 span both shards and must come out by sample index
+        shards = [
+            (np.array([3, 1]), np.array([-1.0, 0.0]), cols[:, :2]),
+            (np.array([8, 0]), np.array([0.0, 0.0]), cols[:, 2:]),
+        ]
+        got = merge(shards, 3)
+        assert [c.index for c in got] == [3, 0, 1]
+        want = {3: pool[0], 1: pool[1], 0: pool[3]}
+        assert all(record_fields(c) == record_fields(replace(want[c.index], index=c.index))
+                   for c in got)
+        assert [c.index for c in merge(shards, 10)] == [3, 0, 1, 8]
+
+
 class TestSearch:
+    def test_open_problem_with_empty_pools(self, tmp_path):
+        # seed 0's single sample breaks the constraints, so neither the
+        # candidate pool nor the frontier has a record
+        out = tmp_path / "r.json"
+        argv = ["search", "--mode", "open-problem", "--samples", "1",
+                "--seed", "0", "-o", str(out)]
+        assert cli.main(argv) == 0
+        doc = json.loads(out.read_text())["search"]
+        assert doc["totals"]["constraint_satisfying"] == 0
+        assert doc["totals"]["candidates_considered"] == 0
+        assert doc["violations"] == [] and doc["near_misses"] == []
+        assert doc["outcome"] == "no violations (consistent with open status)"
+
     def test_unconstrained_finds_reverified_violations(self):
         rep = search(SearchConfig(seed=42, samples=30_000,
                                   mode=SearchMode.UNCONSTRAINED, refine_steps=30))

@@ -28,18 +28,23 @@ def sample_normalized_points(
 
     Two uniforms (u, v) are folded into the triangle u + v <= 1 and mapped
     affinely onto the domain triangle with vertices (0,1), (1,1),
-    (1/2,1/2): x = u + v/2, y = 1 - v/2.  The rare points that binary64
+    (1/2,1/2): x = u + v/2, y = 1 - v/2.  The fold has no branch: with
+    f = 1.0 where u + v > 1 and 0.0 elsewhere, |f - u| is 1 - u where f is
+    1 and exactly u where f is 0, so it gives the bits of
+    np.where(fold, 1 - u, u) without a per-element select.  It and the map
+    run in place on the drawn arrays.  The rare points that binary64
     rounding (or u = 0) leaves outside the strict domain are redrawn; when
     none is, exactly 2n uniforms are consumed.  Deterministic for a given
     generator state.
     """
     u = rng.random(n)
     v = rng.random(n)
-    fold = u + v > 1.0
-    u = np.where(fold, 1.0 - u, u)
-    v = np.where(fold, 1.0 - v, v)
-    x = u + 0.5 * v
-    y = 1.0 - 0.5 * v
+    fold = (u + v > 1.0).astype(np.float64)
+    for w in (u, v):
+        np.abs(np.subtract(fold, w, out=w), out=w)
+    v *= 0.5
+    x = np.add(u, v, out=u)
+    y = np.subtract(1.0, v, out=v)
     bad = np.flatnonzero(~in_normalized_domain(x, y))
     if bad.size:
         x[bad], y[bad] = sample_normalized_points(rng, bad.size)

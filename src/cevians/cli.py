@@ -5,7 +5,8 @@ slack fails, 2 invalid input.  certify: 0 empty undecided set, 1 undecided
 boxes remain (also when the box budget runs out), 2 bad arguments.
 search: unconstrained mode exits 0 iff a re-verified violation was found,
 open-problem mode always exits 0 (2 on bad arguments).  table: 0, or 2 on
-bad density.  Every subcommand exits 2 when its -o output cannot be written.
+bad density (below 2 or above 4,096, whose grid arrays take about 134 MB
+each).  Every subcommand exits 2 when its -o output cannot be written.
 """
 
 from __future__ import annotations
@@ -56,6 +57,8 @@ from .search import FOOT_MARGIN, SearchConfig, SearchMode, constraint_filter, se
 
 ENV_SEED = "CEVIANS_SEED"
 DEFAULT_SEED = 0
+# The largest table density; each of its grid arrays takes about 134 MB.
+MAX_DENSITY = 4096
 
 
 class _UsageError(Exception):
@@ -163,7 +166,7 @@ def build_parser() -> argparse.ArgumentParser:
     t = sub.add_parser("table", allow_abbrev=False,
                        help="CSV grid of the normalized main slack")
     t.add_argument("--density", type=int, required=True,
-                   help="grid points per axis (at least 2)")
+                   help=f"grid points per axis (2 to {MAX_DENSITY})")
     t.add_argument("-o", "--output", help="write CSV here (manifest goes to "
                                           "<output>.manifest.json)")
     return parser
@@ -364,8 +367,9 @@ def cmd_search(args, started: float) -> int:
 
 
 def cmd_table(args, started: float) -> int:
-    if args.density < 2:
-        raise _UsageError(f"--density must be at least 2, got {args.density}")
+    if not 2 <= args.density <= MAX_DENSITY:
+        raise _UsageError(
+            f"--density must lie in [2, {MAX_DENSITY}], got {args.density}")
     points = _grid_values(Target.MAIN_MEDIAN, np.linspace(0.0, 1.0, args.density))
     lines = ["x,y,F"]
     lines += [f"{x!r},{y!r},{f!r}" for x, y, f in zip(*(v.tolist() for v in points))]

@@ -11,7 +11,10 @@ configurations; see the README findings.)
 
 Sampling is sharded: shard i draws from a generator seeded with
 SeedSequence([seed, i]) for a seed in [0, 2**64), and shards are merged
-in index order, so reports are byte-identical for any worker count.
+in index order, so reports are byte-identical for any worker count.  A
+shard draws all its samples at once (the sampler folds them without a
+branch, in place) and evaluates them in blocks of 16,384, so no array it
+makes is larger than one shard row.
 Refinement is a pattern search run on all candidates at once; each round
 evaluates every candidate's remaining probes speculatively in one stacked
 kernel call, so its cost follows the moves made rather than the ten
@@ -39,6 +42,9 @@ from .inequalities import open_problem_slacks  # noqa: F401
 from .kernel import general_cevians, validate_sides  # noqa: F401
 
 SHARD_SIZE = 1 << 16
+# A shard's formulas run on blocks of this many samples, so each of their
+# temporaries takes 128 KiB instead of a 512 KiB shard row.
+_BLOCK = 1 << 14
 # Sampled and refined feet stay within [FOOT_MARGIN, 1 - FOOT_MARGIN].
 FOOT_MARGIN = 1e-4
 
@@ -415,6 +421,11 @@ def _run_shard(
     constraint-satisfying ones in open-problem mode; the frontier is the
     constraint-satisfying samples with nonnegative min_slack.  Each pool
     is (index, min_slack, columns) of its best record_top samples.
+
+    The draws cover the whole shard, in the order the stream defines; the
+    Cevians, slacks and mask then run on blocks of ``_BLOCK`` samples and
+    fill shard-length min_slack and mask rows, so no array is larger than
+    one shard row and nothing outlives the call.
     """
     rng = shard_rng(seed, shard_index)
     x, y = bulk.sample_normalized_points(rng, count)
@@ -422,12 +433,15 @@ def _run_shard(
     tb = rng.uniform(FOOT_MARGIN, 1.0 - FOOT_MARGIN, count)
     tc = rng.uniform(FOOT_MARGIN, 1.0 - FOOT_MARGIN, count)
 
-    la, lb, lc = bulk.general_cevians_arrays(x, y, 1.0, ta, tb, tc)
-    s1 = bulk.slack_main_arrays(x, y, 1.0, la, lb, lc)
-    s2 = bulk.slack_quadratic_arrays(x, y, 1.0, la, lb, lc)
-    ok = bulk.constraint_mask_arrays(x, y, 1.0, la, lb, lc)
-    ms = np.minimum(s1, s2)
-    idx = start + np.arange(count, dtype=np.int64)
+    ms = np.empty(count)
+    ok = np.empty(count, dtype=bool)
+    for lo in range(0, count, _BLOCK):
+        b = slice(lo, lo + _BLOCK)
+        xb, yb = x[b], y[b]
+        la, lb, lc = bulk.general_cevians_arrays(xb, yb, 1.0, ta[b], tb[b], tc[b])
+        np.minimum(bulk.slack_main_arrays(xb, yb, 1.0, la, lb, lc),
+                   bulk.slack_quadratic_arrays(xb, yb, 1.0, la, lb, lc), out=ms[b])
+        ok[b] = bulk.constraint_mask_arrays(xb, yb, 1.0, la, lb, lc)
 
     def top(mask: np.ndarray) -> tuple:
         sel = np.flatnonzero(mask)
@@ -439,7 +453,7 @@ def _run_shard(
         order = sel[np.argsort(ms[sel], kind="stable")][:record_top]
         cols = np.array([x[order], y[order], np.ones(order.size),
                          ta[order], tb[order], tc[order]])
-        return idx[order], ms[order], cols
+        return start + order, ms[order], cols
 
     pool = ok if mode is SearchMode.OPEN_PROBLEM else np.ones(count, dtype=bool)
     return {

@@ -3,10 +3,12 @@ import io
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from cevians import cli
 from cevians.cli import _parser, build_parser, main
 from cevians.reports import TOOL_VERSION, reproducible_bytes, strip_wall_time
 
@@ -364,6 +366,32 @@ class TestTable:
 
     def test_low_density_exits_2(self, capsys):
         assert run(["table", "--density", "1"]) == 2
+
+    def test_density_bound_is_accepted(self, monkeypatch, capsys):
+        # stub the grid: the real one at the bound takes over 100 MB an array
+        axes = []
+
+        def grid(target, axis):
+            axes.append(axis.size)
+            return np.zeros(0), np.zeros(0), np.zeros(0)
+
+        monkeypatch.setattr(cli, "_grid_values", grid)
+        assert cli.MAX_DENSITY == 4096
+        assert run(["table", "--density", "4096"]) == 0
+        assert axes == [4096]
+        assert capsys.readouterr().out == "x,y,F\n"
+
+    @pytest.mark.parametrize("density", [4097, 10**7])
+    def test_density_above_bound_exits_2(self, density, capsys):
+        assert run(["table", "--density", str(density)]) == 2
+        # one error line and no traceback
+        assert capsys.readouterr().err == (
+            f"error: --density must lie in [2, 4096], got {density}\n")
+
+    def test_help_states_density_bound(self, capsys):
+        with pytest.raises(SystemExit):
+            run(["table", "--help"])
+        assert "grid points per axis (2 to 4096)" in capsys.readouterr().out
 
     def test_output_file_and_manifest(self, tmp_path):
         out = tmp_path / "grid.csv"

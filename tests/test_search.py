@@ -1,3 +1,4 @@
+import hashlib
 import importlib
 import json
 from dataclasses import replace
@@ -18,7 +19,7 @@ from cevians.kernel import (
     validate_sides,
 )
 from cevians.inequalities import open_problem_slacks, tolerance_scale
-from cevians.reports import reproducible_bytes
+from cevians.reports import canonical_json, reproducible_bytes
 from cevians.search import (
     FOOT_MARGIN,
     SHARD_SIZE,
@@ -267,13 +268,18 @@ class TestSampling:
         b = bulk.sample_normalized_points(shard_rng(8, 2), 1000)
         assert all(np.array_equal(p, q) for p, q in zip(a, b))
 
-    def test_consumes_two_uniforms_per_point(self):
-        rng, ref = shard_rng(9, 0), shard_rng(9, 0)
-        x, y = bulk.sample_normalized_points(rng, 5000)
-        u, v = ref.random(5000), ref.random(5000)
+    @pytest.mark.parametrize("seed, n", [(9, 5000), (0, 1), (3, 17),
+                                         (41, SHARD_SIZE - 1), (2**63 + 5, SHARD_SIZE)])
+    def test_consumes_two_uniforms_per_point(self, seed, n):
+        # the branch-free fold gives the bits of the select it replaced
+        rng, ref = shard_rng(seed, 0), shard_rng(seed, 0)
+        x, y = bulk.sample_normalized_points(rng, n)
+        u, v = ref.random(n), ref.random(n)
         assert rng.bit_generator.state == ref.bit_generator.state
         fold = u + v > 1.0
-        assert np.array_equal(y, 1.0 - 0.5 * np.where(fold, 1.0 - v, v))
+        u, v = np.where(fold, 1.0 - u, u), np.where(fold, 1.0 - v, v)
+        assert np.array_equal(x.view(np.uint64), (u + 0.5 * v).view(np.uint64))
+        assert np.array_equal(y.view(np.uint64), (1.0 - 0.5 * v).view(np.uint64))
 
     def test_acceptance_rate_matches_region_area(self):
         # the acceptance region is a triangle of area 1/4 in the unit square
@@ -664,6 +670,90 @@ class TestMergePool:
         assert all(record_fields(c) == record_fields(replace(want[c.index], index=c.index))
                    for c in got)
         assert [c.index for c in merge(shards, 10)] == [3, 0, 1, 8]
+
+
+def reference_sample(rng, n):
+    """The sampler as a select on the fold mask, redrawing off-domain points."""
+    u = rng.random(n)
+    v = rng.random(n)
+    fold = u + v > 1.0
+    u = np.where(fold, 1.0 - u, u)
+    v = np.where(fold, 1.0 - v, v)
+    x = u + 0.5 * v
+    y = 1.0 - 0.5 * v
+    bad = np.flatnonzero(~bulk.in_normalized_domain(x, y))
+    if bad.size:
+        x[bad], y[bad] = reference_sample(rng, bad.size)
+    return x, y
+
+
+def reference_shard(seed, shard_index, start, count, mode, record_top):
+    """A shard evaluated whole, each formula once on all its samples."""
+    rng = shard_rng(seed, shard_index)
+    x, y = reference_sample(rng, count)
+    ta = rng.uniform(FOOT_MARGIN, 1.0 - FOOT_MARGIN, count)
+    tb = rng.uniform(FOOT_MARGIN, 1.0 - FOOT_MARGIN, count)
+    tc = rng.uniform(FOOT_MARGIN, 1.0 - FOOT_MARGIN, count)
+
+    la, lb, lc = bulk.general_cevians_arrays(x, y, 1.0, ta, tb, tc)
+    s1 = bulk.slack_main_arrays(x, y, 1.0, la, lb, lc)
+    s2 = bulk.slack_quadratic_arrays(x, y, 1.0, la, lb, lc)
+    ok = bulk.constraint_mask_arrays(x, y, 1.0, la, lb, lc)
+    ms = np.minimum(s1, s2)
+    idx = start + np.arange(count, dtype=np.int64)
+
+    def top(mask):
+        sel = np.flatnonzero(mask)
+        if sel.size > record_top:
+            kth = np.partition(ms[sel], record_top - 1)[record_top - 1]
+            sel = sel[ms[sel] <= kth]
+        order = sel[np.argsort(ms[sel], kind="stable")][:record_top]
+        cols = np.array([x[order], y[order], np.ones(order.size),
+                         ta[order], tb[order], tc[order]])
+        return idx[order], ms[order], cols
+
+    pool = ok if mode is SearchMode.OPEN_PROBLEM else np.ones(count, dtype=bool)
+    return {
+        "sampled": count,
+        "constraint_satisfying": int(ok.sum()),
+        "raw_negative": int((ms < 0.0).sum()),
+        "constrained_negative": int((ok & (ms < 0.0)).sum()),
+        "candidates": top(pool),
+        "frontier": top(ok & (ms >= 0.0)),
+    }
+
+
+class TestShard:
+    @pytest.mark.parametrize("mode", list(SearchMode))
+    @pytest.mark.parametrize("count", [SHARD_SIZE, 17, SHARD_SIZE - 1])
+    def test_blocks_match_whole_shard_bit_for_bit(self, mode, count):
+        run_shard = importlib.import_module("cevians.search")._run_shard
+        args = (11, 3, 5 * SHARD_SIZE, count, mode, 50)
+        got, want = run_shard(*args), reference_shard(*args)
+        assert got.keys() == want.keys()
+        for key in want:
+            if key in ("candidates", "frontier"):
+                for g, w in zip(got[key], want[key]):
+                    assert g.dtype == w.dtype and g.shape == w.shape
+                    assert g.tobytes() == w.tobytes()
+            else:
+                assert type(got[key]) is int and got[key] == want[key]
+        if count > 17:
+            assert want["candidates"][0].size == 50
+
+    # sha256 of canonical_json(search(cfg).to_report_dict()) at seed 7 and
+    # 2 * SHARD_SIZE + 17 samples, taken from the whole-shard evaluation
+    # with the select fold; any change to the stream or arithmetic shows
+    @pytest.mark.parametrize("mode, digest", [
+        (SearchMode.UNCONSTRAINED,
+         "74ebe3171ff1f1e894dbff2c17a2f06426f50a01fa9f242d9f23bcaae033b487"),
+        (SearchMode.OPEN_PROBLEM,
+         "b4deeb0374fc4fd3cd7bf078c636cee8a68d0bf270d2c0770353676e00c969b7"),
+    ])
+    def test_report_bytes_are_pinned(self, mode, digest):
+        cfg = SearchConfig(seed=7, samples=2 * SHARD_SIZE + 17, mode=mode)
+        text = canonical_json(search(cfg).to_report_dict())
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
 
 
 class TestSearch:

@@ -1,15 +1,23 @@
-"""The one binary64 definition of every kernel and slack formula.
+"""The one definition of every kernel, slack and constraint formula.
 
 Inputs are floats or arrays of sorted sides (a <= b <= c elementwise); no
 validation happens here.  The typed scalar API validates, calls these on
 floats and wraps the results, so it agrees bit for bit with the sweeps,
-the search and the grids.  Stewart's formula and the quadratic slack take
-an operation set, so search re-verification runs the same trees in interval
-arithmetic.  :func:`cevian_triple_slacks` runs the same per-vertex code on
-(3, n) stacks, one row per vertex, for the search's refinement rounds.
+the search and the grids.  The doubled medians, Stewart's Cevians, both
+slacks, the key residuals, the scalene lemma and the constraints are
+written once over an operation set ``ops`` (see :mod:`cevians.intervals`)
+as functions of general sides (a, b, c): search re-verification runs them
+in interval arithmetic, and the certifier's targets are the same formulas
+at the exact float constant c = 1.0.  :func:`cevian_triple_slacks` runs
+the same per-vertex code on (3, n) stacks, one row per vertex, for the
+search's refinement rounds.
 """
 
 from __future__ import annotations
+
+import functools
+import itertools
+import operator
 
 import numpy as np
 
@@ -51,11 +59,18 @@ def sample_normalized_points(
     return x, y
 
 
+def doubled_medians(ops, a, b, c):
+    """2*m_a, 2*m_b, 2*m_c: from A, sqrt((2b^2 + 2c^2) - a^2), and cyclically."""
+    a2, b2, c2 = ops.mul(a, a), ops.mul(b, b), ops.mul(c, c)
+    ta, tb, tc = ops.add(a2, a2), ops.add(b2, b2), ops.add(c2, c2)
+    return (ops.sqrt(ops.sub(ops.add(tb, tc), a2)),
+            ops.sqrt(ops.sub(ops.add(ta, tc), b2)),
+            ops.sqrt(ops.sub(ops.add(ta, tb), c2)))
+
+
 def medians_arrays(a, b, c):
-    ma = 0.5 * np.sqrt(2.0 * b * b + 2.0 * c * c - a * a)
-    mb = 0.5 * np.sqrt(2.0 * a * a + 2.0 * c * c - b * b)
-    mc = 0.5 * np.sqrt(2.0 * a * a + 2.0 * b * b - c * c)
-    return ma, mb, mc
+    # Halving is exact, and so is doubling: b*b + b*b is the bits of 2*b*b.
+    return tuple(0.5 * m for m in doubled_medians(_FloatOps, a, b, c))
 
 
 def heron_area_arrays(a, b, c):
@@ -92,7 +107,7 @@ def cevian(ops, u, v, w, t):
     triple starting at u.  Element-wise, so the arguments may hold one
     vertex's values or the (3, n) stacks of all three vertices' values.
     """
-    rem = ops.const_sub(1.0, t)
+    rem = ops.sub(1.0, t)
     return ops.sqrt(ops.sub(
         ops.add(ops.mul(ops.mul(v, v), t), ops.mul(ops.mul(w, w), rem)),
         ops.mul(ops.mul(ops.mul(u, u), t), rem),
@@ -111,13 +126,12 @@ def general_cevians_arrays(a, b, c, ta, tb, tc):
     return stewart_cevians(_FloatOps, a, b, c, ta, tb, tc)
 
 
-# Each slack and the constraint mask are written once, over per-vertex
-# values: three arrays, or the three rows of a (3, n) stack.  For the
-# vertex opposite side u, whose Cevian is l, (u, v, w) is the cyclic
-# triple starting at u.  The terms form their own products, and the
-# per-vertex functions pass the terms of a sum as a generator, so no
-# temporary outlives its use: on 65,536-element shards, passing shared
-# products in made the quadratic slack and the mask up to 3x slower.
+# Each slack is written once, over per-vertex values: three arrays, or the
+# three rows of a (3, n) stack.  For the vertex opposite side u, whose
+# Cevian is l, (u, v, w) is the cyclic triple starting at u.  The terms
+# form their own products, and the sums take their terms from a generator,
+# so no temporary outlives its use: on 65,536-element shards, passing
+# shared products in made the quadratic slack and the mask up to 3x slower.
 
 
 def _vertex_sum(ops, terms):
@@ -126,42 +140,76 @@ def _vertex_sum(ops, terms):
     return ops.add(ops.add(next(t), next(t)), next(t))
 
 
-def _root_term(v, w, l):
-    return np.sqrt(v * w) * l
-
-
-def _main_slack(roots, ul):
-    """Sum of sqrt(v*w)*l minus sum of u*l."""
-    return _vertex_sum(_FloatOps, roots) - _vertex_sum(_FloatOps, ul)
+def _main_term(ops, u, v, w, l, root=None):
+    """(sqrt(v*w) - u)*l, with ``root`` standing for sqrt(v*w) where given."""
+    if root is None:
+        root = ops.sqrt(ops.mul(v, w))
+    return ops.mul(ops.sub(root, u), l)
 
 
 def _quadratic_term(ops, u, v, w, l):
     return ops.mul(ops.sub(ops.mul(v, w), ops.mul(u, u)), l)
 
 
-def _constraint_mask(u, l):
-    a, b, c = u
-    la, lb, lc = l
-    pb = b * lb
-    return (la >= lb) & (lb >= lc) & (pb >= a * la) & (pb >= c * lc)
+def main_slack(ops, a, b, c, la, lb, lc, roots=(None, None, None)):
+    """(sqrt(bc) - a)*la + (sqrt(ac) - b)*lb + (sqrt(ab) - c)*lc.
+
+    An entry of ``roots`` that is not None stands for sqrt(bc), sqrt(ac)
+    or sqrt(ab); the certifier derives them from a seeded s = sqrt(x).
+    """
+    vertices = (a, b, c, la), (b, a, c, lb), (c, a, b, lc)
+    return _vertex_sum(ops, (_main_term(ops, *vx, r) for vx, r in zip(vertices, roots)))
 
 
 def slack_main_arrays(a, b, c, la, lb, lc):
-    roots = (_root_term(v, w, l) for v, w, l in ((b, c, la), (a, c, lb), (a, b, lc)))
-    return _main_slack(roots, (u * l for u, l in ((a, la), (b, lb), (c, lc))))
+    return main_slack(_FloatOps, a, b, c, la, lb, lc)
 
 
 def quadratic_slack(ops, a, b, c, la, lb, lc):
     """(bc - a^2)*la + (ac - b^2)*lb + (ab - c^2)*lc."""
-    return _vertex_sum(ops, (
-        _quadratic_term(ops, a, b, c, la),
-        _quadratic_term(ops, b, a, c, lb),
-        _quadratic_term(ops, c, a, b, lc),
-    ))
+    vertices = (a, b, c, la), (b, a, c, lb), (c, a, b, lc)
+    return _vertex_sum(ops, (_quadratic_term(ops, *vx) for vx in vertices))
 
 
 def slack_quadratic_arrays(a, b, c, la, lb, lc):
     return quadratic_slack(_FloatOps, a, b, c, la, lb, lc)
+
+
+def key_residuals(ops, a, b, c, la, lb, lc):
+    """(c*lb + b*lc) - 2a*la, (c*la + a*lc) - 2b*lb, (a*lb + b*la) - 2c*lc,
+    the key system's residuals with medians; 2a*la is (a + a)*la and 2c*lc
+    is c*lc + c*lc, the bits of the products with 2.0."""
+    clc = ops.mul(c, lc)
+    return (
+        ops.sub(ops.add(ops.mul(c, lb), ops.mul(b, lc)), ops.mul(ops.add(a, a), la)),
+        ops.sub(ops.add(ops.mul(c, la), ops.mul(a, lc)), ops.mul(ops.add(b, b), lb)),
+        ops.sub(ops.add(ops.mul(a, lb), ops.mul(b, la)), ops.add(clc, clc)),
+    )
+
+
+def scalene_lemma(ops, a, b, c, la, lb, lc, roots=(None, None, None)):
+    """sqrt(bc)*la + (sqrt(ac) - b)*lb - c*lc, with ``roots`` as in
+    :func:`main_slack` (its third entry is not used)."""
+    root = roots[0] if roots[0] is not None else ops.sqrt(ops.mul(b, c))
+    t = ops.add(ops.mul(root, la), _main_term(ops, b, a, c, lb, roots[1]))
+    return ops.sub(t, ops.mul(c, lc))
+
+
+def constraint_pairs(ops, a, b, c, la, lb, lc):
+    """The open-problem constraints lhs >= rhs as (lhs, rhs) pairs: la >= lb,
+    lb >= lc, b*lb >= a*la and b*lb >= c*lc.  A generator, so a consumer
+    that drops each pair before the next holds one of a*la and c*lc."""
+    yield la, lb
+    yield lb, lc
+    pb = ops.mul(b, lb)
+    yield pb, ops.mul(a, la)
+    yield pb, ops.mul(c, lc)
+
+
+def constraint_mask_arrays(a, b, c, la, lb, lc):
+    """Open-problem constraint mask: la >= lb >= lc and b*lb >= max(a*la, c*lc)."""
+    pairs = constraint_pairs(_FloatOps, a, b, c, la, lb, lc)
+    return functools.reduce(operator.and_, itertools.starmap(operator.ge, pairs))
 
 
 # Row permutations of a (3, n) stack: the cyclic partners (v, w) of each
@@ -185,20 +233,9 @@ def cevian_triple_slacks(sides, feet):
     v = sides.take(_NEXT, axis=0)
     w = sides.take(_PREV, axis=0)
     cv = cevian(_FloatOps, sides, v, w, feet)
-    s1 = _main_slack(_root_term(v, w, cv), sides * cv)
+    s1 = _vertex_sum(_FloatOps, _main_term(_FloatOps, sides, v, w, cv))
     s2 = _vertex_sum(_FloatOps, _quadratic_term(_FloatOps, sides, v, w, cv))
-    return cv, s1, s2, _constraint_mask(sides, cv)
-
-
-def key_residual_arrays(a, b, c, ma, mb, mc):
-    r1 = c * mb + b * mc - 2.0 * a * ma
-    r2 = a * mc + c * ma - 2.0 * b * mb
-    r3 = a * mb + b * ma - 2.0 * c * mc
-    return r1, r2, r3
-
-
-def lemma_scalene_arrays(a, b, c, ma, mb, mc):
-    return np.sqrt(b * c) * ma + np.sqrt(a * c) * mb - b * mb - c * mc
+    return cv, s1, s2, constraint_mask_arrays(*sides, *cv)
 
 
 def bisector_ratio_arrays(a, b, c, la, lb):
@@ -207,8 +244,3 @@ def bisector_ratio_arrays(a, b, c, la, lb):
 
 def bisector_sqrt_chain_arrays(a, c, la, lc):
     return np.sqrt(a) * la - np.sqrt(c) * lc
-
-
-def constraint_mask_arrays(a, b, c, la, lb, lc):
-    """Open-problem constraint mask: la >= lb >= lc and b*lb >= max(a*la, c*lc)."""
-    return _constraint_mask((a, b, c), (la, lb, lc))

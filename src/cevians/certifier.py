@@ -18,7 +18,8 @@ from there; every step of a decision is element-wise over the boxes, so
 this changes no certificate, only how many evaluations a run makes.
 
 Every target expression is written once against an abstract operation set
-and instantiated three ways: plain float arrays (point evaluation),
+(the median targets are the :mod:`cevians.bulk` formulas at c = 1.0) and
+instantiated three ways: plain float arrays (point evaluation),
 interval endpoint arrays (the natural extension, which is
 inclusion-isotone), and forward-mode interval derivatives of order 1 or 2
 (:class:`_JetOps`, whose value, gradient and Hessian are the rows of one
@@ -59,6 +60,7 @@ from enum import Enum
 
 import numpy as np
 
+from . import bulk
 from .intervals import _FloatOps, _IntervalOps, _round_down, _round_up
 
 _INF = np.inf
@@ -130,11 +132,12 @@ class CertificationTask:
 
 # ---------------------------------------------------------------------------
 # Target expressions, written once over an operation set (`_FloatOps` and
-# `_IntervalOps` from :mod:`cevians.intervals`, or `_JetOps` below).  `ra`,
-# `rb`, `rc` are the doubled medians 2*m_a, 2*m_b, 2*m_c of the normalized
-# triangle (x, y, 1); every target is a positive multiple of the inequality
-# slack it certifies, so only the sign matters.  Multi-part targets (the
-# key system) certify the minimum of their parts.
+# `_IntervalOps` from :mod:`cevians.intervals`, or `_JetOps` below).  The
+# median targets are :mod:`cevians.bulk` formulas on the normalized triangle
+# (x, y, 1) and its doubled medians ra, rb, rc = 2*m_a, 2*m_b, 2*m_c, with c
+# the exact float constant 1.0.  Every target is a positive multiple of the
+# inequality slack it certifies, so only the sign matters.  Multi-part
+# targets (the key system) certify the minimum of their parts.
 # ---------------------------------------------------------------------------
 
 
@@ -146,14 +149,17 @@ class _Jet:
     at order 2 (m = 6) rows 3-5 the Hessian (hxx, hxy, hyy).  `ok` marks
     lanes where every radicand and divisor so far is strictly positive over
     the whole box hull, i.e. where the expression is differentiable on the
-    hull and the derivative forms are admissible.
+    hull and the derivative forms are admissible.  `square` holds a * a once
+    `_JetOps.mul` has made it: quadratic-median squares the sides twice (in
+    the doubled medians and in the slack) and was 14% slower without it.
     """
 
-    __slots__ = ("d", "ok")
+    __slots__ = ("d", "ok", "square")
 
     def __init__(self, d, ok):
         self.d = d
         self.ok = ok
+        self.square = None
 
 
 def _rows(a, k):
@@ -169,10 +175,6 @@ def _set_rows(a, k, b):
 def _stack(parts):
     """One pair of (m, n) arrays from pairs of (n,) or (r, n) arrays."""
     return tuple(np.vstack([p[e] for p in parts]) for e in (0, 1))
-
-
-def _twice(a):
-    return _IntervalOps.mul_const(a, 2.0)
 
 
 _GRAD = slice(1, 3)
@@ -191,19 +193,35 @@ class _JetOps:
     is the natural extension.  Only the derivative rows meet inf * 0 (a
     radicand that reaches 0 has an infinite derivative); those lanes have
     `ok` False and are never used, and :func:`_jet_parts` silences their
-    warnings.
+    warnings.  A float operand is an exact constant as in `_IntervalOps`,
+    except that sub takes one only as its subtrahend: a +- k changes row 0.
     """
 
     @staticmethod
     def add(a, b):
-        return _Jet(_IntervalOps.add(a.d, b.d), a.ok & b.ok)
+        if isinstance(a, float):
+            a, b = b, a
+        if not isinstance(b, float):
+            return _Jet(_IntervalOps.add(a.d, b.d), a.ok & b.ok)
+        return a + b if isinstance(a, float) else _with_value(a, _IntervalOps.add, b)
 
     @staticmethod
     def sub(a, b):
+        if isinstance(b, float):
+            return a - b if isinstance(a, float) else _with_value(a, _IntervalOps.sub, b)
         return _Jet(_IntervalOps.sub(a.d, b.d), a.ok & b.ok)
 
     @staticmethod
     def mul(a, b):
+        if isinstance(a, float):
+            a, b = b, a
+        if isinstance(b, float):
+            if isinstance(a, float):
+                return a * b
+            # every row scales; by exactly 1.0, `a` is returned itself
+            return a if b == 1.0 else _Jet(_IntervalOps.mul(a.d, b), a.ok)
+        if a is b and a.square is not None:
+            return a.square
         # (vw)_i = v_i*w + v*w_i and
         # (vw)_ij = (v_ij*w + v*w_ij) + (v_i*w_j + v_j*w_i).
         add, mul = _IntervalOps.add, _IntervalOps.mul
@@ -216,7 +234,10 @@ class _JetOps:
             cross = add(mul(_rows(g, _LEFT), _rows(k, _RIGHT)),
                         mul(_rows(g, _RIGHT), _rows(k, _LEFT)))
             _set_rows(d, _HESS, add(_rows(d, _HESS), cross))
-        return _Jet(d, a.ok & b.ok)
+        product = _Jet(d, a.ok & b.ok)
+        if a is b:
+            a.square = product
+        return product
 
     @staticmethod
     def div(a, b):
@@ -232,7 +253,7 @@ class _JetOps:
         if a.d[0].shape[0] > 3:
             k = _rows(b.d, _GRAD)
             t = mul(_rows(g, _LEFT), _rows(k, _RIGHT))
-            _set_rows(t, slice(0, 3, 2), _twice(_rows(t, slice(0, 3, 2))))
+            _set_rows(t, slice(0, 3, 2), _IntervalOps.mul(_rows(t, slice(0, 3, 2)), 2.0))
             h = sub(_rows(a.d, _HESS), t)
             _set_rows(h, 1, sub(_rows(h, 1), mul(_rows(g, 1), _rows(k, 0))))
             parts.append(_IntervalOps.div(sub(h, mul(q, _rows(b.d, _HESS))), denom))
@@ -247,87 +268,45 @@ class _JetOps:
         g = _IntervalOps.div(_rows(a.d, _GRAD), denom)
         parts = [s, g]
         if a.d[0].shape[0] > 3:
-            t = _twice(_IntervalOps.mul(_rows(g, _LEFT), _rows(g, _RIGHT)))
+            t = _IntervalOps.mul(_IntervalOps.mul(_rows(g, _LEFT), _rows(g, _RIGHT)), 2.0)
             parts.append(_IntervalOps.div(_IntervalOps.sub(_rows(a.d, _HESS), t), denom))
         return _Jet(_stack(parts), a.ok & (v[0] > 0.0))
 
-    @staticmethod
-    def add_const(a, k):
-        d = (a.d[0].copy(), a.d[1].copy())
-        _set_rows(d, 0, _IntervalOps.add_const(_rows(d, 0), k))
-        return _Jet(d, a.ok)
 
-    @staticmethod
-    def sub_const(a, k):
-        d = (a.d[0].copy(), a.d[1].copy())
-        _set_rows(d, 0, _IntervalOps.sub_const(_rows(d, 0), k))
-        return _Jet(d, a.ok)
+def _with_value(a, op, k):
+    """`a` with `op(value, k)` in row 0 (op is add or sub, k a float)."""
+    d = (a.d[0].copy(), a.d[1].copy())
+    _set_rows(d, 0, op(_rows(d, 0), k))
+    return _Jet(d, a.ok)
 
 
-def _doubled_medians(ops, x, y):
-    x2 = ops.mul(x, x)
-    y2 = ops.mul(y, y)
-    ra = ops.sqrt(ops.sub(ops.add_const(ops.add(y2, y2), 2.0), x2))
-    rb = ops.sqrt(ops.sub(ops.add_const(ops.add(x2, x2), 2.0), y2))
-    rc = ops.sqrt(ops.sub_const(ops.add(ops.add(x2, x2), ops.add(y2, y2)), 1.0))
-    return x2, y2, ra, rb, rc
-
-
-def _parts_main(ops, x, y, sqrt_x=None):
-    # With `sqrt_x`, the caller's s = sqrt(x) stands for sqrt(x), and
-    # s * sqrt(y) for sqrt(xy); `_vertex_0_1_bounds` seeds s itself.
-    _, _, ra, rb, rc = _doubled_medians(ops, x, y)
-    sy = ops.sqrt(y)
-    if sqrt_x is None:
-        sx, sxy = ops.sqrt(x), ops.sqrt(ops.mul(x, y))
-    else:
-        sx, sxy = sqrt_x, ops.mul(sqrt_x, sy)
-    t1 = ops.mul(ra, ops.sub(sy, x))
-    t2 = ops.mul(rb, ops.sub(sx, y))
-    t3 = ops.mul(rc, ops.sub_const(sxy, 1.0))
-    return (ops.add(ops.add(t1, t2), t3),)
-
-
-def _parts_quadratic(ops, x, y):
-    x2, y2, ra, rb, rc = _doubled_medians(ops, x, y)
-    t1 = ops.mul(ops.sub(y, x2), ra)
-    t2 = ops.mul(ops.sub(x, y2), rb)
-    t3 = ops.mul(ops.sub_const(ops.mul(x, y), 1.0), rc)
-    return (ops.add(ops.add(t1, t2), t3),)
-
-
-def _parts_key_system(ops, x, y):
-    _, _, ra, rb, rc = _doubled_medians(ops, x, y)
-    r1 = ops.sub(ops.add(rb, ops.mul(y, rc)), ops.mul(ops.add(x, x), ra))
-    r2 = ops.sub(ops.add(ra, ops.mul(x, rc)), ops.mul(ops.add(y, y), rb))
-    r3 = ops.sub(ops.add(ops.mul(x, rb), ops.mul(y, ra)), ops.add(rc, rc))
-    return (r1, r2, r3)
+def _median_target(formula, parts=1):
+    """A target of `parts` values: a :mod:`cevians.bulk` formula on the
+    triangle (x, y, 1.0) and its doubled medians ra, rb, rc, with the roots
+    (sqrt(y), sqrt(x), sqrt(xy)) where :func:`_jets` seeds them."""
+    def target(ops, x, y, **roots):
+        value = formula(ops, x, y, 1.0, *bulk.doubled_medians(ops, x, y, 1.0), **roots)
+        return (value,) if parts == 1 else value
+    return target
 
 
 def _key_r1_smooth(ops, x, y):
     """rb - 2x*ra: key-system's r1 less its term y*rc, smooth at (1/2, 1/2)."""
-    _, _, ra, rb, _ = _doubled_medians(ops, x, y)
+    ra, rb, _ = bulk.doubled_medians(ops, x, y, 1.0)
     return (ops.sub(rb, ops.mul(ops.add(x, x), ra)),)
 
 
 def _parts_altitude_reduced(ops, x, y):
     t = ops.add(ops.add(ops.mul(x, y), ops.div(x, y)), ops.div(y, x))
-    return (ops.sub(t, ops.add_const(ops.add(x, y), 1.0)),)
-
-
-def _parts_scalene_lemma(ops, x, y, sqrt_x=None):
-    _, _, ra, rb, rc = _doubled_medians(ops, x, y)
-    sx = ops.sqrt(x) if sqrt_x is None else sqrt_x
-    t = ops.add(ops.mul(ra, ops.sqrt(y)), ops.mul(rb, ops.sub(sx, y)))
-    return (ops.sub(t, rc),)
+    return (ops.sub(t, ops.add(ops.add(x, y), 1.0)),)
 
 
 _PARTS = {
-    Target.MAIN_MEDIAN: _parts_main,
-    Target.QUADRATIC_MEDIAN: _parts_quadratic,
-    Target.KEY_SYSTEM: _parts_key_system,
+    Target.MAIN_MEDIAN: _median_target(bulk.main_slack),
+    Target.QUADRATIC_MEDIAN: _median_target(bulk.quadratic_slack),
+    Target.KEY_SYSTEM: _median_target(bulk.key_residuals, parts=3),
     Target.ALTITUDE_REDUCED: _parts_altitude_reduced,
-    Target.SCALENE_LEMMA: _parts_scalene_lemma,
+    Target.SCALENE_LEMMA: _median_target(bulk.scalene_lemma),
 }
 
 
@@ -346,22 +325,12 @@ def _natural_parts(target: Target, xlo, xhi, ylo, yhi):
     return _PARTS[target](_IntervalOps, (xlo, xhi), (ylo, yhi))
 
 
-def _natural_enclosure(target: Target, xlo, xhi, ylo, yhi):
-    parts = _natural_parts(target, xlo, xhi, ylo, yhi)
-    lo = parts[0][0]
-    hi = parts[0][1]
-    for p in parts[1:]:
-        lo = np.minimum(lo, p[0])
-        hi = np.minimum(hi, p[1])
-    return lo, hi
-
-
 def _jet_parts(target: Target, order: int, xlo, xhi, ylo, yhi, in_sqrt_x=False):
     """The target's parts as `_Jet` values of order 1 or 2 over the boxes.
 
     With `in_sqrt_x`, [xlo, xhi] bounds s = sqrt(x) instead of x, the
     derivatives are taken in (s, y), and the target (main-median or
-    scalene-lemma) gets x = s*s and s itself for sqrt(x).
+    scalene-lemma) gets x = s*s and the roots (sqrt(y), s, s*sqrt(y)).
     """
     return _jets(_PARTS[target], order, xlo, xhi, ylo, yhi, in_sqrt_x)
 
@@ -379,7 +348,8 @@ def _jets(parts, order: int, xlo, xhi, ylo, yhi, in_sqrt_x=False):
     x, y = seed(xlo, xhi, 1), seed(ylo, yhi, 2)
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         if in_sqrt_x:
-            return parts(_JetOps, _JetOps.mul(x, x), y, sqrt_x=x)
+            sy = _JetOps.sqrt(y)
+            return parts(_JetOps, _JetOps.mul(x, x), y, roots=(sy, x, _JetOps.mul(x, sy)))
         return parts(_JetOps, x, y)
 
 
@@ -580,15 +550,15 @@ def _vertex_half_bounds(target: Target, xlo, xhi, ylo, yhi, mu: float):
     r3 > 0 on the box.  Lanes where a radicand of f can reach 0 get -inf.
     """
     facts = _VERTEX_HALF.facts[target]
-    add, sub, mul_const = _IntervalOps.add, _IntervalOps.sub, _IntervalOps.mul_const
+    add, sub, mul = _IntervalOps.add, _IntervalOps.sub, _IntervalOps.mul
 
     def form(k):
         (f,) = _jets(_key_r1_smooth, 1, np.minimum(xlo, 0.5), np.maximum(xhi, 0.5),
                      np.minimum(ylo, 0.5), np.maximum(yhi, 0.5))
         gx, gy = _rows(f.d, 1), _rows(f.d, 2)
-        a = mul_const(add(gx, gy), 0.5)[0]
+        a = mul(add(gx, gy), 0.5)[0]
         vlo = np.maximum(_round_down(ylo - xhi), 0.0)
-        bv = _IntervalOps.mul(mul_const(sub(gy, gx), 0.5), (vlo, _round_up(yhi - xlo)))[0]
+        bv = mul(mul(sub(gy, gx), 0.5), (vlo, _round_up(yhi - xlo)))[0]
         v2 = _round_down(vlo * vlo)
         ulo = np.maximum(_round_down(_round_down(xlo + ylo) - 1.0), (1.0 + mu) - 1.0)
         uhi = _round_up(_round_up(xhi + yhi) - 1.0)
@@ -1177,10 +1147,9 @@ def equal_legs_second_factor(ops, x):
 
     Twice the main median slack of (x, x, 1) is (1 - sqrt(x)) times it.
     """
-    t1 = ops.mul_const(ops.sqrt(ops.add(ops.mul_const(x, 2.0),
-                                        ops.mul(ops.mul(x, x), x))), 2.0)
-    t2 = ops.mul(ops.add_const(ops.sqrt(x), 1.0),
-                 ops.sqrt(ops.sub_const(ops.mul(ops.mul_const(x, 4.0), x), 1.0)))
+    t1 = ops.mul(ops.sqrt(ops.add(ops.mul(x, 2.0), ops.mul(ops.mul(x, x), x))), 2.0)
+    t2 = ops.mul(ops.add(ops.sqrt(x), 1.0),
+                 ops.sqrt(ops.sub(ops.mul(ops.mul(x, 4.0), x), 1.0)))
     return ops.sub(t1, t2)
 
 
@@ -1189,10 +1158,8 @@ def equal_base_second_factor(ops, x):
 
     Twice the main median slack of (x, 1, 1) is (1 - sqrt(x)) times it.
     """
-    t1 = ops.mul(ops.add_const(ops.sqrt(x), 1.0),
-                 ops.sqrt(ops.const_sub(4.0, ops.mul(x, x))))
-    t2 = ops.mul_const(ops.sqrt(ops.add_const(ops.mul(ops.mul_const(x, 2.0), x),
-                                              1.0)), 2.0)
+    t1 = ops.mul(ops.add(ops.sqrt(x), 1.0), ops.sqrt(ops.sub(4.0, ops.mul(x, x))))
+    t2 = ops.mul(ops.sqrt(ops.add(ops.mul(ops.mul(x, 2.0), x), 1.0)), 2.0)
     return ops.sub(t1, t2)
 
 

@@ -68,7 +68,7 @@ def tolerance_scale(t: SideTriple, cv: CevianTriple) -> float:
 
 
 def slack_main(t: SideTriple, cv: CevianTriple) -> SlackReport:
-    """sqrt(bc)*la + sqrt(ac)*lb + sqrt(ab)*lc - (a*la + b*lb + c*lc)."""
+    """(sqrt(bc) - a)*la + (sqrt(ac) - b)*lb + (sqrt(ab) - c)*lc."""
     value = scalar_eval(bulk.slack_main_arrays, *t.as_tuple(), *cv.as_tuple())
     return SlackReport("main", value, t, cv)
 
@@ -89,19 +89,19 @@ def key_system_residuals(
     """
     if med.kind is not CevianKind.MEDIAN:
         raise ValueError("key system residuals are defined for medians")
-    values = scalar_eval(bulk.key_residual_arrays, *t.as_tuple(), *med.as_tuple())
+    values = scalar_eval(bulk.key_residuals, _FloatOps, *t.as_tuple(), *med.as_tuple())
     return tuple(SlackReport(f"key_system_{vertex}", value, t, med)
                  for vertex, value in zip("abc", values))
 
 
 def lemma_scalene_slack(t: SideTriple, med: CevianTriple) -> SlackReport:
-    """sqrt(bc)*ma + sqrt(ac)*mb - b*mb - c*mc, for strictly scalene sides."""
+    """sqrt(bc)*ma + (sqrt(ac) - b)*mb - c*mc, for strictly scalene sides."""
     if med.kind is not CevianKind.MEDIAN:
         raise ValueError("the scalene lemma slack is defined for medians")
     a, b, c = t.as_tuple()
     if a == b or b == c:
         raise NotScaleneError(f"requires a < b < c strictly, got {(a, b, c)}")
-    value = scalar_eval(bulk.lemma_scalene_arrays, a, b, c, *med.as_tuple())
+    value = scalar_eval(bulk.scalene_lemma, _FloatOps, a, b, c, *med.as_tuple())
     return SlackReport("scalene_lemma", value, t, med)
 
 

@@ -12,8 +12,12 @@ operations with ``np.nextafter`` (:func:`_round_up`, :func:`_round_down`).
 
 The operation sets ``_FloatOps`` and ``_IntervalOps`` run a formula written
 once against ``ops`` in binary64 or as an enclosure of that same tree, on
-arrays; all of the package's interval arithmetic goes through them.  The
-scalar :class:`Interval` and its operators remain as public API.
+arrays; all of the package's interval arithmetic goes through them.  Each
+has add, sub, mul, div and sqrt.  A Python ``float`` operand of add, sub
+or mul is an exact constant: with an interval the result is rounded
+outward, mul by exactly 1.0 returns the other operand itself, and two
+floats give their plain float result.  The scalar :class:`Interval` and its
+operators remain as public API.
 """
 
 from __future__ import annotations
@@ -144,29 +148,48 @@ class _FloatOps:
     mul = operator.mul
     div = operator.truediv
     sqrt = np.sqrt
-    add_const = operator.add
-    sub_const = operator.sub
-    const_sub = operator.sub
-    mul_const = operator.mul
 
 
 class _IntervalOps:
     """Outward-rounded arithmetic on (lo, hi) pairs of endpoint arrays.
 
-    The constant k of ``add_const``, ``sub_const`` and ``const_sub`` is a
-    float; that of ``mul_const`` is a positive float.
+    A constant (see above) of add, sub or mul may have either sign; in add
+    and sub it is its own lo and hi.
     """
 
     @staticmethod
     def add(a, b):
+        if isinstance(a, float):
+            if isinstance(b, float):
+                return a + b
+            a = (a, a)
+        elif isinstance(b, float):
+            b = (b, b)
         return _round_down(a[0] + b[0]), _round_up(a[1] + b[1])
 
     @staticmethod
     def sub(a, b):
+        if isinstance(a, float):
+            if isinstance(b, float):
+                return a - b
+            a = (a, a)
+        elif isinstance(b, float):
+            b = (b, b)
         return _round_down(a[0] - b[1]), _round_up(a[1] - b[0])
 
     @staticmethod
     def mul(a, b):
+        if isinstance(a, float):
+            a, b = b, a
+        if isinstance(b, float):
+            if isinstance(a, float):
+                return a * b
+            if b == 1.0:
+                return a
+            lo, hi = a[0] * b, a[1] * b
+            if b < 0.0:
+                lo, hi = hi, lo
+            return _round_down(lo), _round_up(hi)
         p1 = a[0] * b[0]
         p2 = a[0] * b[1]
         p3 = a[1] * b[0]
@@ -199,19 +222,3 @@ class _IntervalOps:
             lo = _round_down(np.sqrt(np.maximum(a[0], 0.0)))
             hi = _round_up(np.sqrt(a[1]))
         return np.maximum(lo, 0.0), hi
-
-    @staticmethod
-    def add_const(a, k):
-        return _round_down(a[0] + k), _round_up(a[1] + k)
-
-    @staticmethod
-    def sub_const(a, k):
-        return _round_down(a[0] - k), _round_up(a[1] - k)
-
-    @staticmethod
-    def const_sub(k, a):
-        return _round_down(k - a[1]), _round_up(k - a[0])
-
-    @staticmethod
-    def mul_const(a, k):
-        return _round_down(a[0] * k), _round_up(a[1] * k)

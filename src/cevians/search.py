@@ -200,32 +200,23 @@ def reverify_candidate(cands: list[CandidateRecord]) -> list[CandidateRecord]:
 
     All candidates go through one pass of array interval arithmetic.  Their
     binary64 coordinates are treated as exact point intervals and the
-    Cevians are enclosed by :func:`cevians.bulk.stewart_cevians` with
-    outward rounding.  A slack violation is confirmed only when an interval
-    upper bound is negative.  The open-problem constraints are certified by
-    the four differences la - lb, lb - lc, b*lb - a*la and b*lb - c*lc:
-    ``constraint_lower`` is the least of their interval lower bounds, so
-    the constraints hold exactly when it is nonnegative.
+    Cevians, the slacks and the constraints run the formulas of
+    :mod:`cevians.bulk` with outward rounding.  A slack violation is
+    confirmed only when an interval upper bound is negative.  The
+    open-problem constraints are certified by the differences lhs - rhs of
+    :func:`cevians.bulk.constraint_pairs` (la - lb, lb - lc, b*lb - a*la
+    and b*lb - c*lc): ``constraint_lower`` is the least of their interval
+    lower bounds, so the constraints hold exactly when it is nonnegative.
     """
     if not cands:
         return []
     ops = _IntervalOps
     a, b, c, ta, tb, tc = ((v, v) for v in _columns(cands))  # exact point intervals
-    da, db, dc = bulk.stewart_cevians(ops, a, b, c, ta, tb, tc)
-
-    def root_gap(u, v, w):
-        # sqrt(u*v) - w, one bracket of the grouped main slack
-        return ops.sub(ops.sqrt(ops.mul(u, v)), w)
-
-    s1 = ops.add(
-        ops.add(ops.mul(root_gap(b, c, a), da), ops.mul(root_gap(a, c, b), db)),
-        ops.mul(root_gap(a, b, c), dc),
-    )
-    s2 = bulk.quadratic_slack(ops, a, b, c, da, db, dc)
-    pb = ops.mul(b, db)
-    gaps = (ops.sub(da, db), ops.sub(db, dc),
-            ops.sub(pb, ops.mul(a, da)), ops.sub(pb, ops.mul(c, dc)))
-    lower = np.minimum.reduce([g[0] for g in gaps])
+    cevians = bulk.stewart_cevians(ops, a, b, c, ta, tb, tc)
+    s1 = bulk.main_slack(ops, a, b, c, *cevians)
+    s2 = bulk.quadratic_slack(ops, a, b, c, *cevians)
+    lower = np.minimum.reduce([ops.sub(lhs, rhs)[0] for lhs, rhs
+                               in bulk.constraint_pairs(ops, a, b, c, *cevians)])
     return [
         replace(
             cand,

@@ -7,6 +7,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from cevians import bulk  # noqa: E402
+from cevians.certifier import _natural_parts  # noqa: E402
 
 
 def rel_close(a: float, b: float, rtol: float, floor: float = 0.0) -> bool:
@@ -29,6 +30,13 @@ def sample_domain_boxes(rng, n, max_width=0.05):
     w = rng.uniform(0.0, 1.0, x.shape) * margin
     h = rng.uniform(0.0, 1.0, x.shape) * margin
     return x - w, x + w, y - h, y + h
+
+
+def natural_enclosure(target, xlo, xhi, ylo, yhi):
+    """The natural enclosure of a target's minimum over its parts."""
+    parts = _natural_parts(target, xlo, xhi, ylo, yhi)
+    return (np.minimum.reduce([p[0] for p in parts]),
+            np.minimum.reduce([p[1] for p in parts]))
 
 
 @pytest.fixture

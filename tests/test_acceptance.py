@@ -17,13 +17,13 @@ import numpy as np
 import pytest
 
 from cevians import bulk
+from cevians.intervals import _FloatOps
 from cevians.certifier import (
     CertificationTask,
     Target,
     certify,
     corner_argument_check,
     point_values,
-    _natural_enclosure,
 )
 from cevians.cli import main as cli_main
 from cevians.inequalities import (
@@ -35,7 +35,7 @@ from cevians.kernel import validate_sides, medians
 from cevians.reports import reproducible_bytes
 from cevians.search import SearchConfig, SearchMode, is_confirmed_violation, search
 
-from conftest import sample_domain_boxes
+from conftest import natural_enclosure, sample_domain_boxes
 from oracles import general_cevians_hp, slack_main_hp, slack_quadratic_hp
 from test_search import COUNTEREXAMPLE_FEET, COUNTEREXAMPLE_SIDES
 
@@ -111,7 +111,7 @@ def test_criterion_1_main_inequality_sweeps(sweep):
 def test_criterion_2_key_system_suite(sweep):
     with criterion("2 (key-system residuals)"):
         a, b, c = sweep["a"], sweep["b"], sweep["c"]
-        r1, r2, r3 = bulk.key_residual_arrays(a, b, c, *sweep["medians"])
+        r1, r2, r3 = bulk.key_residuals(_FloatOps, a, b, c, *sweep["medians"])
         tol = 1e-12 * sweep["tol_scale"]
         assert (r1 >= -tol).all() and (r2 >= -tol).all() and (r3 >= -tol).all()
 
@@ -138,7 +138,7 @@ def test_criterion_3_lemma_suite(sweep):
 
         # scalene two-median bound
         scalene = (a < b) & (b < c)
-        lem = bulk.lemma_scalene_arrays(a, b, c, ma, mb, mc)
+        lem = bulk.scalene_lemma(_FloatOps, a, b, c, ma, mb, mc)
         assert (lem[scalene] >= -tol[scalene]).all()
 
         # middle-product dominance for medians and bisectors; strict on
@@ -236,15 +236,15 @@ def test_criterion_6_interval_soundness(certificates):
             # containment of interior point evaluations (clamped lerp)
             px = np.minimum(xlo + rng.uniform(0, 1, n) * (xhi - xlo), xhi)
             py = np.minimum(ylo + rng.uniform(0, 1, n) * (yhi - ylo), yhi)
-            flo, fhi = _natural_enclosure(target, xlo, xhi, ylo, yhi)
+            flo, fhi = natural_enclosure(target, xlo, xhi, ylo, yhi)
             values = point_values(target, px, py)
             assert (flo <= values).all() and (values <= fhi).all()
 
             # inclusion isotonicity on nested boxes
             qx = 0.25 * (xhi - xlo)
             qy = 0.25 * (yhi - ylo)
-            ilo, ihi = _natural_enclosure(target, xlo + qx, xhi - qx,
-                                          ylo + qy, yhi - qy)
+            ilo, ihi = natural_enclosure(target, xlo + qx, xhi - qx,
+                                         ylo + qy, yhi - qy)
             assert (flo <= ilo).all() and (ihi <= fhi).all()
 
         # every proven certificate box passes interior sampling

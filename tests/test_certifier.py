@@ -33,7 +33,6 @@ from cevians.certifier import (
     _key_r1_smooth,
     _least_over_parts,
     _lower_bounds,
-    _natural_enclosure,
     _natural_parts,
     _PARTS,
     _strict_parts,
@@ -44,13 +43,13 @@ from cevians.intervals import Interval, _IntervalOps
 from cevians.inequalities import isosceles_slack_case1, isosceles_slack_case2
 
 import oracles
-from conftest import sample_domain_boxes
+from conftest import natural_enclosure, sample_domain_boxes
 
 F_06_08 = 0.1593005229059099113924
 
 
 def _point_box_enclosure(target, xlo, xhi, ylo, yhi):
-    flo, fhi = _natural_enclosure(
+    flo, fhi = natural_enclosure(
         target, *(np.array([v], dtype=float) for v in (xlo, xhi, ylo, yhi)))
     return float(flo[0]), float(fhi[0])
 
@@ -1063,28 +1062,32 @@ class _IvJetOps:
     """Value, gradient and Hessian in mpmath interval arithmetic, one
     component at a time: a jet is [v, gx, gy, hxx, hxy, hyy].  A reference
     for the enclosures that `_JetOps` makes with NumPy endpoint arrays,
-    with the same rules and no shared code."""
+    with the same rules and no shared code.  A float operand of add, mul
+    or (as the subtrahend) sub is an exact constant, and two floats give a
+    float."""
 
     PAIRS = ((0, 0), (0, 1), (1, 1))
 
     @staticmethod
     def add(a, b):
+        if isinstance(a, float):
+            a, b = b, a
+        if isinstance(b, float):
+            return a + b if isinstance(a, float) else [a[0] + b, *a[1:]]
         return [p + q for p, q in zip(a, b)]
 
     @staticmethod
     def sub(a, b):
+        if isinstance(b, float):
+            return a - b if isinstance(a, float) else [a[0] - b, *a[1:]]
         return [p - q for p, q in zip(a, b)]
-
-    @staticmethod
-    def add_const(a, k):
-        return [a[0] + k, *a[1:]]
-
-    @staticmethod
-    def sub_const(a, k):
-        return [a[0] - k, *a[1:]]
 
     @classmethod
     def mul(cls, a, b):
+        if isinstance(a, float):
+            a, b = b, a
+        if isinstance(b, float):
+            return a * b if isinstance(a, float) else [p * b for p in a]
         v, w = a[0], b[0]
         g = [a[1 + i] * w + v * b[1 + i] for i in range(2)]
         h = [a[3 + k] * w + v * b[3 + k] + (a[1 + i] * b[1 + j] + a[1 + j] * b[1 + i])
@@ -1118,7 +1121,9 @@ def _iv_jets(parts, xlo, xhi, ylo, yhi, in_sqrt_x=False):
     x = [iv.mpf([xlo, xhi]), one, zero, zero, zero, zero]
     y = [iv.mpf([ylo, yhi]), zero, one, zero, zero, zero]
     if in_sqrt_x:
-        return parts(_IvJetOps, _IvJetOps.mul(x, x), y, sqrt_x=x)
+        sy = _IvJetOps.sqrt(y)
+        return parts(_IvJetOps, _IvJetOps.mul(x, x), y,
+                     roots=(sy, x, _IvJetOps.mul(x, sy)))
     return parts(_IvJetOps, x, y)
 
 

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 from pathlib import Path
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 from cevians import cli
 from cevians.cli import _parser, build_parser, main
-from cevians.reports import TOOL_VERSION, reproducible_bytes, strip_wall_time
+from cevians.reports import TOOL_VERSION, canonical_json, reproducible_bytes, strip_wall_time
 
 from conftest import rel_close
 
@@ -60,10 +61,13 @@ class TestVerify:
         assert doc["slacks"]["open_problem_1"] < 0
         assert doc["checks"]["open_problem_constraints"] is False
 
-    @pytest.mark.parametrize("family", ["median", "altitude", "bisector",
-                                        "mixed", "general"])
-    @pytest.mark.parametrize("sides", ["1e200,1e200,1e200", "1e154,1e154,1e154",
-                                       "1e-200,1e-200,1e-200"])
+    @pytest.mark.parametrize("sides, family", [
+        (sides, family)
+        for sides in ("1e200,1e200,1e200", "1e154,1e154,1e154", "1e-200,1e-200,1e-200")
+        for family in ("median", "altitude", "bisector", "mixed", "general")
+        # general Cevians of sides 1e154 stay finite; see the test below
+        if (sides, family) != ("1e154,1e154,1e154", "general")
+    ])
     def test_extreme_sides_exit_2(self, sides, family, capsys):
         # overflow or underflow leaves a Cevian or slack that is not a
         # positive finite number: a domain error, not a failed slack
@@ -72,6 +76,16 @@ class TestVerify:
             argv += ["--feet", "0.3,0.5,0.7"]
         assert run(argv) == 2
         assert "error: DomainError" in capsys.readouterr().err
+
+    def test_grouped_slacks_stay_finite_at_large_sides(self, tmp_path):
+        # sqrt(bc)*la alone is about 8.9e307 here, so a sum of the three
+        # such terms overflows; each grouped term (sqrt(bc) - a)*la is 0
+        out = tmp_path / "r.json"
+        assert run(["verify", "--sides", "1e154,1e154,1e154", "--cevians",
+                    "general", "--feet", "0.3,0.5,0.7", "-o", str(out)]) == 0
+        doc = load(out)
+        assert doc["slacks"] == {"open_problem_1": 0.0, "open_problem_2": 0.0}
+        assert doc["checks"]["open_problem_constraints"] is False
 
     def test_bad_argument_combinations(self, capsys):
         assert run(["verify", "--cevians", "median"]) == 2
@@ -250,6 +264,49 @@ class TestCertify:
         with pytest.raises(SystemExit) as err:
             run(["certify", "--target", "nonsense"])
         assert err.value.code == 2
+
+
+_SUITE_SETTINGS = ((), ("--mu", "1e-12", "--delta", "1e-6"),
+                   ("--mu", "1e-12", "--delta", "1e-7"))
+
+
+# sha256 of canonical_json(strip_wall_time(body)), the report without its
+# manifest (which carries TOOL_VERSION), for certify-suite's 15 argv and
+# certify-corner's argv at a budget of 3,000 boxes.  The bodies hold every
+# proven box, and the suite's bodies the corner check and the corner
+# sampling, so any change to a bound, a box or a corner factor shows.
+@pytest.mark.parametrize("argv, digest", [
+    *zip((["certify", "--target", target, "--include-proven", *setting]
+          for target in ("main-median", "quadratic-median", "key-system",
+                         "altitude-reduced", "scalene-lemma")
+          for setting in _SUITE_SETTINGS), (
+        "2db6b66620542d55a3288df044e35a1fc9f6efe2a369ab4ab3087c3ce138141d",
+        "9c852828c861c747baf0bf67262554fec77400e98c6072da301115f3e570c1bb",
+        "ab10d37ed6686f3ac3e575e1803fe3f271643b87f360de8a5791c3a0247ccc81",
+        "4b9d89036ccc15ad724eec7a6c94d484129972ff6f7067f096c3edf412330e41",
+        "0f66bf7a796d5e986b44e01e4d1cb9b8ecff4f988e5fed0bdbe238230892e22c",
+        "5d7bbd1ef0a94db1089cd2a42efe660622b9ed3f83ff57169c18770b572fd432",
+        "ba625b196b7d6bb6f5a0a4ffa325f2086bbe82b4b3262a254b8b7848a00dc926",
+        "0c2259983cb3b3bfdd6499f202b227da8faf621e45cf33a2e2f2082b9c03ea29",
+        "2997fdca9ce9670c93e98c81975a239d9f7d3544864851c7cbdfbd962afd10e7",
+        "77ba91f9c2c54c32621e275cb6c80c50ab685b6d23e4bb4843d6b24782759b64",
+        "e26cb158852893e47cecf110bc82378f4f6b5c2fbd31e0da9d643b6930682f9f",
+        "b7a0931a85ff8e81cacae6fb73cc88a7173325d2904bc93a8ea43df1c6a4915f",
+        "a70c3ab2c8f7ad88cf2ea14a2c1a557b0c3dd831d92d3f2d8b8d98bfbf117fda",
+        "a0480ddb552c1bf6223f650e8626c6d8b4d564df30f5254e693757be463c3f08",
+        "2852692539f231826381e7eff4a7cf97d9784ad5cf3dd5168675d85ae8d14978",
+    )),
+    (["certify", "--target", "main-median", "--delta", "0", "--min-box-width",
+      "1e-15", "--max-depth", "200", "--box-budget", "3000"],
+     "0e5107ed8664efc9a24876e862d0ff5190f416d6d51a63d7d5baa404292ba9e3"),
+])
+def test_certificate_bytes_are_pinned(argv, digest, tmp_path):
+    out = tmp_path / "r.json"
+    run([*argv, "-o", str(out)])
+    body = load(out)
+    del body["manifest"]
+    text = canonical_json(strip_wall_time(body))
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
 
 
 @pytest.mark.parametrize("argv", [

@@ -190,3 +190,102 @@ class TestRounding:
     def test_scalars_and_zero_d_arrays(self, value):
         _assert_next(value)
         _assert_next(np.array(value))
+
+
+def _same_bits(got, want):
+    return np.array_equal(np.asarray(got, dtype=float).view(np.int64),
+                          np.asarray(want, dtype=float).view(np.int64))
+
+
+def _down(v):
+    return np.nextafter(v, -np.inf)
+
+
+def _up(v):
+    return np.nextafter(v, np.inf)
+
+
+class TestOperationSets:
+    """add, sub, mul, div and sqrt, with float operands as exact constants.
+
+    With a constant k, an interval [lo, hi] gives a + k = (down(lo + k),
+    up(hi + k)), a - k = (down(lo - k), up(hi - k)), k - a = (down(k - hi),
+    up(k - lo)) and, for k > 0, a*k = (down(lo*k), up(hi*k)): the bits of
+    the one-constant methods these branches replace.  A jet's a + k and
+    a - k change its value row only.
+    """
+
+    @pytest.fixture
+    def pair(self, rng):
+        lo = rng.uniform(-3.0, 3.0, 200)
+        return lo, lo + rng.uniform(0.0, 1.0, 200) * rng.choice([0.0, 1e-9, 1.0], 200)
+
+    def test_each_set_has_exactly_five_operations(self):
+        from cevians.certifier import _JetOps
+        from cevians.intervals import _FloatOps, _IntervalOps
+
+        for ops in (_FloatOps, _IntervalOps, _JetOps):
+            names = {name for name in vars(ops) if not name.startswith("_")}
+            assert names == {"add", "sub", "mul", "div", "sqrt"}
+
+    def test_float_ops_take_constants_as_operators_do(self, pair):
+        from cevians.intervals import _FloatOps as ops
+
+        v = pair[0]
+        for k in (2.0, 1.0, 0.5, -4.0):
+            assert _same_bits(ops.add(v, k), v + k) and _same_bits(ops.add(k, v), k + v)
+            assert _same_bits(ops.sub(v, k), v - k) and _same_bits(ops.sub(k, v), k - v)
+            assert _same_bits(ops.mul(v, k), v * k) and _same_bits(ops.mul(k, v), k * v)
+        assert ops.mul(1.0, 1.0) == 1.0 and ops.add(1.0, 1.0) == 2.0
+
+    def test_interval_constants_match_the_constant_methods(self, pair):
+        from cevians.intervals import _IntervalOps as ops
+
+        lo, hi = pair
+        for k in (2.0, 1.0, 0.5, 4.0, 1e-300, -3.0):
+            for got in (ops.add(pair, k), ops.add(k, pair)):
+                assert _same_bits(got, (_down(lo + k), _up(hi + k)))
+            assert _same_bits(ops.sub(pair, k), (_down(lo - k), _up(hi - k)))
+            assert _same_bits(ops.sub(k, pair), (_down(k - hi), _up(k - lo)))
+        for k in (2.0, 0.5, 4.0, 1e-300):
+            for got in (ops.mul(pair, k), ops.mul(k, pair)):
+                assert _same_bits(got, (_down(lo * k), _up(hi * k)))
+        # a negative factor swaps the ends, as the product with [k, k] does
+        assert _same_bits(ops.mul(pair, -3.0), ops.mul(pair, (np.full_like(lo, -3.0),) * 2))
+        assert ops.mul(pair, 1.0) is pair and ops.mul(1.0, pair) is pair
+        for got, want in ((ops.add(1.0, 1.0), 2.0), (ops.sub(1.0, 4.0), -3.0),
+                          (ops.mul(2.0, 0.5), 1.0)):
+            assert type(got) is float and got == want
+
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_jet_constants_change_the_value_row_only(self, pair, rng, order):
+        from cevians.certifier import _Jet, _JetOps as ops
+        from cevians.intervals import _IntervalOps
+
+        lo, hi = pair
+        rows = 3 * order
+        d0 = np.vstack([lo, rng.uniform(-2.0, 2.0, (rows - 1, lo.size))])
+        d = (d0, d0 + rng.uniform(0.0, 1.0, d0.shape))
+        jet = _Jet(d, rng.uniform(0.0, 1.0, lo.size) > 0.3)
+        value = (d[0][0], d[1][0])
+
+        def check(got, want_value):
+            assert got.ok is jet.ok
+            assert _same_bits((got.d[0][0], got.d[1][0]), want_value)
+            assert _same_bits((got.d[0][1:], got.d[1][1:]), (d[0][1:], d[1][1:]))
+
+        for k in (2.0, 1.0, 0.5):
+            check(ops.add(jet, k), _IntervalOps.add(value, k))
+            check(ops.add(k, jet), _IntervalOps.add(value, k))
+            check(ops.sub(jet, k), _IntervalOps.sub(value, k))
+            scaled = ops.mul(jet, k)
+            assert _same_bits(scaled.d, _IntervalOps.mul(d, k)) and scaled.ok is jet.ok
+        # the operand's arrays are untouched, and mul by 1.0 keeps them
+        assert jet.d is d and _same_bits(d[0][0], lo)
+        assert ops.mul(jet, 1.0) is jet and ops.mul(1.0, jet) is jet
+        assert ops.mul(1.0, 1.0) == 1.0 and ops.add(1.0, 1.0) == 2.0
+        # a jet's square is made once, with the bits of a product of two jets
+        square = ops.mul(jet, jet)
+        assert ops.mul(jet, jet) is square
+        twin = ops.mul(jet, _Jet(d, jet.ok))
+        assert _same_bits(square.d, twin.d) and np.array_equal(square.ok, twin.ok)

@@ -9,8 +9,10 @@ written once over an operation set ``ops`` (see :mod:`cevians.intervals`)
 as functions of general sides (a, b, c): search re-verification runs them
 in interval arithmetic, and the certifier's targets are the same formulas
 at the exact float constant c = 1.0.  :func:`cevian_triple_slacks` runs
-the same per-vertex code on (3, n) stacks, one row per vertex, for the
-search's refinement rounds.
+the same per-vertex code on stacks whose first axis holds the three
+vertices, (3, n) for the search's records and (3, 10, L) for a refinement
+round's probe block; the callers that need the constraint mask compute it
+from its Cevians.
 """
 
 from __future__ import annotations
@@ -212,30 +214,33 @@ def constraint_mask_arrays(a, b, c, la, lb, lc):
     return functools.reduce(operator.and_, itertools.starmap(operator.ge, pairs))
 
 
-# Row permutations of a (3, n) stack: the cyclic partners (v, w) of each
+# Row permutations of a vertex stack: the cyclic partners (v, w) of each
 # vertex's side u, so (a, b, c) becomes (b, c, a) and (c, a, b).
 _NEXT = np.array([1, 2, 0])
 _PREV = np.array([2, 0, 1])
 
 
 def cevian_triple_slacks(sides, feet):
-    """Cevians, both slacks and the constraint mask of n Cevian triples.
+    """Cevians and both slacks of a stack of Cevian triples.
 
-    ``sides`` and ``feet`` are (3, n) arrays with rows (a, b, c) and
-    (ta, tb, tc).  Row k holds vertex k's side u, its cyclic partners
-    (v, w) are the same rows permuted, and each formula runs once on the
-    stacks; every element sees the operations of
-    :func:`general_cevians_arrays`, :func:`slack_main_arrays`,
-    :func:`slack_quadratic_arrays` and :func:`constraint_mask_arrays`
-    (row B's v*w is c*a where theirs is a*c), so the results agree bit
-    for bit.  Returns the (3, n) Cevians, the two slacks and the mask.
+    ``sides`` and ``feet`` are arrays of one shape whose first axis has
+    length 3, rows (a, b, c) and (ta, tb, tc); any further axes are
+    element-wise, as (n,) or the (10, L) probes of a refinement round.
+    Row k holds vertex k's side u, its cyclic partners (v, w) are the same
+    rows permuted, and each formula runs once on the stacks; every element
+    sees the operations of :func:`general_cevians_arrays`,
+    :func:`slack_main_arrays` and :func:`slack_quadratic_arrays` (row B's
+    v*w is c*a where theirs is a*c), so the results agree bit for bit.
+    Returns the Cevians, shaped as ``sides``, and the two slacks; the
+    constraint mask is :func:`constraint_mask_arrays` of the sides and
+    the Cevians, for the callers that need it.
     """
     v = sides.take(_NEXT, axis=0)
     w = sides.take(_PREV, axis=0)
     cv = cevian(_FloatOps, sides, v, w, feet)
     s1 = _vertex_sum(_FloatOps, _main_term(_FloatOps, sides, v, w, cv))
     s2 = _vertex_sum(_FloatOps, _quadratic_term(_FloatOps, sides, v, w, cv))
-    return cv, s1, s2, constraint_mask_arrays(*sides, *cv)
+    return cv, s1, s2
 
 
 def bisector_ratio_arrays(a, b, c, la, lb):

@@ -4,9 +4,11 @@ Exit codes follow a fixed contract.  verify: 0 all slacks pass, 1 some
 slack fails, 2 invalid input.  certify: 0 empty undecided set, 1 undecided
 boxes remain (also when the box budget runs out), 2 bad arguments.
 search: unconstrained mode exits 0 iff a re-verified violation was found,
-open-problem mode always exits 0 (2 on bad arguments).  table: 0, or 2 on
-bad density (below 2 or above 4,096, whose grid arrays take about 134 MB
-each).  Every subcommand exits 2 when its -o output cannot be written.
+open-problem mode always exits 0 (2 on bad arguments, among them a
+--record-top outside [1, 4,096]; refinement holds about 9 KB per recorded
+candidate).  table: 0, or 2 on bad density (below 2 or above 4,096, whose
+grid arrays take about 134 MB each).  Every subcommand exits 2 when its -o
+output cannot be written.
 """
 
 from __future__ import annotations
@@ -53,7 +55,14 @@ from .reports import (
     canonical_json,
     report_document,
 )
-from .search import FOOT_MARGIN, SearchConfig, SearchMode, constraint_filter, search
+from .search import (
+    FOOT_MARGIN,
+    MAX_RECORD_TOP,
+    SearchConfig,
+    SearchMode,
+    constraint_filter,
+    search,
+)
 
 ENV_SEED = "CEVIANS_SEED"
 DEFAULT_SEED = 0
@@ -157,7 +166,8 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--refine-steps", type=int, default=200,
                    help="local pattern-search sweeps per candidate (default 200)")
     s.add_argument("--record-top", type=int, default=20,
-                   help="extremal candidates kept in the report (default 20)")
+                   help="extremal candidates kept in the report "
+                        f"(1 to {MAX_RECORD_TOP}, default 20)")
     s.add_argument("--workers", type=int, default=1,
                    help="shard worker threads, at most one per core and per "
                         "shard; results are identical for any count")

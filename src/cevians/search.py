@@ -16,10 +16,12 @@ shard draws all its samples at once (the sampler folds them without a
 branch, in place) and evaluates them in blocks of 16,384, so no array it
 makes is larger than one shard row.
 Refinement is a pattern search run on all candidates at once; each round
-evaluates every candidate's remaining probes speculatively in one stacked
-kernel call, so its cost follows the moves made rather than the ten
-probes of a sweep.  Candidates travel as (6, n) column blocks (a, b, c,
-ta, tb, tc), and each block becomes records through one such call.
+evaluates the ten probes of every live candidate's sweep speculatively,
+as one fixed (5, 10, L) block in one stacked kernel call, so the rounds
+follow the moves made rather than the ten probes of a sweep.  Candidates
+that stop leave the round's state arrays.  Candidates travel as (6, n)
+column blocks (a, b, c, ta, tb, tc), and each block becomes records
+through one such call.
 """
 
 from __future__ import annotations
@@ -47,6 +49,9 @@ SHARD_SIZE = 1 << 16
 _BLOCK = 1 << 14
 # Sampled and refined feet stay within [FOOT_MARGIN, 1 - FOOT_MARGIN].
 FOOT_MARGIN = 1e-4
+# The most candidates a search keeps; refinement holds about 9 KB per
+# candidate per round, so this bound keeps it within about 40 MB.
+MAX_RECORD_TOP = 4096
 
 
 class SearchMode(Enum):
@@ -68,8 +73,9 @@ class SearchConfig:
             raise ValueError(f"seed must lie in [0, 2**64), got {self.seed}")
         if self.samples < 1:
             raise ValueError(f"samples must be at least 1, got {self.samples}")
-        if self.record_top < 1:
-            raise ValueError("record_top must be at least 1")
+        if not 1 <= self.record_top <= MAX_RECORD_TOP:
+            raise ValueError(f"record_top must lie in [1, {MAX_RECORD_TOP}], "
+                             f"got {self.record_top}")
         if self.refine_steps < 0:
             raise ValueError("refine_steps must be nonnegative")
         if self.workers < 1:
@@ -173,11 +179,13 @@ def _records(cols: np.ndarray, index) -> list[CandidateRecord]:
     """Records of the candidates in a (6, n) block (a, b, c, ta, tb, tc).
 
     The sides must be sorted.  One :func:`cevians.bulk.cevian_triple_slacks`
-    call evaluates them all; as in :func:`cevians.kernel.scalar_eval`, NaN
-    and infinities come back as values, which the dataclasses reject.
+    call evaluates them all, and :func:`cevians.bulk.constraint_mask_arrays`
+    their constraints; as in :func:`cevians.kernel.scalar_eval`, NaN and
+    infinities come back as values, which the dataclasses reject.
     """
     with np.errstate(all="ignore"):
-        cv, s1, s2, ok = bulk.cevian_triple_slacks(cols[:3], cols[3:])
+        cv, s1, s2 = bulk.cevian_triple_slacks(cols[:3], cols[3:])
+        ok = bulk.constraint_mask_arrays(*cols[:3], *cv)
     rows = zip(cols.T.tolist(), cv.T.tolist(), s1.tolist(), s2.tolist(),
                ok.tolist(), np.asarray(index).tolist())
     return [
@@ -253,45 +261,49 @@ def _probe_slacks(
     c0: np.ndarray,
     mode: SearchMode,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Evaluate pattern-search probes: the columns (x, y, ta, tb, tc) of ``trial``.
+    """Evaluate pattern-search probes: the rows (x, y, ta, tb, tc) of ``trial``.
 
-    Returns the acceptance mask and min_slack.  A column is accepted
-    exactly when the sides (x*c0, y*c0, c0) and the feet make a valid
-    candidate record (a triangle, feet in (0, 1), positive finite Cevians
-    and finite slacks), with ``x <= y <= 1`` so that the roles of the
-    sides stay fixed and the feet within ``[FOOT_MARGIN, 1 -
+    ``trial`` is (5, ...) and ``c0`` broadcasts against one of its rows:
+    (5, 10, L) with (L,) for a refinement round, or (5, n) with (n,).
+    Returns the acceptance mask and min_slack, shaped as a row.  A probe
+    is accepted exactly when the sides (x*c0, y*c0, c0) and the feet make
+    a valid candidate record (a triangle, feet in (0, 1), positive finite
+    Cevians and finite slacks), with ``x <= y <= 1`` so that the roles of
+    the sides stay fixed and the feet within ``[FOOT_MARGIN, 1 -
     FOOT_MARGIN]``, and in open-problem mode when the constraints hold.
-    All probes go through one :func:`cevians.bulk.cevian_triple_slacks`
-    call.  Rejected columns may carry NaN; their min_slack is meaningless.
+    ``a > 0`` needs no test: b <= c0 follows from y <= 1, so a + b > c0
+    implies it.  All probes go through one
+    :func:`cevians.bulk.cevian_triple_slacks` call, and only open-problem
+    mode computes the constraint mask.  Rejected probes may carry NaN;
+    their min_slack is meaningless.
     """
     x, y = trial[0], trial[1]
     feet = trial[2:]
-    # Rejected columns may take the square root of a negative or overflow;
+    # Rejected probes may take the square root of a negative or overflow;
     # the scalar path raises or rejects there, so no warning is wanted.
     with np.errstate(invalid="ignore", over="ignore"):
         sides = trial[:3] * c0  # rows a, b and a scratch row for c0
         sides[2] = c0
-        cv, s1, s2, constraints = bulk.cevian_triple_slacks(sides, feet)
-        a, b = sides[0], sides[1]
+        cv, s1, s2 = bulk.cevian_triple_slacks(sides, feet)
         ok = (
             (x <= y)
             & (y <= 1.0)
             & ((feet >= FOOT_MARGIN) & (feet <= 1.0 - FOOT_MARGIN)
                & (cv > 0.0)).all(axis=0)
-            & (a > 0.0)
-            & (a + b > c0)
+            & (sides[0] + sides[1] > c0)
             & np.isfinite(s1) & np.isfinite(s2)
         )
         if mode is SearchMode.OPEN_PROBLEM:
-            ok &= constraints
+            ok &= bulk.constraint_mask_arrays(*sides, *cv)
     return ok, np.minimum(s1, s2)
 
 
-# Probe p of a pattern-search sweep adds column p of _PROBE_DELTA, times
-# the step, to (x, y, ta, tb, tc): +step, then -step, on each coordinate
-# in turn.  Adding the (signed) zeros leaves the other coordinates exact.
-_PROBES = np.arange(10)
-_PROBE_DELTA = np.kron(np.eye(5), [1.0, -1.0])
+# Probe p of a pattern-search sweep adds _PROBE_DELTA[:, p], times the
+# step, to (x, y, ta, tb, tc): +step, then -step, on each coordinate in
+# turn.  Adding the (signed) zeros leaves the other coordinates exact.
+# The trailing axis broadcasts over the live candidates of a round.
+_PROBE_DELTA = np.kron(np.eye(5), [1.0, -1.0])[:, :, None]
+_PROBES = np.arange(10)[:, None]
 
 
 def refine(
@@ -313,15 +325,19 @@ def refine(
     sweeps or once its step falls below 1e-12.
 
     The probes run speculatively, in rounds of one array evaluation each:
-    a round holds every probe left in the current sweep of every active
-    candidate, taken from its current point.  Each candidate moves to its
-    first accepted probe, and only the probes after that one are evaluated
-    again, from the new point, in the next round; a candidate whose sweep
-    has ended starts its next one there.  The evaluation is element-wise
-    and correctly rounded, so a row's value does not depend on the rows
-    beside it, and the same probes are accepted as one at a time.  A
-    candidate's sweep takes at most one round plus one per move instead of
-    ten evaluations, and all candidates share the rounds.
+    a round evaluates one (5, 10, L) block, all ten probes of the current
+    sweep of each of the L live candidates, taken from its current point,
+    and masks out the probes the sweep has already passed.  Each candidate
+    moves to its first accepted probe, copied from the block, and the
+    probes after that one are tried again, from the new point, in the next
+    round; a candidate whose sweep has ended starts its next one there.
+    The evaluation is element-wise and correctly rounded, so a probe's
+    value does not depend on the probes beside it, and the same probes
+    are accepted as one at a time.  A candidate's sweep takes at most one
+    round plus one per move instead of ten evaluations, and all candidates
+    share the rounds.  Only the live candidates' state is kept: a
+    candidate that stops writes its point and best back, and the state
+    arrays are compacted.
 
     The movers are rebuilt together by :func:`_records` and marked
     refined; a candidate that never moved is returned as the same object.
@@ -338,59 +354,54 @@ def refine(
         return list(cands)
 
     cols = _columns(cands)
-    c0 = cols[2]
     # Column k holds (x, y, ta, tb, tc) of candidate k, so that each
-    # coordinate of a batch of probes is one contiguous row.
-    pts = np.concatenate([cols[:2] / c0, cols[3:]])
+    # coordinate of a block of probes is one contiguous row.
+    final = np.concatenate([cols[:2] / cols[2], cols[3:]])
     start = np.array([c.min_slack for c in cands])
-    best = start.copy()
-    step = np.full(len(cands), 0.05)
+    final_best = start.copy()
+    # The live candidates' state; a candidate that stops is written back
+    # to final and final_best, and the arrays keep only the live ones.
+    live = np.arange(len(cands))
+    pts, best, c0 = final.copy(), start.copy(), cols[2]
+    step = np.full(live.size, 0.05)
     # Each candidate sweeps on its own: it starts its next sweep in the
     # round after its last one ended, without waiting for the others.
-    swept = np.zeros(len(cands), dtype=np.int64)  # sweeps finished
-    first = np.zeros(len(cands), dtype=np.int64)  # next probe of the sweep
-    improved = np.zeros(len(cands), dtype=bool)  # moved in this sweep
-    live = np.arange(len(cands))
+    swept = np.zeros(live.size, dtype=np.int64)  # sweeps finished
+    first = np.zeros(live.size, dtype=np.int64)  # next probe of the sweep
+    at = np.arange(live.size)
     while live.size:
-        # Column j of trial is probe probe[j] of candidate owner[j], from
-        # its current point: every probe left in a live candidate's sweep.
-        pending = _PROBES >= first[live][:, None]
-        flat = pending.ravel().nonzero()[0]  # faster than a 2-D nonzero
-        at, probe = np.divmod(flat, _PROBES.size)
-        owner = live[at]
-        trial = (pts.take(owner, axis=1)
-                 + _PROBE_DELTA.take(probe, axis=1) * step.take(owner))
-        ok, ms = _probe_slacks(trial, c0[owner], mode)
-        slack = np.full(pending.size, np.inf)
-        slack[flat] = np.where(ok, ms, np.inf)
-        slack = slack.reshape(pending.shape)
-        # Each candidate moves to its first accepted probe; the move
-        # repeats the trial's arithmetic, so it lands on the probe.
-        take = slack < best[live][:, None]
-        hit = take.any(axis=1)
-        p = take.argmax(axis=1)[hit]
-        moved = live[hit]
-        pts[:, moved] = (pts.take(moved, axis=1)
-                         + _PROBE_DELTA.take(p, axis=1) * step.take(moved))
-        best[moved] = slack[hit, p]
-        improved[moved] = True
-        first[moved] = p + 1
-        # A sweep ends when no probe left in it is accepted, or the last is.
-        end = live[~hit | (first[live] == _PROBES.size)]
-        step[end[~improved[end]]] *= 0.5
-        swept[end] += 1
-        first[end] = 0
-        improved[end] = False
-        live = live[(swept[live] < steps) & (step[live] >= 1e-12)]
+        trial = pts[:, None] + _PROBE_DELTA * step
+        ok, ms = _probe_slacks(trial, c0, mode)
+        # Each candidate moves to its first accepted probe not yet passed.
+        take = ok & (ms < best) & (_PROBES >= first)
+        p = take.argmax(axis=0)
+        hit = take[p, at]
+        pts = np.where(hit, trial[:, p, at], pts)
+        best = np.where(hit, ms[p, at], best)
+        # A sweep ends when no probe left in it is accepted, or the last
+        # is; it has moved exactly when first > 0, and halves its step
+        # when it ends without a move.
+        step = np.where(hit | (first > 0), step, 0.5 * step)
+        first = (p + 1) % 10 * hit
+        swept += first == 0
         counts["refine_evaluations"] += 1
-        counts["refine_moves"] += moved.size
-    counts["refine_sweeps"] = int(swept.max())
+        counts["refine_moves"] += int(np.count_nonzero(hit))
+        keep = (swept < steps) & (step >= 1e-12)
+        if not keep.all():
+            stop = ~keep
+            final[:, live[stop]] = pts[:, stop]
+            final_best[live[stop]] = best[stop]
+            counts["refine_sweeps"] = max(counts["refine_sweeps"],
+                                          int(swept[stop].max()))
+            live, pts, best, c0 = live[keep], pts[:, keep], best[keep], c0[keep]
+            step, swept, first = step[keep], swept[keep], first[keep]
+            at = np.arange(live.size)
 
     # Every accepted probe lowers best strictly, so this marks the movers;
     # x <= y <= 1 holds for them, so their sides come out sorted.
-    movers = np.flatnonzero(best < start).tolist()
-    c = c0[movers]
-    rebuilt = _records(np.vstack([pts[:2, movers] * c, c, pts[2:, movers]]),
+    movers = np.flatnonzero(final_best < start).tolist()
+    c = cols[2, movers]
+    rebuilt = _records(np.vstack([final[:2, movers] * c, c, final[2:, movers]]),
                        [cands[k].index for k in movers])
     out = list(cands)
     for k, rec in zip(movers, rebuilt):

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from cevians import cli
 from cevians.cli import _parser, build_parser, main
 from cevians.reports import TOOL_VERSION, canonical_json, reproducible_bytes, strip_wall_time
+from cevians.search import SearchReport
 
 from conftest import rel_close
 
@@ -370,6 +371,36 @@ class TestSearch:
         monkeypatch.setenv("CEVIANS_SEED", str(seed))
         assert run(base) == 2
         assert "seed must lie in [0, 2**64)" in capsys.readouterr().err
+
+    def test_record_top_bound_is_accepted(self, monkeypatch, tmp_path):
+        # stub the search: refinement at the bound would hold about 40 MB
+        configs = []
+
+        def stub(cfg):
+            configs.append(cfg)
+            return SearchReport(cfg.mode, cfg.seed, cfg.samples, cfg.record_top,
+                                cfg.refine_steps, {}, [], [])
+
+        monkeypatch.setattr(cli, "search", stub)
+        assert cli.MAX_RECORD_TOP == 4096
+        out = tmp_path / "s.json"
+        assert run(["search", "--mode", "open-problem", "--samples", "10",
+                    "--record-top", "4096", "-o", str(out)]) == 0
+        assert [cfg.record_top for cfg in configs] == [4096]
+        assert load(out)["manifest"]["config"]["record_top"] == 4096
+
+    @pytest.mark.parametrize("top", [0, 4097, 10**6])
+    def test_record_top_out_of_bound_exits_2(self, top, capsys):
+        assert run(["search", "--mode", "unconstrained", "--samples", "10",
+                    "--record-top", str(top)]) == 2
+        # one error line and no traceback
+        assert capsys.readouterr().err == (
+            f"error: record_top must lie in [1, 4096], got {top}\n")
+
+    def test_help_states_record_top_bound(self, capsys):
+        with pytest.raises(SystemExit):
+            run(["search", "--help"])
+        assert "(1 to 4096, default 20)" in " ".join(capsys.readouterr().out.split())
 
 
 class TestSharedParser:

@@ -22,6 +22,7 @@ from cevians.inequalities import open_problem_slacks, tolerance_scale
 from cevians.reports import canonical_json, reproducible_bytes
 from cevians.search import (
     FOOT_MARGIN,
+    MAX_RECORD_TOP,
     SHARD_SIZE,
     CandidateRecord,
     SearchConfig,
@@ -530,8 +531,10 @@ class TestStackedKernel:
         trial, c0 = kernel_rows()
         a, b = trial[0] * c0, trial[1] * c0
         ta, tb, tc = trial[2:]
-        cv, s1, s2, mask = bulk.cevian_triple_slacks(np.array([a, b, c0]),
-                                                     trial[2:])
+        sides = np.array([a, b, c0])
+        cv, s1, s2 = bulk.cevian_triple_slacks(sides, trial[2:])
+        # the mask as _records and open-problem _probe_slacks compute it
+        mask = bulk.constraint_mask_arrays(*sides, *cv)
         la, lb, lc = bulk.general_cevians_arrays(a, b, c0, ta, tb, tc)
         per_vertex = (
             (la, lb, lc),
@@ -563,6 +566,27 @@ class TestStackedKernel:
                 assert ms[k].hex() == probe.min_slack.hex()
                 accepted += 1
         assert 0 < accepted < c0.size
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("mode", list(SearchMode))
+    def test_probe_block_matches_the_flat_call(self, mode):
+        # a refinement round's block: the ten probes of each edge_pool()
+        # candidate at (5, 10, L), with one c0 per candidate
+        module = importlib.import_module("cevians.search")
+        pool = edge_pool()
+        c0 = np.array([cand.sides.c for cand in pool])
+        pts = np.array([[cand.sides.a / cand.sides.c, cand.sides.b / cand.sides.c,
+                         *cand.feet.as_tuple()] for cand in pool]).T
+        delta = np.kron(np.eye(5), [1.0, -1.0])
+        for step in (0.05, 1e-9):
+            block = pts[:, None] + delta[:, :, None] * step
+            ok, ms = module._probe_slacks(block, c0, mode)
+            assert ok.shape == ms.shape == (10, len(pool))
+            flat_ok, flat_ms = module._probe_slacks(block.reshape(5, -1),
+                                                    np.tile(c0, 10), mode)
+            assert np.array_equal(ok.ravel(), flat_ok)
+            assert same_bits(ms.ravel(), flat_ms)
+            assert ok.any() and not ok.all()
 
 
 class TestRefine:
@@ -642,6 +666,23 @@ class TestRefine:
         assert len(calls) == counts["refine_evaluations"]
         assert len(calls) <= counts["refine_sweeps"] + counts["refine_moves"]
         assert len(calls) < 10 * counts["refine_sweeps"]
+
+    # (refine_sweeps, refine_moves, refine_evaluations) on edge_pool():
+    # the records alone do not show the rounds, which any layout of a
+    # round's probes must keep
+    @pytest.mark.parametrize(("mode", "steps", "want"), [
+        (SearchMode.UNCONSTRAINED, 1, (1, 109, 6)),
+        (SearchMode.UNCONSTRAINED, 7, (7, 578, 36)),
+        (SearchMode.UNCONSTRAINED, 200, (200, 3945, 532)),
+        (SearchMode.OPEN_PROBLEM, 1, (1, 56, 6)),
+        (SearchMode.OPEN_PROBLEM, 7, (7, 296, 32)),
+        (SearchMode.OPEN_PROBLEM, 200, (200, 2224, 406)),
+    ])
+    def test_round_structure_is_pinned(self, mode, steps, want):
+        counts = {}
+        refine(edge_pool(), steps, mode, counts)
+        assert (counts["refine_sweeps"], counts["refine_moves"],
+                counts["refine_evaluations"]) == want
 
     def test_counts_are_zero_without_sweeps(self):
         counts = {"refine_sweeps": 5}
@@ -867,9 +908,13 @@ class TestSearch:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             SearchConfig(seed=1, samples=0, mode=SearchMode.UNCONSTRAINED)
-        with pytest.raises(ValueError):
-            SearchConfig(seed=1, samples=10, mode=SearchMode.UNCONSTRAINED,
-                         record_top=0)
+        for top in (0, MAX_RECORD_TOP + 1):
+            with pytest.raises(ValueError, match=r"record_top must lie in \[1, 4096\]"):
+                SearchConfig(seed=1, samples=10, mode=SearchMode.UNCONSTRAINED,
+                             record_top=top)
+        for top in (1, MAX_RECORD_TOP):
+            assert SearchConfig(seed=1, samples=10, mode=SearchMode.UNCONSTRAINED,
+                                record_top=top).record_top == top
         with pytest.raises(ValueError):
             SearchConfig(seed=1, samples=10, mode=SearchMode.UNCONSTRAINED,
                          workers=0)

@@ -32,7 +32,7 @@ def in_normalized_domain(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def sample_normalized_points(
-    rng: np.random.Generator, n: int
+    rng: np.random.Generator, n: int, out=None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Sample n points uniformly over the normalized domain.
 
@@ -41,20 +41,25 @@ def sample_normalized_points(
     (1/2,1/2): x = u + v/2, y = 1 - v/2.  The fold has no branch: with
     f = 1.0 where u + v > 1 and 0.0 elsewhere, |f - u| is 1 - u where f is
     1 and exactly u where f is 0, so it gives the bits of
-    np.where(fold, 1 - u, u) without a per-element select.  It and the map
-    run in place on the drawn arrays.  The rare points that binary64
+    np.where(fold, 1 - u, u) without a per-element select.  The draws, the
+    fold and the map all run in place.  The rare points that binary64
     rounding (or u = 0) leaves outside the strict domain are redrawn; when
     none is, exactly 2n uniforms are consumed.  Deterministic for a given
     generator state.
+
+    ``out``, when given, is three float64 arrays of length n: the points
+    are drawn into the first two, which are returned, and the third holds
+    f.  Without it, the three arrays are allocated.
     """
-    u = rng.random(n)
-    v = rng.random(n)
-    fold = (u + v > 1.0).astype(np.float64)
-    for w in (u, v):
-        np.abs(np.subtract(fold, w, out=w), out=w)
-    v *= 0.5
-    x = np.add(u, v, out=u)
-    y = np.subtract(1.0, v, out=v)
+    x, y, f = (np.empty(n), np.empty(n), np.empty(n)) if out is None else out
+    rng.random(out=x)
+    rng.random(out=y)
+    np.greater(np.add(x, y, out=f), 1.0, out=f)
+    for w in (x, y):
+        np.abs(np.subtract(f, w, out=w), out=w)
+    y *= 0.5
+    np.add(x, y, out=x)
+    np.subtract(1.0, y, out=y)
     bad = np.flatnonzero(~in_normalized_domain(x, y))
     if bad.size:
         x[bad], y[bad] = sample_normalized_points(rng, bad.size)

@@ -6,7 +6,8 @@ boxes remain (also when the box budget runs out), 2 bad arguments.
 search: unconstrained mode exits 0 iff a re-verified violation was found,
 open-problem mode always exits 0 (2 on bad arguments, among them a
 --record-top outside [1, 4,096]; refinement holds about 9 KB per recorded
-candidate).  table: 0, or 2 on bad density (below 2 or above 4,096, whose
+candidate; each worker thread holds about 3 MB of shard rows while the
+search samples).  table: 0, or 2 on bad density (below 2 or above 4,096, whose
 grid arrays take about 134 MB each).  Every subcommand exits 2 when its -o
 output cannot be written.
 """
@@ -169,8 +170,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="extremal candidates kept in the report "
                         f"(1 to {MAX_RECORD_TOP}, default 20)")
     s.add_argument("--workers", type=int, default=1,
-                   help="shard worker threads, at most one per core and per "
-                        "shard; results are identical for any count")
+                   help="shard worker threads, at most one per usable CPU "
+                        "and per shard; results are identical for any count")
     s.add_argument("-o", "--output")
 
     t = sub.add_parser("table", allow_abbrev=False,

@@ -14,7 +14,9 @@ SeedSequence([seed, i]) for a seed in [0, 2**64), and shards are merged
 in index order, so reports are byte-identical for any worker count.  A
 shard draws all its samples at once (the sampler folds them without a
 branch, in place) and evaluates them in blocks of 16,384, so no array it
-makes is larger than one shard row.
+makes is larger than one shard row.  Each worker of a search call holds
+one set of shard rows, about 3 MB, and draws and evaluates every shard it
+runs in them; the rows go when sampling ends, before refinement.
 Refinement is a pattern search run on all candidates at once; each round
 evaluates the ten probes of every live candidate's sweep speculatively,
 as one fixed (5, 10, L) block in one stacked kernel call, so the rounds
@@ -28,6 +30,7 @@ from __future__ import annotations
 
 import math
 import os
+import queue
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -409,6 +412,27 @@ def refine(
     return out
 
 
+def _shard_rows(n: int) -> tuple[np.ndarray, ...]:
+    """One worker's shard rows x, y, ta, tb, tc, ms (float64) and ok (bool).
+
+    Each row is its own array of n entries, at most 512 KiB: freeing one
+    3 MiB block raises glibc's mmap and trim thresholds for the whole
+    process, which changes the speed of whatever runs after it.
+    """
+    return tuple(np.empty(n) for _ in range(6)) + (np.empty(n, dtype=bool),)
+
+
+def _draw_feet(rng: np.random.Generator, t: np.ndarray) -> None:
+    """Fill ``t`` with feet uniform on [FOOT_MARGIN, 1 - FOOT_MARGIN), in place.
+
+    The bits, and the generator's state after, are those of
+    ``rng.uniform(FOOT_MARGIN, 1 - FOOT_MARGIN, t.size)``.
+    """
+    rng.random(out=t)
+    t *= (1.0 - FOOT_MARGIN) - FOOT_MARGIN
+    t += FOOT_MARGIN
+
+
 def _run_shard(
     seed: int,
     shard_index: int,
@@ -416,6 +440,7 @@ def _run_shard(
     count: int,
     mode: SearchMode,
     record_top: int,
+    rows: tuple[np.ndarray, ...],
 ) -> dict:
     """Sample one shard; rank the mode's candidates and the frontier.
 
@@ -424,19 +449,20 @@ def _run_shard(
     constraint-satisfying samples with nonnegative min_slack.  Each pool
     is (index, min_slack, columns) of its best record_top samples.
 
-    The draws cover the whole shard, in the order the stream defines; the
-    Cevians, slacks and mask then run on blocks of ``_BLOCK`` samples and
-    fill shard-length min_slack and mask rows, so no array is larger than
-    one shard row and nothing outlives the call.
+    The shard runs in the first ``count`` entries of ``rows``, a worker's
+    set from :func:`_shard_rows`, and writes each of them before reading
+    it; the pools it returns are copies.  The draws cover the whole shard,
+    in the order the stream defines, with the ms row as the sampler's
+    scratch; the Cevians, slacks and mask then run on blocks of ``_BLOCK``
+    samples and fill the ms and ok rows, so no array the shard makes is
+    larger than one shard row.
     """
+    x, y, ta, tb, tc, ms, ok = (row[:count] for row in rows)
     rng = shard_rng(seed, shard_index)
-    x, y = bulk.sample_normalized_points(rng, count)
-    ta = rng.uniform(FOOT_MARGIN, 1.0 - FOOT_MARGIN, count)
-    tb = rng.uniform(FOOT_MARGIN, 1.0 - FOOT_MARGIN, count)
-    tc = rng.uniform(FOOT_MARGIN, 1.0 - FOOT_MARGIN, count)
+    bulk.sample_normalized_points(rng, count, out=(x, y, ms))
+    for t in (ta, tb, tc):
+        _draw_feet(rng, t)
 
-    ms = np.empty(count)
-    ok = np.empty(count, dtype=bool)
     for lo in range(0, count, _BLOCK):
         b = slice(lo, lo + _BLOCK)
         xb, yb = x[b], y[b]
@@ -475,6 +501,56 @@ def _merge_pool(pools: list[tuple], record_top: int) -> list[CandidateRecord]:
     return _records(cols[:, order], idx[order])
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where it has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _sample_shards(cfg: SearchConfig) -> list[dict]:
+    """Run the shards of ``cfg`` on up to ``cfg.workers`` threads, in index order.
+
+    Each thread holds one set of shard rows and runs every shard it takes
+    in them.  The rows go when the last shard is done: kept through
+    refinement, they would have later allocations placed above them in the
+    heap, and freeing them would then leave a 3 MiB hole there.
+    """
+    shards = []
+    start = 0
+    i = 0
+    while start < cfg.samples:
+        count = min(SHARD_SIZE, cfg.samples - start)
+        shards.append((i, start, count))
+        start += count
+        i += 1
+
+    # A shard takes a free set of rows, or makes one when every set is in
+    # use by another shard, and gives it back; so at most one set per
+    # thread is made.
+    free_rows: queue.SimpleQueue = queue.SimpleQueue()
+
+    def run(spec):
+        shard_index, shard_start, count = spec
+        try:
+            rows = free_rows.get_nowait()
+        except queue.Empty:
+            rows = _shard_rows(min(SHARD_SIZE, cfg.samples))
+        result = _run_shard(cfg.seed, shard_index, shard_start, count,
+                            cfg.mode, cfg.record_top, rows)
+        free_rows.put(rows)
+        return result
+
+    # The pool submits every shard at once and starts a thread per submit
+    # while none is idle, so more workers than usable CPUs would only add
+    # threads, each holding its own rows.
+    threads = min(cfg.workers, len(shards), _usable_cpus())
+    if threads == 1:
+        return [run(s) for s in shards]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(run, shards))
+
+
 def search(cfg: SearchConfig) -> SearchReport:
     """Sharded sampling plus refinement and rigorous re-verification.
 
@@ -491,28 +567,7 @@ def search(cfg: SearchConfig) -> SearchReport:
     violation nor a near miss, and ``reverified_violations`` does not count
     it.  The near misses therefore all have nonnegative ``min_slack``.
     """
-    shards = []
-    start = 0
-    i = 0
-    while start < cfg.samples:
-        count = min(SHARD_SIZE, cfg.samples - start)
-        shards.append((i, start, count))
-        start += count
-        i += 1
-
-    def run(spec):
-        shard_index, shard_start, count = spec
-        return _run_shard(cfg.seed, shard_index, shard_start, count,
-                          cfg.mode, cfg.record_top)
-
-    # The pool submits every shard at once and starts a thread per submit
-    # while none is idle, so more workers than cores would only add threads.
-    threads = min(cfg.workers, len(shards), os.cpu_count() or 1)
-    if threads == 1:
-        results = [run(s) for s in shards]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run, shards))
+    results = _sample_shards(cfg)
 
     totals = {
         "sampled": sum(r["sampled"] for r in results),

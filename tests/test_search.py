@@ -1,6 +1,7 @@
 import hashlib
 import importlib
 import json
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -221,13 +222,15 @@ class _ScriptedRng:
         self.rng = rng
         self.calls = []
 
-    def random(self, n):
-        self.calls.append(n)
+    def random(self, *, out):
+        # the sampler draws into its rows, as Generator.random(out=...)
+        self.calls.append(out.size)
         if self.scripted:
             u = self.scripted.pop(0)
-            assert u.size == n
-            return u
-        return self.rng.random(n)
+            assert u.size == out.size
+            out[...] = u
+            return out
+        return self.rng.random(out=out)
 
 
 def ks_statistic(samples, cdf):
@@ -281,6 +284,19 @@ class TestSampling:
         u, v = np.where(fold, 1.0 - u, u), np.where(fold, 1.0 - v, v)
         assert np.array_equal(x.view(np.uint64), (u + 0.5 * v).view(np.uint64))
         assert np.array_equal(y.view(np.uint64), (1.0 - 0.5 * v).view(np.uint64))
+
+    @pytest.mark.parametrize("seed", [0, 7, 2**63 + 5])
+    @pytest.mark.parametrize("n", [1, 17, SHARD_SIZE - 1, SHARD_SIZE])
+    def test_feet_drawn_in_place_are_the_uniform_draws(self, seed, n):
+        # random(out=) and the affine map give the bits of uniform(), and
+        # leave the stream where it does
+        draw_feet = importlib.import_module("cevians.search")._draw_feet
+        rng, ref = shard_rng(seed, 1), shard_rng(seed, 1)
+        t = np.empty(n)
+        draw_feet(rng, t)
+        want = ref.uniform(FOOT_MARGIN, 1.0 - FOOT_MARGIN, n)
+        assert np.array_equal(t.view(np.uint64), want.view(np.uint64))
+        assert rng.random() == ref.random()
 
     def test_acceptance_rate_matches_region_area(self):
         # the acceptance region is a triangle of area 1/4 in the unit square
@@ -768,15 +784,21 @@ class TestShard:
     @pytest.mark.parametrize("mode", list(SearchMode))
     @pytest.mark.parametrize("count", [SHARD_SIZE, 17, SHARD_SIZE - 1])
     def test_blocks_match_whole_shard_bit_for_bit(self, mode, count):
-        run_shard = importlib.import_module("cevians.search")._run_shard
+        module = importlib.import_module("cevians.search")
+        # a worker's rows, full of junk: a read of an entry the shard did
+        # not write first would change its bits or counts
+        rows = module._shard_rows(SHARD_SIZE)
+        for row in rows:
+            row.fill(True if row.dtype == bool else np.nan)
         args = (11, 3, 5 * SHARD_SIZE, count, mode, 50)
-        got, want = run_shard(*args), reference_shard(*args)
+        got, want = module._run_shard(*args, rows), reference_shard(*args)
         assert got.keys() == want.keys()
         for key in want:
             if key in ("candidates", "frontier"):
                 for g, w in zip(got[key], want[key]):
                     assert g.dtype == w.dtype and g.shape == w.shape
                     assert g.tobytes() == w.tobytes()
+                    assert not any(np.shares_memory(g, row) for row in rows)
             else:
                 assert type(got[key]) is int and got[key] == want[key]
         if count > 17:
@@ -866,14 +888,50 @@ class TestSearch:
             assert cand.min_slack >= -1e-12 * scale
 
     def test_reproducibility_and_worker_invariance(self):
-        cfg = dict(seed=42, samples=3 * SHARD_SIZE + 17,
-                   mode=SearchMode.UNCONSTRAINED, refine_steps=10)
-        a = search(SearchConfig(**cfg)).to_report_dict()
-        b = search(SearchConfig(**cfg)).to_report_dict()
-        c = search(SearchConfig(**cfg, workers=4)).to_report_dict()
-        assert a == b == c
-        assert 0 < a["totals"]["refine_evaluations"] < 10 * a["totals"]["refine_sweeps"]
-        assert a["totals"]["refine_moves"] > 0
+        # the partial last shard runs on rows that hold an earlier shard's
+        # samples, so a stale read would change the report
+        for mode in SearchMode:
+            cfg = dict(seed=42, samples=3 * SHARD_SIZE + 17,
+                       mode=mode, refine_steps=10)
+            a = search(SearchConfig(**cfg)).to_report_dict()
+            b = search(SearchConfig(**cfg)).to_report_dict()
+            c = search(SearchConfig(**cfg, workers=2)).to_report_dict()
+            d = search(SearchConfig(**cfg, workers=4)).to_report_dict()
+            assert a == b == c == d
+            totals = a["totals"]
+            assert 0 < totals["refine_evaluations"] < 10 * totals["refine_sweeps"]
+            assert totals["refine_moves"] > 0
+
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    def test_workers_reuse_their_shard_rows(self, monkeypatch, workers):
+        # every shard draws into the rows of the worker that runs it: one
+        # set with one worker, at most one per worker with more; threads
+        # that switch often, more of them than cores, share the free sets
+        # without changing the report
+        module = importlib.import_module("cevians.search")
+        cfg = dict(seed=3, samples=3 * SHARD_SIZE + 17,
+                   mode=SearchMode.OPEN_PROBLEM, refine_steps=1)
+        want = search(SearchConfig(**cfg)).to_report_dict()
+        sample = bulk.sample_normalized_points
+        rows = []
+
+        def spy(rng, n, out=None):
+            if out is not None:
+                rows.append(out[0])  # kept alive, so no address comes back
+            return sample(rng, n, out)
+
+        monkeypatch.setattr(module.bulk, "sample_normalized_points", spy)
+        monkeypatch.setattr(module, "_usable_cpus", lambda: workers)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = search(SearchConfig(**cfg, workers=workers)).to_report_dict()
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == want
+        assert sorted(x.size for x in rows) == [17] + [SHARD_SIZE] * 3
+        buffers = {x.__array_interface__["data"][0] for x in rows}
+        assert 1 <= len(buffers) <= workers
 
     @pytest.mark.parametrize("cores", [1, 2, 64])
     def test_shard_threads_capped_at_cores_and_shards(self, tmp_path,
@@ -889,7 +947,10 @@ class TestSearch:
                 super().__init__(max_workers=max_workers, **kwargs)
 
         monkeypatch.setattr(module, "ThreadPoolExecutor", Recording)
-        monkeypatch.setattr(module.os, "cpu_count", lambda: cores)
+        # the count is the affinity mask's; raising=False lets the patch
+        # stand in on platforms without sched_getaffinity
+        monkeypatch.setattr(module.os, "sched_getaffinity",
+                            lambda pid: set(range(cores)), raising=False)
         cap = min(3, cores)
         docs = []
         for workers in ("10000", "1"):

@@ -1,15 +1,16 @@
 """Command-line interface: verify, certify, search, and table subcommands.
 
 Exit codes follow a fixed contract.  verify: 0 all slacks pass, 1 some
-slack fails, 2 invalid input.  certify: 0 empty undecided set, 1 undecided
-boxes remain (also when the box budget runs out), 2 bad arguments.
-search: unconstrained mode exits 0 iff a re-verified violation was found,
-open-problem mode always exits 0 (2 on bad arguments, among them a
---record-top outside [1, 4,096]; refinement holds about 9 KB per recorded
-candidate; each worker thread holds about 3 MB of shard rows while the
-search samples).  table: 0, or 2 on bad density (below 2 or above 4,096, whose
-grid arrays take about 134 MB each).  Every subcommand exits 2 when its -o
-output cannot be written.
+slack fails, 2 invalid input; a slack of degree d in the sides fails below
+-tolerance*c*lc*c**(d-2), so the verdict does not depend on units.
+certify: 0 empty undecided set, 1 undecided boxes remain (also when the
+box budget runs out), 2 bad arguments.  search: unconstrained mode exits 0
+iff a re-verified violation was found, open-problem mode always exits 0 (2
+on bad arguments, among them a --record-top outside [1, 4,096];
+refinement holds about 9 KB per recorded candidate; each worker thread
+holds about 3 MB of shard rows while the search samples).  table: 0, or 2
+on bad density (below 2 or above 4,096, whose grid arrays take about 134
+MB each).  Every subcommand exits 2 when its -o output cannot be written.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ from .inequalities import (
     tolerance_scale,
 )
 from .kernel import (
+    CevianKind,
     GeneralCevianParams,
     MixedWeights,
     SideTriple,
@@ -104,10 +106,10 @@ def _write(path: str, text: str) -> None:
         raise _UsageError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
-def _emit(doc: dict, output: str | None) -> None:
-    text = canonical_json(doc)
-    if output:
-        _write(output, text)
+def _emit(args, manifest: RunManifest, body: dict) -> None:
+    text = canonical_json(report_document(manifest, body))
+    if args.output:
+        _write(args.output, text)
     else:
         sys.stdout.write(text)
 
@@ -125,20 +127,13 @@ def build_parser() -> argparse.ArgumentParser:
                        help="evaluate every applicable slack for one triangle")
     v.add_argument("--sides", help="three side lengths a,b,c in any order")
     v.add_argument("--normalized", help="normalized pair x,y (implies c = 1)")
-    v.add_argument(
-        "--cevians",
-        required=True,
-        choices=["median", "altitude", "bisector", "mixed", "general"],
-        help="which Cevian family to evaluate",
-    )
+    v.add_argument("--cevians", required=True, choices=[k.value for k in CevianKind],
+                   help="which Cevian family to evaluate")
     v.add_argument("--weights", help="alpha,beta,gamma for --cevians mixed (default 1,1,1)")
     v.add_argument("--feet", help="ta,tb,tc in (0,1) for --cevians general")
-    v.add_argument(
-        "--tolerance",
-        type=float,
-        default=1e-12,
-        help="slack tolerance, scaled by the c*lc normalizer (default 1e-12)",
-    )
+    v.add_argument("--tolerance", type=float, default=1e-12,
+                   help="slack tolerance: a slack of degree d in the sides fails "
+                        "below -tolerance*c*lc*c**(d-2) (default 1e-12)")
     v.add_argument("-o", "--output", help="write the JSON report to this path")
 
     c = sub.add_parser("certify", allow_abbrev=False,
@@ -203,48 +198,54 @@ def _build_triangle(args) -> tuple[SideTriple, dict]:
     return validate_sides(x, y, 1.0), {"normalized": [x, y]}
 
 
+def _checked(config_class, *args, **kwargs):
+    """``config_class(*args, **kwargs)``; its ValueError is a usage error."""
+    try:
+        return config_class(*args, **kwargs)
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from None
+
+
+def _manifest(args, started: float, config: dict, seed: int | None = None,
+              inputs: dict | None = None) -> RunManifest:
+    """The manifest of this run, timed from ``started`` to now."""
+    return RunManifest(args.command, TOOL_VERSION, seed, config, inputs or {},
+                       time.perf_counter() - started)
+
+
+_FAMILIES = {"median": medians, "altitude": altitudes, "bisector": bisectors}
+# The degree in the sides of each slack that is not of degree 2.
+_DEGREES = {"quadratic": 3, "open_problem_2": 3, "bisector_sqrt_chain": 1.5,
+            "bisector_ratio": 0}
+
+
 def cmd_verify(args, started: float) -> int:
     if not (0.0 <= args.tolerance < math.inf):
         raise _UsageError(f"--tolerance must be finite and >= 0, got {args.tolerance}")
     t, input_echo = _build_triangle(args)
 
-    weights = None
-    feet = None
+    weights = feet = None
     if args.cevians == "mixed":
-        wa, wb, wc = _parse_floats(args.weights or "1,1,1", 3, "--weights")
-        try:
-            weights = MixedWeights(wa, wb, wc)
-        except ValueError as exc:
-            raise _UsageError(str(exc)) from None
-        cv = mixed_cevians(t, weights)
+        weights = _parse_floats(args.weights or "1,1,1", 3, "--weights")
+        cv = mixed_cevians(t, _checked(MixedWeights, *weights))
     elif args.cevians == "general":
         if not args.feet:
             raise _UsageError("--cevians general requires --feet ta,tb,tc")
-        fa, fb, fc = _parse_floats(args.feet, 3, "--feet")
-        feet = GeneralCevianParams(fa, fb, fc)
-        cv = general_cevians(t, feet)
-    elif args.cevians == "median":
-        cv = medians(t)
-    elif args.cevians == "altitude":
-        cv = altitudes(t)
+        feet = _parse_floats(args.feet, 3, "--feet")
+        cv = general_cevians(t, GeneralCevianParams(*feet))
     else:
-        cv = bisectors(t)
+        cv = _FAMILIES[args.cevians](t)
 
-    slacks: dict[str, float] = {}
     checks: dict[str, bool] = {}
     if args.cevians == "general":
-        s1, s2 = open_problem_slacks(t, cv)
-        slacks[s1.name] = s1.value
-        slacks[s2.name] = s2.value
+        slacks = {rep.name: rep.value for rep in open_problem_slacks(t, cv)}
         checks["open_problem_constraints"] = constraint_filter(t, cv)
     else:
-        slacks["main"] = slack_main(t, cv).value
-        slacks["quadratic"] = slack_quadratic(t, cv).value
+        slacks = {"main": slack_main(t, cv).value,
+                  "quadratic": slack_quadratic(t, cv).value}
     if args.cevians in ("median", "bisector"):
         prods = ordering_products(t, cv)
-        slacks["middle_dominance"] = prods.product_b - max(
-            prods.product_a, prods.product_c
-        )
+        slacks["middle_dominance"] = prods.product_b - max(prods.product_a, prods.product_c)
         checks["middle_dominant"] = prods.middle_dominant
     if args.cevians == "median":
         for rep in key_system_residuals(t, cv):
@@ -252,27 +253,19 @@ def cmd_verify(args, started: float) -> int:
         if t.a < t.b < t.c:
             slacks["scalene_lemma"] = lemma_scalene_slack(t, cv).value
     if args.cevians == "bisector":
-        slacks["bisector_ratio"] = bisector_ratio_slack(t).value
-        slacks["bisector_sqrt_chain"] = bisector_sqrt_chain_slack(t).value
+        slacks["bisector_ratio"] = bisector_ratio_slack(t, cv).value
+        slacks["bisector_sqrt_chain"] = bisector_sqrt_chain_slack(t, cv).value
 
     scale = tolerance_scale(t, cv)
     threshold = -args.tolerance * scale
-    all_ok = all(v >= threshold for v in slacks.values())
+    # A slack of degree d in the sides is compared with threshold * c**(d - 2).
+    limits = {3: threshold * t.c, 2: threshold, 1.5: threshold / math.sqrt(t.c),
+              0: threshold / t.c / t.c}
+    all_ok = all(v >= limits[_DEGREES.get(name, 2)] for name, v in slacks.items())
 
-    config = {
-        "cevians": args.cevians,
-        "tolerance": args.tolerance,
-        "weights": [weights.alpha, weights.beta, weights.gamma] if weights else None,
-        "feet": list(feet.as_tuple()) if feet else None,
-    }
-    manifest = RunManifest(
-        subcommand="verify",
-        version=TOOL_VERSION,
-        seed=None,
-        config=config,
-        inputs=input_echo,
-        wall_time_s=time.perf_counter() - started,
-    )
+    config = {"cevians": args.cevians, "tolerance": args.tolerance,
+              "weights": list(weights) if weights else None,
+              "feet": list(feet) if feet else None}
     body = {
         "triangle": {"a": t.a, "b": t.b, "c": t.c},
         "cevian_lengths": list(cv.as_tuple()),
@@ -282,7 +275,7 @@ def cmd_verify(args, started: float) -> int:
         "threshold": threshold,
         "all_nonnegative": all_ok,
     }
-    _emit(report_document(manifest, body), args.output)
+    _emit(args, _manifest(args, started, config, inputs=input_echo), body)
     return 0 if all_ok else 1
 
 
@@ -310,17 +303,9 @@ def _corner_sampling(target: Target, delta: float) -> dict:
 
 
 def cmd_certify(args, started: float) -> int:
-    try:
-        task = CertificationTask(
-            target=Target(args.target),
-            mu=args.mu,
-            delta=args.delta,
-            max_depth=args.max_depth,
-            min_box_width=args.min_box_width,
-            box_budget=args.box_budget,
-        )
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from None
+    task = _checked(CertificationTask, target=Target(args.target), mu=args.mu,
+                    delta=args.delta, max_depth=args.max_depth,
+                    min_box_width=args.min_box_width, box_budget=args.box_budget)
     cert = certify(task)
 
     body = {"certificate": cert.to_report_dict(include_proven=args.include_proven)}
@@ -329,49 +314,21 @@ def cmd_certify(args, started: float) -> int:
             body["corner_check"] = corner_argument_check(task.delta).to_report_dict()
         body["corner_sampling"] = _corner_sampling(task.target, task.delta)
 
-    manifest = RunManifest(
-        subcommand="certify",
-        version=TOOL_VERSION,
-        seed=None,
-        config={**dataclasses.asdict(task), "target": task.target.value},
-        inputs={},
-        wall_time_s=time.perf_counter() - started,
-    )
-    _emit(report_document(manifest, body), args.output)
+    config = {**dataclasses.asdict(task), "target": task.target.value}
+    _emit(args, _manifest(args, started, config), body)
     return 0 if cert.undecided_count == 0 else 1
 
 
 def cmd_search(args, started: float) -> int:
-    seed = _resolve_seed(args.seed)
-    try:
-        cfg = SearchConfig(
-            seed=seed,
-            samples=args.samples,
-            mode=SearchMode(args.mode),
-            refine_steps=args.refine_steps,
-            record_top=args.record_top,
-            workers=args.workers,
-        )
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from None
-
+    cfg = _checked(SearchConfig, seed=_resolve_seed(args.seed), samples=args.samples,
+                   mode=SearchMode(args.mode), refine_steps=args.refine_steps,
+                   record_top=args.record_top, workers=args.workers)
     report = search(cfg)
-    manifest = RunManifest(
-        subcommand="search",
-        version=TOOL_VERSION,
-        seed=seed,
-        config={
-            "mode": cfg.mode.value,
-            "samples": cfg.samples,
-            "refine_steps": cfg.refine_steps,
-            "record_top": cfg.record_top,
-            "workers": cfg.workers,
-            "foot_margin": FOOT_MARGIN,
-        },
-        inputs={},
-        wall_time_s=time.perf_counter() - started,
-    )
-    _emit(report_document(manifest, {"search": report.to_report_dict()}), args.output)
+
+    config = {**dataclasses.asdict(cfg), "mode": cfg.mode.value, "foot_margin": FOOT_MARGIN}
+    del config["seed"]
+    manifest = _manifest(args, started, config, seed=cfg.seed)
+    _emit(args, manifest, {"search": report.to_report_dict()})
     if cfg.mode is SearchMode.UNCONSTRAINED:
         return 0 if report.violations else 1
     return 0
@@ -386,20 +343,14 @@ def cmd_table(args, started: float) -> int:
     lines += [f"{x!r},{y!r},{f!r}" for x, y, f in zip(*(v.tolist() for v in points))]
     csv_text = "\n".join(lines) + "\n"
 
-    manifest = RunManifest(
-        subcommand="table",
-        version=TOOL_VERSION,
-        seed=None,
-        config={"density": args.density},
-        inputs={},
-        wall_time_s=time.perf_counter() - started,
-    )
+    manifest = _manifest(args, started, {"density": args.density})
+    manifest_text = canonical_json(manifest.to_dict())
     if args.output:
         _write(args.output, csv_text)
-        _write(args.output + ".manifest.json", canonical_json(manifest.to_dict()))
+        _write(args.output + ".manifest.json", manifest_text)
     else:
         sys.stdout.write(csv_text)
-        sys.stderr.write(canonical_json(manifest.to_dict()))
+        sys.stderr.write(manifest_text)
     return 0
 
 

@@ -1,13 +1,17 @@
 """Signed slack evaluators for the triangle-Cevian inequalities.
 
 Every inequality written as L >= R is reported as the slack L - R, so a
-nonnegative value means the statement holds.  Slacks of the homogeneous
-inequalities carry units of length squared; absolute tolerances should be
-scaled by :func:`tolerance_scale`.  The slack formulas are defined in
-:mod:`cevians.bulk`; the functions here check their inputs and wrap the
-binary64 values in reports.  The isosceles factored forms are (1 - sqrt(x))
-times the second factors that :mod:`cevians.certifier` writes over an
-operation set and certifies positive near the equality corner.
+nonnegative value means the statement holds.  Each slack takes the sides
+and the Cevians it is stated for.  The inequalities are homogeneous: a
+slack of degree d in the sides scales by k**d when the triangle scales by
+k.  The main, key-system, scalene-lemma and open_problem_1 slacks have
+degree 2, the quadratic and open_problem_2 slacks degree 3,
+bisector_sqrt_chain degree 3/2 and bisector_ratio degree 0; see
+:func:`tolerance_scale` for absolute tolerances.  The slack formulas are
+defined in :mod:`cevians.bulk`; the functions here check their inputs and
+wrap the binary64 values in reports.  The isosceles factored forms are
+(1 - sqrt(x)) times the second factors that :mod:`cevians.certifier` writes
+over an operation set and certifies positive near the equality corner.
 """
 
 from __future__ import annotations
@@ -24,7 +28,6 @@ from .kernel import (
     CevianTriple,
     NormalizedTriangle,
     SideTriple,
-    bisectors,
     scalar_eval,
     validate_sides,
 )
@@ -53,8 +56,9 @@ class OrderingProducts:
     product_c: float
 
     def __post_init__(self):
-        if not (self.product_a > 0.0 and self.product_b > 0.0 and self.product_c > 0.0):
-            raise ValueError("ordering products must be positive")
+        products = (self.product_a, self.product_b, self.product_c)
+        if not all(0.0 < p < math.inf for p in products):
+            raise DomainError(f"ordering products must be finite and positive, got {products}")
 
     @property
     def middle_dominant(self) -> bool:
@@ -63,7 +67,10 @@ class OrderingProducts:
 
 
 def tolerance_scale(t: SideTriple, cv: CevianTriple) -> float:
-    """Degree-2 homogeneous normalizer c*lc for absolute tolerances."""
+    """Degree-2 homogeneous normalizer c*lc for absolute tolerances.
+
+    A tolerance tol for a slack of degree d is tol * c*lc * c**(d - 2).
+    """
     return t.c * cv.lc
 
 
@@ -147,16 +154,18 @@ def normalized_slack(p: NormalizedTriangle | tuple[float, float]) -> float:
     return scalar_eval(point_values, Target.MAIN_MEDIAN, p.x, p.y)
 
 
-def bisector_ratio_slack(t: SideTriple) -> SlackReport:
+def bisector_ratio_slack(t: SideTriple, bis: CevianTriple) -> SlackReport:
     """la/lb - (c + b - a)/c for the internal bisectors, expected >= 0."""
-    bis = bisectors(t)
+    if bis.kind is not CevianKind.BISECTOR:
+        raise ValueError("the bisector slacks are defined for bisectors")
     value = scalar_eval(bulk.bisector_ratio_arrays, *t.as_tuple(), bis.la, bis.lb)
     return SlackReport("bisector_ratio", value, t, bis)
 
 
-def bisector_sqrt_chain_slack(t: SideTriple) -> SlackReport:
+def bisector_sqrt_chain_slack(t: SideTriple, bis: CevianTriple) -> SlackReport:
     """sqrt(a)*la - sqrt(c)*lc for the internal bisectors, expected >= 0."""
-    bis = bisectors(t)
+    if bis.kind is not CevianKind.BISECTOR:
+        raise ValueError("the bisector slacks are defined for bisectors")
     value = scalar_eval(bulk.bisector_sqrt_chain_arrays, t.a, t.c, bis.la, bis.lc)
     return SlackReport("bisector_sqrt_chain", value, t, bis)
 

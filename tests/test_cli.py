@@ -1,7 +1,10 @@
 import contextlib
 import hashlib
+import importlib
 import io
 import json
+import math
+import random
 from pathlib import Path
 
 import numpy as np
@@ -124,6 +127,110 @@ class TestVerify:
         assert run(["verify", "--sides", "3,4,5", "--cevians", "median",
                     f"--tolerance={tolerance}"]) == 2
         assert "error: --tolerance" in capsys.readouterr().err
+
+
+_FAMILIES = ("median", "altitude", "bisector", "mixed", "general")
+# Shapes whose exit code changed with the scale while every slack was held
+# to the degree-2 tolerance: an isosceles bisector_ratio of one rounding
+# below its exact 0, and general Cevians whose open_problem_2 fails.
+_RESCALED_SHAPES = {
+    "bisector": [((0.7862687025930033, 0.7862687025930033, 0.9623097870715039), []),
+                 ((0.42756807912657346, 0.42756807912657346, 0.686331407986316), [])],
+    "general": [((0.7573835545428638, 0.7024328077307425, 0.8533416333223149),
+                 ["--feet", "0.39190788912183694,0.6284417632416911,0.960202912201329"]),
+                ((0.28306288308685307, 0.7915981412298653, 0.9100358880212144),
+                 ["--feet", "0.33171563156958817,0.9337828548931927,0.3473975321078954"])],
+}
+
+
+def _quiet_run(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = run(argv)
+    return code, err.getvalue()
+
+
+class TestVerdictIsUnitFree:
+    """A slack of degree d is held to -tolerance*c*lc*c**(d-2)."""
+
+    def test_rounded_bisector_ratio_passes_at_small_sides(self, tmp_path):
+        out = tmp_path / "r.json"
+        x, c = "5.696675129124662e-29", "6.221880183393053e-29"
+        assert run(["verify", "--sides", f"{x},{x},{c}", "--cevians", "bisector",
+                    "-o", str(out)]) == 0
+        doc = load(out)
+        # one rounding below its exact value 0, far below the degree-2 threshold
+        assert -1e-15 < doc["slacks"]["bisector_ratio"] < doc["threshold"] < 0
+        assert doc["all_nonnegative"] is True
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-6, 1e-9, 1e-12])
+    def test_open_problem_2_fails_at_every_scale(self, tmp_path, scale):
+        out = tmp_path / "r.json"
+        sides = [1.6736524189148243, 9.930262000160328, 10.0]
+        assert run(["verify", "--sides", ",".join(repr(v * scale / 10) for v in sides),
+                    "--cevians", "general", "--feet",
+                    "0.6433251799701935,0.811788615454133,0.41990834417099293",
+                    "-o", str(out)]) == 1
+        doc = load(out)
+        # about -0.197 at c = 1: degree 3, so -1.97e-37 at c = 1e-12
+        assert rel_close(doc["slacks"]["open_problem_2"], -0.197 * scale**3, 1e-2)
+        assert doc["all_nonnegative"] is False
+
+    @pytest.mark.parametrize("family", _FAMILIES)
+    def test_exit_code_independent_of_scale(self, family):
+        # 4**k scales every side exactly, so each slack scales exactly by 4**(k*d)
+        rng = random.Random(_FAMILIES.index(family))
+        shapes = list(_RESCALED_SHAPES.get(family, []))
+        while len(shapes) < 40:
+            a, b, c = (rng.uniform(0.05, 1.0) for _ in range(3))
+            kind = rng.random()
+            if kind < 0.25:
+                b = a
+            elif kind < 0.35:
+                b = c = a
+            if sum(sorted((a, b, c))[:2]) <= max(a, b, c):
+                continue
+            extra = []
+            if family == "mixed":
+                extra = ["--weights", ",".join(repr(rng.uniform(0, 2)) for _ in range(3))]
+            elif family == "general":
+                extra = ["--feet", ",".join(repr(rng.uniform(0.01, 0.99)) for _ in range(3))]
+            shapes.append(((a, b, c), extra))
+        for sides, extra in shapes:
+            codes = {_quiet_run(["verify", "--sides",
+                                 ",".join(repr(v * 4.0**k) for v in sides),
+                                 "--cevians", family, *extra])[0]
+                     for k in range(-90, 91, 15)}
+            assert len(codes) == 1, (sides, extra, codes)
+
+
+_SIDE = st.floats(-320.0, math.log10(1.7e308)).map(lambda e: 10.0**e)
+
+
+class TestVerifyNeverRaises:
+    @pytest.mark.parametrize("family", _FAMILIES)
+    @given(sides=st.lists(_SIDE, min_size=1, max_size=3).flatmap(
+               lambda drawn: st.lists(st.sampled_from(drawn), min_size=3, max_size=3)),
+           feet=st.tuples(*[st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)] * 3),
+           weights=st.tuples(*[st.floats(0.0, 1e6)] * 3))
+    @settings(max_examples=150, deadline=None)
+    # a*la underflows to 0 though la is positive: an ordering product that
+    # raised a bare ValueError, a traceback, before it became a DomainError
+    @example(sides=[1.3804433555697552e-169, 2.823364802301597e-161, 2.823364802301597e-161],
+             feet=(0.5, 0.5, 0.5), weights=(1.0, 1.0, 1.0))
+    def test_any_positive_sides_keep_the_exit_contract(self, family, sides, feet, weights):
+        # three positive finite sides, log-uniform over binary64, in any
+        # order and with ties: a verdict or one error line, never a traceback
+        argv = ["verify", "--sides", ",".join(map(repr, sides)), "--cevians", family]
+        if family == "mixed":
+            argv += ["--weights", ",".join(map(repr, weights))]
+        elif family == "general":
+            argv += ["--feet", ",".join(map(repr, feet))]
+        code, err = _quiet_run(argv)
+        assert code in (0, 1, 2)
+        if code == 2:
+            assert err.startswith("error: ")
+        assert "Traceback" not in err
 
 
 class TestCertify:
@@ -571,6 +678,15 @@ class TestUnwritableOutput:
         Path(str(out) + ".manifest.json").mkdir()
         assert run(["table", "--density", "8", "-o", str(out)]) == 2
         assert capsys.readouterr().err.startswith("error: cannot write ")
+
+
+def test_console_script_is_cli_main():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).parent.parent / "pyproject.toml"
+    with pyproject.open("rb") as f:
+        target = tomllib.load(f)["project"]["scripts"]["cevians"]
+    module, _, name = target.partition(":")
+    assert getattr(importlib.import_module(module), name) is main
 
 
 def test_pyproject_version_is_tool_version():

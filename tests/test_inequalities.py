@@ -204,20 +204,26 @@ class TestNormalizedSlack:
 
 class TestBisectorChecks:
     def test_ratio_equilateral(self):
-        assert abs(bisector_ratio_slack(T111).value) < 1e-15
+        assert abs(bisector_ratio_slack(T111, bisectors(T111)).value) < 1e-15
 
     def test_ratio_345(self):
-        assert rel_close(bisector_ratio_slack(T345).value, RATIO_345, 1e-12)
+        assert rel_close(bisector_ratio_slack(T345, bisectors(T345)).value, RATIO_345,
+                         1e-12)
 
     def test_ratio_234_nonnegative(self):
-        assert bisector_ratio_slack(validate_sides(2, 3, 4)).value >= 0.0
+        t = validate_sides(2, 3, 4)
+        assert bisector_ratio_slack(t, bisectors(t)).value >= 0.0
 
     @given(triangle_strategy())
     @settings(max_examples=200)
     def test_sqrt_chain(self, t):
-        assert bisector_sqrt_chain_slack(t).value >= -1e-12 * tolerance_scale(
-            t, bisectors(t)
-        )
+        bis = bisectors(t)
+        assert bisector_sqrt_chain_slack(t, bis).value >= -1e-12 * tolerance_scale(t, bis)
+
+    @pytest.mark.parametrize("slack", [bisector_ratio_slack, bisector_sqrt_chain_slack])
+    def test_require_bisectors(self, slack):
+        with pytest.raises(ValueError, match="defined for bisectors"):
+            slack(T345, medians(T345))
 
 
 class TestOpenProblemSlacks:
@@ -347,6 +353,14 @@ class TestReportTypes:
 
         with pytest.raises(ValueError):
             OrderingProducts(1.0, -2.0, 3.0)
+
+    @pytest.mark.parametrize("products", [(1.0, 0.0, 3.0), (1.0, math.inf, 3.0),
+                                          (math.nan, 1.0, 1.0)])
+    def test_ordering_products_finite_and_positive(self, products):
+        from cevians.inequalities import OrderingProducts
+
+        with pytest.raises(DomainError, match="finite and positive"):
+            OrderingProducts(*products)
 
     def test_cevian_kind_tags(self):
         assert medians(T345).kind is CevianKind.MEDIAN

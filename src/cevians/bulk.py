@@ -6,7 +6,8 @@ floats and wraps the results, so it agrees bit for bit with the sweeps,
 the search and the grids.  The doubled medians, Stewart's Cevians, both
 slacks, the key residuals, the scalene lemma and the constraints are
 written once over an operation set ``ops`` (see :mod:`cevians.intervals`)
-as functions of general sides (a, b, c): search re-verification runs them
+as functions of general sides (a, b, c), and the two isosceles second
+factors as functions of x over one too: search re-verification runs them
 in interval arithmetic, and the certifier's targets are the same formulas
 at the exact float constant c = 1.0.  :func:`cevian_triple_slacks` runs
 the same per-vertex code on stacks whose first axis holds the three
@@ -217,6 +218,27 @@ def constraint_mask_arrays(a, b, c, la, lb, lc):
     """Open-problem constraint mask: la >= lb >= lc and b*lb >= max(a*la, c*lc)."""
     pairs = constraint_pairs(_FloatOps, a, b, c, la, lb, lc)
     return functools.reduce(operator.and_, itertools.starmap(operator.ge, pairs))
+
+
+def equal_legs_second_factor(ops, x):
+    """2*sqrt(2x + x^3) - (sqrt(x) + 1)*sqrt(4x^2 - 1), for a = b = x, c = 1.
+
+    Twice the main median slack of (x, x, 1) is (1 - sqrt(x)) times it.
+    """
+    t1 = ops.mul(ops.sqrt(ops.add(ops.mul(x, 2.0), ops.mul(ops.mul(x, x), x))), 2.0)
+    t2 = ops.mul(ops.add(ops.sqrt(x), 1.0),
+                 ops.sqrt(ops.sub(ops.mul(ops.mul(x, 4.0), x), 1.0)))
+    return ops.sub(t1, t2)
+
+
+def equal_base_second_factor(ops, x):
+    """(1 + sqrt(x))*sqrt(4 - x^2) - 2*sqrt(1 + 2x^2), for a = x, b = c = 1.
+
+    Twice the main median slack of (x, 1, 1) is (1 - sqrt(x)) times it.
+    """
+    t1 = ops.mul(ops.add(ops.sqrt(x), 1.0), ops.sqrt(ops.sub(4.0, ops.mul(x, x))))
+    t2 = ops.mul(ops.sqrt(ops.add(ops.mul(ops.mul(x, 2.0), x), 1.0)), 2.0)
+    return ops.sub(t1, t2)
 
 
 # Row permutations of a vertex stack: the cyclic partners (v, w) of each

@@ -56,12 +56,13 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from enum import Enum
 
 import numpy as np
 
 from . import bulk
+from .bulk import equal_base_second_factor, equal_legs_second_factor
 from .intervals import _FloatOps, _IntervalOps, _round_down, _round_up
+from .kernel import Target
 
 _INF = np.inf
 # Width of the sliver (1-eta, 1] next to the equilateral point that the
@@ -96,16 +97,6 @@ _GRID_DEPTH = 5
 # of 11 passes on a shared host, minima 1.01-1.06 s for all five), and no
 # gate 1.59 s: there the children of proven boxes are real work.
 _LOOKAHEAD_BOXES = 256
-
-
-class Target(Enum):
-    """Certification targets over the normalized domain (all with c = 1)."""
-
-    MAIN_MEDIAN = "main-median"
-    QUADRATIC_MEDIAN = "quadratic-median"
-    KEY_SYSTEM = "key-system"
-    ALTITUDE_REDUCED = "altitude-reduced"
-    SCALENE_LEMMA = "scalene-lemma"
 
 
 @dataclass(frozen=True)
@@ -1140,27 +1131,6 @@ class CornerCheckReport:
             "factors": [fac(self.equal_legs_factor), fac(self.equal_base_factor)],
             "sliver": [1.0 - self.eta, 1.0],
         }
-
-
-def equal_legs_second_factor(ops, x):
-    """2*sqrt(2x + x^3) - (sqrt(x) + 1)*sqrt(4x^2 - 1), for a = b = x, c = 1.
-
-    Twice the main median slack of (x, x, 1) is (1 - sqrt(x)) times it.
-    """
-    t1 = ops.mul(ops.sqrt(ops.add(ops.mul(x, 2.0), ops.mul(ops.mul(x, x), x))), 2.0)
-    t2 = ops.mul(ops.add(ops.sqrt(x), 1.0),
-                 ops.sqrt(ops.sub(ops.mul(ops.mul(x, 4.0), x), 1.0)))
-    return ops.sub(t1, t2)
-
-
-def equal_base_second_factor(ops, x):
-    """(1 + sqrt(x))*sqrt(4 - x^2) - 2*sqrt(1 + 2x^2), for a = x, b = c = 1.
-
-    Twice the main median slack of (x, 1, 1) is (1 - sqrt(x)) times it.
-    """
-    t1 = ops.mul(ops.add(ops.sqrt(x), 1.0), ops.sqrt(ops.sub(4.0, ops.mul(x, x))))
-    t2 = ops.mul(ops.sqrt(ops.add(ops.mul(ops.mul(x, 2.0), x), 1.0)), 2.0)
-    return ops.sub(t1, t2)
 
 
 def _bisect_positive(factor, lo: float, hi: float) -> tuple[bool, float, int]:

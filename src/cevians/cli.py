@@ -11,6 +11,13 @@ refinement holds about 9 KB per recorded candidate; each worker thread
 holds about 3 MB of shard rows while the search samples).  table: 0, or 2
 on bad density (below 2 or above 4,096, whose grid arrays take about 134
 MB each).  Every subcommand exits 2 when its -o output cannot be written.
+
+Each subcommand loads only the engine it runs: verify loads neither
+:mod:`cevians.certifier` nor :mod:`cevians.search`, certify and table load
+the certifier and search loads the search.  The parser's choices come from
+:mod:`cevians.kernel` (``CevianKind``, ``Target``, ``SearchMode`` and
+``MAX_RECORD_TOP``), and verify's ``constraint_filter`` from
+:mod:`cevians.inequalities`.
 """
 
 from __future__ import annotations
@@ -26,12 +33,12 @@ from pathlib import Path
 
 import numpy as np
 
-from . import bulk
-from .certifier import CertificationTask, Target, certify, corner_argument_check, point_values
+from . import _lazy_getattr, bulk
 from .exceptions import CevianError
 from .inequalities import (
     bisector_ratio_slack,
     bisector_sqrt_chain_slack,
+    constraint_filter,
     key_system_residuals,
     lemma_scalene_slack,
     open_problem_slacks,
@@ -41,10 +48,13 @@ from .inequalities import (
     tolerance_scale,
 )
 from .kernel import (
+    MAX_RECORD_TOP,
     CevianKind,
     GeneralCevianParams,
     MixedWeights,
+    SearchMode,
     SideTriple,
+    Target,
     altitudes,
     bisectors,
     general_cevians,
@@ -58,14 +68,17 @@ from .reports import (
     canonical_json,
     report_document,
 )
-from .search import (
-    FOOT_MARGIN,
-    MAX_RECORD_TOP,
-    SearchConfig,
-    SearchMode,
-    constraint_filter,
-    search,
-)
+
+# The engine names of the certify, table and search handlers load with their
+# module on first access, so each subcommand loads only the engine it runs.
+__getattr__ = _lazy_getattr(globals(), {
+    "certifier": ("CertificationTask", "certify", "corner_argument_check", "point_values"),
+    "search": ("FOOT_MARGIN", "SearchConfig", "search"),
+})
+# This module.  The handlers look the engine names up on it, which loads
+# them on first use and calls any replacement set on the module (as the
+# benchmark's tracer and the tests do).
+_engines = sys.modules[__name__]
 
 ENV_SEED = "CEVIANS_SEED"
 DEFAULT_SEED = 0
@@ -284,7 +297,7 @@ def _grid_values(target: Target, axis: np.ndarray):
     gx, gy = np.meshgrid(axis, axis, indexing="ij")
     mask = bulk.in_normalized_domain(gx, gy)
     x, y = gx[mask], gy[mask]
-    return x, y, point_values(target, x, y)
+    return x, y, _engines.point_values(target, x, y)
 
 
 def _corner_sampling(target: Target, delta: float) -> dict:
@@ -303,15 +316,15 @@ def _corner_sampling(target: Target, delta: float) -> dict:
 
 
 def cmd_certify(args, started: float) -> int:
-    task = _checked(CertificationTask, target=Target(args.target), mu=args.mu,
+    task = _checked(_engines.CertificationTask, target=Target(args.target), mu=args.mu,
                     delta=args.delta, max_depth=args.max_depth,
                     min_box_width=args.min_box_width, box_budget=args.box_budget)
-    cert = certify(task)
+    cert = _engines.certify(task)
 
     body = {"certificate": cert.to_report_dict(include_proven=args.include_proven)}
     if task.delta > 0.0:
         if task.target is Target.MAIN_MEDIAN:
-            body["corner_check"] = corner_argument_check(task.delta).to_report_dict()
+            body["corner_check"] = _engines.corner_argument_check(task.delta).to_report_dict()
         body["corner_sampling"] = _corner_sampling(task.target, task.delta)
 
     config = {**dataclasses.asdict(task), "target": task.target.value}
@@ -320,12 +333,13 @@ def cmd_certify(args, started: float) -> int:
 
 
 def cmd_search(args, started: float) -> int:
-    cfg = _checked(SearchConfig, seed=_resolve_seed(args.seed), samples=args.samples,
+    cfg = _checked(_engines.SearchConfig, seed=_resolve_seed(args.seed), samples=args.samples,
                    mode=SearchMode(args.mode), refine_steps=args.refine_steps,
                    record_top=args.record_top, workers=args.workers)
-    report = search(cfg)
+    report = _engines.search(cfg)
 
-    config = {**dataclasses.asdict(cfg), "mode": cfg.mode.value, "foot_margin": FOOT_MARGIN}
+    config = {**dataclasses.asdict(cfg), "mode": cfg.mode.value,
+              "foot_margin": _engines.FOOT_MARGIN}
     del config["seed"]
     manifest = _manifest(args, started, config, seed=cfg.seed)
     _emit(args, manifest, {"search": report.to_report_dict()})

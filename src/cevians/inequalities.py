@@ -10,8 +10,9 @@ bisector_sqrt_chain degree 3/2 and bisector_ratio degree 0; see
 :func:`tolerance_scale` for absolute tolerances.  The slack formulas are
 defined in :mod:`cevians.bulk`; the functions here check their inputs and
 wrap the binary64 values in reports.  The isosceles factored forms are
-(1 - sqrt(x)) times the second factors that :mod:`cevians.certifier` writes
-over an operation set and certifies positive near the equality corner.
+(1 - sqrt(x)) times the bulk second factors that :mod:`cevians.certifier`
+certifies positive near the equality corner.  Nothing here loads the
+certifier or the search, so ``cevians verify`` runs without either.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ import math
 from dataclasses import dataclass
 
 from . import bulk
-from .certifier import Target, equal_base_second_factor, equal_legs_second_factor, point_values
 from .exceptions import DomainError, NotScaleneError
 from .intervals import _FloatOps
 from .kernel import (
@@ -126,7 +126,7 @@ def isosceles_slack_case1(x: float) -> SlackReport:
     """
     if not (0.5 < x <= 1.0):
         raise DomainError(f"case-1 parameter must lie in (1/2, 1], got {x}")
-    value = (1.0 - math.sqrt(x)) * scalar_eval(equal_legs_second_factor, _FloatOps, x)
+    value = (1.0 - math.sqrt(x)) * scalar_eval(bulk.equal_legs_second_factor, _FloatOps, x)
     return SlackReport("isosceles_case1", value, validate_sides(x, x, 1.0))
 
 
@@ -138,8 +138,14 @@ def isosceles_slack_case2(x: float) -> SlackReport:
     """
     if not (0.0 < x <= 1.0):
         raise DomainError(f"case-2 parameter must lie in (0, 1], got {x}")
-    value = (1.0 - math.sqrt(x)) * scalar_eval(equal_base_second_factor, _FloatOps, x)
+    value = (1.0 - math.sqrt(x)) * scalar_eval(bulk.equal_base_second_factor, _FloatOps, x)
     return SlackReport("isosceles_case2", value, validate_sides(x, 1.0, 1.0))
+
+
+def _main_median_slack(x, y):
+    """:func:`bulk.main_slack` of the triangle (x, y, 1.0) and its doubled medians."""
+    medians2 = bulk.doubled_medians(_FloatOps, x, y, 1.0)
+    return bulk.main_slack(_FloatOps, x, y, 1.0, *medians2)
 
 
 def normalized_slack(p: NormalizedTriangle | tuple[float, float]) -> float:
@@ -151,7 +157,7 @@ def normalized_slack(p: NormalizedTriangle | tuple[float, float]) -> float:
     """
     if not isinstance(p, NormalizedTriangle):
         p = NormalizedTriangle(float(p[0]), float(p[1]))
-    return scalar_eval(point_values, Target.MAIN_MEDIAN, p.x, p.y)
+    return scalar_eval(_main_median_slack, p.x, p.y)
 
 
 def bisector_ratio_slack(t: SideTriple, bis: CevianTriple) -> SlackReport:
@@ -168,6 +174,11 @@ def bisector_sqrt_chain_slack(t: SideTriple, bis: CevianTriple) -> SlackReport:
         raise ValueError("the bisector slacks are defined for bisectors")
     value = scalar_eval(bulk.bisector_sqrt_chain_arrays, t.a, t.c, bis.la, bis.lc)
     return SlackReport("bisector_sqrt_chain", value, t, bis)
+
+
+def constraint_filter(t: SideTriple, cv: CevianTriple) -> bool:
+    """Open-problem conditions: la >= lb >= lc and b*lb >= max(a*la, c*lc)."""
+    return bool(bulk.constraint_mask_arrays(*t.as_tuple(), *cv.as_tuple()))
 
 
 def open_problem_slacks(

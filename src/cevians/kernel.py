@@ -6,7 +6,10 @@ in :mod:`cevians.bulk`; the functions here validate, evaluate them on
 floats and wrap the results.  All values are immutable and every operation
 is a pure function, so the kernel is safe under arbitrary concurrent use.
 Rigorous (interval) evaluation lives in the certifier module; this one is
-plain binary64.
+plain binary64.  The enums that name a subcommand's choices (Cevian
+families, certification targets, search modes) and the bound on
+``--record-top`` live here too, so building the CLI parser loads neither
+the certifier nor the search.
 """
 
 from __future__ import annotations
@@ -32,6 +35,26 @@ class CevianKind(Enum):
     BISECTOR = "bisector"
     MIXED = "mixed"
     GENERAL = "general"
+
+
+class Target(Enum):
+    """Certification targets over the normalized domain (all with c = 1)."""
+
+    MAIN_MEDIAN = "main-median"
+    QUADRATIC_MEDIAN = "quadratic-median"
+    KEY_SYSTEM = "key-system"
+    ALTITUDE_REDUCED = "altitude-reduced"
+    SCALENE_LEMMA = "scalene-lemma"
+
+
+class SearchMode(Enum):
+    UNCONSTRAINED = "unconstrained"
+    OPEN_PROBLEM = "open-problem"
+
+
+# The most candidates a search keeps; refinement holds about 9 KB per
+# candidate per round, so this bound keeps it within about 40 MB.
+MAX_RECORD_TOP = 4096
 
 
 @dataclass(frozen=True)

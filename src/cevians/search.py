@@ -33,17 +33,24 @@ import os
 import queue
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from enum import Enum
 
 import numpy as np
 
 from . import bulk
 from .exceptions import DomainError
 from .intervals import _IntervalOps
-from .kernel import CevianKind, CevianTriple, GeneralCevianParams, SideTriple
+from .kernel import (
+    MAX_RECORD_TOP,
+    CevianKind,
+    CevianTriple,
+    GeneralCevianParams,
+    SearchMode,
+    SideTriple,
+)
 
-# The search calls none of these; bench/tracing.py wraps them by name here.
-from .inequalities import open_problem_slacks  # noqa: F401
+# The search calls none of these.  constraint_filter stays importable from
+# here, and bench/tracing.py wraps the other three by name here.
+from .inequalities import constraint_filter, open_problem_slacks  # noqa: F401
 from .kernel import general_cevians, validate_sides  # noqa: F401
 
 SHARD_SIZE = 1 << 16
@@ -52,14 +59,6 @@ SHARD_SIZE = 1 << 16
 _BLOCK = 1 << 14
 # Sampled and refined feet stay within [FOOT_MARGIN, 1 - FOOT_MARGIN].
 FOOT_MARGIN = 1e-4
-# The most candidates a search keeps; refinement holds about 9 KB per
-# candidate per round, so this bound keeps it within about 40 MB.
-MAX_RECORD_TOP = 4096
-
-
-class SearchMode(Enum):
-    UNCONSTRAINED = "unconstrained"
-    OPEN_PROBLEM = "open-problem"
 
 
 @dataclass(frozen=True)
@@ -166,11 +165,6 @@ def shard_rng(seed: int, shard_index: int) -> np.random.Generator:
     """The documented seed-splitting function: PCG64(SeedSequence([seed, i]))."""
     ss = np.random.SeedSequence([seed, shard_index])
     return np.random.Generator(np.random.PCG64(ss))
-
-
-def constraint_filter(t: SideTriple, cv: CevianTriple) -> bool:
-    """Open-problem conditions: la >= lb >= lc and b*lb >= max(a*la, c*lc)."""
-    return bool(bulk.constraint_mask_arrays(*t.as_tuple(), *cv.as_tuple()))
 
 
 def _columns(cands: list[CandidateRecord]) -> np.ndarray:

@@ -7,9 +7,10 @@ general Cevian families.  The ``cevians`` CLI exposes verify / certify /
 search / table subcommands.
 
 Importing the package loads the kernel layer (``kernel``, ``bulk``,
-``inequalities``, ``intervals``, ``reports``); the names of the two
-engines, ``certifier`` and ``search``, load with their module on first
-access (PEP 562), so ``cevians verify`` loads neither engine.  The
+``inequalities``, ``reports``), which evaluates on Python floats and loads
+no NumPy.  ``Interval`` and the names of the two engines, ``certifier``
+and ``search``, load with their module on first access (PEP 562), so
+``cevians verify`` loads neither engine, nor ``intervals`` and NumPy.  The
 certification targets, the search modes and the ``--record-top`` bound
 live in ``kernel``, and ``constraint_filter`` in ``inequalities``.
 """
@@ -44,7 +45,6 @@ from .inequalities import (
     slack_quadratic,
     tolerance_scale,
 )
-from .intervals import Interval
 from .kernel import (
     CevianKind,
     CevianTriple,
@@ -90,6 +90,7 @@ def _lazy_getattr(namespace: dict, engines: dict):
 
 
 __getattr__ = _lazy_getattr(globals(), {
+    "intervals": ("Interval",),
     "certifier": ("Certificate", "CertificationTask", "certify", "corner_argument_check"),
     "search": ("CandidateRecord", "SearchConfig", "SearchReport", "evaluate_candidate",
                "refine", "reverify_candidate", "search"),

@@ -1,15 +1,18 @@
 """The one definition of every kernel, slack and constraint formula.
 
 Inputs are floats or arrays of sorted sides (a <= b <= c elementwise); no
-validation happens here.  The typed scalar API validates, calls these on
-floats and wraps the results, so it agrees bit for bit with the sweeps,
-the search and the grids.  The doubled medians, Stewart's Cevians, both
-slacks, the key residuals, the scalene lemma and the constraints are
-written once over an operation set ``ops`` (see :mod:`cevians.intervals`)
-as functions of general sides (a, b, c), and the two isosceles second
-factors as functions of x over one too: search re-verification runs them
-in interval arithmetic, and the certifier's targets are the same formulas
-at the exact float constant c = 1.0.  :func:`cevian_triple_slacks` runs
+validation happens here.  Every Cevian family, both slacks, the key
+residuals, the scalene lemma, the bisector slacks and the constraints are
+written once over an operation set ``ops`` as functions of general sides
+(a, b, c), and the two isosceles second factors as functions of x over one
+too.  :class:`_MathOps` runs them on Python floats: the typed scalar API
+validates, calls them with it and wraps the results, and it agrees bit for
+bit with ``_FloatOps`` on arrays (see :mod:`cevians.intervals`), which the
+sweeps, the search and the grids use.  Search re-verification runs them in
+interval arithmetic, and the certifier's targets are the same formulas at
+the exact float constant c = 1.0.  This module loads neither NumPy nor
+:mod:`cevians.intervals`: the functions that work on arrays load them when
+called, once per shard, block or round.  :func:`cevian_triple_slacks` runs
 the same per-vertex code on stacks whose first axis holds the three
 vertices, (3, n) for the search's records and (3, 10, L) for a refinement
 round's probe block; the callers that need the constraint mask compute it
@@ -20,22 +23,56 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import operator
 
-import numpy as np
+# The NaN of an invalid operation on this machine; NumPy's sqrt(-1.0) and
+# 0.0/0.0 give the same bits.
+_INVALID = math.inf - math.inf
 
-from .intervals import _FloatOps
+
+class _MathOps:
+    """Round-to-nearest arithmetic on Python floats, without NumPy.
+
+    The results are IEEE 754's where Python would raise: x/0 is x times an
+    infinity of the divisor's sign (so 0/0 is NaN), and the square root of
+    a number below zero is NaN.  NaN and infinities so reach the callers'
+    checks as values, bit for bit as ``_FloatOps`` gives them on arrays.
+    """
+
+    add = operator.add
+    sub = operator.sub
+    mul = operator.mul
+
+    @staticmethod
+    def div(a, b):
+        try:
+            return a / b
+        except ZeroDivisionError:
+            return a * math.copysign(math.inf, b)
+
+    @staticmethod
+    def sqrt(a):
+        return _INVALID if a < 0.0 else math.sqrt(a)
 
 
-def in_normalized_domain(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Mask of points inside {0 < x <= y <= 1, x + y > 1}."""
+@functools.cache
+def _array_ops():
+    """``_FloatOps``, NumPy's op set; it loads with :mod:`cevians.intervals`
+    on the first call."""
+    from .intervals import _FloatOps
+
+    return _FloatOps
+
+
+def in_normalized_domain(x, y):
+    """Mask of the points of the arrays x and y inside {0 < x <= y <= 1, x + y > 1}."""
     return (x > 0.0) & (x <= y) & (y <= 1.0) & (x + y > 1.0)
 
 
-def sample_normalized_points(
-    rng: np.random.Generator, n: int, out=None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Sample n points uniformly over the normalized domain.
+def sample_normalized_points(rng, n: int, out=None):
+    """Sample n points uniformly over the normalized domain with the NumPy
+    generator rng, as two float64 arrays x and y.
 
     Two uniforms (u, v) are folded into the triangle u + v <= 1 and mapped
     affinely onto the domain triangle with vertices (0,1), (1,1),
@@ -52,6 +89,8 @@ def sample_normalized_points(
     are drawn into the first two, which are returned, and the third holds
     f.  Without it, the three arrays are allocated.
     """
+    import numpy as np
+
     x, y, f = (np.empty(n), np.empty(n), np.empty(n)) if out is None else out
     rng.random(out=x)
     rng.random(out=y)
@@ -76,36 +115,44 @@ def doubled_medians(ops, a, b, c):
             ops.sqrt(ops.sub(ops.add(ta, tb), c2)))
 
 
-def medians_arrays(a, b, c):
+def medians(ops, a, b, c):
     # Halving is exact, and so is doubling: b*b + b*b is the bits of 2*b*b.
-    return tuple(0.5 * m for m in doubled_medians(_FloatOps, a, b, c))
+    return tuple(ops.mul(0.5, m) for m in doubled_medians(ops, a, b, c))
 
 
-def heron_area_arrays(a, b, c):
-    p, q, r = c, b, a  # descending
-    return 0.25 * np.sqrt(
-        (p + (q + r)) * (r - (p - q)) * (r + (p - q)) * (p + (q - r))
-    )
+def heron_area(ops, a, b, c):
+    """Area by Heron's formula in the sorted-factor (Kahan) form:
+    0.25*sqrt((c + (b + a))*(a - (c - b))*(a + (c - b))*(c + (b - a)))."""
+    d = ops.sub(c, b)
+    factors = (ops.add(c, ops.add(b, a)), ops.sub(a, d), ops.add(a, d), ops.add(c, ops.sub(b, a)))
+    return ops.mul(0.25, ops.sqrt(functools.reduce(ops.mul, factors)))
 
 
-def altitudes_arrays(a, b, c):
-    twice_area = 2.0 * heron_area_arrays(a, b, c)
-    return twice_area / a, twice_area / b, twice_area / c
+def altitudes(ops, a, b, c):
+    """2*area/a, 2*area/b, 2*area/c."""
+    twice_area = ops.mul(2.0, heron_area(ops, a, b, c))
+    return ops.div(twice_area, a), ops.div(twice_area, b), ops.div(twice_area, c)
 
 
-def bisectors_arrays(a, b, c):
-    per = a + b + c
-    la = np.sqrt(b * c * per * (b + c - a)) / (b + c)
-    lb = np.sqrt(a * c * per * (a + c - b)) / (a + c)
-    lc = np.sqrt(a * b * per * (a + b - c)) / (a + b)
-    return la, lb, lc
+def _bisector(ops, u, v, w, perimeter):
+    """sqrt(v*w*perimeter*((v + w) - u))/(v + w), the internal bisector from
+    the vertex opposite side u."""
+    vw = ops.add(v, w)
+    return ops.div(ops.sqrt(ops.mul(ops.mul(ops.mul(v, w), perimeter), ops.sub(vw, u))), vw)
 
 
-def mixed_cevians_arrays(a, b, c, alpha, beta, gamma):
+def bisectors(ops, a, b, c):
+    """The internal bisectors from A, B and C: from A, 2*sqrt(b*c*s*(s - a))/(b + c)."""
+    perimeter = ops.add(ops.add(a, b), c)
+    return (_bisector(ops, a, b, c, perimeter), _bisector(ops, b, a, c, perimeter),
+            _bisector(ops, c, a, b, perimeter))
+
+
+def mixed_cevians(ops, a, b, c, alpha, beta, gamma):
     """alpha*median + beta*altitude + gamma*bisector, per vertex."""
-    families = zip(medians_arrays(a, b, c), altitudes_arrays(a, b, c),
-                   bisectors_arrays(a, b, c))
-    return tuple(alpha * m + beta * h + gamma * l for m, h, l in families)
+    families = zip(medians(ops, a, b, c), altitudes(ops, a, b, c), bisectors(ops, a, b, c))
+    return tuple(ops.add(ops.add(ops.mul(alpha, m), ops.mul(beta, h)), ops.mul(gamma, l))
+                 for m, h, l in families)
 
 
 def cevian(ops, u, v, w, t):
@@ -131,7 +178,7 @@ def stewart_cevians(ops, a, b, c, ta, tb, tc):
 
 
 def general_cevians_arrays(a, b, c, ta, tb, tc):
-    return stewart_cevians(_FloatOps, a, b, c, ta, tb, tc)
+    return stewart_cevians(_array_ops(), a, b, c, ta, tb, tc)
 
 
 # Each slack is written once, over per-vertex values: three arrays, or the
@@ -170,7 +217,7 @@ def main_slack(ops, a, b, c, la, lb, lc, roots=(None, None, None)):
 
 
 def slack_main_arrays(a, b, c, la, lb, lc):
-    return main_slack(_FloatOps, a, b, c, la, lb, lc)
+    return main_slack(_array_ops(), a, b, c, la, lb, lc)
 
 
 def quadratic_slack(ops, a, b, c, la, lb, lc):
@@ -180,7 +227,7 @@ def quadratic_slack(ops, a, b, c, la, lb, lc):
 
 
 def slack_quadratic_arrays(a, b, c, la, lb, lc):
-    return quadratic_slack(_FloatOps, a, b, c, la, lb, lc)
+    return quadratic_slack(_array_ops(), a, b, c, la, lb, lc)
 
 
 def key_residuals(ops, a, b, c, la, lb, lc):
@@ -216,7 +263,7 @@ def constraint_pairs(ops, a, b, c, la, lb, lc):
 
 def constraint_mask_arrays(a, b, c, la, lb, lc):
     """Open-problem constraint mask: la >= lb >= lc and b*lb >= max(a*la, c*lc)."""
-    pairs = constraint_pairs(_FloatOps, a, b, c, la, lb, lc)
+    pairs = constraint_pairs(_array_ops(), a, b, c, la, lb, lc)
     return functools.reduce(operator.and_, itertools.starmap(operator.ge, pairs))
 
 
@@ -243,8 +290,8 @@ def equal_base_second_factor(ops, x):
 
 # Row permutations of a vertex stack: the cyclic partners (v, w) of each
 # vertex's side u, so (a, b, c) becomes (b, c, a) and (c, a, b).
-_NEXT = np.array([1, 2, 0])
-_PREV = np.array([2, 0, 1])
+_NEXT = (1, 2, 0)
+_PREV = (2, 0, 1)
 
 
 def cevian_triple_slacks(sides, feet):
@@ -262,17 +309,20 @@ def cevian_triple_slacks(sides, feet):
     constraint mask is :func:`constraint_mask_arrays` of the sides and
     the Cevians, for the callers that need it.
     """
+    ops = _array_ops()
     v = sides.take(_NEXT, axis=0)
     w = sides.take(_PREV, axis=0)
-    cv = cevian(_FloatOps, sides, v, w, feet)
-    s1 = _vertex_sum(_FloatOps, _main_term(_FloatOps, sides, v, w, cv))
-    s2 = _vertex_sum(_FloatOps, _quadratic_term(_FloatOps, sides, v, w, cv))
+    cv = cevian(ops, sides, v, w, feet)
+    s1 = _vertex_sum(ops, _main_term(ops, sides, v, w, cv))
+    s2 = _vertex_sum(ops, _quadratic_term(ops, sides, v, w, cv))
     return cv, s1, s2
 
 
-def bisector_ratio_arrays(a, b, c, la, lb):
-    return la / lb - (c + b - a) / c
+def bisector_ratio(ops, a, b, c, la, lb):
+    """la/lb - ((c + b) - a)/c."""
+    return ops.sub(ops.div(la, lb), ops.div(ops.sub(ops.add(c, b), a), c))
 
 
-def bisector_sqrt_chain_arrays(a, c, la, lc):
-    return np.sqrt(a) * la - np.sqrt(c) * lc
+def bisector_sqrt_chain(ops, a, c, la, lc):
+    """sqrt(a)*la - sqrt(c)*lc."""
+    return ops.sub(ops.mul(ops.sqrt(a), la), ops.mul(ops.sqrt(c), lc))

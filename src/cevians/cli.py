@@ -13,11 +13,13 @@ on bad density (below 2 or above 4,096, whose grid arrays take about 134
 MB each).  Every subcommand exits 2 when its -o output cannot be written.
 
 Each subcommand loads only the engine it runs: verify loads neither
-:mod:`cevians.certifier` nor :mod:`cevians.search`, certify and table load
-the certifier and search loads the search.  The parser's choices come from
-:mod:`cevians.kernel` (``CevianKind``, ``Target``, ``SearchMode`` and
-``MAX_RECORD_TOP``), and verify's ``constraint_filter`` from
-:mod:`cevians.inequalities`.
+:mod:`cevians.certifier` nor :mod:`cevians.search`, nor NumPy, since it
+evaluates on Python floats; certify and table load the certifier and
+search loads the search.  Of this module's code, only the grids of table
+and of certify's corner sampling use NumPy, and load it when they run.
+The parser's choices come from :mod:`cevians.kernel` (``CevianKind``,
+``Target``, ``SearchMode`` and ``MAX_RECORD_TOP``), and verify's
+``constraint_filter`` from :mod:`cevians.inequalities`.
 """
 
 from __future__ import annotations
@@ -30,8 +32,6 @@ import os
 import sys
 import time
 from pathlib import Path
-
-import numpy as np
 
 from . import _lazy_getattr, bulk
 from .exceptions import CevianError
@@ -52,6 +52,7 @@ from .kernel import (
     CevianKind,
     GeneralCevianParams,
     MixedWeights,
+    NormalizedTriangle,
     SearchMode,
     SideTriple,
     Target,
@@ -139,7 +140,8 @@ def build_parser() -> argparse.ArgumentParser:
     v = sub.add_parser("verify", allow_abbrev=False,
                        help="evaluate every applicable slack for one triangle")
     v.add_argument("--sides", help="three side lengths a,b,c in any order")
-    v.add_argument("--normalized", help="normalized pair x,y (implies c = 1)")
+    v.add_argument("--normalized",
+                   help="normalized pair x,y with 0 < x <= y <= 1 < x + y (implies c = 1)")
     v.add_argument("--cevians", required=True, choices=[k.value for k in CevianKind],
                    help="which Cevian family to evaluate")
     v.add_argument("--weights", help="alpha,beta,gamma for --cevians mixed (default 1,1,1)")
@@ -208,7 +210,8 @@ def _build_triangle(args) -> tuple[SideTriple, dict]:
         a, b, c = _parse_floats(args.sides, 3, "--sides")
         return validate_sides(a, b, c), {"sides": [a, b, c]}
     x, y = _parse_floats(args.normalized, 2, "--normalized")
-    return validate_sides(x, y, 1.0), {"normalized": [x, y]}
+    p = NormalizedTriangle(x, y)
+    return validate_sides(p.x, p.y, 1.0), {"normalized": [x, y]}
 
 
 def _checked(config_class, *args, **kwargs):
@@ -292,8 +295,12 @@ def cmd_verify(args, started: float) -> int:
     return 0 if all_ok else 1
 
 
-def _grid_values(target: Target, axis: np.ndarray):
-    """x, y and target value of each domain point of the grid axis x axis, x-major."""
+def _grid_values(target: Target, lo: float, hi: float, n: int):
+    """x, y and target value of each domain point of the n x n grid over
+    [lo, hi]^2, x-major."""
+    import numpy as np
+
+    axis = np.linspace(lo, hi, n)
     gx, gy = np.meshgrid(axis, axis, indexing="ij")
     mask = bulk.in_normalized_domain(gx, gy)
     x, y = gx[mask], gy[mask]
@@ -305,7 +312,7 @@ def _corner_sampling(target: Target, delta: float) -> dict:
 
     Evidence only: a sampled minimum proves nothing between the samples.
     """
-    _, _, values = _grid_values(target, np.linspace(1.0 - delta, 1.0, 129))  # 128 steps
+    _, _, values = _grid_values(target, 1.0 - delta, 1.0, 129)  # 128 steps
     tol = -1e-12
     return {
         "points": values.size,
@@ -352,7 +359,7 @@ def cmd_table(args, started: float) -> int:
     if not 2 <= args.density <= MAX_DENSITY:
         raise _UsageError(
             f"--density must lie in [2, {MAX_DENSITY}], got {args.density}")
-    points = _grid_values(Target.MAIN_MEDIAN, np.linspace(0.0, 1.0, args.density))
+    points = _grid_values(Target.MAIN_MEDIAN, 0.0, 1.0, args.density)
     lines = ["x,y,F"]
     lines += [f"{x!r},{y!r},{f!r}" for x, y, f in zip(*(v.tolist() for v in points))]
     csv_text = "\n".join(lines) + "\n"

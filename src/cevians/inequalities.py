@@ -8,11 +8,12 @@ k.  The main, key-system, scalene-lemma and open_problem_1 slacks have
 degree 2, the quadratic and open_problem_2 slacks degree 3,
 bisector_sqrt_chain degree 3/2 and bisector_ratio degree 0; see
 :func:`tolerance_scale` for absolute tolerances.  The slack formulas are
-defined in :mod:`cevians.bulk`; the functions here check their inputs and
-wrap the binary64 values in reports.  The isosceles factored forms are
+defined in :mod:`cevians.bulk`; the functions here check their inputs,
+evaluate them on Python floats with ``bulk._MathOps`` and wrap the
+binary64 values in reports.  The isosceles factored forms are
 (1 - sqrt(x)) times the bulk second factors that :mod:`cevians.certifier`
-certifies positive near the equality corner.  Nothing here loads the
-certifier or the search, so ``cevians verify`` runs without either.
+certifies positive near the equality corner.  Nothing here loads NumPy,
+the certifier or the search, so ``cevians verify`` runs without them.
 """
 
 from __future__ import annotations
@@ -21,14 +22,13 @@ import math
 from dataclasses import dataclass
 
 from . import bulk
+from .bulk import _MathOps
 from .exceptions import DomainError, NotScaleneError
-from .intervals import _FloatOps
 from .kernel import (
     CevianKind,
     CevianTriple,
     NormalizedTriangle,
     SideTriple,
-    scalar_eval,
     validate_sides,
 )
 
@@ -76,14 +76,13 @@ def tolerance_scale(t: SideTriple, cv: CevianTriple) -> float:
 
 def slack_main(t: SideTriple, cv: CevianTriple) -> SlackReport:
     """(sqrt(bc) - a)*la + (sqrt(ac) - b)*lb + (sqrt(ab) - c)*lc."""
-    value = scalar_eval(bulk.slack_main_arrays, *t.as_tuple(), *cv.as_tuple())
+    value = bulk.main_slack(_MathOps, *t.as_tuple(), *cv.as_tuple())
     return SlackReport("main", value, t, cv)
 
 
 def slack_quadratic(t: SideTriple, cv: CevianTriple) -> SlackReport:
     """(bc - a^2)*la + (ac - b^2)*lb + (ab - c^2)*lc."""
-    value = scalar_eval(bulk.slack_quadratic_arrays, *t.as_tuple(),
-                        *cv.as_tuple())
+    value = bulk.quadratic_slack(_MathOps, *t.as_tuple(), *cv.as_tuple())
     return SlackReport("quadratic", value, t, cv)
 
 
@@ -96,7 +95,7 @@ def key_system_residuals(
     """
     if med.kind is not CevianKind.MEDIAN:
         raise ValueError("key system residuals are defined for medians")
-    values = scalar_eval(bulk.key_residuals, _FloatOps, *t.as_tuple(), *med.as_tuple())
+    values = bulk.key_residuals(_MathOps, *t.as_tuple(), *med.as_tuple())
     return tuple(SlackReport(f"key_system_{vertex}", value, t, med)
                  for vertex, value in zip("abc", values))
 
@@ -108,7 +107,7 @@ def lemma_scalene_slack(t: SideTriple, med: CevianTriple) -> SlackReport:
     a, b, c = t.as_tuple()
     if a == b or b == c:
         raise NotScaleneError(f"requires a < b < c strictly, got {(a, b, c)}")
-    value = scalar_eval(bulk.scalene_lemma, _FloatOps, a, b, c, *med.as_tuple())
+    value = bulk.scalene_lemma(_MathOps, a, b, c, *med.as_tuple())
     return SlackReport("scalene_lemma", value, t, med)
 
 
@@ -126,7 +125,7 @@ def isosceles_slack_case1(x: float) -> SlackReport:
     """
     if not (0.5 < x <= 1.0):
         raise DomainError(f"case-1 parameter must lie in (1/2, 1], got {x}")
-    value = (1.0 - math.sqrt(x)) * scalar_eval(bulk.equal_legs_second_factor, _FloatOps, x)
+    value = (1.0 - math.sqrt(x)) * bulk.equal_legs_second_factor(_MathOps, x)
     return SlackReport("isosceles_case1", value, validate_sides(x, x, 1.0))
 
 
@@ -138,14 +137,8 @@ def isosceles_slack_case2(x: float) -> SlackReport:
     """
     if not (0.0 < x <= 1.0):
         raise DomainError(f"case-2 parameter must lie in (0, 1], got {x}")
-    value = (1.0 - math.sqrt(x)) * scalar_eval(bulk.equal_base_second_factor, _FloatOps, x)
+    value = (1.0 - math.sqrt(x)) * bulk.equal_base_second_factor(_MathOps, x)
     return SlackReport("isosceles_case2", value, validate_sides(x, 1.0, 1.0))
-
-
-def _main_median_slack(x, y):
-    """:func:`bulk.main_slack` of the triangle (x, y, 1.0) and its doubled medians."""
-    medians2 = bulk.doubled_medians(_FloatOps, x, y, 1.0)
-    return bulk.main_slack(_FloatOps, x, y, 1.0, *medians2)
 
 
 def normalized_slack(p: NormalizedTriangle | tuple[float, float]) -> float:
@@ -157,14 +150,15 @@ def normalized_slack(p: NormalizedTriangle | tuple[float, float]) -> float:
     """
     if not isinstance(p, NormalizedTriangle):
         p = NormalizedTriangle(float(p[0]), float(p[1]))
-    return scalar_eval(_main_median_slack, p.x, p.y)
+    medians2 = bulk.doubled_medians(_MathOps, p.x, p.y, 1.0)
+    return bulk.main_slack(_MathOps, p.x, p.y, 1.0, *medians2)
 
 
 def bisector_ratio_slack(t: SideTriple, bis: CevianTriple) -> SlackReport:
     """la/lb - (c + b - a)/c for the internal bisectors, expected >= 0."""
     if bis.kind is not CevianKind.BISECTOR:
         raise ValueError("the bisector slacks are defined for bisectors")
-    value = scalar_eval(bulk.bisector_ratio_arrays, *t.as_tuple(), bis.la, bis.lb)
+    value = bulk.bisector_ratio(_MathOps, *t.as_tuple(), bis.la, bis.lb)
     return SlackReport("bisector_ratio", value, t, bis)
 
 
@@ -172,13 +166,14 @@ def bisector_sqrt_chain_slack(t: SideTriple, bis: CevianTriple) -> SlackReport:
     """sqrt(a)*la - sqrt(c)*lc for the internal bisectors, expected >= 0."""
     if bis.kind is not CevianKind.BISECTOR:
         raise ValueError("the bisector slacks are defined for bisectors")
-    value = scalar_eval(bulk.bisector_sqrt_chain_arrays, t.a, t.c, bis.la, bis.lc)
+    value = bulk.bisector_sqrt_chain(_MathOps, t.a, t.c, bis.la, bis.lc)
     return SlackReport("bisector_sqrt_chain", value, t, bis)
 
 
 def constraint_filter(t: SideTriple, cv: CevianTriple) -> bool:
     """Open-problem conditions: la >= lb >= lc and b*lb >= max(a*la, c*lc)."""
-    return bool(bulk.constraint_mask_arrays(*t.as_tuple(), *cv.as_tuple()))
+    pairs = bulk.constraint_pairs(_MathOps, *t.as_tuple(), *cv.as_tuple())
+    return all(lhs >= rhs for lhs, rhs in pairs)
 
 
 def open_problem_slacks(

@@ -17,7 +17,11 @@ has add, sub, mul, div and sqrt.  A Python ``float`` operand of add, sub
 or mul is an exact constant: with an interval the result is rounded
 outward, mul by exactly 1.0 returns the other operand itself, and two
 floats give their plain float result.  The scalar :class:`Interval` and its
-operators remain as public API.
+operators remain as public API.  The same formulas run on Python floats
+through ``bulk._MathOps``, which needs no NumPy, so the scalar API and
+``cevians verify`` do not load this module; the package loads it on first
+access to ``Interval``, and the certifier and the search import it.  The
+op sets here call NumPy on every operation, so it is imported at the top.
 """
 
 from __future__ import annotations

@@ -3,8 +3,9 @@
 Side triples are canonically sorted (a <= b <= c) at construction and every
 formula assumes that ordering.  The formulas themselves are defined once,
 in :mod:`cevians.bulk`; the functions here validate, evaluate them on
-floats and wrap the results.  All values are immutable and every operation
-is a pure function, so the kernel is safe under arbitrary concurrent use.
+Python floats with ``bulk._MathOps`` and wrap the results, so no NumPy
+loads.  All values are immutable and every operation is a pure function,
+so the kernel is safe under arbitrary concurrent use.
 Rigorous (interval) evaluation lives in the certifier module; this one is
 plain binary64.  The enums that name a subcommand's choices (Cevian
 families, certification targets, search modes) and the bound on
@@ -18,9 +19,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
-
 from . import bulk
+from .bulk import _MathOps
 from .exceptions import (
     DegenerateTriangleError,
     DomainError,
@@ -180,20 +180,9 @@ def validate_sides(a: float, b: float, c: float) -> SideTriple:
     return SideTriple(lo, mid, hi)
 
 
-def scalar_eval(formula, *args):
-    """Run a :mod:`cevians.bulk` formula on floats: a float or a list of them.
-
-    NaN and infinities come back as values instead of NumPy warnings; the
-    dataclass checks of the caller reject them with DomainError.
-    """
-    with np.errstate(all="ignore"):
-        return np.array(formula(*args)).tolist()
-
-
 def medians(t: SideTriple) -> CevianTriple:
     """Median lengths: from A, half the square root of 2b^2 + 2c^2 - a^2."""
-    return CevianTriple(*scalar_eval(bulk.medians_arrays, *t.as_tuple()),
-                        CevianKind.MEDIAN)
+    return CevianTriple(*bulk.medians(_MathOps, *t.as_tuple()), CevianKind.MEDIAN)
 
 
 def metrics(t: SideTriple) -> TriangleMetrics:
@@ -204,13 +193,12 @@ def metrics(t: SideTriple) -> TriangleMetrics:
     """
     a, b, c = t.as_tuple()
     return TriangleMetrics(semiperimeter=0.5 * (a + b + c),
-                           area=scalar_eval(bulk.heron_area_arrays, a, b, c))
+                           area=bulk.heron_area(_MathOps, a, b, c))
 
 
 def altitudes(t: SideTriple) -> CevianTriple:
     """Altitude lengths 2*area / side; a*h_a = b*h_b = c*h_c."""
-    return CevianTriple(*scalar_eval(bulk.altitudes_arrays, *t.as_tuple()),
-                        CevianKind.ALTITUDE)
+    return CevianTriple(*bulk.altitudes(_MathOps, *t.as_tuple()), CevianKind.ALTITUDE)
 
 
 def bisectors(t: SideTriple) -> CevianTriple:
@@ -219,14 +207,12 @@ def bisectors(t: SideTriple) -> CevianTriple:
     From A: 2*sqrt(b*c*s*(s-a)) / (b+c), computed in the cancellation-free
     form sqrt(b*c*(a+b+c)*(b+c-a)) / (b+c).
     """
-    return CevianTriple(*scalar_eval(bulk.bisectors_arrays, *t.as_tuple()),
-                        CevianKind.BISECTOR)
+    return CevianTriple(*bulk.bisectors(_MathOps, *t.as_tuple()), CevianKind.BISECTOR)
 
 
 def mixed_cevians(t: SideTriple, w: MixedWeights) -> CevianTriple:
     """Componentwise nonnegative mixture of medians, altitudes, bisectors."""
-    lengths = scalar_eval(bulk.mixed_cevians_arrays, *t.as_tuple(),
-                          w.alpha, w.beta, w.gamma)
+    lengths = bulk.mixed_cevians(_MathOps, *t.as_tuple(), w.alpha, w.beta, w.gamma)
     return CevianTriple(*lengths, CevianKind.MIXED)
 
 
@@ -237,8 +223,7 @@ def general_cevians(t: SideTriple, p: GeneralCevianParams) -> CevianTriple:
     length from A is b^2*ta + c^2*(1-ta) - a^2*ta*(1-ta), and cyclically.
     The quadratic is strictly positive for valid triangles and feet in (0,1).
     """
-    lengths = scalar_eval(bulk.general_cevians_arrays, *t.as_tuple(),
-                          *p.as_tuple())
+    lengths = bulk.stewart_cevians(_MathOps, *t.as_tuple(), *p.as_tuple())
     return CevianTriple(*lengths, CevianKind.GENERAL)
 
 

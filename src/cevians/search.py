@@ -177,8 +177,8 @@ def _records(cols: np.ndarray, index) -> list[CandidateRecord]:
 
     The sides must be sorted.  One :func:`cevians.bulk.cevian_triple_slacks`
     call evaluates them all, and :func:`cevians.bulk.constraint_mask_arrays`
-    their constraints; as in :func:`cevians.kernel.scalar_eval`, NaN and
-    infinities come back as values, which the dataclasses reject.
+    their constraints; as under ``bulk._MathOps`` in the scalar API, NaN
+    and infinities come back as values, which the dataclasses reject.
     """
     with np.errstate(all="ignore"):
         cv, s1, s2 = bulk.cevian_triple_slacks(cols[:3], cols[3:])

@@ -61,7 +61,7 @@ def sweep():
     x, y = bulk.sample_normalized_points(rng, SWEEP_SIZE)
     scale = np.exp(rng.uniform(np.log(1e-3), np.log(1e3), SWEEP_SIZE))
     a, b, c = x * scale, y * scale, scale
-    m = bulk.medians_arrays(a, b, c)
+    m = bulk.medians(_FloatOps, a, b, c)
     return {"x": x, "y": y, "a": a, "b": b, "c": c, "medians": m,
             "tol_scale": c * m[2], "rng": rng}
 
@@ -82,9 +82,8 @@ def test_criterion_1_main_inequality_sweeps(sweep):
         tol = 1e-12 * sweep["tol_scale"]
         started = time.perf_counter()
 
-        for family in (bulk.medians_arrays, bulk.altitudes_arrays,
-                       bulk.bisectors_arrays):
-            la, lb, lc = family(a, b, c)
+        for family in (bulk.medians, bulk.altitudes, bulk.bisectors):
+            la, lb, lc = family(_FloatOps, a, b, c)
             assert (bulk.slack_main_arrays(a, b, c, la, lb, lc) >= -tol).all()
             assert (bulk.slack_quadratic_arrays(a, b, c, la, lb, lc)
                     >= -tol * c).all()
@@ -93,8 +92,8 @@ def test_criterion_1_main_inequality_sweeps(sweep):
         wa, wb, wc = rng.uniform(0.0, 10.0, (3, MIXED_SIZE))
         am, bm, cm = a[:MIXED_SIZE], b[:MIXED_SIZE], c[:MIXED_SIZE]
         ma, mb, mc = (v[:MIXED_SIZE] for v in sweep["medians"])
-        ha, hb, hc = bulk.altitudes_arrays(am, bm, cm)
-        la, lb, lc = bulk.bisectors_arrays(am, bm, cm)
+        ha, hb, hc = bulk.altitudes(_FloatOps, am, bm, cm)
+        la, lb, lc = bulk.bisectors(_FloatOps, am, bm, cm)
         fa = wa * ma + wb * ha + wc * la
         fb = wa * mb + wb * hb + wc * lb
         fc = wa * mc + wb * hc + wc * lc
@@ -147,14 +146,14 @@ def test_criterion_3_lemma_suite(sweep):
         assert (dom_med >= -tol).all()
         gap = (b - a > 1e-9 * b) & (c - b > 1e-9 * c)
         assert (dom_med[gap] > 0.0).all()
-        la, lb, lc = bulk.bisectors_arrays(a, b, c)
+        la, lb, lc = bulk.bisectors(_FloatOps, a, b, c)
         dom_bis = b * lb - np.maximum(a * la, c * lc)
         assert (dom_bis >= -1e-12 * (c * lc)).all()
 
         # bisector ratio bound (dimensionless) and square-root chain
-        ratio = bulk.bisector_ratio_arrays(a, b, c, la, lb)
+        ratio = bulk.bisector_ratio(_FloatOps, a, b, c, la, lb)
         assert (ratio >= -1e-12).all()
-        chain = bulk.bisector_sqrt_chain_arrays(a, c, la, lc)
+        chain = bulk.bisector_sqrt_chain(_FloatOps, a, c, la, lc)
         assert (chain >= -1e-12 * np.sqrt(c) * lc).all()
 
 
@@ -200,8 +199,8 @@ def test_criterion_5_consistency_oracles(sweep):
                 t = validate_sides(*sides)
                 direct = 2.0 * float(
                     bulk.slack_main_arrays(t.a, t.b, t.c,
-                                           *bulk.medians_arrays(
-                                               np.float64(t.a), np.float64(t.b),
+                                           *bulk.medians(
+                                               _FloatOps, np.float64(t.a), np.float64(t.b),
                                                np.float64(t.c)))
                 )
                 floor = t.c * medians(t).lc
@@ -211,7 +210,7 @@ def test_criterion_5_consistency_oracles(sweep):
 
         # normalized two-variable slack against the direct route, 1e5 points
         x, y = sweep["x"][:100_000], sweep["y"][:100_000]
-        mxa, mxb, mxc = bulk.medians_arrays(x, y, 1.0)
+        mxa, mxb, mxc = bulk.medians(_FloatOps, x, y, 1.0)
         direct = 2.0 * bulk.slack_main_arrays(x, y, 1.0, mxa, mxb, mxc)
         fvals = point_values(Target.MAIN_MEDIAN, x, y)
         floor = 1.0 * mxc

@@ -56,6 +56,24 @@ class TestVerify:
         doc = load(out)
         assert doc["triangle"]["c"] == 1.0
 
+    @pytest.mark.parametrize("pair", [
+        "1.5,1.2",  # x > 1 (and x > y)
+        "1.2,1.5",  # x > 1 and y > 1
+        "0.6,1.2",  # y > 1
+        "0.8,0.6",  # x > y
+        "0.5,0.5",  # x + y = 1
+    ])
+    def test_normalized_pair_outside_the_domain_exits_2(self, pair, capsys):
+        assert run(["verify", "--normalized", pair, "--cevians", "median"]) == 2
+        x, y = (float(v) for v in pair.split(","))
+        assert capsys.readouterr() == (
+            "", f"error: DomainError: ({x}, {y}) outside the normalized triangle domain\n")
+
+    def test_help_states_the_normalized_domain(self, capsys):
+        with pytest.raises(SystemExit):
+            run(["verify", "--help"])
+        assert "0 < x <= y <= 1 < x + y" in capsys.readouterr().out
+
     def test_general_violation_exits_1(self, tmp_path):
         out = tmp_path / "r.json"
         code = run(["verify", "--sides", "3,4,5", "--cevians", "general",
@@ -417,6 +435,40 @@ def test_certificate_bytes_are_pinned(argv, digest, tmp_path):
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
 
 
+# sha256 of canonical_json(strip_wall_time(doc)), the report with its
+# manifest but without the manifest's TOOL_VERSION: every family, a
+# normalized pair, a scalene median triangle (the scalene-lemma slack), a
+# failing general triangle and a triangle scaled by 1e-150.
+@pytest.mark.parametrize("argv, code, digest", [
+    (["--sides", "2,2,3", "--cevians", "median"], 0,
+     "bdb4ab406b9c3c9496e61080fea382cf817821c6f68c479468e280c6350c87e3"),
+    (["--sides", "3,5,7", "--cevians", "altitude"], 0,
+     "f5a55164e179044e13d0a06d318cca1e6a52cd05036f0f503ea78b1ee6bb6838"),
+    (["--sides", "3,5,7", "--cevians", "bisector"], 0,
+     "3157026ee6a63f9d7a9f6701a1d2a6b2c6ca3952929fa68f1bc75785363fac45"),
+    (["--sides", "3,5,7", "--cevians", "mixed", "--weights", "0.5,2,1"], 0,
+     "07acca2681056cbc8844e5513c7811a1d712f1cd1c4058ee46cb5297de086832"),
+    (["--sides", "3,5,7", "--cevians", "general", "--feet", "0.3,0.6,0.8"], 0,
+     "1182d1d8d30bfbfe1fbeccba764ee864771c6fcb46deeea86b47bb6aef06f25d"),
+    (["--normalized", "0.6,0.8", "--cevians", "median"], 0,
+     "e71fd84dd13411859ebf5b01c469c51ceca3d07cdbe76f586e7a86ef7b3b97ab"),
+    (["--sides", "3,4,5", "--cevians", "median"], 0,
+     "48b7bf8d30aebaaee034fe7ba690b4aee40b778783e5b3d5f50003de35cba803"),
+    (["--sides", "0.16736524189148243,0.9930262000160328,1", "--cevians", "general",
+      "--feet", "0.6433251799701935,0.811788615454133,0.41990834417099293"], 1,
+     "d320e0528a87ad52355c129e345d62a15d0d3c06c7c083ae3c30f712d79ed541"),
+    (["--sides", "3e-150,4e-150,5e-150", "--cevians", "median"], 0,
+     "adcc0660786c4c32846feb86059ecdf46a8d072a3ec654c6227e957373f8a7f8"),
+])
+def test_verify_bytes_are_pinned(argv, code, digest, tmp_path):
+    out = tmp_path / "r.json"
+    assert run(["verify", *argv, "-o", str(out)]) == code
+    doc = load(out)
+    del doc["manifest"]["version"]
+    text = canonical_json(strip_wall_time(doc))
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
+
+
 @pytest.mark.parametrize("argv", [
     ["certify", "--target", "main-median", "--del", "0"],
     ["search", "--mode", "open-problem", "--samp", "10"],
@@ -566,8 +618,8 @@ class TestTable:
         # stub the grid: the real one at the bound takes over 100 MB an array
         axes = []
 
-        def grid(target, axis):
-            axes.append(axis.size)
+        def grid(target, lo, hi, n):
+            axes.append(n)
             return np.zeros(0), np.zeros(0), np.zeros(0)
 
         monkeypatch.setattr(cli, "_grid_values", grid)

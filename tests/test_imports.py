@@ -14,41 +14,65 @@ SRC = Path(cevians.__file__).resolve().parent.parent
 ENGINES = ("cevians.certifier", "cevians.search")
 
 # Runs each argv of sys.argv[3] through cli.main in one fresh interpreter and
-# prints the exit codes and the cevians modules it loaded.
+# prints the exit codes, and the cevians modules and NumPy if it loaded them.
 _CLI_PROBE = """
 import json, sys
 sys.path.insert(0, sys.argv[1])
 from cevians import cli
 codes = [cli.main(argv + ["-o", sys.argv[2]]) for argv in json.loads(sys.argv[3])]
-print(json.dumps([codes, sorted(m for m in sys.modules if m.startswith("cevians."))]))
+print(json.dumps([codes, sorted(m for m in sys.modules
+                               if m.startswith("cevians.") or m == "numpy")]))
 """
 
+# verify's argv for each Cevian family, a failing general triangle and a
+# normalized pair.
+VERIFY_ARGVS = [
+    ["verify", "--sides", "3,4,5", "--cevians", "median"],
+    ["verify", "--sides", "3,5,7", "--cevians", "altitude"],
+    ["verify", "--sides", "3,5,7", "--cevians", "bisector"],
+    ["verify", "--sides", "3,5,7", "--cevians", "mixed", "--weights", "0.5,2,1"],
+    ["verify", "--sides", "3,4,5", "--cevians", "general", "--feet", "0.3,0.4,0.5"],
+    ["verify", "--sides", "0.16736524189148243,0.9930262000160328,1", "--cevians", "general",
+     "--feet", "0.6433251799701935,0.811788615454133,0.41990834417099293"],
+    ["verify", "--normalized", "0.6,0.8", "--cevians", "median"],
+]
 
-def _fresh(code: str, *args: str):
-    proc = subprocess.run([sys.executable, "-c", code, str(SRC), *args],
+
+def _fresh(code: str, *args: str, flags=()):
+    proc = subprocess.run([sys.executable, *flags, "-c", code, str(SRC), *args],
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout)
 
 
 class TestImportBoundary:
-    """A subcommand loads only the engine it runs.  Each case runs in a
-    fresh interpreter: the test session has loaded both engines."""
+    """A subcommand loads only the engine it runs, and only the subcommands
+    that work on arrays load NumPy.  Each case runs in a fresh interpreter:
+    the test session has loaded both engines."""
 
     @pytest.mark.parametrize("argvs, loaded, absent", [
         ([["verify", "--sides", "3,4,5", "--cevians", "median"],
           ["verify", "--sides", "3,4,5", "--cevians", "general", "--feet", "0.3,0.4,0.5"]],
-         (), ENGINES),
+         (), (*ENGINES, "cevians.intervals", "numpy")),
         ([["certify", "--target", "scalene-lemma"], ["table", "--density", "3"]],
-         ("cevians.certifier",), ("cevians.search",)),
+         ("cevians.certifier", "numpy"), ("cevians.search",)),
         ([["search", "--mode", "open-problem", "--samples", "1000", "--seed", "1"]],
-         ("cevians.search",), ("cevians.certifier",)),
-    ], ids=["verify", "certify-table", "search"])
+         ("cevians.search", "numpy"), ("cevians.certifier",)),
+        ([["table", "--density", "3"]],
+         ("cevians.certifier", "numpy"), ("cevians.search",)),
+    ], ids=["verify", "certify-table", "search", "table"])
     def test_subcommand_loads_only_its_engine(self, tmp_path, argvs, loaded, absent):
         codes, modules = _fresh(_CLI_PROBE, str(tmp_path / "out"), json.dumps(argvs))
         assert codes == [0] * len(argvs)
         assert set(loaded) <= set(modules)
         assert not set(absent) & set(modules)
+
+    def test_verify_runs_where_numpy_cannot_be_imported(self, tmp_path):
+        # -S leaves site-packages, and with it NumPy, off the module path.
+        codes, modules = _fresh(_CLI_PROBE, str(tmp_path / "out"), json.dumps(VERIFY_ARGVS),
+                                flags=("-S",))
+        assert codes == [0, 0, 0, 0, 0, 1, 0]
+        assert "numpy" not in modules
 
 
 class TestReplacedEngineNames:

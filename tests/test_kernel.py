@@ -1,4 +1,5 @@
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cevians import bulk
+from cevians.bulk import _MathOps
 from cevians.exceptions import (
     DegenerateTriangleError,
     DomainError,
@@ -29,7 +31,12 @@ from cevians.kernel import (
 )
 
 import oracles
+from cevians.intervals import _FloatOps
 from conftest import rel_close
+
+
+def _bits(v: float) -> bytes:
+    return struct.pack("<d", v)
 
 
 def triangle_strategy(min_scale=1e-2, max_scale=1e2):
@@ -313,7 +320,8 @@ class TestScaleCovariance:
 
 
 class TestBulkTwinsMatchScalar:
-    """The vectorized formulas must agree bit-for-bit with the typed kernel."""
+    """The formulas on arrays agree bit for bit with the typed kernel, and the
+    float op set ``_MathOps`` with ``_FloatOps`` on one-element arrays."""
 
     def test_bit_identity(self, rng):
         x, y = bulk.sample_normalized_points(rng, 10_000)
@@ -321,11 +329,11 @@ class TestBulkTwinsMatchScalar:
         a, b, c = x * scale, y * scale, scale
         ta = rng.uniform(1e-4, 1 - 1e-4, x.shape)
 
-        ma, mb, mc = bulk.medians_arrays(a, b, c)
-        ha, hb, hc = bulk.altitudes_arrays(a, b, c)
-        la, lb, lc = bulk.bisectors_arrays(a, b, c)
+        ma, mb, mc = bulk.medians(_FloatOps, a, b, c)
+        ha, hb, hc = bulk.altitudes(_FloatOps, a, b, c)
+        la, lb, lc = bulk.bisectors(_FloatOps, a, b, c)
         ga, _, _ = bulk.general_cevians_arrays(a, b, c, ta, ta, ta)
-        area = bulk.heron_area_arrays(a, b, c)
+        area = bulk.heron_area(_FloatOps, a, b, c)
 
         idx = rng.integers(0, x.shape[0], 200)
         for i in idx:
@@ -336,3 +344,72 @@ class TestBulkTwinsMatchScalar:
             assert metrics(t).area == area[i]
             g = general_cevians(t, GeneralCevianParams(ta[i], ta[i], ta[i]))
             assert g.la == ga[i]
+
+    # Zeros of both signs, subnormals, the extremes of the normal range,
+    # values whose products and sums overflow, infinities and NaN.
+    SPECIAL = (0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308, 1e-160,
+               0.1, 1.0, -1.0, 3.0, -7.5, 1e154, 1e200, 1.7976931348623157e308,
+               -1e308, math.inf, -math.inf, math.nan)
+
+    @staticmethod
+    def _same_bits(got, want):
+        assert isinstance(got, float)
+        assert _bits(got) == _bits(want), (got, want)
+
+    @staticmethod
+    def _on_arrays(fn, *args):
+        """fn(_FloatOps, ...) with each float argument a one-element array."""
+        with np.errstate(all="ignore"):
+            out = fn(_FloatOps, *(np.array([v]) if isinstance(v, float) else v
+                                  for v in args))
+        return [float(v[0]) for v in out] if isinstance(out, tuple) else float(out[0])
+
+    @pytest.mark.parametrize("op", ["add", "sub", "mul", "div"])
+    def test_binary_ops(self, op):
+        for u in self.SPECIAL:
+            for v in self.SPECIAL:
+                self._same_bits(getattr(_MathOps, op)(u, v),
+                                self._on_arrays(lambda ops, u, v: getattr(ops, op)(u, v), u, v))
+
+    def test_sqrt(self):
+        for u in self.SPECIAL:
+            self._same_bits(_MathOps.sqrt(u), self._on_arrays(lambda ops, u: ops.sqrt(u), u))
+
+    def test_ieee_results_where_python_raises(self):
+        assert _MathOps.div(3.0, 0.0) == math.inf
+        assert _MathOps.div(3.0, -0.0) == -math.inf
+        assert _MathOps.div(-3.0, 0.0) == -math.inf
+        assert math.isnan(_MathOps.div(0.0, 0.0))
+        assert math.isnan(_MathOps.sqrt(-1.0))
+        assert math.isnan(_MathOps.sqrt(-math.inf))
+        assert _MathOps.mul(1e200, 1e200) == math.inf
+
+    # Each op-generic formula with the number of side-like arguments it takes
+    # before its Cevian-like ones.
+    FORMULAS = [
+        (bulk.doubled_medians, 3), (bulk.medians, 3), (bulk.heron_area, 3),
+        (bulk.altitudes, 3), (bulk.bisectors, 3), (bulk.mixed_cevians, 6),
+        (bulk.stewart_cevians, 6), (bulk.main_slack, 6), (bulk.quadratic_slack, 6),
+        (bulk.key_residuals, 6), (bulk.scalene_lemma, 6), (bulk.bisector_ratio, 5),
+        (bulk.bisector_sqrt_chain, 4), (bulk.equal_legs_second_factor, 1),
+        (bulk.equal_base_second_factor, 1),
+        (lambda ops, *args: tuple(ops.sub(*pair) for pair in bulk.constraint_pairs(ops, *args)), 6),
+    ]
+
+    @pytest.mark.parametrize("formula, arity", FORMULAS)
+    def test_formulas(self, formula, arity, rng):
+        sides = [
+            (3.0, 4.0, 5.0), (0.3, 0.95, 1.0), (1.0, 1.0, 1.0),
+            (1.0, 1.0, 2.0), (1.0, 1.0, 3.0), (0.0, 1.0, 1.0), (0.0, 0.0, 0.0),
+            (-1.0, 1.0, 1.0), (5e-324, 1e-310, 1e-310), (1e-160, 1e-160, 1e-160),
+            (1e154, 1e154, 1e154), (1e200, 1e200, 1e200), (1.7e308, 1.7e308, 1.7e308),
+            (1.0, 2.0, math.inf), (math.nan, 1.0, 1.0),
+        ]
+        sides += [tuple(v) for v in np.sort(rng.uniform(0.0, 2.0, (40, 3)), axis=1).tolist()]
+        extra = [(0.5, 0.25, 0.75), (0.0, 0.0, 0.0), (1.0, -1.0, 2.0), (1e300, 1e300, 1e-300)]
+        for k, abc in enumerate(sides):
+            args = ((*abc, *extra[k % len(extra)]) * 2)[:arity]
+            got = formula(_MathOps, *args)
+            want = self._on_arrays(formula, *args)
+            for g, w in zip(*((got, want) if isinstance(got, tuple) else ((got,), (want,)))):
+                self._same_bits(g, w)

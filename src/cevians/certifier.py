@@ -8,14 +8,16 @@ once a rigorous lower bound on the target over the box is positive;
 otherwise it is bisected along its wider side.  The first levels, down to
 depth `_GRID_DEPTH`, are bisected without a bound: bounds seldom prove
 boxes that wide, and bounding a small level costs milliseconds whatever
-its size.  Processing is level-synchronous and vectorized over NumPy
-arrays of boxes, so the output is deterministic regardless of scheduling,
-and the endpoint arithmetic is the same 1-ulp outward rounding used by
-:mod:`cevians.intervals`.  A level of at most `_LOOKAHEAD_BOXES` boxes is
-decided in one evaluation together with the children of all its boxes, and
-the next level, the children of the boxes it splits, takes its decision
-from there; every step of a decision is element-wise over the boxes, so
-this changes no certificate, only how many evaluations a run makes.
+its size.  Processing is level-synchronous and vectorized over (4, n)
+arrays of boxes, whose rows are xlo, xhi, ylo and yhi; a certificate's
+proven, corner and undecided sets are such arrays too.  The output is
+deterministic regardless of scheduling, and the endpoint arithmetic is
+the same 1-ulp outward rounding used by :mod:`cevians.intervals`.  A
+level of at most `_LOOKAHEAD_BOXES` boxes is decided in one evaluation
+together with the children of all its boxes, and the next level, the
+children of the boxes it splits, takes its decision from there; every
+step of a decision is element-wise over the boxes, so this changes no
+certificate, only how many evaluations a run makes.
 
 Every target expression is written once against an abstract operation set
 (the median targets are the :mod:`cevians.bulk` formulas at c = 1.0) and
@@ -686,62 +688,37 @@ grad f = (2/3 - 3 + 1/3, -1/3 - 2/3) = (-2, -1).
 _VERTICES = (_VERTEX_1_1, _VERTEX_0_1, _VERTEX_HALF)
 
 
-def _clip_to_domain(xlo, xhi, ylo, yhi, mu: float):
+def _clip_to_domain(boxes, mu: float):
     """Axis-aligned bounding box of box ∩ {mu<=x<=y<=1, x+y>=1+mu}.
 
-    Each bound is the tightest binary64 value but one: the floor
+    Takes and returns a (4, n) array of boxes, with a mask of the nonempty
+    ones.  Each bound is the tightest binary64 value but one: the floor
     (1 + mu) - xhi on y is exact only for xhi >= (1 + mu)/2 (Sterbenz), so
     it is rounded down, lest part of W lie in no box; (1 + mu) - yhi is
     exact on every nonempty box.  Points outside the simplex may remain in
     the clipped box (its corners), which is sound for enclosures;
     emptiness is decided conservatively.
     """
+    xlo, xhi, ylo, yhi = boxes
     yhi = np.minimum(yhi, 1.0)
     ylo = np.maximum(ylo, 0.5 * (1.0 + mu))
     xlo = np.maximum(np.maximum(xlo, mu), (1.0 + mu) - yhi)
     xhi = np.minimum(xhi, yhi)
     ylo = np.maximum(np.maximum(ylo, xlo), _round_down((1.0 + mu) - xhi))
     nonempty = (xlo <= xhi) & (ylo <= yhi) & (xhi > 0.0)
-    return xlo, xhi, ylo, yhi, nonempty
+    return np.array([xlo, xhi, ylo, yhi]), nonempty
 
 
-class BoxArray:
-    """Compact columnar store for a set of axis-aligned boxes."""
+def _widths(boxes):
+    """The wider side of each box of a (4, n) array."""
+    return np.maximum(boxes[1] - boxes[0], boxes[3] - boxes[2])
 
-    __slots__ = ("xlo", "xhi", "ylo", "yhi")
 
-    def __init__(self, xlo, xhi, ylo, yhi):
-        self.xlo = np.asarray(xlo, dtype=float)
-        self.xhi = np.asarray(xhi, dtype=float)
-        self.ylo = np.asarray(ylo, dtype=float)
-        self.yhi = np.asarray(yhi, dtype=float)
-
-    @classmethod
-    def empty(cls) -> "BoxArray":
-        z = np.empty(0)
-        return cls(z, z, z, z)
-
-    @classmethod
-    def concatenate(cls, parts: list[tuple]) -> "BoxArray":
-        if not parts:
-            return cls.empty()
-        return cls(*(np.concatenate([p[i] for p in parts]) for i in range(4)))
-
-    def __len__(self) -> int:
-        return self.xlo.shape[0]
-
-    def sorted_canonically(self) -> "BoxArray":
-        order = np.lexsort((self.yhi, self.xhi, self.ylo, self.xlo))
-        return BoxArray(self.xlo[order], self.xhi[order],
-                        self.ylo[order], self.yhi[order])
-
-    def bounds_list(self, limit: int | None = None) -> list[list[float]]:
-        n = len(self) if limit is None else min(len(self), limit)
-        return [
-            [float(self.xlo[i]), float(self.xhi[i]),
-             float(self.ylo[i]), float(self.yhi[i])]
-            for i in range(n)
-        ]
+def _canonical(parts: list):
+    """The (4, n_i) box arrays of `parts` as one (4, n) array, sorted by
+    xlo, then ylo, then xhi, then yhi."""
+    boxes = np.concatenate([np.empty((4, 0)), *parts], axis=1)
+    return boxes[:, np.lexsort(boxes[[3, 1, 2, 0]])]
 
 
 # The forms that prove a box, in `stats.proven_by` order: the bound of
@@ -801,23 +778,24 @@ class Certificate:
     (see `_VERTICES`).  The corner box exists only at delta = 0: it is
     the box holding the equality point (1, 1), proven by
     :func:`_vertex_1_1_bounds` to carry a target >= 0 that is 0 only at
-    (1, 1).
+    (1, 1).  Each box set is a (4, n) array whose rows are xlo, xhi, ylo and
+    yhi, sorted by xlo, then ylo, then xhi, then yhi.
     """
 
     task: CertificationTask
-    proven: BoxArray
-    corner: BoxArray
-    undecided: BoxArray
+    proven: np.ndarray
+    corner: np.ndarray
+    undecided: np.ndarray
     excluded: dict
     stats: CertificateStats = field(default_factory=CertificateStats)
 
     @property
     def proven_count(self) -> int:
-        return len(self.proven)
+        return self.proven.shape[1]
 
     @property
     def undecided_count(self) -> int:
-        return len(self.undecided)
+        return self.undecided.shape[1]
 
     def to_report_dict(self, include_proven: bool = False) -> dict:
         doc = {
@@ -828,7 +806,7 @@ class Certificate:
             "min_box_width": self.task.min_box_width,
             "proven_count": self.proven_count,
             "undecided_count": self.undecided_count,
-            "undecided": self.undecided.bounds_list(_UNDECIDED_LIMIT),
+            "undecided": self.undecided[:, :_UNDECIDED_LIMIT].T.tolist(),
             "undecided_truncated": self.undecided_count > _UNDECIDED_LIMIT,
             "excluded": self.excluded,
             "stats": {
@@ -845,10 +823,10 @@ class Certificate:
             },
         }
         if self.task.delta == 0.0:
-            corner = self.corner.bounds_list()
+            corner = self.corner.T.tolist()
             doc["corner_box"] = corner[0] if corner else None
         if include_proven:
-            doc["proven"] = self.proven.bounds_list()
+            doc["proven"] = self.proven.T.tolist()
         return doc
 
 
@@ -900,13 +878,13 @@ def _excluded_description(task: CertificationTask) -> dict:
     return doc
 
 
-def _undecided_hull(undecided: BoxArray) -> dict | None:
+def _undecided_hull(undecided) -> dict | None:
     """The bounding box of the undecided boxes, [xlo, xhi, ylo, yhi], and its
     max-norm distance to each vertex of `_VERTICES` (0 where it holds one)."""
-    if len(undecided) == 0:
+    if undecided.shape[1] == 0:
         return None
-    xlo, xhi = float(undecided.xlo.min()), float(undecided.xhi.max())
-    ylo, yhi = float(undecided.ylo.min()), float(undecided.yhi.max())
+    xlo, ylo = undecided[::2].min(axis=1).tolist()
+    xhi, yhi = undecided[1::2].max(axis=1).tolist()
     return {
         "box": [xlo, xhi, ylo, yhi],
         "distance": {v.name: max(0.0, xlo - v.x, v.x - xhi, ylo - v.y, v.y - yhi)
@@ -914,19 +892,23 @@ def _undecided_hull(undecided: BoxArray) -> dict | None:
     }
 
 
-def _bisect(xlo, xhi, ylo, yhi):
+def _bisect(boxes):
     """The two halves of each box, split across its wider side: all first
     halves, then all second halves."""
+    xlo, xhi, ylo, yhi = boxes
     on_x = (xhi - xlo) >= (yhi - ylo)
     xm = 0.5 * (xlo + xhi)
     ym = 0.5 * (ylo + yhi)
-    c1 = (xlo, np.where(on_x, xm, xhi), ylo, np.where(on_x, yhi, ym))
-    c2 = (np.where(on_x, xm, xlo), xhi, np.where(on_x, ylo, ym), yhi)
-    return tuple(np.concatenate([a, b]) for a, b in zip(c1, c2))
+    # each row: its bound on the first halves, then on the second halves
+    rows = (xlo, np.where(on_x, xm, xlo),
+            np.where(on_x, xm, xhi), xhi,
+            ylo, np.where(on_x, ylo, ym),
+            np.where(on_x, yhi, ym), yhi)
+    return np.concatenate(rows).reshape(4, -1)
 
 
-def _decide(target: Target, mu: float, xlo, xhi, ylo, yhi):
-    """The decision of a bounded level over a batch of clipped boxes.
+def _decide(target: Target, mu: float, boxes):
+    """The decision of a bounded level over a (4, n) array of clipped boxes.
 
     Returns a (len(_FORMS) + 1, n) boolean array: row i marks the boxes
     proven by form `_FORMS[i]`, and the last row the corner box.  The bound
@@ -935,18 +917,17 @@ def _decide(target: Target, mu: float, xlo, xhi, ylo, yhi):
     proven nor corner.  Every step is element-wise over the boxes, so a
     box's decision does not depend on the other boxes in the batch.
     """
-    width = np.maximum(xhi - xlo, yhi - ylo)
-    rows = np.zeros((len(_FORMS) + 1, xlo.shape[0]), dtype=bool)
-    rows[0] = _lower_bounds(target, xlo, xhi, ylo, yhi, mu) > 0.0
+    width = _widths(boxes)
+    rows = np.zeros((len(_FORMS) + 1, boxes.shape[1]), dtype=bool)
+    rows[0] = _lower_bounds(target, *boxes, mu) > 0.0
     for i, vertex in enumerate(_VERTICES, start=1):
         if target not in vertex.facts:
             continue
-        near = ~rows.any(axis=0) & vertex.near(xlo, xhi, ylo, yhi, width)
+        near = ~rows.any(axis=0) & vertex.near(*boxes, width)
         if not near.any():
             continue
-        near[near] = vertex.bounds(target, xlo[near], xhi[near],
-                                   ylo[near], yhi[near], mu) > 0.0
-        holds = near & vertex.holds(xlo, xhi, ylo, yhi)
+        near[near] = vertex.bounds(target, *boxes[:, near], mu) > 0.0
+        holds = near & vertex.holds(*boxes)
         rows[i] = near & ~holds
         rows[-1] |= holds
     return rows
@@ -980,26 +961,20 @@ def certify(task: CertificationTask) -> Certificate:
     stats only when it is resolved; children are never counted.
     """
     start = time.perf_counter()
-    xlo = np.array([task.mu])
-    xhi = np.array([1.0 - task.delta])
-    ylo = np.array([task.mu])
-    yhi = np.array([1.0])
-
-    proven_parts: list[tuple] = []
-    undecided_parts: list[tuple] = []
-    corner_parts: list[tuple] = []
+    boxes = np.array([[task.mu], [1.0 - task.delta], [task.mu], [1.0]])
+    proven_parts, corner_parts, undecided_parts = [], [], []
     stats = CertificateStats()
     depth = 0
 
     def _finish(exhausted: bool) -> Certificate:
-        undecided = BoxArray.concatenate(undecided_parts).sorted_canonically()
+        undecided = _canonical(undecided_parts)
         stats.undecided_hull = _undecided_hull(undecided)
         stats.budget_exhausted = exhausted
         stats.wall_time_s = time.perf_counter() - start
         return Certificate(
             task=task,
-            proven=BoxArray.concatenate(proven_parts).sorted_canonically(),
-            corner=BoxArray.concatenate(corner_parts),
+            proven=_canonical(proven_parts),
+            corner=_canonical(corner_parts),
             undecided=undecided,
             excluded=_excluded_description(task),
             stats=stats,
@@ -1008,24 +983,24 @@ def certify(task: CertificationTask) -> Certificate:
     grid_end = min(_GRID_DEPTH, task.max_depth)
     # The rows of `_decide` for this level, when the level before made them.
     decision = None
-    while xlo.shape[0] > 0:
+    while boxes.shape[1] > 0:
         if decision is None:
-            xlo, xhi, ylo, yhi, ok = _clip_to_domain(xlo, xhi, ylo, yhi, task.mu)
+            boxes, ok = _clip_to_domain(boxes, task.mu)
             if not ok.all():
-                xlo, xhi, ylo, yhi = xlo[ok], xhi[ok], ylo[ok], yhi[ok]
-        n = xlo.shape[0]
+                boxes = boxes[:, ok]
+        n = boxes.shape[1]
         if n == 0:
             break
         if stats.boxes_processed + n > task.box_budget:
-            undecided_parts.append((xlo, xhi, ylo, yhi))
+            undecided_parts.append(boxes)
             return _finish(exhausted=True)
 
         stats.max_depth_reached = depth
-        width = np.maximum(xhi - xlo, yhi - ylo)
+        width = _widths(boxes)
         if (stats.levels == 0 and depth < grid_end
                 and (width > task.min_box_width).all()):
             stats.grid_depth += 1
-            xlo, xhi, ylo, yhi = _bisect(xlo, xhi, ylo, yhi)
+            boxes = _bisect(boxes)
             depth += 1
             continue
 
@@ -1033,44 +1008,38 @@ def certify(task: CertificationTask) -> Certificate:
         stats.levels += 1
         ahead = None
         if decision is None:
-            boxes = (xlo, xhi, ylo, yhi)
+            batch = boxes
             if depth < task.max_depth and n <= _LOOKAHEAD_BOXES:
-                *children, keep = _clip_to_domain(*_bisect(*boxes), task.mu)
+                children, keep = _clip_to_domain(_bisect(boxes), task.mu)
                 if stats.boxes_processed + int(keep.sum()) <= task.box_budget:
-                    ahead = [c[keep] for c in children]
-                    boxes = tuple(map(np.concatenate, zip(boxes, ahead)))
+                    ahead = children[:, keep]
+                    batch = np.concatenate([boxes, ahead], axis=1)
             stats.evaluations += 1
-            decision = _decide(task.target, task.mu, *boxes)
+            decision = _decide(task.target, task.mu, batch)
         rows = decision[:, :n]
         for form, row in zip(_FORMS, rows):
             stats.proven_by[form] += int(row.sum())
         proven, corner = rows[:-1].any(axis=0), rows[-1]
-        if corner.any():
-            corner_parts.append((xlo[corner], xhi[corner],
-                                 ylo[corner], yhi[corner]))
         decided = proven | corner
         stuck = ~decided & ((width <= task.min_box_width) | (depth >= task.max_depth))
         split = ~decided & ~stuck
 
         stats.per_level.append([n, int(proven.sum()), int(stuck.sum()),
                                 int(split.sum())])
-        if proven.any():
-            proven_parts.append((xlo[proven], xhi[proven],
-                                 ylo[proven], yhi[proven]))
-        if stuck.any():
-            undecided_parts.append((xlo[stuck], xhi[stuck],
-                                    ylo[stuck], yhi[stuck]))
+        proven_parts.append(boxes[:, proven])
+        corner_parts.append(boxes[:, corner])
+        undecided_parts.append(boxes[:, stuck])
         if not split.any():
             break
 
         if ahead is None:
-            xlo, xhi, ylo, yhi = _bisect(xlo[split], xhi[split], ylo[split], yhi[split])
+            boxes = _bisect(boxes[:, split])
             decision = None
         else:
             # `_bisect`'s order: the first halves of the split boxes, then
             # their second halves, as the sequential loop would build them.
             pick = np.concatenate([split, split])[keep]
-            xlo, xhi, ylo, yhi = (c[pick] for c in ahead)
+            boxes = ahead[:, pick]
             decision = decision[:, n:][:, pick]
         depth += 1
 

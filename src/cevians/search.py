@@ -16,7 +16,10 @@ shard draws all its samples at once (the sampler folds them without a
 branch, in place) and evaluates them in blocks of 16,384, so no array it
 makes is larger than one shard row.  Each worker of a search call holds
 one set of shard rows, about 3 MB, and draws and evaluates every shard it
-runs in them; the rows go when sampling ends, before refinement.
+runs in them; the rows go when sampling ends, before refinement.  Each
+shard's pools are folded into the best record_top so far as they arrive,
+so the pools held take 128 bytes per recorded candidate whatever the
+sample count.
 Refinement is a pattern search run on all candidates at once; each round
 evaluates the ten probes of every live candidate's sweep speculatively,
 as one fixed (5, 10, L) block in one stacked kernel call, so the rounds
@@ -488,11 +491,17 @@ def _run_shard(
     }
 
 
-def _merge_pool(pools: list[tuple], record_top: int) -> list[CandidateRecord]:
-    """Records of the pools' record_top least-min_slack samples, ties by index."""
+def _best(pools: list[tuple], record_top: int) -> tuple:
+    """The pools' record_top least-min_slack samples, ties by index, as one pool."""
     idx, ms, cols = (np.concatenate(part, axis=-1) for part in zip(*pools))
     order = np.lexsort((idx, ms))[:record_top]
-    return _records(cols[:, order], idx[order])
+    return idx[order], ms[order], cols[:, order]
+
+
+def _merge_pool(pools: list[tuple], record_top: int) -> list[CandidateRecord]:
+    """Records of the pools' record_top least-min_slack samples, ties by index."""
+    idx, _, cols = _best(pools, record_top)
+    return _records(cols, idx)
 
 
 def _usable_cpus() -> int:
@@ -502,13 +511,19 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _sample_shards(cfg: SearchConfig) -> list[dict]:
-    """Run the shards of ``cfg`` on up to ``cfg.workers`` threads, in index order.
+def _sample_shards(cfg: SearchConfig) -> tuple[dict, tuple, tuple]:
+    """Run the shards of ``cfg`` on up to ``cfg.workers`` threads; return the
+    totals of their counts and their candidate and frontier pools, each
+    cut to its record_top best samples.
 
-    Each thread holds one set of shard rows and runs every shard it takes
-    in them.  The rows go when the last shard is done: kept through
-    refinement, they would have later allocations placed above them in the
-    heap, and freeing them would then leave a 3 MiB hole there.
+    Each shard's result is folded in, in index order, as it arrives, so
+    the pools held stay at record_top samples each however many shards
+    run: the best record_top of a union are the best of the best
+    record_top so far and the next shard's pool.  Each thread holds one
+    set of shard rows and runs every shard it takes in them.  The rows go
+    when the last shard is done: kept through refinement, they would have
+    later allocations placed above them in the heap, and freeing them
+    would then leave a 3 MiB hole there.
     """
     shards = []
     start = 0
@@ -535,14 +550,26 @@ def _sample_shards(cfg: SearchConfig) -> list[dict]:
         free_rows.put(rows)
         return result
 
+    def fold(results) -> tuple[dict, tuple, tuple]:
+        totals = dict.fromkeys(("sampled", "constraint_satisfying", "raw_negative",
+                                "constrained_negative"), 0)
+        empty = (np.empty(0, dtype=np.intp), np.empty(0), np.empty((6, 0)))
+        pools = {"candidates": empty, "frontier": empty}
+        for result in results:
+            for key in totals:
+                totals[key] += result[key]
+            for key, pool in pools.items():
+                pools[key] = _best([pool, result[key]], cfg.record_top)
+        return totals, pools["candidates"], pools["frontier"]
+
     # The pool submits every shard at once and starts a thread per submit
     # while none is idle, so more workers than usable CPUs would only add
     # threads, each holding its own rows.
     threads = min(cfg.workers, len(shards), _usable_cpus())
     if threads == 1:
-        return [run(s) for s in shards]
+        return fold(map(run, shards))
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(run, shards))
+        return fold(pool.map(run, shards))
 
 
 def search(cfg: SearchConfig) -> SearchReport:
@@ -561,17 +588,9 @@ def search(cfg: SearchConfig) -> SearchReport:
     violation nor a near miss, and ``reverified_violations`` does not count
     it.  The near misses therefore all have nonnegative ``min_slack``.
     """
-    results = _sample_shards(cfg)
-
-    totals = {
-        "sampled": sum(r["sampled"] for r in results),
-        "constraint_satisfying": sum(r["constraint_satisfying"] for r in results),
-        "raw_negative": sum(r["raw_negative"] for r in results),
-        "constrained_negative": sum(r["constrained_negative"] for r in results),
-    }
-
-    candidates = _merge_pool([r["candidates"] for r in results], cfg.record_top)
-    frontier = _merge_pool([r["frontier"] for r in results], cfg.record_top)
+    totals, candidate_pool, frontier_pool = _sample_shards(cfg)
+    candidates = _merge_pool([candidate_pool], cfg.record_top)
+    frontier = _merge_pool([frontier_pool], cfg.record_top)
 
     todo = [
         k for k, c in enumerate(candidates)

@@ -16,7 +16,8 @@ def rel_close(a: float, b: float, rtol: float, floor: float = 0.0) -> bool:
 
 
 def sample_domain_boxes(rng, n, max_width=0.05):
-    """Random boxes lying strictly inside the normalized domain."""
+    """Random boxes lying strictly inside the normalized domain, as a (4, n)
+    array whose rows are xlo, xhi, ylo and yhi."""
     x, y = bulk.sample_normalized_points(rng, 8 * n)
     margin = np.minimum.reduce([
         (x + y - 1.0) / 3.0,
@@ -29,7 +30,7 @@ def sample_domain_boxes(rng, n, max_width=0.05):
     x, y, margin = x[keep][:n], y[keep][:n], margin[keep][:n]
     w = rng.uniform(0.0, 1.0, x.shape) * margin
     h = rng.uniform(0.0, 1.0, x.shape) * margin
-    return x - w, x + w, y - h, y + h
+    return np.array([x - w, x + w, y - h, y + h])
 
 
 def natural_enclosure(target, xlo, xhi, ylo, yhi):

@@ -172,10 +172,10 @@ def test_criterion_4_rigorous_certification(certificates):
             cert = certify(CertificationTask(target=target, delta=0.0))
             print(f"  {target.value} at delta=0: "
                   f"boxes={cert.stats.boxes_processed} "
-                  f"corner_box={cert.corner.bounds_list()}")
+                  f"corner_box={cert.corner.T.tolist()}")
             assert cert.undecided_count == 0, target.value
             assert not cert.stats.budget_exhausted
-            assert len(cert.corner) == 1
+            assert cert.corner.shape[1] == 1
 
         rep = corner_argument_check(1e-3)
         assert rep.both_positive
@@ -248,12 +248,12 @@ def test_criterion_6_interval_soundness(certificates):
 
         # every proven certificate box passes interior sampling
         for target, (cert, _) in certificates.items():
-            p = cert.proven
-            n = len(p)
+            xlo, xhi, ylo, yhi = cert.proven
+            n = cert.proven_count
             u = rng.uniform(0.0, 1.0, (1000, n))
             v = rng.uniform(0.0, 1.0, (1000, n))
-            px = p.xlo + u * (p.xhi - p.xlo)
-            py = p.ylo + v * (p.yhi - p.ylo)
+            px = xlo + u * (xhi - xlo)
+            py = ylo + v * (yhi - ylo)
             inside = bulk.in_normalized_domain(px, py)
             values = point_values(target, px[inside], py[inside])
             if target is Target.KEY_SYSTEM:

@@ -10,7 +10,6 @@ from mpmath import iv
 
 from cevians import bulk, certifier
 from cevians.certifier import (
-    BoxArray,
     CertificationTask,
     Target,
     _GRID_DEPTH,
@@ -48,6 +47,11 @@ from conftest import natural_enclosure, sample_domain_boxes
 F_06_08 = 0.1593005229059099113924
 
 
+def _column(*bounds):
+    """One box (xlo, xhi, ylo, yhi) as a (4, 1) array."""
+    return np.array(bounds, dtype=float).reshape(4, 1)
+
+
 def _point_box_enclosure(target, xlo, xhi, ylo, yhi):
     flo, fhi = natural_enclosure(
         target, *(np.array([v], dtype=float) for v in (xlo, xhi, ylo, yhi)))
@@ -71,17 +75,15 @@ class TestNaturalEnclosure:
 
 class TestClip:
     def test_equality_corner_box_survives(self):
-        out = _clip_to_domain(*(np.array([v]) for v in (0.99, 1.0, 0.99, 1.0)), 0.0)
-        assert bool(out[4][0])
+        _, ok = _clip_to_domain(_column(0.99, 1.0, 0.99, 1.0), 0.0)
+        assert bool(ok[0])
 
     def test_outside_domain_empty(self):
-        out = _clip_to_domain(*(np.array([v]) for v in (0.1, 0.2, 0.3, 0.4)), 1e-6)
-        assert not bool(out[4][0])
+        _, ok = _clip_to_domain(_column(0.1, 0.2, 0.3, 0.4), 1e-6)
+        assert not bool(ok[0])
 
     def test_y_floor_from_constraints(self):
-        xlo, xhi, ylo, yhi, ok = _clip_to_domain(
-            *(np.array([v]) for v in (0.0, 1.0, 0.0, 1.0)), 1e-6
-        )
+        (xlo, xhi, ylo, yhi), ok = _clip_to_domain(_column(0.0, 1.0, 0.0, 1.0), 1e-6)
         assert bool(ok[0])
         assert ylo[0] >= 0.5
 
@@ -108,7 +110,8 @@ class TestClip:
         # exact difference, which would leave a sliver of W in no box.
         mu, raw = 1e-6, (0.24975075000000002, 0.374625625, 0.5005004999999999,
                          0.7502502499999999)
-        clipped = [float(a[0]) for a in _clip_to_domain(*(np.array([v]) for v in raw), mu)]
+        boxes, ok = _clip_to_domain(_column(*raw), mu)
+        clipped = [*boxes[:, 0].tolist(), bool(ok[0])]
         assert Fraction(clipped[2]) <= Fraction(1.0 + mu) - Fraction(raw[1])
         self._assert_covers(raw, clipped, mu)
 
@@ -118,13 +121,12 @@ class TestClip:
         clip = certifier._clip_to_domain
         seen = []
 
-        def checked(xlo, xhi, ylo, yhi, mu):
-            out = clip(xlo, xhi, ylo, yhi, mu)
-            for i in range(xlo.shape[0]):
-                self._assert_covers([float(a[i]) for a in (xlo, xhi, ylo, yhi)],
-                                    [a[i] for a in out], mu)
-            seen.append(xlo.shape[0])
-            return out
+        def checked(boxes, mu):
+            out, ok = clip(boxes, mu)
+            for i in range(boxes.shape[1]):
+                self._assert_covers(boxes[:, i].tolist(), [*out[:, i], ok[i]], mu)
+            seen.append(boxes.shape[1])
+            return out, ok
 
         monkeypatch.setattr(certifier, "_clip_to_domain", checked)
         for target in Target:
@@ -152,42 +154,60 @@ class TestCertify:
         cert = certify(CertificationTask(target=Target.MAIN_MEDIAN, delta=0.0))
         assert cert.undecided_count == 0
         assert not cert.stats.budget_exhausted
-        assert len(cert.corner) == 1
-        c = cert.corner
-        assert (c.xhi[0], c.yhi[0]) == (1.0, 1.0)
-        assert 0.9 < c.xlo[0] <= c.ylo[0] < 1.0
-        assert cert.to_report_dict()["corner_box"] == c.bounds_list()[0]
+        assert cert.corner.shape == (4, 1)
+        cxlo, cxhi, cylo, cyhi = cert.corner[:, 0].tolist()
+        assert (cxhi, cyhi) == (1.0, 1.0)
+        assert 0.9 < cxlo <= cylo < 1.0
+        assert cert.to_report_dict()["corner_box"] == [cxlo, cxhi, cylo, cyhi]
         # the corner box is not a proven box, and no proven box overlaps it
-        p = cert.proven
-        assert not ((p.xhi > c.xlo[0]) & (p.yhi > c.ylo[0])).any()
+        _, xhi, _, yhi = cert.proven
+        assert not ((xhi > cxlo) & (yhi > cylo)).any()
 
     def test_proven_boxes_inside_working_domain(self):
         task = CertificationTask(target=Target.QUADRATIC_MEDIAN)
         cert = certify(task)
-        p = cert.proven
-        assert (p.xlo >= task.mu).all()
-        assert (p.xhi <= 1.0 - task.delta + 1e-15).all()
-        assert (p.yhi <= 1.0).all()
-        assert (p.xhi + p.yhi >= 1.0 + task.mu).all()
+        xlo, xhi, _, yhi = cert.proven
+        assert (xlo >= task.mu).all()
+        assert (xhi <= 1.0 - task.delta + 1e-15).all()
+        assert (yhi <= 1.0).all()
+        assert (xhi + yhi >= 1.0 + task.mu).all()
+
+    # at mu = 1e-20, 1 + mu rounds to 1 and key-system's second residual,
+    # 0 on a whole curve, goes to the bisection: 3,900 boxes stay undecided
+    STUCK = CertificationTask(target=Target.KEY_SYSTEM, mu=1e-20, delta=1e-8,
+                              min_box_width=1e-15, max_depth=200, box_budget=8_000)
 
     def test_proven_boxes_sorted_and_disjoint_from_undecided(self):
-        # at mu = 1e-20, 1 + mu rounds to 1 and key-system's second residual,
-        # 0 on a whole curve, goes to the bisection: 3,900 boxes stay undecided
-        cert = certify(CertificationTask(target=Target.KEY_SYSTEM, mu=1e-20,
-                                         delta=1e-8, min_box_width=1e-15,
-                                         max_depth=200, box_budget=8_000))
+        cert = certify(self.STUCK)
         assert cert.undecided_count > 0
-        p = cert.proven
-        order = np.lexsort((p.yhi, p.xhi, p.ylo, p.xlo))
-        assert (order == np.arange(len(p))).all()
+        # both sets are sorted by xlo, then ylo, then xhi, then yhi
+        for boxes in (cert.proven, cert.undecided):
+            xlo, xhi, ylo, yhi = boxes
+            order = np.lexsort((yhi, xhi, ylo, xlo))
+            assert (order == np.arange(boxes.shape[1])).all()
         # no undecided box interior may overlap a proven box interior
+        xlo, xhi, ylo, yhi = cert.proven
         u = cert.undecided
-        for i in range(0, len(u), max(1, len(u) // 40)):
-            overlap = (
-                (p.xlo < u.xhi[i]) & (p.xhi > u.xlo[i])
-                & (p.ylo < u.yhi[i]) & (p.yhi > u.ylo[i])
-            )
+        for i in range(0, u.shape[1], max(1, u.shape[1] // 40)):
+            uxlo, uxhi, uylo, uyhi = u[:, i]
+            overlap = (xlo < uxhi) & (xhi > uxlo) & (ylo < uyhi) & (yhi > uylo)
             assert not overlap.any()
+
+    def test_report_lists_the_first_undecided_boxes(self):
+        cert = certify(self.STUCK)
+        assert cert.undecided_count > 1000
+        doc = cert.to_report_dict()
+        assert len(doc["undecided"]) == 1000
+        assert doc["undecided"] == [cert.undecided[:, i].tolist() for i in range(1000)]
+        assert doc["undecided_truncated"] is True
+
+    def test_report_lists_every_undecided_box_under_the_cap(self):
+        cert = certify(CertificationTask(target=Target.ALTITUDE_REDUCED, max_depth=6,
+                                         delta=0.0))
+        doc = cert.to_report_dict()
+        assert 1 < cert.undecided_count < 1000
+        assert doc["undecided"] == [list(box) for box in zip(*cert.undecided.tolist())]
+        assert doc["undecided_truncated"] is False
 
     def test_budget_exhaustion_is_normal_termination(self):
         cert = certify(CertificationTask(target=Target.MAIN_MEDIAN, box_budget=50))
@@ -211,7 +231,7 @@ class TestCertify:
         assert boxes.sum() == stats.boxes_processed
         assert proven.sum() == cert.proven_count
         assert stuck.sum() == cert.undecided_count
-        assert (boxes - proven - stuck - split).sum() == len(cert.corner)
+        assert (boxes - proven - stuck - split).sum() == cert.corner.shape[1]
         # each level holds at most the two halves of every box split above it
         assert (boxes[1:] <= 2 * split[:-1]).all()
         assert split[-1] == 0
@@ -233,16 +253,16 @@ class TestCertify:
         # boxes left at the depth limit, away from every vertex
         cert = certify(CertificationTask(target=Target.ALTITUDE_REDUCED, max_depth=6,
                                          delta=0.0))
-        u = cert.undecided
-        assert len(u) > 1
+        uxlo, uxhi, uylo, uyhi = cert.undecided
+        assert cert.undecided.shape[1] > 1
         hull = cert.to_report_dict()["stats"]["undecided_hull"]
-        assert hull["box"] == [u.xlo.min(), u.xhi.max(), u.ylo.min(), u.yhi.max()]
+        assert hull["box"] == [uxlo.min(), uxhi.max(), uylo.min(), uyhi.max()]
         assert set(hull["distance"]) == {v.name for v in _VERTICES}
         for v in _VERTICES:
             # the max-norm distance from the vertex to the nearest point of
             # the hull, which is at most that to any undecided box
-            gaps = np.maximum.reduce([u.xlo - v.x, v.x - u.xhi, u.ylo - v.y, v.y - u.yhi,
-                                      np.zeros(len(u))])
+            gaps = np.maximum.reduce([uxlo - v.x, v.x - uxhi, uylo - v.y, v.y - uyhi,
+                                      np.zeros(uxlo.size)])
             assert 0.0 < hull["distance"][v.name] <= gaps.min()
             xlo, xhi, ylo, yhi = hull["box"]
             nearest = (min(max(v.x, xlo), xhi), min(max(v.y, ylo), yhi))
@@ -260,9 +280,9 @@ class TestCertify:
         cert = certify(task)
         assert cert.stats.budget_exhausted
         assert cert.undecided_count == 137_510
-        u = cert.undecided
-        width = np.maximum(u.xhi - u.xlo, u.yhi - u.ylo)
-        on_edge = np.abs(u.xlo + u.yhi - 1.0) <= 2.0 * width
+        xlo, xhi, ylo, yhi = cert.undecided
+        width = np.maximum(xhi - xlo, yhi - ylo)
+        on_edge = np.abs(xlo + yhi - 1.0) <= 2.0 * width
         assert on_edge.sum() > cert.undecided_count // 2
         hull = cert.to_report_dict()["stats"]["undecided_hull"]
         assert hull["box"] == [task.mu, 1.0, 0.5, 1.0]
@@ -302,9 +322,7 @@ def _assert_covers_domain(cert):
     so W, the closure of its interior, as the union of the boxes is closed.
     """
     task = cert.task
-    boxes = [cert.proven, cert.corner, cert.undecided]
-    xlo, xhi, ylo, yhi = (np.concatenate([getattr(b, e) for b in boxes])
-                          for e in ("xlo", "xhi", "ylo", "yhi"))
+    xlo, xhi, ylo, yhi = np.concatenate([cert.proven, cert.corner, cert.undecided], axis=1)
     mu, s = Fraction(task.mu), Fraction(1.0 + task.mu)
     x_end = Fraction(cert.excluded["corner_square"]["x"][0])
     edges = sorted(set(xlo.tolist()) | set(xhi.tolist()) | {task.mu, float(x_end)})
@@ -367,19 +385,19 @@ class TestGrid:
         monkeypatch.setattr(certifier, "_lower_bounds", bound_recording)
         cert = certify(task)
         resolved = {tuple(box) for part in (cert.proven, cert.corner, cert.undecided)
-                    for box in part.bounds_list()}
+                    for box in part.T.tolist()}
         clipped, bounded = [], []
-        boxes = tuple(np.array([v]) for v in (task.mu, 1.0 - task.delta, task.mu, 1.0))
+        boxes = _column(task.mu, 1.0 - task.delta, task.mu, 1.0)
         while True:
-            *boxes, ok = _clip_to_domain(*boxes, task.mu)
-            boxes = [b[ok] for b in boxes]
+            boxes, ok = _clip_to_domain(boxes, task.mu)
+            boxes = boxes[:, ok]
             if not ok.any():
                 break
             clipped.append(boxes)
-            keys = list(zip(*(b.tolist() for b in boxes)))
+            keys = list(map(tuple, boxes.T.tolist()))
             if len(clipped) <= cert.stats.grid_depth:
                 assert seen.isdisjoint(keys)
-                boxes = _bisect(*boxes)
+                boxes = _bisect(boxes)
                 continue
             if not seen.issuperset(keys):
                 break
@@ -387,7 +405,7 @@ class TestGrid:
             split = np.array([key not in resolved for key in keys])
             if not split.any():
                 break
-            boxes = _bisect(*(b[split] for b in boxes))
+            boxes = _bisect(boxes[:, split])
         return cert, clipped, bounded
 
     @pytest.mark.parametrize("target, settings", RUNS, ids=IDS)
@@ -417,7 +435,7 @@ class TestGrid:
         assert [len(level) for level in bounded] == [level[0] for level in stats.per_level]
         assert stats.boxes_processed <= task.box_budget
         unbounded = 0
-        for box in map(tuple, cert.undecided.bounds_list()):
+        for box in map(tuple, cert.undecided.T.tolist()):
             levels = [i for i, level in enumerate(bounded) if box in level]
             if not levels:
                 unbounded += 1
@@ -442,7 +460,7 @@ class TestGrid:
         boxes, proven, stuck, split = np.array(stats.per_level, dtype=int).reshape(-1, 4).T
         assert boxes.sum() == stats.boxes_processed
         assert proven.sum() == cert.proven_count
-        assert (boxes - proven - stuck - split).sum() == len(cert.corner)
+        assert (boxes - proven - stuck - split).sum() == cert.corner.shape[1]
         if stats.budget_exhausted:
             assert stuck.sum() < cert.undecided_count
         else:
@@ -507,13 +525,13 @@ class TestProvenBoxSoundness:
     @pytest.mark.parametrize("target", list(Target))
     def test_interior_sampling(self, target, rng):
         cert = certify(CertificationTask(target=target))
-        p = cert.proven
-        idx = rng.integers(0, len(p), 60)
+        xlo, xhi, ylo, yhi = cert.proven
+        idx = rng.integers(0, cert.proven_count, 60)
         for i in idx:
             u = rng.uniform(0.05, 0.95, 50)
             v = rng.uniform(0.05, 0.95, 50)
-            px = p.xlo[i] + u * (p.xhi[i] - p.xlo[i])
-            py = p.ylo[i] + v * (p.yhi[i] - p.ylo[i])
+            px = xlo[i] + u * (xhi[i] - xlo[i])
+            py = ylo[i] + v * (yhi[i] - ylo[i])
             inside = bulk.in_normalized_domain(px, py)
             if not inside.any():
                 continue
@@ -570,8 +588,7 @@ class TestProvingBoundSoundness:
 
         mean_value_outside = 0
         for raw in boxes:
-            arr = [np.array([v]) for v in raw]
-            xlo, xhi, ylo, yhi, ok = _clip_to_domain(*arr, mu)
+            (xlo, xhi, ylo, yhi), ok = _clip_to_domain(_column(*raw), mu)
             if not bool(ok[0]):
                 continue
             px = rng.uniform(xlo[0], xhi[0], 1500)
@@ -695,12 +712,12 @@ class TestCornerForm:
         mu = 1e-6
         orders = ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2))
         n = 300
-        xlo, xhi, ylo, yhi = _clip_to_domain(*sample_domain_boxes(rng, n), mu)[:4]
+        boxes, _ = _clip_to_domain(sample_domain_boxes(rng, n), mu)
         # and boxes that hold (1, 1), as the certifier meets them
         w = 2.0 ** -np.arange(1, 11)
-        xlo, xhi, ylo, yhi, _ = _clip_to_domain(
-            np.concatenate([xlo, 1.0 - w]), np.concatenate([xhi, np.ones_like(w)]),
-            np.concatenate([ylo, 1.0 - w]), np.concatenate([yhi, np.ones_like(w)]),
+        (xlo, xhi, ylo, yhi), _ = _clip_to_domain(
+            np.concatenate([boxes, [1.0 - w, np.ones_like(w), 1.0 - w, np.ones_like(w)]],
+                           axis=1),
             mu)
         parts = _jet_parts(target, 2, xlo, xhi, ylo, yhi)
         natural = _natural_parts(target, xlo, xhi, ylo, yhi)
@@ -744,8 +761,8 @@ class TestCornerForm:
         task = CertificationTask(target=target, delta=0.0)
         cert = certify(task)
         assert cert.undecided_count == 0
-        assert len(cert.corner) == 1
-        px, py = self._wedge_points(rng, cert.corner.xlo[0], cert.corner.ylo[0],
+        assert cert.corner.shape[1] == 1
+        px, py = self._wedge_points(rng, cert.corner[0, 0], cert.corner[2, 0],
                                     task.mu, 150)
         assert px.size > 100
         for x, y in zip(px, py):
@@ -762,8 +779,8 @@ class TestCornerForm:
         # F(p) >= bound * |dx| for first-order ones, on every corner box
         mu = 1e-6
         w = 2.0 ** -np.arange(1, 9)
-        xlo, xhi, ylo, yhi, _ = _clip_to_domain(1.0 - w, np.ones_like(w),
-                                                1.0 - w, np.ones_like(w), mu)
+        (xlo, xhi, ylo, yhi), _ = _clip_to_domain(
+            np.array([1.0 - w, np.ones_like(w), 1.0 - w, np.ones_like(w)]), mu)
         bounds = _vertex_1_1_bounds(target, xlo, xhi, ylo, yhi, mu)
         assert (bounds[-3:] > 0.0).all()
         for i in range(w.size):
@@ -893,13 +910,11 @@ class TestVertexForms:
                     continue  # the square identity does not apply
                 for delta in (0.0, 1e-3, 1e-7):
                     cert = certify(CertificationTask(target=target, mu=mu, delta=delta))
-                    p = cert.proven
-                    by_vertex = _lower_bounds(target, p.xlo, p.xhi, p.ylo, p.yhi, mu) <= 0
-                    boxes = [(p.xlo[i], p.xhi[i], p.ylo[i], p.yhi[i])
-                             for i in np.nonzero(by_vertex)[0]]
+                    by_vertex = _lower_bounds(target, *cert.proven, mu) <= 0
+                    boxes = cert.proven[:, by_vertex].T.tolist()
                     counts = cert.stats.proven_by
                     assert len(boxes) == sum(counts[v.name] for v in _VERTICES)
-                    boxes += cert.corner.bounds_list()
+                    boxes += cert.corner.T.tolist()
                     for box in boxes:
                         vertex = min(_VERTICES, key=lambda v: max(
                             abs(box[0] - v.x), abs(box[2] - v.y)))
@@ -981,10 +996,10 @@ class TestVertexForms:
         mu = 1e-12 if target is Target.KEY_SYSTEM else 1e-20
         facts = _VERTEX_0_1.facts[target]
         w = 2.0 ** -np.arange(3, 30, 3)
-        xlo, xhi, ylo, yhi, ok = _clip_to_domain(
+        (xlo, xhi, ylo, yhi), ok = _clip_to_domain(np.array([
             np.concatenate([np.full_like(w, mu), w]), np.concatenate([w, 2 * w]),
             np.concatenate([1.0 - w, 1.0 - w]), np.concatenate([np.ones_like(w), 1.0 - w / 2]),
-            mu)
+        ]), mu)
         assert ok.all()
         bounds = _vertex_0_1_bounds(target, xlo, xhi, ylo, yhi, mu)
         assert (bounds[w.size - 3:w.size] > 0.0).all()
@@ -1000,7 +1015,7 @@ class TestVertexForms:
         # A part that is not 0 at a vertex stands in with the lower end of
         # its natural enclosure over the box itself.
         mu = 1e-6
-        xlo, xhi, ylo, yhi = _clip_to_domain(*sample_domain_boxes(rng, 30), mu)[:4]
+        (xlo, xhi, ylo, yhi), _ = _clip_to_domain(sample_domain_boxes(rng, 30), mu)
         bounds = _least_over_parts(Target.KEY_SYSTEM, mu, ("natural",) * 3,
                                    (xlo, xhi, ylo, yhi), None)
         checked = 0
@@ -1032,7 +1047,7 @@ class TestVertexForms:
         for mu in mus:
             cert = certify(CertificationTask(target=target, mu=mu, delta=0.0))
             assert cert.undecided_count == 0
-            assert len(cert.corner) == 1
+            assert cert.corner.shape[1] == 1
             stats = cert.stats
             assert stats.levels == stats.max_depth_reached + 1 - stats.grid_depth
             levels.add(cert.stats.levels)
@@ -1048,7 +1063,7 @@ class TestVertexForms:
             counts = cert.stats.proven_by
             assert set(counts) == names
             assert sum(counts.values()) == cert.proven_count
-            assert counts["vertex_1_1"] + len(cert.corner) > 0
+            assert counts["vertex_1_1"] + cert.corner.shape[1] > 0
             for vertex in _VERTICES:
                 if target not in vertex.facts:
                     assert counts[vertex.name] == 0
@@ -1197,8 +1212,9 @@ class TestFormsAgainstTheirReference:
         py = vertex.y + rng.uniform(-1, 1, w.size) * w
         keep = np.nonzero([_in_domain(x, y, 1e-6, 0.0) for x, y in zip(px, py)])[0][:40]
         w, px, py, t = w[keep], px[keep], py[keep], rng.uniform(0, 1, (2, keep.size))
-        xlo, xhi, ylo, yhi, ok = _clip_to_domain(px - t[0] * w, px + (1 - t[0]) * w,
-                                                 py - t[1] * w, py + (1 - t[1]) * w, 1e-6)
+        (xlo, xhi, ylo, yhi), ok = _clip_to_domain(
+            np.array([px - t[0] * w, px + (1 - t[0]) * w, py - t[1] * w, py + (1 - t[1]) * w]),
+            1e-6)
         assert ok.all() and keep.size == 40
         return met + list(zip(xlo.tolist(), xhi.tolist(), ylo.tolist(), yhi.tolist()))
 
@@ -1247,7 +1263,7 @@ class TestReadmeTable:
                 stats = cert.stats
                 assert (stats.boxes_processed, stats.levels, cert.undecided_count) == (
                     int(m[1].replace(",", "")), int(m[2]), int(m[3] or 0)), (name, mu)
-                width = cert.corner.xhi[0] - cert.corner.xlo[0]
+                width = cert.corner[1, 0] - cert.corner[0, 0]
                 assert f"1/{round(1 / width)}" == corner_width, (name, mu)
                 checked += 1
         assert checked == 14
@@ -1265,9 +1281,9 @@ class TestOneTreePerBox:
     def test_ad_values_are_the_natural_extension(self, target, rng):
         mu = 1e-6
         n = 300
-        boxes = _clip_to_domain(*sample_domain_boxes(rng, n), mu)
-        assert boxes[4].all()
-        xlo, xhi, ylo, yhi = boxes[:4]
+        boxes, ok = _clip_to_domain(sample_domain_boxes(rng, n), mu)
+        assert ok.all()
+        xlo, xhi, ylo, yhi = boxes
         assert xlo.shape[0] == n
         natural = _natural_parts(target, xlo, xhi, ylo, yhi)
         jets = _jet_parts(target, 1, xlo, xhi, ylo, yhi)
@@ -1276,15 +1292,3 @@ class TestOneTreePerBox:
             assert np.array_equal(_bits(jet.d[0][0]), _bits(nat[0]))
             assert np.array_equal(_bits(jet.d[1][0]), _bits(nat[1]))
 
-
-class TestBoxArray:
-    def test_roundtrip(self):
-        arr = BoxArray(np.array([0.1, 0.3]), np.array([0.2, 0.4]),
-                       np.array([0.6, 0.7]), np.array([0.8, 0.9]))
-        assert len(arr) == 2
-        assert arr.bounds_list() == [[0.1, 0.2, 0.6, 0.8], [0.3, 0.4, 0.7, 0.9]]
-        assert arr.bounds_list(1) == [[0.1, 0.2, 0.6, 0.8]]
-
-    def test_empty(self):
-        assert len(BoxArray.empty()) == 0
-        assert BoxArray.concatenate([]).bounds_list() == []

@@ -2,6 +2,7 @@ import hashlib
 import importlib
 import json
 import sys
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -932,6 +933,21 @@ class TestSearch:
         assert sorted(x.size for x in rows) == [17] + [SHARD_SIZE] * 3
         buffers = {x.__array_interface__["data"][0] for x in rows}
         assert 1 <= len(buffers) <= workers
+
+    def test_held_pools_do_not_grow_with_the_shard_count(self):
+        # each shard's pools are folded into the best record_top so far as
+        # they arrive; holding every shard's pools until the last one ends,
+        # this 32-shard search peaked at 32.5 MiB of traced allocations,
+        # against 8.2 MiB folded (10.1 and 9.1 MiB with 2 shards)
+        cfg = SearchConfig(seed=3, samples=32 * SHARD_SIZE, mode=SearchMode.UNCONSTRAINED,
+                           refine_steps=0, record_top=4096)
+        tracemalloc.start()
+        try:
+            search(cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
     @pytest.mark.parametrize("cores", [1, 2, 64])
     def test_shard_threads_capped_at_cores_and_shards(self, tmp_path,

@@ -10,16 +10,17 @@ floating-point artifact.  (The constrained search does find such
 configurations; see the README findings.)
 
 Sampling is sharded: shard i draws from a generator seeded with
-SeedSequence([seed, i]) for a seed in [0, 2**64), and shards are merged
-in index order, so reports are byte-identical for any worker count.  A
-shard draws all its samples at once (the sampler folds them without a
-branch, in place) and evaluates them in blocks of 16,384, so no array it
-makes is larger than one shard row.  Each worker of a search call holds
-one set of shard rows, about 3 MB, and draws and evaluates every shard it
-runs in them; the rows go when sampling ends, before refinement.  Each
-shard's pools are folded into the best record_top so far as they arrive,
-so the pools held take 128 bytes per recorded candidate whatever the
-sample count.
+SeedSequence([seed, i]) for a seed in [0, 2**64), and samples are ranked
+by (min_slack, index), so reports are byte-identical for any worker
+count.  A shard draws all its samples at once (the sampler folds them
+without a branch, in place) and evaluates them in blocks of 16,384, so no
+array it makes is larger than one shard row.  Each worker thread of a
+search call claims shard indices from one shared counter, runs every
+shard it claims in its one set of shard rows, about 3 MB, and folds the
+shard's pools into its own best record_top so far.  So sampling holds one
+set of rows and two pools of 128 bytes per recorded candidate per thread,
+and nothing per shard, whatever the sample count; the rows go when
+sampling ends, before refinement.
 Refinement is a pattern search run on all candidates at once; each round
 evaluates the ten probes of every live candidate's sweep speculatively,
 as one fixed (5, 10, L) block in one stacked kernel call, so the rounds
@@ -33,7 +34,7 @@ from __future__ import annotations
 
 import math
 import os
-import queue
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -511,65 +512,58 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _sample_shards(cfg: SearchConfig) -> tuple[dict, tuple, tuple]:
-    """Run the shards of ``cfg`` on up to ``cfg.workers`` threads; return the
-    totals of their counts and their candidate and frontier pools, each
-    cut to its record_top best samples.
+def _sample_shards(cfg: SearchConfig) -> list[tuple[dict, dict]]:
+    """Run the shards of ``cfg`` on up to ``cfg.workers`` threads; return
+    each thread's totals of their counts and its candidate and frontier
+    pools, each cut to its record_top best samples.
 
-    Each shard's result is folded in, in index order, as it arrives, so
-    the pools held stay at record_top samples each however many shards
-    run: the best record_top of a union are the best of the best
-    record_top so far and the next shard's pool.  Each thread holds one
-    set of shard rows and runs every shard it takes in them.  The rows go
-    when the last shard is done: kept through refinement, they would have
+    Each thread claims the next shard index from one shared counter until
+    none is left, and folds each shard's result into its own totals and
+    pools as it ends.  So sampling holds one set of shard rows and two
+    pools of record_top samples per thread, and nothing per shard: the
+    best record_top of a union are the best of the best record_top so far
+    and the next shard's pool.  Which thread runs which shard does not
+    matter, since :func:`_best` ranks by (min_slack, index) and each index
+    is unique.  A thread makes its rows on its first claim, and they go
+    when it runs out of shards: kept through refinement, they would have
     later allocations placed above them in the heap, and freeing them
     would then leave a 3 MiB hole there.
     """
-    shards = []
-    start = 0
-    i = 0
-    while start < cfg.samples:
-        count = min(SHARD_SIZE, cfg.samples - start)
-        shards.append((i, start, count))
-        start += count
-        i += 1
+    n_shards = -(-cfg.samples // SHARD_SIZE)
+    shards = iter(range(n_shards))
+    claim_lock = threading.Lock()
 
-    # A shard takes a free set of rows, or makes one when every set is in
-    # use by another shard, and gives it back; so at most one set per
-    # thread is made.
-    free_rows: queue.SimpleQueue = queue.SimpleQueue()
+    def claim():
+        with claim_lock:
+            return next(shards, None)
 
-    def run(spec):
-        shard_index, shard_start, count = spec
-        try:
-            rows = free_rows.get_nowait()
-        except queue.Empty:
-            rows = _shard_rows(min(SHARD_SIZE, cfg.samples))
-        result = _run_shard(cfg.seed, shard_index, shard_start, count,
-                            cfg.mode, cfg.record_top, rows)
-        free_rows.put(rows)
-        return result
-
-    def fold(results) -> tuple[dict, tuple, tuple]:
+    def work() -> tuple[dict, dict]:
         totals = dict.fromkeys(("sampled", "constraint_satisfying", "raw_negative",
                                 "constrained_negative"), 0)
         empty = (np.empty(0, dtype=np.intp), np.empty(0), np.empty((6, 0)))
         pools = {"candidates": empty, "frontier": empty}
-        for result in results:
+        rows = None
+        for i in iter(claim, None):
+            if rows is None:
+                rows = _shard_rows(min(SHARD_SIZE, cfg.samples))
+            start = i * SHARD_SIZE
+            result = _run_shard(cfg.seed, i, start, min(SHARD_SIZE, cfg.samples - start),
+                                cfg.mode, cfg.record_top, rows)
             for key in totals:
                 totals[key] += result[key]
             for key, pool in pools.items():
                 pools[key] = _best([pool, result[key]], cfg.record_top)
-        return totals, pools["candidates"], pools["frontier"]
+        return totals, pools
 
-    # The pool submits every shard at once and starts a thread per submit
-    # while none is idle, so more workers than usable CPUs would only add
-    # threads, each holding its own rows.
-    threads = min(cfg.workers, len(shards), _usable_cpus())
+    # More threads than shards or usable CPUs would only add threads, each
+    # holding its own rows.  A lone worker is the calling thread, so its
+    # rows come from the main heap arena.
+    threads = min(cfg.workers, n_shards, _usable_cpus())
     if threads == 1:
-        return fold(map(run, shards))
+        return [work()]
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        return fold(pool.map(run, shards))
+        running = [pool.submit(work) for _ in range(threads)]
+    return [done.result() for done in running]
 
 
 def search(cfg: SearchConfig) -> SearchReport:
@@ -588,18 +582,16 @@ def search(cfg: SearchConfig) -> SearchReport:
     violation nor a near miss, and ``reverified_violations`` does not count
     it.  The near misses therefore all have nonnegative ``min_slack``.
     """
-    totals, candidate_pool, frontier_pool = _sample_shards(cfg)
-    candidates = _merge_pool([candidate_pool], cfg.record_top)
-    frontier = _merge_pool([frontier_pool], cfg.record_top)
+    per_thread = _sample_shards(cfg)
+    totals = {key: sum(t[key] for t, _ in per_thread) for key in per_thread[0][0]}
+    candidates = _merge_pool([p["candidates"] for _, p in per_thread], cfg.record_top)
+    frontier = _merge_pool([p["frontier"] for _, p in per_thread], cfg.record_top)
 
-    todo = [
-        k for k, c in enumerate(candidates)
-        if c.min_slack < 0.0 or cfg.mode is SearchMode.OPEN_PROBLEM
-    ]
-    done = refine([candidates[k] for k in todo], cfg.refine_steps, cfg.mode, totals)
-    refined = list(candidates)
-    for k, cand in zip(todo, done):
-        refined[k] = cand
+    # The candidates come sorted by min_slack, so the ones to refine are a
+    # prefix: all of them in open-problem mode, the negative ones otherwise.
+    n = (len(candidates) if cfg.mode is SearchMode.OPEN_PROBLEM
+         else sum(c.min_slack < 0.0 for c in candidates))
+    refined = refine(candidates[:n], cfg.refine_steps, cfg.mode, totals) + candidates[n:]
 
     negative: list[CandidateRecord] = []
     survivors: list[CandidateRecord] = []

@@ -1,5 +1,6 @@
 import hashlib
 import importlib
+import itertools
 import json
 import sys
 import tracemalloc
@@ -729,6 +730,38 @@ class TestMergePool:
                    for c in got)
         assert [c.index for c in merge(shards, 10)] == [3, 0, 1, 8]
 
+    def test_any_grouping_and_order_of_folds_gives_the_same_records(self):
+        # each search thread folds the shards it claims, in the order it
+        # claims them, into its own pools, and search() merges the threads'
+        # pools; every assignment of shards to 1-3 threads, in every claim
+        # order, must give the records of one merge of all shard pools
+        module = importlib.import_module("cevians.search")
+        x, y = bulk.sample_normalized_points(shard_rng(5, 0), 8)
+        cols = np.array([x, y, np.ones(8), *np.linspace(0.2, 0.8, 24).reshape(3, 8)])
+        # shard k's indices lie in [10k, 10k + 10); the ties at 0.0 span
+        # shards 0, 1 and 3, and the cut at 4 records falls among them
+        shards = [
+            (np.array([3, 5]), np.array([-1.0, 0.0]), cols[:, 0:2]),
+            (np.array([12, 17]), np.array([0.0, 0.0]), cols[:, 2:4]),
+            (np.array([21, 24]), np.array([-1.0, 0.5]), cols[:, 4:6]),
+            (np.array([30, 38]), np.array([0.0, 0.5]), cols[:, 6:8]),
+        ]
+        top = 4
+        want = [c.to_dict() for c in module._merge_pool(shards, top)]
+        assert [c["index"] for c in want] == [3, 21, 5, 12]
+        empty = (np.empty(0, dtype=np.intp), np.empty(0), np.empty((6, 0)))
+        for order in itertools.permutations(range(len(shards))):
+            for owner in itertools.product(range(3), repeat=len(shards)):
+                pools = []
+                for thread in range(3):
+                    pool = empty
+                    for k in order:
+                        if owner[k] == thread:
+                            pool = module._best([pool, shards[k]], top)
+                    pools.append(pool)
+                got = module._merge_pool(pools, top)
+                assert [c.to_dict() for c in got] == want
+
 
 def reference_sample(rng, n):
     """The sampler as a select on the fold mask, redrawing off-domain points."""
@@ -907,8 +940,8 @@ class TestSearch:
     def test_workers_reuse_their_shard_rows(self, monkeypatch, workers):
         # every shard draws into the rows of the worker that runs it: one
         # set with one worker, at most one per worker with more; threads
-        # that switch often, more of them than cores, share the free sets
-        # without changing the report
+        # that switch often, more of them than cores, claim the shards in
+        # whatever order they reach the counter without changing the report
         module = importlib.import_module("cevians.search")
         cfg = dict(seed=3, samples=3 * SHARD_SIZE + 17,
                    mode=SearchMode.OPEN_PROBLEM, refine_steps=1)
@@ -948,6 +981,32 @@ class TestSearch:
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2**20
+
+    def test_sampling_memory_is_flat_in_the_shard_count(self, monkeypatch):
+        # each thread claims shard indices from one counter and folds its
+        # own pools, so sampling holds nothing per shard; with a shard spec
+        # and a submitted future per shard, these 20,000 stubbed shards on
+        # 2 threads peaked at 47.4 MiB of traced allocations
+        module = importlib.import_module("cevians.search")
+
+        def shard(seed, shard_index, start, count, mode, record_top, rows):
+            pool = (np.array([start]), np.array([1.0]), np.ones((6, 1)))
+            return {"sampled": count, "constraint_satisfying": 0, "raw_negative": 0,
+                    "constrained_negative": 0, "candidates": pool, "frontier": pool}
+
+        monkeypatch.setattr(module, "_run_shard", shard)
+        monkeypatch.setattr(module, "_shard_rows", lambda n: ())
+        monkeypatch.setattr(module, "_usable_cpus", lambda: 2)
+        cfg = SearchConfig(seed=1, samples=20_000 * SHARD_SIZE,
+                           mode=SearchMode.UNCONSTRAINED, workers=2)
+        tracemalloc.start()
+        try:
+            per_thread = module._sample_shards(cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        assert sum(totals["sampled"] for totals, _ in per_thread) == cfg.samples
 
     @pytest.mark.parametrize("cores", [1, 2, 64])
     def test_shard_threads_capped_at_cores_and_shards(self, tmp_path,

@@ -34,11 +34,8 @@ from .inequalities import (
     bisector_ratio_slack,
     bisector_sqrt_chain_slack,
     constraint_filter,
-    isosceles_slack_case1,
-    isosceles_slack_case2,
     key_system_residuals,
     lemma_scalene_slack,
-    normalized_slack,
     open_problem_slacks,
     ordering_products,
     slack_main,
@@ -54,14 +51,11 @@ from .kernel import (
     SearchMode,
     SideTriple,
     Target,
-    TriangleMetrics,
     altitudes,
     bisectors,
     general_cevians,
     medians,
-    metrics,
     mixed_cevians,
-    normalize,
     validate_sides,
 )
 from .reports import TOOL_VERSION, RunManifest
@@ -136,7 +130,6 @@ __all__ = [
     "SideTriple",
     "SlackReport",
     "Target",
-    "TriangleMetrics",
     "ZeroWeightsError",
     "altitudes",
     "bisector_ratio_slack",
@@ -147,15 +140,10 @@ __all__ = [
     "corner_argument_check",
     "evaluate_candidate",
     "general_cevians",
-    "isosceles_slack_case1",
-    "isosceles_slack_case2",
     "key_system_residuals",
     "lemma_scalene_slack",
     "medians",
-    "metrics",
     "mixed_cevians",
-    "normalize",
-    "normalized_slack",
     "open_problem_slacks",
     "ordering_products",
     "refine",

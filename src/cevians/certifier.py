@@ -833,7 +833,7 @@ class Certificate:
 def _corner_note(target: Target, delta: float) -> str:
     """What the report proves about the corner square [1-delta, 1]^2."""
     if delta == 0.0:
-        order = "first" if target is Target.SCALENE_LEMMA else "second"
+        order = {1: "first", 2: "second"}[min(_VERTEX_1_1.facts[target])]
         return ("nothing excluded: the square is the equality point (1,1), "
                 "where every target is 0; corner_box, the box holding it, is "
                 f"proven >= 0 and = 0 only at (1,1) by a {order}-order Taylor "
@@ -1126,8 +1126,9 @@ def _bisect_positive(factor, lo: float, hi: float) -> tuple[bool, float, int]:
     return True, bound, processed
 
 
-def corner_argument_check(delta: float, eta: float = _CORNER_ETA) -> CornerCheckReport:
-    """Certify the two isosceles second factors positive on [1-2*delta, 1-eta].
+def corner_argument_check(delta: float) -> CornerCheckReport:
+    """Certify the two isosceles second factors positive on [1-2*delta, 1-eta],
+    with eta = `_CORNER_ETA`.
 
     The equal-legs family needs x > 1/2 for its radical, so its interval is
     clamped there when delta is large; both factors vanish exactly at x = 1,
@@ -1136,6 +1137,7 @@ def corner_argument_check(delta: float, eta: float = _CORNER_ETA) -> CornerCheck
     """
     if not (0.0 < delta < 0.5):
         raise ValueError(f"delta must lie in (0, 1/2), got {delta}")
+    eta = _CORNER_ETA
     hi = 1.0 - eta
 
     def factor(f, lo: float) -> FactorCertification:

@@ -10,10 +10,9 @@ bisector_sqrt_chain degree 3/2 and bisector_ratio degree 0; see
 :func:`tolerance_scale` for absolute tolerances.  The slack formulas are
 defined in :mod:`cevians.bulk`; the functions here check their inputs,
 evaluate them on Python floats with ``bulk._MathOps`` and wrap the
-binary64 values in reports.  The isosceles factored forms are
-(1 - sqrt(x)) times the bulk second factors that :mod:`cevians.certifier`
-certifies positive near the equality corner.  Nothing here loads NumPy,
-the certifier or the search, so ``cevians verify`` runs without them.
+binary64 values in reports; these are the slacks ``cevians verify``
+reports.  Nothing here loads NumPy, the certifier or the search, so
+``cevians verify`` runs without them.
 """
 
 from __future__ import annotations
@@ -24,13 +23,7 @@ from dataclasses import dataclass
 from . import bulk
 from .bulk import _MathOps
 from .exceptions import DomainError, NotScaleneError
-from .kernel import (
-    CevianKind,
-    CevianTriple,
-    NormalizedTriangle,
-    SideTriple,
-    validate_sides,
-)
+from .kernel import CevianKind, CevianTriple, SideTriple
 
 
 @dataclass(frozen=True)
@@ -115,43 +108,6 @@ def ordering_products(t: SideTriple, cv: CevianTriple) -> OrderingProducts:
     """Products (a*la, b*lb, c*lc); the middle one dominates for medians
     and bisectors."""
     return OrderingProducts(t.a * cv.la, t.b * cv.lb, t.c * cv.lc)
-
-
-def isosceles_slack_case1(x: float) -> SlackReport:
-    """Factored slack for the isosceles family a = b = x, c = 1.
-
-    value = (1 - sqrt(x)) * (2*sqrt(2x + x^3) - (sqrt(x) + 1)*sqrt(4x^2 - 1));
-    equals twice the main slack of (x, x, 1) with medians.
-    """
-    if not (0.5 < x <= 1.0):
-        raise DomainError(f"case-1 parameter must lie in (1/2, 1], got {x}")
-    value = (1.0 - math.sqrt(x)) * bulk.equal_legs_second_factor(_MathOps, x)
-    return SlackReport("isosceles_case1", value, validate_sides(x, x, 1.0))
-
-
-def isosceles_slack_case2(x: float) -> SlackReport:
-    """Factored slack for the isosceles family a = x, b = c = 1.
-
-    value = (1 - sqrt(x)) * ((1 + sqrt(x))*sqrt(4 - x^2) - 2*sqrt(1 + 2x^2));
-    equals twice the main slack of (x, 1, 1) with medians.
-    """
-    if not (0.0 < x <= 1.0):
-        raise DomainError(f"case-2 parameter must lie in (0, 1], got {x}")
-    value = (1.0 - math.sqrt(x)) * bulk.equal_base_second_factor(_MathOps, x)
-    return SlackReport("isosceles_case2", value, validate_sides(x, 1.0, 1.0))
-
-
-def normalized_slack(p: NormalizedTriangle | tuple[float, float]) -> float:
-    """Two-variable normalized main slack over 0 < x <= y <= 1 < x + y.
-
-    F(x, y) equals 2*slack_main(t, medians)/c^2 for any triangle t that
-    normalizes to (x, y); it is the certifier's main-median target.  Raises
-    DomainError outside the domain.
-    """
-    if not isinstance(p, NormalizedTriangle):
-        p = NormalizedTriangle(float(p[0]), float(p[1]))
-    medians2 = bulk.doubled_medians(_MathOps, p.x, p.y, 1.0)
-    return bulk.main_slack(_MathOps, p.x, p.y, 1.0, *medians2)
 
 
 def bisector_ratio_slack(t: SideTriple, bis: CevianTriple) -> SlackReport:

@@ -16,12 +16,15 @@ arrays; all of the package's interval arithmetic goes through them.  Each
 has add, sub, mul, div and sqrt.  A Python ``float`` operand of add, sub
 or mul is an exact constant: with an interval the result is rounded
 outward, mul by exactly 1.0 returns the other operand itself, and two
-floats give their plain float result.  The scalar :class:`Interval` and its
-operators remain as public API.  The same formulas run on Python floats
-through ``bulk._MathOps``, which needs no NumPy, so the scalar API and
-``cevians verify`` do not load this module; the package loads it on first
-access to ``Interval``, and the certifier and the search import it.  The
-op sets here call NumPy on every operation, so it is imported at the top.
+floats give their plain float result.  The scalar :class:`Interval` writes
+the same outward rounding a second time, on one (lo, hi) pair of Python
+floats; no command runs it, and it is kept as the independent reference
+that the tests re-verify search candidates with.  The same formulas run
+on Python floats through ``bulk._MathOps``, which needs no NumPy, so the
+scalar API and ``cevians verify`` do not load this module; the package
+loads it on first access to ``Interval``, and the certifier and the
+search import it.  The op sets here call NumPy on every operation, so it
+is imported at the top.
 """
 
 from __future__ import annotations
@@ -70,14 +73,6 @@ class Interval:
     def point(cls, v: float) -> "Interval":
         return cls(v, v)
 
-    @property
-    def width(self) -> float:
-        return self.hi - self.lo
-
-    @property
-    def midpoint(self) -> float:
-        return 0.5 * (self.lo + self.hi)
-
     def contains(self, v: float) -> bool:
         return self.lo <= v <= self.hi
 
@@ -85,63 +80,43 @@ class Interval:
         return other.lo <= self.lo and self.hi <= other.hi
 
     def __add__(self, other: "Interval") -> "Interval":
-        return add(self, other)
+        return Interval(_down(self.lo + other.lo), _up(self.hi + other.hi))
 
     def __sub__(self, other: "Interval") -> "Interval":
-        return sub(self, other)
+        return Interval(_down(self.lo - other.hi), _up(self.hi - other.lo))
 
     def __mul__(self, other: "Interval") -> "Interval":
-        return mul(self, other)
+        p1 = self.lo * other.lo
+        p2 = self.lo * other.hi
+        p3 = self.hi * other.lo
+        p4 = self.hi * other.hi
+        return Interval(_down(min(p1, p2, p3, p4)), _up(max(p1, p2, p3, p4)))
 
     def __truediv__(self, other: "Interval") -> "Interval":
-        return div(self, other)
+        if other.lo <= 0.0 <= other.hi:
+            raise ZeroDivisionError(f"divisor interval {other} contains zero")
+        q1 = self.lo / other.lo
+        q2 = self.lo / other.hi
+        q3 = self.hi / other.lo
+        q4 = self.hi / other.hi
+        return Interval(_down(min(q1, q2, q3, q4)), _up(max(q1, q2, q3, q4)))
 
     def __neg__(self) -> "Interval":
         return Interval(-self.hi, -self.lo)
 
     def sqrt(self) -> "Interval":
-        return sqrt(self)
+        """Square root; a negative lower endpoint is clamped to the true domain.
+
+        Raises NegativeSqrtDomainError when the whole interval is negative.
+        """
+        if self.hi < 0.0:
+            raise NegativeSqrtDomainError(f"sqrt of entirely negative interval {self}")
+        lo = max(self.lo, 0.0)
+        slo = max(_down(math.sqrt(lo)), 0.0)
+        return Interval(slo, _up(math.sqrt(self.hi)))
 
     def __repr__(self) -> str:
         return f"[{self.lo!r}, {self.hi!r}]"
-
-
-def add(a: Interval, b: Interval) -> Interval:
-    return Interval(_down(a.lo + b.lo), _up(a.hi + b.hi))
-
-
-def sub(a: Interval, b: Interval) -> Interval:
-    return Interval(_down(a.lo - b.hi), _up(a.hi - b.lo))
-
-
-def mul(a: Interval, b: Interval) -> Interval:
-    p1 = a.lo * b.lo
-    p2 = a.lo * b.hi
-    p3 = a.hi * b.lo
-    p4 = a.hi * b.hi
-    return Interval(_down(min(p1, p2, p3, p4)), _up(max(p1, p2, p3, p4)))
-
-
-def div(a: Interval, b: Interval) -> Interval:
-    if b.lo <= 0.0 <= b.hi:
-        raise ZeroDivisionError(f"divisor interval {b} contains zero")
-    q1 = a.lo / b.lo
-    q2 = a.lo / b.hi
-    q3 = a.hi / b.lo
-    q4 = a.hi / b.hi
-    return Interval(_down(min(q1, q2, q3, q4)), _up(max(q1, q2, q3, q4)))
-
-
-def sqrt(a: Interval) -> Interval:
-    """Square root; a negative lower endpoint is clamped to the true domain.
-
-    Raises NegativeSqrtDomainError when the whole interval is negative.
-    """
-    if a.hi < 0.0:
-        raise NegativeSqrtDomainError(f"sqrt of entirely negative interval {a}")
-    lo = max(a.lo, 0.0)
-    slo = max(_down(math.sqrt(lo)), 0.0)
-    return Interval(slo, _up(math.sqrt(a.hi)))
 
 
 class _FloatOps:

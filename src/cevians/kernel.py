@@ -6,11 +6,12 @@ in :mod:`cevians.bulk`; the functions here validate, evaluate them on
 Python floats with ``bulk._MathOps`` and wrap the results, so no NumPy
 loads.  All values are immutable and every operation is a pure function,
 so the kernel is safe under arbitrary concurrent use.
-Rigorous (interval) evaluation lives in the certifier module; this one is
-plain binary64.  The enums that name a subcommand's choices (Cevian
-families, certification targets, search modes) and the bound on
-``--record-top`` live here too, so building the CLI parser loads neither
-the certifier nor the search.
+This module is plain binary64; rigorous (interval) evaluation lives in
+:mod:`cevians.intervals`, the certifier and the search's re-verification.
+The enums that name a subcommand's choices (Cevian families,
+certification targets, search modes) and the bound on ``--record-top``
+live here too, so building the CLI parser loads neither the certifier
+nor the search.
 """
 
 from __future__ import annotations
@@ -20,7 +21,9 @@ from dataclasses import dataclass
 from enum import Enum
 
 from . import bulk
-from .bulk import _MathOps
+# Bound here, not looked up on bulk: the benchmark tracer wraps
+# bulk.in_normalized_domain to count the search's array masks.
+from .bulk import _MathOps, in_normalized_domain
 from .exceptions import (
     DegenerateTriangleError,
     DomainError,
@@ -85,9 +88,6 @@ class SideTriple:
     def as_tuple(self) -> tuple[float, float, float]:
         return (self.a, self.b, self.c)
 
-    def scaled(self, k: float) -> "SideTriple":
-        return SideTriple(k * self.a, k * self.b, k * self.c)
-
 
 @dataclass(frozen=True)
 class CevianTriple:
@@ -117,17 +117,10 @@ class NormalizedTriangle:
     y: float
 
     def __post_init__(self):
-        ok = 0.0 < self.x <= self.y <= 1.0 and self.x + self.y > 1.0
-        if not ok:
+        if not in_normalized_domain(self.x, self.y):
             raise DomainError(
                 f"({self.x}, {self.y}) outside the normalized triangle domain"
             )
-
-
-@dataclass(frozen=True)
-class TriangleMetrics:
-    semiperimeter: float
-    area: float
 
 
 @dataclass(frozen=True)
@@ -174,7 +167,7 @@ class GeneralCevianParams:
 def validate_sides(a: float, b: float, c: float) -> SideTriple:
     """Sort raw lengths and validate positivity plus strict non-degeneracy."""
     raw = (float(a), float(b), float(c))
-    if any(math.isnan(v) for v in raw):
+    if not all(math.isfinite(v) for v in raw):
         raise NonPositiveSideError(f"sides must be finite numbers, got {raw}")
     lo, mid, hi = sorted(raw)
     return SideTriple(lo, mid, hi)
@@ -183,17 +176,6 @@ def validate_sides(a: float, b: float, c: float) -> SideTriple:
 def medians(t: SideTriple) -> CevianTriple:
     """Median lengths: from A, half the square root of 2b^2 + 2c^2 - a^2."""
     return CevianTriple(*bulk.medians(_MathOps, *t.as_tuple()), CevianKind.MEDIAN)
-
-
-def metrics(t: SideTriple) -> TriangleMetrics:
-    """Semiperimeter and area.
-
-    The area uses the sorted-factor (Kahan) rearrangement of Heron's
-    formula, which stays accurate for needle triangles.
-    """
-    a, b, c = t.as_tuple()
-    return TriangleMetrics(semiperimeter=0.5 * (a + b + c),
-                           area=bulk.heron_area(_MathOps, a, b, c))
 
 
 def altitudes(t: SideTriple) -> CevianTriple:
@@ -225,8 +207,3 @@ def general_cevians(t: SideTriple, p: GeneralCevianParams) -> CevianTriple:
     """
     lengths = bulk.stewart_cevians(_MathOps, *t.as_tuple(), *p.as_tuple())
     return CevianTriple(*lengths, CevianKind.GENERAL)
-
-
-def normalize(t: SideTriple) -> NormalizedTriangle:
-    """Scale so the longest side is 1: (x, y) = (a/c, b/c)."""
-    return NormalizedTriangle(t.a / t.c, t.b / t.c)

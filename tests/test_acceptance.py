@@ -9,6 +9,7 @@ the same oracles.
 """
 
 import json
+import math
 import time
 from contextlib import contextmanager
 
@@ -17,6 +18,7 @@ import numpy as np
 import pytest
 
 from cevians import bulk
+from cevians.bulk import _MathOps
 from cevians.intervals import _FloatOps
 from cevians.certifier import (
     CertificationTask,
@@ -26,11 +28,6 @@ from cevians.certifier import (
     point_values,
 )
 from cevians.cli import main as cli_main
-from cevians.inequalities import (
-    isosceles_slack_case1,
-    isosceles_slack_case2,
-    normalized_slack,
-)
 from cevians.kernel import validate_sides, medians
 from cevians.reports import reproducible_bytes
 from cevians.search import SearchConfig, SearchMode, is_confirmed_violation, search
@@ -190,11 +187,11 @@ def test_criterion_5_consistency_oracles(sweep):
 
         # factored isosceles forms against the direct slack, 1e4 points each;
         # 1e-10 relative with the c*m_c normalizer as the absolute floor
-        for case_fn, lo in ((isosceles_slack_case1, 0.5 + 1e-6),
-                            (isosceles_slack_case2, 1e-6)):
+        for factor, lo in ((bulk.equal_legs_second_factor, 0.5 + 1e-6),
+                           (bulk.equal_base_second_factor, 1e-6)):
             xs = rng.uniform(lo, 1.0, 10_000)
             for xv in xs:
-                factored = case_fn(float(xv)).value
+                factored = (1.0 - math.sqrt(xv)) * factor(_MathOps, float(xv))
                 sides = (xv, xv, 1.0) if lo > 0.5 else (xv, 1.0, 1.0)
                 t = validate_sides(*sides)
                 direct = 2.0 * float(

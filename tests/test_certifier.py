@@ -39,7 +39,6 @@ from cevians.certifier import (
 from cevians.cli import main as cli_main
 from cevians.reports import reproducible_bytes
 from cevians.intervals import Interval, _IntervalOps
-from cevians.inequalities import isosceles_slack_case1, isosceles_slack_case2
 
 import oracles
 from conftest import natural_enclosure, sample_domain_boxes
@@ -651,9 +650,10 @@ class TestCornerArgument:
             assert fac.certified
             assert (fac.boxes_processed, fac.lower_bound) == (boxes, bound)
 
-    def test_band_reaching_the_equality_point_is_uncertified(self):
+    def test_band_reaching_the_equality_point_is_uncertified(self, monkeypatch):
         # both factors are 0 at x = 1, so no enclosure there is positive
-        rep = corner_argument_check(1e-3, eta=0.0)
+        monkeypatch.setattr(certifier, "_CORNER_ETA", 0.0)
+        rep = corner_argument_check(1e-3)
         assert not rep.both_positive
         for fac in (rep.equal_legs_factor, rep.equal_base_factor):
             assert fac.domain_hi == 1.0
@@ -683,8 +683,6 @@ class TestCornerArgument:
             monkeypatch.setattr(Interval, op, forbidden)
         assert corner_argument_check(1e-3).both_positive
         certify(CertificationTask(Target.MAIN_MEDIAN, box_budget=200))
-        isosceles_slack_case1(0.8)
-        isosceles_slack_case2(0.8)
 
 
 class TestCornerForm:

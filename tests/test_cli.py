@@ -12,7 +12,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cevians import cli
+from cevians import bulk, cli
+from cevians.bulk import _MathOps
 from cevians.cli import _parser, build_parser, main
 from cevians.reports import TOOL_VERSION, canonical_json, reproducible_bytes, strip_wall_time
 from cevians.search import SearchReport
@@ -68,6 +69,13 @@ class TestVerify:
         x, y = (float(v) for v in pair.split(","))
         assert capsys.readouterr() == (
             "", f"error: DomainError: ({x}, {y}) outside the normalized triangle domain\n")
+
+    @pytest.mark.parametrize("sides", ["inf,inf,inf", "3,4,inf", "-inf,4,5", "3,nan,5"])
+    def test_non_finite_sides_exit_2(self, sides, capsys):
+        assert run(["verify", f"--sides={sides}", "--cevians", "median"]) == 2
+        raw = tuple(float(v) for v in sides.split(","))
+        assert capsys.readouterr() == (
+            "", f"error: NonPositiveSideError: sides must be finite numbers, got {raw}\n")
 
     def test_help_states_the_normalized_domain(self, capsys):
         with pytest.raises(SystemExit):
@@ -606,9 +614,9 @@ class TestTable:
         # linspace carries float dust, so match the grid point nearest (0.6, 0.8)
         hit = [r for r in rows if abs(r[0] - 0.6) < 1e-9 and abs(r[1] - 0.8) < 1e-9]
         assert hit and rel_close(hit[0][2], 0.1593005229059099, 1e-8)
-        from cevians.inequalities import normalized_slack
-
-        assert hit[0][2] == normalized_slack((hit[0][0], hit[0][1]))
+        x, y = hit[0][0], hit[0][1]
+        medians2 = bulk.doubled_medians(_MathOps, x, y, 1.0)
+        assert hit[0][2] == bulk.main_slack(_MathOps, x, y, 1.0, *medians2)
         assert all(r[2] >= -1e-12 for r in rows)
 
     def test_low_density_exits_2(self, capsys):

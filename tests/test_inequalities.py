@@ -4,15 +4,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cevians import bulk
+from cevians.bulk import _MathOps
 from cevians.exceptions import DomainError, NotScaleneError
 from cevians.inequalities import (
     bisector_ratio_slack,
     bisector_sqrt_chain_slack,
-    isosceles_slack_case1,
-    isosceles_slack_case2,
     key_system_residuals,
     lemma_scalene_slack,
-    normalized_slack,
     open_problem_slacks,
     ordering_products,
     slack_main,
@@ -28,9 +27,7 @@ from cevians.kernel import (
     bisectors,
     general_cevians,
     medians,
-    metrics,
     mixed_cevians,
-    normalize,
     validate_sides,
 )
 
@@ -74,7 +71,7 @@ class TestSlackMain:
     def test_345_altitudes_matches_reduction(self):
         rep = slack_main(T345, altitudes(T345))
         assert rel_close(rep.value, MAIN_345_ALTITUDES, 1e-13)
-        two_area = 2.0 * metrics(T345).area
+        two_area = 2.0 * bulk.heron_area(_MathOps, *T345.as_tuple())
         reduction = two_area * (
             math.sqrt(20.0) / 3.0 + math.sqrt(15.0) / 4.0 + math.sqrt(12.0) / 5.0 - 3.0
         )
@@ -91,7 +88,7 @@ class TestSlackQuadratic:
 
     def test_345_altitudes_matches_reduction(self):
         rep = slack_quadratic(T345, altitudes(T345))
-        two_area = 2.0 * metrics(T345).area
+        two_area = 2.0 * bulk.heron_area(_MathOps, *T345.as_tuple())
         reduction = two_area * (12.0 / 5.0 + 15.0 / 4.0 + 20.0 / 3.0 - 12.0)
         assert rel_close(rep.value, 9.8, 1e-13)
         assert rel_close(rep.value, reduction, 1e-12)
@@ -153,53 +150,54 @@ class TestOrderingProducts:
 
 
 class TestIsoscelesFactoredForms:
+    """Twice the main median slack of an isosceles triangle is (1 - sqrt(x))
+    times the second factor that the corner check certifies."""
+
+    @staticmethod
+    def factored(factor, x):
+        return (1.0 - math.sqrt(x)) * factor(_MathOps, x)
+
     def test_case1_equilateral_zero(self):
-        assert isosceles_slack_case1(1.0).value == 0.0
+        assert bulk.equal_legs_second_factor(_MathOps, 1.0) == 0.0
 
     @pytest.mark.parametrize("x,expected", [(0.8, ISO1_08), (0.51, ISO1_051)])
     def test_case1_values(self, x, expected):
-        rep = isosceles_slack_case1(x)
-        assert rel_close(rep.value, expected, 1e-12)
+        value = self.factored(bulk.equal_legs_second_factor, x)
+        assert rel_close(value, expected, 1e-12)
         t = validate_sides(x, x, 1.0)
-        assert rel_close(rep.value, 2.0 * slack_main(t, medians(t)).value, 1e-10)
-
-    @pytest.mark.parametrize("x", [0.5, 0.2, 1.0001, -1.0])
-    def test_case1_domain(self, x):
-        with pytest.raises(DomainError):
-            isosceles_slack_case1(x)
+        assert rel_close(value, 2.0 * slack_main(t, medians(t)).value, 1e-10)
 
     def test_case2_equilateral_zero(self):
-        assert isosceles_slack_case2(1.0).value == 0.0
+        assert bulk.equal_base_second_factor(_MathOps, 1.0) == 0.0
 
     @pytest.mark.parametrize("x,expected", [(0.5, ISO2_05), (0.01, ISO2_001)])
     def test_case2_values(self, x, expected):
-        rep = isosceles_slack_case2(x)
-        assert rel_close(rep.value, expected, 1e-12)
+        value = self.factored(bulk.equal_base_second_factor, x)
+        assert rel_close(value, expected, 1e-12)
         t = validate_sides(x, 1.0, 1.0)
-        assert rel_close(rep.value, 2.0 * slack_main(t, medians(t)).value, 1e-10)
-
-    @pytest.mark.parametrize("x", [0.0, -0.5, 1.5])
-    def test_case2_domain(self, x):
-        with pytest.raises(DomainError):
-            isosceles_slack_case2(x)
+        assert rel_close(value, 2.0 * slack_main(t, medians(t)).value, 1e-10)
 
 
 class TestNormalizedSlack:
+    """F(x, y) = 2*main slack/c^2 with the doubled medians of (x, y, 1): the
+    certifier's main-median target and the table's column."""
+
+    @staticmethod
+    def normalized_slack(x, y):
+        return bulk.main_slack(_MathOps, x, y, 1.0, *bulk.doubled_medians(_MathOps, x, y, 1.0))
+
     def test_equilateral_exact_zero(self):
-        assert normalized_slack((1.0, 1.0)) == 0.0
+        assert self.normalized_slack(1.0, 1.0) == 0.0
 
     def test_06_08(self):
-        val = normalized_slack((0.6, 0.8))
+        val = self.normalized_slack(0.6, 0.8)
         assert rel_close(val, F_06_08, 1e-13)
         assert rel_close(val, oracles.f(oracles.normalized_slack_hp(0.6, 0.8)), 1e-13)
 
     def test_consistency_with_direct_slack(self):
         direct = 2.0 * slack_main(T345, medians(T345)).value / 25.0
-        assert rel_close(normalized_slack(normalize(T345)), direct, 1e-10)
-
-    def test_domain_error(self):
-        with pytest.raises(DomainError):
-            normalized_slack((0.5 + 1e-9, 0.5))
+        val = self.normalized_slack(T345.a / T345.c, T345.b / T345.c)
+        assert rel_close(val, direct, 1e-10)
 
 
 class TestBisectorChecks:
@@ -254,7 +252,7 @@ class TestHomogeneity:
         # main and the scalene-lemma slacks are degree 2; the quadratic
         # slack has degree-2 coefficients times lengths, hence degree 3
         m = medians(t)
-        tk = t.scaled(k)
+        tk = validate_sides(k * t.a, k * t.b, k * t.c)
         mk = medians(tk)
         pairs = [
             (2, slack_main(t, m).value, slack_main(tk, mk).value),

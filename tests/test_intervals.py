@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cevians.exceptions import NegativeSqrtDomainError
-from cevians.intervals import Interval, _round_down, _round_up, add, div, mul, sqrt, sub
+from cevians.intervals import Interval, _round_down, _round_up
 
 finite = st.floats(-1e6, 1e6, allow_nan=False)
 
@@ -29,36 +29,35 @@ class TestConstruction:
     def test_point(self):
         p = Interval.point(3.5)
         assert p.lo == p.hi == 3.5
-        assert p.width == 0.0
 
 
 class TestCaseTables:
     def test_sqrt_of_four(self):
-        r = sqrt(Interval(4.0, 4.0))
+        r = Interval(4.0, 4.0).sqrt()
         assert r.lo <= 2.0 <= r.hi
         assert r.hi - r.lo <= 2 * math.ulp(2.0)
 
     def test_mixed_sign_product(self):
-        r = mul(Interval(1.0, 2.0), Interval(-1.0, 3.0))
+        r = Interval(1.0, 2.0) * Interval(-1.0, 3.0)
         assert r.lo <= -2.0 and r.hi >= 6.0
         assert r.lo >= -2.0 - 2 * math.ulp(2.0)
         assert r.hi <= 6.0 + 2 * math.ulp(6.0)
 
     def test_sqrt_negative_interval_raises(self):
         with pytest.raises(NegativeSqrtDomainError):
-            sqrt(Interval(-1.0, -0.5))
+            Interval(-1.0, -0.5).sqrt()
 
     def test_sqrt_clamps_partial_negative(self):
-        r = sqrt(Interval(-1.0, 4.0))
+        r = Interval(-1.0, 4.0).sqrt()
         assert r.lo == 0.0
         assert r.hi >= 2.0
 
     def test_division_by_zero_interval(self):
         with pytest.raises(ZeroDivisionError):
-            div(Interval(1.0, 2.0), Interval(-1.0, 1.0))
+            Interval(1.0, 2.0) / Interval(-1.0, 1.0)
 
     def test_division_positive(self):
-        r = div(Interval(1.0, 2.0), Interval(4.0, 8.0))
+        r = Interval(1.0, 2.0) / Interval(4.0, 8.0)
         assert r.lo <= 0.125 and r.hi >= 0.5
 
     def test_negation(self):
@@ -79,26 +78,26 @@ class TestContainment:
     def test_binary_ops(self, x, y, tx, ty):
         px = _lerp(x, tx)
         py = _lerp(y, ty)
-        assert add(x, y).contains(px + py)
-        assert sub(x, y).contains(px - py)
-        assert mul(x, y).contains(px * py)
+        assert (x + y).contains(px + py)
+        assert (x - y).contains(px - py)
+        assert (x * y).contains(px * py)
 
     @given(ivals(lo=0.0), st.floats(0, 1))
     @settings(max_examples=500)
     def test_sqrt(self, x, t):
-        assert sqrt(x).contains(math.sqrt(_lerp(x, t)))
+        assert x.sqrt().contains(math.sqrt(_lerp(x, t)))
 
     @given(ivals(lo=1e-3), ivals(lo=1e-3), st.floats(0, 1), st.floats(0, 1))
     @settings(max_examples=500)
     def test_div(self, x, y, tx, ty):
-        assert div(x, y).contains(_lerp(x, tx) / _lerp(y, ty))
+        assert (x / y).contains(_lerp(x, tx) / _lerp(y, ty))
 
     @given(ivals(lo=0.1, hi=10.0), st.floats(0, 1))
     @settings(max_examples=300)
     def test_composed_expression(self, x, t):
         p = _lerp(x, t)
         one = Interval.point(1.0)
-        expr = sqrt(add(mul(x, x), one)) - x
+        expr = (x * x + one).sqrt() - x
         point = math.sqrt(p * p + 1.0) - p
         assert expr.contains(point)
 
@@ -116,8 +115,8 @@ class TestLattice:
         # shrink x to its middle half; results must nest
         quarter = 0.25 * (x.hi - x.lo)
         inner = Interval(x.lo + quarter, x.hi - quarter)
-        assert add(inner, y).is_subset_of(add(x, y))
-        assert mul(inner, y).is_subset_of(mul(x, y))
+        assert (inner + y).is_subset_of(x + y)
+        assert (inner * y).is_subset_of(x * y)
 
 
 TINY = np.finfo(float).tiny

@@ -24,9 +24,7 @@ from cevians.kernel import (
     bisectors,
     general_cevians,
     medians,
-    metrics,
     mixed_cevians,
-    normalize,
     validate_sides,
 )
 
@@ -68,7 +66,9 @@ class TestValidateSides:
         with pytest.raises(DegenerateTriangleError):
             validate_sides(1, 1, 5)
 
-    @pytest.mark.parametrize("bad", [(0, 1, 1), (-1, 2, 2), (1, float("nan"), 1)])
+    @pytest.mark.parametrize("bad", [(0, 1, 1), (-1, 2, 2), (1, float("nan"), 1),
+                                     (math.inf, math.inf, math.inf), (1, 1, math.inf),
+                                     (-math.inf, 2, 2)])
     def test_nonpositive(self, bad):
         with pytest.raises(NonPositiveSideError):
             validate_sides(*bad)
@@ -132,7 +132,7 @@ class TestAltitudes:
     @settings(max_examples=200)
     def test_product_identity(self, t):
         h = altitudes(t)
-        two_area = 2.0 * metrics(t).area
+        two_area = 2.0 * bulk.heron_area(_MathOps, *t.as_tuple())
         for side, alt in zip(t.as_tuple(), h.as_tuple()):
             assert rel_close(side * alt, two_area, 1e-12)
 
@@ -260,29 +260,29 @@ class TestGeneralCevians:
         assert rel_close(g.la, oracle, 1e-11)
 
 
-class TestMetrics:
+class TestHeronArea:
+    """``bulk.heron_area`` on Python floats, as the altitudes evaluate it."""
+
+    @staticmethod
+    def area(*sides):
+        return bulk.heron_area(_MathOps, *validate_sides(*sides).as_tuple())
+
     def test_right_triangle(self):
-        m = metrics(validate_sides(3, 4, 5))
-        assert m.semiperimeter == 6.0
-        assert rel_close(m.area, 6.0, 1e-14)
+        assert rel_close(self.area(3, 4, 5), 6.0, 1e-14)
 
     def test_equilateral(self):
-        m = metrics(validate_sides(1, 1, 1))
-        assert m.semiperimeter == 1.5
-        assert rel_close(m.area, math.sqrt(3.0) / 4.0, 1e-14)
+        assert rel_close(self.area(1, 1, 1), math.sqrt(3.0) / 4.0, 1e-14)
 
     def test_isosceles_223(self):
-        m = metrics(validate_sides(2, 2, 3))
-        assert m.semiperimeter == 3.5
-        assert rel_close(m.area, 0.75 * math.sqrt(7.0), 1e-14)
+        assert rel_close(self.area(2, 2, 3), 0.75 * math.sqrt(7.0), 1e-14)
 
     @given(triangle_strategy())
     @settings(max_examples=200)
     def test_heron_consistency(self, t):
-        m = metrics(t)
-        s = m.semiperimeter
+        area = self.area(*t.as_tuple())
+        s = 0.5 * (t.a + t.b + t.c)
         rhs = s * (s - t.a) * (s - t.b) * (s - t.c)
-        assert rel_close(m.area * m.area, rhs, 1e-12)
+        assert rel_close(area * area, rhs, 1e-12)
 
 
 class TestNormalize:
@@ -291,7 +291,8 @@ class TestNormalize:
         [((3, 4, 5), (0.6, 0.8)), ((1, 1, 1), (1.0, 1.0)), ((2, 3, 4), (0.5, 0.75))],
     )
     def test_values(self, sides, expected):
-        n = normalize(validate_sides(*sides))
+        t = validate_sides(*sides)
+        n = NormalizedTriangle(t.a / t.c, t.b / t.c)
         assert (n.x, n.y) == expected
 
     @pytest.mark.parametrize("x,y", [(0.5 + 1e-9, 0.5), (0.0, 1.0), (0.4, 0.6), (0.9, 1.1)])
@@ -299,12 +300,38 @@ class TestNormalize:
         with pytest.raises(DomainError):
             NormalizedTriangle(x, y)
 
+    # On and next to each edge of the domain: x + y = 1, x = y, y = 1,
+    # x = 0, the least subnormal x, and NaN in either coordinate.
+    @pytest.mark.parametrize("x,y", [
+        (0.4, 0.6), (0.5, 0.5), (0.4, math.nextafter(0.6, 1.0)),
+        (0.7, 0.7), (0.5000000000000001, 0.5000000000000001), (0.8, 0.7),
+        (0.5, 1.0), (0.5, math.nextafter(1.0, 2.0)),
+        (0.0, 1.0), (-0.0, 1.0),
+        (5e-324, 1.0), (5e-324, 0.9999999999999999),
+        (math.nan, 0.8), (0.8, math.nan),
+    ])
+    def test_agrees_with_the_bulk_domain_mask(self, x, y):
+        inside = bulk.in_normalized_domain(x, y)
+        assert inside == bool(bulk.in_normalized_domain(np.array([x]), np.array([y]))[0])
+        if inside:
+            n = NormalizedTriangle(x, y)
+            assert (n.x, n.y) == (x, y)
+        else:
+            with pytest.raises(DomainError, match="outside the normalized triangle domain"):
+                NormalizedTriangle(x, y)
+
+    def test_ignores_a_replaced_bulk_mask(self, monkeypatch):
+        # the benchmark tracer replaces bulk.in_normalized_domain with a
+        # wrapper whose hook takes arrays only
+        monkeypatch.setattr(bulk, "in_normalized_domain", None)
+        assert NormalizedTriangle(0.6, 0.8).x == 0.6
+
 
 class TestScaleCovariance:
     @given(triangle_strategy(), st.sampled_from([0.5, 2.0, 10.0]))
     @settings(max_examples=150)
     def test_all_families(self, t, k):
-        scaled = t.scaled(k)
+        scaled = validate_sides(k * t.a, k * t.b, k * t.c)
         pairs = [
             (medians(t), medians(scaled)),
             (altitudes(t), altitudes(scaled)),
@@ -341,7 +368,7 @@ class TestBulkTwinsMatchScalar:
             assert medians(t).as_tuple() == (ma[i], mb[i], mc[i])
             assert altitudes(t).as_tuple() == (ha[i], hb[i], hc[i])
             assert bisectors(t).as_tuple() == (la[i], lb[i], lc[i])
-            assert metrics(t).area == area[i]
+            assert bulk.heron_area(_MathOps, *t.as_tuple()) == area[i]
             g = general_cevians(t, GeneralCevianParams(ta[i], ta[i], ta[i]))
             assert g.la == ga[i]
 

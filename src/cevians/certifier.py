@@ -13,16 +13,17 @@ arrays of boxes, whose rows are xlo, xhi, ylo and yhi; a certificate's
 proven, corner and undecided sets are such arrays too.  The output is
 deterministic regardless of scheduling, and the endpoint arithmetic is
 the same 1-ulp outward rounding used by :mod:`cevians.intervals`.  A
-level of at most `_LOOKAHEAD_BOXES` boxes is decided in one evaluation
-together with the children of all its boxes, and the next level, the
-children of the boxes it splits, takes its decision from there; every
-step of a decision is element-wise over the boxes, so this changes no
+level is decided in one evaluation together with the generations below
+it, each every child of the one before, while they hold at most
+`_LOOKAHEAD_BOXES` boxes in all; the levels that follow, the children of
+the boxes each level splits, take their decisions from there.  Every step
+of a decision is element-wise over the boxes, so this changes no
 certificate, only how many evaluations a run makes.
 
 Every target expression is written once against an abstract operation set
-(the median targets are the :mod:`cevians.bulk` formulas at c = 1.0) and
-instantiated three ways: plain float arrays (point evaluation),
-interval endpoint arrays (the natural extension, which is
+(the median and bisector targets are the :mod:`cevians.bulk` formulas at
+c = 1.0) and instantiated three ways: plain float arrays (point
+evaluation), interval endpoint arrays (the natural extension, which is
 inclusion-isotone), and forward-mode interval derivatives of order 1 or 2
 (:class:`_JetOps`, whose value, gradient and Hessian are the rows of one
 pair of endpoint arrays).
@@ -81,24 +82,33 @@ _UNDECIDED_LIMIT = 1000
 # delta = 0 at mu = 1e-6, 1e-12 and 1e-20}) and at depth 6 in the other.
 # Over certify-suite's 15 runs, depth 5 bounds 1,392 boxes in 81 levels,
 # against 1,569 in 156 from depth 0; depths 6 and 7 bound 1,660 and 2,470.
-# With the look-ahead of `_LOOKAHEAD_BOXES`, depths 0, 3, 4, 5, 6 and 7
-# make 81, 60, 51, 45, 39 and 36 evaluations and take 196, 142, 119, 106,
-# 96 and 97 ms in process (medians of 7 passes of the 15 runs; 21 passes
-# of depths 5, 6 and 7 gave 100, 80 and 81 ms).
+# With a look-ahead of one generation below levels of at most 256 boxes,
+# depths 0, 3, 4, 5, 6 and 7 made 81, 60, 51, 45, 39 and 36 evaluations
+# and took 196, 142, 119, 106, 96 and 97 ms in process (medians of 7
+# passes of the 15 runs; 21 passes of depths 5, 6 and 7 gave 100, 80 and
+# 81 ms).
 _GRID_DEPTH = 5
-# `certify` decides a bounded level of at most this many boxes together
-# with the children of all its boxes.  One `_decide` call costs 2.7-5.5 ms
-# on 32-512 boxes and about 3-4.5 us per box from 2,048 boxes on, so the
-# at most 512 children of a level this size cost less than the call they
-# save, even when every box of the level is proven and no child is used.
-# Over certify-suite's 15 runs, whose levels hold at most 36 boxes, the
-# look-ahead cuts 81 evaluations to 45 and 134 to 95 ms in process (medians
-# of 21 passes).  On key-system at mu = 1e-20, delta = 0 and a budget of
-# 300,000, whose levels grow to 88,266 boxes, gates of 0 (no look-ahead),
-# 64, 256, 1,024 and 4,096 took 1.15, 1.16, 1.26, 1.30 and 1.25 s (medians
-# of 11 passes on a shared host, minima 1.01-1.06 s for all five), and no
-# gate 1.59 s: there the children of proven boxes are real work.
-_LOOKAHEAD_BOXES = 256
+# `certify` decides a bounded level together with the generations below
+# it while the level and they hold at most this many boxes (see
+# :func:`_look_ahead`).  A `_decide` call has a fixed cost of milliseconds
+# (2.3 ms on certify-corner's 224-box batch, 3.0-3.5 ms on key-system's
+# batches of 206-346 boxes) and costs about 3.3-3.6 us per box on 37k-88k
+# boxes, so a batch this size costs less than the calls it saves.  In
+# process on a shared 2-core host, caps of 0 (no look-ahead), 256, 384,
+# 512, 768 and 1,024 made 81, 30, 30, 27, 24 and 24 evaluations over
+# certify-suite's 15 runs and took 90, 58, 59, 70, 67 and 95 ms, and made
+# 3, 1, 1, 1, 1 and 1 on certify-corner's run and took 4.4, 2.8, 2.8, 3.5,
+# 3.5 and 5.0 ms (medians of 60 and 400 interleaved passes).  Over 7
+# targets x 11 settings (certify-suite's three, delta = 0 at mu = 1e-6,
+# 1e-12 and 1e-20 with a budget of 3,000, budgets of 10 and 31, max_depth
+# 2 and 7, min_box_width 0.2), caps of 256, 384, 512, 768 and 1,024 made 111, 108, 98, 95 and 88 evaluations
+# and took 312, 315, 333, 344 and 425 ms (medians of 15), and 256 against
+# 384 alone 312 and 305 ms (medians of 30).  The one-generation look-ahead
+# this replaced, below levels of at most 256 boxes, made 45 evaluations
+# over certify-suite.  On key-system at mu = 1e-20, delta = 0 and a budget
+# of 300,000, whose levels grow to 88,266 boxes, the look-ahead reaches
+# only the first three levels, and the run takes about 1.0 s either way.
+_LOOKAHEAD_BOXES = 384
 
 
 @dataclass(frozen=True)
@@ -127,8 +137,9 @@ class CertificationTask:
 # Target expressions, written once over an operation set (`_FloatOps` and
 # `_IntervalOps` from :mod:`cevians.intervals`, or `_JetOps` below).  The
 # median targets are :mod:`cevians.bulk` formulas on the normalized triangle
-# (x, y, 1) and its doubled medians ra, rb, rc = 2*m_a, 2*m_b, 2*m_c, with c
-# the exact float constant 1.0.  Every target is a positive multiple of the
+# (x, y, 1) and its doubled medians ra, rb, rc = 2*m_a, 2*m_b, 2*m_c, and
+# the bisector targets on (x, y, 1) and its internal bisectors, with c the
+# exact float constant 1.0.  Every target is a positive multiple of the
 # inequality slack it certifies, so only the sign matters.  Multi-part
 # targets (the key system) certify the minimum of their parts.
 # ---------------------------------------------------------------------------
@@ -166,10 +177,12 @@ def _set_rows(a, k, b):
 
 
 def _stack(parts):
-    """One pair of (m, n) arrays from pairs of (n,) or (r, n) arrays."""
-    return tuple(np.vstack([p[e] for p in parts]) for e in (0, 1))
+    """One pair of (m, n) arrays from pairs of (r, n) arrays."""
+    return tuple(np.concatenate([p[e] for p in parts]) for e in (0, 1))
 
 
+# Row 0 as a (1, n) slice, which `_stack` takes as it is.
+_VALUE = slice(0, 1)
 _GRAD = slice(1, 3)
 _HESS = slice(3, 6)
 # The Hessian rows (xx, xy, yy) pair the gradient rows (x, x, y) with
@@ -238,9 +251,9 @@ class _JetOps:
         # q_ij = (((a_ij - q_i*b_j) - q_j*b_i) - q*b_ij) / b, with the two
         # middle terms one doubled term on the diagonal.
         sub, mul = _IntervalOps.sub, _IntervalOps.mul
-        w = _rows(b.d, 0)
+        w = _rows(b.d, _VALUE)
         denom = (np.maximum(w[0], 5e-324), w[1])
-        q = _IntervalOps.div(_rows(a.d, 0), denom)
+        q = _IntervalOps.div(_rows(a.d, _VALUE), denom)
         g = _IntervalOps.div(sub(_rows(a.d, _GRAD), mul(q, _rows(b.d, _GRAD))), denom)
         parts = [q, g]
         if a.d[0].shape[0] > 3:
@@ -250,12 +263,12 @@ class _JetOps:
             h = sub(_rows(a.d, _HESS), t)
             _set_rows(h, 1, sub(_rows(h, 1), mul(_rows(g, 1), _rows(k, 0))))
             parts.append(_IntervalOps.div(sub(h, mul(q, _rows(b.d, _HESS))), denom))
-        return _Jet(_stack(parts), a.ok & b.ok & (w[0] > 0.0))
+        return _Jet(_stack(parts), a.ok & b.ok & (w[0][0] > 0.0))
 
     @staticmethod
     def sqrt(a):
         # s = sqrt(a): s_i = a_i / (2s) and s_ij = (a_ij - 2*s_i*s_j) / (2s).
-        v = _rows(a.d, 0)
+        v = _rows(a.d, _VALUE)
         s = _IntervalOps.sqrt(v)
         denom = (np.maximum(2.0 * s[0], 5e-324), 2.0 * s[1])
         g = _IntervalOps.div(_rows(a.d, _GRAD), denom)
@@ -263,7 +276,7 @@ class _JetOps:
         if a.d[0].shape[0] > 3:
             t = _IntervalOps.mul(_IntervalOps.mul(_rows(g, _LEFT), _rows(g, _RIGHT)), 2.0)
             parts.append(_IntervalOps.div(_IntervalOps.sub(_rows(a.d, _HESS), t), denom))
-        return _Jet(_stack(parts), a.ok & (v[0] > 0.0))
+        return _Jet(_stack(parts), a.ok & (v[0][0] > 0.0))
 
 
 def _with_value(a, op, k):
@@ -294,12 +307,22 @@ def _parts_altitude_reduced(ops, x, y):
     return (ops.sub(t, ops.add(ops.add(x, y), 1.0)),)
 
 
+def _bisector_target(formula):
+    """A one-part target: a :mod:`cevians.bulk` slack on the triangle
+    (x, y, 1.0) and its internal bisectors."""
+    def target(ops, x, y):
+        return (formula(ops, x, y, 1.0, *bulk.bisectors(ops, x, y, 1.0)),)
+    return target
+
+
 _PARTS = {
     Target.MAIN_MEDIAN: _median_target(bulk.main_slack),
     Target.QUADRATIC_MEDIAN: _median_target(bulk.quadratic_slack),
     Target.KEY_SYSTEM: _median_target(bulk.key_residuals, parts=3),
     Target.ALTITUDE_REDUCED: _parts_altitude_reduced,
     Target.SCALENE_LEMMA: _median_target(bulk.scalene_lemma),
+    Target.MAIN_BISECTOR: _bisector_target(bulk.main_slack),
+    Target.QUADRATIC_BISECTOR: _bisector_target(bulk.quadratic_slack),
 }
 
 
@@ -459,26 +482,30 @@ def _vertex_1_1_bounds(target: Target, xlo, xhi, ylo, yhi, mu: float):
         order 1:  F(p) = -dx * (-gx - gy*r),
 
     with the derivatives taken at a point of the segment, hence inside the
-    order-2 `_JetOps` enclosures over the extended box.  As 1, r and r^2
-    are >= 0, putting the lower endpoint of each coefficient's enclosure in
-    its place bounds each polynomial in r from below, and a polynomial on
-    [0, 1] is at least its least Bernstein coefficient:
+    `_JetOps` enclosures over the extended box: of order 2 when a strict
+    part has order 2 there, and of order 1 otherwise (scalene-lemma), whose
+    value and gradient rows are those of order 2 bit for bit.  As 1, r and
+    r^2 are >= 0, putting the lower endpoint of each coefficient's
+    enclosure in its place bounds each polynomial in r from below, and a
+    polynomial on [0, 1] is at least its least Bernstein coefficient:
     (hxx, hxx + hxy, hxx + 2*hxy + hyy), or (-gx, -gx - gy).
     Returns the least coefficient over the strict parts; where it is
     positive, every strict part is >= 0 on the box and 0 only at (1, 1).
     Lanes where a radicand or divisor can reach 0 get -inf.
     """
     facts = _VERTEX_1_1.facts[target]
+    order = max(facts[k] for k in _strict_parts(target, mu, len(facts)))
     one = np.ones_like(xhi)
-    parts = _jet_parts(target, 2, xlo, one, ylo, one)
+    parts = _jet_parts(target, order, xlo, one, ylo, one)
 
     def form(k):
-        gx, gy, hxx, hxy, hyy = (_rows(parts[k].d, i) for i in range(1, 6))
         if facts[k] == 2:
+            hxx, hxy, hyy = (_rows(parts[k].d, i) for i in range(3, 6))
             b1 = _IntervalOps.add(hxx, hxy)
             b2 = _IntervalOps.add(b1, _IntervalOps.add(hxy, hyy))
             least = np.minimum(np.minimum(hxx[0], b1[0]), b2[0])
         else:
+            gx, gy = _rows(parts[k].d, 1), _rows(parts[k].d, 2)
             least = np.minimum(-gx[1], -_IntervalOps.add(gx, gy)[1])
         return np.where(parts[k].ok & np.isfinite(least), least, -_INF)
 
@@ -597,13 +624,13 @@ class _Vertex:
 # How far from a vertex, in its own widths, a box may reach and still be
 # tried with the vertex form.  Over 25 runs (5 targets x {defaults,
 # mu = 1e-12 with delta = 1e-6 and 1e-7, delta = 0 at mu = 1e-6 and 1e-12}),
-# bounded from depth `_GRID_DEPTH` with the look-ahead of
-# `_LOOKAHEAD_BOXES`, reaches of 1, 2, 3, 4 and 8 took 743, 117, 117, 115
-# and 115 levels in 378, 67, 67, 67 and 67 evaluations and 398, 146, 165,
-# 190 and 197 ms (medians of 7 passes).  At 1 only boxes that touch the
-# vertex qualify, which leaves the corner edge x = 1 - delta to bisection
-# and 3 boxes undecided; above 2 the form is tried on more boxes, which
-# costs more time and saves no evaluation.
+# bounded from depth `_GRID_DEPTH` with a look-ahead of one generation
+# below levels of at most 256 boxes, reaches of 1, 2, 3, 4 and 8 took 743,
+# 117, 117, 115 and 115 levels in 378, 67, 67, 67 and 67 evaluations and
+# 398, 146, 165, 190 and 197 ms (medians of 7 passes).  At 1 only boxes
+# that touch the vertex qualify, which leaves the corner edge x = 1 - delta
+# to bisection and 3 boxes undecided; above 2 the form is tried on more
+# boxes, which costs more time and saves no evaluation.
 _VERTEX_REACH = 2.0
 
 _VERTEX_1_1 = _Vertex(
@@ -614,6 +641,8 @@ _VERTEX_1_1 = _Vertex(
         Target.KEY_SYSTEM: (2, 2, 2),
         Target.ALTITUDE_REDUCED: (2,),
         Target.SCALENE_LEMMA: (1,),
+        Target.MAIN_BISECTOR: (2,),
+        Target.QUADRATIC_BISECTOR: (2,),
     },
     _vertex_1_1_bounds,
 )
@@ -637,6 +666,9 @@ key-system's r1 and r2 swap into each other.
 - altitude-reduced: F = 3 - 3 = 0 and F_x = y + 1/y - y/x^2 - 1 = 0.
 - scalene-lemma: F = ra - rc = 0, but F_x = (-1 - 2)/sqrt(3) + rb/2 and
   F_y = (2 - 2)/sqrt(3) + ra/2 - rb are both -sqrt(3)/2.
+- main-bisector and quadratic-bisector: the bisectors la = lb = lc =
+  sqrt(3)/2 are equal there, so the median arguments carry over: F = 0,
+  and F_x = -la + lb/2 + lc/2 = 0 and -2*la + lb + lc = 0.
 """
 
 _VERTEX_0_1 = _Vertex(
@@ -666,7 +698,8 @@ square identity), and r3 = x*rb + y*ra - 2*rc = 0 with
 grad r3 = (rb + y*(d ra/dx) - 2*(d rc/dx), ra + y*(d ra/dy) - 2*(d rc/dy))
 = (1 + 0 - 0, 2 + 1 - 4) = (1, -1), as d ra/dx = -x/ra and
 d rc/dx = 2x/rc are 0.  Altitude-reduced grows like 1/x there and has no
-entry.
+entry, nor do the bisector targets, which are 1 there: la = 1 and
+lb = lc = 0.
 """
 
 _VERTEX_HALF = _Vertex(
@@ -748,8 +781,11 @@ class CertificateStats:
     boxes bisected; the rest of a level's boxes is the corner box.  A run
     that exhausts its budget also reports its unprocessed queue undecided,
     which no level counts.  `evaluations` counts the calls of
-    :func:`_decide`, each of which decides one bounded level, or one level
-    and the next (see :func:`certify`), so it is at most `levels`.
+    :func:`_decide`, each of which decides one bounded level and the
+    levels below it that its look-ahead reaches (see :func:`certify`), so
+    it is at most `levels`: certify-suite's 15 runs make 30 evaluations
+    for 81 levels, against 45 with one generation of look-ahead, and
+    certify-corner's run 1 for its 3 levels.
     `undecided_hull` is the bounding box of the undecided boxes and its
     max-norm distance to each vertex of `_VERTICES`, or None when no box is
     undecided.
@@ -919,18 +955,45 @@ def _decide(target: Target, mu: float, boxes):
     """
     width = _widths(boxes)
     rows = np.zeros((len(_FORMS) + 1, boxes.shape[1]), dtype=bool)
-    rows[0] = _lower_bounds(target, *boxes, mu) > 0.0
-    for i, vertex in enumerate(_VERTICES, start=1):
-        if target not in vertex.facts:
-            continue
-        near = ~rows.any(axis=0) & vertex.near(*boxes, width)
-        if not near.any():
-            continue
-        near[near] = vertex.bounds(target, *boxes[:, near], mu) > 0.0
-        holds = near & vertex.holds(*boxes)
-        rows[i] = near & ~holds
-        rows[-1] |= holds
+    # One error state for every `_IntervalOps` call of the decision: a
+    # lane whose divisor or radicand reaches 0 gets an infinite or NaN
+    # bound, which proves nothing.
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        rows[0] = _lower_bounds(target, *boxes, mu) > 0.0
+        for i, vertex in enumerate(_VERTICES, start=1):
+            if target not in vertex.facts:
+                continue
+            near = ~rows.any(axis=0) & vertex.near(*boxes, width)
+            if not near.any():
+                continue
+            near[near] = vertex.bounds(target, *boxes[:, near], mu) > 0.0
+            holds = near & vertex.holds(*boxes)
+            rows[i] = near & ~holds
+            rows[-1] |= holds
     return rows
+
+
+def _look_ahead(boxes, depth: int, room: int, task: CertificationTask) -> list:
+    """The generations below a level that its `_decide` call takes along.
+
+    Generation 1 is every child of the level's boxes, and generation g + 1
+    every child of generation g, each bisected by :func:`_bisect`, clipped
+    and without its empty children, as a pair (boxes, keep) of the (4, m)
+    array and the mask that kept it from the bisected array.  Generations
+    are added while they are not empty, lie at most at max_depth, and hold,
+    with the level, at most `_LOOKAHEAD_BOXES` boxes and, without it, at
+    most `room`.
+    """
+    generations = []
+    room = min(room, _LOOKAHEAD_BOXES - boxes.shape[1])
+    while room > 0 and depth + len(generations) < task.max_depth:
+        children, keep = _clip_to_domain(_bisect(boxes), task.mu)
+        boxes = children[:, keep]
+        room -= boxes.shape[1]
+        if room < 0 or boxes.shape[1] == 0:
+            break
+        generations.append((boxes, keep))
+    return generations
 
 
 def certify(task: CertificationTask) -> Certificate:
@@ -951,14 +1014,15 @@ def certify(task: CertificationTask) -> Certificate:
     splits at most as many boxes as it holds, so the queue never holds
     more than twice the budget.
 
-    A bounded level that has no decision yet, holds at most
-    `_LOOKAHEAD_BOXES` boxes and lies above max_depth bisects all of its
-    boxes, clips the children, and, when they would not take the bounded
-    boxes past box_budget, decides itself and them in one :func:`_decide`
-    call.  The next level, the children of the boxes it splits in
-    `_bisect`'s order, is then the array the sequential loop would build,
-    and it takes its decision from that call.  A level is counted in the
-    stats only when it is resolved; children are never counted.
+    A bounded level that has no decision yet is decided in one
+    :func:`_decide` call together with the generations below it that
+    :func:`_look_ahead` builds: each is every child of the one before,
+    clipped, and they stop at `_LOOKAHEAD_BOXES` boxes, at max_depth and
+    at box_budget.  Each following level is the children of the boxes the
+    level before it splits, in `_bisect`'s order; it takes them, and
+    their decision, from the next generation by its keep mask, so it is
+    the array the sequential loop would build.  A level is counted in the
+    stats only when it is resolved; generations are never counted.
     """
     start = time.perf_counter()
     boxes = np.array([[task.mu], [1.0 - task.delta], [task.mu], [1.0]])
@@ -981,8 +1045,10 @@ def certify(task: CertificationTask) -> Certificate:
         )
 
     grid_end = min(_GRID_DEPTH, task.max_depth)
-    # The rows of `_decide` for this level, when the level before made them.
-    decision = None
+    # The rows of `_decide` for this level, when an earlier level made them;
+    # the generations still below it with their rows; and which boxes of
+    # its own generation the level holds (None when it is the whole).
+    decision, below, held = None, [], None
     while boxes.shape[1] > 0:
         if decision is None:
             boxes, ok = _clip_to_domain(boxes, task.mu)
@@ -1006,20 +1072,21 @@ def certify(task: CertificationTask) -> Certificate:
 
         stats.boxes_processed += n
         stats.levels += 1
-        ahead = None
         if decision is None:
+            generations = _look_ahead(boxes, depth, task.box_budget - stats.boxes_processed,
+                                      task)
             batch = boxes
-            if depth < task.max_depth and n <= _LOOKAHEAD_BOXES:
-                children, keep = _clip_to_domain(_bisect(boxes), task.mu)
-                if stats.boxes_processed + int(keep.sum()) <= task.box_budget:
-                    ahead = children[:, keep]
-                    batch = np.concatenate([boxes, ahead], axis=1)
+            if generations:
+                batch = np.concatenate([boxes, *(g for g, _ in generations)], axis=1)
             stats.evaluations += 1
-            decision = _decide(task.target, task.mu, batch)
-        rows = decision[:, :n]
-        for form, row in zip(_FORMS, rows):
+            rows = _decide(task.target, task.mu, batch)
+            ends = np.cumsum([n, *(g.shape[1] for g, _ in generations)])
+            below = [(g, keep, rows[:, start:end]) for (g, keep), start, end
+                     in zip(generations, ends, ends[1:])]
+            decision, held = rows[:, :n], None
+        for form, row in zip(_FORMS, decision):
             stats.proven_by[form] += int(row.sum())
-        proven, corner = rows[:-1].any(axis=0), rows[-1]
+        proven, corner = decision[:-1].any(axis=0), decision[-1]
         decided = proven | corner
         stuck = ~decided & ((width <= task.min_box_width) | (depth >= task.max_depth))
         split = ~decided & ~stuck
@@ -1032,15 +1099,20 @@ def certify(task: CertificationTask) -> Certificate:
         if not split.any():
             break
 
-        if ahead is None:
+        if not below:
             boxes = _bisect(boxes[:, split])
             decision = None
         else:
             # `_bisect`'s order: the first halves of the split boxes, then
             # their second halves, as the sequential loop would build them.
-            pick = np.concatenate([split, split])[keep]
-            boxes = ahead[:, pick]
-            decision = decision[:, n:][:, pick]
+            # A level taken from a generation holds only some of its boxes,
+            # so its split mask is first spread over the whole generation.
+            if held is not None:
+                held[held] = split
+                split = held
+            children, keep, rows = below.pop(0)
+            held = np.concatenate([split, split])[keep]
+            boxes, decision = children[:, held], rows[:, held]
         depth += 1
 
     return _finish(exhausted=False)
@@ -1114,7 +1186,8 @@ def _bisect_positive(factor, lo: float, hi: float) -> tuple[bool, float, int]:
         processed += a.shape[0]
         if processed > _CORNER_BOX_CAP:
             return False, 0.0, processed
-        enc_lo = factor(_IntervalOps, (a, b))[0]
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            enc_lo = factor(_IntervalOps, (a, b))[0]
         proven = enc_lo > 0.0
         if proven.any():
             bound = min(bound, float(enc_lo[proven].min()))

@@ -2,7 +2,9 @@
 
 Exit codes follow a fixed contract.  verify: 0 all slacks pass, 1 some
 slack fails, 2 invalid input; a slack of degree d in the sides fails below
--tolerance*c*lc*c**(d-2), so the verdict does not depend on units.
+-tolerance*c*lc*c**(d-2), and bisector_ratio, of degree 0, below
+-tolerance*(c + b - a)/c, the size of its terms, so the verdict does not
+depend on units.
 certify: 0 empty undecided set, 1 undecided boxes remain (also when the
 box budget runs out), 2 bad arguments.  search: unconstrained mode exits 0
 iff a re-verified violation was found, open-problem mode always exits 0 (2
@@ -149,7 +151,8 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--feet", help="ta,tb,tc in (0,1) for --cevians general")
     v.add_argument("--tolerance", type=float, default=1e-12,
                    help="slack tolerance: a slack of degree d in the sides fails "
-                        "below -tolerance*c*lc*c**(d-2) (default 1e-12)")
+                        "below -tolerance*c*lc*c**(d-2), bisector_ratio below "
+                        "-tolerance*(c+b-a)/c (default 1e-12)")
     v.add_argument("-o", "--output", help="write the JSON report to this path")
 
     c = sub.add_parser("certify", allow_abbrev=False,
@@ -276,8 +279,12 @@ def cmd_verify(args, started: float) -> int:
     scale = tolerance_scale(t, cv)
     threshold = -args.tolerance * scale
     # A slack of degree d in the sides is compared with threshold * c**(d - 2).
+    # bisector_ratio has degree 0 and terms of size (c + b - a)/c >= 1, so
+    # it is compared with -tolerance times that: the degree-0 threshold
+    # c*lc/c**2 shrinks with the bisector lc of a needle triangle until one
+    # rounding of la/lb fails it.
     limits = {3: threshold * t.c, 2: threshold, 1.5: threshold / math.sqrt(t.c),
-              0: threshold / t.c / t.c}
+              0: -args.tolerance * ((t.c + t.b) - t.a) / t.c}
     all_ok = all(v >= limits[_DEGREES.get(name, 2)] for name, v in slacks.items())
 
     config = {"cevians": args.cevians, "tolerance": args.tolerance,

@@ -133,7 +133,11 @@ class _IntervalOps:
     """Outward-rounded arithmetic on (lo, hi) pairs of endpoint arrays.
 
     A constant (see above) of add, sub or mul may have either sign; in add
-    and sub it is its own lo and hi.
+    and sub it is its own lo and hi.  div and sqrt may meet a zero divisor
+    endpoint or a negative radicand and leave an infinite or NaN endpoint
+    there; they set no floating-point error state of their own, so the
+    caller runs them under one ``np.errstate(divide="ignore",
+    invalid="ignore", over="ignore")``.
     """
 
     @staticmethod
@@ -183,13 +187,12 @@ class _IntervalOps:
         # endpoint produces infinite bounds (still an enclosure) and never
         # NaN because the numerators divided here are bounded away from
         # [0, 0] whenever the divisor can reach zero.
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            q1 = a[0] / b[0]
-            q2 = a[0] / b[1]
-            q3 = a[1] / b[0]
-            q4 = a[1] / b[1]
-            lo = np.minimum(np.minimum(q1, q2), np.minimum(q3, q4))
-            hi = np.maximum(np.maximum(q1, q2), np.maximum(q3, q4))
+        q1 = a[0] / b[0]
+        q2 = a[0] / b[1]
+        q3 = a[1] / b[0]
+        q4 = a[1] / b[1]
+        lo = np.minimum(np.minimum(q1, q2), np.minimum(q3, q4))
+        hi = np.maximum(np.maximum(q1, q2), np.maximum(q3, q4))
         return _round_down(lo), _round_up(hi)
 
     @staticmethod
@@ -197,7 +200,6 @@ class _IntervalOps:
         # Negative dust below the domain boundary is clamped to the true
         # restriction [0, hi]; an entirely negative interval surfaces as
         # NaN, which can never be proven positive.
-        with np.errstate(invalid="ignore"):
-            lo = _round_down(np.sqrt(np.maximum(a[0], 0.0)))
-            hi = _round_up(np.sqrt(a[1]))
+        lo = _round_down(np.sqrt(np.maximum(a[0], 0.0)))
+        hi = _round_up(np.sqrt(a[1]))
         return np.maximum(lo, 0.0), hi

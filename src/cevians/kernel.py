@@ -48,6 +48,8 @@ class Target(Enum):
     KEY_SYSTEM = "key-system"
     ALTITUDE_REDUCED = "altitude-reduced"
     SCALENE_LEMMA = "scalene-lemma"
+    MAIN_BISECTOR = "main-bisector"
+    QUADRATIC_BISECTOR = "quadratic-bisector"
 
 
 class SearchMode(Enum):

@@ -221,11 +221,12 @@ def reverify_candidate(cands: list[CandidateRecord]) -> list[CandidateRecord]:
         return []
     ops = _IntervalOps
     a, b, c, ta, tb, tc = ((v, v) for v in _columns(cands))  # exact point intervals
-    cevians = bulk.stewart_cevians(ops, a, b, c, ta, tb, tc)
-    s1 = bulk.main_slack(ops, a, b, c, *cevians)
-    s2 = bulk.quadratic_slack(ops, a, b, c, *cevians)
-    lower = np.minimum.reduce([ops.sub(lhs, rhs)[0] for lhs, rhs
-                               in bulk.constraint_pairs(ops, a, b, c, *cevians)])
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        cevians = bulk.stewart_cevians(ops, a, b, c, ta, tb, tc)
+        s1 = bulk.main_slack(ops, a, b, c, *cevians)
+        s2 = bulk.quadratic_slack(ops, a, b, c, *cevians)
+        lower = np.minimum.reduce([ops.sub(lhs, rhs)[0] for lhs, rhs
+                                   in bulk.constraint_pairs(ops, a, b, c, *cevians)])
     return [
         replace(
             cand,

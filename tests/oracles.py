@@ -102,7 +102,8 @@ def target_parts_hp(target, x, y):
     """Every part of a certification target at (x, y), for the triangle (x, y, 1).
 
     Each part is a positive multiple of the slack it certifies, written
-    from the medians of :func:`medians_hp`.
+    from the medians of :func:`medians_hp` or the bisectors of
+    :func:`bisectors_hp`.
     """
     x, y = mp.mpf(x), mp.mpf(y)
     if target == "altitude-reduced":
@@ -118,6 +119,10 @@ def target_parts_hp(target, x, y):
                 x * rb + y * ra - 2 * rc)
     if target == "scalene-lemma":
         return (ra * mp.sqrt(y) + rb * (mp.sqrt(x) - y) - rc,)
+    if target == "main-bisector":
+        return (slack_main_hp(x, y, 1, *bisectors_hp(x, y, 1)),)
+    if target == "quadratic-bisector":
+        return (slack_quadratic_hp(x, y, 1, *bisectors_hp(x, y, 1)),)
     raise ValueError(f"unknown target {target!r}")
 
 

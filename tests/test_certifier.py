@@ -367,12 +367,13 @@ class TestGrid:
         """The certificate, each level's clipped boxes, and the boxes of each
         bounded level.
 
-        One `_lower_bounds` call may bound a level together with the next,
-        so the levels are rebuilt as the level-synchronous loop builds them:
-        from the root box, clip and drop the empty boxes; bisect every box of
-        a grid level, and the boxes of a bounded level that the certificate
-        lists neither proven, corner nor undecided.  A level after the grid
-        is bounded when `_lower_bounds` saw every one of its boxes.
+        One `_lower_bounds` call may bound a level together with the levels
+        below it, so the levels are rebuilt as the level-synchronous loop
+        builds them: from the root box, clip and drop the empty boxes;
+        bisect every box of a grid level, and the boxes of a bounded level
+        that the certificate lists neither proven, corner nor undecided.  A
+        level after the grid is bounded when `_lower_bounds` saw every one
+        of its boxes.
         """
         bound = certifier._lower_bounds
         seen = set()
@@ -484,14 +485,18 @@ class TestGrid:
 
 
 class TestLookAhead:
-    """Deciding a level together with its boxes' children changes no
+    """Deciding a level together with the generations below it changes no
     certificate: with the look-ahead off (gate 0), at the default gate and
-    always on, the reports are the same bytes but for `stats.evaluations`."""
+    at a wide gate, the reports are the same bytes but for
+    `stats.evaluations`.  The wide gate is finite: the generations below a
+    level of n boxes may hold up to 2**g * n boxes at depth g, and
+    unbounded they would grow until box_budget."""
 
     SETTINGS = [{}, {"delta": 0.0}, {"box_budget": 10}, {"box_budget": 31},
                 {"max_depth": 2}, {"max_depth": 7}, {"min_box_width": 0.2}]
     # Its levels hold 32, 64, 116, 206, 346, 524 and 830 boxes before the
-    # budget runs out, so at the default gate both branches run.
+    # budget runs out, so at the default gate some levels take generations
+    # along and some do not.
     WIDE = (Target.KEY_SYSTEM, {"mu": 1e-20, "delta": 0.0, "box_budget": 3000})
     RUNS = [(t, kw) for kw in SETTINGS for t in Target] + [WIDE]
     IDS = [f"{t.value}-{'-'.join(f'{k}={v}' for k, v in kw.items()) or 'defaults'}"
@@ -502,7 +507,7 @@ class TestLookAhead:
         task = CertificationTask(target=target, **settings)
         default = certifier._LOOKAHEAD_BOXES
         reports, evaluations = [], []
-        for gate in (0, default, 10**9):
+        for gate in (0, default, 4096):
             monkeypatch.setattr(certifier, "_LOOKAHEAD_BOXES", gate)
             doc = certify(task).to_report_dict(include_proven=True)
             stats = doc["stats"]
@@ -515,6 +520,32 @@ class TestLookAhead:
             sizes = [level[0] for level in stats["per_level"]]
             assert min(sizes) <= default < max(sizes)
             assert evaluations[2] < evaluations[1] < evaluations[0]
+
+    def test_one_evaluation_decides_three_levels(self, monkeypatch):
+        # certify-corner's run: levels of 32, 18 and 8 boxes, the last two
+        # taken from the two generations below the first
+        batches = []
+        decide = certifier._decide
+
+        def recording(target, mu, boxes):
+            batches.append(boxes.shape[1])
+            return decide(target, mu, boxes)
+
+        monkeypatch.setattr(certifier, "_decide", recording)
+        stats = certify(CertificationTask(Target.MAIN_MEDIAN, delta=0.0, min_box_width=1e-15,
+                                          max_depth=200, box_budget=3000)).stats
+        assert [level[0] for level in stats.per_level] == [32, 18, 8]
+        assert stats.evaluations == len(batches) == 1
+        assert 32 + 18 + 8 < batches[0] <= certifier._LOOKAHEAD_BOXES
+
+    def test_certify_suite_makes_30_evaluations(self):
+        # certify-suite's 15 runs made 81 evaluations one level at a time,
+        # 45 with one generation of look-ahead
+        targets = (Target.MAIN_MEDIAN, Target.QUADRATIC_MEDIAN, Target.KEY_SYSTEM,
+                   Target.ALTITUDE_REDUCED, Target.SCALENE_LEMMA)
+        settings = ({}, {"mu": 1e-12, "delta": 1e-6}, {"mu": 1e-12, "delta": 1e-7})
+        assert sum(certify(CertificationTask(target, **kw)).stats.evaluations
+                   for target in targets for kw in settings) == 30
 
 
 class TestProvenBoxSoundness:
@@ -1264,7 +1295,7 @@ class TestReadmeTable:
                 width = cert.corner[1, 0] - cert.corner[0, 0]
                 assert f"1/{round(1 / width)}" == corner_width, (name, mu)
                 checked += 1
-        assert checked == 14
+        assert checked == 20
 
 
 def _bits(a):

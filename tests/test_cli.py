@@ -177,7 +177,19 @@ def _quiet_run(argv):
 
 
 class TestVerdictIsUnitFree:
-    """A slack of degree d is held to -tolerance*c*lc*c**(d-2)."""
+    """A slack of degree d is held to -tolerance*c*lc*c**(d-2), and
+    bisector_ratio, of degree 0, to -tolerance*(c + b - a)/c."""
+
+    @pytest.mark.parametrize("tolerance, code", [("1e-12", 0), ("1e-16", 1)])
+    def test_needle_bisector_ratio_is_held_to_its_terms(self, tmp_path, tolerance, code):
+        # a = b makes the ratio exactly 0; it reads one rounding below, while
+        # c*lc/c**2, the degree-0 threshold of the sides, is about 7.5e-9
+        out = tmp_path / "r.json"
+        assert run(["verify", "--sides", "1,1,1.9999999999999998", "--cevians",
+                    "bisector", "--tolerance", tolerance, "-o", str(out)]) == code
+        doc = load(out)
+        assert doc["slacks"]["bisector_ratio"] == -2.220446049250313e-16
+        assert doc["all_nonnegative"] is (code == 0)
 
     def test_rounded_bisector_ratio_passes_at_small_sides(self, tmp_path):
         out = tmp_path / "r.json"
@@ -414,15 +426,15 @@ _SUITE_SETTINGS = ((), ("--mu", "1e-12", "--delta", "1e-6"),
           for target in ("main-median", "quadratic-median", "key-system",
                          "altitude-reduced", "scalene-lemma")
           for setting in _SUITE_SETTINGS), (
-        "2db6b66620542d55a3288df044e35a1fc9f6efe2a369ab4ab3087c3ce138141d",
-        "9c852828c861c747baf0bf67262554fec77400e98c6072da301115f3e570c1bb",
-        "ab10d37ed6686f3ac3e575e1803fe3f271643b87f360de8a5791c3a0247ccc81",
-        "4b9d89036ccc15ad724eec7a6c94d484129972ff6f7067f096c3edf412330e41",
-        "0f66bf7a796d5e986b44e01e4d1cb9b8ecff4f988e5fed0bdbe238230892e22c",
-        "5d7bbd1ef0a94db1089cd2a42efe660622b9ed3f83ff57169c18770b572fd432",
-        "ba625b196b7d6bb6f5a0a4ffa325f2086bbe82b4b3262a254b8b7848a00dc926",
-        "0c2259983cb3b3bfdd6499f202b227da8faf621e45cf33a2e2f2082b9c03ea29",
-        "2997fdca9ce9670c93e98c81975a239d9f7d3544864851c7cbdfbd962afd10e7",
+        "0a1d897d0a6841e3593d936685d291ca7ac5a7d6d16d9523b48699e29d0ecb9a",
+        "3b544e70350fe499dc312cf863b3066a337fa5c8f11c1eaed42157dc7a192ed7",
+        "ed47d903082713a216405e20cbc92882d5c6a308e9e201fdc7be82e641b8977d",
+        "7ea30da303c6e3fb7902a5cdbb678d638e5916bee8d91c8457fd1daa0c9d2db5",
+        "0074e87e76270d4ca61eeb1d861c7329012fe5ba424f4870a6f89f8d8c2bfbcf",
+        "7c409a7efafbbbbf0edf33227c43bc1428c88ba76db7ff93e4d6adbc9c9fb8a7",
+        "64d1805194f0066bc5e73f7fa5e45423fa9d238678df0dd0d4a35e3d1f581ca1",
+        "c9646f4152638c68706b74a19a444a392b551c2769ce6f26d2d5513d04eebff1",
+        "69e8fd4ca32a56eb51d1969675e32b68b95a5bf9e6470b6ec6b0462d9d3088ad",
         "77ba91f9c2c54c32621e275cb6c80c50ab685b6d23e4bb4843d6b24782759b64",
         "e26cb158852893e47cecf110bc82378f4f6b5c2fbd31e0da9d643b6930682f9f",
         "b7a0931a85ff8e81cacae6fb73cc88a7173325d2904bc93a8ea43df1c6a4915f",
@@ -432,7 +444,7 @@ _SUITE_SETTINGS = ((), ("--mu", "1e-12", "--delta", "1e-6"),
     )),
     (["certify", "--target", "main-median", "--delta", "0", "--min-box-width",
       "1e-15", "--max-depth", "200", "--box-budget", "3000"],
-     "0e5107ed8664efc9a24876e862d0ff5190f416d6d51a63d7d5baa404292ba9e3"),
+     "15763168bda07ff2976f109b2cbe69315836f8a404f9099f91e4d8ab3f53fc98"),
 ])
 def test_certificate_bytes_are_pinned(argv, digest, tmp_path):
     out = tmp_path / "r.json"

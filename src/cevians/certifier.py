@@ -20,22 +20,23 @@ the boxes each level splits, take their decisions from there.  Every step
 of a decision is element-wise over the boxes, so this changes no
 certificate, only how many evaluations a run makes.
 
-Every target expression is written once against an abstract operation set
-(the median and bisector targets are the :mod:`cevians.bulk` formulas at
-c = 1.0) and instantiated three ways: plain float arrays (point
-evaluation), interval endpoint arrays (the natural extension, which is
-inclusion-isotone), and forward-mode interval derivatives of order 1 or 2
-(:class:`_JetOps`, whose value, gradient and Hessian are the rows of one
-pair of endpoint arrays).
+Each target is one `TargetSpec` record of `TARGETS`: its parts, their
+exact facts at each vertex, its identity part and whether the corner
+factor check applies.  Every target expression is written once against an
+abstract operation set (the median and bisector targets are the
+:mod:`cevians.bulk` formulas at c = 1.0) and instantiated three ways:
+plain float arrays (point evaluation), interval endpoint arrays (the
+natural extension, which is inclusion-isotone), and forward-mode interval
+derivatives of order 1 or 2 (:class:`_JetOps`, whose value, gradient and
+Hessian are the rows of one pair of endpoint arrays).
 The branch-and-bound additionally prunes with the mean-value form
 f(m) + grad(X) * (X - m), which is what keeps box counts bounded away from
 the points where a target is 0.
 
 Three such points lie on the closure of the domain, the equality vertices
-of `_VERTICES`: the equilateral point (1, 1), where every target is 0;
-the flat triangle (0, 1), where main-median, quadratic-median,
-scalene-lemma and key-system's r2 and r3 are; and the flat triangle
-(1/2, 1/2), where key-system's r1 and r2 are.  No bound over a box can be
+of `_VERTICES`: the equilateral point (1, 1), where every target is 0,
+and the flat triangles (0, 1) and (1/2, 1/2), where the targets with
+facts there have parts that are.  No bound over a box can be
 positive near a zero, so near them the bounds shrink only with the box
 and the levels pile up.  A box that the bounds above leave unproven and
 that lies within twice its width of a vertex is tried with a Taylor form
@@ -58,6 +59,7 @@ from __future__ import annotations
 
 import math
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -198,7 +200,7 @@ class _JetOps:
     one component at a time, so every row is the same bit for bit.  Row 0
     is the natural extension.  Only the derivative rows meet inf * 0 (a
     radicand that reaches 0 has an infinite derivative); those lanes have
-    `ok` False and are never used, and :func:`_jet_parts` silences their
+    `ok` False and are never used, and :func:`_jets` silences their
     warnings.  A float operand is an exact constant as in `_IntervalOps`,
     except that sub takes one only as its subtrahend: a +- k changes row 0.
     """
@@ -286,12 +288,12 @@ def _with_value(a, op, k):
     return _Jet(d, a.ok)
 
 
-def _median_target(formula, parts=1):
+def _on_unit_triangle(formula, cevians, parts=1):
     """A target of `parts` values: a :mod:`cevians.bulk` formula on the
-    triangle (x, y, 1.0) and its doubled medians ra, rb, rc, with the roots
-    (sqrt(y), sqrt(x), sqrt(xy)) where :func:`_jets` seeds them."""
+    triangle (x, y, 1.0) and its Cevians `cevians(ops, x, y, 1.0)`, with the
+    roots (sqrt(y), sqrt(x), sqrt(xy)) where :func:`_jets` seeds them."""
     def target(ops, x, y, **roots):
-        value = formula(ops, x, y, 1.0, *bulk.doubled_medians(ops, x, y, 1.0), **roots)
+        value = formula(ops, x, y, 1.0, *cevians(ops, x, y, 1.0), **roots)
         return (value,) if parts == 1 else value
     return target
 
@@ -307,52 +309,93 @@ def _parts_altitude_reduced(ops, x, y):
     return (ops.sub(t, ops.add(ops.add(x, y), 1.0)),)
 
 
-def _bisector_target(formula):
-    """A one-part target: a :mod:`cevians.bulk` slack on the triangle
-    (x, y, 1.0) and its internal bisectors."""
-    def target(ops, x, y):
-        return (formula(ops, x, y, 1.0, *bulk.bisectors(ops, x, y, 1.0)),)
-    return target
+@dataclass(frozen=True)
+class TargetSpec:
+    """One certify target.
+
+    `parts(ops, x, y)` gives its parts over an operation set.  `facts` maps
+    the name of each vertex of `_VERTICES` where a part is 0 to one entry
+    per part, from that vertex's vocabulary (see its docstring).
+    `identity_part` is a part that an identity proves >= 0 (key-system's
+    r2, see :func:`key_system_identity_floors`), which the branch-and-bound
+    then leaves out (see :func:`_strict_parts`).  `corner_factors` marks
+    the target whose isosceles second factors :func:`corner_argument_check`
+    certifies at delta > 0.
+    """
+
+    parts: Callable
+    facts: dict
+    identity_part: int | None = None
+    corner_factors: bool = False
 
 
-_PARTS = {
-    Target.MAIN_MEDIAN: _median_target(bulk.main_slack),
-    Target.QUADRATIC_MEDIAN: _median_target(bulk.quadratic_slack),
-    Target.KEY_SYSTEM: _median_target(bulk.key_residuals, parts=3),
-    Target.ALTITUDE_REDUCED: _parts_altitude_reduced,
-    Target.SCALENE_LEMMA: _median_target(bulk.scalene_lemma),
-    Target.MAIN_BISECTOR: _bisector_target(bulk.main_slack),
-    Target.QUADRATIC_BISECTOR: _bisector_target(bulk.quadratic_slack),
+# Every certify target, with the exact facts of its parts at the vertices;
+# the common values (ra, rb, rc there) are in each vertex's docstring.
+TARGETS = {
+    # (1, 1): every term has a zero factor, so F = 0, and
+    # F_x = -ra + rb/2 + rc/2 = 0 (= F_y, as F is symmetric).
+    # (0, 1): F = 2*(1 - 0) + 1*(0 - 1) + 1*(0 - 1) = 0; in s, dF/ds =
+    # rb + rc*sqrt(y) = 2, and dF/dy = 1 + 1 + 1 - 1 - 2 = 0.
+    Target.MAIN_MEDIAN: TargetSpec(
+        _on_unit_triangle(bulk.main_slack, bulk.doubled_medians),
+        {"vertex_1_1": (2,), "vertex_0_1": ("s",)}, corner_factors=True),
+    # (1, 1): F = 0 likewise, and F_x = -2*ra + rb + rc = 0.
+    # (0, 1): F = 1*2 - 1*1 - 1*1 = 0, analytic in x with dF/dx =
+    # rb + y*rc = 2, and dF/dy = 0.
+    Target.QUADRATIC_MEDIAN: TargetSpec(
+        _on_unit_triangle(bulk.quadratic_slack, bulk.doubled_medians),
+        {"vertex_1_1": (2,), "vertex_0_1": ("x",)}),
+    # r1, r2, r3 = rb + y*rc - 2x*ra, ra + x*rc - 2y*rb, x*rb + y*ra - 2*rc.
+    # (1, 1): r1 = rb + rc - 2*ra = 0, r1_x = (2 + 2 + 2)/sqrt(3) - 2*ra =
+    # 0, r1_y = (-1 + 2 - 4)/sqrt(3) + rc = 0; r2 is r1 with x and y
+    # swapped; r3 = rb + ra - 2*rc = 0 and r3_x = rb + (2 - 1 - 4)/sqrt(3) = 0.
+    # (0, 1), analytic in x: r1 = 2, r2 = 0 (the identity part), and r3 = 0
+    # with grad r3 = (rb + y*(d ra/dx) - 2*(d rc/dx), ra + y*(d ra/dy) -
+    # 2*(d rc/dy)) = (1 + 0 - 0, 2 + 1 - 4) = (1, -1).
+    # (1/2, 1/2): r1 = 3/2 - 3/2 = 0 is "split" into f + y*rc with f =
+    # rb - 2x*ra (`_key_r1_smooth`), f = 0 and grad f = (2/3 - 3 + 1/3,
+    # -1/3 - 2/3) = (-2, -1); r2 = 0 (the identity part); r3 = 3/4 + 3/4.
+    Target.KEY_SYSTEM: TargetSpec(
+        _on_unit_triangle(bulk.key_residuals, bulk.doubled_medians, parts=3),
+        {"vertex_1_1": (2, 2, 2), "vertex_0_1": ("natural", None, "x"),
+         "vertex_half_half": ("split", None, "natural")},
+        identity_part=1),
+    # (1, 1): F = 3 - 3 = 0 and F_x = y + 1/y - y/x^2 - 1 = 0.  It grows
+    # like 1/x at (0, 1).
+    Target.ALTITUDE_REDUCED: TargetSpec(_parts_altitude_reduced, {"vertex_1_1": (2,)}),
+    # (1, 1): F = ra - rc = 0, but F_x = (-1 - 2)/sqrt(3) + rb/2 and
+    # F_y = (2 - 2)/sqrt(3) + ra/2 - rb are both -sqrt(3)/2.
+    # (0, 1): F = 2*1 + 1*(0 - 1) - 1 = 0; in s, dF/ds = rb = 1, dF/dy = 0.
+    Target.SCALENE_LEMMA: TargetSpec(
+        _on_unit_triangle(bulk.scalene_lemma, bulk.doubled_medians),
+        {"vertex_1_1": (1,), "vertex_0_1": ("s",)}),
+    # (1, 1): the bisectors la = lb = lc = sqrt(3)/2 are equal, so the
+    # median arguments carry over: F = 0, and F_x = -la + lb/2 + lc/2 = 0
+    # and -2*la + lb + lc = 0.  At (0, 1), la = 1 and lb = lc = 0: F = 1.
+    Target.MAIN_BISECTOR: TargetSpec(
+        _on_unit_triangle(bulk.main_slack, bulk.bisectors), {"vertex_1_1": (2,)}),
+    Target.QUADRATIC_BISECTOR: TargetSpec(
+        _on_unit_triangle(bulk.quadratic_slack, bulk.bisectors), {"vertex_1_1": (2,)}),
 }
 
 
 def point_values(target: Target, x, y):
     """Binary64 point evaluation of a target over arrays of domain points."""
-    parts = _PARTS[target](
-        _FloatOps, np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-    )
+    parts = TARGETS[target].parts(_FloatOps, np.asarray(x, dtype=float),
+                                  np.asarray(y, dtype=float))
     out = parts[0]
     for p in parts[1:]:
         out = np.minimum(out, p)
     return out
 
 
-def _natural_parts(target: Target, xlo, xhi, ylo, yhi):
-    return _PARTS[target](_IntervalOps, (xlo, xhi), (ylo, yhi))
-
-
-def _jet_parts(target: Target, order: int, xlo, xhi, ylo, yhi, in_sqrt_x=False):
-    """The target's parts as `_Jet` values of order 1 or 2 over the boxes.
+def _jets(parts, order: int, xlo, xhi, ylo, yhi, in_sqrt_x=False):
+    """`parts(_JetOps, x, y)` with x and y seeded over the boxes.
 
     With `in_sqrt_x`, [xlo, xhi] bounds s = sqrt(x) instead of x, the
-    derivatives are taken in (s, y), and the target (main-median or
-    scalene-lemma) gets x = s*s and the roots (sqrt(y), s, s*sqrt(y)).
+    derivatives are taken in (s, y), and `parts` gets x = s*s and the roots
+    (sqrt(y), s, s*sqrt(y)).
     """
-    return _jets(_PARTS[target], order, xlo, xhi, ylo, yhi, in_sqrt_x)
-
-
-def _jets(parts, order: int, xlo, xhi, ylo, yhi, in_sqrt_x=False):
-    """`parts(_JetOps, x, y)` with x and y seeded over the boxes."""
     ok = np.ones(np.shape(xlo), dtype=bool)
 
     def seed(lo, hi, row):
@@ -398,14 +441,15 @@ def _key_identity_applies(mu: float) -> bool:
     return all(f > 0.0 for f in key_system_identity_floors(mu).values())
 
 
-def _strict_parts(target: Target, mu: float, n: int) -> list[int]:
-    """Indices of the parts a proof must bound; see :func:`_lower_bounds`."""
-    if target is Target.KEY_SYSTEM and _key_identity_applies(mu):
-        return [0, 2]
+def _strict_parts(spec: TargetSpec, mu: float, n: int) -> list[int]:
+    """Indices of the parts a proof must bound: all but the identity part,
+    where its identity applies; see :func:`_lower_bounds`."""
+    if spec.identity_part is not None and _key_identity_applies(mu):
+        return [k for k in range(n) if k != spec.identity_part]
     return list(range(n))
 
 
-def _lower_bounds(target: Target, xlo, xhi, ylo, yhi, mu: float):
+def _lower_bounds(spec: TargetSpec, xlo, xhi, ylo, yhi, mu: float):
     """Best rigorous per-box lower bound over the domain part of each box.
 
     The larger of the natural extension and the mean-value form
@@ -416,21 +460,21 @@ def _lower_bounds(target: Target, xlo, xhi, ylo, yhi, mu: float):
     where m itself lies outside the domain.
 
     For the key system, the second residual vanishes identically on the
-    curve 2b^2 = a^2 + c^2, so it is certified nonnegative through the
-    square identity (see :func:`key_system_identity_floors`) and the
-    branch-and-bound bound below covers the two strict residuals only; a
-    proven key-system box therefore means r1 > 0, r3 > 0 and r2 >= 0.
+    curve 2b^2 = a^2 + c^2, so where the square identity applies (see
+    :func:`key_system_identity_floors`) it is certified nonnegative through
+    the identity, and the bound below covers the two strict residuals
+    only; a proven key-system box then means r1 > 0, r3 > 0 and r2 >= 0.
     """
     # The enclosures (row 0 of `jets[k].d`) are the natural extension: `_JetOps`
     # runs the same `_IntervalOps` calls on them, and its divisor floor
     # 5e-324 never binds, because the only divisors (altitude-reduced's x
     # and y) have lower bounds >= mu > 0 on clipped boxes.
-    jets = _jet_parts(target, 1, xlo, xhi, ylo, yhi)
-    strict = _strict_parts(target, mu, len(jets))
+    jets = _jets(spec.parts, 1, xlo, xhi, ylo, yhi)
+    strict = _strict_parts(spec, mu, len(jets))
 
     mx = 0.5 * (xlo + xhi)
     my = 0.5 * (ylo + yhi)
-    mid = _PARTS[target](_IntervalOps, (mx, mx), (my, my))
+    mid = spec.parts(_IntervalOps, (mx, mx), (my, my))
     dx = (_round_down(xlo - mx), _round_up(xhi - mx))
     dy = (_round_down(ylo - my), _round_up(yhi - my))
 
@@ -446,23 +490,23 @@ def _lower_bounds(target: Target, xlo, xhi, ylo, yhi, mu: float):
     return best
 
 
-def _least_over_parts(target: Target, mu: float, facts: tuple, box, form):
+def _least_over_parts(spec: TargetSpec, mu: float, facts: tuple, box, form):
     """The least per-part bound of a vertex form over the strict parts.
 
     `facts` holds one entry per part.  "natural" marks a part that is not 0
     at the vertex: its natural lower bound over the box stands in.  None
-    marks a part that is 0 there with no form; it is admissible only when
-    the part is not strict (key-system's r2, by the square identity), and
-    a strict one gives -inf.  Any other entry names the part's Taylor form,
+    marks a part that is 0 there with no form; it is admissible only at
+    the identity part, and only while that part is not strict, and a
+    strict one gives -inf.  Any other entry names the part's Taylor form,
     whose bound `form(k)` returns.
     """
     best = natural = None
-    for k in _strict_parts(target, mu, len(facts)):
+    for k in _strict_parts(spec, mu, len(facts)):
         if facts[k] is None:
             least = np.full(np.shape(box[0]), -_INF)
         elif facts[k] == "natural":
             if natural is None:
-                natural = _natural_parts(target, *box)
+                natural = spec.parts(_IntervalOps, box[:2], box[2:])
             least = natural[k][0]
         else:
             least = form(k)
@@ -470,13 +514,13 @@ def _least_over_parts(target: Target, mu: float, facts: tuple, box, form):
     return best
 
 
-def _vertex_1_1_bounds(target: Target, xlo, xhi, ylo, yhi, mu: float):
+def _vertex_1_1_bounds(spec: TargetSpec, facts: tuple, xlo, xhi, ylo, yhi, mu: float):
     """Taylor-form bound at (1, 1), over each box extended to [xlo,1] x [ylo,1].
 
     On the domain part of the extended box, d = p - (1, 1) has
     dx <= dy <= 0, so dy = r*dx with r in [0, 1], and dx < 0 unless
     p = (1, 1).  Taylor's theorem along the segment from (1, 1) to p, which
-    stays in the extended box, and the exact facts of `_VERTEX_1_1` give
+    stays in the extended box, and the exact `facts` at (1, 1) give
 
         order 2:  F(p) = dx^2/2 * (hxx + 2*hxy*r + hyy*r^2),
         order 1:  F(p) = -dx * (-gx - gy*r),
@@ -493,10 +537,9 @@ def _vertex_1_1_bounds(target: Target, xlo, xhi, ylo, yhi, mu: float):
     positive, every strict part is >= 0 on the box and 0 only at (1, 1).
     Lanes where a radicand or divisor can reach 0 get -inf.
     """
-    facts = _VERTEX_1_1.facts[target]
-    order = max(facts[k] for k in _strict_parts(target, mu, len(facts)))
+    order = max(facts[k] for k in _strict_parts(spec, mu, len(facts)))
     one = np.ones_like(xhi)
-    parts = _jet_parts(target, order, xlo, one, ylo, one)
+    parts = _jets(spec.parts, order, xlo, one, ylo, one)
 
     def form(k):
         if facts[k] == 2:
@@ -509,14 +552,14 @@ def _vertex_1_1_bounds(target: Target, xlo, xhi, ylo, yhi, mu: float):
             least = np.minimum(-gx[1], -_IntervalOps.add(gx, gy)[1])
         return np.where(parts[k].ok & np.isfinite(least), least, -_INF)
 
-    return _least_over_parts(target, mu, facts, (xlo, xhi, ylo, yhi), form)
+    return _least_over_parts(spec, mu, facts, (xlo, xhi, ylo, yhi), form)
 
 
-def _vertex_0_1_bounds(target: Target, xlo, xhi, ylo, yhi, mu: float):
+def _vertex_0_1_bounds(spec: TargetSpec, facts: tuple, xlo, xhi, ylo, yhi, mu: float):
     """First-order bound at (0, 1), over each box extended to [0,xhi] x [ylo,1].
 
     On the domain, x + y >= 1 and y <= 1, so y - 1 lies in [-x, 0].  For a
-    part with F(0, 1) = 0 (`_VERTEX_0_1`), the mean-value theorem along the
+    part with F(0, 1) = 0 (entry "x" or "s"), the mean-value theorem along the
     segment from (0, 1) to p, with the derivatives enclosed over the
     extended box, gives, in the variable the facts name:
 
@@ -532,14 +575,13 @@ def _vertex_0_1_bounds(target: Target, xlo, xhi, ylo, yhi, mu: float):
     where the target is a smooth function of (s, y).
     Lanes where a radicand or divisor can reach 0 get -inf.
     """
-    facts = _VERTEX_0_1.facts[target]
     zero, one = np.zeros_like(xhi), np.ones_like(xhi)
     if "s" in facts:
         s_hi = _round_up(np.sqrt(xhi))
-        parts = _jet_parts(target, 1, zero, s_hi, ylo, one, in_sqrt_x=True)
+        parts = _jets(spec.parts, 1, zero, s_hi, ylo, one, in_sqrt_x=True)
     else:
         s_hi = one
-        parts = _jet_parts(target, 1, zero, xhi, ylo, one)
+        parts = _jets(spec.parts, 1, zero, xhi, ylo, one)
 
     def form(k):
         g, gy = _rows(parts[k].d, 1), _rows(parts[k].d, 2)
@@ -547,15 +589,15 @@ def _vertex_0_1_bounds(target: Target, xlo, xhi, ylo, yhi, mu: float):
             least = _round_down(g[0] - _round_up(s_hi * np.maximum(gy[1], 0.0)))
         return np.where(parts[k].ok & np.isfinite(least), least, -_INF)
 
-    return _least_over_parts(target, mu, facts, (xlo, xhi, ylo, yhi), form)
+    return _least_over_parts(spec, mu, facts, (xlo, xhi, ylo, yhi), form)
 
 
-def _vertex_half_bounds(target: Target, xlo, xhi, ylo, yhi, mu: float):
+def _vertex_half_bounds(spec: TargetSpec, facts: tuple, xlo, xhi, ylo, yhi, mu: float):
     """Bound at (1/2, 1/2) for key-system's r1, over each box extended to it.
 
     At (1/2, 1/2), ra = rb = 3/2 and rc = 0, so rc is not differentiable
     there, but r1 = f + y*rc with f = rb - 2x*ra smooth and 0 there
-    (`_VERTEX_HALF`).  In u = x + y - 1 and v = y - x, the domain has
+    (entry "split").  In u = x + y - 1 and v = y - x, the domain has
     u >= fl(1 + mu) - 1 >= 0 and v >= 0, and rc^2 = 2u + u^2 + v^2.  The
     mean-value theorem for f along the segment from (1/2, 1/2) to p, with
     the gradient enclosed over the extended box, gives
@@ -569,7 +611,6 @@ def _vertex_half_bounds(target: Target, xlo, xhi, ylo, yhi, mu: float):
     bound of r3 (3/2 at the vertex); where it is positive, r1 > 0 and
     r3 > 0 on the box.  Lanes where a radicand of f can reach 0 get -inf.
     """
-    facts = _VERTEX_HALF.facts[target]
     add, sub, mul = _IntervalOps.add, _IntervalOps.sub, _IntervalOps.mul
 
     def form(k):
@@ -590,25 +631,20 @@ def _vertex_half_bounds(target: Target, xlo, xhi, ylo, yhi, mu: float):
                 least = g if least is None else np.minimum(least, g)
         return np.where(f.ok & np.isfinite(least), least, -_INF)
 
-    return _least_over_parts(target, mu, facts, (xlo, xhi, ylo, yhi), form)
+    return _least_over_parts(spec, mu, facts, (xlo, xhi, ylo, yhi), form)
 
 
 class _Vertex:
     """An equality vertex (x, y) of the domain's closure, and the form that
-    proves boxes near it.
-
-    `facts` maps each target that has a part equal to 0 at the vertex to one
-    entry per part: what that part's form relies on, "natural" for a part
-    that is not 0 there, or None for a part with no form (see
-    :func:`_least_over_parts`).  `bounds` returns, per box, a value that
-    proves the box where it is positive.  `name` is its `stats.proven_by`
-    key.
+    proves boxes near it: `bounds(spec, facts, xlo, xhi, ylo, yhi, mu)`, per
+    box, from a target's `facts` at the vertex, proves the box where it is
+    positive.  `name` keys the facts and `stats.proven_by`.
     """
 
-    __slots__ = ("name", "x", "y", "facts", "bounds")
+    __slots__ = ("name", "x", "y", "bounds")
 
-    def __init__(self, name: str, x: float, y: float, facts: dict, bounds):
-        self.name, self.x, self.y, self.facts, self.bounds = name, x, y, facts, bounds
+    def __init__(self, name: str, x: float, y: float, bounds):
+        self.name, self.x, self.y, self.bounds = name, x, y, bounds
 
     def near(self, xlo, xhi, ylo, yhi, width):
         """Boxes that lie within `_VERTEX_REACH` times their width of the
@@ -633,19 +669,7 @@ class _Vertex:
 # boxes, which costs more time and saves no evaluation.
 _VERTEX_REACH = 2.0
 
-_VERTEX_1_1 = _Vertex(
-    "vertex_1_1", 1.0, 1.0,
-    {
-        Target.MAIN_MEDIAN: (2,),
-        Target.QUADRATIC_MEDIAN: (2,),
-        Target.KEY_SYSTEM: (2, 2, 2),
-        Target.ALTITUDE_REDUCED: (2,),
-        Target.SCALENE_LEMMA: (1,),
-        Target.MAIN_BISECTOR: (2,),
-        Target.QUADRATIC_BISECTOR: (2,),
-    },
-    _vertex_1_1_bounds,
-)
+_VERTEX_1_1 = _Vertex("vertex_1_1", 1.0, 1.0, _vertex_1_1_bounds)
 """The equilateral point (1, 1), where every part of every target is 0.
 
 Each entry is the order of the first nonzero term of the part's Taylor
@@ -653,69 +677,31 @@ expansion at (1, 1): 2 means value and gradient are exactly 0, 1 means
 the value is exactly 0.  At (1, 1), ra = rb = rc = sqrt(3) and
 sqrt(x) - 1 = sqrt(y) - 1 = sqrt(xy) - 1 = 0, and the radicals have
 d ra = (-1, 2)/sqrt(3), d rb = (2, -1)/sqrt(3), d rc = (2, 2)/sqrt(3).
-Swapping x and y swaps ra and rb, so main-median, quadratic-median,
-altitude-reduced and key-system's r3 are symmetric and have F_y = F_x;
-key-system's r1 and r2 swap into each other.
-
-- main-median: every term has a zero factor, so F = 0, and
-  F_x = -ra + rb/2 + rc/2 = 0.
-- quadratic-median: F = 0 likewise, and F_x = -2*ra + rb + rc = 0.
-- key-system: r1 = rb + rc - 2*ra = 0, r1_x = (2 + 2 + 2)/sqrt(3) - 2*ra = 0,
-  r1_y = (-1 + 2 - 4)/sqrt(3) + rc = 0; r2 is r1 with x and y swapped;
-  r3 = rb + ra - 2*rc = 0 and r3_x = rb + (2 - 1 - 4)/sqrt(3) = 0.
-- altitude-reduced: F = 3 - 3 = 0 and F_x = y + 1/y - y/x^2 - 1 = 0.
-- scalene-lemma: F = ra - rc = 0, but F_x = (-1 - 2)/sqrt(3) + rb/2 and
-  F_y = (2 - 2)/sqrt(3) + ra/2 - rb are both -sqrt(3)/2.
-- main-bisector and quadratic-bisector: the bisectors la = lb = lc =
-  sqrt(3)/2 are equal there, so the median arguments carry over: F = 0,
-  and F_x = -la + lb/2 + lc/2 = 0 and -2*la + lb + lc = 0.
+Swapping x and y swaps ra and rb, so a part symmetric in x and y has
+F_y = F_x.
 """
 
-_VERTEX_0_1 = _Vertex(
-    "vertex_0_1", 0.0, 1.0,
-    {
-        Target.MAIN_MEDIAN: ("s",),
-        Target.QUADRATIC_MEDIAN: ("x",),
-        Target.KEY_SYSTEM: ("natural", None, "x"),
-        Target.SCALENE_LEMMA: ("s",),
-    },
-    _vertex_0_1_bounds,
-)
-"""The flat triangle (0, 1, 1).  Each 0 part's entry names its expansion
-variable.
+_VERTEX_0_1 = _Vertex("vertex_0_1", 0.0, 1.0, _vertex_0_1_bounds)
+"""The flat triangle (0, 1, 1).
 
-At (0, 1), ra = 2 and rb = rc = 1, and main-median, quadratic-median and
-scalene-lemma are exactly 0: main-median is 2*(1 - 0) + 1*(0 - 1) +
-1*(0 - 1), quadratic-median is 1*2 - 1*1 - 1*1, and scalene-lemma is
-2*1 + 1*(0 - 1) - 1.  In s = sqrt(x) (x = s^2, so d/ds of any smooth
-function of x is 0 at s = 0), the main-median has dF/ds = rb + rc*sqrt(y)
-= 2 and the scalene-lemma dF/ds = rb = 1; quadratic-median, analytic in
-x, has dF/dx = rb + y*rc = 2.  All three have dF/dy = 0: for main-median
-1 + 1 + 1 - 1 - 2, with d ra/dy = 2y/ra = 1, d rb/dy = -y/rb = -1 and
-d rc/dy = 2y/rc = 2.  Key-system is analytic in x there:
-r1 = rb + y*rc - 2x*ra = 2, r2 = ra + x*rc - 2y*rb = 0 (covered by the
-square identity), and r3 = x*rb + y*ra - 2*rc = 0 with
-grad r3 = (rb + y*(d ra/dx) - 2*(d rc/dx), ra + y*(d ra/dy) - 2*(d rc/dy))
-= (1 + 0 - 0, 2 + 1 - 4) = (1, -1), as d ra/dx = -x/ra and
-d rc/dx = 2x/rc are 0.  Altitude-reduced grows like 1/x there and has no
-entry, nor do the bisector targets, which are 1 there: la = 1 and
-lb = lc = 0.
+A part that is 0 there names its expansion variable: "x", or "s" for a
+part with sqrt(x), which is not differentiable at x = 0; in s = sqrt(x),
+x = s^2, so d/ds of any smooth function of x is 0 at s = 0.  "natural"
+marks a part that is not 0 there, and None the identity part.  At (0, 1),
+ra = 2 and rb = rc = 1, with d ra/dy = 2y/ra = 1, d rb/dy = -y/rb = -1,
+d rc/dy = 2y/rc = 2, and d ra/dx = -x/ra and d rc/dx = 2x/rc both 0.
 """
 
-_VERTEX_HALF = _Vertex(
-    "vertex_half_half", 0.5, 0.5,
-    {Target.KEY_SYSTEM: ("split", None, "natural")},
-    _vertex_half_bounds,
-)
-"""The flat triangle (1/2, 1/2, 1), a zero of key-system's r1 and r2.
+_VERTEX_HALF = _Vertex("vertex_half_half", 0.5, 0.5, _vertex_half_bounds)
+"""The flat triangle (1/2, 1/2, 1).
 
 It lies outside W, since x + y >= fl(1 + mu) > 1 wherever the square
 identity applies, so no box holds it.  There ra^2 = rb^2 = 2 + 1/2 - 1/4,
-so ra = rb = 3/2, and rc^2 = 1/2 + 1/2 - 1 = 0.  Then r1 = 3/2 - 3/2 = 0
-and r2 = 0 (covered by the square identity), and r3 = 3/4 + 3/4 = 3/2.
-r1 is "split" into f + y*rc: f = rb - 2x*ra has f = 0 and, with
-d ra = (-x, 2y)/ra = (-1/3, 2/3) and d rb = (2x, -y)/rb = (2/3, -1/3),
-grad f = (2/3 - 3 + 1/3, -1/3 - 2/3) = (-2, -1).
+so ra = rb = 3/2, with d ra = (-x, 2y)/ra = (-1/3, 2/3) and
+d rb = (2x, -y)/rb = (2/3, -1/3), and rc^2 = 1/2 + 1/2 - 1 = 0, so rc is
+not differentiable there.  "split" marks key-system's r1 = f + y*rc, with
+f = rb - 2x*ra smooth and 0 there; "natural" a part that is not 0 there,
+and None the identity part.
 """
 
 _VERTICES = (_VERTEX_1_1, _VERTEX_0_1, _VERTEX_HALF)
@@ -866,17 +852,17 @@ class Certificate:
         return doc
 
 
-def _corner_note(target: Target, delta: float) -> str:
+def _corner_note(spec: TargetSpec, delta: float) -> str:
     """What the report proves about the corner square [1-delta, 1]^2."""
     if delta == 0.0:
-        order = {1: "first", 2: "second"}[min(_VERTEX_1_1.facts[target])]
+        order = {1: "first", 2: "second"}[min(spec.facts[_VERTEX_1_1.name])]
         return ("nothing excluded: the square is the equality point (1,1), "
                 "where every target is 0; corner_box, the box holding it, is "
                 f"proven >= 0 and = 0 only at (1,1) by a {order}-order Taylor "
                 "form at (1,1); if corner_box is null, that box is undecided; "
                 "no corner check runs")
     sampling = "corner_sampling is binary64 evidence, not part of the proof"
-    if target is not Target.MAIN_MEDIAN:
+    if not spec.corner_factors:
         return "excluded and not proven; " + sampling
     if 1.0 - 2.0 * delta > 1.0 - _CORNER_ETA:
         return ("excluded and not proven: 2*delta < eta = 1e-6 leaves the "
@@ -890,6 +876,7 @@ def _corner_note(target: Target, delta: float) -> str:
 
 
 def _excluded_description(task: CertificationTask) -> dict:
+    spec = TARGETS[task.target]
     doc = {
         "degeneracy_buffer": {
             "mu": task.mu,
@@ -900,15 +887,21 @@ def _excluded_description(task: CertificationTask) -> dict:
             "delta": task.delta,
             "x": [1.0 - task.delta, 1.0],
             "y": [1.0 - task.delta, 1.0],
-            "note": _corner_note(task.target, task.delta),
+            "note": _corner_note(spec, task.delta),
         },
     }
-    if task.target is Target.KEY_SYSTEM:
+    if spec.identity_part is not None:
+        if _key_identity_applies(task.mu):
+            how = ("nonnegative via the square identity "
+                   "4*T1*T2 - P^2 = 4*(a^2+c^2-2*b^2)^2 * (16*area^2); "
+                   "proven boxes certify r1 > 0, r3 > 0, r2 >= 0")
+        else:
+            how = ("bounded by the branch-and-bound: a heron_floor is not "
+                   "positive, so the square identity does not apply; "
+                   "proven boxes certify r1 > 0, r2 > 0, r3 > 0")
         doc["second_residual"] = {
             "equality_locus": "2*b^2 = a^2 + c^2",
-            "certification": "nonnegative via the square identity "
-                             "4*T1*T2 - P^2 = 4*(a^2+c^2-2*b^2)^2 * (16*area^2); "
-                             "proven boxes certify r1 > 0, r3 > 0, r2 >= 0",
+            "certification": how,
             "heron_floors": key_system_identity_floors(task.mu),
         }
     return doc
@@ -953,20 +946,22 @@ def _decide(target: Target, mu: float, boxes):
     proven nor corner.  Every step is element-wise over the boxes, so a
     box's decision does not depend on the other boxes in the batch.
     """
+    spec = TARGETS[target]
     width = _widths(boxes)
     rows = np.zeros((len(_FORMS) + 1, boxes.shape[1]), dtype=bool)
     # One error state for every `_IntervalOps` call of the decision: a
     # lane whose divisor or radicand reaches 0 gets an infinite or NaN
     # bound, which proves nothing.
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        rows[0] = _lower_bounds(target, *boxes, mu) > 0.0
+        rows[0] = _lower_bounds(spec, *boxes, mu) > 0.0
         for i, vertex in enumerate(_VERTICES, start=1):
-            if target not in vertex.facts:
+            facts = spec.facts.get(vertex.name)
+            if facts is None:
                 continue
             near = ~rows.any(axis=0) & vertex.near(*boxes, width)
             if not near.any():
                 continue
-            near[near] = vertex.bounds(target, *boxes[:, near], mu) > 0.0
+            near[near] = vertex.bounds(spec, facts, *boxes[:, near], mu) > 0.0
             holds = near & vertex.holds(*boxes)
             rows[i] = near & ~holds
             rows[-1] |= holds

@@ -22,7 +22,10 @@ search loads the search.  Of this module's code, only the grids of table
 and of certify's corner sampling use NumPy, and load it when they run.
 The parser's choices come from :mod:`cevians.kernel` (``CevianKind``,
 ``Target``, ``SearchMode`` and ``MAX_RECORD_TOP``), and verify's
-``constraint_filter`` from :mod:`cevians.inequalities`.
+``constraint_filter`` from :mod:`cevians.inequalities`.  certify reads
+what it does with a target, the corner check too, from its record in
+:data:`cevians.certifier.TARGETS`; only table names a target, as its grid
+is the main-median slack.
 """
 
 from __future__ import annotations
@@ -76,7 +79,8 @@ from .reports import (
 # The engine names of the certify, table and search handlers load with their
 # module on first access, so each subcommand loads only the engine it runs.
 __getattr__ = _lazy_getattr(globals(), {
-    "certifier": ("CertificationTask", "certify", "corner_argument_check", "point_values"),
+    "certifier": ("TARGETS", "CertificationTask", "certify", "corner_argument_check",
+                  "point_values"),
     "search": ("FOOT_MARGIN", "SearchConfig", "search"),
 })
 # This module.  The handlers look the engine names up on it, which loads
@@ -338,7 +342,7 @@ def cmd_certify(args, started: float) -> int:
 
     body = {"certificate": cert.to_report_dict(include_proven=args.include_proven)}
     if task.delta > 0.0:
-        if task.target is Target.MAIN_MEDIAN:
+        if _engines.TARGETS[task.target].corner_factors:
             body["corner_check"] = _engines.corner_argument_check(task.delta).to_report_dict()
         body["corner_sampling"] = _corner_sampling(task.target, task.delta)
 

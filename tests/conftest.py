@@ -7,7 +7,8 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from cevians import bulk  # noqa: E402
-from cevians.certifier import _natural_parts  # noqa: E402
+from cevians.certifier import TARGETS  # noqa: E402
+from cevians.intervals import _IntervalOps  # noqa: E402
 
 
 def rel_close(a: float, b: float, rtol: float, floor: float = 0.0) -> bool:
@@ -35,7 +36,7 @@ def sample_domain_boxes(rng, n, max_width=0.05):
 
 def natural_enclosure(target, xlo, xhi, ylo, yhi):
     """The natural enclosure of a target's minimum over its parts."""
-    parts = _natural_parts(target, xlo, xhi, ylo, yhi)
+    parts = TARGETS[target].parts(_IntervalOps, (xlo, xhi), (ylo, yhi))
     return (np.minimum.reduce([p[0] for p in parts]),
             np.minimum.reduce([p[1] for p in parts]))
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import re
@@ -10,6 +11,7 @@ from mpmath import iv
 
 from cevians import bulk, certifier
 from cevians.certifier import (
+    TARGETS,
     CertificationTask,
     Target,
     _GRID_DEPTH,
@@ -25,20 +27,15 @@ from cevians.certifier import (
     _VERTICES,
     _bisect,
     _clip_to_domain,
-    _vertex_0_1_bounds,
-    _vertex_1_1_bounds,
-    _vertex_half_bounds,
-    _jet_parts,
+    _jets,
     _key_r1_smooth,
     _least_over_parts,
     _lower_bounds,
-    _natural_parts,
-    _PARTS,
     _strict_parts,
 )
 from cevians.cli import main as cli_main
 from cevians.reports import reproducible_bytes
-from cevians.intervals import Interval, _IntervalOps
+from cevians.intervals import Interval, _FloatOps, _IntervalOps
 
 import oracles
 from conftest import natural_enclosure, sample_domain_boxes
@@ -49,6 +46,12 @@ F_06_08 = 0.1593005229059099113924
 def _column(*bounds):
     """One box (xlo, xhi, ylo, yhi) as a (4, 1) array."""
     return np.array(bounds, dtype=float).reshape(4, 1)
+
+
+def _form(vertex, target, *box_and_mu):
+    """The vertex form's bound for a target, from its facts there."""
+    spec = TARGETS[target]
+    return vertex.bounds(spec, spec.facts[vertex.name], *box_and_mu)
 
 
 def _point_box_enclosure(target, xlo, xhi, ylo, yhi):
@@ -295,6 +298,31 @@ class TestCertify:
         assert doc["excluded"]["second_residual"]["equality_locus"] == "2*b^2 = a^2 + c^2"
         floors = key_system_identity_floors(1e-6)
         assert all(v > 0 for v in floors.values())
+
+    @pytest.mark.parametrize("mu, identity", [(1e-6, True), (1e-12, True), (1e-17, False)])
+    def test_key_system_report_names_the_route_it_used(self, mu, identity, rng):
+        # At mu = 1e-17, 1 + mu rounds to 1: the floor of x + y - 1 is not
+        # positive, so r2 is bounded by the branch-and-bound with r1 and r3,
+        # and the report must not credit the square identity.
+        task = CertificationTask(target=Target.KEY_SYSTEM, mu=mu, box_budget=2000)
+        cert = certify(task)
+        residual = cert.to_report_dict()["excluded"]["second_residual"]
+        assert (min(residual["heron_floors"].values()) > 0.0) is identity
+        assert (1 in _strict_parts(TARGETS[task.target], mu, 3)) is not identity
+        how = residual["certification"]
+        assert ("via the square identity" in how) is identity
+        if identity:
+            assert how.endswith("proven boxes certify r1 > 0, r3 > 0, r2 >= 0")
+            return
+        assert how.startswith("bounded by the branch-and-bound")
+        assert how.endswith("proven boxes certify r1 > 0, r2 > 0, r3 > 0")
+        # and so they do, r2 included, at 50 digits
+        assert cert.proven_count > 0
+        for i in rng.permutation(cert.proven_count)[:20]:
+            xlo, xhi, ylo, yhi = cert.proven[:, i]
+            for x, y in zip(rng.uniform(xlo, xhi, 20), rng.uniform(ylo, yhi, 20)):
+                if _in_domain(x, y, mu, task.delta):
+                    assert min(oracles.target_parts_hp("key-system", x, y)) > 0, (x, y)
 
     def test_task_validation(self):
         with pytest.raises(ValueError):
@@ -581,9 +609,7 @@ class TestProvingBoundSoundness:
 
     @staticmethod
     def _strict_point_min(target, x, y):
-        from cevians.certifier import _FloatOps, _PARTS
-
-        parts = _PARTS[target](_FloatOps, x, y)
+        parts = TARGETS[target].parts(_FloatOps, x, y)
         idx = [0, 2] if target is Target.KEY_SYSTEM else range(len(parts))
         out = None
         for k in idx:
@@ -629,13 +655,13 @@ class TestProvingBoundSoundness:
             mx, my = 0.5 * (xlo[0] + xhi[0]), 0.5 * (ylo[0] + yhi[0])
             mid_outside = Fraction(mx) + Fraction(my) < Fraction(1.0 + mu) or mx > my
             for target in Target:
-                bound = float(_lower_bounds(target, xlo, xhi, ylo, yhi, mu)[0])
+                bound = float(_lower_bounds(TARGETS[target], xlo, xhi, ylo, yhi, mu)[0])
                 sampled = self._strict_point_min(target, px[mask], py[mask])
                 assert bound <= sampled.min()
                 if mid_outside:
-                    jets = _jet_parts(target, 1, xlo, xhi, ylo, yhi)
+                    jets = _jets(TARGETS[target].parts, 1, xlo, xhi, ylo, yhi)
                     mean_value_outside += all(
-                        jets[k].ok[0] for k in _strict_parts(target, mu, len(jets)))
+                        jets[k].ok[0] for k in _strict_parts(TARGETS[target], mu, len(jets)))
         # Lanes where the mean-value form expands about a midpoint outside W.
         assert mean_value_outside > 0
 
@@ -726,7 +752,7 @@ class TestCornerForm:
         values = oracles.target_parts_hp(target.value, 1, 1)
         gx = oracles.target_derivative_hp(target.value, 1, 1, (1, 0))
         gy = oracles.target_derivative_hp(target.value, 1, 1, (0, 1))
-        orders = _VERTEX_1_1.facts[target]
+        orders = TARGETS[target].facts["vertex_1_1"]
         assert len(orders) == len(values)
         for order, v, dx, dy in zip(orders, values, gx, gy):
             assert v == 0
@@ -748,15 +774,15 @@ class TestCornerForm:
             np.concatenate([boxes, [1.0 - w, np.ones_like(w), 1.0 - w, np.ones_like(w)]],
                            axis=1),
             mu)
-        parts = _jet_parts(target, 2, xlo, xhi, ylo, yhi)
-        natural = _natural_parts(target, xlo, xhi, ylo, yhi)
+        parts = _jets(TARGETS[target].parts, 2, xlo, xhi, ylo, yhi)
+        natural = TARGETS[target].parts(_IntervalOps, (xlo, xhi), (ylo, yhi))
         for p, nat in zip(parts, natural):
             assert np.array_equal(_bits(p.d[0][0]), _bits(nat[0]))
             assert np.array_equal(_bits(p.d[1][0]), _bits(nat[1]))
             assert p.ok.all()
         # the first-order jets that `_lower_bounds` uses are the value
         # and gradient of the second-order ones, bit for bit
-        first = _jet_parts(target, 1, xlo, xhi, ylo, yhi)
+        first = _jets(TARGETS[target].parts, 1, xlo, xhi, ylo, yhi)
         assert len(first) == len(parts)
         for p1, p2 in zip(first, parts):
             assert len(p1.d[0]) == 3 and len(p2.d[0]) == 6
@@ -797,7 +823,7 @@ class TestCornerForm:
         for x, y in zip(px, py):
             parts = oracles.target_parts_hp(target.value, x, y)
             for k, v in enumerate(parts):
-                if k in _strict_parts(target, task.mu, len(parts)):
+                if k in _strict_parts(TARGETS[target], task.mu, len(parts)):
                     assert v > 0, (x, y)
                 else:
                     assert v >= -oracles.mp.mpf(10) ** -40
@@ -810,7 +836,7 @@ class TestCornerForm:
         w = 2.0 ** -np.arange(1, 9)
         (xlo, xhi, ylo, yhi), _ = _clip_to_domain(
             np.array([1.0 - w, np.ones_like(w), 1.0 - w, np.ones_like(w)]), mu)
-        bounds = _vertex_1_1_bounds(target, xlo, xhi, ylo, yhi, mu)
+        bounds = _form(_VERTEX_1_1, target, xlo, xhi, ylo, yhi, mu)
         assert (bounds[-3:] > 0.0).all()
         for i in range(w.size):
             if not np.isfinite(bounds[i]):
@@ -819,8 +845,8 @@ class TestCornerForm:
             for x, y in zip(px, py):
                 parts = oracles.target_parts_hp(target.value, x, y)
                 dx = abs(oracles.mp.mpf(x) - 1)
-                for k in _strict_parts(target, mu, len(parts)):
-                    order = _VERTEX_1_1.facts[target][k]
+                for k in _strict_parts(TARGETS[target], mu, len(parts)):
+                    order = TARGETS[target].facts["vertex_1_1"][k]
                     scale = dx * dx / 2 if order == 2 else dx
                     assert parts[k] >= oracles.mp.mpf(bounds[i]) * scale, (w[i], x, y)
 
@@ -845,6 +871,58 @@ def _smooth_r1_hp(x, y):
     return 2 * mb - 2 * oracles.mp.mpf(x) * 2 * ma
 
 
+class TestTargetRegistry:
+    """`TARGETS` holds one consistent record per target; the exact facts in
+    it are checked against the oracles by `TestCornerForm` and
+    `TestVertexForms`."""
+
+    VOCABULARY = {"vertex_1_1": {1, 2}, "vertex_0_1": {"s", "x", "natural", None},
+                  "vertex_half_half": {"split", "natural", None}}
+
+    @classmethod
+    def _check(cls):
+        assert set(TARGETS) == set(Target)
+        assert set(cls.VOCABULARY) == {v.name for v in _VERTICES}
+        x, y = np.array([0.6]), np.array([0.8])
+        for target, spec in TARGETS.items():
+            n = len(spec.parts(_FloatOps, x, y))
+            assert spec.identity_part is None or 0 <= spec.identity_part < n, target
+            for name, facts in spec.facts.items():
+                assert name in cls.VOCABULARY, (target, name)
+                assert len(facts) == n, (target, name)
+                for k, fact in enumerate(facts):
+                    assert fact in cls.VOCABULARY[name], (target, name, fact)
+                    assert fact is not None or k == spec.identity_part, (target, name)
+            assert spec.corner_factors is (target is Target.MAIN_MEDIAN), target
+
+    def test_registry_is_consistent(self):
+        self._check()
+
+    @pytest.mark.parametrize("target, change", [
+        (Target.MAIN_BISECTOR, None),
+        (Target.MAIN_MEDIAN, {"facts": {"vertex_1_1": (2,), "vertex_2_2": ("s",)}}),
+        (Target.MAIN_MEDIAN, {"facts": {"vertex_1_1": (2, 2), "vertex_0_1": ("s",)}}),
+        (Target.KEY_SYSTEM, {"facts": {"vertex_1_1": (2, 2, 2), "vertex_0_1": ("natural", "x")}}),
+        (Target.QUADRATIC_MEDIAN, {"facts": {"vertex_1_1": (2,), "vertex_0_1": ("split",)}}),
+        (Target.SCALENE_LEMMA, {"facts": {"vertex_1_1": (3,)}}),
+        (Target.SCALENE_LEMMA, {"facts": {"vertex_1_1": (1,), "vertex_0_1": (None,)}}),
+        (Target.KEY_SYSTEM, {"identity_part": 2}),
+        (Target.KEY_SYSTEM, {"identity_part": 3}),
+        (Target.QUADRATIC_MEDIAN, {"corner_factors": True}),
+        (Target.MAIN_MEDIAN, {"corner_factors": False}),
+    ], ids=["missing", "unknown-vertex", "count", "count-key", "vocabulary-0-1",
+            "vocabulary-1-1", "none", "identity-moved", "identity-range",
+            "corner-extra", "corner-missing"])
+    def test_check_fails_on_a_bad_record(self, target, change, monkeypatch):
+        # with one record replaced by a bad one, or missing, the check fails
+        if change is None:
+            monkeypatch.delitem(TARGETS, target)
+        else:
+            monkeypatch.setitem(TARGETS, target, dataclasses.replace(TARGETS[target], **change))
+        with pytest.raises(AssertionError):
+            self._check()
+
+
 class TestVertexForms:
     """The Taylor forms at the equality vertices (1, 1), (0, 1) and
     (1/2, 1/2): their exact facts, the boxes they prove, and the depth they
@@ -856,7 +934,7 @@ class TestVertexForms:
         (Target.QUADRATIC_MEDIAN, "x", 2),
     ])
     def test_vertex_0_1_facts(self, target, variable, slope):
-        assert _VERTEX_0_1.facts[target] == (variable,)
+        assert TARGETS[target].facts["vertex_0_1"] == (variable,)
         assert oracles.target_parts_hp(target.value, 0, 1) == (0,)
         if variable == "s":
             (ds,) = oracles.target_sqrt_derivative_hp(target.value, 0, 1, (1, 0))
@@ -869,7 +947,7 @@ class TestVertexForms:
 
     def test_key_system_facts_at_0_1(self):
         # r1 = 2, r2 = 0 (the square identity's), r3 = 0 with grad (1, -1)
-        assert _VERTEX_0_1.facts[Target.KEY_SYSTEM] == ("natural", None, "x")
+        assert TARGETS[Target.KEY_SYSTEM].facts["vertex_0_1"] == ("natural", None, "x")
         assert oracles.target_parts_hp("key-system", 0, 1) == (2, 0, 0)
         gx = oracles.target_derivative_hp("key-system", 0, 1, (1, 0))[2]
         gy = oracles.target_derivative_hp("key-system", 0, 1, (0, 1))[2]
@@ -877,8 +955,8 @@ class TestVertexForms:
 
     def test_key_system_facts_at_half_half(self, rng):
         # r1 = r2 = 0 and r3 = 3/2; f = rb - 2x*ra is 0 with grad (-2, -1)
-        assert _VERTEX_HALF.facts[Target.KEY_SYSTEM] == ("split", None, "natural")
-        assert set(_VERTEX_HALF.facts) == {Target.KEY_SYSTEM}
+        assert TARGETS[Target.KEY_SYSTEM].facts["vertex_half_half"] == ("split", None, "natural")
+        assert [t for t in Target if "vertex_half_half" in TARGETS[t].facts] == [Target.KEY_SYSTEM]
         assert oracles.target_parts_hp("key-system", 0.5, 0.5) == (0, 0, 1.5)
         assert _smooth_r1_hp(0.5, 0.5) == 0
         grad = [oracles.mp.diff(_smooth_r1_hp, (0.5, 0.5), order)
@@ -939,7 +1017,7 @@ class TestVertexForms:
                     continue  # the square identity does not apply
                 for delta in (0.0, 1e-3, 1e-7):
                     cert = certify(CertificationTask(target=target, mu=mu, delta=delta))
-                    by_vertex = _lower_bounds(target, *cert.proven, mu) <= 0
+                    by_vertex = _lower_bounds(TARGETS[target], *cert.proven, mu) <= 0
                     boxes = cert.proven[:, by_vertex].T.tolist()
                     counts = cert.stats.proven_by
                     assert len(boxes) == sum(counts[v.name] for v in _VERTICES)
@@ -947,12 +1025,12 @@ class TestVertexForms:
                     for box in boxes:
                         vertex = min(_VERTICES, key=lambda v: max(
                             abs(box[0] - v.x), abs(box[2] - v.y)))
-                        assert target in vertex.facts
+                        assert vertex.name in TARGETS[target].facts
                         points = self._domain_points(rng, box, vertex, mu, delta, 100)
                         assert len(points) == 100, (target, mu, delta, box)
                         for x, y in points:
                             parts = oracles.target_parts_hp(target.value, x, y)
-                            for k in _strict_parts(target, mu, len(parts)):
+                            for k in _strict_parts(TARGETS[target], mu, len(parts)):
                                 assert parts[k] > 0, (target, mu, delta, x, y)
                             gap = max(abs(x - vertex.x), abs(y - vertex.y))
                             near_vertex += gap < 2**-40
@@ -966,7 +1044,7 @@ class TestVertexForms:
         # each strict part against the returned bound at exact points of W,
         # with (1/2, 1/2)'s boxes also on the edge x + y = fl(1 + mu).
         target = Target.KEY_SYSTEM
-        facts = vertex.facts[target]
+        facts = TARGETS[target].facts[vertex.name]
         calls, form = [], vertex.bounds
 
         def recording(*args):
@@ -978,7 +1056,7 @@ class TestVertexForms:
         for mu, delta in ((1e-6, 1e-3), (1e-12, 1e-6), (1e-12, 0.0)):
             calls.clear()
             assert certify(CertificationTask(target, mu=mu, delta=delta)).undecided_count == 0
-            proven = [(box, b) for (_, *boxes, _), bounds in calls
+            proven = [(box, b) for (_, _, *boxes, _), bounds in calls
                       for box, b in zip(zip(*boxes), bounds) if b > 0.0]
             assert proven
             for box, bound in proven:
@@ -989,7 +1067,7 @@ class TestVertexForms:
                 for x, y in points + edge:
                     parts = oracles.target_parts_hp(target.value, x, y)
                     assert parts[1] >= -oracles.mp.mpf(10) ** -40
-                    for k in _strict_parts(target, mu, len(parts)):
+                    for k in _strict_parts(TARGETS[target], mu, len(parts)):
                         assert parts[k] >= bound * _part_scale(facts[k], x), (box, x, y, k)
                 checked += 1
         assert checked >= 3
@@ -1006,37 +1084,37 @@ class TestVertexForms:
         w = 2.0 ** -rng.uniform(3, 30, 40)
         t = rng.uniform(0.0, 1.0, 40)
         lo, hi = 1.0 - (1.0 + t) * w, 1.0 - t * w
-        same = _vertex_1_1_bounds(target, lo, np.ones_like(w), lo, np.ones_like(w), mu)
-        assert np.array_equal(_bits(_vertex_1_1_bounds(target, lo, hi, lo, hi, mu)),
+        same = _form(_VERTEX_1_1, target, lo, np.ones_like(w), lo, np.ones_like(w), mu)
+        assert np.array_equal(_bits(_form(_VERTEX_1_1, target, lo, hi, lo, hi, mu)),
                               _bits(same))
-        if "natural" not in _VERTEX_0_1.facts.get(target, ("natural",)):
+        if "natural" not in TARGETS[target].facts.get("vertex_0_1", ("natural",)):
             xhi, ylo = (1.0 + t) * w, 1.0 - w
-            same = _vertex_0_1_bounds(target, np.full_like(w, mu), xhi, ylo,
-                                      np.ones_like(w), mu)
-            assert np.array_equal(_bits(_vertex_0_1_bounds(target, t * w, xhi, ylo,
-                                                           1.0 - t * w / 2, mu)),
+            same = _form(_VERTEX_0_1, target, np.full_like(w, mu), xhi, ylo,
+                         np.ones_like(w), mu)
+            assert np.array_equal(_bits(_form(_VERTEX_0_1, target, t * w, xhi, ylo,
+                                              1.0 - t * w / 2, mu)),
                                   _bits(same))
 
-    @pytest.mark.parametrize("target", list(_VERTEX_0_1.facts))
+    @pytest.mark.parametrize("target", [t for t in Target if "vertex_0_1" in TARGETS[t].facts])
     def test_vertex_0_1_bound_holds_below_the_target(self, target, rng):
         # Each strict part >= bound * sqrt(x) in s, bound * x in x, or
         # bound for a natural enclosure, on boxes touching (0, 1) and on
         # boxes up to twice their width away
         mu = 1e-12 if target is Target.KEY_SYSTEM else 1e-20
-        facts = _VERTEX_0_1.facts[target]
+        facts = TARGETS[target].facts["vertex_0_1"]
         w = 2.0 ** -np.arange(3, 30, 3)
         (xlo, xhi, ylo, yhi), ok = _clip_to_domain(np.array([
             np.concatenate([np.full_like(w, mu), w]), np.concatenate([w, 2 * w]),
             np.concatenate([1.0 - w, 1.0 - w]), np.concatenate([np.ones_like(w), 1.0 - w / 2]),
         ]), mu)
         assert ok.all()
-        bounds = _vertex_0_1_bounds(target, xlo, xhi, ylo, yhi, mu)
+        bounds = _form(_VERTEX_0_1, target, xlo, xhi, ylo, yhi, mu)
         assert (bounds[w.size - 3:w.size] > 0.0).all()
         for i in np.nonzero(np.isfinite(bounds))[0]:
             box = (xlo[i], xhi[i], ylo[i], yhi[i])
             for x, y in self._domain_points(rng, box, _VERTEX_0_1, mu, 0.0, 40):
                 parts = oracles.target_parts_hp(target.value, x, y)
-                for k in _strict_parts(target, mu, len(parts)):
+                for k in _strict_parts(TARGETS[target], mu, len(parts)):
                     scale = _part_scale(facts[k], x)
                     assert parts[k] >= oracles.mp.mpf(bounds[i]) * scale, (box, x, y)
 
@@ -1045,7 +1123,7 @@ class TestVertexForms:
         # its natural enclosure over the box itself.
         mu = 1e-6
         (xlo, xhi, ylo, yhi), _ = _clip_to_domain(sample_domain_boxes(rng, 30), mu)
-        bounds = _least_over_parts(Target.KEY_SYSTEM, mu, ("natural",) * 3,
+        bounds = _least_over_parts(TARGETS[Target.KEY_SYSTEM], mu, ("natural",) * 3,
                                    (xlo, xhi, ylo, yhi), None)
         checked = 0
         for i in range(xlo.shape[0]):
@@ -1061,10 +1139,10 @@ class TestVertexForms:
         # strict part with no form at (0, 1) or (1/2, 1/2): both give -inf.
         w = 2.0 ** -np.arange(3, 20, 4)
         for mu in (1e-17, 1e-20):
-            assert not (_vertex_0_1_bounds(Target.KEY_SYSTEM, np.full_like(w, mu), w,
-                                           1.0 - w, np.ones_like(w), mu) > -np.inf).any()
-            assert not (_vertex_half_bounds(Target.KEY_SYSTEM, 0.5 - w, np.full_like(w, 0.5),
-                                            np.full_like(w, 0.5), 0.5 + w, mu) > -np.inf).any()
+            assert not (_form(_VERTEX_0_1, Target.KEY_SYSTEM, np.full_like(w, mu), w,
+                              1.0 - w, np.ones_like(w), mu) > -np.inf).any()
+            assert not (_form(_VERTEX_HALF, Target.KEY_SYSTEM, 0.5 - w, np.full_like(w, 0.5),
+                              np.full_like(w, 0.5), 0.5 + w, mu) > -np.inf).any()
 
     @pytest.mark.parametrize("target", list(Target))
     def test_depth_does_not_depend_on_mu(self, target):
@@ -1094,7 +1172,7 @@ class TestVertexForms:
             assert sum(counts.values()) == cert.proven_count
             assert counts["vertex_1_1"] + cert.corner.shape[1] > 0
             for vertex in _VERTICES:
-                if target not in vertex.facts:
+                if vertex.name not in TARGETS[target].facts:
                     assert counts[vertex.name] == 0
                 elif vertex.x < 1.0:
                     assert counts[vertex.name] > 0
@@ -1178,16 +1256,17 @@ def _reference_form(vertex, target, box, mu):
     gy straddles 0.  Returns (None, False) where a strict part has no form.
     """
     xlo, xhi, ylo, yhi = box
-    facts = vertex.facts[target]
+    spec = TARGETS[target]
+    facts = spec.facts[vertex.name]
     least, straddles = None, False
-    for k in _strict_parts(target, mu, len(facts)):
+    for k in _strict_parts(spec, mu, len(facts)):
         fact = facts[k]
         if fact is None:
             return None, False
         if fact == "natural":
-            bound = _iv_jets(_PARTS[target], xlo, xhi, ylo, yhi)[k][0].a
+            bound = _iv_jets(spec.parts, xlo, xhi, ylo, yhi)[k][0].a
         elif vertex is _VERTEX_1_1:
-            _, gx, gy, hxx, hxy, hyy = _iv_jets(_PARTS[target], xlo, 1, ylo, 1)[k]
+            _, gx, gy, hxx, hxy, hyy = _iv_jets(spec.parts, xlo, 1, ylo, 1)[k]
             if fact == 2:  # least Bernstein coefficient of the Hessian form
                 bound = min(hxx.a, (hxx + hxy).a, (hxx + 2 * hxy + hyy).a)
             else:
@@ -1195,7 +1274,7 @@ def _reference_form(vertex, target, box, mu):
         elif vertex is _VERTEX_0_1:
             # F >= x * (gx - max(gy, 0)), or s * (gs - s_hi * max(gy, 0))
             s_hi = iv.sqrt(xhi).b if fact == "s" else iv.mpf(1)
-            jets = _iv_jets(_PARTS[target], 0, s_hi if fact == "s" else xhi, ylo, 1,
+            jets = _iv_jets(spec.parts, 0, s_hi if fact == "s" else xhi, ylo, 1,
                             in_sqrt_x=fact == "s")
             _, g, gy = jets[k][:3]
             straddles |= bool(gy.a < 0 < gy.b)
@@ -1226,9 +1305,9 @@ class TestFormsAgainstTheirReference:
     def _boxes(vertex, target, rng, monkeypatch):
         calls, form = [], vertex.bounds
 
-        def recording(t, xlo, xhi, ylo, yhi, mu):
+        def recording(spec, facts, xlo, xhi, ylo, yhi, mu):
             calls.extend(zip(xlo.tolist(), xhi.tolist(), ylo.tolist(), yhi.tolist()))
-            return form(t, xlo, xhi, ylo, yhi, mu)
+            return form(spec, facts, xlo, xhi, ylo, yhi, mu)
 
         monkeypatch.setattr(vertex, "bounds", recording)
         for settings in ({}, {"delta": 0.0}, {"mu": 1e-12, "delta": 1e-6}):
@@ -1248,12 +1327,13 @@ class TestFormsAgainstTheirReference:
         return met + list(zip(xlo.tolist(), xhi.tolist(), ylo.tolist(), yhi.tolist()))
 
     @pytest.mark.parametrize("vertex, target", [
-        (v, t) for v in _VERTICES for t in v.facts], ids=lambda p: getattr(p, "name", None)
+        (v, t) for v in _VERTICES for t in Target if v.name in TARGETS[t].facts],
+        ids=lambda p: getattr(p, "name", None)
         or p.value)
     def test_form_stays_below_its_reference(self, vertex, target, rng, monkeypatch):
         mu = 1e-6
         boxes = self._boxes(vertex, target, rng, monkeypatch)
-        forms = vertex.bounds(target, *(np.array(c) for c in zip(*boxes)), mu)
+        forms = _form(vertex, target, *(np.array(c) for c in zip(*boxes)), mu)
         prec, iv.prec = iv.prec, 200
         try:
             compared = straddling = 0
@@ -1268,7 +1348,7 @@ class TestFormsAgainstTheirReference:
         finally:
             iv.prec = prec
         assert compared > 40
-        if vertex is _VERTEX_0_1 and "natural" not in vertex.facts[target]:
+        if vertex is _VERTEX_0_1 and "natural" not in TARGETS[target].facts[vertex.name]:
             assert straddling > 40
 
 
@@ -1314,8 +1394,8 @@ class TestOneTreePerBox:
         assert ok.all()
         xlo, xhi, ylo, yhi = boxes
         assert xlo.shape[0] == n
-        natural = _natural_parts(target, xlo, xhi, ylo, yhi)
-        jets = _jet_parts(target, 1, xlo, xhi, ylo, yhi)
+        natural = TARGETS[target].parts(_IntervalOps, (xlo, xhi), (ylo, yhi))
+        jets = _jets(TARGETS[target].parts, 1, xlo, xhi, ylo, yhi)
         assert len(jets) == len(natural)
         for jet, nat in zip(jets, natural):
             assert np.array_equal(_bits(jet.d[0][0]), _bits(nat[0]))

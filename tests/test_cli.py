@@ -417,8 +417,9 @@ _SUITE_SETTINGS = ((), ("--mu", "1e-12", "--delta", "1e-6"),
 
 
 # sha256 of canonical_json(strip_wall_time(body)), the report without its
-# manifest (which carries TOOL_VERSION), for certify-suite's 15 argv and
-# certify-corner's argv at a budget of 3,000 boxes.  The bodies hold every
+# manifest (which carries TOOL_VERSION), for certify-suite's 15 argv,
+# certify-corner's argv at a budget of 3,000 boxes, the bisector targets at
+# the suite's settings and every target at delta = 0.  The bodies hold every
 # proven box, and the suite's bodies the corner check and the corner
 # sampling, so any change to a bound, a box or a corner factor shows.
 @pytest.mark.parametrize("argv, digest", [
@@ -445,6 +446,39 @@ _SUITE_SETTINGS = ((), ("--mu", "1e-12", "--delta", "1e-6"),
     (["certify", "--target", "main-median", "--delta", "0", "--min-box-width",
       "1e-15", "--max-depth", "200", "--box-budget", "3000"],
      "15763168bda07ff2976f109b2cbe69315836f8a404f9099f91e4d8ab3f53fc98"),
+    # The bisector targets at certify-suite's settings.
+    *zip((["certify", "--target", target, "--include-proven", *setting]
+          for target in ("main-bisector", "quadratic-bisector")
+          for setting in _SUITE_SETTINGS), (
+        "0c8392171e464e6e46bc9608a19c0d4b715984888fbd89c35d871634d197621b",
+        "a1685c4a06fd316936e27cd4f9c03aec6e93a264a981d5fdb84f6b439f87ea23",
+        "d047dd4b03239e007749c6ed24533c4a7f0bbd9828c3c5f7d2573c6f726b57a5",
+        "b6579ced47c22e85b1f6244c816285870cd445f484093d4e0cb7749305011b0f",
+        "a5c400bc37e2e772b79f11ae1b3a600c359b87cba7dac84a1908f47c1dcd5652",
+        "61e59a287af5bcc8d6f6d5af1936b326e1c314e45a0a0b45a7ebbf8ec8a38a1b",
+    )),
+    # Every target at delta = 0, where each vertex form it has can prove
+    # boxes: the corner box, vertex_0_1 and vertex_half_half.
+    *zip((["certify", "--target", target, "--delta", "0", "--include-proven", "--mu", mu]
+          for mu in ("1e-6", "1e-12")
+          for target in ("main-median", "quadratic-median", "key-system",
+                         "altitude-reduced", "scalene-lemma", "main-bisector",
+                         "quadratic-bisector")), (
+        "10f150e0561f44dfadfcc61acd1aef585698a8caf5f83b874a82509e46550451",
+        "c8e94682a2d3a30b607a25508a366e4c0e2389a6493d2c7165d52027b85e9674",
+        "91d4d07bbaf74068b92eb335d321030d5ff29e53558b765340a64fd104cf80f9",
+        "95bef387d5b76a242b6cccdddc388161a67be15f723a3de25bfd5f636b4ae275",
+        "c97cd8de7ebfacb7b2ba73fe3924596b2bed62164f13e1d5b2834cbdb5eb44e9",
+        "8c99cdd53808f9f6f25c3b377dc96482760b2ce4948be24277b671971c22219f",
+        "a33c19641b00ab707e7d05384a7bbfb24d6fc7c015738add00c72cc782ae7d14",
+        "5f099480f75361d4ac45ecbb3e4906d62d6467949fa8cd0a772d09f32676efa7",
+        "fd67b06901a4fb292319656a61e25451d51fe865e273b59cb71e71493646fa1a",
+        "3d868705529aa5c24f42331a759d3e390f8c8a545920ec16082810baf1bf7b36",
+        "842beef519a02b31a576078413d4b14869aae61b603c9049d5c9ee49b8588258",
+        "ca760fbb568e4bc714cf6664b60b1fe5b51ebc50ec40d4c846739e4e29788ed1",
+        "26bb49a6c23ba9a212c76c59ccf5f5f5d2bfa2b89694f50def3b48a0d618b610",
+        "a5ef69b611513c9428647af413c9c90fa27d655d58cadc44475c82d61ed159d9",
+    )),
 ])
 def test_certificate_bytes_are_pinned(argv, digest, tmp_path):
     out = tmp_path / "r.json"

@@ -22,9 +22,11 @@ set of rows and two pools of 128 bytes per recorded candidate per thread,
 and nothing per shard, whatever the sample count; the rows go when
 sampling ends, before refinement.
 Refinement is a pattern search run on all candidates at once; each round
-evaluates the ten probes of every live candidate's sweep speculatively,
-as one fixed (5, 10, L) block in one stacked kernel call, so the rounds
-follow the moves made rather than the ten probes of a sweep.  Candidates
+evaluates ten probes of every live candidate speculatively, as one fixed
+(5, 10, L) block in one stacked kernel call.  A candidate's window is the
+rest of its sweep and, once the sweep has moved, the next sweep's first
+probes, so the rounds follow the moves made rather than the ten probes
+of a sweep, and a round without a hit can end two sweeps.  Candidates
 that stop leave the round's state arrays.  Candidates travel as (6, n)
 column blocks (a, b, c, ta, tb, tc), and each block becomes records
 through one such call.
@@ -327,16 +329,24 @@ def refine(
     sweeps or once its step falls below 1e-12.
 
     The probes run speculatively, in rounds of one array evaluation each:
-    a round evaluates one (5, 10, L) block, all ten probes of the current
-    sweep of each of the L live candidates, taken from its current point,
-    and masks out the probes the sweep has already passed.  Each candidate
-    moves to its first accepted probe, copied from the block, and the
-    probes after that one are tried again, from the new point, in the next
-    round; a candidate whose sweep has ended starts its next one there.
-    The evaluation is element-wise and correctly rounded, so a probe's
-    value does not depend on the probes beside it, and the same probes
-    are accepted as one at a time.  A candidate's sweep takes at most one
-    round plus one per move instead of ten evaluations, and all candidates
+    a round evaluates one (5, 10, L) block, the ten probes of each of the
+    L live candidates, taken from its current point with its current step.
+    A candidate's window is the probes its sweep has not passed, ``first``
+    to 9.  If the sweep has moved (``first > 0``) and is not the last, the
+    window wraps on to probes 0 to ``first - 1``: these are the next
+    sweep's first probes, since a sweep that moved keeps its step and the
+    next one starts at the same point.  Each candidate moves to its first
+    accepted probe in window order, copied from the block, and the probes
+    after that one are tried again, from the new point, in the next round;
+    a hit in the wrapped part ends the sweep and moves in the next one.
+    A wrapped window without a hit decides two sweeps: the next sweep's
+    probes ``first`` to 9 are this one's, from the same point, and were
+    just rejected, so it ends without a move, and the round adds two
+    sweeps and halves the step.  The evaluation is element-wise and
+    correctly rounded, so a probe's value does not depend on the probes
+    beside it, and the same probes are accepted as one at a time.  A
+    candidate's sweep takes at most one round plus one per move instead
+    of ten evaluations, less where a window wraps, and all candidates
     share the rounds.  Only the live candidates' state is kept: a
     candidate that stops writes its point and best back, and the state
     arrays are compacted.
@@ -374,18 +384,26 @@ def refine(
     while live.size:
         trial = pts[:, None] + _PROBE_DELTA * step
         ok, ms = _probe_slacks(trial, c0, mode)
-        # Each candidate moves to its first accepted probe not yet passed.
-        take = ok & (ms < best) & (_PROBES >= first)
-        p = take.argmax(axis=0)
-        hit = take[p, at]
+        # Probes rank in window order, first..9 then 0..first-1; the
+        # window holds 10 - first of them unless it wraps.  Each candidate
+        # moves to its least ranked accepted probe, and a rank of 10 means
+        # none was accepted.
+        wrap = (first > 0) & (swept + 1 < steps)
+        rank = np.where(ok & (ms < best), (_PROBES - first) % 10, 10).min(axis=0)
+        hit = rank < np.where(wrap, 10, 10 - first)
+        p = (first + rank) % 10
         pts = np.where(hit, trial[:, p, at], pts)
         best = np.where(hit, ms[p, at], best)
-        # A sweep ends when no probe left in it is accepted, or the last
-        # is; it has moved exactly when first > 0, and halves its step
-        # when it ends without a move.
-        step = np.where(hit | (first > 0), step, 0.5 * step)
+        # The sweep ends at a miss, a move at probe 9 or a move in the
+        # wrapped part, that is at a rank of 9 - first or more.  A miss
+        # ends a sweep without a move: this one, or, where the window
+        # wrapped, the next one, which would retry the rejected probes
+        # first..9 from the same point; either way the step halves.  A
+        # last sweep that misses after a move stops, so its step is moot.
+        step = np.where(hit, step, 0.5 * step)
+        swept += rank >= 9 - first
+        swept += wrap & ~hit
         first = (p + 1) % 10 * hit
-        swept += first == 0
         counts["refine_evaluations"] += 1
         counts["refine_moves"] += int(np.count_nonzero(hit))
         keep = (swept < steps) & (step >= 1e-12)
@@ -470,26 +488,32 @@ def _run_shard(
                    bulk.slack_quadratic_arrays(xb, yb, 1.0, la, lb, lc), out=ms[b])
         ok[b] = bulk.constraint_mask_arrays(xb, yb, 1.0, la, lb, lc)
 
-    def top(mask: np.ndarray) -> tuple:
-        sel = np.flatnonzero(mask)
-        if sel.size > record_top:
+    def top(sel: np.ndarray | None) -> tuple:
+        # The samples at the indices sel, or every sample when sel is None:
+        # then ms itself is ranked, with no index array or gather of it.
+        vals = ms if sel is None else ms[sel]
+        if vals.size > record_top:
             # Pre-select by partition; keeping every tie at the threshold
             # leaves the stable order of the first record_top unchanged.
-            kth = np.partition(ms[sel], record_top - 1)[record_top - 1]
-            sel = sel[ms[sel] <= kth]
+            kth = np.partition(vals, record_top - 1)[record_top - 1]
+            near = np.flatnonzero(vals <= kth)
+            sel = near if sel is None else sel[near]
+        elif sel is None:
+            sel = np.arange(count)
         order = sel[np.argsort(ms[sel], kind="stable")][:record_top]
         cols = np.array([x[order], y[order], np.ones(order.size),
                          ta[order], tb[order], tc[order]])
         return start + order, ms[order], cols
 
-    pool = ok if mode is SearchMode.OPEN_PROBLEM else np.ones(count, dtype=bool)
+    negative = ms < 0.0
     return {
         "sampled": count,
-        "constraint_satisfying": int(ok.sum()),
-        "raw_negative": int((ms < 0.0).sum()),
-        "constrained_negative": int((ok & (ms < 0.0)).sum()),
-        "candidates": top(pool),
-        "frontier": top(ok & (ms >= 0.0)),
+        "constraint_satisfying": int(np.count_nonzero(ok)),
+        "raw_negative": int(np.count_nonzero(negative)),
+        "constrained_negative": int(np.count_nonzero(ok & negative)),
+        "candidates": top(np.flatnonzero(ok) if mode is SearchMode.OPEN_PROBLEM
+                          else None),
+        "frontier": top(np.flatnonzero(ok & (ms >= 0.0))),
     }
 
 

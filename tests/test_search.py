@@ -641,7 +641,9 @@ class TestRefine:
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("mode", list(SearchMode))
-    @pytest.mark.parametrize("steps", [1, 2, 7, 200])
+    # with 3 steps the first two sweeps may wrap into the next one, and
+    # the last may not
+    @pytest.mark.parametrize("steps", [1, 2, 3, 7, 200])
     def test_batch_matches_scalar_reference(self, mode, steps):
         pool = edge_pool()
         out = refine(pool, steps, mode)
@@ -690,11 +692,11 @@ class TestRefine:
     # round's probes must keep
     @pytest.mark.parametrize(("mode", "steps", "want"), [
         (SearchMode.UNCONSTRAINED, 1, (1, 109, 6)),
-        (SearchMode.UNCONSTRAINED, 7, (7, 578, 36)),
-        (SearchMode.UNCONSTRAINED, 200, (200, 3945, 532)),
+        (SearchMode.UNCONSTRAINED, 7, (7, 578, 31)),
+        (SearchMode.UNCONSTRAINED, 200, (200, 3945, 368)),
         (SearchMode.OPEN_PROBLEM, 1, (1, 56, 6)),
-        (SearchMode.OPEN_PROBLEM, 7, (7, 296, 32)),
-        (SearchMode.OPEN_PROBLEM, 200, (200, 2224, 406)),
+        (SearchMode.OPEN_PROBLEM, 7, (7, 296, 30)),
+        (SearchMode.OPEN_PROBLEM, 200, (200, 2224, 305)),
     ])
     def test_round_structure_is_pinned(self, mode, steps, want):
         counts = {}
@@ -843,11 +845,15 @@ class TestShard:
     # shows.  Taken again when the main slack became the grouped sum of
     # (sqrt(vw) - u)*l: only slack digits changed, while the totals and
     # every reported index, side, foot and re-verified bound kept theirs.
+    # Taken again when a refinement round's window came to wrap into the
+    # next sweep: only totals.refine_evaluations changed (207 -> 161
+    # unconstrained, 275 -> 210 open-problem); the body without it hashes
+    # the same before and after.
     @pytest.mark.parametrize("mode, digest", [
         (SearchMode.UNCONSTRAINED,
-         "d7c27d34ec5fe7151297f899ac5d41be1b5db072e32714e2388eff3f5ff85a45"),
+         "31546c27d7e33c55ec6586c79244d4c79312539cf8408e3f73d8192d6e8b7693"),
         (SearchMode.OPEN_PROBLEM,
-         "8cb3a6f4edc8fc4e9c44c2f35f541d573aca3de3a9b187d572d922431a3cd337"),
+         "8107e3cae2693847d04c5fa994343e9467a3bfb6a96831a03d81c2fbc7be3986"),
     ])
     def test_report_bytes_are_pinned(self, mode, digest):
         cfg = SearchConfig(seed=7, samples=2 * SHARD_SIZE + 17, mode=mode)

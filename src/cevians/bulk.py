@@ -10,9 +10,12 @@ validates, calls them with it and wraps the results, and it agrees bit for
 bit with ``_FloatOps`` on arrays (see :mod:`cevians.intervals`), which the
 sweeps, the search and the grids use.  Search re-verification runs them in
 interval arithmetic, and the certifier's targets are the same formulas at
-the exact float constant c = 1.0.  This module loads neither NumPy nor
-:mod:`cevians.intervals`: the functions that work on arrays load them when
-called, once per shard, block or round.  :func:`cevian_triple_slacks` runs
+the exact float constant c = 1.0.  The search's shards run
+:func:`min_slack_and_mask` as one compiled plan of in-place NumPy calls
+(``intervals._Plan``), with the bits it has under ``_FloatOps``.  This
+module loads neither NumPy nor :mod:`cevians.intervals`: the functions
+that work on arrays load them when called, once per shard, block or
+round.  :func:`cevian_triple_slacks` runs
 the same per-vertex code on stacks whose first axis holds the three
 vertices, (3, n) for the search's records and (3, 10, L) for a refinement
 round's probe block; the callers that need the constraint mask compute it
@@ -65,9 +68,19 @@ def _array_ops():
     return _FloatOps
 
 
-def in_normalized_domain(x, y):
-    """Mask of the points of the arrays x and y inside {0 < x <= y <= 1, x + y > 1}."""
-    return (x > 0.0) & (x <= y) & (y <= 1.0) & (x + y > 1.0)
+def in_normalized_domain(x, y, scratch=None):
+    """Mask of the points of the arrays x and y inside {0 < x <= y <= 1, x + y > 1}.
+
+    ``scratch``, a float64 array of their shape, takes x + y when given,
+    in place of a temporary.
+    """
+    if scratch is None:
+        total = x + y
+    else:
+        import numpy as np
+
+        total = np.add(x, y, out=scratch)
+    return (x > 0.0) & (x <= y) & (y <= 1.0) & (total > 1.0)
 
 
 def sample_normalized_points(rng, n: int, out=None):
@@ -87,7 +100,8 @@ def sample_normalized_points(rng, n: int, out=None):
 
     ``out``, when given, is three float64 arrays of length n: the points
     are drawn into the first two, which are returned, and the third holds
-    f.  Without it, the three arrays are allocated.
+    f and then the domain check's x + y.  Without it, the three arrays are
+    allocated.
     """
     import numpy as np
 
@@ -100,7 +114,7 @@ def sample_normalized_points(rng, n: int, out=None):
     y *= 0.5
     np.add(x, y, out=x)
     np.subtract(1.0, y, out=y)
-    bad = np.flatnonzero(~in_normalized_domain(x, y))
+    bad = np.flatnonzero(~in_normalized_domain(x, y, f))
     if bad.size:
         x[bad], y[bad] = sample_normalized_points(rng, bad.size)
     return x, y
@@ -261,10 +275,31 @@ def constraint_pairs(ops, a, b, c, la, lb, lc):
     yield pb, ops.mul(c, lc)
 
 
-def constraint_mask_arrays(a, b, c, la, lb, lc):
-    """Open-problem constraint mask: la >= lb >= lc and b*lb >= max(a*la, c*lc)."""
-    pairs = constraint_pairs(_array_ops(), a, b, c, la, lb, lc)
+def constraint_mask(ops, a, b, c, la, lb, lc):
+    """Open-problem constraint mask: la >= lb >= lc and b*lb >= max(a*la, c*lc).
+
+    The values of ``ops`` must compare with >= and combine with &.
+    """
+    pairs = constraint_pairs(ops, a, b, c, la, lb, lc)
     return functools.reduce(operator.and_, itertools.starmap(operator.ge, pairs))
+
+
+def constraint_mask_arrays(a, b, c, la, lb, lc):
+    return constraint_mask(_array_ops(), a, b, c, la, lb, lc)
+
+
+def min_slack_and_mask(ops, x, y, ta, tb, tc):
+    """min_slack and the constraint mask of the triangles (x, y, 1) with feet
+    (ta, tb, tc): the operations of :func:`general_cevians_arrays`, both
+    slack functions and :func:`constraint_mask_arrays` at c = 1.0, and the
+    np.minimum of the two slacks.  ``ops`` is ``_FloatOps`` on arrays, or
+    the tracer with which the search compiles this into one plan (see
+    :class:`cevians.intervals._Plan`)."""
+    import numpy as np
+
+    cv = stewart_cevians(ops, x, y, 1.0, ta, tb, tc)
+    slack = np.minimum(main_slack(ops, x, y, 1.0, *cv), quadratic_slack(ops, x, y, 1.0, *cv))
+    return slack, constraint_mask(ops, x, y, 1.0, *cv)
 
 
 def equal_legs_second_factor(ops, x):

@@ -10,7 +10,7 @@ box budget runs out), 2 bad arguments.  search: unconstrained mode exits 0
 iff a re-verified violation was found, open-problem mode always exits 0 (2
 on bad arguments, among them a --record-top outside [1, 4,096];
 refinement holds about 9 KB per recorded candidate; while the search
-samples, each worker thread holds about 3 MB of shard rows and two ranked
+samples, each worker thread holds about 4 MB of shard rows and two ranked
 pools of 128 bytes per recorded candidate, and nothing per shard).
 table: 0, or 2 on bad density (below 2 or above 4,096, whose grid arrays
 take about 134 MB each).  Every subcommand exits 2 when its -o output cannot be written.

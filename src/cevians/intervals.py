@@ -25,6 +25,12 @@ scalar API and ``cevians verify`` do not load this module; the package
 loads it on first access to ``Interval``, and the certifier and the
 search import it.  The op sets here call NumPy on every operation, so it
 is imported at the top.
+
+``_PlanOps`` runs a formula once on symbolic nodes instead of arrays and
+records the ufunc calls ``_FloatOps`` would make, each distinct one once;
+:class:`_Plan` compiles the record into in-place calls on a few reused
+registers.  The search's shards evaluate their formula that way, with
+the bits of ``_FloatOps`` and no temporary arrays.
 """
 
 from __future__ import annotations
@@ -127,6 +133,149 @@ class _FloatOps:
     mul = operator.mul
     div = operator.truediv
     sqrt = np.sqrt
+
+
+class _Node:
+    """A value of a formula traced by :class:`_PlanOps`: entry ``index`` of
+    its trace.  As on arrays, >=, & and NumPy ufuncs such as np.minimum
+    apply to nodes, and each records its ufunc."""
+
+    __slots__ = ("trace", "index")
+
+    def __init__(self, trace: "_PlanOps", index: int):
+        self.trace, self.index = trace, index
+
+    def __ge__(self, other):
+        return self.trace.record(np.greater_equal, self, other)
+
+    def __and__(self, other):
+        return self.trace.record(np.bitwise_and, self, other)
+
+    def __array_ufunc__(self, ufunc, method, *args, **kwargs):
+        if method != "__call__" or kwargs:
+            return NotImplemented
+        return self.trace.record(ufunc, *args)
+
+
+class _PlanOps:
+    """Records a formula written against ``ops`` as NumPy ufunc calls on nodes.
+
+    Each op of ``_FloatOps`` becomes the ufunc that op calls on arrays, so
+    the recorded calls give the bits ``_FloatOps`` gives.  The same ufunc
+    on the same operands is recorded once, x*1.0 and 1.0*x are x itself
+    (bit for bit, -0.0, infinities and NaN included), and an op on float
+    constants alone is carried out now and returns a float.  One instance
+    traces one formula, in :class:`_Plan`, and nothing else holds its
+    state.
+    """
+
+    def __init__(self, n_inputs: int):
+        # (ufunc, operands, dtype) per node; an operand is a node's index
+        # or a float constant, and the float64 inputs have no ufunc.
+        self.nodes: list[tuple] = [(None, (), np.dtype(np.float64))] * n_inputs
+        self.inputs = tuple(_Node(self, k) for k in range(n_inputs))
+        self._seen: dict[tuple, _Node] = {}
+
+    def record(self, ufunc, *args):
+        if not any(isinstance(v, _Node) for v in args):
+            return ufunc(*args).item()
+        operands = tuple(v.index if isinstance(v, _Node) else float(v) for v in args)
+        # float.hex tells 0.0 from -0.0, which compare and hash equal
+        key = (ufunc, *(v if isinstance(v, int) else v.hex() for v in operands))
+        node = self._seen.get(key)
+        if node is None:
+            # the dtype NumPy gives the result, from empty operands
+            dtype = ufunc(*(np.empty(0, self.nodes[v][2]) if isinstance(v, int) else v
+                            for v in operands)).dtype
+            node = self._seen[key] = _Node(self, len(self.nodes))
+            self.nodes.append((ufunc, operands, dtype))
+        return node
+
+    def add(self, a, b):
+        return self.record(np.add, a, b)
+
+    def sub(self, a, b):
+        return self.record(np.subtract, a, b)
+
+    def mul(self, a, b):
+        if isinstance(a, _Node) and isinstance(b, float) and b == 1.0:
+            return a
+        if isinstance(b, _Node) and isinstance(a, float) and a == 1.0:
+            return b
+        return self.record(np.multiply, a, b)
+
+    def div(self, a, b):
+        return self.record(np.divide, a, b)
+
+    def sqrt(self, a):
+        return self.record(np.sqrt, a)
+
+
+class _Plan:
+    """A formula over ``ops`` compiled to in-place ufunc calls on arrays.
+
+    ``formula(ops, *inputs)`` is traced once by :class:`_PlanOps` and must
+    return a tuple of distinct computed nodes, its outputs.  Each recorded
+    call writes either its output array or one of a few registers (a value
+    no output needs is still computed, and keeps its register): a register
+    is taken again as soon as the last call that reads it has read it, so a
+    call may write the register of one of its own operands, which NumPy
+    does element by element.  Calling the plan with input, output and
+    register arrays of one shape then runs one ``ufunc(*operands,
+    out=...)`` per call and allocates no array.  Each call reads only input arrays and entries
+    that an earlier call of the same run wrote, never what a register
+    held before.
+    """
+
+    def __init__(self, formula, n_inputs: int):
+        trace = _PlanOps(n_inputs)
+        outputs = [v.index if isinstance(v, _Node) else -1
+                   for v in formula(trace, *trace.inputs)]
+        if min(outputs) < n_inputs or len(set(outputs)) < len(outputs):
+            raise ValueError("a plan's outputs must be distinct computed nodes")
+        nodes = trace.nodes
+        calls = range(n_inputs, len(nodes))
+        last_read = {v: i for i in calls for v in nodes[i][1] if isinstance(v, int)}
+
+        # A run's slots are the inputs, the outputs, the registers, and
+        # last the constants, which the steps index from the end.
+        slot = {k: k for k in range(n_inputs)}
+        slot.update((node, n_inputs + j) for j, node in enumerate(outputs))
+        first_register = len(slot)
+        self.register_dtypes: list = []
+        free: dict = {}
+        constants: list[float] = []
+        self.steps = []
+        for i in calls:
+            ufunc, operands, dtype = nodes[i]
+            args = []
+            for v in operands:
+                if isinstance(v, int):
+                    args.append(slot[v])
+                else:
+                    constants.insert(0, v)
+                    args.append(-len(constants))
+            for v in set(operands):
+                if isinstance(v, int) and last_read[v] == i and slot[v] >= first_register:
+                    free.setdefault(nodes[v][2], []).append(slot[v])
+            if i not in slot:
+                pool = free.setdefault(dtype, [])
+                if pool:
+                    slot[i] = pool.pop()
+                else:
+                    slot[i] = first_register + len(self.register_dtypes)
+                    self.register_dtypes.append(dtype)
+            self.steps.append((ufunc, tuple(args), slot[i]))
+        self._constants = tuple(constants)
+
+    def registers(self, n: int) -> tuple[np.ndarray, ...]:
+        """A fresh set of registers for runs on arrays of n entries."""
+        return tuple(np.empty(n, dtype) for dtype in self.register_dtypes)
+
+    def __call__(self, inputs, outputs, registers) -> None:
+        slots = (*inputs, *outputs, *registers, *self._constants)
+        for ufunc, args, out in self.steps:
+            ufunc(*[slots[k] for k in args], out=slots[out])
 
 
 class _IntervalOps:

@@ -13,11 +13,13 @@ Sampling is sharded: shard i draws from a generator seeded with
 SeedSequence([seed, i]) for a seed in [0, 2**64), and samples are ranked
 by (min_slack, index), so reports are byte-identical for any worker
 count.  A shard draws all its samples at once (the sampler folds them
-without a branch, in place) and evaluates them in blocks of 16,384, so no
-array it makes is larger than one shard row.  Each worker thread of a
-search call claims shard indices from one shared counter, runs every
-shard it claims in its one set of shard rows, about 3 MB, and folds the
-shard's pools into its own best record_top so far.  So sampling holds one
+without a branch, in place) and evaluates them in blocks of 16,384
+through one plan of in-place ufunc calls, traced once from
+:func:`cevians.bulk.min_slack_and_mask`, so the blocks allocate no
+array.  Each worker thread of a search call claims shard indices from
+one shared counter, runs every shard it claims in its one set of shard
+rows and plan registers, about 4 MB, and folds the shard's pools into
+its own best record_top so far.  So sampling holds one
 set of rows and two pools of 128 bytes per recorded candidate per thread,
 and nothing per shard, whatever the sample count; the rows go when
 sampling ends, before refinement.
@@ -44,7 +46,7 @@ import numpy as np
 
 from . import bulk
 from .exceptions import DomainError
-from .intervals import _IntervalOps
+from .intervals import _IntervalOps, _Plan
 from .kernel import (
     MAX_RECORD_TOP,
     CevianKind,
@@ -60,9 +62,11 @@ from .inequalities import constraint_filter, open_problem_slacks  # noqa: F401
 from .kernel import general_cevians, validate_sides  # noqa: F401
 
 SHARD_SIZE = 1 << 16
-# A shard's formulas run on blocks of this many samples, so each of their
-# temporaries takes 128 KiB instead of a 512 KiB shard row.
+# A shard's formulas run as one plan of in-place ufunc calls, traced here
+# once, on blocks of this many samples: each of the plan's registers takes
+# 128 KiB (16 KiB for a mask) instead of a 512 KiB shard row.
 _BLOCK = 1 << 14
+_SHARD_PLAN = _Plan(bulk.min_slack_and_mask, 5)
 # Sampled and refined feet stay within [FOOT_MARGIN, 1 - FOOT_MARGIN].
 FOOT_MARGIN = 1e-4
 
@@ -430,13 +434,16 @@ def refine(
 
 
 def _shard_rows(n: int) -> tuple[np.ndarray, ...]:
-    """One worker's shard rows x, y, ta, tb, tc, ms (float64) and ok (bool).
+    """One worker's shard rows x, y, ta, tb, tc, ms (float64) and ok (bool),
+    then the registers of the shard plan for blocks of up to n samples.
 
-    Each row is its own array of n entries, at most 512 KiB: freeing one
-    3 MiB block raises glibc's mmap and trim thresholds for the whole
+    Each row is its own array of n entries, at most 512 KiB, and each
+    register its own array of at most ``_BLOCK`` entries: freeing one
+    4 MiB block raises glibc's mmap and trim thresholds for the whole
     process, which changes the speed of whatever runs after it.
     """
-    return tuple(np.empty(n) for _ in range(6)) + (np.empty(n, dtype=bool),)
+    return (tuple(np.empty(n) for _ in range(6)) + (np.empty(n, dtype=bool),)
+            + _SHARD_PLAN.registers(min(n, _BLOCK)))
 
 
 def _draw_feet(rng: np.random.Generator, t: np.ndarray) -> None:
@@ -470,11 +477,12 @@ def _run_shard(
     set from :func:`_shard_rows`, and writes each of them before reading
     it; the pools it returns are copies.  The draws cover the whole shard,
     in the order the stream defines, with the ms row as the sampler's
-    scratch; the Cevians, slacks and mask then run on blocks of ``_BLOCK``
-    samples and fill the ms and ok rows, so no array the shard makes is
-    larger than one shard row.
+    scratch.  The shard plan then runs :func:`cevians.bulk.min_slack_and_mask`
+    on blocks of ``_BLOCK`` samples, in the worker's registers, and writes
+    the ms and ok rows; the blocks allocate no array.
     """
-    x, y, ta, tb, tc, ms, ok = (row[:count] for row in rows)
+    x, y, ta, tb, tc, ms, ok = (row[:count] for row in rows[:7])
+    registers = rows[7:]
     rng = shard_rng(seed, shard_index)
     bulk.sample_normalized_points(rng, count, out=(x, y, ms))
     for t in (ta, tb, tc):
@@ -482,11 +490,9 @@ def _run_shard(
 
     for lo in range(0, count, _BLOCK):
         b = slice(lo, lo + _BLOCK)
-        xb, yb = x[b], y[b]
-        la, lb, lc = bulk.general_cevians_arrays(xb, yb, 1.0, ta[b], tb[b], tc[b])
-        np.minimum(bulk.slack_main_arrays(xb, yb, 1.0, la, lb, lc),
-                   bulk.slack_quadratic_arrays(xb, yb, 1.0, la, lb, lc), out=ms[b])
-        ok[b] = bulk.constraint_mask_arrays(xb, yb, 1.0, la, lb, lc)
+        m = min(_BLOCK, count - lo)
+        _SHARD_PLAN((x[b], y[b], ta[b], tb[b], tc[b]), (ms[b], ok[b]),
+                    [r[:m] for r in registers])
 
     def top(sel: np.ndarray | None) -> tuple:
         # The samples at the indices sel, or every sample when sel is None:
@@ -552,7 +558,7 @@ def _sample_shards(cfg: SearchConfig) -> list[tuple[dict, dict]]:
     is unique.  A thread makes its rows on its first claim, and they go
     when it runs out of shards: kept through refinement, they would have
     later allocations placed above them in the heap, and freeing them
-    would then leave a 3 MiB hole there.
+    would then leave a 4 MiB hole there.
     """
     n_shards = -(-cfg.samples // SHARD_SIZE)
     shards = iter(range(n_shards))

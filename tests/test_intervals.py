@@ -288,3 +288,117 @@ class TestOperationSets:
         assert ops.mul(jet, jet) is square
         twin = ops.mul(jet, _Jet(d, jet.ok))
         assert _same_bits(square.d, twin.d) and np.array_equal(square.ok, twin.ok)
+
+
+class TestPlan:
+    """A formula traced by ``_PlanOps`` and run as a ``_Plan`` of in-place
+    ufunc calls gives the bits ``_FloatOps`` gives."""
+
+    @staticmethod
+    def run(plan, inputs, n_outputs=1):
+        outputs = [np.full(inputs[0].size, np.nan) for _ in range(n_outputs)]
+        registers = plan.registers(inputs[0].size)
+        for r in registers:
+            r.fill(True if r.dtype == bool else np.nan)
+        with np.errstate(invalid="ignore"):
+            plan(inputs, outputs, registers)
+        return outputs
+
+    def test_multiplying_by_one_is_folded_and_keeps_every_bit(self):
+        from cevians.intervals import _FloatOps, _Plan
+
+        def formula(ops, x, y):
+            return (ops.add(ops.mul(x, 1.0), ops.mul(1.0, ops.mul(y, ops.mul(1.0, 1.0)))),)
+
+        plan = _Plan(formula, 2)
+        assert [step[0] for step in plan.steps] == [np.add]
+        x = np.array([-0.0, -0.0, 0.0, np.inf, -np.inf, np.inf, 5e-324, -1.5])
+        y = np.array([-0.0, 0.0, -0.0, np.inf, -np.inf, 2.0, -0.0, np.nan])
+        (got,) = self.run(plan, (x, y))
+        with np.errstate(invalid="ignore"):
+            want = formula(_FloatOps, x, y)[0]
+        assert _same_bits(got, want)
+        assert np.signbit(got[0]) and not np.signbit(got[1])
+
+    def test_common_subexpressions_are_recorded_once(self):
+        from cevians.intervals import _Plan
+
+        # x*x three times and x*2.0 twice are one call each; x*0.0 and
+        # x*-0.0 differ in the sign of a zero, so they stay two calls
+        def formula(ops, x):
+            sq = ops.add(ops.mul(x, x), ops.mul(x, x))
+            twice = ops.mul(ops.mul(x, 2.0), ops.mul(x, ops.add(1.0, 1.0)))
+            zeros = ops.add(ops.mul(x, 0.0), ops.mul(x, -0.0))
+            return ops.add(ops.add(sq, ops.mul(x, x)), twice), zeros
+
+        plan = _Plan(formula, 1)
+        names = sorted(step[0].__name__ for step in plan.steps)
+        assert names == ["add", "add", "add", "add", "multiply", "multiply",
+                         "multiply", "multiply", "multiply"]
+        x = np.array([-0.0, 0.0, 1.5, -3.0, np.inf])
+        got = self.run(plan, (x,), 2)
+        with np.errstate(invalid="ignore"):
+            want = [(2 * x * x + x * x) + (2 * x) * (2 * x), x * 0.0 + x * -0.0]
+        assert all(_same_bits(g, w) for g, w in zip(got, want))
+
+    def test_registers_are_reused_once_read_for_the_last_time(self):
+        from cevians.intervals import _Plan
+
+        def chain(ops, x):
+            v = x
+            for k in range(20):
+                v = ops.sqrt(ops.add(v, float(k)))
+            return (ops.mul(v, 3.0),)
+
+        plan = _Plan(chain, 1)
+        assert len(plan.steps) == 41 and len(plan.register_dtypes) == 1
+        x = np.linspace(0.0, 5.0, 7)
+        want = x
+        for k in range(20):
+            want = np.sqrt(want + float(k))
+        assert _same_bits(self.run(plan, (x,))[0], want * 3.0)
+
+    def test_comparisons_and_masks_use_bool_registers(self):
+        from cevians.intervals import _FloatOps, _Plan
+
+        def formula(ops, x, y):
+            both = (x >= y) & (ops.mul(x, 2.0) >= y) & (y >= ops.sqrt(x))
+            return np.minimum(ops.sub(x, y), ops.sub(y, x)), both
+
+        plan = _Plan(formula, 2)
+        # the two differences are live together, and so are two masks
+        assert sorted(map(str, plan.register_dtypes)) == ["bool", "bool", "float64", "float64"]
+        x = np.array([4.0, 1.0, 0.25, 9.0, -0.0])
+        y = np.array([2.0, 3.0, 0.5, 3.0, 0.0])
+        got_min, got_mask = self.run(plan, (x, y), 2)
+        want_min, want_mask = formula(_FloatOps, x, y)
+        assert _same_bits(got_min, want_min)
+        assert got_mask.astype(bool).tolist() == want_mask.tolist()
+
+    @pytest.mark.parametrize("formula", [
+        lambda ops, x: (x,),
+        lambda ops, x: (ops.mul(x, 1.0),),
+        lambda ops, x: (ops.add(1.0, 2.0),),
+        lambda ops, x: (ops.sqrt(x), ops.sqrt(x)),
+    ])
+    def test_outputs_must_be_distinct_computed_nodes(self, formula):
+        from cevians.intervals import _Plan
+
+        with pytest.raises(ValueError):
+            _Plan(formula, 1)
+
+    def test_each_plan_has_its_own_trace(self):
+        from cevians.intervals import _Plan
+
+        # a plan traced while another one is being traced shares no node
+        # or record with it
+        inner = []
+
+        def outer(ops, x):
+            square = ops.mul(x, x)
+            inner.append(_Plan(lambda ops, y: (ops.sqrt(ops.mul(y, y)),), 1))
+            return (ops.add(square, 1.0),)
+
+        plan = _Plan(outer, 1)
+        assert [s[0] for s in plan.steps] == [np.multiply, np.add]
+        assert [s[0] for s in inner[0].steps] == [np.multiply, np.sqrt]

@@ -9,10 +9,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cevians import bulk, cli
 from cevians.exceptions import CevianError
-from cevians.intervals import Interval
+from cevians.intervals import Interval, _FloatOps
 from cevians.kernel import (
     GeneralCevianParams,
     altitudes,
@@ -41,6 +42,9 @@ from cevians.search import (
 
 import oracles
 from test_kernel import triangle_strategy
+
+# the number of samples a shard's plan evaluates at once
+_BLOCK = importlib.import_module("cevians.search")._BLOCK
 
 # Hand-checkable answer to the constrained question, verified at 50 digits:
 # ordinary triangle, both constraints hold, both target slacks negative.
@@ -821,9 +825,11 @@ class TestShard:
     @pytest.mark.parametrize("count", [SHARD_SIZE, 17, SHARD_SIZE - 1])
     def test_blocks_match_whole_shard_bit_for_bit(self, mode, count):
         module = importlib.import_module("cevians.search")
-        # a worker's rows, full of junk: a read of an entry the shard did
-        # not write first would change its bits or counts
+        # a worker's rows and the shard plan's registers after them, full
+        # of junk: a read of an entry the shard or the plan did not write
+        # first would change its bits or counts
         rows = module._shard_rows(SHARD_SIZE)
+        assert len(rows) == 7 + len(module._SHARD_PLAN.register_dtypes)
         for row in rows:
             row.fill(True if row.dtype == bool else np.nan)
         args = (11, 3, 5 * SHARD_SIZE, count, mode, 50)
@@ -839,6 +845,33 @@ class TestShard:
                 assert type(got[key]) is int and got[key] == want[key]
         if count > 17:
             assert want["candidates"][0].size == 50
+
+    @pytest.mark.parametrize("mode", list(SearchMode))
+    def test_blocks_allocate_no_arrays(self, monkeypatch, mode):
+        # a warmed shard's blocks run the plan in the worker's registers;
+        # a block that made its formulas' temporaries would allocate
+        # 128 KiB arrays, so the bound is below one per block
+        module = importlib.import_module("cevians.search")
+        rows = module._shard_rows(SHARD_SIZE)
+        args = (11, 3, 0, SHARD_SIZE, mode, 50, rows)
+        module._run_shard(*args)
+        plan, grown = module._SHARD_PLAN, []
+
+        def traced(inputs, outputs, registers):
+            before, _ = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            plan(inputs, outputs, registers)
+            grown.append(tracemalloc.get_traced_memory()[1] - before)
+
+        monkeypatch.setattr(module, "_SHARD_PLAN", traced)
+        tracemalloc.start()
+        try:
+            module._run_shard(*args)
+        finally:
+            tracemalloc.stop()
+        blocks = SHARD_SIZE // _BLOCK
+        assert len(grown) == blocks
+        assert sum(grown) < blocks * _BLOCK * 8
 
     # sha256 of canonical_json(search(cfg).to_report_dict()) at seed 7 and
     # 2 * SHARD_SIZE + 17 samples; any change to the stream or arithmetic
@@ -859,6 +892,45 @@ class TestShard:
         cfg = SearchConfig(seed=7, samples=2 * SHARD_SIZE + 17, mode=mode)
         text = canonical_json(search(cfg).to_report_dict())
         assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
+
+
+_FEET = st.sampled_from([FOOT_MARGIN, 1.0 - FOOT_MARGIN, 0.5])
+
+
+class TestShardPlan:
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.sampled_from([1, 17, _BLOCK - 1, _BLOCK]),
+           seed=st.integers(0, 2**32 - 1), x=st.floats(0.0, 1e-3),
+           feet=st.tuples(_FEET, _FEET, _FEET))
+    def test_plan_matches_float_ops_bit_for_bit(self, n, seed, x, feet):
+        # the shard plan, run in junk-filled registers sliced to the block
+        # as the shard slices them, against the formula through _FloatOps;
+        # the first sample has x near 0 (y = 1), the last the drawn feet
+        module = importlib.import_module("cevians.search")
+        rng = np.random.default_rng(seed)
+        xs, ys = bulk.sample_normalized_points(rng, n)
+        ts = rng.uniform(FOOT_MARGIN, 1.0 - FOOT_MARGIN, (3, n))
+        xs[0], ys[0] = x, 1.0
+        ts[:, -1] = feet
+        registers = module._SHARD_PLAN.registers(_BLOCK)
+        for r in registers:
+            r.fill(True if r.dtype == bool else np.nan)
+        ms, ok = np.full(n, np.nan), np.ones(n, dtype=bool)
+        with np.errstate(all="ignore"):
+            module._SHARD_PLAN((xs, ys, *ts), (ms, ok), [r[:n] for r in registers])
+            want_ms, want_ok = bulk.min_slack_and_mask(_FloatOps, xs, ys, *ts)
+        assert ms.tobytes() == want_ms.tobytes()
+        assert ok.tobytes() == want_ok.tobytes()
+
+    def test_plan_registers_are_fixed_and_small(self):
+        # eight float64 registers and two masks of one block each, about
+        # 1 MiB per worker, whatever the sample count
+        module = importlib.import_module("cevians.search")
+        registers = module._SHARD_PLAN.registers(_BLOCK)
+        assert sorted(r.dtype.name for r in registers) == ["bool"] * 2 + ["float64"] * 8
+        assert sum(r.nbytes for r in registers) == 66 * _BLOCK
+        assert all(r.size == _BLOCK for r in module._shard_rows(SHARD_SIZE)[7:])
+        assert all(r.size == 17 for r in module._shard_rows(17)[7:])
 
 
 class TestSearch:

@@ -13,16 +13,18 @@ Sampling is sharded: shard i draws from a generator seeded with
 SeedSequence([seed, i]) for a seed in [0, 2**64), and samples are ranked
 by (min_slack, index), so reports are byte-identical for any worker
 count.  A shard draws all its samples at once (the sampler folds them
-without a branch, in place) and evaluates them in blocks of 16,384
-through one plan of in-place ufunc calls, traced once from
-:func:`cevians.bulk.min_slack_and_mask`, so the blocks allocate no
-array.  Each worker thread of a search call claims shard indices from
-one shared counter, runs every shard it claims in its one set of shard
-rows and plan registers, about 4 MB, and folds the shard's pools into
-its own best record_top so far.  So sampling holds one
-set of rows and two pools of 128 bytes per recorded candidate per thread,
-and nothing per shard, whatever the sample count; the rows go when
-sampling ends, before refinement.
+without a branch, in place) and evaluates them in blocks of 16,384, or
+of 32,768 when two or more threads sample, through one plan of in-place
+ufunc calls, traced once from :func:`cevians.bulk.min_slack_and_mask`,
+so the blocks allocate no array.  Each worker thread of a search call
+claims shard indices from one shared counter, runs every shard it claims
+in its one set of shard rows and plan registers, about 4 MB (5 MB on
+the longer blocks), and folds the shard's pools into its own best
+record_top so far; once a pool is full, its worst min_slack bounds the
+samples the next shard ranks for it.  So sampling holds one set of rows
+and two pools of 128 bytes per recorded candidate per thread, and
+nothing per shard, whatever the sample count; the rows go when sampling
+ends, before refinement.
 Refinement is a pattern search run on all candidates at once; each round
 evaluates ten probes of every live candidate speculatively, as one fixed
 (5, 10, L) block in one stacked kernel call.  A candidate's window is the
@@ -433,17 +435,24 @@ def refine(
     return out
 
 
-def _shard_rows(n: int) -> tuple[np.ndarray, ...]:
+def _shard_rows(n: int, threads: int = 1) -> tuple[np.ndarray, ...]:
     """One worker's shard rows x, y, ta, tb, tc, ms (float64) and ok (bool),
-    then the registers of the shard plan for blocks of up to n samples.
+    then the registers of the shard plan for blocks of up to n samples,
+    when ``threads`` workers sample at once.
 
     Each row is its own array of n entries, at most 512 KiB, and each
-    register its own array of at most ``_BLOCK`` entries: freeing one
-    4 MiB block raises glibc's mmap and trim thresholds for the whole
-    process, which changes the speed of whatever runs after it.
+    register its own array of at most one block: freeing one 4 MiB block
+    raises glibc's mmap and trim thresholds for the whole process, which
+    changes the speed of whatever runs after it.  A block is ``_BLOCK``
+    samples for one thread and ``2 * _BLOCK`` for two or more.  A plan
+    thread lets the GIL go for each ufunc call, and on ``_BLOCK`` samples
+    a call lasts only 5-18 us, so two plan threads mostly hand the GIL to
+    each other; on longer calls they overlap.  One thread gains nothing
+    from the longer blocks: its plan ran about 20% slower on them.
     """
+    block = _BLOCK if threads == 1 else 2 * _BLOCK
     return (tuple(np.empty(n) for _ in range(6)) + (np.empty(n, dtype=bool),)
-            + _SHARD_PLAN.registers(min(n, _BLOCK)))
+            + _SHARD_PLAN.registers(min(n, block)))
 
 
 def _draw_feet(rng: np.random.Generator, t: np.ndarray) -> None:
@@ -465,6 +474,7 @@ def _run_shard(
     mode: SearchMode,
     record_top: int,
     rows: tuple[np.ndarray, ...],
+    bounds: tuple[float, float] = (math.nan, math.nan),
 ) -> dict:
     """Sample one shard; rank the mode's candidates and the frontier.
 
@@ -473,13 +483,20 @@ def _run_shard(
     constraint-satisfying samples with nonnegative min_slack.  Each pool
     is (index, min_slack, columns) of its best record_top samples.
 
+    ``bounds`` holds, for the candidates and the frontier, the worst
+    min_slack of a full pool this shard's pool will be folded into by
+    :func:`_best`, or NaN for no bound.  A sample above the bound ranks
+    after every entry of that pool, so it cannot enter the fold, and only
+    the samples at or below it are ranked: ties at the bound still reach
+    :func:`_best`, and the fold comes out as without the bound.
+
     The shard runs in the first ``count`` entries of ``rows``, a worker's
     set from :func:`_shard_rows`, and writes each of them before reading
     it; the pools it returns are copies.  The draws cover the whole shard,
     in the order the stream defines, with the ms row as the sampler's
     scratch.  The shard plan then runs :func:`cevians.bulk.min_slack_and_mask`
-    on blocks of ``_BLOCK`` samples, in the worker's registers, and writes
-    the ms and ok rows; the blocks allocate no array.
+    on blocks of as many samples as the worker's registers hold, in those
+    registers, and writes the ms and ok rows; the blocks allocate no array.
     """
     x, y, ta, tb, tc, ms, ok = (row[:count] for row in rows[:7])
     registers = rows[7:]
@@ -488,15 +505,20 @@ def _run_shard(
     for t in (ta, tb, tc):
         _draw_feet(rng, t)
 
-    for lo in range(0, count, _BLOCK):
-        b = slice(lo, lo + _BLOCK)
-        m = min(_BLOCK, count - lo)
+    block = registers[0].size
+    for lo in range(0, count, block):
+        b = slice(lo, lo + block)
+        m = min(block, count - lo)
         _SHARD_PLAN((x[b], y[b], ta[b], tb[b], tc[b]), (ms[b], ok[b]),
                     [r[:m] for r in registers])
 
-    def top(sel: np.ndarray | None) -> tuple:
-        # The samples at the indices sel, or every sample when sel is None:
+    def top(keep: np.ndarray | None, bound: float) -> tuple:
+        # The samples where keep holds, or every sample when keep is None:
         # then ms itself is ranked, with no index array or gather of it.
+        if not math.isnan(bound):
+            below = ms <= bound
+            keep = below if keep is None else keep & below
+        sel = None if keep is None else np.flatnonzero(keep)
         vals = ms if sel is None else ms[sel]
         if vals.size > record_top:
             # Pre-select by partition; keeping every tie at the threshold
@@ -517,9 +539,8 @@ def _run_shard(
         "constraint_satisfying": int(np.count_nonzero(ok)),
         "raw_negative": int(np.count_nonzero(negative)),
         "constrained_negative": int(np.count_nonzero(ok & negative)),
-        "candidates": top(np.flatnonzero(ok) if mode is SearchMode.OPEN_PROBLEM
-                          else None),
-        "frontier": top(np.flatnonzero(ok & (ms >= 0.0))),
+        "candidates": top(ok if mode is SearchMode.OPEN_PROBLEM else None, bounds[0]),
+        "frontier": top(ok & (ms >= 0.0), bounds[1]),
     }
 
 
@@ -553,9 +574,11 @@ def _sample_shards(cfg: SearchConfig) -> list[tuple[dict, dict]]:
     pools as it ends.  So sampling holds one set of shard rows and two
     pools of record_top samples per thread, and nothing per shard: the
     best record_top of a union are the best of the best record_top so far
-    and the next shard's pool.  Which thread runs which shard does not
-    matter, since :func:`_best` ranks by (min_slack, index) and each index
-    is unique.  A thread makes its rows on its first claim, and they go
+    and the next shard's pool.  Once a pool is full, its worst min_slack
+    bounds the samples the next shard ranks for it.  Which thread runs
+    which shard does not matter, since :func:`_best` ranks by (min_slack,
+    index) and each index is unique.  A thread makes its rows on its first
+    claim, sized by :func:`_shard_rows` for the thread count, and they go
     when it runs out of shards: kept through refinement, they would have
     later allocations placed above them in the heap, and freeing them
     would then leave a 4 MiB hole there.
@@ -563,6 +586,10 @@ def _sample_shards(cfg: SearchConfig) -> list[tuple[dict, dict]]:
     n_shards = -(-cfg.samples // SHARD_SIZE)
     shards = iter(range(n_shards))
     claim_lock = threading.Lock()
+    # More threads than shards or usable CPUs would only add threads, each
+    # holding its own rows.  A lone worker is the calling thread, so its
+    # rows come from the main heap arena.
+    threads = min(cfg.workers, n_shards, _usable_cpus())
 
     def claim():
         with claim_lock:
@@ -576,20 +603,18 @@ def _sample_shards(cfg: SearchConfig) -> list[tuple[dict, dict]]:
         rows = None
         for i in iter(claim, None):
             if rows is None:
-                rows = _shard_rows(min(SHARD_SIZE, cfg.samples))
+                rows = _shard_rows(min(SHARD_SIZE, cfg.samples), threads)
             start = i * SHARD_SIZE
+            bounds = tuple(ms[-1] if ms.size == cfg.record_top else math.nan
+                           for _, ms, _ in pools.values())
             result = _run_shard(cfg.seed, i, start, min(SHARD_SIZE, cfg.samples - start),
-                                cfg.mode, cfg.record_top, rows)
+                                cfg.mode, cfg.record_top, rows, bounds)
             for key in totals:
                 totals[key] += result[key]
             for key, pool in pools.items():
                 pools[key] = _best([pool, result[key]], cfg.record_top)
         return totals, pools
 
-    # More threads than shards or usable CPUs would only add threads, each
-    # holding its own rows.  A lone worker is the calling thread, so its
-    # rows come from the main heap arena.
-    threads = min(cfg.workers, n_shards, _usable_cpus())
     if threads == 1:
         return [work()]
     with ThreadPoolExecutor(max_workers=threads) as pool:

@@ -847,12 +847,60 @@ class TestShard:
             assert want["candidates"][0].size == 50
 
     @pytest.mark.parametrize("mode", list(SearchMode))
-    def test_blocks_allocate_no_arrays(self, monkeypatch, mode):
+    @pytest.mark.parametrize("record_top", [1, 20, MAX_RECORD_TOP])
+    @pytest.mark.parametrize("kind", ["empty", "short", "other", "loose", "nan",
+                                      "ties won by pool", "ties won by shard"])
+    def test_bound_from_a_pool_folds_as_without_it(self, mode, record_top, kind):
+        # a worker bounds the next shard's pools by the worst min_slack of
+        # its own full pools; folded into those pools, the bounded shard
+        # must give the bytes of the whole shard folded in
+        module = importlib.import_module("cevians.search")
+        seed, i, start = 11, 3, 3 * SHARD_SIZE
+        want = reference_shard(seed, i, start, SHARD_SIZE, mode, record_top)
+        # "other" is a full pool of another shard; "short" the same, one
+        # entry short of full; "loose" and "nan" the same with its min_slacks
+        # raised by 1, so that more than record_top samples lie below its
+        # worst, and with its worst made NaN.  The ties pools hold this
+        # shard's own best samples under lower or higher indices, so each
+        # entry ties with a sample, the worst one at the bound.
+        other = reference_shard(seed, 9, 9 * SHARD_SIZE, SHARD_SIZE, mode, record_top)
+        other = {key: other[key] for key in ("candidates", "frontier")}
+        pools = {
+            "empty": {},
+            "short": {key: tuple(part[..., :record_top - 1] for part in pool)
+                      for key, pool in other.items()},
+            "other": other,
+            "loose": {key: (idx, ms + 1.0, cols) for key, (idx, ms, cols) in other.items()},
+            "nan": {key: (idx, np.where(np.arange(ms.size) == ms.size - 1, np.nan, ms), cols)
+                    for key, (idx, ms, cols) in other.items()},
+            "ties won by pool": reference_shard(seed, i, 0, SHARD_SIZE, mode, record_top),
+            "ties won by shard": reference_shard(seed, i, 9 * SHARD_SIZE, SHARD_SIZE,
+                                                 mode, record_top),
+        }[kind]
+        empty = (np.empty(0, dtype=np.intp), np.empty(0), np.empty((6, 0)))
+        pools = {key: pools.get(key, empty) for key in ("candidates", "frontier")}
+        bounds = tuple(ms[-1] if ms.size == record_top else np.nan
+                       for _, ms, _ in pools.values())
+        full = [ms.size == record_top for _, ms, _ in pools.values()]
+        assert full == [kind not in ("empty", "short")] * 2
+        rows = module._shard_rows(SHARD_SIZE)
+        got = module._run_shard(seed, i, start, SHARD_SIZE, mode, record_top, rows, bounds)
+        for key, pool in pools.items():
+            fold = module._best([pool, got[key]], record_top)
+            for g, w in zip(fold, module._best([pool, want[key]], record_top)):
+                assert g.dtype == w.dtype and g.shape == w.shape
+                assert g.tobytes() == w.tobytes()
+
+    @pytest.mark.parametrize("mode", list(SearchMode))
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_blocks_allocate_no_arrays(self, monkeypatch, mode, threads):
         # a warmed shard's blocks run the plan in the worker's registers;
         # a block that made its formulas' temporaries would allocate
-        # 128 KiB arrays, so the bound is below one per block
+        # float64 arrays of one block each, so the bound is below one per
+        # block, for the blocks of one thread and of two
         module = importlib.import_module("cevians.search")
-        rows = module._shard_rows(SHARD_SIZE)
+        rows = module._shard_rows(SHARD_SIZE, threads)
+        block = rows[7].size
         args = (11, 3, 0, SHARD_SIZE, mode, 50, rows)
         module._run_shard(*args)
         plan, grown = module._SHARD_PLAN, []
@@ -869,9 +917,9 @@ class TestShard:
             module._run_shard(*args)
         finally:
             tracemalloc.stop()
-        blocks = SHARD_SIZE // _BLOCK
+        blocks = SHARD_SIZE // block
         assert len(grown) == blocks
-        assert sum(grown) < blocks * _BLOCK * 8
+        assert sum(grown) < blocks * block * 8
 
     # sha256 of canonical_json(search(cfg).to_report_dict()) at seed 7 and
     # 2 * SHARD_SIZE + 17 samples; any change to the stream or arithmetic
@@ -899,7 +947,7 @@ _FEET = st.sampled_from([FOOT_MARGIN, 1.0 - FOOT_MARGIN, 0.5])
 
 class TestShardPlan:
     @settings(max_examples=40, deadline=None)
-    @given(n=st.sampled_from([1, 17, _BLOCK - 1, _BLOCK]),
+    @given(n=st.sampled_from([1, 17, _BLOCK - 1, _BLOCK, 2 * _BLOCK]),
            seed=st.integers(0, 2**32 - 1), x=st.floats(0.0, 1e-3),
            feet=st.tuples(_FEET, _FEET, _FEET))
     def test_plan_matches_float_ops_bit_for_bit(self, n, seed, x, feet):
@@ -912,7 +960,7 @@ class TestShardPlan:
         ts = rng.uniform(FOOT_MARGIN, 1.0 - FOOT_MARGIN, (3, n))
         xs[0], ys[0] = x, 1.0
         ts[:, -1] = feet
-        registers = module._SHARD_PLAN.registers(_BLOCK)
+        registers = module._SHARD_PLAN.registers(2 * _BLOCK)
         for r in registers:
             r.fill(True if r.dtype == bool else np.nan)
         ms, ok = np.full(n, np.nan), np.ones(n, dtype=bool)
@@ -922,15 +970,40 @@ class TestShardPlan:
         assert ms.tobytes() == want_ms.tobytes()
         assert ok.tobytes() == want_ok.tobytes()
 
-    def test_plan_registers_are_fixed_and_small(self):
+    def test_plan_registers_are_fixed_and_small(self, monkeypatch):
         # eight float64 registers and two masks of one block each, about
-        # 1 MiB per worker, whatever the sample count
+        # 1 MiB per worker with one thread and 2 MiB with two, whatever the
+        # sample count; a block is _BLOCK samples when one thread samples
+        # and 2 * _BLOCK when two do, and a search runs every block of a
+        # shard but its last at that size
         module = importlib.import_module("cevians.search")
         registers = module._SHARD_PLAN.registers(_BLOCK)
         assert sorted(r.dtype.name for r in registers) == ["bool"] * 2 + ["float64"] * 8
         assert sum(r.nbytes for r in registers) == 66 * _BLOCK
         assert all(r.size == _BLOCK for r in module._shard_rows(SHARD_SIZE)[7:])
+        assert all(r.size == _BLOCK for r in module._shard_rows(SHARD_SIZE, 1)[7:])
+        for threads in (2, 4):
+            rows = module._shard_rows(SHARD_SIZE, threads)
+            assert all(r.size == 2 * _BLOCK for r in rows[7:])
         assert all(r.size == 17 for r in module._shard_rows(17)[7:])
+        assert all(r.size == 17 for r in module._shard_rows(17, 2)[7:])
+
+        plan, blocks = module._SHARD_PLAN, []
+
+        def spy(inputs, outputs, registers):
+            blocks.append((inputs[0].size, {r.size for r in registers}))
+            plan(inputs, outputs, registers)
+
+        spy.registers = plan.registers
+        monkeypatch.setattr(module, "_SHARD_PLAN", spy)
+        monkeypatch.setattr(module, "_usable_cpus", lambda: 2)
+        for workers, block in ((1, _BLOCK), (2, 2 * _BLOCK)):
+            blocks.clear()
+            search(SearchConfig(seed=3, samples=2 * SHARD_SIZE + 17,
+                                mode=SearchMode.OPEN_PROBLEM, refine_steps=0,
+                                workers=workers))
+            assert sorted(blocks) == [(17, {17})] + [(block, {block})] * (
+                2 * SHARD_SIZE // block)
 
 
 class TestSearch:
@@ -1067,13 +1140,13 @@ class TestSearch:
         # 2 threads peaked at 47.4 MiB of traced allocations
         module = importlib.import_module("cevians.search")
 
-        def shard(seed, shard_index, start, count, mode, record_top, rows):
+        def shard(seed, shard_index, start, count, mode, record_top, rows, bounds):
             pool = (np.array([start]), np.array([1.0]), np.ones((6, 1)))
             return {"sampled": count, "constraint_satisfying": 0, "raw_negative": 0,
                     "constrained_negative": 0, "candidates": pool, "frontier": pool}
 
         monkeypatch.setattr(module, "_run_shard", shard)
-        monkeypatch.setattr(module, "_shard_rows", lambda n: ())
+        monkeypatch.setattr(module, "_shard_rows", lambda n, threads: ())
         monkeypatch.setattr(module, "_usable_cpus", lambda: 2)
         cfg = SearchConfig(seed=1, samples=20_000 * SHARD_SIZE,
                            mode=SearchMode.UNCONSTRAINED, workers=2)

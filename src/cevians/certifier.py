@@ -1,4 +1,8 @@
-"""Rigorous certification of the normalized inequalities by branch and bound.
+"""Rigorous certification of the normalized inequalities.
+
+A target whose identity (see `Identity`) applies at the run's mu is
+certified by that identity, with no box; every other run by branch and
+bound.
 
 The working domain is W(mu, delta) = {mu <= x <= y <= 1, x + y >= 1 + mu}
 minus the equality corner [1-delta, 1]^2 (inside the simplex x <= y the
@@ -21,8 +25,8 @@ of a decision is element-wise over the boxes, so this changes no
 certificate, only how many evaluations a run makes.
 
 Each target is one `TargetSpec` record of `TARGETS`: its parts, their
-exact facts at each vertex, its identity part and whether the corner
-factor check applies.  Every target expression is written once against an
+exact facts at each vertex, its identity and whether the corner factor
+check applies.  Every target expression is written once against an
 abstract operation set (the median and bisector targets are the
 :mod:`cevians.bulk` formulas at c = 1.0) and instantiated three ways:
 plain float arrays (point evaluation), interval endpoint arrays (the
@@ -47,7 +51,8 @@ built on exact facts of each part there: second order at (1, 1)
 s = sqrt(x) (:func:`_vertex_0_1_bounds`), and first order for the smooth
 part of r1 at (1/2, 1/2), with its non-smooth part y*rc bounded below
 (:func:`_vertex_half_bounds`).  A part that is not 0 at the vertex takes
-its natural enclosure, and key-system's r2 takes the square identity.
+its natural enclosure, and a part that the target's identity proves
+>= 0, with a zero curve, is left to the identity.
 The form proves the box positive, or, at delta = 0 for the one box that
 holds (1, 1), >= 0 with equality only at (1, 1): that box is the corner
 box.  The derivative forms are applied only where every radicand is
@@ -78,29 +83,34 @@ _CORNER_MIN_WIDTH = 1e-12
 _CORNER_BOX_CAP = 500_000
 # A report lists at most this many undecided boxes and flags the rest.
 _UNDECIDED_LIMIT = 1000
-# `certify` bisects without bounding down to this depth.  Bounded from
-# depth 0, the first level to prove a box was at depth 2, 3 or 4 in 29 of
-# 30 runs (5 targets x {defaults, mu = 1e-12 with delta = 1e-6 and 1e-7,
-# delta = 0 at mu = 1e-6, 1e-12 and 1e-20}) and at depth 6 in the other.
-# Over certify-suite's 15 runs, depth 5 bounds 1,392 boxes in 81 levels,
-# against 1,569 in 156 from depth 0; depths 6 and 7 bound 1,660 and 2,470.
-# With a look-ahead of one generation below levels of at most 256 boxes,
-# depths 0, 3, 4, 5, 6 and 7 made 81, 60, 51, 45, 39 and 36 evaluations
-# and took 196, 142, 119, 106, 96 and 97 ms in process (medians of 7
-# passes of the 15 runs; 21 passes of depths 5, 6 and 7 gave 100, 80 and
-# 81 ms).
+# The branch-and-bound bisects without bounding down to this depth.
+# Bounded from depth 0, the first level to prove a box was at depth 2, 3
+# or 4 in 29 of 30 runs (5 targets x {defaults, mu = 1e-12 with delta =
+# 1e-6 and 1e-7, delta = 0 at mu = 1e-6, 1e-12 and 1e-20}) and at depth 6
+# in the other.  Over the nine certify-suite runs that use the
+# branch-and-bound (key-system and altitude-reduced are proven by their
+# identities), depths 0, 3, 4, 5, 6 and 7 bound 747, 684, 636, 642, 834
+# and 1,334 boxes in 87, 60, 51, 42, 36 and 30 levels, with 15 evaluations
+# each.  When all 15 runs were bounded, with a look-ahead of one
+# generation below levels of at most 256 boxes, depths 0, 3, 4, 5, 6 and
+# 7 made 81, 60, 51, 45, 39 and 36 evaluations and took 196, 142, 119,
+# 106, 96 and 97 ms in process (medians of 7 passes; 21 passes of depths
+# 5, 6 and 7 gave 100, 80 and 81 ms).
 _GRID_DEPTH = 5
-# `certify` decides a bounded level together with the generations below
-# it while the level and they hold at most this many boxes (see
+# The branch-and-bound decides a bounded level together with the
+# generations below it while the level and they hold at most this many
+# boxes (see
 # :func:`_look_ahead`).  A `_decide` call has a fixed cost of milliseconds
 # (2.3 ms on certify-corner's 224-box batch, 3.0-3.5 ms on key-system's
 # batches of 206-346 boxes) and costs about 3.3-3.6 us per box on 37k-88k
-# boxes, so a batch this size costs less than the calls it saves.  In
-# process on a shared 2-core host, caps of 0 (no look-ahead), 256, 384,
-# 512, 768 and 1,024 made 81, 30, 30, 27, 24 and 24 evaluations over
-# certify-suite's 15 runs and took 90, 58, 59, 70, 67 and 95 ms, and made
-# 3, 1, 1, 1, 1 and 1 on certify-corner's run and took 4.4, 2.8, 2.8, 3.5,
-# 3.5 and 5.0 ms (medians of 60 and 400 interleaved passes).  Over 7
+# boxes, so a batch this size costs less than the calls it saves.  Caps
+# of 0 (no look-ahead), 256, 384, 512, 768 and 1,024 make 42, 15, 15, 15,
+# 15 and 15 evaluations over the nine certify-suite runs that use the
+# branch-and-bound.  When all 15 runs were bounded, in process on a
+# shared 2-core host, they made 81, 30, 30, 27, 24 and 24 evaluations and
+# took 90, 58, 59, 70, 67 and 95 ms, and made 3, 1, 1, 1, 1 and 1 on
+# certify-corner's run and took 4.4, 2.8, 2.8, 3.5, 3.5 and 5.0 ms
+# (medians of 60 and 400 interleaved passes).  Over 7
 # targets x 11 settings (certify-suite's three, delta = 0 at mu = 1e-6,
 # 1e-12 and 1e-20 with a budget of 3,000, budgets of 10 and 31, max_depth
 # 2 and 7, min_box_width 0.2), caps of 256, 384, 512, 768 and 1,024 made 111, 108, 98, 95 and 88 evaluations
@@ -309,6 +319,73 @@ def _parts_altitude_reduced(ops, x, y):
     return (ops.sub(t, ops.add(ops.add(x, y), 1.0)),)
 
 
+def key_system_identity_floors(mu: float) -> dict:
+    """Domain floors of the Heron factors of the triangle (x, y, 1) on W(mu).
+
+    For valid triangles, (X*2m_Z + Z*2m_X)^2 - (2Y*2m_Y)^2 reduces, after
+    the second squaring, to the identity
+
+        4*T1*T2 - P^2 = 4*(X^2 + Z^2 - 2Y^2)^2 * (16*area^2),
+
+    with T1 = (X*2m_Z)^2, T2 = (Z*2m_X)^2, P = 4*(Y*2m_Y)^2 - T1 - T2.
+    Its right side is a square times Heron's 16*area^2, so the residual
+    X*m_Z + Z*m_X - 2Y*m_Y is nonnegative wherever the triangle is valid,
+    with equality exactly on X^2 + Z^2 = 2Y^2.  Key-system's r1, r2 and r3
+    are twice this residual with (X, Y, Z) = (b, a, c), (a, b, c) and
+    (a, c, b).  On W(mu) = {mu <= x <= y <= 1, x + y >= 1 + mu}, r2's curve
+    2y^2 = x^2 + 1 crosses the whole domain, and r1's and r3's,
+    y^2 + 1 = 2x^2 and x^2 + y^2 = 2, meet W(mu) only at (1, 1).  Every
+    Heron factor of (x, y, 1) has the constant floor below, and where all
+    four are positive the triangle is valid on all of W(mu).
+    """
+    return {
+        "x+y-1": math.nextafter((1.0 + mu) - 1.0, -_INF),
+        "1+x-y": mu,
+        "1+y-x": 1.0,
+        "1+x+y": 2.0,
+    }
+
+
+# Where a part that an identity proves > 0 is 0: the equality point alone.
+_EQUALITY_POINT = "(1,1)"
+
+
+@dataclass(frozen=True)
+class Identity:
+    """An exact identity that proves a target's parts on W(mu).
+
+    `parts` holds one entry (name, zeros) per part of the target, which
+    it proves: `zeros` is `_EQUALITY_POINT` for a part proven > 0 on W(mu)
+    except at (1, 1), or the curve on which a part proven >= 0 is 0.
+    `floors(mu)` gives a positive constant lower bound, over W(mu), of each
+    quantity the identity needs positive; it applies at mu where every
+    floor is > 0.
+    """
+
+    name: str
+    statement: str
+    parts: tuple
+    floors: Callable
+
+    def applies(self, mu: float) -> bool:
+        return all(f > 0.0 for f in self.floors(mu).values())
+
+    def to_report_dict(self, mu: float) -> dict:
+        def claim(name, zeros):
+            if zeros == _EQUALITY_POINT:
+                return f"{name} > 0 on W(mu) except at (1,1), where it is 0"
+            return f"{name} >= 0 on W(mu), and 0 exactly on {zeros}"
+
+        return {
+            "kind": "identity",
+            "name": self.name,
+            "identity": self.statement,
+            "floors": self.floors(mu),
+            "parts": [{"part": name, "claim": claim(name, zeros), "zero_set": zeros}
+                      for name, zeros in self.parts],
+        }
+
+
 @dataclass(frozen=True)
 class TargetSpec:
     """One certify target.
@@ -316,16 +393,17 @@ class TargetSpec:
     `parts(ops, x, y)` gives its parts over an operation set.  `facts` maps
     the name of each vertex of `_VERTICES` where a part is 0 to one entry
     per part, from that vertex's vocabulary (see its docstring).
-    `identity_part` is a part that an identity proves >= 0 (key-system's
-    r2, see :func:`key_system_identity_floors`), which the branch-and-bound
-    then leaves out (see :func:`_strict_parts`).  `corner_factors` marks
-    the target whose isosceles second factors :func:`corner_argument_check`
-    certifies at delta > 0.
+    `identity` is an `Identity` that proves every part of the target, or
+    None; where it applies, :func:`certify` needs no branch-and-bound, and
+    the branch-and-bound itself leaves out the parts it proves >= 0 with a
+    zero curve (see :func:`_strict_parts`).
+    `corner_factors` marks the target whose isosceles second factors
+    :func:`corner_argument_check` certifies at delta > 0.
     """
 
     parts: Callable
     facts: dict
-    identity_part: int | None = None
+    identity: Identity | None = None
     corner_factors: bool = False
 
 
@@ -359,10 +437,26 @@ TARGETS = {
         _on_unit_triangle(bulk.key_residuals, bulk.doubled_medians, parts=3),
         {"vertex_1_1": (2, 2, 2), "vertex_0_1": ("natural", None, "x"),
          "vertex_half_half": ("split", None, "natural")},
-        identity_part=1),
+        identity=Identity(
+            "square identity",
+            "4*T1*T2 - P^2 = 4*(X^2 + Z^2 - 2*Y^2)^2 * (16*area^2), with "
+            "T1 = (X*2m_Z)^2, T2 = (Z*2m_X)^2 and P = 4*(Y*2m_Y)^2 - T1 - T2, "
+            "so X*m_Z + Z*m_X - 2*Y*m_Y >= 0, and = 0 exactly on "
+            "X^2 + Z^2 = 2*Y^2, wherever the Heron factors are positive; r1, r2 "
+            "and r3 are twice it with (X, Y, Z) = (b, a, c), (a, b, c) and (a, c, b)",
+            (("r1", _EQUALITY_POINT), ("r2", "2*y^2 = x^2 + 1"), ("r3", _EQUALITY_POINT)),
+            key_system_identity_floors)),
     # (1, 1): F = 3 - 3 = 0 and F_x = y + 1/y - y/x^2 - 1 = 0.  It grows
-    # like 1/x at (0, 1).
-    Target.ALTITUDE_REDUCED: TargetSpec(_parts_altitude_reduced, {"vertex_1_1": (2,)}),
+    # like 1/x at (0, 1).  x*y*F is a sum of squares, 0 only where
+    # x*y = x = y, so at (1, 1) for x, y > 0.
+    Target.ALTITUDE_REDUCED: TargetSpec(
+        _parts_altitude_reduced, {"vertex_1_1": (2,)},
+        identity=Identity(
+            "sum of squares",
+            "x*y*F = ((x*y - x)^2 + (x*y - y)^2 + (x - y)^2) / 2, so F > 0 where "
+            "x > 0 and y > 0, except at x = y = 1",
+            (("F", _EQUALITY_POINT),),
+            lambda mu: {"x": mu, "y": 0.5})),
     # (1, 1): F = ra - rc = 0, but F_x = (-1 - 2)/sqrt(3) + rb/2 and
     # F_y = (2 - 2)/sqrt(3) + ra/2 - rb are both -sqrt(3)/2.
     # (0, 1): F = 2*1 + 1*(0 - 1) - 1 = 0; in s, dF/ds = rb = 1, dF/dy = 0.
@@ -412,40 +506,13 @@ def _jets(parts, order: int, xlo, xhi, ylo, yhi, in_sqrt_x=False):
         return parts(_JetOps, x, y)
 
 
-def key_system_identity_floors(mu: float) -> dict:
-    """Domain floors certifying the second key residual nonnegative on W(mu).
-
-    For valid triangles, (a*2m_c + c*2m_a)^2 - (2b*2m_b)^2 reduces, after
-    the second squaring, to the identity
-
-        4*T1*T2 - P^2 = 4*(a^2 + c^2 - 2b^2)^2 * (16*area^2),
-
-    with T1 = (a*2m_c)^2, T2 = (c*2m_a)^2, P = 4*(b*2m_b)^2 - T1 - T2.
-    Its right side is a square times Heron's 16*area^2, so the residual
-    a*m_c + c*m_a - 2b*m_b is nonnegative wherever the triangle is valid,
-    with equality exactly on 2b^2 = a^2 + c^2 (a curve that crosses the
-    whole working domain, so no strict bound can hold there).  Over
-    W(mu) = {mu <= x <= y <= 1, x + y >= 1 + mu} every Heron factor of the
-    normalized triangle (x, y, 1) has the positive constant floor below,
-    which is what makes the identity route rigorous on every box.
-    """
-    return {
-        "x+y-1": math.nextafter((1.0 + mu) - 1.0, -_INF),
-        "1+x-y": mu,
-        "1+y-x": 1.0,
-        "1+x+y": 2.0,
-    }
-
-
-def _key_identity_applies(mu: float) -> bool:
-    return all(f > 0.0 for f in key_system_identity_floors(mu).values())
-
-
 def _strict_parts(spec: TargetSpec, mu: float, n: int) -> list[int]:
-    """Indices of the parts a proof must bound: all but the identity part,
-    where its identity applies; see :func:`_lower_bounds`."""
-    if spec.identity_part is not None and _key_identity_applies(mu):
-        return [k for k in range(n) if k != spec.identity_part]
+    """Indices of the parts a proof must bound: all but those that the
+    target's identity, where it applies, proves >= 0 with a zero curve; see
+    :func:`_lower_bounds`."""
+    identity = spec.identity
+    if identity is not None and identity.applies(mu):
+        return [k for k in range(n) if identity.parts[k][1] == _EQUALITY_POINT]
     return list(range(n))
 
 
@@ -754,7 +821,8 @@ class CertificateStats:
     """Deterministic counters of a run, and its wall time.
 
     `grid_depth` counts the grid levels, bisected without a bound (see
-    :func:`certify`), and `levels` the levels whose boxes were bounded;
+    :func:`_branch_and_bound`), and `levels` the levels whose boxes were
+    bounded;
     `max_depth_reached` is the bisection depth of the last level, grid or
     not, so a run that bounds a level has `levels == max_depth_reached +
     1 - grid_depth`.  `boxes_processed` and `per_level` count the bounded
@@ -768,10 +836,11 @@ class CertificateStats:
     that exhausts its budget also reports its unprocessed queue undecided,
     which no level counts.  `evaluations` counts the calls of
     :func:`_decide`, each of which decides one bounded level and the
-    levels below it that its look-ahead reaches (see :func:`certify`), so
-    it is at most `levels`: certify-suite's 15 runs make 30 evaluations
-    for 81 levels, against 45 with one generation of look-ahead, and
-    certify-corner's run 1 for its 3 levels.
+    levels below it that its look-ahead reaches (see
+    :func:`_branch_and_bound`), so it is at most `levels`: the nine certify-suite runs that use the
+    branch-and-bound make 15 evaluations for 42 levels, against 42 one
+    level at a time, and certify-corner's run 1 for its 3 levels.  A
+    certificate by identity counts nothing.
     `undecided_hull` is the bounding box of the undecided boxes and its
     max-norm distance to each vertex of `_VERTICES`, or None when no box is
     undecided.
@@ -791,17 +860,19 @@ class CertificateStats:
 
 @dataclass
 class Certificate:
-    """Branch-and-bound outcome over the working domain.
+    """Outcome of a certification over the working domain.
 
-    The proven boxes, the corner box and the undecided boxes, together with
-    the reported excluded regions, cover the working domain; no two of them
-    overlap except on their boundaries.  Every proven box has a positive
-    lower bound (see :func:`_lower_bounds`) or a positive vertex form
-    (see `_VERTICES`).  The corner box exists only at delta = 0: it is
-    the box holding the equality point (1, 1), proven by
-    :func:`_vertex_1_1_bounds` to carry a target >= 0 that is 0 only at
-    (1, 1).  Each box set is a (4, n) array whose rows are xlo, xhi, ylo and
-    yhi, sorted by xlo, then ylo, then xhi, then yhi.
+    A certificate by identity (`identity` is not None) has no box and no
+    count: its identity proves every part on all of W(mu).  Otherwise it is
+    the branch-and-bound outcome.  The proven boxes, the corner box and the
+    undecided boxes, together with the reported excluded regions, cover the
+    working domain; no two of them overlap except on their boundaries.
+    Every proven box has a positive lower bound (see :func:`_lower_bounds`)
+    or a positive vertex form (see `_VERTICES`).  The corner box exists
+    only at delta = 0: it is the box holding the equality point (1, 1),
+    proven by :func:`_vertex_1_1_bounds` to carry a target >= 0 that is 0
+    only at (1, 1).  Each box set is a (4, n) array whose rows are xlo,
+    xhi, ylo and yhi, sorted by xlo, then ylo, then xhi, then yhi.
     """
 
     task: CertificationTask
@@ -810,6 +881,7 @@ class Certificate:
     undecided: np.ndarray
     excluded: dict
     stats: CertificateStats = field(default_factory=CertificateStats)
+    identity: Identity | None = None
 
     @property
     def proven_count(self) -> int:
@@ -844,7 +916,9 @@ class Certificate:
                 "wall_time_s": self.stats.wall_time_s,
             },
         }
-        if self.task.delta == 0.0:
+        if self.identity is not None:
+            doc["proof"] = self.identity.to_report_dict(self.task.mu)
+        elif self.task.delta == 0.0:
             corner = self.corner.T.tolist()
             doc["corner_box"] = corner[0] if corner else None
         if include_proven:
@@ -875,7 +949,9 @@ def _corner_note(spec: TargetSpec, delta: float) -> str:
             + sampling)
 
 
-def _excluded_description(task: CertificationTask) -> dict:
+def _excluded_description(task: CertificationTask, by_identity: bool = False) -> dict:
+    """What a certificate leaves out of W(mu, delta) and why.  A proof by
+    identity covers all of W(mu), the corner square included."""
     spec = TARGETS[task.target]
     doc = {
         "degeneracy_buffer": {
@@ -883,15 +959,18 @@ def _excluded_description(task: CertificationTask) -> dict:
             "constraints": f"x >= mu and x + y >= {1.0 + task.mu!r}, "
                            "the binary64 sum 1 + mu",
         },
-        "corner_square": {
-            "delta": task.delta,
-            "x": [1.0 - task.delta, 1.0],
-            "y": [1.0 - task.delta, 1.0],
-            "note": _corner_note(spec, task.delta),
-        },
     }
-    if spec.identity_part is not None:
-        if _key_identity_applies(task.mu):
+    if by_identity:
+        return doc
+    doc["corner_square"] = {
+        "delta": task.delta,
+        "x": [1.0 - task.delta, 1.0],
+        "y": [1.0 - task.delta, 1.0],
+        "note": _corner_note(spec, task.delta),
+    }
+    # key-system's r2, which the square identity proves >= 0 with a zero curve
+    if task.target is Target.KEY_SYSTEM:
+        if spec.identity.applies(task.mu):
             how = ("nonnegative via the square identity "
                    "4*T1*T2 - P^2 = 4*(a^2+c^2-2*b^2)^2 * (16*area^2); "
                    "proven boxes certify r1 > 0, r3 > 0, r2 >= 0")
@@ -992,6 +1071,25 @@ def _look_ahead(boxes, depth: int, room: int, task: CertificationTask) -> list:
 
 
 def certify(task: CertificationTask) -> Certificate:
+    """Certification of one target over W(mu, delta).
+
+    Where the target's identity applies at task.mu, the certificate is the
+    identity's, with no box: it covers all of W(mu), the corner square
+    included, so delta and the box limits do not enter.  Otherwise it is
+    :func:`_branch_and_bound`'s.
+    """
+    start = time.perf_counter()
+    identity = TARGETS[task.target].identity
+    if identity is None or not identity.applies(task.mu):
+        return _branch_and_bound(task)
+    none = np.empty((4, 0))
+    stats = CertificateStats(wall_time_s=time.perf_counter() - start)
+    return Certificate(task=task, proven=none, corner=none, undecided=none,
+                       excluded=_excluded_description(task, by_identity=True),
+                       stats=stats, identity=identity)
+
+
+def _branch_and_bound(task: CertificationTask) -> Certificate:
     """Branch-and-bound certification of one target over W(mu, delta).
 
     The first levels are a grid: while the depth is below

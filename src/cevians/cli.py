@@ -5,12 +5,13 @@ slack fails, 2 invalid input; a slack of degree d in the sides fails below
 -tolerance*c*lc*c**(d-2), and bisector_ratio, of degree 0, below
 -tolerance*(c + b - a)/c, the size of its terms, so the verdict does not
 depend on units.
-certify: 0 empty undecided set, 1 undecided boxes remain (also when the
-box budget runs out), 2 bad arguments.  search: unconstrained mode exits 0
-iff a re-verified violation was found, open-problem mode always exits 0 (2
-on bad arguments, among them a --record-top outside [1, 4,096];
-refinement holds about 9 KB per recorded candidate; while the search
-samples, each worker thread holds about 4 MB of shard rows and two ranked
+certify: 0 empty undecided set (as for every proof by identity), 1
+undecided boxes remain (also when the box budget runs out), 2 bad
+arguments.  search: unconstrained mode exits 0 iff a re-verified
+violation was found, open-problem mode always exits 0 (2 on bad
+arguments, among them a --record-top outside [1, 4,096]; refinement
+holds about 9 KB per recorded candidate; while the search samples, each
+worker thread holds about 4 MB of shard rows and two ranked
 pools of 128 bytes per recorded candidate, and nothing per shard).
 table: 0, or 2 on bad density (below 2 or above 4,096, whose grid arrays
 take about 134 MB each).  Every subcommand exits 2 when its -o output cannot be written.
@@ -160,7 +161,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("-o", "--output", help="write the JSON report to this path")
 
     c = sub.add_parser("certify", allow_abbrev=False,
-                       help="rigorous branch-and-bound certification")
+                       help="rigorous certification, by identity or branch-and-bound")
     c.add_argument("--target", required=True, choices=[t.value for t in Target])
     c.add_argument("--mu", type=float, default=1e-6, help="degeneracy buffer (default 1e-6)")
     c.add_argument("--delta", type=float, default=1e-3,
@@ -341,7 +342,8 @@ def cmd_certify(args, started: float) -> int:
     cert = _engines.certify(task)
 
     body = {"certificate": cert.to_report_dict(include_proven=args.include_proven)}
-    if task.delta > 0.0:
+    # a proof by identity covers the corner square too
+    if task.delta > 0.0 and cert.identity is None:
         if _engines.TARGETS[task.target].corner_factors:
             body["corner_check"] = _engines.corner_argument_check(task.delta).to_report_dict()
         body["corner_sampling"] = _corner_sampling(task.target, task.delta)

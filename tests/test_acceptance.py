@@ -164,7 +164,8 @@ def test_criterion_4_rigorous_certification(certificates):
             assert not cert.stats.budget_exhausted
             assert elapsed <= 60.0
 
-        # delta = 0: nothing excluded, the box holding (1, 1) is proven >= 0
+        # delta = 0: nothing excluded, the box holding (1, 1) is proven >= 0,
+        # or, for a target proven by its identity, there is no box at all
         for target in Target:
             cert = certify(CertificationTask(target=target, delta=0.0))
             print(f"  {target.value} at delta=0: "
@@ -172,7 +173,7 @@ def test_criterion_4_rigorous_certification(certificates):
                   f"corner_box={cert.corner.T.tolist()}")
             assert cert.undecided_count == 0, target.value
             assert not cert.stats.budget_exhausted
-            assert cert.corner.shape[1] == 1
+            assert cert.corner.shape[1] == (0 if cert.identity is not None else 1)
 
         rep = corner_argument_check(1e-3)
         assert rep.both_positive

@@ -8,6 +8,7 @@ run.
 """
 
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
@@ -44,3 +45,16 @@ def test_workload_argv_parses(name, tmp_path):
         # the harness adds -o and nothing else
         args = parser.parse_args([*argv, "-o", str(tmp_path / "report.json")])
         assert args.command == argv[0]
+
+
+@pytest.mark.parametrize("argv", [
+    ["certify", "--target", "key-system", "--include-proven", "--delta", "0"],
+    ["certify", "--target", "altitude-reduced", "--include-proven"],
+])
+def test_checks_accept_a_certificate_by_identity(argv, tmp_path):
+    # exit 0, 0 undecided, an empty proven list and 0 boxes processed
+    out = tmp_path / "report.json"
+    rc = cli.main([*argv, "-o", str(out)])
+    doc = json.loads(out.read_text())
+    assert doc["certificate"]["stats"]["boxes_processed"] == 0
+    assert _load("checks").check_certify(rc, doc) == []

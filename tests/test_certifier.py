@@ -1,3 +1,11 @@
+"""Tests of the certifier.
+
+`certify` proves key-system (where its square identity applies) and
+altitude-reduced by their identities, with no box, and every other run by
+`_branch_and_bound`.  Tests of the branch-and-bound call it directly, so
+that it still meets those two targets.
+"""
+
 import dataclasses
 import json
 import math
@@ -9,7 +17,7 @@ import numpy as np
 import pytest
 from mpmath import iv
 
-from cevians import bulk, certifier
+from cevians import bulk, certifier, cli
 from cevians.certifier import (
     TARGETS,
     CertificationTask,
@@ -25,7 +33,9 @@ from cevians.certifier import (
     _VERTEX_1_1,
     _VERTEX_HALF,
     _VERTICES,
+    _EQUALITY_POINT,
     _bisect,
+    _branch_and_bound,
     _clip_to_domain,
     _jets,
     _key_r1_smooth,
@@ -133,14 +143,14 @@ class TestClip:
         monkeypatch.setattr(certifier, "_clip_to_domain", checked)
         for target in Target:
             for mu, delta in ((1e-6, 1e-3), (1e-12, 0.0)):
-                certify(CertificationTask(target=target, mu=mu, delta=delta))
+                _branch_and_bound(CertificationTask(target=target, mu=mu, delta=delta))
         assert sum(seen) > 1000
 
 
 class TestCertify:
     @pytest.mark.parametrize("target", list(Target))
     def test_defaults_fully_decided(self, target):
-        cert = certify(CertificationTask(target=target))
+        cert = _branch_and_bound(CertificationTask(target=target))
         assert cert.undecided_count == 0
         assert cert.proven_count > 0
         assert not cert.stats.budget_exhausted
@@ -204,7 +214,7 @@ class TestCertify:
         assert doc["undecided_truncated"] is True
 
     def test_report_lists_every_undecided_box_under_the_cap(self):
-        cert = certify(CertificationTask(target=Target.ALTITUDE_REDUCED, max_depth=6,
+        cert = _branch_and_bound(CertificationTask(target=Target.ALTITUDE_REDUCED, max_depth=6,
                                          delta=0.0))
         doc = cert.to_report_dict()
         assert 1 < cert.undecided_count < 1000
@@ -225,7 +235,7 @@ class TestCertify:
         (Target.ALTITUDE_REDUCED, {"max_depth": 4}),
     ])
     def test_per_level_trace_sums_to_the_totals(self, target, settings):
-        cert = certify(CertificationTask(target=target, **settings))
+        cert = _branch_and_bound(CertificationTask(target=target, **settings))
         stats = cert.stats
         levels = np.array(stats.per_level)
         assert levels.shape == (stats.levels, 4)
@@ -253,7 +263,7 @@ class TestCertify:
         assert cert.undecided_count == 0
         assert cert.to_report_dict()["stats"]["undecided_hull"] is None
         # boxes left at the depth limit, away from every vertex
-        cert = certify(CertificationTask(target=Target.ALTITUDE_REDUCED, max_depth=6,
+        cert = _branch_and_bound(CertificationTask(target=Target.ALTITUDE_REDUCED, max_depth=6,
                                          delta=0.0))
         uxlo, uxhi, uylo, uyhi = cert.undecided
         assert cert.undecided.shape[1] > 1
@@ -292,7 +302,7 @@ class TestCertify:
                                     "vertex_half_half": 0.0}
 
     def test_key_system_report_documents_identity(self):
-        cert = certify(CertificationTask(target=Target.KEY_SYSTEM))
+        cert = _branch_and_bound(CertificationTask(target=Target.KEY_SYSTEM))
         doc = cert.to_report_dict()
         assert "second_residual" in doc["excluded"]
         assert doc["excluded"]["second_residual"]["equality_locus"] == "2*b^2 = a^2 + c^2"
@@ -303,10 +313,14 @@ class TestCertify:
     def test_key_system_report_names_the_route_it_used(self, mu, identity, rng):
         # At mu = 1e-17, 1 + mu rounds to 1: the floor of x + y - 1 is not
         # positive, so r2 is bounded by the branch-and-bound with r1 and r3,
-        # and the report must not credit the square identity.
+        # and the report must not credit the square identity.  Where it
+        # applies, `certify` proves all three parts by it, and the
+        # branch-and-bound leaves r2 to it.
         task = CertificationTask(target=Target.KEY_SYSTEM, mu=mu, box_budget=2000)
         cert = certify(task)
-        residual = cert.to_report_dict()["excluded"]["second_residual"]
+        assert (cert.identity is not None) is identity
+        assert ("proof" in cert.to_report_dict()) is identity
+        residual = _branch_and_bound(task).to_report_dict()["excluded"]["second_residual"]
         assert (min(residual["heron_floors"].values()) > 0.0) is identity
         assert (1 in _strict_parts(TARGETS[task.target], mu, 3)) is not identity
         how = residual["certification"]
@@ -411,7 +425,7 @@ class TestGrid:
             return bound(target, xlo, xhi, ylo, yhi, mu)
 
         monkeypatch.setattr(certifier, "_lower_bounds", bound_recording)
-        cert = certify(task)
+        cert = _branch_and_bound(task)
         resolved = {tuple(box) for part in (cert.proven, cert.corner, cert.undecided)
                     for box in part.T.tolist()}
         clipped, bounded = [], []
@@ -482,7 +496,7 @@ class TestGrid:
 
     @pytest.mark.parametrize("target, settings", RUNS, ids=IDS)
     def test_per_level_sums_and_cover(self, target, settings):
-        cert = certify(CertificationTask(target=target, **settings))
+        cert = _branch_and_bound(CertificationTask(target=target, **settings))
         stats = cert.stats
         assert len(stats.per_level) == stats.levels
         boxes, proven, stuck, split = np.array(stats.per_level, dtype=int).reshape(-1, 4).T
@@ -498,7 +512,8 @@ class TestGrid:
         _assert_covers_domain(cert)
 
     @pytest.mark.parametrize("target, settings", RUNS, ids=IDS)
-    def test_cli_exit_code_follows_undecided(self, target, settings, tmp_path):
+    def test_cli_exit_code_follows_undecided(self, target, settings, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "certify", _branch_and_bound)
         out = tmp_path / "cert.json"
         flags = [f"--{k.replace('_', '-')}={v}" for k, v in settings.items()]
         rc = cli_main(["certify", "--target", target.value, *flags, "-o", str(out)])
@@ -537,7 +552,7 @@ class TestLookAhead:
         reports, evaluations = [], []
         for gate in (0, default, 4096):
             monkeypatch.setattr(certifier, "_LOOKAHEAD_BOXES", gate)
-            doc = certify(task).to_report_dict(include_proven=True)
+            doc = _branch_and_bound(task).to_report_dict(include_proven=True)
             stats = doc["stats"]
             assert stats["evaluations"] <= stats["levels"]
             evaluations.append(stats.pop("evaluations"))
@@ -566,14 +581,25 @@ class TestLookAhead:
         assert stats.evaluations == len(batches) == 1
         assert 32 + 18 + 8 < batches[0] <= certifier._LOOKAHEAD_BOXES
 
-    def test_certify_suite_makes_30_evaluations(self):
-        # certify-suite's 15 runs made 81 evaluations one level at a time,
-        # 45 with one generation of look-ahead
+    def test_certify_suite_makes_15_evaluations(self, monkeypatch):
+        # certify-suite's nine runs that use the branch-and-bound make 42
+        # evaluations one level at a time; key-system's and altitude-
+        # reduced's six make none, and made 15 bounded
         targets = (Target.MAIN_MEDIAN, Target.QUADRATIC_MEDIAN, Target.KEY_SYSTEM,
                    Target.ALTITUDE_REDUCED, Target.SCALENE_LEMMA)
         settings = ({}, {"mu": 1e-12, "delta": 1e-6}, {"mu": 1e-12, "delta": 1e-7})
-        assert sum(certify(CertificationTask(target, **kw)).stats.evaluations
-                   for target in targets for kw in settings) == 30
+
+        def totals(run, chosen):
+            """(evaluations, levels) of `run` over the chosen targets' runs."""
+            stats = [run(CertificationTask(t, **kw)).stats for t in chosen for kw in settings]
+            return sum(s.evaluations for s in stats), sum(s.levels for s in stats)
+
+        by_identity = (Target.KEY_SYSTEM, Target.ALTITUDE_REDUCED)
+        assert totals(certify, targets) == (15, 42)
+        assert totals(certify, by_identity) == (0, 0)
+        assert totals(_branch_and_bound, by_identity) == (15, 39)
+        monkeypatch.setattr(certifier, "_LOOKAHEAD_BOXES", 0)
+        assert totals(certify, targets) == (42, 42)
 
 
 class TestProvenBoxSoundness:
@@ -582,7 +608,7 @@ class TestProvenBoxSoundness:
 
     @pytest.mark.parametrize("target", list(Target))
     def test_interior_sampling(self, target, rng):
-        cert = certify(CertificationTask(target=target))
+        cert = _branch_and_bound(CertificationTask(target=target))
         xlo, xhi, ylo, yhi = cert.proven
         idx = rng.integers(0, cert.proven_count, 60)
         for i in idx:
@@ -814,7 +840,7 @@ class TestCornerForm:
     @pytest.mark.parametrize("target", list(Target))
     def test_corner_box_is_nonnegative(self, target, rng):
         task = CertificationTask(target=target, delta=0.0)
-        cert = certify(task)
+        cert = _branch_and_bound(task)
         assert cert.undecided_count == 0
         assert cert.corner.shape[1] == 1
         px, py = self._wedge_points(rng, cert.corner[0, 0], cert.corner[2, 0],
@@ -886,13 +912,18 @@ class TestTargetRegistry:
         x, y = np.array([0.6]), np.array([0.8])
         for target, spec in TARGETS.items():
             n = len(spec.parts(_FloatOps, x, y))
-            assert spec.identity_part is None or 0 <= spec.identity_part < n, target
+            # the parts that the identity proves >= 0 with a zero curve
+            curve = set()
+            if spec.identity is not None:
+                assert len(spec.identity.parts) == n, target
+                curve = {k for k, (_, zeros) in enumerate(spec.identity.parts)
+                         if zeros != _EQUALITY_POINT}
             for name, facts in spec.facts.items():
                 assert name in cls.VOCABULARY, (target, name)
                 assert len(facts) == n, (target, name)
                 for k, fact in enumerate(facts):
                     assert fact in cls.VOCABULARY[name], (target, name, fact)
-                    assert fact is not None or k == spec.identity_part, (target, name)
+                    assert fact is not None or k in curve, (target, name)
             assert spec.corner_factors is (target is Target.MAIN_MEDIAN), target
 
     def test_registry_is_consistent(self):
@@ -906,13 +937,18 @@ class TestTargetRegistry:
         (Target.QUADRATIC_MEDIAN, {"facts": {"vertex_1_1": (2,), "vertex_0_1": ("split",)}}),
         (Target.SCALENE_LEMMA, {"facts": {"vertex_1_1": (3,)}}),
         (Target.SCALENE_LEMMA, {"facts": {"vertex_1_1": (1,), "vertex_0_1": (None,)}}),
-        (Target.KEY_SYSTEM, {"identity_part": 2}),
-        (Target.KEY_SYSTEM, {"identity_part": 3}),
+        (Target.KEY_SYSTEM, {"identity": dataclasses.replace(
+            TARGETS[Target.KEY_SYSTEM].identity,
+            parts=(("r1", _EQUALITY_POINT), ("r2", _EQUALITY_POINT), ("r3", "x = y")))}),
+        (Target.KEY_SYSTEM, {"identity": dataclasses.replace(
+            TARGETS[Target.KEY_SYSTEM].identity,
+            parts=TARGETS[Target.KEY_SYSTEM].identity.parts + (("r4", _EQUALITY_POINT),))}),
+        (Target.KEY_SYSTEM, {"identity": None}),
         (Target.QUADRATIC_MEDIAN, {"corner_factors": True}),
         (Target.MAIN_MEDIAN, {"corner_factors": False}),
     ], ids=["missing", "unknown-vertex", "count", "count-key", "vocabulary-0-1",
-            "vocabulary-1-1", "none", "identity-moved", "identity-range",
-            "corner-extra", "corner-missing"])
+            "vocabulary-1-1", "none", "identity-moved", "identity-count",
+            "identity-missing", "corner-extra", "corner-missing"])
     def test_check_fails_on_a_bad_record(self, target, change, monkeypatch):
         # with one record replaced by a bad one, or missing, the check fails
         if change is None:
@@ -1016,7 +1052,7 @@ class TestVertexForms:
                 if target is Target.KEY_SYSTEM and mu < 1e-16:
                     continue  # the square identity does not apply
                 for delta in (0.0, 1e-3, 1e-7):
-                    cert = certify(CertificationTask(target=target, mu=mu, delta=delta))
+                    cert = _branch_and_bound(CertificationTask(target=target, mu=mu, delta=delta))
                     by_vertex = _lower_bounds(TARGETS[target], *cert.proven, mu) <= 0
                     boxes = cert.proven[:, by_vertex].T.tolist()
                     counts = cert.stats.proven_by
@@ -1055,7 +1091,8 @@ class TestVertexForms:
         checked = on_edge = 0
         for mu, delta in ((1e-6, 1e-3), (1e-12, 1e-6), (1e-12, 0.0)):
             calls.clear()
-            assert certify(CertificationTask(target, mu=mu, delta=delta)).undecided_count == 0
+            task = CertificationTask(target, mu=mu, delta=delta)
+            assert _branch_and_bound(task).undecided_count == 0
             proven = [(box, b) for (_, _, *boxes, _), bounds in calls
                       for box, b in zip(zip(*boxes), bounds) if b > 0.0]
             assert proven
@@ -1152,7 +1189,7 @@ class TestVertexForms:
             mus, most = (1e-6, 1e-12), 11
         levels = set()
         for mu in mus:
-            cert = certify(CertificationTask(target=target, mu=mu, delta=0.0))
+            cert = _branch_and_bound(CertificationTask(target=target, mu=mu, delta=0.0))
             assert cert.undecided_count == 0
             assert cert.corner.shape[1] == 1
             stats = cert.stats
@@ -1166,7 +1203,7 @@ class TestVertexForms:
         names = {"bound"} | {v.name for v in _VERTICES}
         assert len(names) == len(_VERTICES) + 1
         for delta in (0.0, 1e-3):
-            cert = certify(CertificationTask(target=target, delta=delta))
+            cert = _branch_and_bound(CertificationTask(target=target, delta=delta))
             counts = cert.stats.proven_by
             assert set(counts) == names
             assert sum(counts.values()) == cert.proven_count
@@ -1311,7 +1348,7 @@ class TestFormsAgainstTheirReference:
 
         monkeypatch.setattr(vertex, "bounds", recording)
         for settings in ({}, {"delta": 0.0}, {"mu": 1e-12, "delta": 1e-6}):
-            certify(CertificationTask(target=target, **settings))
+            _branch_and_bound(CertificationTask(target=target, **settings))
         met = [calls[i] for i in rng.permutation(len(calls))[:30]]
         # boxes of width w about points of W within w of the vertex, so
         # within 2w of it, as `_Vertex.near` allows
@@ -1353,28 +1390,36 @@ class TestFormsAgainstTheirReference:
 
 
 class TestReadmeTable:
-    """The README's table of boxes processed / levels at delta = 0 is what
-    `certify` gives, cell by cell."""
+    """The README's table at delta = 0 is what `certify` gives, cell by
+    cell: the proof of each target, and boxes processed / levels where the
+    branch-and-bound runs, or "identity" where the identity proves it."""
 
     def test_cells_match_certify(self):
         text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
-        lines = text[text.index("| target | `--mu"):].split("\n\n", 1)[0].splitlines()
+        lines = text[text.index("| target | proof | `--mu"):].split("\n\n", 1)[0].splitlines()
         mus = [float(m) for m in re.findall(r"`--mu ([^`]+)`", lines[0])]
         checked = 0
         for line in lines[2:]:
-            name, *cells, corner_width = (c.strip() for c in line.strip("|").split("|"))
+            name, proof, *cells, corner_width = (c.strip() for c in line.strip("|").split("|"))
+            widths = set()
             for mu, cell in zip(mus, cells, strict=True):
-                m = re.match(r"([\d,]+) / (\d+)(?:, (\d+) undecided)?", cell)
-                if m is None:
-                    assert cell.startswith("does not close")
+                if cell.startswith("does not close"):
                     continue
                 cert = certify(CertificationTask(target=Target(name), mu=mu, delta=0.0))
                 stats = cert.stats
-                assert (stats.boxes_processed, stats.levels, cert.undecided_count) == (
-                    int(m[1].replace(",", "")), int(m[2]), int(m[3] or 0)), (name, mu)
-                width = cert.corner[1, 0] - cert.corner[0, 0]
-                assert f"1/{round(1 / width)}" == corner_width, (name, mu)
+                if cell == "identity":
+                    assert cert.identity is not None, (name, mu)
+                    assert proof.startswith(cert.identity.name), (name, mu)
+                    assert (stats.boxes_processed, stats.levels) == (0, 0)
+                else:
+                    m = re.fullmatch(r"([\d,]+) / (\d+)(?:, (\d+) undecided)?", cell)
+                    assert cert.identity is None and "branch-and-bound" in proof, (name, mu)
+                    assert (stats.boxes_processed, stats.levels, cert.undecided_count) == (
+                        int(m[1].replace(",", "")), int(m[2]), int(m[3] or 0)), (name, mu)
+                    widths.add(f"1/{round(1 / (cert.corner[1, 0] - cert.corner[0, 0]))}")
                 checked += 1
+            # one corner box width over the row's branch-and-bound cells, or none
+            assert [corner_width] == (sorted(widths) or ["none"]), name
         assert checked == 20
 
 

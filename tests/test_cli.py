@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cevians import bulk, cli
+from cevians import bulk, certifier, cli
 from cevians.bulk import _MathOps
 from cevians.cli import _parser, build_parser, main
 from cevians.reports import TOOL_VERSION, canonical_json, reproducible_bytes, strip_wall_time
@@ -292,9 +292,12 @@ class TestCertify:
         assert xlo <= 1.0 <= xhi and ylo <= 1.0 <= yhi
         assert "second-order Taylor form" in cert["excluded"]["corner_square"]["note"]
 
-    def test_key_system_closes_at_small_mu(self, tmp_path):
+    def test_key_system_closes_at_small_mu(self, tmp_path, monkeypatch):
         # the vertex forms at (0, 1) and (1/2, 1/2) close the boxes that
-        # used to stay undecided next to (1/2, 1/2)
+        # used to stay undecided next to (1/2, 1/2); `certify` proves
+        # key-system by its square identity there, so this runs the
+        # branch-and-bound itself
+        monkeypatch.setattr(cli, "certify", certifier._branch_and_bound)
         out = tmp_path / "cert.json"
         assert run(["certify", "--target", "key-system", "--mu", "1e-12",
                     "--delta", "1e-6", "-o", str(out)]) == 0
@@ -419,9 +422,13 @@ _SUITE_SETTINGS = ((), ("--mu", "1e-12", "--delta", "1e-6"),
 # sha256 of canonical_json(strip_wall_time(body)), the report without its
 # manifest (which carries TOOL_VERSION), for certify-suite's 15 argv,
 # certify-corner's argv at a budget of 3,000 boxes, the bisector targets at
-# the suite's settings and every target at delta = 0.  The bodies hold every
-# proven box, and the suite's bodies the corner check and the corner
-# sampling, so any change to a bound, a box or a corner factor shows.
+# the suite's settings, every target at delta = 0, and key-system where
+# its square identity does not apply.  The bodies hold every proven box,
+# and the suite's bodies the corner check and the corner sampling, so any
+# change to a bound, a box or a corner factor shows.  Key-system and
+# altitude-reduced are proven by their identities at every mu here but
+# 1e-17, with no box; `test_branch_and_bound_bytes_are_pinned` pins their
+# branch-and-bound.
 @pytest.mark.parametrize("argv, digest", [
     *zip((["certify", "--target", target, "--include-proven", *setting]
           for target in ("main-median", "quadratic-median", "key-system",
@@ -433,12 +440,12 @@ _SUITE_SETTINGS = ((), ("--mu", "1e-12", "--delta", "1e-6"),
         "7ea30da303c6e3fb7902a5cdbb678d638e5916bee8d91c8457fd1daa0c9d2db5",
         "0074e87e76270d4ca61eeb1d861c7329012fe5ba424f4870a6f89f8d8c2bfbcf",
         "7c409a7efafbbbbf0edf33227c43bc1428c88ba76db7ff93e4d6adbc9c9fb8a7",
-        "64d1805194f0066bc5e73f7fa5e45423fa9d238678df0dd0d4a35e3d1f581ca1",
-        "c9646f4152638c68706b74a19a444a392b551c2769ce6f26d2d5513d04eebff1",
-        "69e8fd4ca32a56eb51d1969675e32b68b95a5bf9e6470b6ec6b0462d9d3088ad",
-        "77ba91f9c2c54c32621e275cb6c80c50ab685b6d23e4bb4843d6b24782759b64",
-        "e26cb158852893e47cecf110bc82378f4f6b5c2fbd31e0da9d643b6930682f9f",
-        "b7a0931a85ff8e81cacae6fb73cc88a7173325d2904bc93a8ea43df1c6a4915f",
+        "1a3f0ba02acc9602ce48c5b8e9f8697161e7b26589762988f06553a2b6199b7e",
+        "c7e143f82ade072d35da7af428e83f5635b650005461cd3023e46287cee05e3f",
+        "c3744e903569f4c7a5d4e1c8e5053f04324da3e94f47d743557019e9045a7d6a",
+        "4dc1985a9eca0a31bacdcd2e756c0f1f550f496f040853e0ab9cc433e9407b8d",
+        "e0a41280255ba80e81d361703580f3265a21b595a6603cb359acb23fca9a7851",
+        "93e032a509f8b3d9217cda3c79d6b859c9b76368e3d0bc76f2ae4a49458e4c53",
         "a70c3ab2c8f7ad88cf2ea14a2c1a557b0c3dd831d92d3f2d8b8d98bfbf117fda",
         "a0480ddb552c1bf6223f650e8626c6d8b4d564df30f5254e693757be463c3f08",
         "2852692539f231826381e7eff4a7cf97d9784ad5cf3dd5168675d85ae8d14978",
@@ -466,27 +473,62 @@ _SUITE_SETTINGS = ((), ("--mu", "1e-12", "--delta", "1e-6"),
                          "quadratic-bisector")), (
         "10f150e0561f44dfadfcc61acd1aef585698a8caf5f83b874a82509e46550451",
         "c8e94682a2d3a30b607a25508a366e4c0e2389a6493d2c7165d52027b85e9674",
-        "91d4d07bbaf74068b92eb335d321030d5ff29e53558b765340a64fd104cf80f9",
-        "95bef387d5b76a242b6cccdddc388161a67be15f723a3de25bfd5f636b4ae275",
+        "2386185735eca552555fcc8a7abe2e78a69d8a43cd6d8ece8858507782bd7dcc",
+        "442f09fe482658bc8ad8ff492192c662c0c7d428e4c08c0eba2da271364bcaa4",
         "c97cd8de7ebfacb7b2ba73fe3924596b2bed62164f13e1d5b2834cbdb5eb44e9",
         "8c99cdd53808f9f6f25c3b377dc96482760b2ce4948be24277b671971c22219f",
         "a33c19641b00ab707e7d05384a7bbfb24d6fc7c015738add00c72cc782ae7d14",
         "5f099480f75361d4ac45ecbb3e4906d62d6467949fa8cd0a772d09f32676efa7",
         "fd67b06901a4fb292319656a61e25451d51fe865e273b59cb71e71493646fa1a",
-        "3d868705529aa5c24f42331a759d3e390f8c8a545920ec16082810baf1bf7b36",
-        "842beef519a02b31a576078413d4b14869aae61b603c9049d5c9ee49b8588258",
+        "7ccbf62e37d8a4f074ad73a6e669f6fb9ecad6935a5d3c671a503449e3d7ba18",
+        "1523cef81adf0164cb38bd8ff9b3bde90afc359339a24da580ef67eadb608c7d",
         "ca760fbb568e4bc714cf6664b60b1fe5b51ebc50ec40d4c846739e4e29788ed1",
         "26bb49a6c23ba9a212c76c59ccf5f5f5d2bfa2b89694f50def3b48a0d618b610",
         "a5ef69b611513c9428647af413c9c90fa27d655d58cadc44475c82d61ed159d9",
     )),
+    # Below mu = 1.1e-16, 1 + mu rounds to 1: the square identity does not
+    # apply, and the run exhausts its budget.
+    (["certify", "--target", "key-system", "--mu", "1e-17", "--box-budget", "2000",
+      "--include-proven"],
+     "c4aa218293f50ddc3a13d9f2a785db2394d8b3b608da9965850c21ee6323c9c2"),
 ])
 def test_certificate_bytes_are_pinned(argv, digest, tmp_path):
+    assert _body_digest(argv, tmp_path) == digest
+
+
+def _body_digest(argv, tmp_path):
     out = tmp_path / "r.json"
     run([*argv, "-o", str(out)])
     body = load(out)
     del body["manifest"]
     text = canonical_json(strip_wall_time(body))
-    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+# The branch-and-bound of the two targets that `certify` proves by their
+# identities, through the CLI as it ran them before: the digests are
+# those their reports had then.
+@pytest.mark.parametrize("argv, digest", [
+    *zip((["certify", "--target", target, "--include-proven", *setting]
+          for target in ("key-system", "altitude-reduced") for setting in _SUITE_SETTINGS), (
+        "64d1805194f0066bc5e73f7fa5e45423fa9d238678df0dd0d4a35e3d1f581ca1",
+        "c9646f4152638c68706b74a19a444a392b551c2769ce6f26d2d5513d04eebff1",
+        "69e8fd4ca32a56eb51d1969675e32b68b95a5bf9e6470b6ec6b0462d9d3088ad",
+        "77ba91f9c2c54c32621e275cb6c80c50ab685b6d23e4bb4843d6b24782759b64",
+        "e26cb158852893e47cecf110bc82378f4f6b5c2fbd31e0da9d643b6930682f9f",
+        "b7a0931a85ff8e81cacae6fb73cc88a7173325d2904bc93a8ea43df1c6a4915f",
+    )),
+    *zip((["certify", "--target", target, "--delta", "0", "--include-proven", "--mu", mu]
+          for mu in ("1e-6", "1e-12") for target in ("key-system", "altitude-reduced")), (
+        "91d4d07bbaf74068b92eb335d321030d5ff29e53558b765340a64fd104cf80f9",
+        "95bef387d5b76a242b6cccdddc388161a67be15f723a3de25bfd5f636b4ae275",
+        "3d868705529aa5c24f42331a759d3e390f8c8a545920ec16082810baf1bf7b36",
+        "842beef519a02b31a576078413d4b14869aae61b603c9049d5c9ee49b8588258",
+    )),
+])
+def test_branch_and_bound_bytes_are_pinned(argv, digest, tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "certify", certifier._branch_and_bound)
+    assert _body_digest(argv, tmp_path) == digest
 
 
 # sha256 of canonical_json(strip_wall_time(doc)), the report with its

@@ -37,22 +37,17 @@ The branch-and-bound additionally prunes with the mean-value form
 f(m) + grad(X) * (X - m), which is what keeps box counts bounded away from
 the points where a target is 0.
 
-Three such points lie on the closure of the domain, the equality vertices
+Two such points lie on the closure of the domain, the equality vertices
 of `_VERTICES`: the equilateral point (1, 1), where every target is 0,
-and the flat triangles (0, 1) and (1/2, 1/2), where the targets with
-facts there have parts that are.  No bound over a box can be
-positive near a zero, so near them the bounds shrink only with the box
-and the levels pile up.  A box that the bounds above leave unproven and
-that lies within twice its width of a vertex is tried with a Taylor form
-at the vertex (Moore, Kearfott and Cloud, *Introduction to Interval
-Analysis*, SIAM 2009), evaluated over the box extended to the vertex and
-built on exact facts of each part there: second order at (1, 1)
-(:func:`_vertex_1_1_bounds`), first order at (0, 1) in x or in
-s = sqrt(x) (:func:`_vertex_0_1_bounds`), and first order for the smooth
-part of r1 at (1/2, 1/2), with its non-smooth part y*rc bounded below
-(:func:`_vertex_half_bounds`).  A part that is not 0 at the vertex takes
-its natural enclosure, and a part that the target's identity proves
->= 0, with a zero curve, is left to the identity.
+and the flat triangle (0, 1), where the targets with facts there are.
+No bound over a box can be positive near a zero, so near them the bounds
+shrink only with the box and the levels pile up.  A box that the bounds
+above leave unproven and that lies within twice its width of a vertex is
+tried with a Taylor form at the vertex (Moore, Kearfott and Cloud,
+*Introduction to Interval Analysis*, SIAM 2009), evaluated over the box
+extended to the vertex and built on exact facts of each part there:
+second order at (1, 1) (:func:`_vertex_1_1_bounds`), and first order at
+(0, 1) in x or in s = sqrt(x) (:func:`_vertex_0_1_bounds`).
 The form proves the box positive, or, at delta = 0 for the one box that
 holds (1, 1), >= 0 with equality only at (1, 1): that box is the corner
 box.  The derivative forms are applied only where every radicand is
@@ -308,12 +303,6 @@ def _on_unit_triangle(formula, cevians, parts=1):
     return target
 
 
-def _key_r1_smooth(ops, x, y):
-    """rb - 2x*ra: key-system's r1 less its term y*rc, smooth at (1/2, 1/2)."""
-    ra, rb, _ = bulk.doubled_medians(ops, x, y, 1.0)
-    return (ops.sub(rb, ops.mul(ops.add(x, x), ra)),)
-
-
 def _parts_altitude_reduced(ops, x, y):
     t = ops.add(ops.add(ops.mul(x, y), ops.div(x, y)), ops.div(y, x))
     return (ops.sub(t, ops.add(ops.add(x, y), 1.0)),)
@@ -394,9 +383,7 @@ class TargetSpec:
     the name of each vertex of `_VERTICES` where a part is 0 to one entry
     per part, from that vertex's vocabulary (see its docstring).
     `identity` is an `Identity` that proves every part of the target, or
-    None; where it applies, :func:`certify` needs no branch-and-bound, and
-    the branch-and-bound itself leaves out the parts it proves >= 0 with a
-    zero curve (see :func:`_strict_parts`).
+    None; where it applies, :func:`certify` needs no branch-and-bound.
     `corner_factors` marks the target whose isosceles second factors
     :func:`corner_argument_check` certifies at delta > 0.
     """
@@ -427,16 +414,12 @@ TARGETS = {
     # (1, 1): r1 = rb + rc - 2*ra = 0, r1_x = (2 + 2 + 2)/sqrt(3) - 2*ra =
     # 0, r1_y = (-1 + 2 - 4)/sqrt(3) + rc = 0; r2 is r1 with x and y
     # swapped; r3 = rb + ra - 2*rc = 0 and r3_x = rb + (2 - 1 - 4)/sqrt(3) = 0.
-    # (0, 1), analytic in x: r1 = 2, r2 = 0 (the identity part), and r3 = 0
-    # with grad r3 = (rb + y*(d ra/dx) - 2*(d rc/dx), ra + y*(d ra/dy) -
-    # 2*(d rc/dy)) = (1 + 0 - 0, 2 + 1 - 4) = (1, -1).
-    # (1/2, 1/2): r1 = 3/2 - 3/2 = 0 is "split" into f + y*rc with f =
-    # rb - 2x*ra (`_key_r1_smooth`), f = 0 and grad f = (2/3 - 3 + 1/3,
-    # -1/3 - 2/3) = (-2, -1); r2 = 0 (the identity part); r3 = 3/4 + 3/4.
+    # The form at (1, 1) proves no key-system box: r2's zero curve
+    # 2y^2 = x^2 + 1 enters (1, 1) with slope 1/2, inside the form's wedge.
+    # The entry sets the order that the delta = 0 corner note names.
     Target.KEY_SYSTEM: TargetSpec(
         _on_unit_triangle(bulk.key_residuals, bulk.doubled_medians, parts=3),
-        {"vertex_1_1": (2, 2, 2), "vertex_0_1": ("natural", None, "x"),
-         "vertex_half_half": ("split", None, "natural")},
+        {"vertex_1_1": (2, 2, 2)},
         identity=Identity(
             "square identity",
             "4*T1*T2 - P^2 = 4*(X^2 + Z^2 - 2*Y^2)^2 * (16*area^2), with "
@@ -506,17 +489,7 @@ def _jets(parts, order: int, xlo, xhi, ylo, yhi, in_sqrt_x=False):
         return parts(_JetOps, x, y)
 
 
-def _strict_parts(spec: TargetSpec, mu: float, n: int) -> list[int]:
-    """Indices of the parts a proof must bound: all but those that the
-    target's identity, where it applies, proves >= 0 with a zero curve; see
-    :func:`_lower_bounds`."""
-    identity = spec.identity
-    if identity is not None and identity.applies(mu):
-        return [k for k in range(n) if identity.parts[k][1] == _EQUALITY_POINT]
-    return list(range(n))
-
-
-def _lower_bounds(spec: TargetSpec, xlo, xhi, ylo, yhi, mu: float):
+def _lower_bounds(spec: TargetSpec, xlo, xhi, ylo, yhi):
     """Best rigorous per-box lower bound over the domain part of each box.
 
     The larger of the natural extension and the mean-value form
@@ -524,20 +497,14 @@ def _lower_bounds(spec: TargetSpec, xlo, xhi, ylo, yhi, mu: float):
     in the box, and the mean-value bound is used only on lanes whose `ok`
     flag says every radicand is strictly positive over the box hull, so
     F is differentiable on every segment from m, and F(m) is enclosed even
-    where m itself lies outside the domain.
-
-    For the key system, the second residual vanishes identically on the
-    curve 2b^2 = a^2 + c^2, so where the square identity applies (see
-    :func:`key_system_identity_floors`) it is certified nonnegative through
-    the identity, and the bound below covers the two strict residuals
-    only; a proven key-system box then means r1 > 0, r3 > 0 and r2 >= 0.
+    where m itself lies outside the domain.  A multi-part target takes the
+    least bound over its parts.
     """
-    # The enclosures (row 0 of `jets[k].d`) are the natural extension: `_JetOps`
+    # The enclosures (row 0 of each jet's `d`) are the natural extension: `_JetOps`
     # runs the same `_IntervalOps` calls on them, and its divisor floor
     # 5e-324 never binds, because the only divisors (altitude-reduced's x
     # and y) have lower bounds >= mu > 0 on clipped boxes.
     jets = _jets(spec.parts, 1, xlo, xhi, ylo, yhi)
-    strict = _strict_parts(spec, mu, len(jets))
 
     mx = 0.5 * (xlo + xhi)
     my = 0.5 * (ylo + yhi)
@@ -546,42 +513,18 @@ def _lower_bounds(spec: TargetSpec, xlo, xhi, ylo, yhi, mu: float):
     dy = (_round_down(ylo - my), _round_up(yhi - my))
 
     best = None
-    for k in strict:
-        v, gx, gy = (_rows(jets[k].d, i) for i in range(3))
+    for jet, (mid_lo, _) in zip(jets, mid):
+        v, gx, gy = (_rows(jet.d, i) for i in range(3))
         term = _IntervalOps.add(_IntervalOps.mul(gx, dx), _IntervalOps.mul(gy, dy))
         with np.errstate(invalid="ignore"):
-            centered = _round_down(mid[k][0] + term[0])
-        usable = jets[k].ok & np.isfinite(centered)
+            centered = _round_down(mid_lo + term[0])
+        usable = jet.ok & np.isfinite(centered)
         part_lo = np.where(usable, np.maximum(v[0], centered), v[0])
         best = part_lo if best is None else np.minimum(best, part_lo)
     return best
 
 
-def _least_over_parts(spec: TargetSpec, mu: float, facts: tuple, box, form):
-    """The least per-part bound of a vertex form over the strict parts.
-
-    `facts` holds one entry per part.  "natural" marks a part that is not 0
-    at the vertex: its natural lower bound over the box stands in.  None
-    marks a part that is 0 there with no form; it is admissible only at
-    the identity part, and only while that part is not strict, and a
-    strict one gives -inf.  Any other entry names the part's Taylor form,
-    whose bound `form(k)` returns.
-    """
-    best = natural = None
-    for k in _strict_parts(spec, mu, len(facts)):
-        if facts[k] is None:
-            least = np.full(np.shape(box[0]), -_INF)
-        elif facts[k] == "natural":
-            if natural is None:
-                natural = spec.parts(_IntervalOps, box[:2], box[2:])
-            least = natural[k][0]
-        else:
-            least = form(k)
-        best = least if best is None else np.minimum(best, least)
-    return best
-
-
-def _vertex_1_1_bounds(spec: TargetSpec, facts: tuple, xlo, xhi, ylo, yhi, mu: float):
+def _vertex_1_1_bounds(spec: TargetSpec, facts: tuple, xlo, xhi, ylo, yhi):
     """Taylor-form bound at (1, 1), over each box extended to [xlo,1] x [ylo,1].
 
     On the domain part of the extended box, d = p - (1, 1) has
@@ -593,51 +536,47 @@ def _vertex_1_1_bounds(spec: TargetSpec, facts: tuple, xlo, xhi, ylo, yhi, mu: f
         order 1:  F(p) = -dx * (-gx - gy*r),
 
     with the derivatives taken at a point of the segment, hence inside the
-    `_JetOps` enclosures over the extended box: of order 2 when a strict
-    part has order 2 there, and of order 1 otherwise (scalene-lemma), whose
-    value and gradient rows are those of order 2 bit for bit.  As 1, r and
+    `_JetOps` enclosures over the extended box: of order 2 when a part has
+    order 2 there, and of order 1 otherwise (scalene-lemma), whose value
+    and gradient rows are those of order 2 bit for bit.  As 1, r and
     r^2 are >= 0, putting the lower endpoint of each coefficient's
     enclosure in its place bounds each polynomial in r from below, and a
     polynomial on [0, 1] is at least its least Bernstein coefficient:
     (hxx, hxx + hxy, hxx + 2*hxy + hyy), or (-gx, -gx - gy).
-    Returns the least coefficient over the strict parts; where it is
-    positive, every strict part is >= 0 on the box and 0 only at (1, 1).
+    Returns the least coefficient over the parts; where it is positive,
+    every part is >= 0 on the box and 0 only at (1, 1).
     Lanes where a radicand or divisor can reach 0 get -inf.
     """
-    order = max(facts[k] for k in _strict_parts(spec, mu, len(facts)))
     one = np.ones_like(xhi)
-    parts = _jets(spec.parts, order, xlo, one, ylo, one)
-
-    def form(k):
-        if facts[k] == 2:
-            hxx, hxy, hyy = (_rows(parts[k].d, i) for i in range(3, 6))
+    least = []
+    for order, part in zip(facts, _jets(spec.parts, max(facts), xlo, one, ylo, one)):
+        if order == 2:
+            hxx, hxy, hyy = (_rows(part.d, i) for i in range(3, 6))
             b1 = _IntervalOps.add(hxx, hxy)
             b2 = _IntervalOps.add(b1, _IntervalOps.add(hxy, hyy))
-            least = np.minimum(np.minimum(hxx[0], b1[0]), b2[0])
+            bound = np.minimum(np.minimum(hxx[0], b1[0]), b2[0])
         else:
-            gx, gy = _rows(parts[k].d, 1), _rows(parts[k].d, 2)
-            least = np.minimum(-gx[1], -_IntervalOps.add(gx, gy)[1])
-        return np.where(parts[k].ok & np.isfinite(least), least, -_INF)
+            gx, gy = _rows(part.d, 1), _rows(part.d, 2)
+            bound = np.minimum(-gx[1], -_IntervalOps.add(gx, gy)[1])
+        least.append(np.where(part.ok & np.isfinite(bound), bound, -_INF))
+    return np.minimum.reduce(least)
 
-    return _least_over_parts(spec, mu, facts, (xlo, xhi, ylo, yhi), form)
 
-
-def _vertex_0_1_bounds(spec: TargetSpec, facts: tuple, xlo, xhi, ylo, yhi, mu: float):
+def _vertex_0_1_bounds(spec: TargetSpec, facts: tuple, xlo, xhi, ylo, yhi):
     """First-order bound at (0, 1), over each box extended to [0,xhi] x [ylo,1].
 
     On the domain, x + y >= 1 and y <= 1, so y - 1 lies in [-x, 0].  For a
-    part with F(0, 1) = 0 (entry "x" or "s"), the mean-value theorem along the
-    segment from (0, 1) to p, with the derivatives enclosed over the
-    extended box, gives, in the variable the facts name:
+    part with F(0, 1) = 0, the mean-value theorem along the segment from
+    (0, 1) to p, with the derivatives enclosed over the extended box,
+    gives, in the variable the facts name:
 
         x:  F >= x * (gx - max(gy, 0)),
         s = sqrt(x), y - 1 in [-s^2, 0]:  F >= s * (gs - s_hi*max(gy, 0)),
 
     taking the lower endpoint of gx or gs and the upper one of gy.  Returns
-    the least such coefficient, rounded down, and the natural lower bound
-    of each strict part that is not 0 there (key-system's r1 = 2); where it
-    is positive, every strict part is > 0 on the box, since x >= mu > 0
-    there.  Main-median and scalene-lemma have sqrt(x), which is not
+    the least such coefficient over the parts, rounded down; where it is
+    positive, every part is > 0 on the box, since x >= mu > 0 there.
+    Main-median and scalene-lemma have sqrt(x), which is not
     differentiable at x = 0, so they are expanded in s over [0, sqrt(xhi)],
     where the target is a smooth function of (s, y).
     Lanes where a radicand or divisor can reach 0 get -inf.
@@ -649,61 +588,18 @@ def _vertex_0_1_bounds(spec: TargetSpec, facts: tuple, xlo, xhi, ylo, yhi, mu: f
     else:
         s_hi = one
         parts = _jets(spec.parts, 1, zero, xhi, ylo, one)
-
-    def form(k):
-        g, gy = _rows(parts[k].d, 1), _rows(parts[k].d, 2)
+    least = []
+    for part in parts:
+        g, gy = _rows(part.d, 1), _rows(part.d, 2)
         with np.errstate(invalid="ignore"):
-            least = _round_down(g[0] - _round_up(s_hi * np.maximum(gy[1], 0.0)))
-        return np.where(parts[k].ok & np.isfinite(least), least, -_INF)
-
-    return _least_over_parts(spec, mu, facts, (xlo, xhi, ylo, yhi), form)
-
-
-def _vertex_half_bounds(spec: TargetSpec, facts: tuple, xlo, xhi, ylo, yhi, mu: float):
-    """Bound at (1/2, 1/2) for key-system's r1, over each box extended to it.
-
-    At (1/2, 1/2), ra = rb = 3/2 and rc = 0, so rc is not differentiable
-    there, but r1 = f + y*rc with f = rb - 2x*ra smooth and 0 there
-    (entry "split").  In u = x + y - 1 and v = y - x, the domain has
-    u >= fl(1 + mu) - 1 >= 0 and v >= 0, and rc^2 = 2u + u^2 + v^2.  The
-    mean-value theorem for f along the segment from (1/2, 1/2) to p, with
-    the gradient enclosed over the extended box, gives
-
-        f = u*(gx + gy)/2 + v*(gy - gx)/2 >= A*u + lo(B*[vlo, vhi]),
-
-    with A = lo((gx + gy)/2) and B = (gy - gx)/2, and y*rc >= ylo*sqrt(2u +
-    vlo^2).  So r1 >= g(u) = A*u + lo(B*[vlo, vhi]) + ylo*sqrt(2u + vlo^2),
-    which is concave in u: its least value over [ulo, uhi] is at an end.
-    Returns the lesser end, each step rounded down, and the natural lower
-    bound of r3 (3/2 at the vertex); where it is positive, r1 > 0 and
-    r3 > 0 on the box.  Lanes where a radicand of f can reach 0 get -inf.
-    """
-    add, sub, mul = _IntervalOps.add, _IntervalOps.sub, _IntervalOps.mul
-
-    def form(k):
-        (f,) = _jets(_key_r1_smooth, 1, np.minimum(xlo, 0.5), np.maximum(xhi, 0.5),
-                     np.minimum(ylo, 0.5), np.maximum(yhi, 0.5))
-        gx, gy = _rows(f.d, 1), _rows(f.d, 2)
-        a = mul(add(gx, gy), 0.5)[0]
-        vlo = np.maximum(_round_down(ylo - xhi), 0.0)
-        bv = mul(mul(sub(gy, gx), 0.5), (vlo, _round_up(yhi - xlo)))[0]
-        v2 = _round_down(vlo * vlo)
-        ulo = np.maximum(_round_down(_round_down(xlo + ylo) - 1.0), (1.0 + mu) - 1.0)
-        uhi = _round_up(_round_up(xhi + yhi) - 1.0)
-        least = None
-        with np.errstate(invalid="ignore"):
-            for u in (ulo, uhi):
-                root = _round_down(np.sqrt(_round_down(2.0 * u + v2)))
-                g = _round_down(_round_down(_round_down(a * u) + bv) + _round_down(ylo * root))
-                least = g if least is None else np.minimum(least, g)
-        return np.where(f.ok & np.isfinite(least), least, -_INF)
-
-    return _least_over_parts(spec, mu, facts, (xlo, xhi, ylo, yhi), form)
+            bound = _round_down(g[0] - _round_up(s_hi * np.maximum(gy[1], 0.0)))
+        least.append(np.where(part.ok & np.isfinite(bound), bound, -_INF))
+    return np.minimum.reduce(least)
 
 
 class _Vertex:
     """An equality vertex (x, y) of the domain's closure, and the form that
-    proves boxes near it: `bounds(spec, facts, xlo, xhi, ylo, yhi, mu)`, per
+    proves boxes near it: `bounds(spec, facts, xlo, xhi, ylo, yhi)`, per
     box, from a target's `facts` at the vertex, proves the box where it is
     positive.  `name` keys the facts and `stats.proven_by`.
     """
@@ -753,25 +649,12 @@ _VERTEX_0_1 = _Vertex("vertex_0_1", 0.0, 1.0, _vertex_0_1_bounds)
 
 A part that is 0 there names its expansion variable: "x", or "s" for a
 part with sqrt(x), which is not differentiable at x = 0; in s = sqrt(x),
-x = s^2, so d/ds of any smooth function of x is 0 at s = 0.  "natural"
-marks a part that is not 0 there, and None the identity part.  At (0, 1),
+x = s^2, so d/ds of any smooth function of x is 0 at s = 0.  At (0, 1),
 ra = 2 and rb = rc = 1, with d ra/dy = 2y/ra = 1, d rb/dy = -y/rb = -1,
 d rc/dy = 2y/rc = 2, and d ra/dx = -x/ra and d rc/dx = 2x/rc both 0.
 """
 
-_VERTEX_HALF = _Vertex("vertex_half_half", 0.5, 0.5, _vertex_half_bounds)
-"""The flat triangle (1/2, 1/2, 1).
-
-It lies outside W, since x + y >= fl(1 + mu) > 1 wherever the square
-identity applies, so no box holds it.  There ra^2 = rb^2 = 2 + 1/2 - 1/4,
-so ra = rb = 3/2, with d ra = (-x, 2y)/ra = (-1/3, 2/3) and
-d rb = (2x, -y)/rb = (2/3, -1/3), and rc^2 = 1/2 + 1/2 - 1 = 0, so rc is
-not differentiable there.  "split" marks key-system's r1 = f + y*rc, with
-f = rb - 2x*ra smooth and 0 there; "natural" a part that is not 0 there,
-and None the identity part.
-"""
-
-_VERTICES = (_VERTEX_1_1, _VERTEX_0_1, _VERTEX_HALF)
+_VERTICES = (_VERTEX_1_1, _VERTEX_0_1)
 
 
 def _clip_to_domain(boxes, mu: float):
@@ -968,19 +851,14 @@ def _excluded_description(task: CertificationTask, by_identity: bool = False) ->
         "y": [1.0 - task.delta, 1.0],
         "note": _corner_note(spec, task.delta),
     }
-    # key-system's r2, which the square identity proves >= 0 with a zero curve
+    # key-system's r2, which the square identity proves >= 0 with a zero
+    # curve where it applies, and which `certify` otherwise bounds here
     if task.target is Target.KEY_SYSTEM:
-        if spec.identity.applies(task.mu):
-            how = ("nonnegative via the square identity "
-                   "4*T1*T2 - P^2 = 4*(a^2+c^2-2*b^2)^2 * (16*area^2); "
-                   "proven boxes certify r1 > 0, r3 > 0, r2 >= 0")
-        else:
-            how = ("bounded by the branch-and-bound: a heron_floor is not "
-                   "positive, so the square identity does not apply; "
-                   "proven boxes certify r1 > 0, r2 > 0, r3 > 0")
         doc["second_residual"] = {
             "equality_locus": "2*b^2 = a^2 + c^2",
-            "certification": how,
+            "certification": "bounded by the branch-and-bound: a heron_floor is not "
+                             "positive, so the square identity does not apply; "
+                             "proven boxes certify r1 > 0, r2 > 0, r3 > 0",
             "heron_floors": key_system_identity_floors(task.mu),
         }
     return doc
@@ -1015,7 +893,7 @@ def _bisect(boxes):
     return np.concatenate(rows).reshape(4, -1)
 
 
-def _decide(target: Target, mu: float, boxes):
+def _decide(target: Target, boxes):
     """The decision of a bounded level over a (4, n) array of clipped boxes.
 
     Returns a (len(_FORMS) + 1, n) boolean array: row i marks the boxes
@@ -1032,7 +910,7 @@ def _decide(target: Target, mu: float, boxes):
     # lane whose divisor or radicand reaches 0 gets an infinite or NaN
     # bound, which proves nothing.
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        rows[0] = _lower_bounds(spec, *boxes, mu) > 0.0
+        rows[0] = _lower_bounds(spec, *boxes) > 0.0
         for i, vertex in enumerate(_VERTICES, start=1):
             facts = spec.facts.get(vertex.name)
             if facts is None:
@@ -1040,7 +918,7 @@ def _decide(target: Target, mu: float, boxes):
             near = ~rows.any(axis=0) & vertex.near(*boxes, width)
             if not near.any():
                 continue
-            near[near] = vertex.bounds(spec, facts, *boxes[:, near], mu) > 0.0
+            near[near] = vertex.bounds(spec, facts, *boxes[:, near]) > 0.0
             holds = near & vertex.holds(*boxes)
             rows[i] = near & ~holds
             rows[-1] |= holds
@@ -1172,7 +1050,7 @@ def _branch_and_bound(task: CertificationTask) -> Certificate:
             if generations:
                 batch = np.concatenate([boxes, *(g for g, _ in generations)], axis=1)
             stats.evaluations += 1
-            rows = _decide(task.target, task.mu, batch)
+            rows = _decide(task.target, batch)
             ends = np.cumsum([n, *(g.shape[1] for g, _ in generations)])
             below = [(g, keep, rows[:, start:end]) for (g, keep), start, end
                      in zip(generations, ends, ends[1:])]

@@ -3,12 +3,14 @@
 `certify` proves key-system (where its square identity applies) and
 altitude-reduced by their identities, with no box, and every other run by
 `_branch_and_bound`.  Tests of the branch-and-bound call it directly, so
-that it still meets those two targets.
+that it still meets altitude-reduced.  They meet key-system as `certify`
+runs it, where 1 + mu rounds to 1 and the identity does not apply
+(`KEY_FALLBACK`).
 """
 
 import dataclasses
+import hashlib
 import json
-import math
 import re
 from fractions import Fraction
 from pathlib import Path
@@ -31,17 +33,13 @@ from cevians.certifier import (
     point_values,
     _VERTEX_0_1,
     _VERTEX_1_1,
-    _VERTEX_HALF,
     _VERTICES,
     _EQUALITY_POINT,
     _bisect,
     _branch_and_bound,
     _clip_to_domain,
     _jets,
-    _key_r1_smooth,
-    _least_over_parts,
     _lower_bounds,
-    _strict_parts,
 )
 from cevians.cli import main as cli_main
 from cevians.reports import reproducible_bytes
@@ -52,16 +50,23 @@ from conftest import natural_enclosure, sample_domain_boxes
 
 F_06_08 = 0.1593005229059099113924
 
+# Key-system where `certify` runs its branch-and-bound: 1 + mu rounds to 1,
+# so the square identity does not apply.  Its r2 is 0 on the curve
+# 2y^2 = x^2 + 1 across W, where no box closes, so the run needs a budget.
+KEY_FALLBACK = {"mu": 1e-17, "box_budget": 3000}
+# The targets whose branch-and-bound closes, every one but key-system.
+CLOSING = [t for t in Target if t is not Target.KEY_SYSTEM]
+
 
 def _column(*bounds):
     """One box (xlo, xhi, ylo, yhi) as a (4, 1) array."""
     return np.array(bounds, dtype=float).reshape(4, 1)
 
 
-def _form(vertex, target, *box_and_mu):
+def _form(vertex, target, *box):
     """The vertex form's bound for a target, from its facts there."""
     spec = TARGETS[target]
-    return vertex.bounds(spec, spec.facts[vertex.name], *box_and_mu)
+    return vertex.bounds(spec, spec.facts[vertex.name], *box)
 
 
 def _point_box_enclosure(target, xlo, xhi, ylo, yhi):
@@ -141,19 +146,27 @@ class TestClip:
             return out, ok
 
         monkeypatch.setattr(certifier, "_clip_to_domain", checked)
-        for target in Target:
+        for target in CLOSING:
             for mu, delta in ((1e-6, 1e-3), (1e-12, 0.0)):
                 _branch_and_bound(CertificationTask(target=target, mu=mu, delta=delta))
+        for delta in (1e-3, 0.0):
+            _branch_and_bound(CertificationTask(Target.KEY_SYSTEM, delta=delta, **KEY_FALLBACK))
         assert sum(seen) > 1000
 
 
 class TestCertify:
     @pytest.mark.parametrize("target", list(Target))
     def test_defaults_fully_decided(self, target):
-        cert = _branch_and_bound(CertificationTask(target=target))
+        # key-system's branch-and-bound cannot close r2's zero curve; at the
+        # defaults `certify` proves it by the square identity instead
+        run = certify if target is Target.KEY_SYSTEM else _branch_and_bound
+        cert = run(CertificationTask(target=target))
         assert cert.undecided_count == 0
-        assert cert.proven_count > 0
         assert not cert.stats.budget_exhausted
+        if target is Target.KEY_SYSTEM:
+            assert cert.identity is not None
+        else:
+            assert cert.proven_count > 0
 
     def test_determinism(self):
         task = CertificationTask(target=Target.MAIN_MEDIAN)
@@ -228,9 +241,9 @@ class TestCertify:
 
     @pytest.mark.parametrize("target, settings", [
         (Target.MAIN_MEDIAN, {}),
-        (Target.KEY_SYSTEM, {"mu": 1e-12, "delta": 1e-6}),
+        (Target.KEY_SYSTEM, {"mu": 1e-17, "delta": 1e-6, "max_depth": 9}),
         (Target.SCALENE_LEMMA, {"delta": 0.0}),
-        (Target.KEY_SYSTEM, {"delta": 0.0}),
+        (Target.KEY_SYSTEM, {"mu": 1e-20, "delta": 0.0, "max_depth": 10}),
         (Target.QUADRATIC_MEDIAN, {"min_box_width": 1e-3}),
         (Target.ALTITUDE_REDUCED, {"max_depth": 4}),
     ])
@@ -286,7 +299,7 @@ class TestCertify:
         # positive floor, and key-system's r2, 0 on 2y^2 = x^2 + 1, has no
         # proof.  Most undecided boxes sit at the flat edge x + y = 1, the
         # rest along that curve up to (1, 1), so the hull holds (1, 1) and
-        # (1/2, 1/2) and reaches x = mu.
+        # reaches x = mu.
         task = CertificationTask(target=Target.KEY_SYSTEM, mu=1e-20, delta=0.0,
                                  box_budget=300_000)
         cert = certify(task)
@@ -298,36 +311,27 @@ class TestCertify:
         assert on_edge.sum() > cert.undecided_count // 2
         hull = cert.to_report_dict()["stats"]["undecided_hull"]
         assert hull["box"] == [task.mu, 1.0, 0.5, 1.0]
-        assert hull["distance"] == {"vertex_1_1": 0.0, "vertex_0_1": task.mu,
-                                    "vertex_half_half": 0.0}
-
-    def test_key_system_report_documents_identity(self):
-        cert = _branch_and_bound(CertificationTask(target=Target.KEY_SYSTEM))
-        doc = cert.to_report_dict()
-        assert "second_residual" in doc["excluded"]
-        assert doc["excluded"]["second_residual"]["equality_locus"] == "2*b^2 = a^2 + c^2"
-        floors = key_system_identity_floors(1e-6)
-        assert all(v > 0 for v in floors.values())
+        assert hull["distance"] == {"vertex_1_1": 0.0, "vertex_0_1": task.mu}
 
     @pytest.mark.parametrize("mu, identity", [(1e-6, True), (1e-12, True), (1e-17, False)])
     def test_key_system_report_names_the_route_it_used(self, mu, identity, rng):
         # At mu = 1e-17, 1 + mu rounds to 1: the floor of x + y - 1 is not
         # positive, so r2 is bounded by the branch-and-bound with r1 and r3,
         # and the report must not credit the square identity.  Where it
-        # applies, `certify` proves all three parts by it, and the
-        # branch-and-bound leaves r2 to it.
+        # applies, `certify` proves all three parts by it, with no box.
         task = CertificationTask(target=Target.KEY_SYSTEM, mu=mu, box_budget=2000)
         cert = certify(task)
+        doc = cert.to_report_dict()
         assert (cert.identity is not None) is identity
-        assert ("proof" in cert.to_report_dict()) is identity
-        residual = _branch_and_bound(task).to_report_dict()["excluded"]["second_residual"]
-        assert (min(residual["heron_floors"].values()) > 0.0) is identity
-        assert (1 in _strict_parts(TARGETS[task.target], mu, 3)) is not identity
-        how = residual["certification"]
-        assert ("via the square identity" in how) is identity
+        assert ("proof" in doc) is identity
+        assert (min(key_system_identity_floors(mu).values()) > 0.0) is identity
+        assert ("second_residual" in doc["excluded"]) is not identity
         if identity:
-            assert how.endswith("proven boxes certify r1 > 0, r3 > 0, r2 >= 0")
             return
+        residual = doc["excluded"]["second_residual"]
+        assert residual["equality_locus"] == "2*b^2 = a^2 + c^2"
+        assert residual["heron_floors"] == key_system_identity_floors(mu)
+        how = residual["certification"]
         assert how.startswith("bounded by the branch-and-bound")
         assert how.endswith("proven boxes certify r1 > 0, r2 > 0, r3 > 0")
         # and so they do, r2 included, at 50 digits
@@ -391,14 +395,14 @@ class TestGrid:
 
     RUNS = [
         (Target.MAIN_MEDIAN, {"max_depth": 1}),
-        (Target.KEY_SYSTEM, {"max_depth": 2, "delta": 0.0}),
+        (Target.KEY_SYSTEM, {"mu": 1e-17, "max_depth": 2, "delta": 0.0}),
         (Target.QUADRATIC_MEDIAN, {"max_depth": 4}),
         (Target.ALTITUDE_REDUCED, {"min_box_width": 0.2}),
         (Target.SCALENE_LEMMA, {"min_box_width": 0.6, "delta": 0.0}),
         (Target.MAIN_MEDIAN, {"box_budget": 1}),
-        (Target.KEY_SYSTEM, {"box_budget": 10}),
+        (Target.KEY_SYSTEM, {"mu": 1e-17, "box_budget": 10}),
         (Target.QUADRATIC_MEDIAN, {"box_budget": 31, "delta": 0.0}),
-        (Target.KEY_SYSTEM, {"mu": 1e-12, "delta": 0.0}),
+        (Target.KEY_SYSTEM, {"mu": 1e-20, "delta": 0.0, "box_budget": 3000}),
         (Target.ALTITUDE_REDUCED, {}),
     ]
     IDS = [f"{t.value}-{'-'.join(f'{k}={v}' for k, v in kw.items()) or 'defaults'}"
@@ -420,9 +424,9 @@ class TestGrid:
         bound = certifier._lower_bounds
         seen = set()
 
-        def bound_recording(target, xlo, xhi, ylo, yhi, mu):
+        def bound_recording(target, xlo, xhi, ylo, yhi):
             seen.update(zip(xlo.tolist(), xhi.tolist(), ylo.tolist(), yhi.tolist()))
-            return bound(target, xlo, xhi, ylo, yhi, mu)
+            return bound(target, xlo, xhi, ylo, yhi)
 
         monkeypatch.setattr(certifier, "_lower_bounds", bound_recording)
         cert = _branch_and_bound(task)
@@ -541,7 +545,12 @@ class TestLookAhead:
     # budget runs out, so at the default gate some levels take generations
     # along and some do not.
     WIDE = (Target.KEY_SYSTEM, {"mu": 1e-20, "delta": 0.0, "box_budget": 3000})
-    RUNS = [(t, kw) for kw in SETTINGS for t in Target] + [WIDE]
+    # Key-system runs at mu = 1e-17, where `certify` runs its
+    # branch-and-bound; the first two settings set no limit, so there they
+    # take `KEY_FALLBACK`'s budget instead.
+    RUNS = ([(t, kw) for kw in SETTINGS for t in CLOSING]
+            + [(Target.KEY_SYSTEM, {**KEY_FALLBACK, **kw}) for kw in SETTINGS[:2]]
+            + [(Target.KEY_SYSTEM, {"mu": 1e-17, **kw}) for kw in SETTINGS[2:]] + [WIDE])
     IDS = [f"{t.value}-{'-'.join(f'{k}={v}' for k, v in kw.items()) or 'defaults'}"
            for t, kw in RUNS]
 
@@ -570,9 +579,9 @@ class TestLookAhead:
         batches = []
         decide = certifier._decide
 
-        def recording(target, mu, boxes):
+        def recording(target, boxes):
             batches.append(boxes.shape[1])
-            return decide(target, mu, boxes)
+            return decide(target, boxes)
 
         monkeypatch.setattr(certifier, "_decide", recording)
         stats = certify(CertificationTask(Target.MAIN_MEDIAN, delta=0.0, min_box_width=1e-15,
@@ -584,7 +593,8 @@ class TestLookAhead:
     def test_certify_suite_makes_15_evaluations(self, monkeypatch):
         # certify-suite's nine runs that use the branch-and-bound make 42
         # evaluations one level at a time; key-system's and altitude-
-        # reduced's six make none, and made 15 bounded
+        # reduced's six make none, and altitude-reduced's three make 6 for
+        # 12 levels bounded
         targets = (Target.MAIN_MEDIAN, Target.QUADRATIC_MEDIAN, Target.KEY_SYSTEM,
                    Target.ALTITUDE_REDUCED, Target.SCALENE_LEMMA)
         settings = ({}, {"mu": 1e-12, "delta": 1e-6}, {"mu": 1e-12, "delta": 1e-7})
@@ -597,18 +607,52 @@ class TestLookAhead:
         by_identity = (Target.KEY_SYSTEM, Target.ALTITUDE_REDUCED)
         assert totals(certify, targets) == (15, 42)
         assert totals(certify, by_identity) == (0, 0)
-        assert totals(_branch_and_bound, by_identity) == (15, 39)
+        assert totals(_branch_and_bound, (Target.ALTITUDE_REDUCED,)) == (6, 12)
         monkeypatch.setattr(certifier, "_LOOKAHEAD_BOXES", 0)
         assert totals(certify, targets) == (42, 42)
 
 
+class TestKeyFallback:
+    """Key-system where `certify` runs its branch-and-bound (1 + mu rounds
+    to 1) decides the same boxes, level by level, as when the
+    branch-and-bound still carried key-system's (0, 1) and (1/2, 1/2)
+    forms: those forms proved no box there, so retiring them changed no
+    decision.  The digests were taken with those forms in place."""
+
+    PINNED = {
+        (1e-17, 0.0): "6a47ed4eae54423f58f252a8c805244b77cb849db262cd4eaba8c1f66839aea2",
+        (1e-17, 1e-7): "e6f8838dc1d3bc4d193c8c8e8ea38fed52a35cea82ac219a5d6452cb87d0adde",
+        (1e-17, 1e-3): "d2fe986267a5f3800d571594cdabca5c462e1a5220f7af3e3a4201619ce5bb59",
+        (1.1e-16, 0.0): "6998aef5b6f5552b86953430592344f94630e00491c0e93b0f183e244ae3c776",
+        (1.1e-16, 1e-7): "1016fb01da704841cdccb67623e0534534aa6fc4bc099bb28b57db6863b58067",
+        (1.1e-16, 1e-3): "7fe9000e9aa6dbafad74a456b987a56b74f0f0d852ef394918b41f15b2f88aa8",
+        (1e-20, 0.0): "b79403c2e112945f2eb198fb3a20e9252b2326139691e861cdeafd46e1441971",
+        (1e-20, 1e-7): "461a747d45567d447013ada4c4d93f0b4c811e921af80e1f420289c675e5ffcc",
+        (1e-20, 1e-3): "c23806ddba8e5375b55af975788f8503f5b1b42ce928c84fadfc6f10319456a3",
+    }
+
+    @pytest.mark.parametrize("mu, delta", list(PINNED), ids=[f"mu={m}-delta={d}" for m, d in PINNED])
+    def test_decides_as_pinned(self, mu, delta):
+        cert = certify(CertificationTask(Target.KEY_SYSTEM, mu, delta, box_budget=40000))
+        assert cert.identity is None
+        assert cert.stats.budget_exhausted and cert.undecided_count > 0
+        assert cert.stats.proven_by == {"bound": cert.proven_count, "vertex_1_1": 0,
+                                        "vertex_0_1": 0}
+        doc = {"proven": cert.proven.tolist(), "corner": cert.corner.tolist(),
+               "undecided": cert.undecided.tolist(), "per_level": cert.stats.per_level,
+               "evaluations": cert.stats.evaluations}
+        digest = hashlib.sha256(json.dumps(doc).encode()).hexdigest()
+        assert digest == self.PINNED[(mu, delta)]
+
+
 class TestProvenBoxSoundness:
     """Spot version of the acceptance sampling: interior points of proven
-    boxes evaluate positive (the key system checks its certified statement)."""
+    boxes evaluate positive."""
 
     @pytest.mark.parametrize("target", list(Target))
     def test_interior_sampling(self, target, rng):
-        cert = _branch_and_bound(CertificationTask(target=target))
+        settings = KEY_FALLBACK if target is Target.KEY_SYSTEM else {}
+        cert = _branch_and_bound(CertificationTask(target=target, **settings))
         xlo, xhi, ylo, yhi = cert.proven
         idx = rng.integers(0, cert.proven_count, 60)
         for i in idx:
@@ -619,12 +663,7 @@ class TestProvenBoxSoundness:
             inside = bulk.in_normalized_domain(px, py)
             if not inside.any():
                 continue
-            if target is Target.KEY_SYSTEM:
-                vals = point_values(target, px[inside], py[inside])
-                assert (vals > -1e-13).all()
-            else:
-                vals = point_values(target, px[inside], py[inside])
-                assert (vals > 0.0).all()
+            assert (point_values(target, px[inside], py[inside]) > 0.0).all()
 
 
 class TestProvingBoundSoundness:
@@ -632,15 +671,6 @@ class TestProvingBoundSoundness:
     of the statement it certifies, including on boxes straddling the
     degeneracy edge and the ordering diagonal (where hulls spill outside
     the domain and naive bounds would be wrong in both directions)."""
-
-    @staticmethod
-    def _strict_point_min(target, x, y):
-        parts = TARGETS[target].parts(_FloatOps, x, y)
-        idx = [0, 2] if target is Target.KEY_SYSTEM else range(len(parts))
-        out = None
-        for k in idx:
-            out = parts[k] if out is None else np.minimum(out, parts[k])
-        return out
 
     def test_adversarial_boxes(self, rng):
         from cevians.certifier import _lower_bounds
@@ -681,13 +711,11 @@ class TestProvingBoundSoundness:
             mx, my = 0.5 * (xlo[0] + xhi[0]), 0.5 * (ylo[0] + yhi[0])
             mid_outside = Fraction(mx) + Fraction(my) < Fraction(1.0 + mu) or mx > my
             for target in Target:
-                bound = float(_lower_bounds(TARGETS[target], xlo, xhi, ylo, yhi, mu)[0])
-                sampled = self._strict_point_min(target, px[mask], py[mask])
-                assert bound <= sampled.min()
+                bound = float(_lower_bounds(TARGETS[target], xlo, xhi, ylo, yhi)[0])
+                assert bound <= point_values(target, px[mask], py[mask]).min()
                 if mid_outside:
                     jets = _jets(TARGETS[target].parts, 1, xlo, xhi, ylo, yhi)
-                    mean_value_outside += all(
-                        jets[k].ok[0] for k in _strict_parts(TARGETS[target], mu, len(jets)))
+                    mean_value_outside += all(jet.ok[0] for jet in jets)
         # Lanes where the mean-value form expands about a midpoint outside W.
         assert mean_value_outside > 0
 
@@ -837,7 +865,7 @@ class TestCornerForm:
                 & (px < 1.0))
         return px[keep], py[keep]
 
-    @pytest.mark.parametrize("target", list(Target))
+    @pytest.mark.parametrize("target", CLOSING)
     def test_corner_box_is_nonnegative(self, target, rng):
         task = CertificationTask(target=target, delta=0.0)
         cert = _branch_and_bound(task)
@@ -847,12 +875,7 @@ class TestCornerForm:
                                     task.mu, 150)
         assert px.size > 100
         for x, y in zip(px, py):
-            parts = oracles.target_parts_hp(target.value, x, y)
-            for k, v in enumerate(parts):
-                if k in _strict_parts(TARGETS[target], task.mu, len(parts)):
-                    assert v > 0, (x, y)
-                else:
-                    assert v >= -oracles.mp.mpf(10) ** -40
+            assert min(oracles.target_parts_hp(target.value, x, y)) > 0, (x, y)
 
     @pytest.mark.parametrize("target", list(Target))
     def test_bound_holds_below_every_part(self, target, rng):
@@ -862,8 +885,13 @@ class TestCornerForm:
         w = 2.0 ** -np.arange(1, 9)
         (xlo, xhi, ylo, yhi), _ = _clip_to_domain(
             np.array([1.0 - w, np.ones_like(w), 1.0 - w, np.ones_like(w)]), mu)
-        bounds = _form(_VERTEX_1_1, target, xlo, xhi, ylo, yhi, mu)
-        assert (bounds[-3:] > 0.0).all()
+        bounds = _form(_VERTEX_1_1, target, xlo, xhi, ylo, yhi)
+        if target is Target.KEY_SYSTEM:
+            # r2 is 0 on 2y^2 = x^2 + 1, which enters (1, 1) with slope
+            # 1/2, inside the form's wedge: the form proves no box
+            assert not (bounds > 0.0).any()
+        else:
+            assert (bounds[-3:] > 0.0).all()
         for i in range(w.size):
             if not np.isfinite(bounds[i]):
                 continue
@@ -871,18 +899,16 @@ class TestCornerForm:
             for x, y in zip(px, py):
                 parts = oracles.target_parts_hp(target.value, x, y)
                 dx = abs(oracles.mp.mpf(x) - 1)
-                for k in _strict_parts(TARGETS[target], mu, len(parts)):
-                    order = TARGETS[target].facts["vertex_1_1"][k]
+                for k, order in enumerate(TARGETS[target].facts["vertex_1_1"]):
                     scale = dx * dx / 2 if order == 2 else dx
                     assert parts[k] >= oracles.mp.mpf(bounds[i]) * scale, (w[i], x, y)
 
 
 def _part_scale(fact, x):
-    """The factor that scales a vertex bound into a bound on a part at
-    (x, y): sqrt(x) or x for the (0, 1) Taylor forms, 1 for a part's
-    natural enclosure and for the (1/2, 1/2) form."""
+    """The factor that scales a (0, 1) form's bound into a bound on a part
+    at (x, y): sqrt(x) in s, x in x."""
     mx = oracles.mp.mpf(x)
-    return {"s": oracles.mp.sqrt(mx), "x": mx}.get(fact, 1)
+    return {"s": oracles.mp.sqrt(mx), "x": mx}[fact]
 
 
 def _in_domain(x, y, mu, delta):
@@ -891,19 +917,12 @@ def _in_domain(x, y, mu, delta):
             and Fraction(x) + Fraction(y) >= Fraction(1.0 + mu))
 
 
-def _smooth_r1_hp(x, y):
-    """rb - 2x*ra, key-system's r1 less y*rc, from the 50-digit medians."""
-    ma, mb, _ = oracles.medians_hp(x, y, 1)
-    return 2 * mb - 2 * oracles.mp.mpf(x) * 2 * ma
-
-
 class TestTargetRegistry:
     """`TARGETS` holds one consistent record per target; the exact facts in
     it are checked against the oracles by `TestCornerForm` and
     `TestVertexForms`."""
 
-    VOCABULARY = {"vertex_1_1": {1, 2}, "vertex_0_1": {"s", "x", "natural", None},
-                  "vertex_half_half": {"split", "natural", None}}
+    VOCABULARY = {"vertex_1_1": {1, 2}, "vertex_0_1": {"s", "x"}}
 
     @classmethod
     def _check(cls):
@@ -912,19 +931,17 @@ class TestTargetRegistry:
         x, y = np.array([0.6]), np.array([0.8])
         for target, spec in TARGETS.items():
             n = len(spec.parts(_FloatOps, x, y))
-            # the parts that the identity proves >= 0 with a zero curve
-            curve = set()
             if spec.identity is not None:
                 assert len(spec.identity.parts) == n, target
-                curve = {k for k, (_, zeros) in enumerate(spec.identity.parts)
-                         if zeros != _EQUALITY_POINT}
             for name, facts in spec.facts.items():
                 assert name in cls.VOCABULARY, (target, name)
                 assert len(facts) == n, (target, name)
-                for k, fact in enumerate(facts):
+                for fact in facts:
                     assert fact in cls.VOCABULARY[name], (target, name, fact)
-                    assert fact is not None or k in curve, (target, name)
             assert spec.corner_factors is (target is Target.MAIN_MEDIAN), target
+            # the targets that `certify` proves with no box
+            by_identity = target in (Target.KEY_SYSTEM, Target.ALTITUDE_REDUCED)
+            assert (spec.identity is not None) is by_identity, target
 
     def test_registry_is_consistent(self):
         self._check()
@@ -933,13 +950,15 @@ class TestTargetRegistry:
         (Target.MAIN_BISECTOR, None),
         (Target.MAIN_MEDIAN, {"facts": {"vertex_1_1": (2,), "vertex_2_2": ("s",)}}),
         (Target.MAIN_MEDIAN, {"facts": {"vertex_1_1": (2, 2), "vertex_0_1": ("s",)}}),
-        (Target.KEY_SYSTEM, {"facts": {"vertex_1_1": (2, 2, 2), "vertex_0_1": ("natural", "x")}}),
+        (Target.KEY_SYSTEM, {"facts": {"vertex_1_1": (2, 2, 2), "vertex_0_1": ("x", "x")}}),
         (Target.QUADRATIC_MEDIAN, {"facts": {"vertex_1_1": (2,), "vertex_0_1": ("split",)}}),
         (Target.SCALENE_LEMMA, {"facts": {"vertex_1_1": (3,)}}),
         (Target.SCALENE_LEMMA, {"facts": {"vertex_1_1": (1,), "vertex_0_1": (None,)}}),
-        (Target.KEY_SYSTEM, {"identity": dataclasses.replace(
-            TARGETS[Target.KEY_SYSTEM].identity,
-            parts=(("r1", _EQUALITY_POINT), ("r2", _EQUALITY_POINT), ("r3", "x = y")))}),
+        (Target.KEY_SYSTEM, {"facts": {"vertex_1_1": (2, 2, 2),
+                                       "vertex_0_1": ("natural", "x", "x")}}),
+        (Target.KEY_SYSTEM, {"facts": {"vertex_1_1": (2, 2, 2), "vertex_0_1": ("x", None, "x")}}),
+        (Target.KEY_SYSTEM, {"facts": {"vertex_1_1": (2, 2, 2),
+                                       "vertex_half_half": ("split", None, "natural")}}),
         (Target.KEY_SYSTEM, {"identity": dataclasses.replace(
             TARGETS[Target.KEY_SYSTEM].identity,
             parts=TARGETS[Target.KEY_SYSTEM].identity.parts + (("r4", _EQUALITY_POINT),))}),
@@ -947,8 +966,8 @@ class TestTargetRegistry:
         (Target.QUADRATIC_MEDIAN, {"corner_factors": True}),
         (Target.MAIN_MEDIAN, {"corner_factors": False}),
     ], ids=["missing", "unknown-vertex", "count", "count-key", "vocabulary-0-1",
-            "vocabulary-1-1", "none", "identity-moved", "identity-count",
-            "identity-missing", "corner-extra", "corner-missing"])
+            "vocabulary-1-1", "none", "natural", "none-identity-part", "vertex-half-half",
+            "identity-count", "identity-missing", "corner-extra", "corner-missing"])
     def test_check_fails_on_a_bad_record(self, target, change, monkeypatch):
         # with one record replaced by a bad one, or missing, the check fails
         if change is None:
@@ -960,9 +979,8 @@ class TestTargetRegistry:
 
 
 class TestVertexForms:
-    """The Taylor forms at the equality vertices (1, 1), (0, 1) and
-    (1/2, 1/2): their exact facts, the boxes they prove, and the depth they
-    save."""
+    """The Taylor forms at the equality vertices (1, 1) and (0, 1): their
+    exact facts, the boxes they prove, and the depth they save."""
 
     @pytest.mark.parametrize("target, variable, slope", [
         (Target.MAIN_MEDIAN, "s", 2),
@@ -980,29 +998,6 @@ class TestVertexForms:
             (dy,) = oracles.target_derivative_hp(target.value, 0, 1, (0, 1))
         assert abs(ds - slope) < 1e-25
         assert abs(dy) < 1e-25
-
-    def test_key_system_facts_at_0_1(self):
-        # r1 = 2, r2 = 0 (the square identity's), r3 = 0 with grad (1, -1)
-        assert TARGETS[Target.KEY_SYSTEM].facts["vertex_0_1"] == ("natural", None, "x")
-        assert oracles.target_parts_hp("key-system", 0, 1) == (2, 0, 0)
-        gx = oracles.target_derivative_hp("key-system", 0, 1, (1, 0))[2]
-        gy = oracles.target_derivative_hp("key-system", 0, 1, (0, 1))[2]
-        assert abs(gx - 1) < 1e-25 and abs(gy + 1) < 1e-25
-
-    def test_key_system_facts_at_half_half(self, rng):
-        # r1 = r2 = 0 and r3 = 3/2; f = rb - 2x*ra is 0 with grad (-2, -1)
-        assert TARGETS[Target.KEY_SYSTEM].facts["vertex_half_half"] == ("split", None, "natural")
-        assert [t for t in Target if "vertex_half_half" in TARGETS[t].facts] == [Target.KEY_SYSTEM]
-        assert oracles.target_parts_hp("key-system", 0.5, 0.5) == (0, 0, 1.5)
-        assert _smooth_r1_hp(0.5, 0.5) == 0
-        grad = [oracles.mp.diff(_smooth_r1_hp, (0.5, 0.5), order)
-                for order in ((1, 0), (0, 1))]
-        assert abs(grad[0] + 2) < 1e-25 and abs(grad[1] + 1) < 1e-25
-        # rc^2 = 2x^2 + 2y^2 - 1 = 2u + u^2 + v^2, u = x + y - 1, v = y - x
-        for x, y in rng.uniform(0.0, 1.0, (200, 2)):
-            x, y = Fraction(x), Fraction(y)
-            u, v = x + y - 1, y - x
-            assert 2 * x * x + 2 * y * y - 1 == 2 * u + u * u + v * v
 
     @staticmethod
     def _domain_points(rng, box, vertex, mu, delta, count):
@@ -1024,36 +1019,17 @@ class TestVertexForms:
                 return points[:count]
         return points
 
-    @staticmethod
-    def _edge_points(rng, box, mu, delta, count):
-        """Points of the box on the edge x + y = fl(1 + mu) of W within
-        2^-40 of (1/2, 1/2), each y the least float that keeps the exact sum
-        in W."""
-        floor = 1.0 + mu
-        points = []
-        for d in 2.0 ** -rng.uniform(42, 60, count):
-            x = 0.5 * floor - d
-            y = floor - x
-            while Fraction(x) + Fraction(y) < Fraction(floor):
-                y = math.nextafter(y, 1.0)
-            if (box[0] <= x <= box[1] and box[2] <= y <= box[3]
-                    and _in_domain(x, y, mu, delta)
-                    and max(abs(x - 0.5), abs(y - 0.5)) < 2**-40):
-                points.append((x, y))
-        return points
-
     def test_vertex_proven_boxes_hold_at_50_digits(self, rng):
         # Every proven box that the bounds alone leave unproven was proven
         # by the form of the vertex it lies near; each is checked at 100
-        # points, many within 2^-40 of that vertex.
+        # points, many within 2^-40 of that vertex.  (Key-system's forms
+        # prove no box where `certify` runs its branch-and-bound.)
         checked = near_vertex = 0
-        for target in Target:
+        for target in CLOSING:
             for mu in (1e-6, 1e-12, 1e-20):
-                if target is Target.KEY_SYSTEM and mu < 1e-16:
-                    continue  # the square identity does not apply
                 for delta in (0.0, 1e-3, 1e-7):
                     cert = _branch_and_bound(CertificationTask(target=target, mu=mu, delta=delta))
-                    by_vertex = _lower_bounds(TARGETS[target], *cert.proven, mu) <= 0
+                    by_vertex = _lower_bounds(TARGETS[target], *cert.proven) <= 0
                     boxes = cert.proven[:, by_vertex].T.tolist()
                     counts = cert.stats.proven_by
                     assert len(boxes) == sum(counts[v.name] for v in _VERTICES)
@@ -1066,78 +1042,36 @@ class TestVertexForms:
                         assert len(points) == 100, (target, mu, delta, box)
                         for x, y in points:
                             parts = oracles.target_parts_hp(target.value, x, y)
-                            for k in _strict_parts(TARGETS[target], mu, len(parts)):
-                                assert parts[k] > 0, (target, mu, delta, x, y)
+                            assert min(parts) > 0, (target, mu, delta, x, y)
                             gap = max(abs(x - vertex.x), abs(y - vertex.y))
                             near_vertex += gap < 2**-40
                         checked += 1
         assert checked > 50
         assert near_vertex > 300
 
-    @pytest.mark.parametrize("vertex", [_VERTEX_0_1, _VERTEX_HALF], ids=lambda v: v.name)
-    def test_key_system_forms_bound_every_strict_part(self, vertex, rng, monkeypatch):
-        # Record every box the form proves in the certify runs, and check
-        # each strict part against the returned bound at exact points of W,
-        # with (1/2, 1/2)'s boxes also on the edge x + y = fl(1 + mu).
-        target = Target.KEY_SYSTEM
-        facts = TARGETS[target].facts[vertex.name]
-        calls, form = [], vertex.bounds
-
-        def recording(*args):
-            calls.append((args, form(*args)))
-            return calls[-1][1]
-
-        monkeypatch.setattr(vertex, "bounds", recording)
-        checked = on_edge = 0
-        for mu, delta in ((1e-6, 1e-3), (1e-12, 1e-6), (1e-12, 0.0)):
-            calls.clear()
-            task = CertificationTask(target, mu=mu, delta=delta)
-            assert _branch_and_bound(task).undecided_count == 0
-            proven = [(box, b) for (_, _, *boxes, _), bounds in calls
-                      for box, b in zip(zip(*boxes), bounds) if b > 0.0]
-            assert proven
-            for box, bound in proven:
-                points = self._domain_points(rng, box, vertex, mu, delta, 150)
-                edge = self._edge_points(rng, box, mu, delta, 300) if vertex is _VERTEX_HALF else []
-                assert len(points) == 150
-                on_edge += len(edge)
-                for x, y in points + edge:
-                    parts = oracles.target_parts_hp(target.value, x, y)
-                    assert parts[1] >= -oracles.mp.mpf(10) ** -40
-                    for k in _strict_parts(TARGETS[target], mu, len(parts)):
-                        assert parts[k] >= bound * _part_scale(facts[k], x), (box, x, y, k)
-                checked += 1
-        assert checked >= 3
-        if vertex is _VERTEX_HALF:
-            assert on_edge > 100
-
     @pytest.mark.parametrize("target", list(Target))
     def test_forms_see_only_the_box_extended_to_the_vertex(self, target, rng):
         # The Taylor argument runs along segments from the vertex, so each
         # form must enclose its derivatives over the box extended to the
-        # vertex: boxes with the same extension get the same bound.  (A
-        # part bounded by its natural enclosure sees the box itself.)
+        # vertex: boxes with the same extension get the same bound.
         mu = 1e-6
         w = 2.0 ** -rng.uniform(3, 30, 40)
         t = rng.uniform(0.0, 1.0, 40)
         lo, hi = 1.0 - (1.0 + t) * w, 1.0 - t * w
-        same = _form(_VERTEX_1_1, target, lo, np.ones_like(w), lo, np.ones_like(w), mu)
-        assert np.array_equal(_bits(_form(_VERTEX_1_1, target, lo, hi, lo, hi, mu)),
-                              _bits(same))
-        if "natural" not in TARGETS[target].facts.get("vertex_0_1", ("natural",)):
+        same = _form(_VERTEX_1_1, target, lo, np.ones_like(w), lo, np.ones_like(w))
+        assert np.array_equal(_bits(_form(_VERTEX_1_1, target, lo, hi, lo, hi)), _bits(same))
+        if "vertex_0_1" in TARGETS[target].facts:
             xhi, ylo = (1.0 + t) * w, 1.0 - w
-            same = _form(_VERTEX_0_1, target, np.full_like(w, mu), xhi, ylo,
-                         np.ones_like(w), mu)
+            same = _form(_VERTEX_0_1, target, np.full_like(w, mu), xhi, ylo, np.ones_like(w))
             assert np.array_equal(_bits(_form(_VERTEX_0_1, target, t * w, xhi, ylo,
-                                              1.0 - t * w / 2, mu)),
+                                              1.0 - t * w / 2)),
                                   _bits(same))
 
     @pytest.mark.parametrize("target", [t for t in Target if "vertex_0_1" in TARGETS[t].facts])
     def test_vertex_0_1_bound_holds_below_the_target(self, target, rng):
-        # Each strict part >= bound * sqrt(x) in s, bound * x in x, or
-        # bound for a natural enclosure, on boxes touching (0, 1) and on
-        # boxes up to twice their width away
-        mu = 1e-12 if target is Target.KEY_SYSTEM else 1e-20
+        # Each part >= bound * sqrt(x) in s or bound * x in x, on boxes
+        # touching (0, 1) and on boxes up to twice their width away
+        mu = 1e-20
         facts = TARGETS[target].facts["vertex_0_1"]
         w = 2.0 ** -np.arange(3, 30, 3)
         (xlo, xhi, ylo, yhi), ok = _clip_to_domain(np.array([
@@ -1145,50 +1079,19 @@ class TestVertexForms:
             np.concatenate([1.0 - w, 1.0 - w]), np.concatenate([np.ones_like(w), 1.0 - w / 2]),
         ]), mu)
         assert ok.all()
-        bounds = _form(_VERTEX_0_1, target, xlo, xhi, ylo, yhi, mu)
+        bounds = _form(_VERTEX_0_1, target, xlo, xhi, ylo, yhi)
         assert (bounds[w.size - 3:w.size] > 0.0).all()
         for i in np.nonzero(np.isfinite(bounds))[0]:
             box = (xlo[i], xhi[i], ylo[i], yhi[i])
             for x, y in self._domain_points(rng, box, _VERTEX_0_1, mu, 0.0, 40):
                 parts = oracles.target_parts_hp(target.value, x, y)
-                for k in _strict_parts(TARGETS[target], mu, len(parts)):
-                    scale = _part_scale(facts[k], x)
-                    assert parts[k] >= oracles.mp.mpf(bounds[i]) * scale, (box, x, y)
+                for part, fact in zip(parts, facts):
+                    assert part >= oracles.mp.mpf(bounds[i]) * _part_scale(fact, x), (box, x, y)
 
-    def test_natural_entries_bound_their_parts_from_below(self, rng):
-        # A part that is not 0 at a vertex stands in with the lower end of
-        # its natural enclosure over the box itself.
-        mu = 1e-6
-        (xlo, xhi, ylo, yhi), _ = _clip_to_domain(sample_domain_boxes(rng, 30), mu)
-        bounds = _least_over_parts(TARGETS[Target.KEY_SYSTEM], mu, ("natural",) * 3,
-                                   (xlo, xhi, ylo, yhi), None)
-        checked = 0
-        for i in range(xlo.shape[0]):
-            box = (xlo[i], xhi[i], ylo[i], yhi[i])
-            for x, y in self._domain_points(rng, box, _VERTEX_0_1, mu, 0.0, 10):
-                r1, _, r3 = oracles.target_parts_hp("key-system", x, y)
-                assert min(r1, r3) >= bounds[i], (box, x, y)
-                checked += 1
-        assert checked > 200
-
-    def test_key_system_forms_need_the_square_identity(self):
-        # Below mu = 1.1e-16 the identity floor is not positive, so r2 is a
-        # strict part with no form at (0, 1) or (1/2, 1/2): both give -inf.
-        w = 2.0 ** -np.arange(3, 20, 4)
-        for mu in (1e-17, 1e-20):
-            assert not (_form(_VERTEX_0_1, Target.KEY_SYSTEM, np.full_like(w, mu), w,
-                              1.0 - w, np.ones_like(w), mu) > -np.inf).any()
-            assert not (_form(_VERTEX_HALF, Target.KEY_SYSTEM, 0.5 - w, np.full_like(w, 0.5),
-                              np.full_like(w, 0.5), 0.5 + w, mu) > -np.inf).any()
-
-    @pytest.mark.parametrize("target", list(Target))
+    @pytest.mark.parametrize("target", CLOSING)
     def test_depth_does_not_depend_on_mu(self, target):
-        # key-system's square identity needs 1 + mu > 1 in binary64
-        mus, most = (1e-6, 1e-12, 1e-20), 10
-        if target is Target.KEY_SYSTEM:
-            mus, most = (1e-6, 1e-12), 11
         levels = set()
-        for mu in mus:
+        for mu in (1e-6, 1e-12, 1e-20):
             cert = _branch_and_bound(CertificationTask(target=target, mu=mu, delta=0.0))
             assert cert.undecided_count == 0
             assert cert.corner.shape[1] == 1
@@ -1196,20 +1099,24 @@ class TestVertexForms:
             assert stats.levels == stats.max_depth_reached + 1 - stats.grid_depth
             levels.add(cert.stats.levels)
         assert len(levels) == 1
-        assert levels.pop() <= most
+        assert levels.pop() <= 10
 
     @pytest.mark.parametrize("target", list(Target))
     def test_proven_by_counts_every_proven_box(self, target):
         names = {"bound"} | {v.name for v in _VERTICES}
         assert len(names) == len(_VERTICES) + 1
+        # key-system's form at (1, 1) proves no box (see
+        # `TestCornerForm.test_bound_holds_below_every_part`)
+        fallback = target is Target.KEY_SYSTEM
         for delta in (0.0, 1e-3):
-            cert = _branch_and_bound(CertificationTask(target=target, delta=delta))
+            settings = KEY_FALLBACK if fallback else {}
+            cert = _branch_and_bound(CertificationTask(target=target, delta=delta, **settings))
             counts = cert.stats.proven_by
             assert set(counts) == names
             assert sum(counts.values()) == cert.proven_count
-            assert counts["vertex_1_1"] + cert.corner.shape[1] > 0
+            assert (counts["vertex_1_1"] + cert.corner.shape[1] > 0) is not fallback
             for vertex in _VERTICES:
-                if vertex.name not in TARGETS[target].facts:
+                if fallback or vertex.name not in TARGETS[target].facts:
                     assert counts[vertex.name] == 0
                 elif vertex.x < 1.0:
                     assert counts[vertex.name] > 0
@@ -1286,29 +1193,22 @@ def _iv_jets(parts, xlo, xhi, ylo, yhi, in_sqrt_x=False):
     return parts(_IvJetOps, x, y)
 
 
-def _reference_form(vertex, target, box, mu):
-    """The least bound over the strict parts that the vertex form derives
-    from the exact facts, with `_IvJetOps` enclosures over the box
-    extended to the vertex, and whether the enclosure of a (0, 1) part's
-    gy straddles 0.  Returns (None, False) where a strict part has no form.
+def _reference_form(vertex, target, box):
+    """The least bound over the parts that the vertex form derives from the
+    exact facts, with `_IvJetOps` enclosures over the box extended to the
+    vertex, and whether the enclosure of a (0, 1) part's gy straddles 0.
     """
     xlo, xhi, ylo, yhi = box
     spec = TARGETS[target]
-    facts = spec.facts[vertex.name]
     least, straddles = None, False
-    for k in _strict_parts(spec, mu, len(facts)):
-        fact = facts[k]
-        if fact is None:
-            return None, False
-        if fact == "natural":
-            bound = _iv_jets(spec.parts, xlo, xhi, ylo, yhi)[k][0].a
-        elif vertex is _VERTEX_1_1:
+    for k, fact in enumerate(spec.facts[vertex.name]):
+        if vertex is _VERTEX_1_1:
             _, gx, gy, hxx, hxy, hyy = _iv_jets(spec.parts, xlo, 1, ylo, 1)[k]
             if fact == 2:  # least Bernstein coefficient of the Hessian form
                 bound = min(hxx.a, (hxx + hxy).a, (hxx + 2 * hxy + hyy).a)
             else:
                 bound = min((-gx).a, (-gx - gy).a)
-        elif vertex is _VERTEX_0_1:
+        else:
             # F >= x * (gx - max(gy, 0)), or s * (gs - s_hi * max(gy, 0))
             s_hi = iv.sqrt(xhi).b if fact == "s" else iv.mpf(1)
             jets = _iv_jets(spec.parts, 0, s_hi if fact == "s" else xhi, ylo, 1,
@@ -1316,16 +1216,6 @@ def _reference_form(vertex, target, box, mu):
             _, g, gy = jets[k][:3]
             straddles |= bool(gy.a < 0 < gy.b)
             bound = (g - s_hi * (gy.b if gy.b > 0 else 0)).a
-        else:  # (1/2, 1/2): r1 = f + y*rc >= A*u + lo(B*V) + ylo*sqrt(2u + vlo^2)
-            (f,) = _iv_jets(_key_r1_smooth, min(xlo, 0.5), max(xhi, 0.5),
-                            min(ylo, 0.5), max(yhi, 0.5))
-            _, gx, gy = f[:3]
-            a = ((gx + gy) / 2).a
-            vlo = max(iv.mpf(ylo) - xhi, iv.mpf(0))
-            bv = ((gy - gx) / 2 * iv.mpf([vlo.a, (iv.mpf(yhi) - xlo).b])).a
-            ends = (max(iv.mpf(xlo) + ylo - 1, iv.mpf(1.0 + mu) - 1),
-                    iv.mpf(xhi) + yhi - 1)
-            bound = min((a * u + bv + ylo * iv.sqrt(2 * u + vlo * vlo)).a for u in ends)
         least = bound if least is None else min(least, bound)
     return least, straddles
 
@@ -1342,12 +1232,15 @@ class TestFormsAgainstTheirReference:
     def _boxes(vertex, target, rng, monkeypatch):
         calls, form = [], vertex.bounds
 
-        def recording(spec, facts, xlo, xhi, ylo, yhi, mu):
+        def recording(spec, facts, xlo, xhi, ylo, yhi):
             calls.extend(zip(xlo.tolist(), xhi.tolist(), ylo.tolist(), yhi.tolist()))
-            return form(spec, facts, xlo, xhi, ylo, yhi, mu)
+            return form(spec, facts, xlo, xhi, ylo, yhi)
 
         monkeypatch.setattr(vertex, "bounds", recording)
-        for settings in ({}, {"delta": 0.0}, {"mu": 1e-12, "delta": 1e-6}):
+        runs = ({}, {"delta": 0.0}, {"mu": 1e-12, "delta": 1e-6})
+        if target is Target.KEY_SYSTEM:
+            runs = ({**KEY_FALLBACK, **kw} for kw in ({}, {"delta": 0.0}, {"delta": 1e-6}))
+        for settings in runs:
             _branch_and_bound(CertificationTask(target=target, **settings))
         met = [calls[i] for i in rng.permutation(len(calls))[:30]]
         # boxes of width w about points of W within w of the vertex, so
@@ -1368,24 +1261,22 @@ class TestFormsAgainstTheirReference:
         ids=lambda p: getattr(p, "name", None)
         or p.value)
     def test_form_stays_below_its_reference(self, vertex, target, rng, monkeypatch):
-        mu = 1e-6
         boxes = self._boxes(vertex, target, rng, monkeypatch)
-        forms = _form(vertex, target, *(np.array(c) for c in zip(*boxes)), mu)
+        forms = _form(vertex, target, *(np.array(c) for c in zip(*boxes)))
         prec, iv.prec = iv.prec, 200
         try:
             compared = straddling = 0
             for box, form in zip(boxes, forms):
                 if not np.isfinite(form):
                     continue
-                ref, straddles = _reference_form(vertex, target, box, mu)
-                assert ref is not None
+                ref, straddles = _reference_form(vertex, target, box)
                 assert form <= oracles.mp.mpf(ref) + 1e-40, (box, form, ref)
                 compared += 1
                 straddling += straddles
         finally:
             iv.prec = prec
         assert compared > 40
-        if vertex is _VERTEX_0_1 and "natural" not in TARGETS[target].facts[vertex.name]:
+        if vertex is _VERTEX_0_1:
             assert straddling > 40
 
 

@@ -292,21 +292,6 @@ class TestCertify:
         assert xlo <= 1.0 <= xhi and ylo <= 1.0 <= yhi
         assert "second-order Taylor form" in cert["excluded"]["corner_square"]["note"]
 
-    def test_key_system_closes_at_small_mu(self, tmp_path, monkeypatch):
-        # the vertex forms at (0, 1) and (1/2, 1/2) close the boxes that
-        # used to stay undecided next to (1/2, 1/2); `certify` proves
-        # key-system by its square identity there, so this runs the
-        # branch-and-bound itself
-        monkeypatch.setattr(cli, "certify", certifier._branch_and_bound)
-        out = tmp_path / "cert.json"
-        assert run(["certify", "--target", "key-system", "--mu", "1e-12",
-                    "--delta", "1e-6", "-o", str(out)]) == 0
-        stats = load(out)["certificate"]["stats"]
-        assert load(out)["certificate"]["undecided_count"] == 0
-        assert stats["levels"] <= 15
-        assert stats["proven_by"]["vertex_half_half"] > 0
-        assert stats["proven_by"]["vertex_0_1"] > 0
-
     def test_corner_box_only_at_delta_zero(self, tmp_path):
         out = tmp_path / "cert.json"
         assert run(["certify", "--target", "scalene-lemma", "-o", str(out)]) == 0
@@ -394,16 +379,19 @@ class TestCertify:
         assert err.startswith("error: ")
         assert "Traceback" not in err
 
+    # Every target: those with an identity take its proof where it applies
+    # and the branch-and-bound elsewhere, as key-system does at mu = 5e-324.
+    @pytest.mark.parametrize("target", [t.value for t in certifier.Target])
     @given(mu=st.one_of(st.floats(), st.floats(0.0, 0.5)),
            delta=st.one_of(st.floats(), st.floats(0.0, 0.5)),
            width=st.one_of(st.floats(), st.floats(0.0, 1.0)))
     @settings(max_examples=80, deadline=None)
     @example(mu=5e-324, delta=0.0, width=1.0)
     @example(mu=5e-324, delta=1e-3, width=1.0)
-    def test_extreme_floats_keep_the_exit_contract(self, mu, delta, width):
+    def test_extreme_floats_keep_the_exit_contract(self, target, mu, delta, width):
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-            code = run(["certify", "--target", "main-median", f"--mu={mu!r}",
+            code = run(["certify", "--target", target, f"--mu={mu!r}",
                         f"--delta={delta!r}", f"--min-box-width={width!r}",
                         "--box-budget", "64"])
         assert code in (0, 1, 2)
@@ -427,70 +415,75 @@ _SUITE_SETTINGS = ((), ("--mu", "1e-12", "--delta", "1e-6"),
 # and the suite's bodies the corner check and the corner sampling, so any
 # change to a bound, a box or a corner factor shows.  Key-system and
 # altitude-reduced are proven by their identities at every mu here but
-# 1e-17, with no box; `test_branch_and_bound_bytes_are_pinned` pins their
-# branch-and-bound.
+# 1e-17 and 1e-20, with no box; `test_branch_and_bound_bytes_are_pinned`
+# pins altitude-reduced's branch-and-bound.
 @pytest.mark.parametrize("argv, digest", [
     *zip((["certify", "--target", target, "--include-proven", *setting]
           for target in ("main-median", "quadratic-median", "key-system",
                          "altitude-reduced", "scalene-lemma")
           for setting in _SUITE_SETTINGS), (
-        "0a1d897d0a6841e3593d936685d291ca7ac5a7d6d16d9523b48699e29d0ecb9a",
-        "3b544e70350fe499dc312cf863b3066a337fa5c8f11c1eaed42157dc7a192ed7",
-        "ed47d903082713a216405e20cbc92882d5c6a308e9e201fdc7be82e641b8977d",
-        "7ea30da303c6e3fb7902a5cdbb678d638e5916bee8d91c8457fd1daa0c9d2db5",
-        "0074e87e76270d4ca61eeb1d861c7329012fe5ba424f4870a6f89f8d8c2bfbcf",
-        "7c409a7efafbbbbf0edf33227c43bc1428c88ba76db7ff93e4d6adbc9c9fb8a7",
-        "1a3f0ba02acc9602ce48c5b8e9f8697161e7b26589762988f06553a2b6199b7e",
-        "c7e143f82ade072d35da7af428e83f5635b650005461cd3023e46287cee05e3f",
-        "c3744e903569f4c7a5d4e1c8e5053f04324da3e94f47d743557019e9045a7d6a",
-        "4dc1985a9eca0a31bacdcd2e756c0f1f550f496f040853e0ab9cc433e9407b8d",
-        "e0a41280255ba80e81d361703580f3265a21b595a6603cb359acb23fca9a7851",
-        "93e032a509f8b3d9217cda3c79d6b859c9b76368e3d0bc76f2ae4a49458e4c53",
-        "a70c3ab2c8f7ad88cf2ea14a2c1a557b0c3dd831d92d3f2d8b8d98bfbf117fda",
-        "a0480ddb552c1bf6223f650e8626c6d8b4d564df30f5254e693757be463c3f08",
-        "2852692539f231826381e7eff4a7cf97d9784ad5cf3dd5168675d85ae8d14978",
+        "5018011789241c14e54b14dd872ec0685e81007d0ef4dcee3fa92b2dd4f201db",
+        "65dda61e863415c356eb44a7ac1c80d90bf7daf58eaf784d8714ee4db9a02d53",
+        "4c0987cf8d628a5a831588368c3fd703eb251e6187122497565be46c5812553a",
+        "874db19c1d646f64dcc9407f7266aeaa3999f52be017bd27ac1fe52a0a13c39f",
+        "9b4d86250e5ee0e4874315c273367e06c863fce9ba867685b5b94ec3df164aee",
+        "36c8505798237db570223fe2590de3b9593b06504b22458fc9557186c991045f",
+        "ea6bbb36e53980c775fc650fe1c86e8759efc84deee7941d9e7fc071e386001d",
+        "7bf54379664a85cab03668f286556468d5774ef6e970265f15b04fc213e1e537",
+        "f7f9e4f51a8cbd8ef5a4e03b3640ca1b04086b1488dd0072572229f5630d04c2",
+        "1127a00c80d8df325ef13095fc2b74f4de5b003a83eed6e825f43a6202eea09f",
+        "4c6bf1a25476545515f9ad9c31abf47c2eb79b6cb314aa6ab02ce354276102c3",
+        "c784b56541fc54dfb95479c02a6150db303929250f0b7663bdb878486fc36202",
+        "83c11b1c07ae08f800232e8080142bc9d6ed16f5193aabfee4db58990b636fdd",
+        "5981f9337233bec91d6c1ff254172c7144b644d879c96a4bb1399094037e4fa0",
+        "77f62e908900d1d3173d2b8ff144b116c756f3cd116c81e39b2eb5ec57e4c84c",
     )),
     (["certify", "--target", "main-median", "--delta", "0", "--min-box-width",
       "1e-15", "--max-depth", "200", "--box-budget", "3000"],
-     "15763168bda07ff2976f109b2cbe69315836f8a404f9099f91e4d8ab3f53fc98"),
+     "f5217d224377ba81bc6005878fbd5d7f1316e1274d9fc6a24cf622a14e06261d"),
     # The bisector targets at certify-suite's settings.
     *zip((["certify", "--target", target, "--include-proven", *setting]
           for target in ("main-bisector", "quadratic-bisector")
           for setting in _SUITE_SETTINGS), (
-        "0c8392171e464e6e46bc9608a19c0d4b715984888fbd89c35d871634d197621b",
-        "a1685c4a06fd316936e27cd4f9c03aec6e93a264a981d5fdb84f6b439f87ea23",
-        "d047dd4b03239e007749c6ed24533c4a7f0bbd9828c3c5f7d2573c6f726b57a5",
-        "b6579ced47c22e85b1f6244c816285870cd445f484093d4e0cb7749305011b0f",
-        "a5c400bc37e2e772b79f11ae1b3a600c359b87cba7dac84a1908f47c1dcd5652",
-        "61e59a287af5bcc8d6f6d5af1936b326e1c314e45a0a0b45a7ebbf8ec8a38a1b",
+        "5006e341130d10940528013d22a5bea7072e423610f9e92857bd61351cf9a9c9",
+        "ec7eef384e7f28021d4164d6a7eb449bf008e3ab5357559bf7a7b4c9bb598942",
+        "863e16b0874f7930121359ec86d712ed7ca95deb3f9f790629b7e1589b3ae52c",
+        "af5a206a0f0aa430fc9352e01d325fe7139688d7dd638f7d8b44a537b7e615f6",
+        "721767da44f65a0b3bd33a07b1320dc8387be2f43b61191b4ead54d7a844bc30",
+        "b3d622e938b68f4b7c1894cb4d926cbb1dd839fe73d807a3f96fd1e968ec1848",
     )),
     # Every target at delta = 0, where each vertex form it has can prove
-    # boxes: the corner box, vertex_0_1 and vertex_half_half.
+    # boxes: the corner box and vertex_0_1.
     *zip((["certify", "--target", target, "--delta", "0", "--include-proven", "--mu", mu]
           for mu in ("1e-6", "1e-12")
           for target in ("main-median", "quadratic-median", "key-system",
                          "altitude-reduced", "scalene-lemma", "main-bisector",
                          "quadratic-bisector")), (
-        "10f150e0561f44dfadfcc61acd1aef585698a8caf5f83b874a82509e46550451",
-        "c8e94682a2d3a30b607a25508a366e4c0e2389a6493d2c7165d52027b85e9674",
-        "2386185735eca552555fcc8a7abe2e78a69d8a43cd6d8ece8858507782bd7dcc",
-        "442f09fe482658bc8ad8ff492192c662c0c7d428e4c08c0eba2da271364bcaa4",
-        "c97cd8de7ebfacb7b2ba73fe3924596b2bed62164f13e1d5b2834cbdb5eb44e9",
-        "8c99cdd53808f9f6f25c3b377dc96482760b2ce4948be24277b671971c22219f",
-        "a33c19641b00ab707e7d05384a7bbfb24d6fc7c015738add00c72cc782ae7d14",
-        "5f099480f75361d4ac45ecbb3e4906d62d6467949fa8cd0a772d09f32676efa7",
-        "fd67b06901a4fb292319656a61e25451d51fe865e273b59cb71e71493646fa1a",
-        "7ccbf62e37d8a4f074ad73a6e669f6fb9ecad6935a5d3c671a503449e3d7ba18",
-        "1523cef81adf0164cb38bd8ff9b3bde90afc359339a24da580ef67eadb608c7d",
-        "ca760fbb568e4bc714cf6664b60b1fe5b51ebc50ec40d4c846739e4e29788ed1",
-        "26bb49a6c23ba9a212c76c59ccf5f5f5d2bfa2b89694f50def3b48a0d618b610",
-        "a5ef69b611513c9428647af413c9c90fa27d655d58cadc44475c82d61ed159d9",
+        "e802b9d00734f237e8f5edb8594c247ded6314804b46592b41be41c2bb270209",
+        "eaf506db43adbcd2dcc0217992b8475946ed8a9ac9c7b472d5a764c10dfac568",
+        "a0ab3edac67891a03767b7aa075ac1dc29bc946db84abae6332b19aaf50c99ae",
+        "e9b5c08e4906ad8b06b2cd7c6395efdcdb9f7d7c60ad25ade649222c5f82382f",
+        "64d56d71b7ed8f3c629fdfef364ed0721866421ae657ffdb5dc276171d3dc3ce",
+        "748a30bcd0792a489a555bdb5359c03939f577c1aa0ad2a4de9af2779fac3e1b",
+        "78838992f90dfc39b1d8e2f457e80c38acb486b754269a43a9f91eb87fcdb786",
+        "ba2ea6a2287340e96bfce4a1964f0e8ae92823847dbc193ae1fe77c9bbde3fae",
+        "d439ea043c076f45d465dda8b1f1e8510a079a25b0cba9996da7b5e956b26089",
+        "4c2dd103cb5419d2c49236d7238f9a667255d1c4a727040d36f176184aadad8e",
+        "07ab849a96d445238cdd79c78dfebfd898751af88d2b3f1cc228305553d33215",
+        "d08c184d4f5b923b616c82bb0380f092dc4eec4287796ec491057a813c02e75d",
+        "8ff871ada0fe48f70d2ba1e7ecf2690dd6cad46af7456587712c088e17cd3708",
+        "7fcd3f37fb6ca28efa572d69fe8ca37795a808440d7e89e819d4a09424165b4b",
     )),
     # Below mu = 1.1e-16, 1 + mu rounds to 1: the square identity does not
-    # apply, and the run exhausts its budget.
+    # apply, and the run exhausts its budget.  At delta = 0 no box near
+    # (1, 1) closes, as r2's zero curve enters it inside the Taylor wedge
+    # of the form there: the run has no corner box.
     (["certify", "--target", "key-system", "--mu", "1e-17", "--box-budget", "2000",
       "--include-proven"],
-     "c4aa218293f50ddc3a13d9f2a785db2394d8b3b608da9965850c21ee6323c9c2"),
+     "a08ae76885a7e93a06704564480f0dc830dad347cf1d36efe13f45b3f20871a3"),
+    (["certify", "--target", "key-system", "--mu", "1e-20", "--delta", "0",
+      "--box-budget", "3000", "--include-proven"],
+     "aab954e8917309b09468c388f45a752eeadfad612cd3aa149425e5c00d99f3c9"),
 ])
 def test_certificate_bytes_are_pinned(argv, digest, tmp_path):
     assert _body_digest(argv, tmp_path) == digest
@@ -505,26 +498,14 @@ def _body_digest(argv, tmp_path):
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-# The branch-and-bound of the two targets that `certify` proves by their
-# identities, through the CLI as it ran them before: the digests are
-# those their reports had then.
+# The branch-and-bound of altitude-reduced, which `certify` proves by its
+# identity, through the CLI as it ran it before: the digests are those its
+# reports had then, less the vertex form key that has since gone.
 @pytest.mark.parametrize("argv, digest", [
-    *zip((["certify", "--target", target, "--include-proven", *setting]
-          for target in ("key-system", "altitude-reduced") for setting in _SUITE_SETTINGS), (
-        "64d1805194f0066bc5e73f7fa5e45423fa9d238678df0dd0d4a35e3d1f581ca1",
-        "c9646f4152638c68706b74a19a444a392b551c2769ce6f26d2d5513d04eebff1",
-        "69e8fd4ca32a56eb51d1969675e32b68b95a5bf9e6470b6ec6b0462d9d3088ad",
-        "77ba91f9c2c54c32621e275cb6c80c50ab685b6d23e4bb4843d6b24782759b64",
-        "e26cb158852893e47cecf110bc82378f4f6b5c2fbd31e0da9d643b6930682f9f",
-        "b7a0931a85ff8e81cacae6fb73cc88a7173325d2904bc93a8ea43df1c6a4915f",
-    )),
-    *zip((["certify", "--target", target, "--delta", "0", "--include-proven", "--mu", mu]
-          for mu in ("1e-6", "1e-12") for target in ("key-system", "altitude-reduced")), (
-        "91d4d07bbaf74068b92eb335d321030d5ff29e53558b765340a64fd104cf80f9",
-        "95bef387d5b76a242b6cccdddc388161a67be15f723a3de25bfd5f636b4ae275",
-        "3d868705529aa5c24f42331a759d3e390f8c8a545920ec16082810baf1bf7b36",
-        "842beef519a02b31a576078413d4b14869aae61b603c9049d5c9ee49b8588258",
-    )),
+    *zip((["certify", "--target", "altitude-reduced", "--include-proven", *setting]
+          for setting in _SUITE_SETTINGS), ("bc06a62bd5c200e8ba851705c1bcf2aba0a8210cc68fa48bdcf125e9cc4878fb", "4ab26dc037d2a6d2db8530eb7a12b38f3b50f4afe1e480f9c108fbdb05066a4b", "ed96794834245cc7c5af08328d97772a160e2c2215bbc824b55a7098598e87ec")),
+    *zip((["certify", "--target", "altitude-reduced", "--delta", "0", "--include-proven",
+           "--mu", mu] for mu in ("1e-6", "1e-12")), ("3dc6b9435669f41e20502bee759dd7d7d9a8ab89097b9c14d072225e10334a5c", "d5485f7d592bb641c111bfb5f9d9ead37c2224894f3c80553f8c45c1e9a55f8b")),
 ])
 def test_branch_and_bound_bytes_are_pinned(argv, digest, tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "certify", certifier._branch_and_bound)

@@ -1,8 +1,7 @@
 """Rigorous certification of the normalized inequalities.
 
-A target whose identity (see `Identity`) applies at the run's mu is
-certified by that identity, with no box; every other run by branch and
-bound.
+A target with an identity (see `Identity`) is certified by that identity,
+with no box, at every mu; every other target by branch and bound.
 
 The working domain is W(mu, delta) = {mu <= x <= y <= 1, x + y >= 1 + mu}
 minus the equality corner [1-delta, 1]^2 (inside the simplex x <= y the
@@ -311,24 +310,28 @@ def _parts_altitude_reduced(ops, x, y):
 def key_system_identity_floors(mu: float) -> dict:
     """Domain floors of the Heron factors of the triangle (x, y, 1) on W(mu).
 
-    For valid triangles, (X*2m_Z + Z*2m_X)^2 - (2Y*2m_Y)^2 reduces, after
-    the second squaring, to the identity
+    (X*2m_Z + Z*2m_X)^2 - (2Y*2m_Y)^2 = 2*sqrt(T1*T2) - P, with
+    T1 = (X*2m_Z)^2, T2 = (Z*2m_X)^2, P = 4*(Y*2m_Y)^2 - T1 - T2, and
+    squaring once more gives the identity
 
-        4*T1*T2 - P^2 = 4*(X^2 + Z^2 - 2Y^2)^2 * (16*area^2),
+        4*T1*T2 - P^2 = 4*(X^2 + Z^2 - 2Y^2)^2 * (16*area^2).
 
-    with T1 = (X*2m_Z)^2, T2 = (Z*2m_X)^2, P = 4*(Y*2m_Y)^2 - T1 - T2.
-    Its right side is a square times Heron's 16*area^2, so the residual
-    X*m_Z + Z*m_X - 2Y*m_Y is nonnegative wherever the triangle is valid,
-    with equality exactly on X^2 + Z^2 = 2Y^2.  Key-system's r1, r2 and r3
-    are twice this residual with (X, Y, Z) = (b, a, c), (a, b, c) and
+    Its right side is a square times Heron's 16*area^2, which is >= 0
+    wherever every Heron factor is, degenerate triangles included, so the
+    residual X*m_Z + Z*m_X - 2Y*m_Y is >= 0 there; where the area is
+    positive it is 0 exactly on X^2 + Z^2 = 2Y^2.  Key-system's r1, r2 and
+    r3 are twice this residual with (X, Y, Z) = (b, a, c), (a, b, c) and
     (a, c, b).  On W(mu) = {mu <= x <= y <= 1, x + y >= 1 + mu}, r2's curve
     2y^2 = x^2 + 1 crosses the whole domain, and r1's and r3's,
-    y^2 + 1 = 2x^2 and x^2 + y^2 = 2, meet W(mu) only at (1, 1).  Every
-    Heron factor of (x, y, 1) has the constant floor below, and where all
-    four are positive the triangle is valid on all of W(mu).
+    y^2 + 1 = 2x^2 and x^2 + y^2 = 2, meet W(mu) only at (1, 1).  Where
+    1 + mu rounds to 1, W(mu) also holds the flat edge x + y = 1, whose
+    doubled medians are 2 - x, 1 + x and 1 - 2x: there r1 = 2(1 - x)(1 - 2x),
+    0 at (1/2, 1/2), r2 = 0, and r3 = 2x(1 + x) > 0.  Every Heron factor
+    of (x, y, 1) has the constant floor below, exact (Sterbenz for
+    x + y - 1) and >= 0 at every mu.
     """
     return {
-        "x+y-1": math.nextafter((1.0 + mu) - 1.0, -_INF),
+        "x+y-1": (1.0 + mu) - 1.0,
         "1+x-y": mu,
         "1+y-x": 1.0,
         "1+x+y": 2.0,
@@ -341,14 +344,16 @@ _EQUALITY_POINT = "(1,1)"
 
 @dataclass(frozen=True)
 class Identity:
-    """An exact identity that proves a target's parts on W(mu).
+    """An exact identity that proves a target's parts on W(mu), at every mu.
 
-    `parts` holds one entry (name, zeros) per part of the target, which
-    it proves: `zeros` is `_EQUALITY_POINT` for a part proven > 0 on W(mu)
-    except at (1, 1), or the curve on which a part proven >= 0 is 0.
-    `floors(mu)` gives a positive constant lower bound, over W(mu), of each
-    quantity the identity needs positive; it applies at mu where every
-    floor is > 0.
+    `parts` holds one entry (name, zeros, edge_zeros) per part of the
+    target, which it proves: `zeros` is `_EQUALITY_POINT` for a part proven
+    > 0 on W(mu) except at (1, 1), or the curve on which a part proven >= 0
+    is 0; `edge_zeros` is where else the part is 0 on the flat edge
+    x + y = 1, or None.  The edge lies in W(mu) exactly where 1 + mu rounds
+    to 1, and only there does the report add `edge_zeros` to the part's
+    zero set.  `floors(mu)` gives a constant lower bound, >= 0 over W(mu),
+    of each quantity the identity needs nonnegative.
     """
 
     name: str
@@ -356,22 +361,23 @@ class Identity:
     parts: tuple
     floors: Callable
 
-    def applies(self, mu: float) -> bool:
-        return all(f > 0.0 for f in self.floors(mu).values())
-
     def to_report_dict(self, mu: float) -> dict:
-        def claim(name, zeros):
+        flat = 1.0 + mu == 1.0
+
+        def part(name, zeros, edge_zeros):
+            zero_set = zeros if not flat or edge_zeros is None else f"{zeros} or {edge_zeros}"
             if zeros == _EQUALITY_POINT:
-                return f"{name} > 0 on W(mu) except at (1,1), where it is 0"
-            return f"{name} >= 0 on W(mu), and 0 exactly on {zeros}"
+                claim = f"{name} > 0 on W(mu) except at {zero_set}, where it is 0"
+            else:
+                claim = f"{name} >= 0 on W(mu), and 0 exactly on {zero_set}"
+            return {"part": name, "claim": claim, "zero_set": zero_set}
 
         return {
             "kind": "identity",
             "name": self.name,
             "identity": self.statement,
             "floors": self.floors(mu),
-            "parts": [{"part": name, "claim": claim(name, zeros), "zero_set": zeros}
-                      for name, zeros in self.parts],
+            "parts": [part(*entry) for entry in self.parts],
         }
 
 
@@ -383,7 +389,7 @@ class TargetSpec:
     the name of each vertex of `_VERTICES` where a part is 0 to one entry
     per part, from that vertex's vocabulary (see its docstring).
     `identity` is an `Identity` that proves every part of the target, or
-    None; where it applies, :func:`certify` needs no branch-and-bound.
+    None; with one, :func:`certify` needs no branch-and-bound.
     `corner_factors` marks the target whose isosceles second factors
     :func:`corner_argument_check` certifies at delta > 0.
     """
@@ -427,7 +433,8 @@ TARGETS = {
             "so X*m_Z + Z*m_X - 2*Y*m_Y >= 0, and = 0 exactly on "
             "X^2 + Z^2 = 2*Y^2, wherever the Heron factors are positive; r1, r2 "
             "and r3 are twice it with (X, Y, Z) = (b, a, c), (a, b, c) and (a, c, b)",
-            (("r1", _EQUALITY_POINT), ("r2", "2*y^2 = x^2 + 1"), ("r3", _EQUALITY_POINT)),
+            (("r1", _EQUALITY_POINT, "(1/2,1/2)"), ("r2", "2*y^2 = x^2 + 1", "x + y = 1"),
+             ("r3", _EQUALITY_POINT, None)),
             key_system_identity_floors)),
     # (1, 1): F = 3 - 3 = 0 and F_x = y + 1/y - y/x^2 - 1 = 0.  It grows
     # like 1/x at (0, 1).  x*y*F is a sum of squares, 0 only where
@@ -438,7 +445,7 @@ TARGETS = {
             "sum of squares",
             "x*y*F = ((x*y - x)^2 + (x*y - y)^2 + (x - y)^2) / 2, so F > 0 where "
             "x > 0 and y > 0, except at x = y = 1",
-            (("F", _EQUALITY_POINT),),
+            (("F", _EQUALITY_POINT, None),),
             lambda mu: {"x": mu, "y": 0.5})),
     # (1, 1): F = ra - rc = 0, but F_x = (-1 - 2)/sqrt(3) + rb/2 and
     # F_y = (2 - 2)/sqrt(3) + ra/2 - rb are both -sqrt(3)/2.
@@ -835,7 +842,6 @@ def _corner_note(spec: TargetSpec, delta: float) -> str:
 def _excluded_description(task: CertificationTask, by_identity: bool = False) -> dict:
     """What a certificate leaves out of W(mu, delta) and why.  A proof by
     identity covers all of W(mu), the corner square included."""
-    spec = TARGETS[task.target]
     doc = {
         "degeneracy_buffer": {
             "mu": task.mu,
@@ -849,18 +855,8 @@ def _excluded_description(task: CertificationTask, by_identity: bool = False) ->
         "delta": task.delta,
         "x": [1.0 - task.delta, 1.0],
         "y": [1.0 - task.delta, 1.0],
-        "note": _corner_note(spec, task.delta),
+        "note": _corner_note(TARGETS[task.target], task.delta),
     }
-    # key-system's r2, which the square identity proves >= 0 with a zero
-    # curve where it applies, and which `certify` otherwise bounds here
-    if task.target is Target.KEY_SYSTEM:
-        doc["second_residual"] = {
-            "equality_locus": "2*b^2 = a^2 + c^2",
-            "certification": "bounded by the branch-and-bound: a heron_floor is not "
-                             "positive, so the square identity does not apply; "
-                             "proven boxes certify r1 > 0, r2 > 0, r3 > 0",
-            "heron_floors": key_system_identity_floors(task.mu),
-        }
     return doc
 
 
@@ -951,14 +947,14 @@ def _look_ahead(boxes, depth: int, room: int, task: CertificationTask) -> list:
 def certify(task: CertificationTask) -> Certificate:
     """Certification of one target over W(mu, delta).
 
-    Where the target's identity applies at task.mu, the certificate is the
-    identity's, with no box: it covers all of W(mu), the corner square
-    included, so delta and the box limits do not enter.  Otherwise it is
+    A target with an identity gets the identity's certificate, with no box:
+    it covers all of W(mu), the corner square included, so delta and the
+    box limits do not enter.  Every other target gets
     :func:`_branch_and_bound`'s.
     """
     start = time.perf_counter()
     identity = TARGETS[task.target].identity
-    if identity is None or not identity.applies(task.mu):
+    if identity is None:
         return _branch_and_bound(task)
     none = np.empty((4, 0))
     stats = CertificateStats(wall_time_s=time.perf_counter() - start)

@@ -72,6 +72,17 @@ class Poly:
     def __eq__(self, other):
         return self.terms == Poly.of(other).terms
 
+    def substitute(self, values: dict) -> "Poly":
+        """This polynomial with each variable that `values` names replaced
+        by its value there, a Poly or a number."""
+        out = Poly()
+        for m, c in self.terms.items():
+            term = Poly({(): c})
+            for name, k in m:
+                term = term * Poly.of(values.get(name, Poly.var(name))) ** k
+            out = out + term
+        return out
+
     def __repr__(self):
         return " + ".join(f"{c}*{m}" for m, c in sorted(self.terms.items())) or "0"
 

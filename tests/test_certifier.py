@@ -1,11 +1,10 @@
 """Tests of the certifier.
 
-`certify` proves key-system (where its square identity applies) and
-altitude-reduced by their identities, with no box, and every other run by
-`_branch_and_bound`.  Tests of the branch-and-bound call it directly, so
-that it still meets altitude-reduced.  They meet key-system as `certify`
-runs it, where 1 + mu rounds to 1 and the identity does not apply
-(`KEY_FALLBACK`).
+`certify` proves key-system and altitude-reduced by their identities, with
+no box, at every mu, and every other target by `_branch_and_bound`.  Tests
+of the branch-and-bound call it directly, so that it still meets both.
+Key-system is its stress case: r2 is 0 on a curve across W, where no box
+closes, so those runs need a budget (`KEY_FALLBACK`).
 """
 
 import dataclasses
@@ -50,9 +49,9 @@ from conftest import natural_enclosure, sample_domain_boxes
 
 F_06_08 = 0.1593005229059099113924
 
-# Key-system where `certify` runs its branch-and-bound: 1 + mu rounds to 1,
-# so the square identity does not apply.  Its r2 is 0 on the curve
-# 2y^2 = x^2 + 1 across W, where no box closes, so the run needs a budget.
+# Key-system's branch-and-bound, the tests' stress case, at a mu where
+# 1 + mu rounds to 1.  Its r2 is 0 on the curve 2y^2 = x^2 + 1 across W and
+# on the flat edge x + y = 1, where no box closes, so the run needs a budget.
 KEY_FALLBACK = {"mu": 1e-17, "box_budget": 3000}
 # The targets whose branch-and-bound closes, every one but key-system.
 CLOSING = [t for t in Target if t is not Target.KEY_SYSTEM]
@@ -197,13 +196,14 @@ class TestCertify:
         assert (yhi <= 1.0).all()
         assert (xhi + yhi >= 1.0 + task.mu).all()
 
-    # at mu = 1e-20, 1 + mu rounds to 1 and key-system's second residual,
-    # 0 on a whole curve, goes to the bisection: 3,900 boxes stay undecided
+    # key-system's branch-and-bound at mu = 1e-20, where 1 + mu rounds to 1:
+    # its second residual, 0 on a whole curve and on the flat edge, leaves
+    # 3,900 boxes undecided
     STUCK = CertificationTask(target=Target.KEY_SYSTEM, mu=1e-20, delta=1e-8,
                               min_box_width=1e-15, max_depth=200, box_budget=8_000)
 
     def test_proven_boxes_sorted_and_disjoint_from_undecided(self):
-        cert = certify(self.STUCK)
+        cert = _branch_and_bound(self.STUCK)
         assert cert.undecided_count > 0
         # both sets are sorted by xlo, then ylo, then xhi, then yhi
         for boxes in (cert.proven, cert.undecided):
@@ -219,7 +219,7 @@ class TestCertify:
             assert not overlap.any()
 
     def test_report_lists_the_first_undecided_boxes(self):
-        cert = certify(self.STUCK)
+        cert = _branch_and_bound(self.STUCK)
         assert cert.undecided_count > 1000
         doc = cert.to_report_dict()
         assert len(doc["undecided"]) == 1000
@@ -295,14 +295,14 @@ class TestCertify:
                                                    abs(nearest[1] - v.y))
 
     def test_undecided_hull_at_the_flat_edge(self):
-        # At mu = 1e-20, 1 + mu rounds to 1: the square identity has no
-        # positive floor, and key-system's r2, 0 on 2y^2 = x^2 + 1, has no
-        # proof.  Most undecided boxes sit at the flat edge x + y = 1, the
-        # rest along that curve up to (1, 1), so the hull holds (1, 1) and
-        # reaches x = mu.
+        # Key-system's branch-and-bound at mu = 1e-20, where 1 + mu rounds
+        # to 1, so W holds the flat edge x + y = 1: r2 is 0 on that edge and
+        # on 2y^2 = x^2 + 1, and no box there closes.  Most undecided boxes
+        # sit at the edge, the rest along the curve up to (1, 1), so the
+        # hull holds (1, 1) and reaches x = mu.
         task = CertificationTask(target=Target.KEY_SYSTEM, mu=1e-20, delta=0.0,
                                  box_budget=300_000)
-        cert = certify(task)
+        cert = _branch_and_bound(task)
         assert cert.stats.budget_exhausted
         assert cert.undecided_count == 137_510
         xlo, xhi, ylo, yhi = cert.undecided
@@ -313,34 +313,20 @@ class TestCertify:
         assert hull["box"] == [task.mu, 1.0, 0.5, 1.0]
         assert hull["distance"] == {"vertex_1_1": 0.0, "vertex_0_1": task.mu}
 
-    @pytest.mark.parametrize("mu, identity", [(1e-6, True), (1e-12, True), (1e-17, False)])
-    def test_key_system_report_names_the_route_it_used(self, mu, identity, rng):
-        # At mu = 1e-17, 1 + mu rounds to 1: the floor of x + y - 1 is not
-        # positive, so r2 is bounded by the branch-and-bound with r1 and r3,
-        # and the report must not credit the square identity.  Where it
-        # applies, `certify` proves all three parts by it, with no box.
+    @pytest.mark.parametrize("mu", [1e-6, 1e-12, 1e-17])
+    def test_key_system_report_names_the_route_it_used(self, mu):
+        # The square identity proves all three parts with no box at every
+        # mu, 1e-17 included, where 1 + mu rounds to 1 and W holds the flat
+        # edge: the report credits it and excludes only the degeneracy buffer.
         task = CertificationTask(target=Target.KEY_SYSTEM, mu=mu, box_budget=2000)
         cert = certify(task)
         doc = cert.to_report_dict()
-        assert (cert.identity is not None) is identity
-        assert ("proof" in doc) is identity
-        assert (min(key_system_identity_floors(mu).values()) > 0.0) is identity
-        assert ("second_residual" in doc["excluded"]) is not identity
-        if identity:
-            return
-        residual = doc["excluded"]["second_residual"]
-        assert residual["equality_locus"] == "2*b^2 = a^2 + c^2"
-        assert residual["heron_floors"] == key_system_identity_floors(mu)
-        how = residual["certification"]
-        assert how.startswith("bounded by the branch-and-bound")
-        assert how.endswith("proven boxes certify r1 > 0, r2 > 0, r3 > 0")
-        # and so they do, r2 included, at 50 digits
-        assert cert.proven_count > 0
-        for i in rng.permutation(cert.proven_count)[:20]:
-            xlo, xhi, ylo, yhi = cert.proven[:, i]
-            for x, y in zip(rng.uniform(xlo, xhi, 20), rng.uniform(ylo, yhi, 20)):
-                if _in_domain(x, y, mu, task.delta):
-                    assert min(oracles.target_parts_hp("key-system", x, y)) > 0, (x, y)
+        assert cert.identity is TARGETS[Target.KEY_SYSTEM].identity
+        assert doc["proof"]["name"] == "square identity"
+        assert doc["proof"]["floors"] == key_system_identity_floors(mu)
+        assert min(key_system_identity_floors(mu).values()) >= 0.0
+        assert set(doc["excluded"]) == {"degeneracy_buffer"}
+        assert cert.stats.boxes_processed == 0
 
     def test_task_validation(self):
         with pytest.raises(ValueError):
@@ -545,9 +531,8 @@ class TestLookAhead:
     # budget runs out, so at the default gate some levels take generations
     # along and some do not.
     WIDE = (Target.KEY_SYSTEM, {"mu": 1e-20, "delta": 0.0, "box_budget": 3000})
-    # Key-system runs at mu = 1e-17, where `certify` runs its
-    # branch-and-bound; the first two settings set no limit, so there they
-    # take `KEY_FALLBACK`'s budget instead.
+    # Key-system runs at mu = 1e-17, as `KEY_FALLBACK`; the first two
+    # settings set no limit, so there they take its budget instead.
     RUNS = ([(t, kw) for kw in SETTINGS for t in CLOSING]
             + [(Target.KEY_SYSTEM, {**KEY_FALLBACK, **kw}) for kw in SETTINGS[:2]]
             + [(Target.KEY_SYSTEM, {"mu": 1e-17, **kw}) for kw in SETTINGS[2:]] + [WIDE])
@@ -613,11 +598,11 @@ class TestLookAhead:
 
 
 class TestKeyFallback:
-    """Key-system where `certify` runs its branch-and-bound (1 + mu rounds
-    to 1) decides the same boxes, level by level, as when the
-    branch-and-bound still carried key-system's (0, 1) and (1/2, 1/2)
-    forms: those forms proved no box there, so retiring them changed no
-    decision.  The digests were taken with those forms in place."""
+    """Key-system's branch-and-bound where 1 + mu rounds to 1 decides the
+    same boxes, level by level, as when the branch-and-bound still carried
+    key-system's (0, 1) and (1/2, 1/2) forms: those forms proved no box
+    there, so retiring them changed no decision.  The digests were taken
+    with those forms in place."""
 
     PINNED = {
         (1e-17, 0.0): "6a47ed4eae54423f58f252a8c805244b77cb849db262cd4eaba8c1f66839aea2",
@@ -633,8 +618,8 @@ class TestKeyFallback:
 
     @pytest.mark.parametrize("mu, delta", list(PINNED), ids=[f"mu={m}-delta={d}" for m, d in PINNED])
     def test_decides_as_pinned(self, mu, delta):
-        cert = certify(CertificationTask(Target.KEY_SYSTEM, mu, delta, box_budget=40000))
-        assert cert.identity is None
+        cert = _branch_and_bound(CertificationTask(Target.KEY_SYSTEM, mu, delta,
+                                                   box_budget=40000))
         assert cert.stats.budget_exhausted and cert.undecided_count > 0
         assert cert.stats.proven_by == {"bound": cert.proven_count, "vertex_1_1": 0,
                                         "vertex_0_1": 0}
@@ -961,7 +946,7 @@ class TestTargetRegistry:
                                        "vertex_half_half": ("split", None, "natural")}}),
         (Target.KEY_SYSTEM, {"identity": dataclasses.replace(
             TARGETS[Target.KEY_SYSTEM].identity,
-            parts=TARGETS[Target.KEY_SYSTEM].identity.parts + (("r4", _EQUALITY_POINT),))}),
+            parts=TARGETS[Target.KEY_SYSTEM].identity.parts + (("r4", _EQUALITY_POINT, None),))}),
         (Target.KEY_SYSTEM, {"identity": None}),
         (Target.QUADRATIC_MEDIAN, {"corner_factors": True}),
         (Target.MAIN_MEDIAN, {"corner_factors": False}),
@@ -1294,8 +1279,6 @@ class TestReadmeTable:
             name, proof, *cells, corner_width = (c.strip() for c in line.strip("|").split("|"))
             widths = set()
             for mu, cell in zip(mus, cells, strict=True):
-                if cell.startswith("does not close"):
-                    continue
                 cert = certify(CertificationTask(target=Target(name), mu=mu, delta=0.0))
                 stats = cert.stats
                 if cell == "identity":
@@ -1311,7 +1294,7 @@ class TestReadmeTable:
                 checked += 1
             # one corner box width over the row's branch-and-bound cells, or none
             assert [corner_width] == (sorted(widths) or ["none"]), name
-        assert checked == 20
+        assert checked == 21
 
 
 def _bits(a):

@@ -379,8 +379,8 @@ class TestCertify:
         assert err.startswith("error: ")
         assert "Traceback" not in err
 
-    # Every target: those with an identity take its proof where it applies
-    # and the branch-and-bound elsewhere, as key-system does at mu = 5e-324.
+    # Every target: those with an identity take its proof at every mu,
+    # 5e-324 included, and the others the branch-and-bound.
     @pytest.mark.parametrize("target", [t.value for t in certifier.Target])
     @given(mu=st.one_of(st.floats(), st.floats(0.0, 0.5)),
            delta=st.one_of(st.floats(), st.floats(0.0, 0.5)),
@@ -407,17 +407,22 @@ _SUITE_SETTINGS = ((), ("--mu", "1e-12", "--delta", "1e-6"),
                    ("--mu", "1e-12", "--delta", "1e-7"))
 
 
+def _by_argv(cases):
+    """Pinned cases, each named by its argv, the case's first item, and not
+    by its digest, so that re-pinning a digest renames no test."""
+    return [pytest.param(*case, id=" ".join(case[0])) for case in cases]
+
+
 # sha256 of canonical_json(strip_wall_time(body)), the report without its
 # manifest (which carries TOOL_VERSION), for certify-suite's 15 argv,
 # certify-corner's argv at a budget of 3,000 boxes, the bisector targets at
 # the suite's settings, every target at delta = 0, and key-system where
-# its square identity does not apply.  The bodies hold every proven box,
-# and the suite's bodies the corner check and the corner sampling, so any
-# change to a bound, a box or a corner factor shows.  Key-system and
-# altitude-reduced are proven by their identities at every mu here but
-# 1e-17 and 1e-20, with no box; `test_branch_and_bound_bytes_are_pinned`
-# pins altitude-reduced's branch-and-bound.
-@pytest.mark.parametrize("argv, digest", [
+# 1 + mu rounds to 1.  The bodies hold every proven box, and the suite's
+# bodies the corner check and the corner sampling, so any change to a
+# bound, a box or a corner factor shows.  Key-system and altitude-reduced
+# are proven by their identities at every mu, with no box;
+# `test_branch_and_bound_bytes_are_pinned` pins their branch-and-bound.
+@pytest.mark.parametrize("argv, digest", _by_argv([
     *zip((["certify", "--target", target, "--include-proven", *setting]
           for target in ("main-median", "quadratic-median", "key-system",
                          "altitude-reduced", "scalene-lemma")
@@ -428,9 +433,9 @@ _SUITE_SETTINGS = ((), ("--mu", "1e-12", "--delta", "1e-6"),
         "874db19c1d646f64dcc9407f7266aeaa3999f52be017bd27ac1fe52a0a13c39f",
         "9b4d86250e5ee0e4874315c273367e06c863fce9ba867685b5b94ec3df164aee",
         "36c8505798237db570223fe2590de3b9593b06504b22458fc9557186c991045f",
-        "ea6bbb36e53980c775fc650fe1c86e8759efc84deee7941d9e7fc071e386001d",
-        "7bf54379664a85cab03668f286556468d5774ef6e970265f15b04fc213e1e537",
-        "f7f9e4f51a8cbd8ef5a4e03b3640ca1b04086b1488dd0072572229f5630d04c2",
+        "5389e30012190a3eb2dbfbe16358203758ae1f3b680ab8724df68a7339da4b2d",
+        "bafde39dcb8e3a4795e03a3f5002894960897ea3625bdf5b1d1937dc4703877f",
+        "303831633f11196f6794541328b7e81596ad007f46cf543aa1c87d5e4a7172c8",
         "1127a00c80d8df325ef13095fc2b74f4de5b003a83eed6e825f43a6202eea09f",
         "4c6bf1a25476545515f9ad9c31abf47c2eb79b6cb314aa6ab02ce354276102c3",
         "c784b56541fc54dfb95479c02a6150db303929250f0b7663bdb878486fc36202",
@@ -461,30 +466,28 @@ _SUITE_SETTINGS = ((), ("--mu", "1e-12", "--delta", "1e-6"),
                          "quadratic-bisector")), (
         "e802b9d00734f237e8f5edb8594c247ded6314804b46592b41be41c2bb270209",
         "eaf506db43adbcd2dcc0217992b8475946ed8a9ac9c7b472d5a764c10dfac568",
-        "a0ab3edac67891a03767b7aa075ac1dc29bc946db84abae6332b19aaf50c99ae",
+        "f57c2cf598918b575ca76183e7f801906e85302159ce33faef7b253e02c6d5e8",
         "e9b5c08e4906ad8b06b2cd7c6395efdcdb9f7d7c60ad25ade649222c5f82382f",
         "64d56d71b7ed8f3c629fdfef364ed0721866421ae657ffdb5dc276171d3dc3ce",
         "748a30bcd0792a489a555bdb5359c03939f577c1aa0ad2a4de9af2779fac3e1b",
         "78838992f90dfc39b1d8e2f457e80c38acb486b754269a43a9f91eb87fcdb786",
         "ba2ea6a2287340e96bfce4a1964f0e8ae92823847dbc193ae1fe77c9bbde3fae",
         "d439ea043c076f45d465dda8b1f1e8510a079a25b0cba9996da7b5e956b26089",
-        "4c2dd103cb5419d2c49236d7238f9a667255d1c4a727040d36f176184aadad8e",
+        "8378fc4b1a0e5d4616811f4cdaf462bca50e9cf31494206a6c53f01cb4a47261",
         "07ab849a96d445238cdd79c78dfebfd898751af88d2b3f1cc228305553d33215",
         "d08c184d4f5b923b616c82bb0380f092dc4eec4287796ec491057a813c02e75d",
         "8ff871ada0fe48f70d2ba1e7ecf2690dd6cad46af7456587712c088e17cd3708",
         "7fcd3f37fb6ca28efa572d69fe8ca37795a808440d7e89e819d4a09424165b4b",
     )),
-    # Below mu = 1.1e-16, 1 + mu rounds to 1: the square identity does not
-    # apply, and the run exhausts its budget.  At delta = 0 no box near
-    # (1, 1) closes, as r2's zero curve enters it inside the Taylor wedge
-    # of the form there: the run has no corner box.
+    # Below mu = 1.1e-16, 1 + mu rounds to 1: W holds the flat edge
+    # x + y = 1, and the proof lists where r1 and r2 are 0 on it.
     (["certify", "--target", "key-system", "--mu", "1e-17", "--box-budget", "2000",
       "--include-proven"],
-     "a08ae76885a7e93a06704564480f0dc830dad347cf1d36efe13f45b3f20871a3"),
+     "df9e01c43e29ba4c07c5132cbe7f2abbd375e800cc1a1c3831abec4fc062b537"),
     (["certify", "--target", "key-system", "--mu", "1e-20", "--delta", "0",
       "--box-budget", "3000", "--include-proven"],
-     "aab954e8917309b09468c388f45a752eeadfad612cd3aa149425e5c00d99f3c9"),
-])
+     "fc45cc5978bf2319f1e97271d3d09b2a4e333138043e384ef9e659bcc0f63fb3"),
+]))
 def test_certificate_bytes_are_pinned(argv, digest, tmp_path):
     assert _body_digest(argv, tmp_path) == digest
 
@@ -498,15 +501,25 @@ def _body_digest(argv, tmp_path):
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-# The branch-and-bound of altitude-reduced, which `certify` proves by its
-# identity, through the CLI as it ran it before: the digests are those its
-# reports had then, less the vertex form key that has since gone.
-@pytest.mark.parametrize("argv, digest", [
+# The branch-and-bound of altitude-reduced and key-system, which `certify`
+# proves by their identities, through the CLI as it ran them before: the
+# digests are those their reports had then, less the vertex form key and
+# key-system's `excluded.second_residual`, which have since gone.  Below
+# mu = 1.1e-16 key-system's run exhausts its budget, and at delta = 0 no
+# box near (1, 1) closes, as r2's zero curve enters it inside the Taylor
+# wedge of the form there: the run has no corner box.
+@pytest.mark.parametrize("argv, digest", _by_argv([
     *zip((["certify", "--target", "altitude-reduced", "--include-proven", *setting]
           for setting in _SUITE_SETTINGS), ("bc06a62bd5c200e8ba851705c1bcf2aba0a8210cc68fa48bdcf125e9cc4878fb", "4ab26dc037d2a6d2db8530eb7a12b38f3b50f4afe1e480f9c108fbdb05066a4b", "ed96794834245cc7c5af08328d97772a160e2c2215bbc824b55a7098598e87ec")),
     *zip((["certify", "--target", "altitude-reduced", "--delta", "0", "--include-proven",
            "--mu", mu] for mu in ("1e-6", "1e-12")), ("3dc6b9435669f41e20502bee759dd7d7d9a8ab89097b9c14d072225e10334a5c", "d5485f7d592bb641c111bfb5f9d9ead37c2224894f3c80553f8c45c1e9a55f8b")),
-])
+    (["certify", "--target", "key-system", "--mu", "1e-17", "--box-budget", "2000",
+      "--include-proven"],
+     "259d66578b70f5e70e77dc2b49ed442c2623e7d238cccc14ef9ba8ec5f38948a"),
+    (["certify", "--target", "key-system", "--mu", "1e-20", "--delta", "0",
+      "--box-budget", "3000", "--include-proven"],
+     "d11fa1fd7394a7cf822ca24c6ea31d9513092fb50ad5107a1835732652803c06"),
+]))
 def test_branch_and_bound_bytes_are_pinned(argv, digest, tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "certify", certifier._branch_and_bound)
     assert _body_digest(argv, tmp_path) == digest
@@ -516,7 +529,7 @@ def test_branch_and_bound_bytes_are_pinned(argv, digest, tmp_path, monkeypatch):
 # manifest but without the manifest's TOOL_VERSION: every family, a
 # normalized pair, a scalene median triangle (the scalene-lemma slack), a
 # failing general triangle and a triangle scaled by 1e-150.
-@pytest.mark.parametrize("argv, code, digest", [
+@pytest.mark.parametrize("argv, code, digest", _by_argv([
     (["--sides", "2,2,3", "--cevians", "median"], 0,
      "bdb4ab406b9c3c9496e61080fea382cf817821c6f68c479468e280c6350c87e3"),
     (["--sides", "3,5,7", "--cevians", "altitude"], 0,
@@ -536,7 +549,7 @@ def test_branch_and_bound_bytes_are_pinned(argv, digest, tmp_path, monkeypatch):
      "d320e0528a87ad52355c129e345d62a15d0d3c06c7c083ae3c30f712d79ed541"),
     (["--sides", "3e-150,4e-150,5e-150", "--cevians", "median"], 0,
      "adcc0660786c4c32846feb86059ecdf46a8d072a3ec654c6227e957373f8a7f8"),
-])
+]))
 def test_verify_bytes_are_pinned(argv, code, digest, tmp_path):
     out = tmp_path / "r.json"
     assert run(["verify", *argv, "-o", str(out)]) == code

@@ -3,14 +3,14 @@
 The identities are expanded exactly, as polynomials over the rationals
 (`polynomials.Poly`), on the package's own formulas; their sign claims are
 checked at 50 digits with `tests/oracles.py`; and `certify` is checked to
-return a certificate by identity exactly where the identity applies, and
-the branch-and-bound's bytes everywhere else.
+return a certificate by identity for both targets at every mu, the flat
+edge x + y = 1 included where 1 + mu rounds to 1, and the
+branch-and-bound's bytes for every other target.
 """
 
 import json
 import math
 
-import numpy as np
 import pytest
 
 from cevians import cli
@@ -158,12 +158,73 @@ class TestSignsAt50Digits:
             assert abs(r2) < mp.mpf(10) ** -45, x
 
 
-# certify's settings where the identities apply, limits that would stop a
-# branch-and-bound at once among them
+class TestFlatEdge:
+    """Where 1 + mu rounds to 1, W(mu) holds the flat edge x + y = 1,
+    x in [mu, 1/2], of degenerate triangles (x, 1 - x, 1).  Their
+    16*area^2 is 0, so the square identity still makes r1, r2 and r3 >= 0
+    there: r1 is 0 at (1/2, 1/2), r2 on the whole edge, and r3 nowhere."""
+
+    def test_key_system_on_the_edge_exactly(self):
+        # The package's formula on (x, 1 - x): its radicands are the squares
+        # of 2 - x, 1 + x and 1 - 2x, which are >= 0 for x in [0, 1/2] and
+        # so are its doubled medians there, and its residuals are
+        # 2(1 - x)(1 - 2x), 0 and 2x(1 + x).
+        ops = RootOps()
+        one, x = Poly.const(1), Poly.var("x")
+        parts = TARGETS[Target.KEY_SYSTEM].parts(ops, x, one - x)
+        medians = (2 * one - x, one + x, one - 2 * x)
+        assert list(ops.roots.values()) == [m * m for m in medians]
+        roots = dict(zip(ops.roots, medians))
+        assert [p.substitute(roots) for p in parts] == [
+            2 * (one - x) * (one - 2 * x), 0, 2 * x * (one + x)]
+
+    def test_residuals_are_nonnegative_on_the_edge_and_next_to_it(self):
+        # 200 binary64 points x in (0, 1/2]: on the edge, 1 - x, the
+        # radicands and their roots are exact at 50 digits, and so are the
+        # residuals; 1e-30 inside it the triangles are valid
+        inside = mp.mpf(10) ** -30
+        for k in range(1, 201):
+            x = mp.mpf(k / 400)
+            edge = oracles.target_parts_hp("key-system", x, 1 - x)
+            assert edge == (2 * (1 - x) * (1 - 2 * x), 0, 2 * x * (1 + x)), k
+            assert min(edge) >= 0, k
+            assert min(oracles.target_parts_hp("key-system", x, 1 - x + inside)) > 0, k
+
+    @pytest.mark.parametrize("mu, flat", [
+        (1e-17, True), (2.0 ** -53, True), (1.1e-16, True), (1e-20, True),
+        (math.nextafter(2.0 ** -53, 1.0), False)])
+    def test_certificate_names_the_edge_zeros_where_the_edge_is_in_w(self, mu, flat):
+        assert (1.0 + mu == 1.0) is flat
+        cert = certify(CertificationTask(target=Target.KEY_SYSTEM, mu=mu))
+        proof = cert.to_report_dict()["proof"]
+        parts = {p["part"]: p for p in proof["parts"]}
+        if flat:
+            assert proof["floors"]["x+y-1"] == 0.0
+            assert parts["r1"]["zero_set"] == "(1,1) or (1/2,1/2)"
+            assert parts["r1"]["claim"] == ("r1 > 0 on W(mu) except at (1,1) or (1/2,1/2), "
+                                            "where it is 0")
+            assert parts["r2"]["zero_set"] == "2*y^2 = x^2 + 1 or x + y = 1"
+            assert parts["r2"]["claim"] == ("r2 >= 0 on W(mu), and 0 exactly on "
+                                            "2*y^2 = x^2 + 1 or x + y = 1")
+        else:
+            assert proof["floors"]["x+y-1"] == 2.0 ** -52
+            assert parts["r1"]["zero_set"] == _EQUALITY_POINT
+            assert parts["r2"]["zero_set"] == "2*y^2 = x^2 + 1"
+        assert parts["r3"]["zero_set"] == _EQUALITY_POINT
+        altitude = certify(CertificationTask(target=Target.ALTITUDE_REDUCED, mu=mu))
+        (f,) = altitude.to_report_dict()["proof"]["parts"]
+        assert f["zero_set"] == _EQUALITY_POINT
+
+
+# certify's settings for the identities, at mu where 1 + mu > 1 and where
+# it rounds to 1, limits that would stop a branch-and-bound at once among
+# them
 IDENTITY_RUNS = [
     *(dict(mu=mu, delta=delta)
-      for mu in (1e-6, 1e-12, 1.2e-16) for delta in (0.0, 1e-7, 1e-3, 0.4)),
+      for mu in (1e-6, 1e-12, 1.2e-16, 1.1e-16, 1e-17, 1e-20)
+      for delta in (0.0, 1e-7, 1e-3, 0.4)),
     dict(delta=0.0, max_depth=1, box_budget=1, min_box_width=0.5),
+    dict(mu=5e-324, delta=0.0),
 ]
 
 
@@ -185,36 +246,28 @@ class TestCertificatesByIdentity:
         proof = doc["proof"]
         assert proof["kind"] == "identity"
         assert proof["name"] == cert.identity.name
-        assert all(v > 0 for v in proof["floors"].values())
+        assert all(v >= 0 for v in proof["floors"].values())
         names = ("r1", "r2", "r3") if target is Target.KEY_SYSTEM else ("F",)
         assert [p["part"] for p in proof["parts"]] == list(names)
         for part in proof["parts"]:
             if part["part"] == "r2":
-                assert part["zero_set"] == "2*y^2 = x^2 + 1"
+                assert part["zero_set"].startswith("2*y^2 = x^2 + 1")
                 assert part["claim"].startswith("r2 >= 0 on W(mu)")
             else:
-                assert part["zero_set"] == _EQUALITY_POINT
+                assert part["zero_set"].startswith(_EQUALITY_POINT)
                 assert part["claim"].startswith(f"{part['part']} > 0 on W(mu) except at (1,1)")
 
     @pytest.mark.parametrize("target", [Target.KEY_SYSTEM, Target.ALTITUDE_REDUCED])
-    @pytest.mark.parametrize("delta", ["0", "1e-3"])
-    def test_cli_exits_0_with_no_corner_check(self, target, delta, tmp_path):
+    @pytest.mark.parametrize("mu", ["1e-6", "1e-12", "1.1e-16", "1e-17", "1e-20"])
+    @pytest.mark.parametrize("delta", ["0", "1e-7", "1e-3"])
+    def test_cli_exits_0_with_no_corner_check(self, target, mu, delta, tmp_path):
         out = tmp_path / "cert.json"
-        assert cli.main(["certify", "--target", target.value, "--delta", delta,
+        assert cli.main(["certify", "--target", target.value, "--mu", mu, "--delta", delta,
                          "-o", str(out)]) == 0
         doc = json.loads(out.read_text())
         assert set(doc) == {"manifest", "certificate"}
         assert doc["certificate"]["proof"]["kind"] == "identity"
-
-    @pytest.mark.parametrize("mu", [1e-17, 1.1e-16, 1e-20])
-    def test_key_system_falls_back_where_the_identity_does_not_apply(self, mu):
-        assert 1.0 + mu == 1.0
-        task = CertificationTask(target=Target.KEY_SYSTEM, mu=mu, box_budget=2000)
-        cert = certify(task)
-        assert cert.identity is None
-        assert not TARGETS[Target.KEY_SYSTEM].identity.applies(mu)
-        assert "proof" not in cert.to_report_dict()
-        assert _same_bytes(cert, _branch_and_bound(task))
+        assert doc["certificate"]["stats"]["boxes_processed"] == 0
 
     @pytest.mark.parametrize("target", [t for t in Target if TARGETS[t].identity is None])
     @pytest.mark.parametrize("settings", [{}, {"delta": 0.0, "mu": 1e-12}])
@@ -223,13 +276,6 @@ class TestCertificatesByIdentity:
         cert = certify(task)
         assert cert.identity is None and cert.stats.boxes_processed > 0
         assert _same_bytes(cert, _branch_and_bound(task))
-
-    def test_smallest_mu_of_the_square_identity(self):
-        # the identity applies from the first mu for which 1 + mu > 1
-        identity = TARGETS[Target.KEY_SYSTEM].identity
-        first = math.nextafter(2.0 ** -53, 1.0)
-        assert identity.applies(first) and not identity.applies(2.0 ** -53)
-        assert TARGETS[Target.ALTITUDE_REDUCED].identity.applies(np.nextafter(0.0, 1.0))
 
 
 def _same_bytes(a, b) -> bool:

@@ -929,13 +929,14 @@ class TestShard:
     # Taken again when a refinement round's window came to wrap into the
     # next sweep: only totals.refine_evaluations changed (207 -> 161
     # unconstrained, 275 -> 210 open-problem); the body without it hashes
-    # the same before and after.
+    # the same before and after.  Each case is named by its mode, not by
+    # its digest.
     @pytest.mark.parametrize("mode, digest", [
-        (SearchMode.UNCONSTRAINED,
-         "31546c27d7e33c55ec6586c79244d4c79312539cf8408e3f73d8192d6e8b7693"),
-        (SearchMode.OPEN_PROBLEM,
-         "8107e3cae2693847d04c5fa994343e9467a3bfb6a96831a03d81c2fbc7be3986"),
-    ])
+        pytest.param(mode, digest, id=mode.value) for mode, digest in (
+            (SearchMode.UNCONSTRAINED,
+             "31546c27d7e33c55ec6586c79244d4c79312539cf8408e3f73d8192d6e8b7693"),
+            (SearchMode.OPEN_PROBLEM,
+             "8107e3cae2693847d04c5fa994343e9467a3bfb6a96831a03d81c2fbc7be3986"))])
     def test_report_bytes_are_pinned(self, mode, digest):
         cfg = SearchConfig(seed=7, samples=2 * SHARD_SIZE + 17, mode=mode)
         text = canonical_json(search(cfg).to_report_dict())

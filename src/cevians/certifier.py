@@ -91,29 +91,35 @@ _UNDECIDED_LIMIT = 1000
 # 106, 96 and 97 ms in process (medians of 7 passes; 21 passes of depths
 # 5, 6 and 7 gave 100, 80 and 81 ms).
 _GRID_DEPTH = 5
-# The branch-and-bound decides a bounded level together with the
-# generations below it while the level and they hold at most this many
-# boxes (see
-# :func:`_look_ahead`).  A `_decide` call has a fixed cost of milliseconds
-# (2.3 ms on certify-corner's 224-box batch, 3.0-3.5 ms on key-system's
-# batches of 206-346 boxes) and costs about 3.3-3.6 us per box on 37k-88k
-# boxes, so a batch this size costs less than the calls it saves.  Caps
-# of 0 (no look-ahead), 256, 384, 512, 768 and 1,024 make 42, 15, 15, 15,
-# 15 and 15 evaluations over the nine certify-suite runs that use the
-# branch-and-bound.  When all 15 runs were bounded, in process on a
-# shared 2-core host, they made 81, 30, 30, 27, 24 and 24 evaluations and
-# took 90, 58, 59, 70, 67 and 95 ms, and made 3, 1, 1, 1, 1 and 1 on
-# certify-corner's run and took 4.4, 2.8, 2.8, 3.5, 3.5 and 5.0 ms
-# (medians of 60 and 400 interleaved passes).  Over 7
-# targets x 11 settings (certify-suite's three, delta = 0 at mu = 1e-6,
-# 1e-12 and 1e-20 with a budget of 3,000, budgets of 10 and 31, max_depth
-# 2 and 7, min_box_width 0.2), caps of 256, 384, 512, 768 and 1,024 made 111, 108, 98, 95 and 88 evaluations
-# and took 312, 315, 333, 344 and 425 ms (medians of 15), and 256 against
-# 384 alone 312 and 305 ms (medians of 30).  The one-generation look-ahead
-# this replaced, below levels of at most 256 boxes, made 45 evaluations
-# over certify-suite.  On key-system at mu = 1e-20, delta = 0 and a budget
-# of 300,000, whose levels grow to 88,266 boxes, the look-ahead reaches
-# only the first three levels, and the run takes about 1.0 s either way.
+# The branch-and-bound decides a bounded level together with the generations
+# below it while the level and they hold at most this many boxes (see
+# :func:`_look_ahead`).  A `_decide` call has a fixed cost of milliseconds,
+# because at these sizes a box costs mostly per NumPy call, not per lane: on
+# certify-corner's 224-box batch it takes 2.4 ms in 1,357 NumPy calls (ufunc
+# and array-function calls, not counting indexing), of which the bound takes
+# 1.08 ms in 503 calls on 224 lanes, the (1, 1) form 0.75 ms in 507 calls on
+# 19 lanes and the (0, 1) form 0.35 ms in 286 calls on 3 lanes (medians of 5
+# processes of 400 passes each).  Before each `_JetOps` rule made one
+# gathered product, the same batch took 2.8 ms in 1,833 calls, and the three
+# forms 1.23, 1.07 and 0.40 ms in 597, 793 and 382.  On key-system's wide
+# levels of 37k-88k boxes a decision costs about 3.3-3.6 us per box, so a
+# batch this size costs less than the calls it saves.  Caps of 0 (no
+# look-ahead), 256, 384, 512, 768 and 1,024 make 42, 15, 15, 15, 15 and 15
+# evaluations over the nine certify-suite runs that use the
+# branch-and-bound.  When all 15 runs were bounded, in process on a shared
+# 2-core host, they made 81, 30, 30, 27, 24 and 24 evaluations and took 90,
+# 58, 59, 70, 67 and 95 ms, and made 3, 1, 1, 1, 1 and 1 on certify-corner's
+# run and took 4.4, 2.8, 2.8, 3.5, 3.5 and 5.0 ms (medians of 60 and 400
+# interleaved passes).  Over 7 targets x 11 settings (certify-suite's three,
+# delta = 0 at mu = 1e-6, 1e-12 and 1e-20 with a budget of 3,000, budgets of
+# 10 and 31, max_depth 2 and 7, min_box_width 0.2), caps of 256, 384, 512,
+# 768 and 1,024 made 111, 108, 98, 95 and 88 evaluations and took 312, 315,
+# 333, 344 and 425 ms (medians of 15), and 256 against 384 alone 312 and 305
+# ms (medians of 30).  The one-generation look-ahead this replaced, below
+# levels of at most 256 boxes, made 45 evaluations over certify-suite.  On
+# key-system at mu = 1e-20, delta = 0 and a budget of 300,000, whose levels
+# grow to 88,266 boxes, the look-ahead reaches only the first three levels,
+# and the run takes about 1.0 s either way.
 _LOOKAHEAD_BOXES = 384
 
 
@@ -159,7 +165,8 @@ class _Jet:
     at order 2 (m = 6) rows 3-5 the Hessian (hxx, hxy, hyy).  `ok` marks
     lanes where every radicand and divisor so far is strictly positive over
     the whole box hull, i.e. where the expression is differentiable on the
-    hull and the derivative forms are admissible.  `square` holds a * a once
+    hull and the derivative forms are admissible; it is None, for every
+    lane, until the first radicand or divisor.  `square` holds a * a once
     `_JetOps.mul` has made it: quadratic-median squares the sides twice (in
     the doubled medians and in the slack) and was 14% slower without it.
     """
@@ -173,7 +180,7 @@ class _Jet:
 
 
 def _rows(a, k):
-    """Rows `k` (an index, slice or list) of a pair of endpoint arrays."""
+    """Rows `k` (an index, slice or index array) of a pair of endpoint arrays."""
     return a[0][k], a[1][k]
 
 
@@ -187,6 +194,15 @@ def _stack(parts):
     return tuple(np.concatenate([p[e] for p in parts]) for e in (0, 1))
 
 
+def _both(p, q):
+    """p & q of two `ok` masks, where None stands for every lane."""
+    if p is None:
+        return q
+    if q is None:
+        return p
+    return p & q
+
+
 # Row 0 as a (1, n) slice, which `_stack` takes as it is.
 _VALUE = slice(0, 1)
 _GRAD = slice(1, 3)
@@ -195,18 +211,49 @@ _HESS = slice(3, 6)
 # (x, y, y); `_LEFT` and `_RIGHT` index those rows of a gradient pair.
 _LEFT, _RIGHT = [0, 0, 1], [0, 1, 1]
 
+# The product rule's one gathered product, by the row count of its jets:
+# the rows of the left factor `a` and of the right factor `b` that it
+# multiplies.  With v, w the values and g, k the gradients of a and b, its
+# rows are a_r*w for every row r, then at order 2 g_L*k_R (the Hessian
+# cross terms), then v*b_r for every derivative row r, then g_R*k_L: the
+# second half, added to the first after its row 0, gives each derivative
+# row and the cross sums.
+_PRODUCT_ROWS = {
+    3: (np.array([0, 1, 2, 0, 0]), np.array([0, 0, 0, 1, 2])),
+    6: (np.array([0, 1, 2, 3, 4, 5, 1, 1, 2, 0, 0, 0, 0, 0, 1, 2, 2]),
+        np.array([0, 0, 0, 0, 0, 0, 1, 2, 2, 1, 2, 3, 4, 5, 1, 1, 2])),
+}
+# The quotient rule's one gathered product at order 2, of the rows
+# (q, qx, qy) of the quotient so far by rows of the divisor b: qx*bx,
+# qx*by, qy*by (the (xx, xy, yy) terms q_L*b_R), qy*bx, then q*b_ij.
+_QUOTIENT_ROWS = np.array([1, 1, 2, 2, 0, 0, 0]), np.array([1, 2, 2, 1, 3, 4, 5])
+
 
 class _JetOps:
     """Interval arithmetic with forward-mode derivative propagation.
 
-    Each rule makes one `_IntervalOps` call per term, for all of its rows at
-    once, and keeps the per-element operation order of the rule written
-    one component at a time, so every row is the same bit for bit.  Row 0
-    is the natural extension.  Only the derivative rows meet inf * 0 (a
-    radicand that reaches 0 has an infinite derivative); those lanes have
-    `ok` False and are never used, and :func:`_jets` silences their
-    warnings.  A float operand is an exact constant as in `_IntervalOps`,
-    except that sub takes one only as its subtrahend: a +- k changes row 0.
+    Each rule makes one `_IntervalOps` product over rows it gathers from
+    its operands, instead of one per term: at the narrow levels of a run
+    a box costs mostly per NumPy call, not per lane.  On certify-corner's
+    batch this took the bound from 597 to 503 NumPy calls, the (1, 1) form
+    from 793 to 507 and the (0, 1) form from 382 to 286, and their times
+    from 1.23, 1.07 and 0.40 ms to 1.08, 0.75 and 0.35 ms
+    (`_LOOKAHEAD_BOXES` says how they were measured).  On wide levels the
+    gathered temporaries grow past what glibc keeps after a free, so each
+    product faults its memory back in and is slower than one product per
+    term: at 3,000 lanes an order-1 product took 1,045 against 639 us,
+    with 144 minor faults against 0.  Each row keeps the per-element
+    operation order of the rule written one component at a time, so row
+    0, the natural extension, is the same bit for bit on every lane, and
+    every row on every lane with `ok`.  The div and sqrt rules floor their
+    divisors at 5e-324 and divide the derivative rows with
+    `_IntervalOps._div_positive`, whose bits differ from div's only where
+    a quotient is NaN, and none is on a lane with `ok`.  Only the
+    derivative rows meet inf * 0 (a radicand that reaches 0 has an
+    infinite derivative); those lanes have `ok` False and are never used,
+    and :func:`_jets` silences their warnings.  A float operand is an
+    exact constant as in `_IntervalOps`, except that sub takes one only
+    as its subtrahend: a +- k changes row 0.
     """
 
     @staticmethod
@@ -214,14 +261,14 @@ class _JetOps:
         if isinstance(a, float):
             a, b = b, a
         if not isinstance(b, float):
-            return _Jet(_IntervalOps.add(a.d, b.d), a.ok & b.ok)
+            return _Jet(_IntervalOps.add(a.d, b.d), _both(a.ok, b.ok))
         return a + b if isinstance(a, float) else _with_value(a, _IntervalOps.add, b)
 
     @staticmethod
     def sub(a, b):
         if isinstance(b, float):
             return a - b if isinstance(a, float) else _with_value(a, _IntervalOps.sub, b)
-        return _Jet(_IntervalOps.sub(a.d, b.d), a.ok & b.ok)
+        return _Jet(_IntervalOps.sub(a.d, b.d), _both(a.ok, b.ok))
 
     @staticmethod
     def mul(a, b):
@@ -236,17 +283,16 @@ class _JetOps:
             return a.square
         # (vw)_i = v_i*w + v*w_i and
         # (vw)_ij = (v_ij*w + v*w_ij) + (v_i*w_j + v_j*w_i).
-        add, mul = _IntervalOps.add, _IntervalOps.mul
-        v, w = _rows(a.d, 0), _rows(b.d, 0)
-        d = mul(a.d, w)
-        tail = slice(1, None)
-        _set_rows(d, tail, add(_rows(d, tail), mul(v, _rows(b.d, tail))))
-        if d[0].shape[0] > 3:
-            g, k = _rows(a.d, _GRAD), _rows(b.d, _GRAD)
-            cross = add(mul(_rows(g, _LEFT), _rows(k, _RIGHT)),
-                        mul(_rows(g, _RIGHT), _rows(k, _LEFT)))
-            _set_rows(d, _HESS, add(_rows(d, _HESS), cross))
-        product = _Jet(d, a.ok & b.ok)
+        add = _IntervalOps.add
+        m = a.d[0].shape[0]
+        left, right = _PRODUCT_ROWS[m]
+        p = _IntervalOps.mul(_rows(a.d, left), _rows(b.d, right))
+        half = (len(left) + 1) // 2
+        s = add(_rows(p, slice(1, half)), _rows(p, slice(half, None)))
+        parts = [_rows(p, _VALUE), s]
+        if m > 3:
+            parts[1:] = _rows(s, slice(0, 2)), add(_rows(s, slice(2, 5)), _rows(s, slice(5, 8)))
+        product = _Jet(_stack(parts), _both(a.ok, b.ok))
         if a is b:
             a.square = product
         return product
@@ -256,40 +302,40 @@ class _JetOps:
         # q = a / b: from a = q*b, q_i = (a_i - q*b_i) / b and
         # q_ij = (((a_ij - q_i*b_j) - q_j*b_i) - q*b_ij) / b, with the two
         # middle terms one doubled term on the diagonal.
-        sub, mul = _IntervalOps.sub, _IntervalOps.mul
+        sub, mul, div = _IntervalOps.sub, _IntervalOps.mul, _IntervalOps._div_positive
         w = _rows(b.d, _VALUE)
         denom = (np.maximum(w[0], 5e-324), w[1])
         q = _IntervalOps.div(_rows(a.d, _VALUE), denom)
-        g = _IntervalOps.div(sub(_rows(a.d, _GRAD), mul(q, _rows(b.d, _GRAD))), denom)
-        parts = [q, g]
+        d = _stack([q, div(sub(_rows(a.d, _GRAD), mul(q, _rows(b.d, _GRAD))), denom)])
         if a.d[0].shape[0] > 3:
-            k = _rows(b.d, _GRAD)
-            t = mul(_rows(g, _LEFT), _rows(k, _RIGHT))
-            _set_rows(t, slice(0, 3, 2), _IntervalOps.mul(_rows(t, slice(0, 3, 2)), 2.0))
-            h = sub(_rows(a.d, _HESS), t)
-            _set_rows(h, 1, sub(_rows(h, 1), mul(_rows(g, 1), _rows(k, 0))))
-            parts.append(_IntervalOps.div(sub(h, mul(q, _rows(b.d, _HESS))), denom))
-        return _Jet(_stack(parts), a.ok & b.ok & (w[0][0] > 0.0))
+            left, right = _QUOTIENT_ROWS
+            p = mul(_rows(d, left), _rows(b.d, right))
+            diagonal = slice(0, 3, 2)
+            _set_rows(p, diagonal, mul(_rows(p, diagonal), 2.0))
+            h = sub(_rows(a.d, _HESS), _rows(p, slice(0, 3)))
+            _set_rows(h, 1, sub(_rows(h, 1), _rows(p, 3)))
+            d = _stack([d, div(sub(h, _rows(p, slice(4, 7))), denom)])
+        return _Jet(d, _both(_both(a.ok, b.ok), w[0][0] > 0.0))
 
     @staticmethod
     def sqrt(a):
         # s = sqrt(a): s_i = a_i / (2s) and s_ij = (a_ij - 2*s_i*s_j) / (2s).
+        div = _IntervalOps._div_positive
         v = _rows(a.d, _VALUE)
         s = _IntervalOps.sqrt(v)
-        denom = (np.maximum(2.0 * s[0], 5e-324), 2.0 * s[1])
-        g = _IntervalOps.div(_rows(a.d, _GRAD), denom)
+        floor = 2.0 * s[0]
+        denom = (np.maximum(floor, 5e-324, out=floor), 2.0 * s[1])
+        g = div(_rows(a.d, _GRAD), denom)
         parts = [s, g]
         if a.d[0].shape[0] > 3:
             t = _IntervalOps.mul(_IntervalOps.mul(_rows(g, _LEFT), _rows(g, _RIGHT)), 2.0)
-            parts.append(_IntervalOps.div(_IntervalOps.sub(_rows(a.d, _HESS), t), denom))
-        return _Jet(_stack(parts), a.ok & (v[0][0] > 0.0))
+            parts.append(div(_IntervalOps.sub(_rows(a.d, _HESS), t), denom))
+        return _Jet(_stack(parts), _both(a.ok, v[0][0] > 0.0))
 
 
 def _with_value(a, op, k):
     """`a` with `op(value, k)` in row 0 (op is add or sub, k a float)."""
-    d = (a.d[0].copy(), a.d[1].copy())
-    _set_rows(d, 0, op(_rows(d, 0), k))
-    return _Jet(d, a.ok)
+    return _Jet(_stack([op(_rows(a.d, _VALUE), k), _rows(a.d, slice(1, None))]), a.ok)
 
 
 def _on_unit_triangle(formula, cevians, parts=1):
@@ -430,9 +476,10 @@ TARGETS = {
             "square identity",
             "4*T1*T2 - P^2 = 4*(X^2 + Z^2 - 2*Y^2)^2 * (16*area^2), with "
             "T1 = (X*2m_Z)^2, T2 = (Z*2m_X)^2 and P = 4*(Y*2m_Y)^2 - T1 - T2, "
-            "so X*m_Z + Z*m_X - 2*Y*m_Y >= 0, and = 0 exactly on "
-            "X^2 + Z^2 = 2*Y^2, wherever the Heron factors are positive; r1, r2 "
-            "and r3 are twice it with (X, Y, Z) = (b, a, c), (a, b, c) and (a, c, b)",
+            "so X*m_Z + Z*m_X - 2*Y*m_Y >= 0 wherever the Heron factors are >= 0, "
+            "and = 0 exactly on X^2 + Z^2 = 2*Y^2 where the area is positive; "
+            "r1, r2 and r3 are twice it with (X, Y, Z) = (b, a, c), (a, b, c) "
+            "and (a, c, b)",
             (("r1", _EQUALITY_POINT, "(1/2,1/2)"), ("r2", "2*y^2 = x^2 + 1", "x + y = 1"),
              ("r3", _EQUALITY_POINT, None)),
             key_system_identity_floors)),
@@ -480,20 +527,23 @@ def _jets(parts, order: int, xlo, xhi, ylo, yhi, in_sqrt_x=False):
     derivatives are taken in (s, y), and `parts` gets x = s*s and the roots
     (sqrt(y), s, s*sqrt(y)).
     """
-    ok = np.ones(np.shape(xlo), dtype=bool)
-
     def seed(lo, hi, row):
         d = np.zeros((3 * order, lo.shape[0])), np.zeros((3 * order, lo.shape[0]))
         _set_rows(d, 0, (lo, hi))
         _set_rows(d, row, (1.0, 1.0))
-        return _Jet(d, ok)
+        return _Jet(d, None)
 
     x, y = seed(xlo, xhi, 1), seed(ylo, yhi, 2)
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         if in_sqrt_x:
             sy = _JetOps.sqrt(y)
-            return parts(_JetOps, _JetOps.mul(x, x), y, roots=(sy, x, _JetOps.mul(x, sy)))
-        return parts(_JetOps, x, y)
+            jets = parts(_JetOps, _JetOps.mul(x, x), y, roots=(sy, x, _JetOps.mul(x, sy)))
+        else:
+            jets = parts(_JetOps, x, y)
+    for jet in jets:
+        if jet.ok is None:
+            jet.ok = np.ones(np.shape(xlo), dtype=bool)
+    return jets
 
 
 def _lower_bounds(spec: TargetSpec, xlo, xhi, ylo, yhi):

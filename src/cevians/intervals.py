@@ -8,7 +8,8 @@ evaluation that follows the same expression tree.
 
 The one-ulp step is IEEE 754-2019 nextUp/nextDown (section 5.3.1): the
 scalar :class:`Interval` takes it with ``math.nextafter``, and the array
-operations with ``np.nextafter`` (:func:`_round_up`, :func:`_round_down`).
+operations with ``np.nextafter`` (:func:`_round_up`, :func:`_round_down`,
+and :func:`_round_out` in place on an operation's own temporaries).
 
 The operation sets ``_FloatOps`` and ``_IntervalOps`` run a formula written
 once against ``ops`` in binary64 or as an enclosure of that same tree, on
@@ -286,7 +287,9 @@ class _IntervalOps:
     endpoint or a negative radicand and leave an infinite or NaN endpoint
     there; they set no floating-point error state of their own, so the
     caller runs them under one ``np.errstate(divide="ignore",
-    invalid="ignore", over="ignore")``.
+    invalid="ignore", over="ignore")``.  Each operation takes its min, max
+    and rounding steps in place on the temporaries it made itself, so it
+    allocates fewer arrays and never writes into an operand.
     """
 
     @staticmethod
@@ -297,7 +300,7 @@ class _IntervalOps:
             a = (a, a)
         elif isinstance(b, float):
             b = (b, b)
-        return _round_down(a[0] + b[0]), _round_up(a[1] + b[1])
+        return _round_out(a[0] + b[0], a[1] + b[1])
 
     @staticmethod
     def sub(a, b):
@@ -307,7 +310,7 @@ class _IntervalOps:
             a = (a, a)
         elif isinstance(b, float):
             b = (b, b)
-        return _round_down(a[0] - b[1]), _round_up(a[1] - b[0])
+        return _round_out(a[0] - b[1], a[1] - b[0])
 
     @staticmethod
     def mul(a, b):
@@ -321,14 +324,12 @@ class _IntervalOps:
             lo, hi = a[0] * b, a[1] * b
             if b < 0.0:
                 lo, hi = hi, lo
-            return _round_down(lo), _round_up(hi)
+            return _round_out(lo, hi)
         p1 = a[0] * b[0]
         p2 = a[0] * b[1]
         p3 = a[1] * b[0]
         p4 = a[1] * b[1]
-        lo = np.minimum(np.minimum(p1, p2), np.minimum(p3, p4))
-        hi = np.maximum(np.maximum(p1, p2), np.maximum(p3, p4))
-        return _round_down(lo), _round_up(hi)
+        return _round_out(*_least_and_most(p1, p2, p3, p4))
 
     @staticmethod
     def div(a, b):
@@ -340,15 +341,48 @@ class _IntervalOps:
         q2 = a[0] / b[1]
         q3 = a[1] / b[0]
         q4 = a[1] / b[1]
-        lo = np.minimum(np.minimum(q1, q2), np.minimum(q3, q4))
-        hi = np.maximum(np.maximum(q1, q2), np.maximum(q3, q4))
-        return _round_down(lo), _round_up(hi)
+        return _round_out(*_least_and_most(q1, q2, q3, q4))
+
+    @staticmethod
+    def _div_positive(a, b):
+        """div for a divisor whose lower endpoint is > 0.
+
+        A quotient by a positive number grows with the numerator, so lo is
+        the lesser of a_lo/b_lo and a_lo/b_hi, and hi the greater of
+        a_hi/b_lo and a_hi/b_hi: div's bits wherever no quotient is NaN,
+        from two quotients per endpoint instead of four.
+        """
+        lo = a[0] / b[0]
+        np.minimum(lo, a[0] / b[1], out=lo)
+        hi = a[1] / b[0]
+        np.maximum(hi, a[1] / b[1], out=hi)
+        return _round_out(lo, hi)
 
     @staticmethod
     def sqrt(a):
         # Negative dust below the domain boundary is clamped to the true
         # restriction [0, hi]; an entirely negative interval surfaces as
         # NaN, which can never be proven positive.
-        lo = _round_down(np.sqrt(np.maximum(a[0], 0.0)))
-        hi = _round_up(np.sqrt(a[1]))
-        return np.maximum(lo, 0.0), hi
+        lo = np.maximum(a[0], 0.0)
+        np.sqrt(lo, out=lo)
+        hi = np.sqrt(a[1])
+        lo, hi = _round_out(lo, hi)
+        np.maximum(lo, 0.0, out=lo)
+        return lo, hi
+
+
+def _least_and_most(p1, p2, p3, p4):
+    """min(min(p1, p2), min(p3, p4)) and the same with max, computed in
+    place on the four fresh arrays, which it consumes."""
+    lo = np.minimum(p1, p2)
+    hi = np.maximum(p1, p2, out=p1)
+    np.minimum(lo, np.minimum(p3, p4, out=p2), out=lo)
+    np.maximum(hi, np.maximum(p3, p4, out=p3), out=hi)
+    return lo, hi
+
+
+def _round_out(lo, hi):
+    """Fresh endpoint arrays lo and hi, rounded outward by one ulp in place."""
+    np.nextafter(lo, -_INF, out=lo)
+    np.nextafter(hi, _INF, out=hi)
+    return lo, hi

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _quote
 
-TOOL_VERSION = "0.18.0"
+TOOL_VERSION = "0.19.0"
 
 
 @dataclass(frozen=True)

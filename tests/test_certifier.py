@@ -34,6 +34,8 @@ from cevians.certifier import (
     _VERTEX_1_1,
     _VERTICES,
     _EQUALITY_POINT,
+    _Jet,
+    _JetOps,
     _bisect,
     _branch_and_bound,
     _clip_to_domain,
@@ -1320,3 +1322,182 @@ class TestOneTreePerBox:
             assert np.array_equal(_bits(jet.d[0][0]), _bits(nat[0]))
             assert np.array_equal(_bits(jet.d[1][0]), _bits(nat[1]))
 
+
+class _ComponentJetOps:
+    """The `_JetOps` rules one component at a time, through `_IntervalOps`:
+    a jet is (rows, ok), with one (lo, hi) pair of (n,) arrays per row
+    [v, gx, gy] or [v, gx, gy, hxx, hxy, hyy], and ok None for every lane.
+    Each row's operations and their order are those the rules document."""
+
+    PAIRS = ((0, 0), (0, 1), (1, 1))
+    ops = _IntervalOps
+
+    @staticmethod
+    def both(p, q):
+        return p if q is None else q if p is None else p & q
+
+    @classmethod
+    def add(cls, a, b):
+        if isinstance(a, float):
+            a, b = b, a
+        if isinstance(b, float):
+            return [cls.ops.add(a[0][0], b), *a[0][1:]], a[1]
+        return [cls.ops.add(p, q) for p, q in zip(a[0], b[0])], cls.both(a[1], b[1])
+
+    @classmethod
+    def sub(cls, a, b):
+        if isinstance(b, float):
+            return [cls.ops.sub(a[0][0], b), *a[0][1:]], a[1]
+        return [cls.ops.sub(p, q) for p, q in zip(a[0], b[0])], cls.both(a[1], b[1])
+
+    @classmethod
+    def mul(cls, a, b):
+        add, mul = cls.ops.add, cls.ops.mul
+        if isinstance(a, float):
+            a, b = b, a
+        if isinstance(b, float):
+            return [mul(p, b) for p in a[0]], a[1]
+        (v, *g), (w, *k) = a[0], b[0]
+        rows = [mul(v, w), *(add(mul(g[i], w), mul(v, k[i])) for i in range(2))]
+        for r, (i, j) in enumerate(cls.PAIRS[:len(g) - 2]):
+            rows.append(add(add(mul(g[2 + r], w), mul(v, k[2 + r])),
+                            add(mul(g[i], k[j]), mul(g[j], k[i]))))
+        return rows, cls.both(a[1], b[1])
+
+    @classmethod
+    def div(cls, a, b):
+        sub, mul, div = cls.ops.sub, cls.ops.mul, cls.ops.div
+        (v, *g), (w, *k) = a[0], b[0]
+        denom = (np.maximum(w[0], 5e-324), w[1])
+        q = div(v, denom)
+        qg = [div(sub(g[i], mul(q, k[i])), denom) for i in range(2)]
+        rows = [q, *qg]
+        for r, (i, j) in enumerate(cls.PAIRS[:len(g) - 2]):
+            t = mul(qg[i], k[j])
+            if i == j:
+                t = mul(t, 2.0)
+            h = sub(g[2 + r], t)
+            if i != j:
+                h = sub(h, mul(qg[j], k[i]))
+            rows.append(div(sub(h, mul(q, k[2 + r])), denom))
+        return rows, cls.both(cls.both(a[1], b[1]), w[0] > 0.0)
+
+    @classmethod
+    def sqrt(cls, a):
+        sub, mul, div = cls.ops.sub, cls.ops.mul, cls.ops.div
+        v, *g = a[0]
+        s = cls.ops.sqrt(v)
+        denom = (np.maximum(2.0 * s[0], 5e-324), 2.0 * s[1])
+        sg = [div(g[i], denom) for i in range(2)]
+        rows = [s, *sg]
+        for r, (i, j) in enumerate(cls.PAIRS[:len(g) - 2]):
+            rows.append(div(sub(g[2 + r], mul(mul(sg[i], sg[j]), 2.0)), denom))
+        return rows, cls.both(a[1], v[0] > 0.0)
+
+
+class TestJetRules:
+    """Every `_JetOps` rule, at orders 1 and 2, bit for bit against the
+    same rule one component at a time (`_ComponentJetOps`), on random
+    jets whose radicands and divisors reach 0 on some lanes: row 0 on
+    every lane, and every row where `ok` is set."""
+
+    N = 400
+
+    @pytest.fixture(autouse=True)
+    def quiet(self):
+        # as in `_decide`: lanes where a divisor or radicand reaches 0
+        # overflow, divide by 0 or meet inf * 0
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            yield
+
+    def random_jet(self, rng, order, value_lo=(-2.0, 2.0), ok=True):
+        rows = 3 * order
+        lo = rng.uniform(-2.0, 2.0, (rows, self.N))
+        lo[0] = rng.uniform(*value_lo, self.N)
+        width = rng.uniform(0.0, 1.0, lo.shape) * rng.choice([0.0, 1e-9, 1.0], lo.shape)
+        mask = rng.uniform(0.0, 1.0, self.N) > 0.2 if ok else None
+        return _Jet((lo, lo + width), mask)
+
+    def nonnegative_jet(self, rng, order, ok=True):
+        """A radicand or divisor, as the targets have them: row 0 has
+        hi >= 0, and lo >= 0 except that it is 0 on a tenth of the lanes
+        and -1e-17 on another."""
+        jet = self.random_jet(rng, order, (0.0, 2.0), ok)
+        lane = rng.uniform(0.0, 1.0, self.N)
+        jet.d[0][0][lane < 0.1] = 0.0
+        jet.d[0][0][(lane >= 0.1) & (lane < 0.2)] = -1e-17
+        return jet
+
+    @staticmethod
+    def components(jet):
+        return [(jet.d[0][r], jet.d[1][r]) for r in range(jet.d[0].shape[0])], jet.ok
+
+    def check(self, got, want):
+        rows, ok = want
+        assert (got.ok is None) == (ok is None)
+        assert ok is None or np.array_equal(got.ok, ok)
+        lanes = np.ones(self.N, dtype=bool) if ok is None else ok
+        assert got.d[0].shape[0] == len(rows)
+        for r, pair in enumerate(rows):
+            where = np.ones(self.N, dtype=bool) if r == 0 else lanes
+            for e in (0, 1):
+                assert np.array_equal(_bits(got.d[e][r][where]), _bits(pair[e][where])), (r, e)
+
+    @pytest.mark.parametrize("order", [1, 2])
+    @pytest.mark.parametrize("ok", [True, False], ids=["ok", "ok-none"])
+    def test_binary_rules(self, rng, order, ok):
+        ref = _ComponentJetOps
+        for _ in range(3):
+            a, b = self.random_jet(rng, order, ok=ok), self.random_jet(rng, order, ok=ok)
+            divisor = self.nonnegative_jet(rng, order, ok=ok)
+            operands = [e for j in (a, b, divisor) for e in j.d]
+            before = [e.copy() for e in operands]
+            ca, cb, cd = (self.components(j) for j in (a, b, divisor))
+            self.check(_JetOps.add(a, b), ref.add(ca, cb))
+            self.check(_JetOps.sub(a, b), ref.sub(ca, cb))
+            self.check(_JetOps.mul(a, b), ref.mul(ca, cb))
+            self.check(_JetOps.div(a, divisor), ref.div(ca, cd))
+            # a divisor of either sign: `ok` is set only where it is positive
+            self.check(_JetOps.div(a, b), ref.div(ca, cb))
+            # a numerator with a NaN upper end, the root of a radicand that
+            # lies wholly below 0 on some lanes
+            radicand = self.random_jet(rng, order, ok=ok)
+            root = _JetOps.sqrt(radicand)
+            self.check(root, ref.sqrt(self.components(radicand)))
+            assert np.isnan(root.d[1][0]).any()
+            self.check(_JetOps.div(root, divisor), ref.div(self.components(root), cd))
+            # the rounding steps work in place, never on an operand
+            assert all(np.array_equal(_bits(e), _bits(c)) for e, c in zip(operands, before))
+
+    @pytest.mark.parametrize("order", [1, 2])
+    @pytest.mark.parametrize("ok", [True, False], ids=["ok", "ok-none"])
+    def test_sqrt(self, rng, order, ok):
+        for _ in range(3):
+            a = self.nonnegative_jet(rng, order, ok=ok)
+            want = _ComponentJetOps.sqrt(self.components(a))
+            self.check(_JetOps.sqrt(a), want)
+            assert not want[1][self.components(a)[0][0][0] <= 0.0].any()
+
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_float_constants_on_either_side(self, rng, order):
+        ref = _ComponentJetOps
+        a = self.random_jet(rng, order)
+        ca = self.components(a)
+        for k in (2.0, 1.0, 0.5, -3.0, 1e-300):
+            self.check(_JetOps.add(a, k), ref.add(ca, k))
+            self.check(_JetOps.add(k, a), ref.add(ca, k))
+            self.check(_JetOps.sub(a, k), ref.sub(ca, k))
+            self.check(_JetOps.mul(a, k), ref.mul(ca, k))
+            self.check(_JetOps.mul(k, a), ref.mul(ca, k))
+
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_square_cache(self, rng, order):
+        a = self.random_jet(rng, order)
+        square = _JetOps.mul(a, a)
+        assert _JetOps.mul(a, a) is square
+        ca = self.components(a)
+        self.check(square, _ComponentJetOps.mul(ca, ca))
+        # a jet with the same arrays is a different operand: no cache
+        twin = _Jet(a.d, a.ok)
+        assert _JetOps.mul(a, twin) is not square
+        self.check(_JetOps.mul(a, twin), _ComponentJetOps.mul(ca, ca))

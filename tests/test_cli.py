@@ -433,9 +433,9 @@ def _by_argv(cases):
         "874db19c1d646f64dcc9407f7266aeaa3999f52be017bd27ac1fe52a0a13c39f",
         "9b4d86250e5ee0e4874315c273367e06c863fce9ba867685b5b94ec3df164aee",
         "36c8505798237db570223fe2590de3b9593b06504b22458fc9557186c991045f",
-        "5389e30012190a3eb2dbfbe16358203758ae1f3b680ab8724df68a7339da4b2d",
-        "bafde39dcb8e3a4795e03a3f5002894960897ea3625bdf5b1d1937dc4703877f",
-        "303831633f11196f6794541328b7e81596ad007f46cf543aa1c87d5e4a7172c8",
+        "4f3ce6fe2e54f7643e461953d1aaf568a8e154211689af22a17558158f89c5b2",
+        "afdcb1aed3ceb3487263348b770be71a104f9bc7510dcf62bd0a781cd4287456",
+        "a54043f99ed1d687e5f716f72ffba5f7ba2ed732adf1ce1346f2cd9cd9013ca9",
         "1127a00c80d8df325ef13095fc2b74f4de5b003a83eed6e825f43a6202eea09f",
         "4c6bf1a25476545515f9ad9c31abf47c2eb79b6cb314aa6ab02ce354276102c3",
         "c784b56541fc54dfb95479c02a6150db303929250f0b7663bdb878486fc36202",
@@ -466,14 +466,14 @@ def _by_argv(cases):
                          "quadratic-bisector")), (
         "e802b9d00734f237e8f5edb8594c247ded6314804b46592b41be41c2bb270209",
         "eaf506db43adbcd2dcc0217992b8475946ed8a9ac9c7b472d5a764c10dfac568",
-        "f57c2cf598918b575ca76183e7f801906e85302159ce33faef7b253e02c6d5e8",
+        "e73a38fd9df991be5ce33d5dc42c6fe19e1088b48e9ea698bfe3c5d9ba450d02",
         "e9b5c08e4906ad8b06b2cd7c6395efdcdb9f7d7c60ad25ade649222c5f82382f",
         "64d56d71b7ed8f3c629fdfef364ed0721866421ae657ffdb5dc276171d3dc3ce",
         "748a30bcd0792a489a555bdb5359c03939f577c1aa0ad2a4de9af2779fac3e1b",
         "78838992f90dfc39b1d8e2f457e80c38acb486b754269a43a9f91eb87fcdb786",
         "ba2ea6a2287340e96bfce4a1964f0e8ae92823847dbc193ae1fe77c9bbde3fae",
         "d439ea043c076f45d465dda8b1f1e8510a079a25b0cba9996da7b5e956b26089",
-        "8378fc4b1a0e5d4616811f4cdaf462bca50e9cf31494206a6c53f01cb4a47261",
+        "b05aaa15280f3833246269e8f175c4aec5c2080d15c47f0ea4235c964efa39a4",
         "07ab849a96d445238cdd79c78dfebfd898751af88d2b3f1cc228305553d33215",
         "d08c184d4f5b923b616c82bb0380f092dc4eec4287796ec491057a813c02e75d",
         "8ff871ada0fe48f70d2ba1e7ecf2690dd6cad46af7456587712c088e17cd3708",
@@ -483,10 +483,10 @@ def _by_argv(cases):
     # x + y = 1, and the proof lists where r1 and r2 are 0 on it.
     (["certify", "--target", "key-system", "--mu", "1e-17", "--box-budget", "2000",
       "--include-proven"],
-     "df9e01c43e29ba4c07c5132cbe7f2abbd375e800cc1a1c3831abec4fc062b537"),
+     "bf7b2dd39427909035384e787cbdaa7206043d29d3844eea53184e8899949485"),
     (["certify", "--target", "key-system", "--mu", "1e-20", "--delta", "0",
       "--box-budget", "3000", "--include-proven"],
-     "fc45cc5978bf2319f1e97271d3d09b2a4e333138043e384ef9e659bcc0f63fb3"),
+     "abf2a259004ecddbb6eeb37d683027509c3b40ae5fd8758bd87c87cfd9680fb7"),
 ]))
 def test_certificate_bytes_are_pinned(argv, digest, tmp_path):
     assert _body_digest(argv, tmp_path) == digest

@@ -289,6 +289,21 @@ class TestOperationSets:
         twin = ops.mul(jet, _Jet(d, jet.ok))
         assert _same_bits(square.d, twin.d) and np.array_equal(square.ok, twin.ok)
 
+    def test_positive_division_has_the_bits_of_div(self, pair, rng):
+        from cevians.intervals import _IntervalOps as ops
+
+        # numerators of either sign, zero and point endpoints among them;
+        # divisors from 5e-324 up, as the jet rules floor them
+        lo, hi = pair
+        lo[::7], hi[::11] = 0.0, 0.0
+        hi = np.maximum(lo, hi)
+        blo = rng.choice([5e-324, 1e-300, 1e-3, 1.0], lo.size) * rng.uniform(1.0, 2.0, lo.size)
+        blo[::5] = 5e-324
+        bhi = blo + rng.uniform(0.0, 3.0, lo.size) * rng.choice([0.0, 1.0], lo.size)
+        with np.errstate(over="ignore"):
+            got, want = ops._div_positive((lo, hi), (blo, bhi)), ops.div((lo, hi), (blo, bhi))
+        assert _same_bits(got, want)
+
 
 class TestPlan:
     """A formula traced by ``_PlanOps`` and run as a ``_Plan`` of in-place
